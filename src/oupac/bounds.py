@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import DimensionMismatchError, InvalidSpecError
+from .errors import DimensionMismatchError, InvalidRangeError, InvalidSpecError
 from .linalg import SpdMatrix, cholesky_factor, log_det, random_spd
 from .rng import child_seed, make_rng
 
@@ -240,6 +240,8 @@ def lemma2_survey(
     "min_margin"}`` over ``pairs_per_dim`` random domain pairs.
     Deterministic for a fixed seed.
     """
+    if pairs_per_dim < 1:
+        raise InvalidRangeError(f"pairs_per_dim must be >= 1, got {pairs_per_dim}")
     rows = []
     for d in dims:
         holds = 0

@@ -46,12 +46,9 @@ from .errors import (
     InvalidSpecError,
     OupacError,
 )
-
-#: Bad user input (exit 2) as opposed to numerical failure (exit 3).
-_VALIDATION_ERRORS = (ConfigError, DimensionMismatchError, InvalidRangeError,
-                      InvalidSpecError)
 from .gaussian import (
     GaussianMeasure,
+    check_rate,
     kl_divergence,
     mc_kl_estimate,
     standard_gaussian,
@@ -62,6 +59,10 @@ from .regression import (
     bound_validity_experiment,
     scaling_experiment,
 )
+
+#: Bad user input (exit 2) as opposed to numerical failure (exit 3).
+_VALIDATION_ERRORS = (ConfigError, DimensionMismatchError, InvalidRangeError,
+                      InvalidSpecError)
 
 FLOAT_FORMAT = "%.17g"
 
@@ -77,13 +78,10 @@ def _fmt(value) -> str:
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    tokens = text.replace(",", " ").split()
-    if not tokens:
+    vector = matrixio.parse_vector(text.replace(",", " "))
+    if vector.size == 0:
         raise ConfigError(f"empty vector value {text!r}")
-    try:
-        return np.array([float(t) for t in tokens])
-    except ValueError as exc:
-        raise ConfigError(f"could not parse vector {text!r}") from exc
+    return vector
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -122,12 +120,14 @@ def _json_text(payload) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: params dict -> (summary line, payload text or None)
+# subcommand handlers: params dict -> (summary line, payload text in the
+# requested format)
 
 
 def _run_lyapunov(params: dict) -> tuple[str, str]:
     a = make_spd(matrixio.read_matrix(params["a"]))
     q = SymmetricMatrix(matrixio.read_matrix(params["q"]))
+    check_rate(params["eta"], params["batch"])
     rhs = SymmetricMatrix((params["eta"] / params["batch"]) * q.entries)
     solution = solve_continuous_lyapunov(a, rhs)
     trace = float(np.trace(solution.entries))
@@ -248,7 +248,7 @@ def _run_bound(params: dict) -> tuple[str, str]:
     return f"bound: complexity_term={_fmt(value)}", _json_text(payload)
 
 
-def _run_lemma_survey(params: dict) -> tuple[str, str, list[dict]]:
+def _run_lemma_survey(params: dict) -> tuple[str, str]:
     dims = _parse_dims(params["dims"])
     rows = lemma2_survey(
         dims=dims,
@@ -264,12 +264,10 @@ def _run_lemma_survey(params: dict) -> tuple[str, str, list[dict]]:
         f"lemma-survey: pairs={total} holds={holds} "
         f"overall_fraction={_fmt(holds / total)}"
     )
-    return summary, _json_text(rows), rows
-
-
-def _lemma_survey_csv(rows: list[dict]) -> str:
-    header = ["dim", "pairs", "holds", "holds_fraction", "min_margin"]
-    return _csv_text(header, [[row[k] for k in header] for row in rows])
+    if params["format"] == "csv":
+        header = ["dim", "pairs", "holds", "holds_fraction", "min_margin"]
+        return summary, _csv_text(header, [[row[k] for k in header] for row in rows])
+    return summary, _json_text(rows)
 
 
 def _run_dominance(params: dict) -> tuple[str, str]:
@@ -311,7 +309,7 @@ def _build_task_and_dynamics(params: dict) -> tuple[RegressionTask, SgdDynamics]
     return task, dyn
 
 
-def _run_validity(params: dict) -> tuple[str, str, "object"]:
+def _run_validity(params: dict) -> tuple[str, str]:
     task, dyn = _build_task_and_dynamics(params)
     spec = SampleSpec(task.sample_size, params["delta"])
     result = bound_validity_experiment(
@@ -331,19 +329,14 @@ def _run_validity(params: dict) -> tuple[str, str, "object"]:
         f"validity: trials={params['trials']} violations={result.violation_count} "
         f"mean_gap={_fmt(result.gaps['mean'])} mean_bound={_fmt(result.bounds['mean'])}"
     )
-    return summary, _json_text(payload), result
+    if params["format"] == "csv":
+        rows = [[r.seed, r.sample_size, r.gap, r.bound_value, r.violated]
+                for r in result.records]
+        return summary, _csv_text(["seed", "n", "gap", "bound", "violated"], rows)
+    return summary, _json_text(payload)
 
 
-def _validity_csv(result) -> str:
-    header = ["seed", "n", "gap", "bound", "violated"]
-    rows = [
-        [r.seed, r.sample_size, r.gap, r.bound_value, r.violated]
-        for r in result.records
-    ]
-    return _csv_text(header, rows)
-
-
-def _run_scaling(params: dict) -> tuple[str, str, list[dict]]:
+def _run_scaling(params: dict) -> tuple[str, str]:
     task, dyn = _build_task_and_dynamics({**params, "n": 1})
     ns = _parse_ns(params["ns"])
     rows = scaling_experiment(
@@ -354,12 +347,10 @@ def _run_scaling(params: dict) -> tuple[str, str, list[dict]]:
         f"scaling: sizes={len(rows)} n_min={rows[0]['n']} n_max={rows[-1]['n']} "
         f"mean_bound_at_n_max={_fmt(rows[-1]['mean_bound'])}"
     )
-    return summary, _json_text(rows), rows
-
-
-def _scaling_csv(rows: list[dict]) -> str:
-    header = ["n", "mean_bound", "mean_gap", "ratio_bound_4n"]
-    return _csv_text(header, [[row[k] for k in header] for row in rows])
+    if params["format"] == "csv":
+        header = ["n", "mean_bound", "mean_gap", "ratio_bound_4n"]
+        return summary, _csv_text(header, [[row[k] for k in header] for row in rows])
+    return summary, _json_text(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +360,7 @@ _COMMON_DEFAULTS = {"seed": 0, "output": None, "format": None, "config": None}
 
 _COMMANDS: dict[str, dict] = {
     "lyapunov": {
+        "run": _run_lyapunov,
         "help": "solve the stationary-covariance equation A*X + X*A = (eta/batch)*Q",
         "options": {
             "a": dict(help="matrix file: strict SPD coefficient A"),
@@ -381,6 +373,7 @@ _COMMANDS: dict[str, dict] = {
         "formats": ("matrix",),
     },
     "simulate": {
+        "run": _run_simulate,
         "help": "simulate the SGD chain and compare moments to the exact solution",
         "options": {
             "hessian": dict(help="matrix file: loss Hessian"),
@@ -397,6 +390,7 @@ _COMMANDS: dict[str, dict] = {
         "formats": ("csv",),
     },
     "two-stage": {
+        "run": _run_two_stage,
         "help": "pre-train then fine-tune; pool stationary moments over replicas",
         "options": {
             "pt_hessian": dict(help="matrix file: pre-training Hessian"),
@@ -427,6 +421,7 @@ _COMMANDS: dict[str, dict] = {
         "formats": ("json",),
     },
     "kl": {
+        "run": _run_kl,
         "help": "closed-form and Monte-Carlo KL divergence side by side",
         "options": {
             "q": dict(help="Gaussian fixture file for the first measure"),
@@ -438,6 +433,7 @@ _COMMANDS: dict[str, dict] = {
         "formats": ("json",),
     },
     "bound": {
+        "run": _run_bound,
         "help": "evaluate the PAC-Bayes complexity term",
         "options": {
             "kl": dict(type=float, help="KL divergence value (nonnegative)"),
@@ -449,6 +445,7 @@ _COMMANDS: dict[str, dict] = {
         "formats": ("json",),
     },
     "lemma-survey": {
+        "run": _run_lemma_survey,
         "help": "random survey of the two domain discrepancies' ordering",
         "options": {
             "dims": dict(help="dimension range, e.g. '1-10' (default)"),
@@ -463,6 +460,7 @@ _COMMANDS: dict[str, dict] = {
         "formats": ("json", "csv"),
     },
     "dominance": {
+        "run": _run_dominance,
         "help": "compare pre-training and fine-tuning complexity terms",
         "options": {
             "sigma_pt": dict(help="matrix file: source stationary covariance"),
@@ -477,6 +475,7 @@ _COMMANDS: dict[str, dict] = {
         "formats": ("json",),
     },
     "validity": {
+        "run": _run_validity,
         "help": "count bound violations over independent regression trials",
         "options": {
             "weights": dict(help="vector: true regression weights (default '0.3,-0.2')"),
@@ -496,6 +495,7 @@ _COMMANDS: dict[str, dict] = {
         "formats": ("json", "csv"),
     },
     "scaling": {
+        "run": _run_scaling,
         "help": "mean bound and mean gap against growing sample size",
         "options": {
             "ns": dict(help="comma-separated sample sizes, strictly increasing"),
@@ -582,37 +582,6 @@ def _merge_params(name: str, args: argparse.Namespace) -> dict:
     return params
 
 
-def _dispatch(name: str, params: dict) -> tuple[str, str]:
-    if name == "lyapunov":
-        return _run_lyapunov(params)
-    if name == "simulate":
-        return _run_simulate(params)
-    if name == "two-stage":
-        return _run_two_stage(params)
-    if name == "kl":
-        return _run_kl(params)
-    if name == "bound":
-        return _run_bound(params)
-    if name == "lemma-survey":
-        summary, json_payload, rows = _run_lemma_survey(params)
-        if params["format"] == "csv":
-            return summary, _lemma_survey_csv(rows)
-        return summary, json_payload
-    if name == "dominance":
-        return _run_dominance(params)
-    if name == "validity":
-        summary, json_payload, result = _run_validity(params)
-        if params["format"] == "csv":
-            return summary, _validity_csv(result)
-        return summary, json_payload
-    if name == "scaling":
-        summary, json_payload, rows = _run_scaling(params)
-        if params["format"] == "csv":
-            return summary, _scaling_csv(rows)
-        return summary, json_payload
-    raise ConfigError(f"unknown subcommand {name!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -622,7 +591,7 @@ def main(argv: list[str] | None = None) -> int:
     name = args.subcommand
     try:
         params = _merge_params(name, args)
-        summary, payload = _dispatch(name, params)
+        summary, payload = _COMMANDS[name]["run"](params)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

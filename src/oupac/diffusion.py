@@ -3,7 +3,7 @@
 The constant-rate SGD recursion on a quadratic loss is a linear
 stochastic recursion (discrete Ornstein-Uhlenbeck chain)::
 
-    x' = x - lr * A (x - minimizer) + (lr / sqrt(batch_size)) * B z,
+    x' = x - lr * A (x - minimizer) + (lr / sqrt(batch_size)) * B^T z,
     z ~ N(0, I)
 
 This module simulates that chain, checks its stability, estimates its
@@ -11,7 +11,7 @@ stationary moments, and runs the two-stage pipeline in which a second
 (fine-tuning) chain starts from the stationary state of the first.
 
 The discrete chain's exact stationary covariance solves the Stein
-equation for ``(I - lr*A, (lr^2/batch) * B B^T)``; the continuous-time
+equation for ``(I - lr*A, (lr^2/batch) * B^T B)``; the continuous-time
 model's covariance solves the Lyapunov equation with right-hand side
 ``(lr/batch) * C``.  Simulations here are compared against the Stein
 solution (simulator ground truth), with the Lyapunov solution as the
@@ -25,8 +25,10 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, TooFewSamplesError, UnstableDynamicsError
-from .gaussian import MomentEstimate, empirical_moments, sample, stationary_from_dynamics
+from .errors import (DimensionMismatchError, InvalidRangeError, TooFewSamplesError,
+                     UnstableDynamicsError)
+from .gaussian import (MomentEstimate, check_rate, empirical_moments, sample,
+                       stationary_from_dynamics)
 from .linalg import SpdMatrix, make_spd
 from .rng import child_seed, make_rng
 
@@ -69,10 +71,10 @@ class SgdDynamics:
     """Learning rate, batch size, and gradient-noise factor B.
 
     The single-sample gradient-noise covariance ``C = B^T B`` is
-    computed once and cached; B is usually symmetric PSD, in which case
-    ``C = B B^T`` as well and the simulated chain's per-step noise
-    covariance is ``(lr^2 / batch_size) * C``.  A rank-deficient B
-    (semidefinite C) is allowed.
+    computed once and cached.  The simulated chain adds
+    ``(lr / sqrt(batch_size)) * B^T z`` per step, whose covariance is
+    ``(lr^2 / batch_size) * C`` for any square B, symmetric or not.  A
+    rank-deficient B (semidefinite C) is allowed.
     """
 
     lr: float
@@ -81,10 +83,7 @@ class SgdDynamics:
     noise_cov: SpdMatrix = field(init=False)
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        if int(self.batch_size) != self.batch_size or self.batch_size < 1:
-            raise ValueError(f"batch_size must be a positive integer, got {self.batch_size}")
+        check_rate(self.lr, self.batch_size)
         factor = np.asarray(self.noise_factor, dtype=float)
         if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
             raise DimensionMismatchError(
@@ -165,7 +164,7 @@ def sgd_step(
             f"dimension {loss.dim}"
         )
     drift = dyn.lr * loss.gradient(state)
-    kick = (dyn.lr / np.sqrt(dyn.batch_size)) * (dyn.noise_factor @ noise_draw)
+    kick = (dyn.lr / np.sqrt(dyn.batch_size)) * (dyn.noise_factor.T @ noise_draw)
     return state - drift + kick
 
 
@@ -191,6 +190,13 @@ def _require_stable(loss: QuadraticLoss, dyn: SgdDynamics, allow_unstable: bool)
         )
 
 
+def _check_run_length(total_steps: int, stride: int) -> None:
+    if total_steps < 1:
+        raise InvalidRangeError(f"total_steps must be >= 1, got {total_steps}")
+    if stride < 1:
+        raise InvalidRangeError(f"stride must be >= 1, got {stride}")
+
+
 def _run_chain(
     init: np.ndarray,
     loss: QuadraticLoss,
@@ -203,7 +209,9 @@ def _run_chain(
     dim = loss.dim
     step_map = np.eye(dim) - dyn.lr * loss.hessian.entries
     pull = dyn.lr * (loss.hessian.entries @ loss.minimizer)
-    kick_t = ((dyn.lr / np.sqrt(dyn.batch_size)) * dyn.noise_factor).T
+    # row k of z @ kick is (lr/sqrt(b)) B^T z_k; column-major so that for a
+    # symmetric B it is the same BLAS call, and bits, as the product with B
+    kick = np.asfortranarray((dyn.lr / np.sqrt(dyn.batch_size)) * dyn.noise_factor)
     records = np.empty((total_steps // stride + 1, dim))
     state = np.asarray(init, dtype=float).copy()
     records[0] = state
@@ -211,7 +219,7 @@ def _run_chain(
     next_record = 1
     while step < total_steps:
         chunk = min(NOISE_CHUNK, total_steps - step)
-        noise = rng.standard_normal((chunk, dim)) @ kick_t
+        noise = rng.standard_normal((chunk, dim)) @ kick
         for row in noise:
             state = step_map @ state + pull + row
             step += 1
@@ -243,10 +251,7 @@ def simulate_chain(
         raise DimensionMismatchError(
             f"init has dimension {init.shape[0]}, loss has {loss.dim}"
         )
-    if total_steps < 1:
-        raise ValueError(f"total_steps must be >= 1, got {total_steps}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    _check_run_length(total_steps, stride)
     _require_stable(loss, dyn, allow_unstable)
     records, _ = _run_chain(init, loss, dyn, total_steps, stride, make_rng(seed))
     return Trajectory(records, stride=stride, total_steps=total_steps, seed=seed)
@@ -261,7 +266,7 @@ def estimate_stationary(traj: Trajectory, burn_in_records: int | None = None) ->
     if burn_in_records is None:
         burn_in_records = traj.record_count // 2
     if burn_in_records < 0:
-        raise ValueError(f"burn_in_records must be >= 0, got {burn_in_records}")
+        raise InvalidRangeError(f"burn_in_records must be >= 0, got {burn_in_records}")
     kept = traj.states[burn_in_records:]
     if kept.shape[0] < 2:
         raise TooFewSamplesError(
@@ -301,9 +306,11 @@ def two_stage_run(
     half of each trajectory's records.
     """
     if replicas < 2:
-        raise ValueError(f"replicas must be >= 2, got {replicas}")
+        raise InvalidRangeError(f"replicas must be >= 2, got {replicas}")
+    _check_run_length(pt_steps, stride)
+    _check_run_length(ft_steps, stride)
     if init_mode not in ("analytic_sample", "chain_continue"):
-        raise ValueError(f"unknown init_mode {init_mode!r}")
+        raise InvalidRangeError(f"unknown init_mode {init_mode!r}")
     _check_dims(pt_loss, pt_dyn)
     _check_dims(ft_loss, ft_dyn)
     if pt_loss.dim != ft_loss.dim:

@@ -1,8 +1,9 @@
 """Exception hierarchy.
 
-``ConfigError`` signals bad user input (CLI exit code 2); every other
-subclass of :class:`OupacError` signals a numerical or precondition
-failure inside the library (CLI exit code 3).
+``ConfigError``, ``InvalidRangeError``, ``InvalidSpecError`` and
+``DimensionMismatchError`` signal bad user input (CLI exit code 2);
+every other subclass of :class:`OupacError` signals a numerical or
+precondition failure inside the library (CLI exit code 3).
 """
 
 
@@ -38,8 +39,8 @@ class SpectralRadiusTooLargeError(OupacError):
     """Linear map has spectral radius >= 1; no stationary covariance."""
 
 
-class InvalidRangeError(OupacError):
-    """Numeric range argument is empty or out of order."""
+class InvalidRangeError(OupacError, ValueError):
+    """Argument lies outside its admissible range or set of values."""
 
 
 class TooFewSamplesError(OupacError):

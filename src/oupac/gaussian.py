@@ -15,6 +15,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import (
     DimensionMismatchError,
+    InvalidRangeError,
     NotPositiveDefiniteError,
     NumericalInconsistencyError,
     TooFewSamplesError,
@@ -87,6 +88,14 @@ def standard_gaussian(dim: int) -> GaussianMeasure:
     return GaussianMeasure(np.zeros(dim), make_spd(np.eye(dim)))
 
 
+def check_rate(lr: float, batch_size: int) -> None:
+    """Raise :class:`InvalidRangeError` unless lr > 0 and batch_size >= 1."""
+    if not lr > 0:
+        raise InvalidRangeError(f"lr must be positive, got {lr}")
+    if int(batch_size) != batch_size or batch_size < 1:
+        raise InvalidRangeError(f"batch_size must be a positive integer, got {batch_size}")
+
+
 def stationary_from_dynamics(
     hessian: SpdMatrix,
     minimizer: np.ndarray,
@@ -106,7 +115,9 @@ def stationary_from_dynamics(
     ------
     DimensionMismatchError
         If the Hessian, minimizer, and noise covariance dimensions
-        disagree, or lr/batch_size are out of range.
+        disagree.
+    InvalidRangeError
+        If lr/batch_size are out of range (see :func:`check_rate`).
     NotPositiveDefiniteError
         If the resulting covariance is not strictly positive definite
         (e.g. a rank-deficient noise covariance).
@@ -117,10 +128,7 @@ def stationary_from_dynamics(
             f"dimensions disagree: hessian {hessian.dim}, noise {noise_cov.dim}, "
             f"minimizer {minimizer.shape[0]}"
         )
-    if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr}")
-    if int(batch_size) != batch_size or batch_size < 1:
-        raise ValueError(f"batch_size must be a positive integer, got {batch_size}")
+    check_rate(lr, batch_size)
     rhs = SymmetricMatrix((lr / float(batch_size)) * noise_cov.entries)
     sigma = solve_continuous_lyapunov(hessian, rhs)
     return GaussianMeasure(minimizer, make_spd(sigma.entries))

@@ -5,6 +5,8 @@ inverses, the continuous Lyapunov solver ``A X + X A = Q`` (stationary
 covariance of the continuous-time noise model), the discrete Stein
 solver ``X = M X M^T + Q`` (exact stationary covariance of the linear
 stochastic recursion), and seeded random SPD generation for tests.
+Both solvers divide elementwise in an eigenbasis, of A or of a
+symmetric M; a non-symmetric M goes to scipy's Stein solver.
 
 All values are immutable after construction and all functions are pure,
 so everything here is safe for unrestricted concurrent use.
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
+from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import (
     DimensionMismatchError,
@@ -203,11 +206,9 @@ def solve_continuous_lyapunov(a: SpdMatrix, q: SymmetricMatrix) -> SymmetricMatr
     q_entries = _symmetric_entries(q)
     _check_same_dim(a.entries, q_entries)
     lam, vecs = np.linalg.eigh(a.entries)
-    q_tilde = vecs.T @ q_entries @ vecs
-    denom = lam[:, None] + lam[None, :]
-    x_tilde = q_tilde / denom
-    x = vecs @ x_tilde @ vecs.T
-    solution = SymmetricMatrix(x)
+    solution = SymmetricMatrix(
+        _solve_in_eigenbasis(vecs, q_entries, lam[:, None] + lam[None, :])
+    )
     _check_residual(
         a.entries @ solution.entries + solution.entries @ a.entries,
         q_entries,
@@ -222,52 +223,40 @@ def spectral_radius(m) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(arr))))
 
 
-#: Above this dimension the Stein solver switches from the direct
-#: Kronecker solve (d^2 x d^2 system) to fixed-point iteration.
-STEIN_DIRECT_MAX_DIM = 32
-STEIN_FIXED_POINT_TOL = 1e-12
-STEIN_MAX_ITERATIONS = 10**6
-
-
 def solve_discrete_stein(m, q: SymmetricMatrix) -> SymmetricMatrix:
     """Solve ``X = M X M^T + Q`` for the stationary covariance X.
 
     This is the exact stationary covariance of the linear recursion
     ``x' = M x + noise`` with per-step noise covariance Q; it exists
-    when the spectral radius of M is below 1.  Solved directly through
-    the Kronecker identity ``(I - M (x) M) vec(X) = vec(Q)`` for
-    dimensions up to 32, and by fixed-point iteration
-    ``X <- M X M^T + Q`` (tolerance 1e-12, at most 1e6 sweeps) above.
+    when the spectral radius of M is below 1.  For a symmetric M (as
+    every SGD step map ``I - lr*A`` is), one eigendecomposition ``M = V
+    diag(mu) V^T`` gives the spectral radius and the exact solution
+    ``Xt[i, j] = Qt[i, j] / (1 - mu[i] mu[j])`` with ``Qt = V^T Q V``,
+    ``X = V Xt V^T``, refined once by the same solve for its residual.
+    Any other M goes to :func:`scipy.linalg.solve_discrete_lyapunov`.
 
     Raises
     ------
     SpectralRadiusTooLargeError
         If ``spectral_radius(m) >= 1`` (no stationary solution).
     ResidualTooLargeError
-        If the final residual check fails.
+        If the residual check fails.
     """
     m_arr = _as_square_array(m, "M")
     q_entries = _symmetric_entries(q)
     _check_same_dim(m_arr, q_entries)
-    rho = spectral_radius(m_arr)
-    if rho >= 1.0:
-        raise SpectralRadiusTooLargeError(
-            f"spectral radius {rho:.6g} >= 1: the recursion has no "
-            f"stationary covariance"
-        )
-    dim = m_arr.shape[0]
-    if dim <= STEIN_DIRECT_MAX_DIM:
-        lhs = np.eye(dim * dim) - np.kron(m_arr, m_arr)
-        x = np.linalg.solve(lhs, q_entries.reshape(-1)).reshape(dim, dim)
+    if np.array_equal(m_arr, m_arr.T):
+        mu, vecs = np.linalg.eigh(m_arr)
+        _check_stationary(float(np.max(np.abs(mu))))
+        denom = 1.0 - mu[:, None] * mu[None, :]
+        x = _solve_in_eigenbasis(vecs, q_entries, denom)
+        # the eigendecomposition's rounding leaves a residual near
+        # eps * ||X|| ~ eps / (1 - rho^2) * ||Q||; solve for it once
+        x = x + _solve_in_eigenbasis(vecs, q_entries - x + m_arr @ x @ m_arr.T, denom)
+        solution = SymmetricMatrix(x)
     else:
-        x = q_entries.copy()
-        for _ in range(STEIN_MAX_ITERATIONS):
-            x_next = m_arr @ x @ m_arr.T + q_entries
-            delta = np.linalg.norm(x_next - x, "fro")
-            x = x_next
-            if delta <= STEIN_FIXED_POINT_TOL * max(1.0, np.linalg.norm(x, "fro")):
-                break
-    solution = SymmetricMatrix(x)
+        _check_stationary(spectral_radius(m_arr))
+        solution = SymmetricMatrix(solve_discrete_lyapunov(m_arr, q_entries))
     _check_residual(
         solution.entries - m_arr @ solution.entries @ m_arr.T,
         q_entries,
@@ -306,6 +295,11 @@ def random_spd(
     return make_spd(entries)
 
 
+def _solve_in_eigenbasis(vecs: np.ndarray, rhs: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """``V ((V^T R V) / denom) V^T``: divide elementwise in the basis V."""
+    return vecs @ ((vecs.T @ rhs @ vecs) / denom) @ vecs.T
+
+
 def _symmetric_entries(q) -> np.ndarray:
     if isinstance(q, SpdMatrix):
         return q.entries
@@ -318,6 +312,14 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise DimensionMismatchError(
             f"operand shapes disagree: {a.shape} vs {b.shape}"
+        )
+
+
+def _check_stationary(rho: float) -> None:
+    if rho >= 1.0:
+        raise SpectralRadiusTooLargeError(
+            f"spectral radius {rho:.6g} >= 1: the recursion has no "
+            f"stationary covariance"
         )
 
 

@@ -93,6 +93,9 @@ def write_gaussian(path: str | Path, mean: np.ndarray, covariance: np.ndarray) -
 
 def _parse_floats(line: str) -> list[float]:
     try:
-        return [float(token) for token in line.split()]
+        values = [float(token) for token in line.split()]
     except ValueError as exc:
         raise ConfigError(f"could not parse numeric row {line!r}") from exc
+    if not all(np.isfinite(values)):
+        raise ConfigError(f"numeric row {line!r} has non-finite entries")
+    return values

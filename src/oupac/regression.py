@@ -20,6 +20,7 @@ from .bounds import SampleSpec, mcallester_bound
 from .diffusion import QuadraticLoss, SgdDynamics, simulate_chain, estimate_stationary, stability_check
 from .errors import (
     DimensionMismatchError,
+    InvalidRangeError,
     NotPositiveDefiniteError,
     SingularDesignError,
     UnstableDynamicsError,
@@ -58,10 +59,10 @@ class RegressionTask:
                 f"true_weights has dimension {weights.shape[0]}, feature_cov is "
                 f"{self.feature_cov.dim}x{self.feature_cov.dim}"
             )
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not self.noise_std >= 0:
+            raise InvalidRangeError(f"noise_std must be >= 0, got {self.noise_std}")
         if int(self.sample_size) != self.sample_size or self.sample_size < 1:
-            raise ValueError(f"sample_size must be a positive integer, got {self.sample_size}")
+            raise InvalidRangeError(f"sample_size must be a positive integer, got {self.sample_size}")
         weights.flags.writeable = False
         object.__setattr__(self, "true_weights", weights)
 
@@ -258,7 +259,7 @@ def bound_validity_experiment(
 ) -> ValidityResult:
     """Run ``trials`` independent gap trials and count bound violations."""
     if trials < 10:
-        raise ValueError(f"trials must be >= 10, got {trials}")
+        raise InvalidRangeError(f"trials must be >= 10, got {trials}")
     records = []
     for index in range(trials):
         trial_seed = child_seed(master_seed, index)
@@ -300,10 +301,12 @@ def scaling_experiment(
     ``mean_bound(4n) / mean_bound(n)`` whenever ``4n`` is also present.
     """
     ns = [int(n) for n in ns]
+    if not ns or trials_per_n < 1:
+        raise InvalidRangeError(f"need ns and trials_per_n >= 1, got {ns}, {trials_per_n}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError(f"ns must be strictly increasing, got {ns}")
+        raise InvalidRangeError(f"ns must be strictly increasing, got {ns}")
     if any(n < task_template.dim for n in ns):
-        raise ValueError(f"every n must be >= feature dimension {task_template.dim}")
+        raise InvalidRangeError(f"every n must be >= feature dimension {task_template.dim}")
     if prior is None:
         prior = standard_gaussian(task_template.dim)
     mean_bounds: dict[int, float] = {}

@@ -236,6 +236,52 @@ class TestDeterminism:
         assert first.read_bytes() == second.read_bytes()
 
 
+def _simulate_argv(matrix):
+    return ["simulate", "--hessian", matrix, "--minimizer", "0,0",
+            "--noise-factor", matrix, "--eta", "0.1", "--batch", "1", "--steps", "100"]
+
+
+def _two_stage_argv(matrix):
+    argv = ["two-stage"]
+    for stage, centre in (("pt", "0,0"), ("ft", "1,0")):
+        argv += [f"--{stage}-hessian", matrix, f"--{stage}-minimizer", centre,
+                 f"--{stage}-noise-factor", matrix, f"--{stage}-eta", "0.1",
+                 f"--{stage}-batch", "1", f"--{stage}-steps", "100"]
+    return argv
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("simulate", ["--eta=-0.1"]),
+    ("simulate", ["--eta", "nan"]),
+    ("simulate", ["--batch", "0"]),
+    ("simulate", ["--steps", "0"]),
+    ("simulate", ["--stride", "0"]),
+    ("simulate", ["--burn-in=-1"]),
+    ("simulate", ["--minimizer", "nan,0"]),
+    ("two-stage", ["--replicas", "1"]),
+    ("two-stage", ["--stride", "0"]),
+    ("lyapunov", ["--batch", "0"]),
+    ("validity", ["--trials", "5"]),
+    ("validity", ["--noise-std", "-1"]),
+    ("scaling", ["--ns", "1,2"]),
+    ("scaling", ["--ns", "10,20", "--trials", "0"]),
+    ("lemma-survey", ["--pairs-per-dim", "0"]),
+])
+def test_out_of_range_option_exits_2_without_traceback(
+    capsys, identity_file, command, extra
+):
+    base = {
+        "simulate": _simulate_argv(identity_file),
+        "two-stage": _two_stage_argv(identity_file),
+        "lyapunov": ["lyapunov", "--a", identity_file, "--q", identity_file],
+    }.get(command, [command])
+    # an exception escaping main() would fail this call with its traceback
+    code, _, err = run_cli(capsys, *base, *extra)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["bound", "--kl", "0", "--n", "5", "--delta", "0.5", "--bogus", "1"])

@@ -75,6 +75,16 @@ class TestSgdStep:
         with pytest.raises(DimensionMismatchError):
             sgd_step(np.zeros(3), loss, dyn, np.zeros(3))
 
+    def test_kick_is_transposed_factor_times_draw(self):
+        # at the minimizer the drift vanishes and only (lr/sqrt(b)) B^T z is left
+        b = np.array([[1.0, 2.0], [0.0, 1.0]])
+        loss = isotropic_loss(2)
+        dyn = SgdDynamics(0.5, 4, b)
+        z = np.array([0.3, -1.1])
+        np.testing.assert_allclose(
+            sgd_step(np.zeros(2), loss, dyn, z), 0.25 * (b.T @ z), rtol=1e-15
+        )
+
 
 class TestStabilityCheck:
     def test_mild_rate_stable(self):
@@ -131,6 +141,30 @@ class TestSimulateChain:
         stein = stein_covariance(loss, dyn)
         gap = np.linalg.norm(est.covariance.entries - stein, "fro")
         assert gap <= 0.05 * np.linalg.norm(stein, "fro")
+
+    def test_non_symmetric_factor_matches_stein_of_gram(self):
+        # B B^T != B^T B here; the chain must settle at Stein(B^T B),
+        # [[1, 2], [2, 5]] / 3, not at Stein(B B^T), [[5, 2], [2, 1]] / 3
+        loss = isotropic_loss(2)
+        dyn = SgdDynamics(0.5, 1, np.array([[1.0, 2.0], [0.0, 1.0]]))
+        traj = simulate_chain(np.zeros(2), loss, dyn, 200_000, stride=1, seed=9)
+        est = estimate_stationary(traj, burn_in_records=1000)
+        stein = stein_covariance(loss, dyn)
+        np.testing.assert_allclose(stein, [[1 / 3, 2 / 3], [2 / 3, 5 / 3]], rtol=1e-12)
+        gap = np.linalg.norm(est.covariance.entries - stein, "fro")
+        assert gap <= 0.05 * np.linalg.norm(stein, "fro")
+
+    def test_chain_replays_sgd_step(self):
+        # one noise chunk: the chain's draws are the first rows of its stream
+        a = random_spd(3, 0.2, 1.5, seed=8)
+        loss = QuadraticLoss(a, np.array([0.5, -1.0, 2.0]))
+        dyn = SgdDynamics(0.3, 2, make_rng(9).standard_normal((3, 3)))
+        traj = simulate_chain(np.zeros(3), loss, dyn, 500, stride=1, seed=10)
+        draws = make_rng(10).standard_normal((500, 3))
+        state = np.zeros(3)
+        for step, z in enumerate(draws, start=1):
+            state = sgd_step(state, loss, dyn, z)
+            np.testing.assert_allclose(traj.states[step], state, rtol=1e-12, atol=1e-12)
 
 
 class TestEstimateStationary:
