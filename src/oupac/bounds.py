@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatchError, InvalidRangeError, InvalidSpecError
-from .linalg import SpdMatrix, cholesky_factor, log_det, random_spd
+from .gaussian import gaussian_pair_terms
+# cholesky_factor is not called here; bench/tests/test_bench_trace.py reads it from here
+from .linalg import SpdMatrix, cholesky_factor, log_det, random_spd  # noqa: F401
 from .rng import child_seed, make_rng
 
 
@@ -145,16 +146,12 @@ def pretrain_bound(sigma_pt: SpdMatrix, spec: SampleSpec) -> BoundReport:
     )
 
 
-def _pair_core(pair: DomainPair) -> tuple[float, float, float]:
-    """Return (tr(Spt^-1 Sft), log det(Spt^-1 Sft), shift^T Spt^-1 shift)."""
-    l_pt = cholesky_factor(pair.sigma_pt)
-    l_ft = cholesky_factor(pair.sigma_ft)
-    half = solve_triangular(l_pt, l_ft, lower=True)
-    trace = float(np.sum(half * half))
-    ldet = log_det(pair.sigma_ft) - log_det(pair.sigma_pt)
-    white_shift = solve_triangular(l_pt, pair.shift, lower=True)
-    maha = float(white_shift @ white_shift)
-    return trace, ldet, maha
+def _discrepancies(pair: DomainPair) -> tuple[float, float, float]:
+    """(D, paper-literal D, D~) from one gaussian_pair_terms call; D is exactly 2 KL."""
+    trace, log_det_ratio, maha = gaussian_pair_terms(pair.sigma_ft, pair.sigma_pt, pair.shift)
+    d = pair.dim
+    return (trace - d + maha + log_det_ratio, trace - d + maha - log_det_ratio,
+            math.log(trace) + trace + maha + d * math.log(d) - d)
 
 
 def discrepancy_d(pair: DomainPair, paper_literal: bool = False) -> float:
@@ -169,11 +166,8 @@ def discrepancy_d(pair: DomainPair, paper_literal: bool = False) -> float:
     with a plus sign instead; that variant can go negative and is
     returned as-is.
     """
-    trace, ldet, maha = _pair_core(pair)
-    d = pair.dim
-    if paper_literal:
-        return trace - d + maha + ldet
-    return trace - d + maha - ldet
+    d_value, literal, _ = _discrepancies(pair)
+    return literal if paper_literal else d_value
 
 
 def discrepancy_d_tilde(pair: DomainPair) -> float:
@@ -182,29 +176,27 @@ def discrepancy_d_tilde(pair: DomainPair) -> float:
     ``log(tr(Spt^-1 Sft)) + tr(Spt^-1 Sft) + shift^T Spt^-1 shift
     + d log d - d``.
     """
-    trace, _, maha = _pair_core(pair)
-    d = pair.dim
-    return math.log(trace) + trace + maha + d * math.log(d) - d
+    return _discrepancies(pair)[2]
 
 
 def finetune_bound(pair: DomainPair, spec: SampleSpec) -> BoundReport:
     """Bound report for the fine-tuning stage, prior = source stationary."""
-    kl_term = discrepancy_d(pair)
+    kl_term, literal, _ = _discrepancies(pair)
     return BoundReport(
         kl_term=kl_term,
         complexity_term=_complexity_from_kl_term(kl_term, spec),
-        paper_literal_kl=discrepancy_d(pair, paper_literal=True),
+        paper_literal_kl=literal,
         notes="divergence between fine-tuned and pre-trained stationary measures",
     )
 
 
 def finetune_bound_dimension(pair: DomainPair, spec: SampleSpec) -> BoundReport:
     """Fine-tuning bound with the dimension-dependent discrepancy."""
-    kl_term = discrepancy_d_tilde(pair)
+    _, literal, kl_term = _discrepancies(pair)
     return BoundReport(
         kl_term=kl_term,
         complexity_term=_complexity_from_kl_term(kl_term, spec),
-        paper_literal_kl=discrepancy_d(pair, paper_literal=True),
+        paper_literal_kl=literal,
         notes="dimension-dependent discrepancy variant",
     )
 
@@ -216,8 +208,7 @@ def lemma2_check(pair: DomainPair, tolerance: float = 1e-12) -> Lemma2Result:
     ordering holds for all SPD pairs is an empirical question, so this
     is a report, not an assertion.
     """
-    d_value = discrepancy_d(pair)
-    d_tilde_value = discrepancy_d_tilde(pair)
+    d_value, _, d_tilde_value = _discrepancies(pair)
     return Lemma2Result(
         d_value=d_value,
         d_tilde_value=d_tilde_value,

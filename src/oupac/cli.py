@@ -45,6 +45,7 @@ from .errors import (
     InvalidRangeError,
     InvalidSpecError,
     OupacError,
+    TooFewSamplesError,
 )
 from .gaussian import (
     GaussianMeasure,
@@ -62,7 +63,7 @@ from .regression import (
 
 #: Bad user input (exit 2) as opposed to numerical failure (exit 3).
 _VALIDATION_ERRORS = (ConfigError, DimensionMismatchError, InvalidRangeError,
-                      InvalidSpecError)
+                      InvalidSpecError, TooFewSamplesError)
 
 FLOAT_FORMAT = "%.17g"
 
@@ -146,19 +147,15 @@ def _load_dynamics(params: dict, prefix: str = "") -> tuple[QuadraticLoss, SgdDy
     minimizer = _parse_vector(str(params[key("minimizer")]))
     noise_factor = matrixio.read_matrix(params[key("noise_factor")])
     loss = QuadraticLoss(hessian, minimizer)
-    dyn = SgdDynamics(params[key("eta")], int(params[key("batch")]), noise_factor)
+    dyn = SgdDynamics(params[key("eta")], params[key("batch")], noise_factor)
     return loss, dyn
 
 
 def _run_simulate(params: dict) -> tuple[str, str]:
     loss, dyn = _load_dynamics(params)
     report = stability_check(loss, dyn)
-    trajectory = simulate_chain(
-        loss.minimizer, loss, dyn,
-        total_steps=int(params["steps"]),
-        stride=int(params["stride"]),
-        seed=int(params["seed"]),
-    )
+    trajectory = simulate_chain(loss.minimizer, loss, dyn, total_steps=params["steps"],
+                                stride=params["stride"], seed=params["seed"])
     estimate = estimate_stationary(trajectory, params.get("burn_in"))
     step_map = np.eye(loss.dim) - dyn.lr * loss.hessian.entries
     per_step_cov = (dyn.lr**2 / dyn.batch_size) * dyn.noise_cov.entries
@@ -182,21 +179,16 @@ def _run_two_stage(params: dict) -> tuple[str, str]:
     pt_loss, pt_dyn = _load_dynamics(params, "pt_")
     ft_loss, ft_dyn = _load_dynamics(params, "ft_")
     result = two_stage_run(
-        pt_loss, pt_dyn, ft_loss, ft_dyn,
-        pt_steps=int(params["pt_steps"]),
-        ft_steps=int(params["ft_steps"]),
-        replicas=int(params["replicas"]),
-        stride=int(params["stride"]),
-        burn_in=params.get("burn_in"),
-        master_seed=int(params["seed"]),
-        init_mode=params["init_mode"],
+        pt_loss, pt_dyn, ft_loss, ft_dyn, pt_steps=params["pt_steps"],
+        ft_steps=params["ft_steps"], replicas=params["replicas"], stride=params["stride"],
+        burn_in=params["burn_in"], master_seed=params["seed"], init_mode=params["init_mode"],
     )
     payload = {
         "pt": _moments_payload(result.pt_estimate),
         "ft": _moments_payload(result.ft_estimate),
         "init_mode": params["init_mode"],
-        "replicas": int(params["replicas"]),
-        "seed": int(params["seed"]),
+        "replicas": params["replicas"],
+        "seed": params["seed"],
     }
     ft_mean = ", ".join(_fmt(v) for v in result.ft_estimate.mean)
     summary = (
@@ -220,14 +212,13 @@ def _run_kl(params: dict) -> tuple[str, str]:
     q = GaussianMeasure(mean_q, make_spd(cov_q))
     p = GaussianMeasure(mean_p, make_spd(cov_p))
     closed = kl_divergence(q, p)
-    draws = int(params["mc_draws"])
-    estimate, std_error = mc_kl_estimate(q, p, draws, int(params["seed"]))
+    estimate, std_error = mc_kl_estimate(q, p, params["mc_draws"], params["seed"])
     payload = {
         "closed_form": closed,
         "mc_estimate": estimate,
         "mc_std_error": std_error,
-        "mc_draws": draws,
-        "seed": int(params["seed"]),
+        "mc_draws": params["mc_draws"],
+        "seed": params["seed"],
     }
     summary = (
         f"kl: closed_form={_fmt(closed)} mc_estimate={_fmt(estimate)} "
@@ -237,11 +228,11 @@ def _run_kl(params: dict) -> tuple[str, str]:
 
 
 def _run_bound(params: dict) -> tuple[str, str]:
-    spec = SampleSpec(int(params["n"]), params["delta"])
+    spec = SampleSpec(params["n"], params["delta"])
     value = mcallester_bound(params["kl"], spec)
     payload = {
         "kl": params["kl"],
-        "n": int(params["n"]),
+        "n": params["n"],
         "delta": params["delta"],
         "complexity_term": value,
     }
@@ -252,8 +243,8 @@ def _run_lemma_survey(params: dict) -> tuple[str, str]:
     dims = _parse_dims(params["dims"])
     rows = lemma2_survey(
         dims=dims,
-        pairs_per_dim=int(params["pairs_per_dim"]),
-        seed=int(params["seed"]),
+        pairs_per_dim=params["pairs_per_dim"],
+        seed=params["seed"],
         eigenvalue_low=params["eig_low"],
         eigenvalue_high=params["eig_high"],
         shift_scale=params["shift_scale"],
@@ -275,15 +266,15 @@ def _run_dominance(params: dict) -> tuple[str, str]:
     sigma_ft = make_spd(matrixio.read_matrix(params["sigma_ft"]))
     shift = _parse_vector(str(params["shift"]))
     pair = DomainPair(sigma_pt, sigma_ft, shift)
-    spec_pt = SampleSpec(int(params["n_pt"]), params["delta"])
-    spec_ft = SampleSpec(int(params["n_ft"]), params["delta"])
+    spec_pt = SampleSpec(params["n_pt"], params["delta"])
+    spec_ft = SampleSpec(params["n_ft"], params["delta"])
     report = dominance_report(sigma_pt, spec_pt, pair, spec_ft)
     payload = {
         "pt_term": report.pt_term,
         "ft_term": report.ft_term,
         "ratio": report.ratio,
-        "n_pt": int(params["n_pt"]),
-        "n_ft": int(params["n_ft"]),
+        "n_pt": params["n_pt"],
+        "n_ft": params["n_ft"],
         "delta": params["delta"],
         "pt_report": pretrain_bound(sigma_pt, spec_pt).as_dict(),
         "ft_report": finetune_bound(pair, spec_ft).as_dict(),
@@ -302,10 +293,8 @@ def _build_task_and_dynamics(params: dict) -> tuple[RegressionTask, SgdDynamics]
         feature_cov = make_spd(matrixio.read_matrix(params["feature_cov"]))
     else:
         feature_cov = make_spd(np.eye(dim))
-    task = RegressionTask(weights, feature_cov, params["noise_std"], int(params["n"]))
-    dyn = SgdDynamics(
-        params["eta"], int(params["batch"]), params["noise_scale"] * np.eye(dim)
-    )
+    task = RegressionTask(weights, feature_cov, params["noise_std"], params["n"])
+    dyn = SgdDynamics(params["eta"], params["batch"], params["noise_scale"] * np.eye(dim))
     return task, dyn
 
 
@@ -314,11 +303,11 @@ def _run_validity(params: dict) -> tuple[str, str]:
     spec = SampleSpec(task.sample_size, params["delta"])
     result = bound_validity_experiment(
         task, dyn, spec, standard_gaussian(task.dim),
-        trials=int(params["trials"]), master_seed=int(params["seed"]),
+        trials=params["trials"], master_seed=params["seed"],
     )
     payload = {
         "violation_count": result.violation_count,
-        "trials": int(params["trials"]),
+        "trials": params["trials"],
         "n": task.sample_size,
         "delta": params["delta"],
         "gaps": result.gaps,
@@ -341,7 +330,7 @@ def _run_scaling(params: dict) -> tuple[str, str]:
     ns = _parse_ns(params["ns"])
     rows = scaling_experiment(
         task, ns, dyn, params["delta"],
-        master_seed=int(params["seed"]), trials_per_n=int(params["trials"]),
+        master_seed=params["seed"], trials_per_n=params["trials"],
     )
     summary = (
         f"scaling: sizes={len(rows)} n_min={rows[0]['n']} n_max={rows[-1]['n']} "
@@ -357,6 +346,7 @@ def _run_scaling(params: dict) -> tuple[str, str]:
 # option tables
 
 _COMMON_DEFAULTS = {"seed": 0, "output": None, "format": None, "config": None}
+_SEED_OPTION = dict(type=int, help="master seed for all randomness (default 0)")
 
 _COMMANDS: dict[str, dict] = {
     "lyapunov": {
@@ -535,8 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sub.add_argument(flag, default=argparse.SUPPRESS, dest=opt, **kwargs)
         sub.add_argument("--config", default=argparse.SUPPRESS,
                          help="JSON file with option values (flags override)")
-        sub.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                         help="master seed for all randomness (default 0)")
+        sub.add_argument("--seed", default=argparse.SUPPRESS, **_SEED_OPTION)
         sub.add_argument("--output", default=argparse.SUPPRESS,
                          help="write results to this file (default: stdout)")
         if len(spec["formats"]) > 1:
@@ -546,7 +535,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str, known: set[str]) -> dict:
+def _load_config(path: str, options: dict[str, dict]) -> dict:
+    """Option values from a JSON config, each non-null value converted by its
+    option's ``type`` from its text, as argparse converts a flag's text."""
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
@@ -555,21 +546,29 @@ def _load_config(path: str, known: set[str]) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(raw) - known
+    unknown = set(raw) - set(options) - set(_COMMON_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        convert = options.get(key, {}).get("type")
+        if convert is not None and value is not None:
+            try:
+                raw[key] = convert(str(value))
+            except ValueError as exc:
+                raise ConfigError(f"invalid {convert.__name__} value {value!r} "
+                                  f"for config key {key!r}") from exc
     return raw
 
 
 def _merge_params(name: str, args: argparse.Namespace) -> dict:
     spec = _COMMANDS[name]
-    known = set(spec["options"]) | {"seed", "output", "format", "config"}
     cli_values = {k: v for k, v in vars(args).items() if k != "subcommand"}
     params = {**_COMMON_DEFAULTS, **spec["defaults"]}
     if "format" not in spec["defaults"]:
         params["format"] = spec["formats"][0]
     if "config" in cli_values:
-        params.update(_load_config(cli_values["config"], known))
+        params.update(_load_config(cli_values["config"],
+                                   {**spec["options"], "seed": _SEED_OPTION}))
     params.update(cli_values)
     missing = [k for k in spec["required"] if params.get(k) is None]
     if missing:

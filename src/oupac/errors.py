@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
-``ConfigError``, ``InvalidRangeError``, ``InvalidSpecError`` and
-``DimensionMismatchError`` signal bad user input (CLI exit code 2);
+``ConfigError``, ``InvalidRangeError``, ``InvalidSpecError``,
+``DimensionMismatchError`` and ``TooFewSamplesError`` (a sample count
+or burn-in the caller chose) signal bad user input (CLI exit code 2);
 every other subclass of :class:`OupacError` signals a numerical or
 precondition failure inside the library (CLI exit code 3).
 """

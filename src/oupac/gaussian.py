@@ -134,6 +134,19 @@ def stationary_from_dynamics(
     return GaussianMeasure(minimizer, make_spd(sigma.entries))
 
 
+def gaussian_pair_terms(sigma_q: SpdMatrix, sigma_p: SpdMatrix, shift: np.ndarray):
+    """``(tr(Sp^-1 Sq), log det Sp - log det Sq, shift^T Sp^-1 shift)`` from one
+    Cholesky factor of each covariance; every Gaussian-pair divergence here
+    (:func:`kl_divergence`, the discrepancies of :mod:`oupac.bounds`) sums them."""
+    lq = cholesky_factor(sigma_q)
+    lp = cholesky_factor(sigma_p)
+    # tr(Sp^-1 Sq) = ||Lp^-1 Lq||_F^2 ; mahalanobis via one triangular solve
+    half = solve_triangular(lp, lq, lower=True)
+    white = solve_triangular(lp, shift, lower=True)
+    log_det_ratio = 2.0 * float(np.sum(np.log(np.diag(lp))) - np.sum(np.log(np.diag(lq))))
+    return float(np.sum(half * half)), log_det_ratio, float(white @ white)
+
+
 def kl_divergence(q: GaussianMeasure, p: GaussianMeasure) -> float:
     """Exact KL divergence ``KL(q || p)`` between Gaussian measures.
 
@@ -147,17 +160,8 @@ def kl_divergence(q: GaussianMeasure, p: GaussianMeasure) -> float:
     """
     if q.dim != p.dim:
         raise DimensionMismatchError(f"dimensions disagree: {q.dim} vs {p.dim}")
-    lq = cholesky_factor(q.covariance)
-    lp = cholesky_factor(p.covariance)
-    # tr(Sp^-1 Sq) = ||Lp^-1 Lq||_F^2 ; mahalanobis via one triangular solve
-    half = solve_triangular(lp, lq, lower=True)
-    trace_term = float(np.sum(half * half))
-    shift = solve_triangular(lp, p.mean - q.mean, lower=True)
-    maha = float(shift @ shift)
-    log_det_ratio = 2.0 * float(
-        np.sum(np.log(np.diag(lp))) - np.sum(np.log(np.diag(lq)))
-    )
-    value = 0.5 * (trace_term - q.dim + maha + log_det_ratio)
+    trace, log_det_ratio, maha = gaussian_pair_terms(q.covariance, p.covariance, p.mean - q.mean)
+    value = 0.5 * (trace - q.dim + maha + log_det_ratio)
     if value < 0.0:
         if value < -KL_CLAMP:
             raise NumericalInconsistencyError(

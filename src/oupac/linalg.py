@@ -233,7 +233,9 @@ def solve_discrete_stein(m, q: SymmetricMatrix) -> SymmetricMatrix:
     diag(mu) V^T`` gives the spectral radius and the exact solution
     ``Xt[i, j] = Qt[i, j] / (1 - mu[i] mu[j])`` with ``Qt = V^T Q V``,
     ``X = V Xt V^T``, refined once by the same solve for its residual.
-    Any other M goes to :func:`scipy.linalg.solve_discrete_lyapunov`.
+    Any other M goes to :func:`scipy.linalg.solve_discrete_lyapunov`,
+    which near the unit circle (e.g. d = 32, radius 1 - 1e-5) can miss
+    the residual contract; the solve then raises, in milliseconds.
 
     Raises
     ------

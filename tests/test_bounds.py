@@ -6,11 +6,13 @@ gaussian module, which is itself pinned to the Monte-Carlo oracle.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import oupac
 from oupac import (
     BoundReport,
     DomainPair,
@@ -137,13 +139,18 @@ class TestDiscrepancyD:
         assert discrepancy_d(identity_pair(2, [1.0, 0.0])) == pytest.approx(1.0, rel=1e-14)
 
     def test_equals_twice_gaussian_kl(self):
+        # exact: D and KL are sums of the same three kernel terms
+        spec = SampleSpec(100, 0.05)
         for seed in range(200):
-            dim = 1 + seed % 8
+            dim = (1 + seed % 8) if seed < 180 else (32 if seed % 2 else 64)
             pair = random_pair(dim, seed)
             q_ft = GaussianMeasure(pair.shift, pair.sigma_ft)
             q_pt = GaussianMeasure(np.zeros(dim), pair.sigma_pt)
-            expected = 2.0 * kl_divergence(q_ft, q_pt)
-            assert discrepancy_d(pair) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+            kl = kl_divergence(q_ft, q_pt)
+            assert kl > 0.0
+            assert discrepancy_d(pair) == 2.0 * kl
+            assert lemma2_check(pair).d_value == 2.0 * kl
+            assert finetune_bound(pair, spec).kl_term == 2.0 * kl
 
     def test_nonnegative_and_zero_only_at_identity(self):
         for seed in range(100):
@@ -253,6 +260,31 @@ class TestDecayRate:
             finetune_bound(pair, SampleSpec(int(n), 0.05)).complexity_term for n in ns
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+class TestGaussianPairKernel:
+    @pytest.mark.parametrize("evaluate", [
+        lemma2_check,
+        lambda pair: finetune_bound(pair, SampleSpec(100, 0.05)),
+        lambda pair: finetune_bound_dimension(pair, SampleSpec(100, 0.05)),
+    ], ids=["lemma2_check", "finetune_bound", "finetune_bound_dimension"])
+    def test_each_covariance_is_factored_once(self, monkeypatch, evaluate):
+        original = oupac.linalg.cholesky_factor
+        factored = []
+
+        def counted(m):
+            factored.append(m)
+            return original(m)
+
+        # every oupac namespace that holds the factorization, so none is missed
+        for name, module in list(sys.modules.items()):
+            bound = getattr(module, "cholesky_factor", None)
+            if name.split(".")[0] == "oupac" and bound is original:
+                monkeypatch.setattr(module, "cholesky_factor", counted)
+        pair = random_pair(5, 7)
+        evaluate(pair)
+        assert len(factored) == 2
+        assert {id(m) for m in factored} == {id(pair.sigma_pt), id(pair.sigma_ft)}
 
 
 class TestLemma2:

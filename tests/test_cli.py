@@ -23,6 +23,13 @@ def identity_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def gaussian_file(tmp_path):
+    path = tmp_path / "g2.txt"
+    write_gaussian(path, np.zeros(2), np.eye(2))
+    return str(path)
+
+
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -72,6 +79,44 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "bound", "--config", str(config))
         assert code == 2
         assert "zeta" in err
+
+    @pytest.mark.parametrize("command, config", [
+        ("bound", {"kl": "abc", "n": 100, "delta": 0.05}),
+        ("bound", {"kl": 0, "n": 100.5, "delta": 0.05}),
+        ("bound", {"kl": [0], "n": 100, "delta": 0.05}),
+        ("simulate", {"steps": "abc"}),
+        ("simulate", {"steps": 100, "seed": True}),
+    ])
+    def test_config_value_of_wrong_type_exits_2(
+        self, capsys, tmp_path, identity_file, command, config
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        base = _simulate_argv(identity_file)[:-2] if command == "simulate" else [command]
+        code, _, err = run_cli(capsys, *base, "--config", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, config, flags", [
+        ("bound", {"kl": 0, "n": 100, "delta": 0.05},
+         ["--kl", "0", "--n", "100", "--delta", "0.05"]),
+        ("simulate", {"eta": "0.1", "steps": 200, "stride": "5", "seed": 4},
+         ["--eta", "0.1", "--steps", "200", "--stride", "5", "--seed", "4"]),
+    ])
+    def test_config_run_prints_same_bytes_as_flag_run(
+        self, capsys, tmp_path, identity_file, command, config, flags
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        base = [command]
+        if command == "simulate":
+            base = ["simulate", "--hessian", identity_file, "--minimizer", "0,0",
+                    "--noise-factor", identity_file, "--batch", "1"]
+        from_config = run_cli(capsys, *base, "--config", str(path))
+        from_flags = run_cli(capsys, *base, *flags)
+        assert from_config[0] == 0
+        assert from_config == from_flags
 
     def test_missing_config_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -266,14 +311,18 @@ def _two_stage_argv(matrix):
     ("scaling", ["--ns", "1,2"]),
     ("scaling", ["--ns", "10,20", "--trials", "0"]),
     ("lemma-survey", ["--pairs-per-dim", "0"]),
+    ("kl", ["--mc-draws", "10"]),
+    ("two-stage", ["--burn-in", "100000"]),
+    ("simulate", ["--burn-in", "1000"]),
 ])
 def test_out_of_range_option_exits_2_without_traceback(
-    capsys, identity_file, command, extra
+    capsys, identity_file, gaussian_file, command, extra
 ):
     base = {
         "simulate": _simulate_argv(identity_file),
         "two-stage": _two_stage_argv(identity_file),
         "lyapunov": ["lyapunov", "--a", identity_file, "--q", identity_file],
+        "kl": ["kl", "--q", gaussian_file, "--p", gaussian_file],
     }.get(command, [command])
     # an exception escaping main() would fail this call with its traceback
     code, _, err = run_cli(capsys, *base, *extra)

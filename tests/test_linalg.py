@@ -218,6 +218,23 @@ class TestDiscreteStein:
         tol = RESIDUAL_TOL * (1.0 + np.linalg.norm(q.entries, "fro"))
         assert stein_residual(m, q, x) <= tol
 
+    @pytest.mark.parametrize("dim", [8, 32])
+    def test_general_map_near_unit_circle_meets_contract_or_raises(self, dim):
+        # scipy's solve, used for a non-symmetric M, misses the residual
+        # contract at d = 32 here: the solve must raise, and quickly
+        m = random_stable_map(dim, seed=dim, radius=1.0 - 1e-5)
+        assert not np.array_equal(m, m.T)
+        q = random_spd(dim, 0.5, 2.0, seed=dim + 1)
+        start = time.perf_counter()
+        try:
+            x = solve_discrete_stein(m, q)
+        except ResidualTooLargeError:
+            pass
+        else:
+            tol = RESIDUAL_TOL * (1.0 + np.linalg.norm(q.entries, "fro"))
+            assert stein_residual(m, q, x) <= tol
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize(
         "dim, radius",
         [(40, 1.0 - 1e-5), (128, 0.999), (8, -(1.0 - 1e-5)), (40, -(1.0 - 1e-5)),
