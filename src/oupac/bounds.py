@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidRangeError, InvalidSpecError
-from .gaussian import gaussian_pair_terms
+from .gaussian import check_rate, gaussian_pair_terms
 # cholesky_factor is not called here; bench/tests/test_bench_trace.py reads it from here
 from .linalg import SpdMatrix, cholesky_factor, log_det, random_spd  # noqa: F401
 from .rng import child_seed, make_rng
@@ -277,11 +277,7 @@ def kl_upper_bound_trace(
             f"dimensions disagree: hessian {hessian.dim}, noise {noise_cov.dim}, "
             f"sigma {sigma.dim}"
         )
-    if lr <= 0 or int(batch_size) != batch_size or batch_size < 1:
-        raise InvalidSpecError(
-            f"need lr > 0 and integer batch_size >= 1, got lr={lr}, "
-            f"batch_size={batch_size}"
-        )
+    check_rate(lr, batch_size)
     trace_ca_inv = float(np.trace(np.linalg.solve(hessian.entries, noise_cov.entries)))
     d = hessian.dim
     return 0.25 * (lr / batch_size) * trace_ca_inv - 0.5 * log_det(sigma) - 0.5 * d

@@ -16,8 +16,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,46 +67,76 @@ from .regression import (
 _VALIDATION_ERRORS = (ConfigError, DimensionMismatchError, InvalidRangeError,
                       InvalidSpecError, TooFewSamplesError)
 
-FLOAT_FORMAT = "%.17g"
-
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return FLOAT_FORMAT % value
+        return matrixio.FLOAT_FORMAT % value
     if value is None:
         return ""
     return str(value)
 
 
-def _parse_vector(text: str) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# option parsers: each converts a flag's text, a config-file value or a
+# default, raising ConfigError, ValueError or OSError on a bad value
+
+
+def _int(value) -> int:
+    return int(str(value))
+
+
+def _float(value) -> float:
+    number = float(str(value))
+    if not math.isfinite(number):
+        raise ConfigError(f"non-finite value {value!r}")
+    return number
+
+
+def _choice(*names: str) -> Callable[[object], str]:
+    def parse(value) -> str:
+        if value not in names:
+            raise ConfigError(f"invalid choice {value!r}; choose from {list(names)}")
+        return value
+    return parse
+
+
+def _vector(value) -> np.ndarray:
+    """Comma-separated numbers, or a JSON array of numbers from a config file."""
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
     vector = matrixio.parse_vector(text.replace(",", " "))
     if vector.size == 0:
-        raise ConfigError(f"empty vector value {text!r}")
+        raise ConfigError(f"empty vector value {value!r}")
     return vector
 
 
-def _parse_dims(text: str) -> list[int]:
-    text = str(text)
-    try:
-        if "-" in text:
-            lo, hi = text.split("-", 1)
-            dims = list(range(int(lo), int(hi) + 1))
-        else:
-            dims = [int(t) for t in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"could not parse dims {text!r}") from exc
-    if not dims or any(d < 1 for d in dims):
-        raise ConfigError(f"dims must be positive, got {text!r}")
+def _ints(value) -> list[int]:
+    """Comma- or space-separated integers, at least one."""
+    ints = [int(t) for t in str(value).replace(",", " ").split()]
+    if not ints:
+        raise ConfigError(f"no integers in {value!r}")
+    return ints
+
+
+def _dims(value) -> list[int]:
+    """A range 'lo-hi' or a list of dimensions."""
+    lo, is_range, hi = str(value).partition("-")
+    dims = list(range(int(lo), int(hi) + 1)) if is_range else _ints(value)
+    if not dims:
+        raise ConfigError(f"dims range {value!r} is empty")
+    if any(d < 1 for d in dims):
+        raise ConfigError(f"dims must be positive, got {value!r}")
     return dims
 
 
-def _parse_ns(text: str) -> list[int]:
-    try:
-        return [int(t) for t in str(text).replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"could not parse sample sizes {text!r}") from exc
+def _matrix_file(value) -> np.ndarray:
+    # matrixio's attribute is read at each call, so a wrapper put on it sees the call
+    return matrixio.read_matrix(str(value))
+
+
+def _gaussian_file(value) -> tuple[np.ndarray, np.ndarray]:
+    return matrixio.read_gaussian(str(value))
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -126,8 +158,8 @@ def _json_text(payload) -> str:
 
 
 def _run_lyapunov(params: dict) -> tuple[str, str]:
-    a = make_spd(matrixio.read_matrix(params["a"]))
-    q = SymmetricMatrix(matrixio.read_matrix(params["q"]))
+    a = make_spd(params["a"])
+    q = SymmetricMatrix(params["q"])
     check_rate(params["eta"], params["batch"])
     rhs = SymmetricMatrix((params["eta"] / params["batch"]) * q.entries)
     solution = solve_continuous_lyapunov(a, rhs)
@@ -140,14 +172,9 @@ def _run_lyapunov(params: dict) -> tuple[str, str]:
 
 
 def _load_dynamics(params: dict, prefix: str = "") -> tuple[QuadraticLoss, SgdDynamics]:
-    def key(name: str) -> str:
-        return f"{prefix}{name}" if prefix else name
-
-    hessian = make_spd(matrixio.read_matrix(params[key("hessian")]))
-    minimizer = _parse_vector(str(params[key("minimizer")]))
-    noise_factor = matrixio.read_matrix(params[key("noise_factor")])
-    loss = QuadraticLoss(hessian, minimizer)
-    dyn = SgdDynamics(params[key("eta")], params[key("batch")], noise_factor)
+    loss = QuadraticLoss(make_spd(params[prefix + "hessian"]), params[prefix + "minimizer"])
+    dyn = SgdDynamics(params[prefix + "eta"], params[prefix + "batch"],
+                      params[prefix + "noise_factor"])
     return loss, dyn
 
 
@@ -156,7 +183,7 @@ def _run_simulate(params: dict) -> tuple[str, str]:
     report = stability_check(loss, dyn)
     trajectory = simulate_chain(loss.minimizer, loss, dyn, total_steps=params["steps"],
                                 stride=params["stride"], seed=params["seed"])
-    estimate = estimate_stationary(trajectory, params.get("burn_in"))
+    estimate = estimate_stationary(trajectory, params["burn_in"])
     step_map = np.eye(loss.dim) - dyn.lr * loss.hessian.entries
     per_step_cov = (dyn.lr**2 / dyn.batch_size) * dyn.noise_cov.entries
     stein = solve_discrete_stein(step_map, SymmetricMatrix(per_step_cov))
@@ -207,8 +234,8 @@ def _moments_payload(estimate) -> dict:
 
 
 def _run_kl(params: dict) -> tuple[str, str]:
-    mean_q, cov_q = matrixio.read_gaussian(params["q"])
-    mean_p, cov_p = matrixio.read_gaussian(params["p"])
+    mean_q, cov_q = params["q"]
+    mean_p, cov_p = params["p"]
     q = GaussianMeasure(mean_q, make_spd(cov_q))
     p = GaussianMeasure(mean_p, make_spd(cov_p))
     closed = kl_divergence(q, p)
@@ -240,9 +267,8 @@ def _run_bound(params: dict) -> tuple[str, str]:
 
 
 def _run_lemma_survey(params: dict) -> tuple[str, str]:
-    dims = _parse_dims(params["dims"])
     rows = lemma2_survey(
-        dims=dims,
+        dims=params["dims"],
         pairs_per_dim=params["pairs_per_dim"],
         seed=params["seed"],
         eigenvalue_low=params["eig_low"],
@@ -262,10 +288,9 @@ def _run_lemma_survey(params: dict) -> tuple[str, str]:
 
 
 def _run_dominance(params: dict) -> tuple[str, str]:
-    sigma_pt = make_spd(matrixio.read_matrix(params["sigma_pt"]))
-    sigma_ft = make_spd(matrixio.read_matrix(params["sigma_ft"]))
-    shift = _parse_vector(str(params["shift"]))
-    pair = DomainPair(sigma_pt, sigma_ft, shift)
+    sigma_pt = make_spd(params["sigma_pt"])
+    sigma_ft = make_spd(params["sigma_ft"])
+    pair = DomainPair(sigma_pt, sigma_ft, params["shift"])
     spec_pt = SampleSpec(params["n_pt"], params["delta"])
     spec_ft = SampleSpec(params["n_ft"], params["delta"])
     report = dominance_report(sigma_pt, spec_pt, pair, spec_ft)
@@ -286,20 +311,17 @@ def _run_dominance(params: dict) -> tuple[str, str]:
     return summary, _json_text(payload)
 
 
-def _build_task_and_dynamics(params: dict) -> tuple[RegressionTask, SgdDynamics]:
-    weights = _parse_vector(str(params["weights"]))
-    dim = weights.shape[0]
-    if params.get("feature_cov") is not None:
-        feature_cov = make_spd(matrixio.read_matrix(params["feature_cov"]))
-    else:
-        feature_cov = make_spd(np.eye(dim))
-    task = RegressionTask(weights, feature_cov, params["noise_std"], params["n"])
+def _build_task_and_dynamics(params: dict, sample_size: int) -> tuple[RegressionTask, SgdDynamics]:
+    dim = params["weights"].shape[0]
+    feature_cov = params["feature_cov"]
+    feature_cov = make_spd(np.eye(dim) if feature_cov is None else feature_cov)
+    task = RegressionTask(params["weights"], feature_cov, params["noise_std"], sample_size)
     dyn = SgdDynamics(params["eta"], params["batch"], params["noise_scale"] * np.eye(dim))
     return task, dyn
 
 
 def _run_validity(params: dict) -> tuple[str, str]:
-    task, dyn = _build_task_and_dynamics(params)
+    task, dyn = _build_task_and_dynamics(params, params["n"])
     spec = SampleSpec(task.sample_size, params["delta"])
     result = bound_validity_experiment(
         task, dyn, spec, standard_gaussian(task.dim),
@@ -326,10 +348,10 @@ def _run_validity(params: dict) -> tuple[str, str]:
 
 
 def _run_scaling(params: dict) -> tuple[str, str]:
-    task, dyn = _build_task_and_dynamics({**params, "n": 1})
-    ns = _parse_ns(params["ns"])
+    # scaling_experiment sets the sample size of each run; the task's is a placeholder
+    task, dyn = _build_task_and_dynamics(params, params["ns"][0])
     rows = scaling_experiment(
-        task, ns, dyn, params["delta"],
+        task, params["ns"], dyn, params["delta"],
         master_seed=params["seed"], trials_per_n=params["trials"],
     )
     summary = (
@@ -343,168 +365,160 @@ def _run_scaling(params: dict) -> tuple[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# option tables
+# option tables: each option's parser, default and help, stated once
 
-_COMMON_DEFAULTS = {"seed": 0, "output": None, "format": None, "config": None}
-_SEED_OPTION = dict(type=int, help="master seed for all randomness (default 0)")
+
+class _Option(NamedTuple):
+    """An option's parser, default (``...`` marks a required option) and help."""
+
+    parse: Callable[[object], object]
+    default: object
+    help: str
+
+
+_COMMON = {
+    "seed": _Option(_int, 0, "master seed for all randomness"),
+    "output": _Option(str, None, "write results to this file (default: stdout)"),
+}
+
+_JSON_OR_CSV = {"format": _Option(_choice("json", "csv"), "json", "output format: json or csv")}
+
+
+def _sgd_stage(prefix: str = "", stage: str = "") -> dict[str, _Option]:
+    """One SGD chain's options; ``two-stage`` prefixes them ``pt_``/``ft_``."""
+    return {
+        prefix + "hessian": _Option(_matrix_file, ..., f"matrix file: {stage}loss Hessian"),
+        prefix + "minimizer": _Option(_vector, ..., f"vector: {stage}loss minimizer, e.g. '0,0'"),
+        prefix + "noise_factor": _Option(_matrix_file, ...,
+                                         f"matrix file: {stage}gradient-noise factor B"),
+        prefix + "eta": _Option(_float, ..., f"{stage}learning rate"),
+        prefix + "batch": _Option(_int, ..., f"{stage}batch size"),
+        prefix + "steps": _Option(_int, ..., f"number of {stage}SGD updates"),
+    }
+
+
+_CHAIN_RECORDS = {
+    "stride": _Option(_int, 10, "record every stride-th state"),
+    "burn_in": _Option(_int, None, "records to discard (default: half)"),
+}
+
+_REGRESSION = {
+    "weights": _Option(_vector, "0.3,-0.2", "vector: true regression weights"),
+    "feature_cov": _Option(_matrix_file, None,
+                           "matrix file: feature covariance (default identity)"),
+    "noise_std": _Option(_float, 1.0, "observation noise std"),
+    "delta": _Option(_float, 0.05, "confidence level"),
+    "eta": _Option(_float, 0.1, "learning rate"),
+    "batch": _Option(_int, 10, "batch size"),
+    "noise_scale": _Option(_float, 1.0, "gradient-noise factor scale"),
+}
 
 _COMMANDS: dict[str, dict] = {
     "lyapunov": {
         "run": _run_lyapunov,
         "help": "solve the stationary-covariance equation A*X + X*A = (eta/batch)*Q",
         "options": {
-            "a": dict(help="matrix file: strict SPD coefficient A"),
-            "q": dict(help="matrix file: symmetric right-hand side Q"),
-            "eta": dict(type=float, help="learning rate scaling (default 1)"),
-            "batch": dict(type=int, help="batch size scaling (default 1)"),
+            "a": _Option(_matrix_file, ..., "matrix file: strict SPD coefficient A"),
+            "q": _Option(_matrix_file, ..., "matrix file: symmetric right-hand side Q"),
+            "eta": _Option(_float, 1.0, "learning rate scaling"),
+            "batch": _Option(_int, 1, "batch size scaling"),
+            **_COMMON,
         },
-        "required": ("a", "q"),
-        "defaults": {"eta": 1.0, "batch": 1},
-        "formats": ("matrix",),
     },
     "simulate": {
         "run": _run_simulate,
         "help": "simulate the SGD chain and compare moments to the exact solution",
-        "options": {
-            "hessian": dict(help="matrix file: loss Hessian"),
-            "minimizer": dict(help="vector: loss minimizer, e.g. '0,0'"),
-            "noise_factor": dict(help="matrix file: gradient-noise factor B"),
-            "eta": dict(type=float, help="learning rate"),
-            "batch": dict(type=int, help="batch size"),
-            "steps": dict(type=int, help="number of SGD updates"),
-            "stride": dict(type=int, help="record every stride-th state (default 10)"),
-            "burn_in": dict(type=int, help="records to discard (default: half)"),
-        },
-        "required": ("hessian", "minimizer", "noise_factor", "eta", "batch", "steps"),
-        "defaults": {"stride": 10, "burn_in": None},
-        "formats": ("csv",),
+        "options": {**_sgd_stage(), **_CHAIN_RECORDS, **_COMMON},
     },
     "two-stage": {
         "run": _run_two_stage,
         "help": "pre-train then fine-tune; pool stationary moments over replicas",
         "options": {
-            "pt_hessian": dict(help="matrix file: pre-training Hessian"),
-            "pt_minimizer": dict(help="vector: pre-training minimizer"),
-            "pt_noise_factor": dict(help="matrix file: pre-training noise factor"),
-            "pt_eta": dict(type=float, help="pre-training learning rate"),
-            "pt_batch": dict(type=int, help="pre-training batch size"),
-            "pt_steps": dict(type=int, help="pre-training steps per replica"),
-            "ft_hessian": dict(help="matrix file: fine-tuning Hessian"),
-            "ft_minimizer": dict(help="vector: fine-tuning minimizer"),
-            "ft_noise_factor": dict(help="matrix file: fine-tuning noise factor"),
-            "ft_eta": dict(type=float, help="fine-tuning learning rate"),
-            "ft_batch": dict(type=int, help="fine-tuning batch size"),
-            "ft_steps": dict(type=int, help="fine-tuning steps per replica"),
-            "replicas": dict(type=int, help="independent replicas (default 4)"),
-            "stride": dict(type=int, help="record every stride-th state (default 10)"),
-            "burn_in": dict(type=int, help="records to discard per stage (default: half)"),
-            "init_mode": dict(choices=["analytic_sample", "chain_continue"],
-                              help="fine-tuning initial state rule"),
+            **_sgd_stage("pt_", "pre-training "),
+            **_sgd_stage("ft_", "fine-tuning "),
+            "replicas": _Option(_int, 4, "independent replicas"),
+            **_CHAIN_RECORDS,
+            "init_mode": _Option(_choice("analytic_sample", "chain_continue"), "analytic_sample",
+                                 "fine-tuning start: analytic_sample or chain_continue"),
+            **_COMMON,
         },
-        "required": (
-            "pt_hessian", "pt_minimizer", "pt_noise_factor", "pt_eta", "pt_batch",
-            "pt_steps", "ft_hessian", "ft_minimizer", "ft_noise_factor", "ft_eta",
-            "ft_batch", "ft_steps",
-        ),
-        "defaults": {"replicas": 4, "stride": 10, "burn_in": None,
-                     "init_mode": "analytic_sample"},
-        "formats": ("json",),
     },
     "kl": {
         "run": _run_kl,
         "help": "closed-form and Monte-Carlo KL divergence side by side",
         "options": {
-            "q": dict(help="Gaussian fixture file for the first measure"),
-            "p": dict(help="Gaussian fixture file for the second measure"),
-            "mc_draws": dict(type=int, help="Monte-Carlo draws (default 100000)"),
+            "q": _Option(_gaussian_file, ..., "Gaussian fixture file: first measure"),
+            "p": _Option(_gaussian_file, ..., "Gaussian fixture file: second measure"),
+            "mc_draws": _Option(_int, 100_000, "Monte-Carlo draws"),
+            **_COMMON,
         },
-        "required": ("q", "p"),
-        "defaults": {"mc_draws": 100_000},
-        "formats": ("json",),
     },
     "bound": {
         "run": _run_bound,
         "help": "evaluate the PAC-Bayes complexity term",
         "options": {
-            "kl": dict(type=float, help="KL divergence value (nonnegative)"),
-            "n": dict(type=int, help="sample size"),
-            "delta": dict(type=float, help="confidence level in (0, 1]"),
+            "kl": _Option(_float, ..., "KL divergence value (nonnegative)"),
+            "n": _Option(_int, ..., "sample size"),
+            "delta": _Option(_float, ..., "confidence level in (0, 1]"),
+            **_COMMON,
         },
-        "required": ("kl", "n", "delta"),
-        "defaults": {},
-        "formats": ("json",),
     },
     "lemma-survey": {
         "run": _run_lemma_survey,
         "help": "random survey of the two domain discrepancies' ordering",
         "options": {
-            "dims": dict(help="dimension range, e.g. '1-10' (default)"),
-            "pairs_per_dim": dict(type=int, help="pairs per dimension (default 100)"),
-            "eig_low": dict(type=float, help="smallest covariance eigenvalue (default 0.2)"),
-            "eig_high": dict(type=float, help="largest covariance eigenvalue (default 5)"),
-            "shift_scale": dict(type=float, help="std of the random shift (default 1)"),
+            "dims": _Option(_dims, "1-10", "dimension range or list, e.g. '1-10' or '2,5'"),
+            "pairs_per_dim": _Option(_int, 100, "pairs per dimension"),
+            "eig_low": _Option(_float, 0.2, "smallest covariance eigenvalue"),
+            "eig_high": _Option(_float, 5.0, "largest covariance eigenvalue"),
+            "shift_scale": _Option(_float, 1.0, "std of the random shift"),
+            **_COMMON,
+            **_JSON_OR_CSV,
         },
-        "required": (),
-        "defaults": {"dims": "1-10", "pairs_per_dim": 100, "eig_low": 0.2,
-                     "eig_high": 5.0, "shift_scale": 1.0},
-        "formats": ("json", "csv"),
     },
     "dominance": {
         "run": _run_dominance,
         "help": "compare pre-training and fine-tuning complexity terms",
         "options": {
-            "sigma_pt": dict(help="matrix file: source stationary covariance"),
-            "sigma_ft": dict(help="matrix file: target stationary covariance"),
-            "shift": dict(help="vector: minimizer shift, e.g. '1,0'"),
-            "n_pt": dict(type=int, help="pre-training sample size"),
-            "n_ft": dict(type=int, help="fine-tuning sample size"),
-            "delta": dict(type=float, help="confidence level (default 0.05)"),
+            "sigma_pt": _Option(_matrix_file, ..., "matrix file: source stationary covariance"),
+            "sigma_ft": _Option(_matrix_file, ..., "matrix file: target stationary covariance"),
+            "shift": _Option(_vector, ..., "vector: minimizer shift, e.g. '1,0'"),
+            "n_pt": _Option(_int, ..., "pre-training sample size"),
+            "n_ft": _Option(_int, ..., "fine-tuning sample size"),
+            "delta": _Option(_float, 0.05, "confidence level"),
+            **_COMMON,
         },
-        "required": ("sigma_pt", "sigma_ft", "shift", "n_pt", "n_ft"),
-        "defaults": {"delta": 0.05},
-        "formats": ("json",),
     },
     "validity": {
         "run": _run_validity,
         "help": "count bound violations over independent regression trials",
         "options": {
-            "weights": dict(help="vector: true regression weights (default '0.3,-0.2')"),
-            "feature_cov": dict(help="matrix file: feature covariance (default identity)"),
-            "noise_std": dict(type=float, help="observation noise std (default 1)"),
-            "n": dict(type=int, help="training sample size (default 100)"),
-            "trials": dict(type=int, help="independent trials (default 200)"),
-            "delta": dict(type=float, help="confidence level (default 0.05)"),
-            "eta": dict(type=float, help="learning rate (default 0.1)"),
-            "batch": dict(type=int, help="batch size (default 10)"),
-            "noise_scale": dict(type=float, help="gradient-noise factor scale (default 1)"),
+            "n": _Option(_int, 100, "training sample size"),
+            "trials": _Option(_int, 200, "independent trials"),
+            **_REGRESSION,
+            **_COMMON,
+            **_JSON_OR_CSV,
         },
-        "required": (),
-        "defaults": {"weights": "0.3,-0.2", "feature_cov": None, "noise_std": 1.0,
-                     "n": 100, "trials": 200, "delta": 0.05, "eta": 0.1,
-                     "batch": 10, "noise_scale": 1.0},
-        "formats": ("json", "csv"),
     },
     "scaling": {
         "run": _run_scaling,
         "help": "mean bound and mean gap against growing sample size",
         "options": {
-            "ns": dict(help="comma-separated sample sizes, strictly increasing"),
-            "trials": dict(type=int, help="trials per sample size (default 20)"),
-            "weights": dict(help="vector: true regression weights (default '0.3,-0.2')"),
-            "feature_cov": dict(help="matrix file: feature covariance (default identity)"),
-            "noise_std": dict(type=float, help="observation noise std (default 1)"),
-            "delta": dict(type=float, help="confidence level (default 0.05)"),
-            "eta": dict(type=float, help="learning rate (default 0.1)"),
-            "batch": dict(type=int, help="batch size (default 10)"),
-            "noise_scale": dict(type=float, help="gradient-noise factor scale (default 1)"),
+            "ns": _Option(_ints, ..., "comma-separated sample sizes, strictly increasing"),
+            "trials": _Option(_int, 20, "trials per sample size"),
+            **_REGRESSION,
+            **_COMMON,
+            **_JSON_OR_CSV,
         },
-        "required": ("ns",),
-        "defaults": {"trials": 20, "weights": "0.3,-0.2", "feature_cov": None,
-                     "noise_std": 1.0, "delta": 0.05, "eta": 0.1, "batch": 10,
-                     "noise_scale": 1.0},
-        "formats": ("json", "csv"),
     },
 }
+
+
+def _help(option: _Option) -> str:
+    if option.default is ... or option.default is None:
+        return option.help
+    default = option.default
+    return f"{option.help} (default {'%g' % default if isinstance(default, float) else default})"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -520,24 +534,17 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     for name, spec in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=spec["help"], description=spec["help"])
-        for opt, kwargs in spec["options"].items():
-            flag = "--" + opt.replace("_", "-")
-            sub.add_argument(flag, default=argparse.SUPPRESS, dest=opt, **kwargs)
+        # argparse only collects the text; _merge_params converts it
+        for key, option in spec["options"].items():
+            sub.add_argument("--" + key.replace("_", "-"), dest=key,
+                             default=argparse.SUPPRESS, help=_help(option))
         sub.add_argument("--config", default=argparse.SUPPRESS,
                          help="JSON file with option values (flags override)")
-        sub.add_argument("--seed", default=argparse.SUPPRESS, **_SEED_OPTION)
-        sub.add_argument("--output", default=argparse.SUPPRESS,
-                         help="write results to this file (default: stdout)")
-        if len(spec["formats"]) > 1:
-            sub.add_argument("--format", choices=list(spec["formats"]),
-                             default=argparse.SUPPRESS,
-                             help=f"output format (default {spec['formats'][0]})")
     return parser
 
 
-def _load_config(path: str, options: dict[str, dict]) -> dict:
-    """Option values from a JSON config, each non-null value converted by its
-    option's ``type`` from its text, as argparse converts a flag's text."""
+def _load_config(path: str, options: dict[str, _Option]) -> dict:
+    """The option values of a JSON config file; a null value keeps the default."""
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
@@ -546,38 +553,30 @@ def _load_config(path: str, options: dict[str, dict]) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(raw) - set(options) - set(_COMMON_DEFAULTS)
+    unknown = set(raw) - set(options)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in raw.items():
-        convert = options.get(key, {}).get("type")
-        if convert is not None and value is not None:
-            try:
-                raw[key] = convert(str(value))
-            except ValueError as exc:
-                raise ConfigError(f"invalid {convert.__name__} value {value!r} "
-                                  f"for config key {key!r}") from exc
-    return raw
+    return {key: value for key, value in raw.items() if value is not None}
 
 
 def _merge_params(name: str, args: argparse.Namespace) -> dict:
-    spec = _COMMANDS[name]
-    cli_values = {k: v for k, v in vars(args).items() if k != "subcommand"}
-    params = {**_COMMON_DEFAULTS, **spec["defaults"]}
-    if "format" not in spec["defaults"]:
-        params["format"] = spec["formats"][0]
-    if "config" in cli_values:
-        params.update(_load_config(cli_values["config"],
-                                   {**spec["options"], "seed": _SEED_OPTION}))
-    params.update(cli_values)
-    missing = [k for k in spec["required"] if params.get(k) is None]
+    """Option values by precedence default < config < flag, each converted by
+    its option's parser: the one conversion path for every value."""
+    options = _COMMANDS[name]["options"]
+    given = {k: v for k, v in vars(args).items() if k != "subcommand"}
+    raw = {key: option.default for key, option in options.items()}
+    if "config" in given:
+        raw.update(_load_config(given.pop("config"), options))
+    raw.update(given)
+    missing = sorted(key for key, value in raw.items() if value is ...)
     if missing:
-        raise ConfigError(f"missing required options for {name}: {sorted(missing)}")
-    if params["format"] not in spec["formats"]:
-        raise ConfigError(
-            f"format {params['format']!r} not supported by {name}; "
-            f"choose from {list(spec['formats'])}"
-        )
+        raise ConfigError(f"missing required options for {name}: {missing}")
+    params = {}
+    for key, value in raw.items():
+        try:
+            params[key] = None if value is None else options[key].parse(value)
+        except (ConfigError, ValueError, OSError) as exc:
+            raise ConfigError(f"--{key.replace('_', '-')}: {exc}") from exc
     return params
 
 

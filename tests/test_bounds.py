@@ -17,6 +17,7 @@ from oupac import (
     BoundReport,
     DomainPair,
     GaussianMeasure,
+    InvalidRangeError,
     InvalidSpecError,
     SampleSpec,
     discrepancy_d,
@@ -350,6 +351,15 @@ class TestKlUpperBoundTrace:
             bound = kl_upper_bound_trace(a, c, lr, batch, g.covariance)
             exact = kl_divergence(g, standard_gaussian(dim))
             assert abs(bound - exact) <= 1e-10
+
+    @pytest.mark.parametrize("lr, batch", [
+        (math.nan, 1), (0.0, 1), (-0.1, 1), (0.1, 0), (0.1, 1.5),
+    ])
+    def test_rejects_rate_outside_range(self, lr, batch):
+        # the rule SgdDynamics and stationary_from_dynamics apply, NaN included
+        eye = make_spd(np.eye(2))
+        with pytest.raises(InvalidRangeError):
+            kl_upper_bound_trace(eye, eye, lr, batch, eye)
 
 
 class TestDominance:

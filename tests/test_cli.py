@@ -12,6 +12,7 @@ from oupac import (
     make_spd,
     mcallester_bound,
 )
+from oupac import cli
 from oupac.cli import main
 from oupac.matrixio import read_matrix, write_gaussian, write_matrix
 
@@ -101,8 +102,12 @@ class TestConfigFile:
     @pytest.mark.parametrize("command, config, flags", [
         ("bound", {"kl": 0, "n": 100, "delta": 0.05},
          ["--kl", "0", "--n", "100", "--delta", "0.05"]),
-        ("simulate", {"eta": "0.1", "steps": 200, "stride": "5", "seed": 4},
-         ["--eta", "0.1", "--steps", "200", "--stride", "5", "--seed", "4"]),
+        ("simulate", {"minimizer": "0,0", "eta": "0.1", "steps": 200, "stride": "5", "seed": 4},
+         ["--minimizer", "0,0", "--eta", "0.1", "--steps", "200", "--stride", "5",
+          "--seed", "4"]),
+        ("simulate", {"minimizer": [0, 0.5], "eta": 0.1, "steps": 200},
+         ["--minimizer", "0,0.5", "--eta", "0.1", "--steps", "200"]),
+        ("validity", {"eta": None, "trials": 12}, ["--trials", "12"]),
     ])
     def test_config_run_prints_same_bytes_as_flag_run(
         self, capsys, tmp_path, identity_file, command, config, flags
@@ -111,8 +116,8 @@ class TestConfigFile:
         path.write_text(json.dumps(config))
         base = [command]
         if command == "simulate":
-            base = ["simulate", "--hessian", identity_file, "--minimizer", "0,0",
-                    "--noise-factor", identity_file, "--batch", "1"]
+            base = ["simulate", "--hessian", identity_file, "--noise-factor", identity_file,
+                    "--batch", "1"]
         from_config = run_cli(capsys, *base, "--config", str(path))
         from_flags = run_cli(capsys, *base, *flags)
         assert from_config[0] == 0
@@ -314,6 +319,14 @@ def _two_stage_argv(matrix):
     ("kl", ["--mc-draws", "10"]),
     ("two-stage", ["--burn-in", "100000"]),
     ("simulate", ["--burn-in", "1000"]),
+    ("bound", ["--kl", "nan"]),
+    ("bound", ["--kl", "inf"]),
+    ("validity", ["--noise-scale", "nan"]),
+    ("lemma-survey", ["--shift-scale", "nan"]),
+    ("lemma-survey", ["--dims", "3-1"]),
+    ("lyapunov", ["--a", "absent.txt"]),
+    ("two-stage", ["--init-mode", "warm"]),
+    ("scaling", ["--ns="]),
 ])
 def test_out_of_range_option_exits_2_without_traceback(
     capsys, identity_file, gaussian_file, command, extra
@@ -323,6 +336,7 @@ def test_out_of_range_option_exits_2_without_traceback(
         "two-stage": _two_stage_argv(identity_file),
         "lyapunov": ["lyapunov", "--a", identity_file, "--q", identity_file],
         "kl": ["kl", "--q", gaussian_file, "--p", gaussian_file],
+        "bound": ["bound", "--n", "100", "--delta", "0.05"],
     }.get(command, [command])
     # an exception escaping main() would fail this call with its traceback
     code, _, err = run_cli(capsys, *base, *extra)
@@ -339,3 +353,36 @@ def test_unknown_flag_exits_2(capsys):
 
 def test_no_subcommand_exits_2(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_every_default_reaches_params_alike_from_default_config_and_flag(
+    tmp_path, identity_file, gaussian_file, name
+):
+    # one valid text per parser, to fill in the required options
+    stand_ins = {cli._matrix_file: identity_file, cli._gaussian_file: gaussian_file,
+                 cli._vector: "0,0", cli._float: "0.5", cli._int: "2", cli._ints: "10,20"}
+    options = cli._COMMANDS[name]["options"]
+    required = [f"--{key.replace('_', '-')}={stand_ins[option.parse]}"
+                for key, option in options.items() if option.default is ...]
+    parser = cli._build_parser()
+    config = tmp_path / "cfg.json"
+    with_default = [key for key, option in options.items()
+                    if option.default is not ... and option.default is not None]
+    assert with_default
+    for key in with_default:
+        default = options[key].default
+        config.write_text(json.dumps({key: default}))
+        text = repr(default) if isinstance(default, float) else str(default)
+        ways = [[], ["--config", str(config)], [f"--{key.replace('_', '-')}={text}"]]
+        values = [cli._merge_params(name, parser.parse_args([name, *required, *way]))[key]
+                  for way in ways]
+        for value in values[1:]:
+            assert type(value) is type(values[0]), key
+            np.testing.assert_array_equal(value, values[0], err_msg=key)
+
+
+def test_reversed_dims_range_is_reported_empty(capsys):
+    code, _, err = run_cli(capsys, "lemma-survey", "--dims", "3-1")
+    assert code == 2
+    assert "empty" in err
