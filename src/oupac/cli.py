@@ -13,8 +13,6 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical failure
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -140,12 +138,9 @@ def _gaussian_file(value) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buffer.getvalue()
+    # the bytes csv.writer makes: no field _fmt makes holds a comma, quote or
+    # newline, and no table here has a single column, so none is quoted
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
 
 
 def _json_text(payload) -> str:
@@ -195,10 +190,8 @@ def _run_simulate(params: dict) -> tuple[str, str]:
         f"empirical_vs_stein_rel_frobenius={_fmt(float(rel_gap))}"
     )
     header = ["step"] + [f"theta_{i}" for i in range(loss.dim)]
-    rows = [
-        [i * trajectory.stride] + list(state)
-        for i, state in enumerate(trajectory.states)
-    ]
+    rows = [[i * trajectory.stride, *state]
+            for i, state in enumerate(trajectory.states.tolist())]
     return summary, _csv_text(header, rows)
 
 
@@ -590,6 +583,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         params = _merge_params(name, args)
         summary, payload = _COMMANDS[name]["run"](params)
+        if params["output"] is not None:
+            try:
+                Path(params["output"]).write_text(payload)
+            except OSError as exc:
+                raise ConfigError(f"--output: {exc}") from exc
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -597,9 +595,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error in {name}: {exc}", file=sys.stderr)
         return 3
     print(summary)
-    if params["output"] is not None:
-        Path(params["output"]).write_text(payload)
-    else:
+    if params["output"] is None:
         sys.stdout.write(payload)
     return 0
 

@@ -16,10 +16,21 @@ model's covariance solves the Lyapunov equation with right-hand side
 ``(lr/batch) * C``.  Simulations here are compared against the Stein
 solution (simulator ground truth), with the Lyapunov solution as the
 small-rate limit.
+
+The chain is evaluated exactly in A's eigenbasis, on the deviation from
+the minimizer: with ``A = V diag(lam) V^T`` it splits into d scalar
+recursions ``y' = (1 - lr*lam) * y + V^T kick`` for ``y = V^T (x -
+minimizer)``, which a log-depth prefix scan evaluates block by block
+(Blelloch 1990, "Prefix sums and their applications").  It reads the
+same noise stream as a step-by-step ``sgd_step`` loop and agrees with
+that loop to rounding; its bits differ from versions that stepped the
+chain one update at a time in the last digits, and reruns stay
+byte-identical.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal, NamedTuple
 
@@ -34,6 +45,11 @@ from .rng import child_seed, make_rng
 
 #: Steps of simulation noise generated per chunk (bounds peak memory).
 NOISE_CHUNK = 1 << 17
+
+#: Steps per prefix-scan block; the scan makes log2(SCAN_BLOCK) passes over it.
+SCAN_BLOCK = 512
+
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,6 +213,28 @@ def _check_run_length(total_steps: int, stride: int) -> None:
         raise InvalidRangeError(f"stride must be >= 1, got {stride}")
 
 
+def _scan_rows(radius: float) -> int:
+    """Rows per scan block: ``SCAN_BLOCK``, halved while the largest power
+    the scan takes, ``radius ** (rows // 2)``, would overflow."""
+    rows = SCAN_BLOCK
+    while radius > 1.0 and rows > 1 and rows // 2 * math.log(radius) > _LOG_FLOAT_MAX:
+        rows //= 2
+    return rows
+
+
+def _scan(block: np.ndarray, mu: np.ndarray, carry: np.ndarray) -> None:
+    """In place, row j of ``block`` becomes ``y_{j+1}`` of the recursion
+    ``y_{j+1} = mu * y_j + block[j]`` started at ``y_0 = carry``."""
+    block[0] += mu * carry
+    power = mu
+    shift = 1
+    while shift < block.shape[0]:
+        block[shift:] += power * block[:-shift]
+        shift *= 2
+        if shift < block.shape[0]:
+            power = power * power
+
+
 def _run_chain(
     init: np.ndarray,
     loss: QuadraticLoss,
@@ -205,28 +243,33 @@ def _run_chain(
     stride: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Iterate the chain; return (records, final_state)."""
+    """Scan the chain in the eigenbasis (module docstring); return
+    (records, final_state)."""
     dim = loss.dim
-    step_map = np.eye(dim) - dyn.lr * loss.hessian.entries
-    pull = dyn.lr * (loss.hessian.entries @ loss.minimizer)
-    # row k of z @ kick is (lr/sqrt(b)) B^T z_k; column-major so that for a
-    # symmetric B it is the same BLAS call, and bits, as the product with B
-    kick = np.asfortranarray((dyn.lr / np.sqrt(dyn.batch_size)) * dyn.noise_factor)
+    lam, basis = np.linalg.eigh(loss.hessian.entries)
+    mu = 1.0 - dyn.lr * lam
+    rows = _scan_rows(float(np.max(np.abs(mu))))
+    # row k of z @ kick is (lr/sqrt(b)) B^T z_k, rotated into the eigenbasis
+    kick = ((dyn.lr / np.sqrt(dyn.batch_size)) * dyn.noise_factor) @ basis
     records = np.empty((total_steps // stride + 1, dim))
-    state = np.asarray(init, dtype=float).copy()
-    records[0] = state
+    records[0] = init
+    carry = (np.asarray(init, dtype=float) - loss.minimizer) @ basis
     step = 0
     next_record = 1
     while step < total_steps:
         chunk = min(NOISE_CHUNK, total_steps - step)
         noise = rng.standard_normal((chunk, dim)) @ kick
-        for row in noise:
-            state = step_map @ state + pull + row
-            step += 1
-            if step % stride == 0 and next_record < records.shape[0]:
-                records[next_record] = state
-                next_record += 1
-    return records, state
+        for start in range(0, chunk, rows):
+            block = noise[start:start + rows]
+            _scan(block, mu, carry)
+            carry = block[-1]
+            # block row j is step step + start + j + 1
+            kept = block[(-(step + start + 1)) % stride::stride]
+            records[next_record:next_record + kept.shape[0]] = kept
+            next_record += kept.shape[0]
+        step += chunk
+    records[1:] = records[1:] @ basis.T + loss.minimizer
+    return records, carry @ basis.T + loss.minimizer
 
 
 def simulate_chain(

@@ -1,6 +1,13 @@
 """CLI contract: numeric fidelity, exit codes, config handling, determinism."""
 
+import csv
+import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,6 +334,7 @@ def _two_stage_argv(matrix):
     ("lyapunov", ["--a", "absent.txt"]),
     ("two-stage", ["--init-mode", "warm"]),
     ("scaling", ["--ns="]),
+    ("bound", ["--kl", "0", "--output", os.path.join(os.devnull, "x.json")]),
 ])
 def test_out_of_range_option_exits_2_without_traceback(
     capsys, identity_file, gaussian_file, command, extra
@@ -339,8 +347,9 @@ def test_out_of_range_option_exits_2_without_traceback(
         "bound": ["bound", "--n", "100", "--delta", "0.05"],
     }.get(command, [command])
     # an exception escaping main() would fail this call with its traceback
-    code, _, err = run_cli(capsys, *base, *extra)
+    code, out, err = run_cli(capsys, *base, *extra)
     assert code == 2
+    assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
 
@@ -386,3 +395,45 @@ def test_reversed_dims_range_is_reported_empty(capsys):
     code, _, err = run_cli(capsys, "lemma-survey", "--dims", "3-1")
     assert code == 2
     assert "empty" in err
+
+
+def _csv_writer_text(header: list[str], rows: list[list]) -> str:
+    """Reference: the standard library's csv writer on _fmt's fields."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cli._fmt(v) for v in row])
+    return buffer.getvalue()
+
+
+def test_csv_text_matches_csv_writer():
+    header = ["step", "theta_0", "theta_1", "flag", "note"]
+    rows = [
+        [0, -0.0, float("nan"), True, None],
+        [np.int64(7), float("inf"), -float("inf"), False, ""],
+        [14, 1e300, 5e-324, np.bool_(True), 0.1],
+        [21, np.float64(0.1), np.float64(-0.0), None, np.float64(5e-324)],
+        [28, np.float64(np.nan), -1e-300, 3, -2],
+    ]
+    assert cli._csv_text(header, rows) == _csv_writer_text(header, rows)
+
+
+def test_two_stage_run_leaves_scipy_signal_unimported(identity_file):
+    # scipy.signal costs about twice the whole package's import time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = _two_stage_argv(identity_file) + ["--replicas", "2"]
+    code = textwrap.dedent(f"""
+        import sys
+        import oupac
+        from oupac.cli import main
+        assert main({argv!r}) == 0
+        print("scipy.signal" in sys.modules)
+    """)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"

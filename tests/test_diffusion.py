@@ -26,7 +26,9 @@ from oupac import (
     stability_check,
     two_stage_run,
 )
-from oupac.rng import make_rng
+from oupac import diffusion
+from oupac.gaussian import empirical_moments
+from oupac.rng import child_seed, make_rng
 
 
 def isotropic_loss(dim: int, center=None) -> QuadraticLoss:
@@ -43,6 +45,38 @@ def stein_covariance(loss: QuadraticLoss, dyn: SgdDynamics) -> np.ndarray:
 def lyapunov_covariance(loss: QuadraticLoss, dyn: SgdDynamics) -> np.ndarray:
     rhs = SymmetricMatrix((dyn.lr / dyn.batch_size) * dyn.noise_cov.entries)
     return solve_continuous_lyapunov(loss.hessian, rhs).entries
+
+
+def _sgd_step_loop(init, loss, dyn, total_steps, stride, seed):
+    """Reference chain: one public sgd_step at a time, on the noise chunks
+    the simulator draws; returns (records, final_state)."""
+    rng = make_rng(seed)
+    state = np.asarray(init, dtype=float)
+    records = [state]
+    done = 0
+    while done < total_steps:
+        chunk = min(diffusion.NOISE_CHUNK, total_steps - done)
+        for z in rng.standard_normal((chunk, loss.dim)):
+            state = sgd_step(state, loss, dyn, z)
+            done += 1
+            if done % stride == 0:
+                records.append(state)
+    return np.array(records), state
+
+
+def _replay_error(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest difference relative to the reference trajectory's scale."""
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _replay_case(dim: int, rate: float, seed: int):
+    """Loss with Hessian eigenvalues in [0.2, 1.5] at ``lr*lambda_max = rate``,
+    and a general (non-symmetric) noise factor."""
+    a = random_spd(dim, 0.2, 1.5, seed=seed)
+    lr = rate / float(np.linalg.eigvalsh(a.entries)[-1])
+    rng = make_rng(seed, 1)
+    loss = QuadraticLoss(a, rng.standard_normal(dim))
+    return loss, SgdDynamics(lr, 2, rng.standard_normal((dim, dim)))
 
 
 class TestSgdStep:
@@ -154,17 +188,61 @@ class TestSimulateChain:
         gap = np.linalg.norm(est.covariance.entries - stein, "fro")
         assert gap <= 0.05 * np.linalg.norm(stein, "fro")
 
-    def test_chain_replays_sgd_step(self):
-        # one noise chunk: the chain's draws are the first rows of its stream
-        a = random_spd(3, 0.2, 1.5, seed=8)
-        loss = QuadraticLoss(a, np.array([0.5, -1.0, 2.0]))
-        dyn = SgdDynamics(0.3, 2, make_rng(9).standard_normal((3, 3)))
-        traj = simulate_chain(np.zeros(3), loss, dyn, 500, stride=1, seed=10)
-        draws = make_rng(10).standard_normal((500, 3))
-        state = np.zeros(3)
-        for step, z in enumerate(draws, start=1):
-            state = sgd_step(state, loss, dyn, z)
-            np.testing.assert_allclose(traj.states[step], state, rtol=1e-12, atol=1e-12)
+    # 1300 steps: a multiple of neither the 512-step scan block nor stride 7
+    @pytest.mark.parametrize("dim, stride, rate", [
+        *((dim, stride, 0.6) for dim in (1, 3, 10, 128) for stride in (1, 7)),
+        (5, 1, 1.8),  # the stiffest direction has mu = 1 - 1.8 < 0
+    ])
+    def test_chain_replays_sgd_step(self, dim, stride, rate):
+        loss, dyn = _replay_case(dim, rate, seed=dim)
+        init = make_rng(dim, 2).standard_normal(dim)
+        traj = simulate_chain(init, loss, dyn, 1300, stride=stride, seed=10)
+        want, _ = _sgd_step_loop(init, loss, dyn, 1300, stride, seed=10)
+        assert _replay_error(traj.states, want) <= 1e-12
+
+    def test_replay_across_noise_chunks(self, monkeypatch):
+        # chunks of 1000 steps: each ends inside a 512-step scan block
+        monkeypatch.setattr(diffusion, "NOISE_CHUNK", 1000)
+        loss, dyn = _replay_case(3, 0.6, seed=4)
+        traj = simulate_chain(np.zeros(3), loss, dyn, 2777, stride=3, seed=11)
+        want, _ = _sgd_step_loop(np.zeros(3), loss, dyn, 2777, 3, seed=11)
+        assert _replay_error(traj.states, want) <= 1e-12
+
+    def test_replay_near_unit_spectral_radius(self):
+        # 1 - rho = 1e-4: rounding errors are carried for about 1e4 steps,
+        # so the tolerance, fixed from the dtype, scales with 1 / (1 - rho)
+        dim, gap = 3, 1e-4
+        a = random_spd(dim, 0.2, 1.5, seed=6)
+        lr = gap / float(np.linalg.eigvalsh(a.entries)[0])
+        loss = QuadraticLoss(a, np.array([1.0, -2.0, 0.5]))
+        dyn = SgdDynamics(lr, 1, make_rng(6, 1).standard_normal((dim, dim)))
+        assert stability_check(loss, dyn).spectral_radius == pytest.approx(1 - gap, rel=1e-9)
+        tolerance = 100 * dim * np.finfo(float).eps / gap
+        traj = simulate_chain(np.zeros(dim), loss, dyn, 20_000, stride=5, seed=13)
+        want, _ = _sgd_step_loop(np.zeros(dim), loss, dyn, 20_000, 5, seed=13)
+        assert _replay_error(traj.states, want) <= tolerance
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rate", [3.0, 6.0, 21.0])
+    def test_unstable_noise_free_chain_stays_at_minimizer(self, rate):
+        # mu = 1 - rate is -2, -5, -20; mu**256 overflows at -20
+        center = np.array([0.5, -1.0])
+        loss = isotropic_loss(2, center)
+        dyn = SgdDynamics(rate, 1, np.zeros((2, 2)))
+        traj = simulate_chain(center, loss, dyn, 600, stride=1, seed=0, allow_unstable=True)
+        want, _ = _sgd_step_loop(center, loss, dyn, 600, 1, seed=0)
+        np.testing.assert_array_equal(want, np.tile(center, (601, 1)))
+        np.testing.assert_array_equal(traj.states, want)
+
+    @pytest.mark.filterwarnings("error")
+    def test_unstable_noisy_chain_replays_sgd_step(self):
+        # mu = -2 in every direction: the trajectory grows like 2**k
+        loss = isotropic_loss(3, [1.0, 0.0, -1.0])
+        dyn = SgdDynamics(3.0, 1, make_rng(15).standard_normal((3, 3)))
+        traj = simulate_chain(np.zeros(3), loss, dyn, 40, stride=1, seed=16,
+                              allow_unstable=True)
+        want, _ = _sgd_step_loop(np.zeros(3), loss, dyn, 40, 1, seed=16)
+        assert _replay_error(traj.states, want) <= 1e-12
 
 
 class TestEstimateStationary:
@@ -271,6 +349,29 @@ class TestTwoStageRun:
             stride=2, master_seed=1, init_mode="chain_continue",
         )
         assert result.ft_estimate.sample_count >= 2
+
+    def test_chain_continue_replays_sgd_step(self):
+        # 1001 steps at stride 4: the pre-training final state is no record
+        # of its own, so only the fine-tuning start carries it into the pool
+        pt_loss, pt_dyn = _replay_case(3, 0.6, seed=7)
+        ft_loss, ft_dyn = _replay_case(3, 0.9, seed=8)
+        result = two_stage_run(pt_loss, pt_dyn, ft_loss, ft_dyn, 1001, 1001, replicas=2,
+                               stride=4, burn_in=0, master_seed=14,
+                               init_mode="chain_continue")
+        ft_blocks = []
+        for replica in range(2):
+            _, pt_final = _sgd_step_loop(pt_loss.minimizer, pt_loss, pt_dyn, 1001, 4,
+                                         seed=child_seed(14, replica, 0))
+            ft_records, _ = _sgd_step_loop(pt_final, ft_loss, ft_dyn, 1001, 4,
+                                           seed=child_seed(14, replica, 2))
+            ft_blocks.append(ft_records)
+        ft_records = np.concatenate(ft_blocks)
+        want = empirical_moments(ft_records)
+        scale = float(np.max(np.abs(ft_records)))
+        np.testing.assert_allclose(result.ft_estimate.mean, want.mean, rtol=0,
+                                   atol=1e-12 * scale)
+        np.testing.assert_allclose(result.ft_estimate.covariance.entries,
+                                   want.covariance.entries, rtol=0, atol=1e-12 * scale**2)
 
     def test_replica_floor_and_instability(self):
         loss = isotropic_loss(2)
