@@ -143,6 +143,13 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
 
 
+def _trajectory_csv(states: np.ndarray, stride: int) -> str:
+    """``_csv_text`` of each record's step and state, one format string a row."""
+    row = "%d," + ",".join([matrixio.FLOAT_FORMAT] * states.shape[1]) + "\n"
+    header = ",".join(["step"] + [f"theta_{i}" for i in range(states.shape[1])]) + "\n"
+    return header + "".join(row % (i * stride, *state) for i, state in enumerate(states.tolist()))
+
+
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
@@ -189,10 +196,7 @@ def _run_simulate(params: dict) -> tuple[str, str]:
         f"spectral_radius={_fmt(report.spectral_radius)} "
         f"empirical_vs_stein_rel_frobenius={_fmt(float(rel_gap))}"
     )
-    header = ["step"] + [f"theta_{i}" for i in range(loss.dim)]
-    rows = [[i * trajectory.stride, *state]
-            for i, state in enumerate(trajectory.states.tolist())]
-    return summary, _csv_text(header, rows)
+    return summary, _trajectory_csv(trajectory.states, trajectory.stride)
 
 
 def _run_two_stage(params: dict) -> tuple[str, str]:
@@ -514,7 +518,7 @@ def _help(option: _Option) -> str:
     return f"{option.help} (default {'%g' % default if isinstance(default, float) else default})"
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(chosen: str | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oupac",
         description=(
@@ -527,6 +531,8 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     for name, spec in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=spec["help"], description=spec["help"])
+        if name != chosen:  # a call parses no other subcommand's options
+            continue
         # argparse only collects the text; _merge_params converts it
         for key, option in spec["options"].items():
             sub.add_argument("--" + key.replace("_", "-"), dest=key,
@@ -574,7 +580,8 @@ def _merge_params(name: str, args: argparse.Namespace) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)  # the top level takes only --help
     args = parser.parse_args(argv)
     if args.subcommand is None:
         parser.print_help()

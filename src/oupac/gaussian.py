@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     DimensionMismatchError,
@@ -140,9 +139,9 @@ def gaussian_pair_terms(sigma_q: SpdMatrix, sigma_p: SpdMatrix, shift: np.ndarra
     (:func:`kl_divergence`, the discrepancies of :mod:`oupac.bounds`) sums them."""
     lq = cholesky_factor(sigma_q)
     lp = cholesky_factor(sigma_p)
-    # tr(Sp^-1 Sq) = ||Lp^-1 Lq||_F^2 ; mahalanobis via one triangular solve
-    half = solve_triangular(lp, lq, lower=True)
-    white = solve_triangular(lp, shift, lower=True)
+    # tr(Sp^-1 Sq) = ||Lp^-1 Lq||_F^2, and Lp^-1 shift, by one solve on [Lq | shift]
+    solved = np.linalg.solve(lp, np.column_stack([lq, shift]))
+    half, white = solved[:, :-1], solved[:, -1]
     log_det_ratio = 2.0 * float(np.sum(np.log(np.diag(lp))) - np.sum(np.log(np.diag(lq))))
     return float(np.sum(half * half)), log_det_ratio, float(white @ white)
 
@@ -207,7 +206,8 @@ def log_density(g: GaussianMeasure, points: np.ndarray) -> np.ndarray:
             f"points have dimension {pts.shape[1]}, measure has {g.dim}"
         )
     factor = cholesky_factor(g.covariance)
-    white = solve_triangular(factor, (pts - g.mean).T, lower=True)
+    # one product with the inverse factor: cheaper than a solve on n right-hand sides
+    white = np.linalg.inv(factor) @ (pts - g.mean).T
     return g.log_normalizer - 0.5 * np.sum(white * white, axis=0)
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import (
     DimensionMismatchError,
@@ -257,6 +256,7 @@ def solve_discrete_stein(m, q: SymmetricMatrix) -> SymmetricMatrix:
         x = x + _solve_in_eigenbasis(vecs, q_entries - x + m_arr @ x @ m_arr.T, denom)
         solution = SymmetricMatrix(x)
     else:
+        from scipy.linalg import solve_discrete_lyapunov  # slow to import; only used here
         _check_stationary(spectral_radius(m_arr))
         solution = SymmetricMatrix(solve_discrete_lyapunov(m_arr, q_entries))
     _check_residual(
@@ -303,9 +303,7 @@ def _solve_in_eigenbasis(vecs: np.ndarray, rhs: np.ndarray, denom: np.ndarray) -
 
 
 def _symmetric_entries(q) -> np.ndarray:
-    if isinstance(q, SpdMatrix):
-        return q.entries
-    if isinstance(q, SymmetricMatrix):
+    if isinstance(q, (SpdMatrix, SymmetricMatrix)):
         return q.entries
     return SymmetricMatrix(q).entries
 

@@ -21,10 +21,7 @@ FLOAT_FORMAT = "%.17g"
 
 def format_matrix(entries: np.ndarray) -> str:
     arr = np.asarray(entries, dtype=float)
-    lines = [str(arr.shape[0])]
-    for row in arr:
-        lines.append(" ".join(FLOAT_FORMAT % v for v in row))
-    return "\n".join(lines) + "\n"
+    return f"{arr.shape[0]}\n" + _format_rows(arr)
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -56,16 +53,12 @@ def write_matrix(path: str | Path, entries: np.ndarray) -> None:
     Path(path).write_text(format_matrix(entries))
 
 
-def format_vector(values: np.ndarray) -> str:
-    return " ".join(FLOAT_FORMAT % v for v in np.asarray(values, dtype=float))
-
-
 def parse_vector(text: str) -> np.ndarray:
     return np.array(_parse_floats(text), dtype=float)
 
 
 def format_gaussian(mean: np.ndarray, covariance: np.ndarray) -> str:
-    return format_matrix(covariance) + format_vector(mean) + "\n"
+    return format_matrix(covariance) + _format_rows(np.asarray(mean, dtype=float).reshape(1, -1))
 
 
 def parse_gaussian(text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -99,3 +92,9 @@ def _parse_floats(line: str) -> list[float]:
     if not all(np.isfinite(values)):
         raise ConfigError(f"numeric row {line!r} has non-finite entries")
     return values
+
+
+def _format_rows(arr: np.ndarray) -> str:
+    """One line of FLOAT_FORMAT fields per row, by one format string a row."""
+    row = " ".join([FLOAT_FORMAT] * arr.shape[1]) + "\n"
+    return "".join(row % tuple(values) for values in arr.tolist())

@@ -1,5 +1,6 @@
 """CLI contract: numeric fidelity, exit codes, config handling, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -21,7 +22,14 @@ from oupac import (
 )
 from oupac import cli
 from oupac.cli import main
-from oupac.matrixio import read_matrix, write_gaussian, write_matrix
+from oupac.matrixio import (
+    FLOAT_FORMAT,
+    format_gaussian,
+    format_matrix,
+    read_matrix,
+    write_gaussian,
+    write_matrix,
+)
 
 
 @pytest.fixture
@@ -374,7 +382,7 @@ def test_every_default_reaches_params_alike_from_default_config_and_flag(
     options = cli._COMMANDS[name]["options"]
     required = [f"--{key.replace('_', '-')}={stand_ins[option.parse]}"
                 for key, option in options.items() if option.default is ...]
-    parser = cli._build_parser()
+    parser = cli._build_parser(name)
     config = tmp_path / "cfg.json"
     with_default = [key for key, option in options.items()
                     if option.default is not ... and option.default is not None]
@@ -419,21 +427,153 @@ def test_csv_text_matches_csv_writer():
     assert cli._csv_text(header, rows) == _csv_writer_text(header, rows)
 
 
+def _full_parser() -> argparse.ArgumentParser:
+    """Reference: one parser with every subcommand's options, from _COMMANDS."""
+    parser = argparse.ArgumentParser(prog="oupac", description=cli._build_parser().description)
+    subparsers = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
+    for name, spec in cli._COMMANDS.items():
+        sub = subparsers.add_parser(name, help=spec["help"], description=spec["help"])
+        for key, option in spec["options"].items():
+            sub.add_argument("--" + key.replace("_", "-"), dest=key,
+                             default=argparse.SUPPRESS, help=cli._help(option))
+        sub.add_argument("--config", default=argparse.SUPPRESS,
+                         help="JSON file with option values (flags override)")
+    return parser
+
+
+def _reference_main(argv: list[str]) -> int:
+    """main's parsing and help, on the full parser."""
+    parser = _full_parser()
+    if parser.parse_args(argv).subcommand is None:
+        parser.print_help()
+        return 2
+    raise AssertionError(f"{argv} parsed")
+
+
+def _parse_outcome(main_fn, argv: list[str], capsys) -> tuple[int, str, str]:
+    try:
+        code = main_fn(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    *([name, "--help"] for name in cli._COMMANDS),
+    ["bogus"],
+    [],
+    ["bound", "--kl", "0", "--bogus", "1"],
+    ["validity", "--trials"],
+])
+def test_help_and_parse_errors_match_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "100")
+    want = _parse_outcome(_reference_main, argv, capsys)
+    assert want[0] in (0, 2)
+    assert _parse_outcome(main, argv, capsys) == want
+
+
+_EXTREMES = np.array([
+    [-0.0, float("nan"), float("inf")],
+    [-float("inf"), 5e-324, 1e300],
+    [0.1, -1e-300, 1.0],
+    [-2.5, 123456789.125, 2.0**60],
+])
+
+
+@pytest.mark.parametrize("states, stride", [
+    (_EXTREMES, 1),
+    (_EXTREMES, 2**31 + 3),
+    (_EXTREMES[:, :1], 2**40),
+    (np.random.default_rng(3).standard_normal((50, 7)), 10),
+])
+def test_trajectory_csv_matches_field_by_field_text(states, stride):
+    header = ["step"] + [f"theta_{i}" for i in range(states.shape[1])]
+    rows = [[i * stride, *state] for i, state in enumerate(states.tolist())]
+    assert cli._trajectory_csv(states, stride) == _csv_writer_text(header, rows)
+
+
+def _format_matrix_by_field(entries) -> str:
+    """Reference: FLOAT_FORMAT on each entry, the dimension line first."""
+    lines = [str(len(entries))] + [" ".join(FLOAT_FORMAT % v for v in row) for row in entries]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("entries", [
+    _EXTREMES[:3],
+    np.array([[5e-324]]),
+    np.arange(16).reshape(4, 4),
+    np.random.default_rng(4).standard_normal((6, 6)),
+])
+def test_format_matrix_matches_field_by_field_text(entries):
+    arr = np.asarray(entries, dtype=float)
+    assert format_matrix(entries) == _format_matrix_by_field(arr)
+    mean_line = " ".join(FLOAT_FORMAT % v for v in arr[0]) + "\n"
+    assert format_gaussian(arr[0], entries) == _format_matrix_by_field(arr) + mean_line
+
+
+def _run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter with oupac importable; its last stdout line."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True,
+        timeout=120,
+        env={**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1]
+
+
 def test_two_stage_run_leaves_scipy_signal_unimported(identity_file):
     # scipy.signal costs about twice the whole package's import time
-    src = str(Path(__file__).resolve().parents[1] / "src")
     argv = _two_stage_argv(identity_file) + ["--replicas", "2"]
-    code = textwrap.dedent(f"""
+    assert _run_python(f"""
         import sys
         import oupac
         from oupac.cli import main
         assert main({argv!r}) == 0
         print("scipy.signal" in sys.modules)
-    """)
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-        env={**os.environ,
-             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False"
+    """) == "False"
+
+
+def test_every_subcommand_leaves_scipy_unimported(identity_file, gaussian_file):
+    # importing scipy.linalg is most of the package's import time
+    calls = [
+        ["bound", "--kl", "0", "--n", "100", "--delta", "0.05"],
+        ["lyapunov", "--a", identity_file, "--q", identity_file],
+        _simulate_argv(identity_file),
+        _two_stage_argv(identity_file) + ["--replicas", "2"],
+        ["kl", "--q", gaussian_file, "--p", gaussian_file, "--mc-draws", "1000"],
+        ["lemma-survey", "--dims", "1-3", "--pairs-per-dim", "2"],
+        ["dominance", "--sigma-pt", identity_file, "--sigma-ft", identity_file,
+         "--shift", "1,0", "--n-pt", "1000", "--n-ft", "100"],
+        ["validity", "--trials", "10", "--n", "20"],
+        ["scaling", "--ns", "10,20", "--trials", "2"],
+    ]
+    assert sorted(call[0] for call in calls) == sorted(cli._COMMANDS)
+    assert _run_python(f"""
+        import sys
+        import oupac
+        from oupac.cli import main
+        for argv in {calls!r}:
+            assert main(argv) == 0, argv
+        print("scipy" in sys.modules)
+    """) == "False"
+
+
+def test_non_symmetric_stein_imports_scipy_and_meets_residual_check():
+    assert _run_python("""
+        import sys
+        import numpy as np
+        from oupac import SymmetricMatrix, solve_discrete_stein
+        from oupac.linalg import RESIDUAL_RTOL
+        assert "scipy" not in sys.modules
+        m = np.array([[0.5, 0.4, 0.0], [-0.1, 0.3, 0.2], [0.0, 0.25, -0.6]])
+        q = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 0.5]])
+        x = solve_discrete_stein(m, SymmetricMatrix(q)).entries
+        residual = np.linalg.norm(x - m @ x @ m.T - q, "fro")
+        assert residual <= RESIDUAL_RTOL * (1 + np.linalg.norm(q, "fro")), residual
+        print("scipy.linalg" in sys.modules)
+    """) == "True"

@@ -5,8 +5,12 @@ KL; agreement is asserted at three standard errors.  Frozen constants
 were computed with a 40-digit mpmath evaluation of the closed forms.
 """
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oupac import (
     DimensionMismatchError,
@@ -16,6 +20,7 @@ from oupac import (
     TooFewSamplesError,
     empirical_moments,
     kl_divergence,
+    log_density,
     log_det,
     make_spd,
     mc_kl_estimate,
@@ -25,6 +30,8 @@ from oupac import (
     stationary_from_dynamics,
     solve_continuous_lyapunov,
 )
+from oupac.gaussian import gaussian_pair_terms
+from oupac.linalg import cholesky_factor
 from oupac.rng import make_rng
 
 # KL(N(0, diag(0.05, 0.025)) || N(0, I)), 40-digit evaluation
@@ -219,9 +226,67 @@ def test_log_normalizer_matches_direct_formula():
     assert g.log_normalizer == pytest.approx(expected, rel=1e-14)
 
 
+@pytest.mark.parametrize("dim", [1, 3, 10])
+def test_log_density_matches_scipy(dim):
+    g = random_measure(dim, 41 + dim)
+    points = make_rng(dim, 5).standard_normal((200, dim)) * 3.0
+    want = scipy.stats.multivariate_normal(g.mean, g.covariance.entries).logpdf(points)
+    np.testing.assert_allclose(log_density(g, points), want, rtol=1e-12)
+
+
 def test_stationary_lyapunov_consistency_with_direct_solver():
     a = random_spd(4, 0.4, 3.0, seed=23)
     c = random_spd(4, 0.4, 3.0, seed=24)
     g = stationary_from_dynamics(a, np.zeros(4), c, 0.08, 2)
     direct = solve_continuous_lyapunov(a, SymmetricMatrix((0.08 / 2) * c.entries))
     np.testing.assert_allclose(g.covariance.entries, direct.entries, rtol=1e-13)
+
+
+def _spd_with_condition(dim: int, log_condition: float, seed: int):
+    """Haar-rotated SPD matrix with eigenvalues in [1, 10**log_condition],
+    both ends taken."""
+    rng = make_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    lam = 10.0 ** rng.uniform(0.0, log_condition, dim)
+    lam[0], lam[-1] = 1.0, 10.0**log_condition
+    return make_spd((basis * lam) @ basis.T)
+
+
+def _mp_pair_terms(lp: np.ndarray, lq: np.ndarray, shift: np.ndarray):
+    """Reference: ``(||Lp^-1 Lq||_F^2, ||Lp^-1 shift||^2)`` by forward
+    substitution at 40 digits on the given float factors."""
+    dim = lp.shape[0]
+    with mpmath.workdps(40):
+        low = [[mpmath.mpf(float(v)) for v in row] for row in lp]
+
+        def solve(rhs):
+            x = []
+            for i in range(dim):
+                partial = mpmath.fsum(low[i][k] * x[k] for k in range(i))
+                x.append((mpmath.mpf(float(rhs[i])) - partial) / low[i][i])
+            return x
+
+        trace = mpmath.fsum(v * v for j in range(dim) for v in solve(lq[:, j]))
+        maha = mpmath.fsum(v * v for v in solve(shift))
+    return trace, maha
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+    log_condition_p=st.floats(0.0, 8.0),
+    log_condition_q=st.floats(0.0, 8.0),
+)
+def test_pair_terms_match_40_digit_solve(dim, seed, log_condition_p, log_condition_q):
+    sigma_p = _spd_with_condition(dim, log_condition_p, seed)
+    sigma_q = _spd_with_condition(dim, log_condition_q, seed + 1)
+    shift = make_rng(seed, 2).standard_normal(dim)
+    trace, _, maha = gaussian_pair_terms(sigma_q, sigma_p, shift)
+    lp = cholesky_factor(sigma_p)
+    want_trace, want_maha = _mp_pair_terms(lp, cholesky_factor(sigma_q), shift)
+    # the solve's normwise error, d * kappa(Lp) * eps for the squared norms,
+    # plus at most d^2 * eps for squaring and summing d^2 nonnegative terms
+    bound = dim * (np.linalg.cond(lp) + dim) * np.finfo(float).eps
+    for got, want in ((trace, want_trace), (maha, want_maha)):
+        assert float(abs(mpmath.mpf(got) - want) / want) <= bound
