@@ -107,16 +107,20 @@ class DominanceReport(NamedTuple):
     ratio: float
 
 
-def mcallester_bound(kl: float, spec: SampleSpec) -> float:
+def mcallester_bound(kl, spec: SampleSpec):
     """Square-root complexity addend of the classical PAC-Bayes bound.
 
-    ``sqrt((kl + log(1/delta) + log N + 2) / (2N - 1))``.
+    ``sqrt((kl + log(1/delta) + log N + 2) / (2N - 1))``.  A float ``kl``
+    gives a float; an array of them (a stack of trials) gives an array.
     """
-    if kl < 0:
-        raise InvalidSpecError(f"kl must be nonnegative, got {kl}")
+    kl = np.asarray(kl, dtype=float)
+    negative = np.flatnonzero(kl < 0)
+    if negative.size:
+        raise InvalidSpecError(f"kl must be nonnegative, got {np.ravel(kl)[negative[0]]}")
     n = spec.sample_size
     numerator = kl + math.log(1.0 / spec.delta) + math.log(n) + 2.0
-    return math.sqrt(numerator / (2.0 * n - 1.0))
+    bound = np.sqrt(numerator / (2.0 * n - 1.0))
+    return float(bound) if bound.ndim == 0 else bound
 
 
 def _complexity_from_kl_term(kl_term: float, spec: SampleSpec) -> float:
@@ -148,7 +152,8 @@ def pretrain_bound(sigma_pt: SpdMatrix, spec: SampleSpec) -> BoundReport:
 
 def _discrepancies(pair: DomainPair) -> tuple[float, float, float]:
     """(D, paper-literal D, D~) from one gaussian_pair_terms call; D is exactly 2 KL."""
-    trace, log_det_ratio, maha = gaussian_pair_terms(pair.sigma_ft, pair.sigma_pt, pair.shift)
+    trace, log_det_ratio, maha = map(float, gaussian_pair_terms(pair.sigma_ft, pair.sigma_pt,
+                                                                pair.shift))
     d = pair.dim
     return (trace - d + maha + log_det_ratio, trace - d + maha - log_det_ratio,
             math.log(trace) + trace + maha + d * math.log(d) - d)

@@ -519,6 +519,7 @@ def _help(option: _Option) -> str:
 
 
 def _build_parser(chosen: str | None = None) -> argparse.ArgumentParser:
+    """The full parser: every subcommand, with options for ``chosen`` only."""
     parser = argparse.ArgumentParser(
         prog="oupac",
         description=(
@@ -531,14 +532,25 @@ def _build_parser(chosen: str | None = None) -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     for name, spec in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=spec["help"], description=spec["help"])
-        if name != chosen:  # a call parses no other subcommand's options
-            continue
-        # argparse only collects the text; _merge_params converts it
-        for key, option in spec["options"].items():
-            sub.add_argument("--" + key.replace("_", "-"), dest=key,
-                             default=argparse.SUPPRESS, help=_help(option))
-        sub.add_argument("--config", default=argparse.SUPPRESS,
-                         help="JSON file with option values (flags override)")
+        if name == chosen:  # a call parses no other subcommand's options
+            _add_options(sub, name)
+    return parser
+
+
+def _subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """One subcommand's parser, as the full parser builds it, without the other eight."""
+    help_text = _COMMANDS[name]["help"]
+    return _add_options(argparse.ArgumentParser(prog=f"oupac {name}", description=help_text),
+                        name)
+
+
+def _add_options(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    # argparse only collects the text; _merge_params converts it
+    for key, option in _COMMANDS[name]["options"].items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                            default=argparse.SUPPRESS, help=_help(option))
+    parser.add_argument("--config", default=argparse.SUPPRESS,
+                        help="JSON file with option values (flags override)")
     return parser
 
 
@@ -581,12 +593,19 @@ def _merge_params(name: str, args: argparse.Namespace) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv[0] if argv else None)  # the top level takes only --help
-    args = parser.parse_args(argv)
-    if args.subcommand is None:
-        parser.print_help()
-        return 2
-    name = args.subcommand
+    name = argv[0] if argv else None
+    stray = True
+    if name in _COMMANDS:
+        args, stray = _subcommand_parser(name).parse_known_args(argv[1:])
+    if stray:
+        # no subcommand, an unknown one, or stray arguments: the full parser
+        # prints the help or error text and exits as it always has
+        parser = _build_parser(name)
+        args = parser.parse_args(argv)
+        if args.subcommand is None:
+            parser.print_help()
+            return 2
+        name = args.subcommand
     try:
         params = _merge_params(name, args)
         summary, payload = _COMMANDS[name]["run"](params)

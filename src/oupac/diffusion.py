@@ -75,11 +75,18 @@ class QuadraticLoss:
         return self.hessian.dim
 
     def value(self, theta: np.ndarray) -> float:
-        delta = np.asarray(theta, dtype=float) - self.minimizer
-        return self.offset + 0.5 * float(delta @ self.hessian.entries @ delta)
+        return float(_quadratic_values(self.hessian.entries, self.minimizer, self.offset,
+                                       np.asarray(theta, dtype=float)))
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         return self.hessian.entries @ (np.asarray(theta, dtype=float) - self.minimizer)
+
+
+def _quadratic_values(hessian, minimizer, offset, theta: np.ndarray) -> np.ndarray:
+    """``offset + 0.5 (theta - minimizer)^T A (theta - minimizer)``, each
+    argument with leading stack axes or one for all."""
+    delta = theta - minimizer
+    return offset + 0.5 * (delta[..., None, :] @ hessian @ delta[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,9 +199,13 @@ def stability_check(loss: QuadraticLoss, dyn: SgdDynamics) -> StabilityReport:
     case is reported unstable.
     """
     _check_dims(loss, dyn)
-    eigenvalues = np.linalg.eigvalsh(loss.hessian.entries)
-    radius = float(np.max(np.abs(1.0 - dyn.lr * eigenvalues)))
+    radius = float(_step_radius(dyn.lr, np.linalg.eigvalsh(loss.hessian.entries)))
     return StabilityReport(stable=radius < 1.0, spectral_radius=radius)
+
+
+def _step_radius(lr: float, eigenvalues: np.ndarray) -> np.ndarray:
+    """Spectral radius of ``I - lr*A`` from A's eigenvalues ``(..., d)``."""
+    return np.max(np.abs(1.0 - lr * eigenvalues), axis=-1)
 
 
 def _require_stable(loss: QuadraticLoss, dyn: SgdDynamics, allow_unstable: bool) -> None:

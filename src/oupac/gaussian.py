@@ -22,6 +22,8 @@ from .errors import (
 from .linalg import (
     SpdMatrix,
     SymmetricMatrix,
+    Verdict,
+    _item,
     cholesky_factor,
     log_det,
     make_spd,
@@ -128,22 +130,53 @@ def stationary_from_dynamics(
             f"minimizer {minimizer.shape[0]}"
         )
     check_rate(lr, batch_size)
-    rhs = SymmetricMatrix((lr / float(batch_size)) * noise_cov.entries)
-    sigma = solve_continuous_lyapunov(hessian, rhs)
+    sigma = solve_continuous_lyapunov(hessian, _stationary_rhs(noise_cov, lr, batch_size))
     return GaussianMeasure(minimizer, make_spd(sigma.entries))
 
 
-def gaussian_pair_terms(sigma_q: SpdMatrix, sigma_p: SpdMatrix, shift: np.ndarray):
+def _stationary_rhs(noise_cov: SpdMatrix, lr: float, batch_size: int) -> SymmetricMatrix:
+    """Right-hand side ``(lr / batch_size) * C`` of the stationary Lyapunov equation."""
+    return SymmetricMatrix((lr / float(batch_size)) * noise_cov.entries)
+
+
+def gaussian_pair_terms(sigma_q, sigma_p, shift: np.ndarray):
     """``(tr(Sp^-1 Sq), log det Sp - log det Sq, shift^T Sp^-1 shift)`` from one
     Cholesky factor of each covariance; every Gaussian-pair divergence here
-    (:func:`kl_divergence`, the discrepancies of :mod:`oupac.bounds`) sums them."""
+    (:func:`kl_divergence`, the discrepancies of :mod:`oupac.bounds`) sums them.
+
+    The covariances are :class:`SpdMatrix` values or strict SPD entries; with
+    leading stack axes ``(..., d, d)`` on ``sigma_q`` and ``(..., d)`` on
+    ``shift`` (``sigma_p`` one matrix or a like stack), each term is an
+    array ``(...)``, one value per pair."""
     lq = cholesky_factor(sigma_q)
     lp = cholesky_factor(sigma_p)
+    shift = np.asarray(shift, dtype=float)
     # tr(Sp^-1 Sq) = ||Lp^-1 Lq||_F^2, and Lp^-1 shift, by one solve on [Lq | shift]
-    solved = np.linalg.solve(lp, np.column_stack([lq, shift]))
-    half, white = solved[:, :-1], solved[:, -1]
-    log_det_ratio = 2.0 * float(np.sum(np.log(np.diag(lp))) - np.sum(np.log(np.diag(lq))))
-    return float(np.sum(half * half)), log_det_ratio, float(white @ white)
+    solved = np.linalg.solve(lp, np.concatenate([lq, shift[..., None]], axis=-1))
+    half, white = solved[..., :-1], solved[..., -1:]
+    log_det_ratio = 2.0 * (_log_diagonal_sum(lp) - _log_diagonal_sum(lq))
+    maha = (white.swapaxes(-1, -2) @ white)[..., 0, 0][()]
+    return np.sum(half * half, axis=(-2, -1)), log_det_ratio, maha
+
+
+def _log_diagonal_sum(factor: np.ndarray) -> np.ndarray:
+    return np.sum(np.log(np.diagonal(factor, axis1=-2, axis2=-1)), axis=-1)
+
+
+def _kl_divergences(sigma_q, mean_q: np.ndarray,
+                    p: GaussianMeasure) -> tuple[np.ndarray, Verdict]:
+    """``KL(N(mean_q, sigma_q) || p)`` for a stack of q's (leading axes on
+    both arguments), clamped as :func:`kl_divergence` documents, and the
+    verdict of the clamp."""
+    d = mean_q.shape[-1]
+    if d != p.dim:
+        raise DimensionMismatchError(f"dimensions disagree: {d} vs {p.dim}")
+    trace, log_det_ratio, maha = gaussian_pair_terms(sigma_q, p.covariance, p.mean - mean_q)
+    value = 0.5 * (trace - d + maha + log_det_ratio)
+    return np.where(value < 0.0, 0.0, value), Verdict(value < -KL_CLAMP, lambda i: (
+        NumericalInconsistencyError(
+            f"KL divergence evaluated to {_item(value, i):.6g} < -{KL_CLAMP}")
+    ))
 
 
 def kl_divergence(q: GaussianMeasure, p: GaussianMeasure) -> float:
@@ -157,17 +190,9 @@ def kl_divergence(q: GaussianMeasure, p: GaussianMeasure) -> float:
     Results in ``(-1e-12, 0)`` are clamped to 0; a result below that is
     a genuine inconsistency and raises instead of being hidden.
     """
-    if q.dim != p.dim:
-        raise DimensionMismatchError(f"dimensions disagree: {q.dim} vs {p.dim}")
-    trace, log_det_ratio, maha = gaussian_pair_terms(q.covariance, p.covariance, p.mean - q.mean)
-    value = 0.5 * (trace - q.dim + maha + log_det_ratio)
-    if value < 0.0:
-        if value < -KL_CLAMP:
-            raise NumericalInconsistencyError(
-                f"KL divergence evaluated to {value:.6g} < -{KL_CLAMP}"
-            )
-        value = 0.0
-    return value
+    value, verdict = _kl_divergences(q.covariance, q.mean, p)
+    verdict.check()
+    return float(value)
 
 
 def sample(g: GaussianMeasure, count: int, seed: int) -> np.ndarray:

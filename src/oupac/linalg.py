@@ -8,6 +8,12 @@ stochastic recursion), and seeded random SPD generation for tests.
 Both solvers divide elementwise in an eigenbasis, of A or of a
 symmetric M; a non-symmetric M goes to scipy's Stein solver.
 
+The private kernels shared with :mod:`oupac.regression` (the SPD
+eigenvalue test, the eigenbasis solve, the residual check) take arrays
+with leading stack axes, one item per trailing matrix; a public function
+calls them on one matrix.  A check returns a :class:`Verdict`, which
+says which items fail and builds the error of a failing item.
+
 All values are immutable after construction and all functions are pure,
 so everything here is safe for unrestricted concurrent use.
 """
@@ -15,7 +21,7 @@ so everything here is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
@@ -24,6 +30,7 @@ from .errors import (
     InvalidRangeError,
     NotPositiveDefiniteError,
     NotSquareError,
+    OupacError,
     ResidualTooLargeError,
     SpectralRadiusTooLargeError,
 )
@@ -39,6 +46,33 @@ PSD_RTOL = 1e-10
 #: Relative Frobenius tolerance for solver residuals:
 #: ||residual||_F <= RESIDUAL_RTOL * (1 + ||Q||_F).
 RESIDUAL_RTOL = 1e-10
+
+
+class Verdict(NamedTuple):
+    """Outcome of a check on a stack: which items fail (``bad``, indexed
+    in C order over the leading axes) and the error of failing item i."""
+
+    bad: np.ndarray
+    error: Callable[[int], OupacError]
+
+    def first(self) -> int | None:
+        """Index of the first failing item, or None."""
+        return int(np.flatnonzero(self.bad)[0]) if self.bad.any() else None
+
+    def check(self) -> None:
+        """Raise the error of the first failing item, if any."""
+        first = self.first()
+        if first is not None:
+            raise self.error(first)
+
+
+def _item(values, index: int):
+    """Item ``index`` of a stack of values (or the value itself, unstacked)."""
+    return np.ravel(values)[index]
+
+
+def _symmetrized(entries: np.ndarray) -> np.ndarray:
+    return (entries + entries.swapaxes(-1, -2)) / 2.0
 
 
 def _as_square_array(entries, name: str = "matrix") -> np.ndarray:
@@ -63,8 +97,7 @@ class SymmetricMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _as_square_array(self.entries)
-        sym = (arr + arr.T) / 2.0
+        sym = _symmetrized(_as_square_array(self.entries))
         sym.flags.writeable = False
         object.__setattr__(self, "entries", sym)
 
@@ -88,25 +121,9 @@ class SpdMatrix:
     strictness: Strictness = "strict"
 
     def __post_init__(self):
-        eigvals = np.linalg.eigvalsh(self.base.entries)
-        smallest = float(eigvals[0])
-        tol = PSD_RTOL * max(float(np.max(np.abs(eigvals))), 1.0)
-        if self.strictness == "strict":
-            if smallest <= tol:
-                raise NotPositiveDefiniteError(
-                    f"matrix is not strictly positive definite: smallest "
-                    f"eigenvalue {smallest:.6g} <= tolerance {tol:.3g}",
-                    smallest_eigenvalue=smallest,
-                )
-        elif self.strictness == "semidefinite":
-            if smallest <= -tol:
-                raise NotPositiveDefiniteError(
-                    f"matrix is not positive semidefinite: smallest "
-                    f"eigenvalue {smallest:.6g} < -{tol:.3g}",
-                    smallest_eigenvalue=smallest,
-                )
-        else:
+        if self.strictness not in ("strict", "semidefinite"):
             raise ValueError(f"unknown strictness {self.strictness!r}")
+        _spd_verdict(np.linalg.eigvalsh(self.base.entries), self.strictness).check()
 
     @property
     def entries(self) -> np.ndarray:
@@ -115,6 +132,26 @@ class SpdMatrix:
     @property
     def dim(self) -> int:
         return self.base.dim
+
+
+def _spd_verdict(eigenvalues: np.ndarray, strictness: Strictness) -> Verdict:
+    """The SPD eigenvalue test (see ``PSD_RTOL``) on ascending eigenvalues
+    ``(..., d)`` of a stack of symmetric matrices."""
+    smallest = eigenvalues[..., 0]
+    tol = PSD_RTOL * np.maximum(np.abs(eigenvalues).max(axis=-1), 1.0)
+    if strictness == "strict":
+        bad = smallest <= tol
+        text = "strictly positive definite: smallest eigenvalue {:.6g} <= tolerance {:.3g}"
+    else:
+        bad = smallest <= -tol
+        text = "positive semidefinite: smallest eigenvalue {:.6g} < -{:.3g}"
+
+    def error(i: int) -> NotPositiveDefiniteError:
+        value = float(_item(smallest, i))
+        return NotPositiveDefiniteError("matrix is not " + text.format(value, _item(tol, i)),
+                                        smallest_eigenvalue=value)
+
+    return Verdict(bad, error)
 
 
 def make_spd(entries, strictness: Strictness = "strict") -> SpdMatrix:
@@ -138,10 +175,11 @@ def make_spd(entries, strictness: Strictness = "strict") -> SpdMatrix:
     return SpdMatrix(SymmetricMatrix(entries), strictness)
 
 
-def cholesky_factor(m: SpdMatrix) -> np.ndarray:
-    """Lower Cholesky factor L with ``L L^T = m``."""
+def cholesky_factor(m) -> np.ndarray:
+    """Lower Cholesky factor L with ``L L^T = m``, of an :class:`SpdMatrix`
+    or of each matrix of a stack ``(..., d, d)`` of strict SPD entries."""
     try:
-        return np.linalg.cholesky(m.entries)
+        return np.linalg.cholesky(getattr(m, "entries", m))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             f"Cholesky factorization failed: {exc}"
@@ -205,15 +243,17 @@ def solve_continuous_lyapunov(a: SpdMatrix, q: SymmetricMatrix) -> SymmetricMatr
     q_entries = _symmetric_entries(q)
     _check_same_dim(a.entries, q_entries)
     lam, vecs = np.linalg.eigh(a.entries)
-    solution = SymmetricMatrix(
-        _solve_in_eigenbasis(vecs, q_entries, lam[:, None] + lam[None, :])
-    )
-    _check_residual(
-        a.entries @ solution.entries + solution.entries @ a.entries,
-        q_entries,
-        "continuous Lyapunov",
-    )
-    return solution
+    solution, verdict = _lyapunov_in_eigenbasis(a.entries, lam, vecs, q_entries)
+    verdict.check()
+    return SymmetricMatrix(solution)
+
+
+def _lyapunov_in_eigenbasis(a: np.ndarray, lam: np.ndarray, vecs: np.ndarray,
+                            q: np.ndarray) -> tuple[np.ndarray, Verdict]:
+    """Symmetric X with ``A X + X A = Q`` for each ``A = V diag(lam) V^T``
+    of a stack, and the verdict of its residual check."""
+    x = _symmetrized(_solve_in_eigenbasis(vecs, q, lam[..., :, None] + lam[..., None, :]))
+    return x, _residual_verdict(a @ x + x @ a, q, "continuous Lyapunov")
 
 
 def spectral_radius(m) -> float:
@@ -259,11 +299,11 @@ def solve_discrete_stein(m, q: SymmetricMatrix) -> SymmetricMatrix:
         from scipy.linalg import solve_discrete_lyapunov  # slow to import; only used here
         _check_stationary(spectral_radius(m_arr))
         solution = SymmetricMatrix(solve_discrete_lyapunov(m_arr, q_entries))
-    _check_residual(
+    _residual_verdict(
         solution.entries - m_arr @ solution.entries @ m_arr.T,
         q_entries,
         "discrete Stein",
-    )
+    ).check()
     return solution
 
 
@@ -298,8 +338,10 @@ def random_spd(
 
 
 def _solve_in_eigenbasis(vecs: np.ndarray, rhs: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """``V ((V^T R V) / denom) V^T``: divide elementwise in the basis V."""
-    return vecs @ ((vecs.T @ rhs @ vecs) / denom) @ vecs.T
+    """``V ((V^T R V) / denom) V^T``: divide elementwise in the basis V
+    (leading stack axes broadcast)."""
+    vecs_t = vecs.swapaxes(-1, -2)
+    return vecs @ ((vecs_t @ rhs @ vecs) / denom) @ vecs_t
 
 
 def _symmetric_entries(q) -> np.ndarray:
@@ -323,10 +365,18 @@ def _check_stationary(rho: float) -> None:
         )
 
 
-def _check_residual(achieved: np.ndarray, target: np.ndarray, label: str) -> None:
-    residual = np.linalg.norm(achieved - target, "fro")
-    tol = RESIDUAL_RTOL * (1.0 + np.linalg.norm(target, "fro"))
-    if residual > tol:
-        raise ResidualTooLargeError(
-            f"{label} solve residual {residual:.3g} exceeds tolerance {tol:.3g}"
-        )
+def _frobenius(entries: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, by one dot product each."""
+    flat = entries.reshape(*entries.shape[:-2], 1, -1)
+    return np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
+
+
+def _residual_verdict(achieved: np.ndarray, target: np.ndarray, label: str) -> Verdict:
+    """``||achieved - target||_F <= RESIDUAL_RTOL * (1 + ||target||_F)`` for
+    each matrix of a stack (the target may be one matrix for all)."""
+    residual = _frobenius(achieved - target)
+    tol = RESIDUAL_RTOL * (1.0 + _frobenius(target))
+    return Verdict(residual > tol, lambda i: ResidualTooLargeError(
+        f"{label} solve residual {_item(residual, i):.3g} exceeds tolerance "
+        f"{_item(np.broadcast_to(tol, residual.shape), i):.3g}"
+    ))

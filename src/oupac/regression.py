@@ -6,6 +6,20 @@ with no approximation error.  This module generates Gaussian regression
 data, extracts the exact empirical quadratic, evaluates closed-form
 Gaussian-posterior risks, and measures generalization gaps against the
 bound evaluators.
+
+The gap trials of an experiment are evaluated as stacks: arrays with a
+leading trial axis, in groups whose features hold at most
+``GROUP_FLOATS`` numbers, so memory does not grow with the trial count.
+A group makes one call of each decomposition (``eigvalsh`` for the SPD
+and stability checks, ``eigh`` for the Lyapunov eigenbasis, ``cholesky``)
+where a trial-by-trial loop made one per trial.  The checks read
+``eigvalsh``, not the eigenvalues ``eigh`` returns with its basis: the
+two differ in the last bits, and a singular design's smallest
+eigenvalue, which its error message prints, is rounding noise.  Each
+trial's data still comes from its own seeded stream, a failing trial
+raises what that loop would have raised first, and the numbers agree
+with the loop to 1e-12 (tested); they may differ from earlier versions
+in the last digits.
 """
 
 from __future__ import annotations
@@ -17,22 +31,28 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import SampleSpec, mcallester_bound
-from .diffusion import QuadraticLoss, SgdDynamics, simulate_chain, estimate_stationary, stability_check
+from .diffusion import (QuadraticLoss, SgdDynamics, _check_dims, _quadratic_values, _step_radius,
+                        estimate_stationary, simulate_chain)
 from .errors import (
     DimensionMismatchError,
     InvalidRangeError,
     NotPositiveDefiniteError,
+    OupacError,
     SingularDesignError,
     UnstableDynamicsError,
 )
 from .gaussian import (
     GaussianMeasure,
-    kl_divergence,
+    _kl_divergences,
+    _stationary_rhs,
     standard_gaussian,
-    stationary_from_dynamics,
 )
-from .linalg import SpdMatrix, cholesky_factor, make_spd
+from .linalg import (SpdMatrix, Verdict, _item, _lyapunov_in_eigenbasis, _spd_verdict,
+                     _symmetrized, cholesky_factor, make_spd)
 from .rng import child_seed, make_rng
+
+#: Most feature-matrix entries held by one group of stacked trials (8 MiB).
+GROUP_FLOATS = 1 << 20
 
 #: Recorded on every trial result: the complexity term is derived for
 #: bounded losses, while squared error is unbounded, so violation
@@ -114,12 +134,20 @@ class GapTrial:
 
 def generate_dataset(task: RegressionTask, seed: int) -> Dataset:
     """Draw a dataset from the task's model; deterministic per seed."""
-    rng = make_rng(seed)
-    factor = cholesky_factor(task.feature_cov)
-    features = rng.standard_normal((task.sample_size, task.dim)) @ factor.T
-    noise = rng.standard_normal(task.sample_size)
-    targets = features @ task.true_weights + task.noise_std * noise
-    return Dataset(features, targets, seed)
+    features, targets = _datasets(task, [seed])
+    return Dataset(features[0], targets[0], seed)
+
+
+def _datasets(task: RegressionTask, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Features ``(T, n, d)`` and targets ``(T, n)`` drawn with each of ``seeds``."""
+    draws = np.empty((len(seeds), task.sample_size, task.dim))
+    noise = np.empty((len(seeds), task.sample_size))
+    for draw, row, seed in zip(draws, noise, seeds):
+        rng = make_rng(seed)
+        rng.standard_normal(out=draw)
+        rng.standard_normal(out=row)
+    features = draws @ cholesky_factor(task.feature_cov).T
+    return features, features @ task.true_weights + task.noise_std * noise
 
 
 def empirical_quadratic(data: Dataset) -> QuadraticLoss:
@@ -130,21 +158,33 @@ def empirical_quadratic(data: Dataset) -> QuadraticLoss:
     ``mean(0.5 * (y_i - x_i^T theta)^2)`` at every theta.
     """
     x, y = data.features, data.targets
-    n = data.sample_size
-    gram = x.T @ x / n
     try:
-        hessian = make_spd(gram)
+        hessian = make_spd(_gram(x))
     except NotPositiveDefiniteError as exc:
-        raise SingularDesignError(
-            f"design Gram matrix is singular: {exc}"
-        ) from exc
-    moment = x.T @ y / n
+        raise _singular_design(exc) from exc
+    minimizer, offset = _least_squares(x, y, hessian.entries)
+    return QuadraticLoss(hessian, minimizer, float(offset))
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    return x.swapaxes(-1, -2) @ x / x.shape[-2]
+
+
+def _singular_design(exc: NotPositiveDefiniteError) -> SingularDesignError:
+    return SingularDesignError(f"design Gram matrix is singular: {exc}")
+
+
+def _least_squares(x: np.ndarray, y: np.ndarray, hessian: np.ndarray):
+    """Least-squares minimizer and minimum empirical risk of each design
+    ``(..., n, d)`` with targets ``(..., n)``, given its Gram matrix."""
+    n = x.shape[-2]
+    moment = x.swapaxes(-1, -2) @ y[..., None] / n
     factor = cholesky_factor(hessian)
     half = np.linalg.solve(factor, moment)
-    minimizer = np.linalg.solve(factor.T, half)
-    residuals = y - x @ minimizer
-    offset = 0.5 * float(residuals @ residuals) / n
-    return QuadraticLoss(hessian, minimizer, offset)
+    minimizer = np.linalg.solve(factor.swapaxes(-1, -2), half)[..., 0]
+    residuals = (y - (x @ minimizer[..., None])[..., 0])[..., None, :]
+    offset = 0.5 * (residuals @ residuals.swapaxes(-1, -2))[..., 0, 0] / n
+    return minimizer, offset
 
 
 def expected_risk_gaussian(loss: QuadraticLoss, q: GaussianMeasure) -> float:
@@ -154,8 +194,14 @@ def expected_risk_gaussian(loss: QuadraticLoss, q: GaussianMeasure) -> float:
     """
     if loss.dim != q.dim:
         raise DimensionMismatchError(f"dimensions disagree: {loss.dim} vs {q.dim}")
-    trace = float(np.sum(loss.hessian.entries * q.covariance.entries))
-    return loss.value(q.mean) + 0.5 * trace
+    return float(_expected_risks(loss.hessian.entries, loss.minimizer, loss.offset,
+                                 q.mean, q.covariance.entries))
+
+
+def _expected_risks(hessian, minimizer, offset, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """:func:`expected_risk_gaussian` over stacks of quadratics and Gaussians."""
+    trace = np.sum(hessian * cov, axis=(-2, -1))
+    return _quadratic_values(hessian, minimizer, offset, mean) + 0.5 * trace
 
 
 def population_quadratic(task: RegressionTask) -> QuadraticLoss:
@@ -184,37 +230,116 @@ def gap_trial(
     switches to moments estimated from a simulated chain of ``steps``
     updates (exercising the whole pipeline at the cost of chain noise).
     """
-    data = generate_dataset(task, child_seed(seed, 0))
-    empirical = empirical_quadratic(data)
-    report = stability_check(empirical, sgd)
-    if not report.stable:
-        raise UnstableDynamicsError(
-            f"stability_check failed on the empirical Hessian: spectral radius "
-            f"{report.spectral_radius:.6g} >= 1"
-        )
-    if use_simulated_moments:
-        trajectory = simulate_chain(
-            empirical.minimizer, empirical, sgd, steps, stride=stride,
-            seed=child_seed(seed, 1),
-        )
-        estimate = estimate_stationary(trajectory)
-        posterior = GaussianMeasure(estimate.mean, make_spd(estimate.covariance.entries))
-    else:
-        posterior = stationary_from_dynamics(
-            empirical.hessian, empirical.minimizer, sgd.noise_cov,
-            sgd.lr, sgd.batch_size,
-        )
-    expected = expected_risk_gaussian(population_quadratic(task), posterior)
-    empirical_val = expected_risk_gaussian(empirical, posterior)
-    bound_value = mcallester_bound(kl_divergence(posterior, prior), spec)
-    gap = expected - empirical_val
+    (expected,), (empirical,), (bound_value,) = _gap_trials(
+        task, sgd, spec, prior, [seed], steps, use_simulated_moments, stride,
+    )
+    gap = expected - empirical
     return GapTrial(
         expected_risk=expected,
-        empirical_risk=empirical_val,
+        empirical_risk=empirical,
         gap=gap,
         bound_value=bound_value,
         violated=gap > bound_value,
     )
+
+
+class _Trials:
+    """How many trials of a group are still evaluated (the ones before
+    the first to fail a check so far) and that trial's error."""
+
+    def __init__(self, count: int):
+        self.count = count
+        self.error: OupacError | None = None
+
+    def fail(self, index: int, error: OupacError) -> int:
+        """Drop trial ``index`` and every later one; raise once none is left,
+        since no earlier trial can then fail first."""
+        self.count, self.error = index, error
+        if index == 0:
+            raise error
+        return index
+
+    def cut(self, verdict: Verdict) -> int:
+        """:meth:`fail` at the first trial that ``verdict`` fails; the count."""
+        first = verdict.first()
+        return self.count if first is None else self.fail(first, verdict.error(first))
+
+
+def _gap_trials(
+    task: RegressionTask,
+    sgd: SgdDynamics,
+    spec: SampleSpec,
+    prior: GaussianMeasure,
+    seeds: Sequence[int],
+    steps: int = 20_000,
+    use_simulated_moments: bool = False,
+    stride: int = 10,
+) -> tuple[list[float], list[float], list[float]]:
+    """Expected risks, empirical risks and bounds of :func:`gap_trial` at each
+    seed, evaluated in stacked groups (module docstring)."""
+    per_group = max(1, GROUP_FLOATS // (task.sample_size * task.dim))
+    columns = [np.concatenate(parts) for parts in zip(*(
+        _gap_group(task, sgd, spec, prior, seeds[start:start + per_group], steps,
+                   use_simulated_moments, stride)
+        for start in range(0, len(seeds), per_group)
+    ))]
+    return tuple(column.tolist() for column in columns)
+
+
+def _gap_group(task, sgd, spec, prior, seeds, steps, use_simulated_moments, stride):
+    """:func:`_gap_trials` on one group.  Each check cuts the stack before
+    the first trial it fails, keeping that trial's error: a trial-by-trial
+    loop would raise the error of the first trial to fail, at its first
+    failing check."""
+    trials = _Trials(len(seeds))
+    x, y = _datasets(task, [child_seed(seed, 0) for seed in seeds])
+    hessian = _symmetrized(_gram(x))
+    eigenvalues = np.linalg.eigvalsh(hessian)
+    design = _spd_verdict(eigenvalues, "strict")
+    count = trials.cut(Verdict(design.bad, lambda i: _singular_design(design.error(i))))
+    hessian, eigenvalues = hessian[:count], eigenvalues[:count]
+    minimizer, offset = _least_squares(x[:count], y[:count], hessian)
+    _check_dims(task, sgd)  # as stability_check does, with the task's dimension for the loss's
+    radius = _step_radius(sgd.lr, eigenvalues)
+    count = trials.cut(Verdict(~(radius < 1.0), lambda i: UnstableDynamicsError(
+        f"stability_check failed on the empirical Hessian: spectral radius "
+        f"{_item(radius, i):.6g} >= 1"
+    )))
+    hessian, minimizer, offset = hessian[:count], minimizer[:count], offset[:count]
+    if use_simulated_moments:
+        moments = []
+        for index in range(count):
+            try:
+                empirical = QuadraticLoss(make_spd(hessian[index]), minimizer[index],
+                                          offset[index])
+                trajectory = simulate_chain(
+                    empirical.minimizer, empirical, sgd, steps, stride=stride,
+                    seed=child_seed(seeds[index], 1),
+                )
+                moments.append(estimate_stationary(trajectory))
+            except OupacError as exc:
+                count = trials.fail(index, exc)
+                break
+        mean = np.array([estimate.mean for estimate in moments])
+        cov = np.array([estimate.covariance.entries for estimate in moments])
+    else:
+        lam, vecs = np.linalg.eigh(hessian)
+        rhs = _stationary_rhs(sgd.noise_cov, sgd.lr, sgd.batch_size).entries
+        cov, residual = _lyapunov_in_eigenbasis(hessian, lam, vecs, rhs)
+        count = trials.cut(residual)
+        mean, cov = minimizer[:count], cov[:count]
+    count = trials.cut(_spd_verdict(np.linalg.eigvalsh(cov), "strict"))
+    mean, cov = mean[:count], cov[:count]
+    population = population_quadratic(task)
+    expected = _expected_risks(population.hessian.entries, population.minimizer,
+                               population.offset, mean, cov)
+    empirical = _expected_risks(hessian[:count], minimizer[:count], offset[:count], mean, cov)
+    kl, clamp = _kl_divergences(cov, mean, prior)
+    count = trials.cut(clamp)
+    bound = mcallester_bound(kl[:count], spec)
+    if trials.error is not None:
+        raise trials.error
+    return expected, empirical, bound
 
 
 @dataclass(frozen=True)
@@ -260,20 +385,14 @@ def bound_validity_experiment(
     """Run ``trials`` independent gap trials and count bound violations."""
     if trials < 10:
         raise InvalidRangeError(f"trials must be >= 10, got {trials}")
-    records = []
-    for index in range(trials):
-        trial_seed = child_seed(master_seed, index)
-        trial = gap_trial(
-            task, sgd, spec, prior, steps=steps, seed=trial_seed,
-            use_simulated_moments=use_simulated_moments,
-        )
-        records.append(TrialRecord(
-            seed=trial_seed,
-            sample_size=task.sample_size,
-            gap=trial.gap,
-            bound_value=trial.bound_value,
-            violated=trial.violated,
+    seeds = [child_seed(master_seed, index) for index in range(trials)]
+    records = [
+        TrialRecord(seed=seed, sample_size=task.sample_size, gap=expected - empirical,
+                    bound_value=bound, violated=expected - empirical > bound)
+        for seed, expected, empirical, bound in zip(seeds, *_gap_trials(
+            task, sgd, spec, prior, seeds, steps, use_simulated_moments,
         ))
+    ]
     gaps = [r.gap for r in records]
     bounds = [r.bound_value for r in records]
     return ValidityResult(
@@ -312,18 +431,12 @@ def scaling_experiment(
     mean_bounds: dict[int, float] = {}
     mean_gaps: dict[int, float] = {}
     for n_index, n in enumerate(ns):
-        task = replace(task_template, sample_size=n)
-        spec = SampleSpec(n, delta)
-        gaps = []
-        bounds = []
-        for trial in range(trials_per_n):
-            result = gap_trial(
-                task, sgd, spec, prior, seed=child_seed(master_seed, n_index, trial),
-            )
-            gaps.append(result.gap)
-            bounds.append(result.bound_value)
+        expected, empirical, bounds = _gap_trials(
+            replace(task_template, sample_size=n), sgd, SampleSpec(n, delta), prior,
+            [child_seed(master_seed, n_index, trial) for trial in range(trials_per_n)],
+        )
         mean_bounds[n] = statistics.fmean(bounds)
-        mean_gaps[n] = statistics.fmean(gaps)
+        mean_gaps[n] = statistics.fmean([e - m for e, m in zip(expected, empirical)])
     rows = []
     for n in ns:
         ratio = mean_bounds[4 * n] / mean_bounds[n] if 4 * n in mean_bounds else None

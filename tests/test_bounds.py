@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import oupac
@@ -101,6 +103,24 @@ class TestMcallesterBound:
             values = [mcallester_bound(1.0, SampleSpec(n, d))
                       for d in (0.5, 0.1, 0.05, 0.01, 0.001)]
             assert all(a < b for a, b in zip(values, values[1:]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kls=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8),
+    n=st.integers(1, 10**7),
+    delta=st.floats(1e-9, 1.0),
+)
+def test_stacked_mcallester_bound_matches_per_kl_calls(kls, n, delta):
+    spec = SampleSpec(n, delta)
+    stacked = mcallester_bound(np.array(kls), spec)
+    assert stacked.shape == (len(kls),)
+    for kl, got in zip(kls, stacked):
+        want = mcallester_bound(kl, spec)
+        assert type(want) is float
+        np.testing.assert_array_max_ulp(got, want, maxulp=4)
+    with pytest.raises(InvalidSpecError, match="got -0.5"):
+        mcallester_bound(np.array(kls + [-0.5, -1.0]), spec)
 
 
 class TestPretrainBound:

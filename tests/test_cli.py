@@ -466,6 +466,9 @@ def _parse_outcome(main_fn, argv: list[str], capsys) -> tuple[int, str, str]:
     [],
     ["bound", "--kl", "0", "--bogus", "1"],
     ["validity", "--trials"],
+    ["simulate", "--stride", "1", "stray"],
+    ["kl", "-h"],
+    ["scaling", "--ns"],
 ])
 def test_help_and_parse_errors_match_full_parser(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "100")

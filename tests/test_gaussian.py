@@ -30,7 +30,7 @@ from oupac import (
     stationary_from_dynamics,
     solve_continuous_lyapunov,
 )
-from oupac.gaussian import gaussian_pair_terms
+from oupac.gaussian import _kl_divergences, gaussian_pair_terms
 from oupac.linalg import cholesky_factor
 from oupac.rng import make_rng
 
@@ -290,3 +290,33 @@ def test_pair_terms_match_40_digit_solve(dim, seed, log_condition_p, log_conditi
     bound = dim * (np.linalg.cond(lp) + dim) * np.finfo(float).eps
     for got, want in ((trace, want_trace), (maha, want_maha)):
         assert float(abs(mpmath.mpf(got) - want) / want) <= bound
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    count=st.integers(1, 6),
+    dim=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    log_condition=st.floats(0.0, 8.0),
+    shared_p=st.booleans(),
+)
+def test_stacked_pair_terms_and_kl_match_per_pair_calls(count, dim, seed, log_condition,
+                                                        shared_p):
+    sigma_q = np.array([_spd_with_condition(dim, log_condition, seed + i).entries
+                        for i in range(count)])
+    sigma_p = np.array([_spd_with_condition(dim, log_condition / 2, seed + count + i).entries
+                        for i in range(1 if shared_p else count)])
+    sigma_p = sigma_p[0] if shared_p else sigma_p
+    shift = make_rng(seed, 2).standard_normal((count, dim))
+    stacked = gaussian_pair_terms(sigma_q, sigma_p, shift)
+    prior = GaussianMeasure(make_rng(seed, 3).standard_normal(dim),
+                            make_spd(sigma_p if shared_p else sigma_p[0]))
+    kl, clamp = _kl_divergences(sigma_q, prior.mean - shift, prior)
+    assert not clamp.bad.any()
+    for index in range(count):
+        single = gaussian_pair_terms(sigma_q[index], sigma_p if shared_p else sigma_p[index],
+                                     shift[index])
+        for got, want in zip(stacked, single):
+            np.testing.assert_array_max_ulp(got[index], want, maxulp=4)
+        q = GaussianMeasure(prior.mean - shift[index], make_spd(sigma_q[index]))
+        np.testing.assert_array_max_ulp(kl[index], kl_divergence(q, prior), maxulp=4)

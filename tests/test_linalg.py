@@ -30,6 +30,7 @@ from oupac import (
     solve_discrete_stein,
     spectral_radius,
 )
+from oupac.linalg import _lyapunov_in_eigenbasis, _residual_verdict, _spd_verdict
 from oupac.rng import make_rng
 
 from conftest import random_symmetric
@@ -336,3 +337,82 @@ def test_cholesky_factor_reconstructs():
     m = random_spd(6, 0.2, 3.0, seed=12)
     factor = cholesky_factor(m)
     np.testing.assert_allclose(factor @ factor.T, m.entries, rtol=1e-12, atol=1e-14)
+
+
+def _spd_stack(count: int, dim: int, low: float, high: float, seed: int) -> np.ndarray:
+    """Symmetric matrices with eigenvalues drawn from [low, high] (low may be <= 0)."""
+    rng = make_rng(seed)
+    stack = []
+    for _ in range(count):
+        q_fac, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        stack.append(SymmetricMatrix((q_fac * rng.uniform(low, high, dim)) @ q_fac.T).entries)
+    return np.array(stack)
+
+
+def _failure(call) -> str | None:
+    try:
+        call()
+    except NotPositiveDefiniteError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    count=st.integers(1, 6),
+    dim=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    low=st.sampled_from([-1e-3, -1e-11, 0.0, 1e-11, 2e-10, 1e-3, 0.5]),
+    strictness=st.sampled_from(["strict", "semidefinite"]),
+)
+def test_stacked_spd_test_matches_per_matrix_checks(count, dim, seed, low, strictness):
+    stack = _spd_stack(count, dim, low, 2.0, seed)
+    verdict = _spd_verdict(np.linalg.eigvalsh(stack), strictness)
+    for index, entries in enumerate(stack):
+        want = _failure(lambda: make_spd(entries, strictness))
+        assert bool(verdict.bad[index]) == (want is not None)
+        if want is not None:
+            assert str(verdict.error(index)) == want
+    assert _failure(verdict.check) == next(
+        (m for m in (_failure(lambda: make_spd(e, strictness)) for e in stack) if m), None)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    count=st.integers(1, 6),
+    dim=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    log_condition=st.floats(0.0, 8.0),
+    shared_rhs=st.booleans(),
+)
+def test_stacked_lyapunov_solve_matches_per_matrix_solves(count, dim, seed, log_condition,
+                                                          shared_rhs):
+    a = _spd_stack(count, dim, 10.0**-log_condition, 1.0, seed)
+    q = _spd_stack(1 if shared_rhs else count, dim, 0.1, 2.0, seed + 1)
+    q = q[0] if shared_rhs else q
+    lam, vecs = np.linalg.eigh(a)
+    x, verdict = _lyapunov_in_eigenbasis(a, lam, vecs, q)
+    assert not verdict.bad.any()
+    for index in range(count):
+        want = solve_continuous_lyapunov(make_spd(a[index]), q if shared_rhs else q[index])
+        np.testing.assert_array_max_ulp(x[index], want.entries, maxulp=4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    count=st.integers(1, 6),
+    dim=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    log_error=st.floats(-14.0, -6.0),
+)
+def test_stacked_residual_check_matches_per_matrix_checks(count, dim, seed, log_error):
+    # errors around RESIDUAL_RTOL, so that some items fail and some pass
+    target = _spd_stack(1, dim, 0.1, 2.0, seed)[0]
+    noise = make_rng(seed, 1).standard_normal((count, dim, dim))
+    achieved = target + 10.0**log_error * noise * make_rng(seed, 2).uniform(0, 100, (count, 1, 1))
+    verdict = _residual_verdict(achieved, target, "test")
+    for index in range(count):
+        single = _residual_verdict(achieved[index], target, "test")
+        assert bool(verdict.bad[index]) == bool(single.bad)
+        if single.bad:
+            assert str(verdict.error(index)) == str(single.error(0))

@@ -5,28 +5,41 @@ average the loss directly; closed forms must agree within three
 standard errors.
 """
 
+import statistics
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from oupac import (
     GaussianMeasure,
+    OupacError,
     QuadraticLoss,
     RegressionTask,
     SampleSpec,
     SgdDynamics,
     SingularDesignError,
+    UnstableDynamicsError,
     bound_validity_experiment,
     empirical_quadratic,
+    estimate_stationary,
     expected_risk_gaussian,
     gap_trial,
     generate_dataset,
+    kl_divergence,
     make_spd,
+    mcallester_bound,
     population_quadratic,
     random_spd,
     scaling_experiment,
+    simulate_chain,
+    stability_check,
     standard_gaussian,
+    stationary_from_dynamics,
 )
+from oupac import regression
+from oupac.regression import GapTrial
 from oupac.rng import child_seed, make_rng
 
 
@@ -288,3 +301,191 @@ def test_realizable_gap_shrinks_with_sample_size():
         smaller.append(abs(small.gap))
         larger.append(abs(large.gap))
     assert np.median(larger) < np.median(smaller)
+
+
+# ---------------------------------------------------------------------------
+# the stacked trial pipeline against the trial-by-trial loop it replaced
+
+
+def _reference_gap_trial(
+    task, sgd, spec, prior, steps=20_000, seed=0, use_simulated_moments=False, stride=10,
+):
+    """Reference: gap_trial's body as it was before trials were stacked."""
+    data = generate_dataset(task, child_seed(seed, 0))
+    empirical = empirical_quadratic(data)
+    report = stability_check(empirical, sgd)
+    if not report.stable:
+        raise UnstableDynamicsError(
+            f"stability_check failed on the empirical Hessian: spectral radius "
+            f"{report.spectral_radius:.6g} >= 1"
+        )
+    if use_simulated_moments:
+        trajectory = simulate_chain(
+            empirical.minimizer, empirical, sgd, steps, stride=stride,
+            seed=child_seed(seed, 1),
+        )
+        estimate = estimate_stationary(trajectory)
+        posterior = GaussianMeasure(estimate.mean, make_spd(estimate.covariance.entries))
+    else:
+        posterior = stationary_from_dynamics(
+            empirical.hessian, empirical.minimizer, sgd.noise_cov,
+            sgd.lr, sgd.batch_size,
+        )
+    expected = expected_risk_gaussian(population_quadratic(task), posterior)
+    empirical_val = expected_risk_gaussian(empirical, posterior)
+    bound_value = mcallester_bound(kl_divergence(posterior, prior), spec)
+    gap = expected - empirical_val
+    return GapTrial(
+        expected_risk=expected,
+        empirical_risk=empirical_val,
+        gap=gap,
+        bound_value=bound_value,
+        violated=gap > bound_value,
+    )
+
+
+def _reference_validity(task, sgd, spec, prior, trials, master_seed=0, **kwargs):
+    """Reference: bound_validity_experiment's loop, one gap_trial per seed."""
+    return [_reference_gap_trial(task, sgd, spec, prior, seed=child_seed(master_seed, index),
+                                 **kwargs)
+            for index in range(trials)]
+
+
+def _reference_scaling(task, ns, sgd, delta, master_seed, trials_per_n):
+    """Reference: scaling_experiment's mean gap and mean bound per n."""
+    rows = []
+    for n_index, n in enumerate(ns):
+        trials = [_reference_gap_trial(replace(task, sample_size=n), sgd, SampleSpec(n, delta),
+                                       standard_gaussian(task.dim),
+                                       seed=child_seed(master_seed, n_index, trial))
+                  for trial in range(trials_per_n)]
+        rows.append((statistics.fmean(t.gap for t in trials),
+                     statistics.fmean(t.bound_value for t in trials)))
+    return rows
+
+
+def _close(got: float, want: float, scale: float) -> bool:
+    return abs(got - want) <= 1e-12 * scale
+
+
+def _oracle_task(dim: int, correlated: bool, noise_std: float, n: int) -> RegressionTask:
+    weights = make_rng(dim, 1).uniform(-1.0, 1.0, dim)
+    cov = random_spd(dim, 0.5, 2.0, seed=dim) if correlated else make_spd(np.eye(dim))
+    return RegressionTask(weights, cov, noise_std, n)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8])
+@pytest.mark.parametrize("correlated", [False, True])
+@pytest.mark.parametrize("noise_std", [0.0, 1.0])
+@pytest.mark.parametrize("simulated", [False, True])
+def test_stacked_trials_match_the_trial_by_trial_loop(dim, correlated, noise_std, simulated):
+    task = _oracle_task(dim, correlated, noise_std, n=5 * dim + 10)
+    sgd = SgdDynamics(0.1, 10, np.eye(dim))
+    spec = SampleSpec(task.sample_size, 0.05)
+    prior = standard_gaussian(dim)
+    kwargs = {"use_simulated_moments": simulated, "steps": 2000 if simulated else 20_000}
+    args = (task, sgd, spec, prior)
+    result = bound_validity_experiment(*args, trials=12, master_seed=dim, **kwargs)
+    want = _reference_validity(*args, trials=12, master_seed=dim, **kwargs)
+    for record, trial in zip(result.records, want, strict=True):
+        scale = max(abs(trial.expected_risk), abs(trial.empirical_risk), trial.bound_value)
+        assert _close(record.gap, trial.gap, scale)
+        assert _close(record.bound_value, trial.bound_value, scale)
+        assert record.violated == trial.violated
+    one = gap_trial(task, sgd, spec, prior, seed=child_seed(dim, 0), **kwargs)
+    assert one.violated == want[0].violated
+    assert _close(one.gap, want[0].gap, max(abs(want[0].expected_risk), want[0].bound_value))
+
+
+@pytest.mark.parametrize("dim, ns", [(2, [6, 12, 24]), (8, [24, 48, 96])])
+def test_stacked_scaling_matches_the_trial_by_trial_loop(dim, ns):
+    task = _oracle_task(dim, True, 1.0, ns[0])
+    sgd = SgdDynamics(0.1, 10, np.eye(dim))
+    rows = scaling_experiment(task, ns, sgd, 0.05, master_seed=4, trials_per_n=5)
+    for row, (gap, bound) in zip(rows, _reference_scaling(task, ns, sgd, 0.05, 4, 5), strict=True):
+        assert _close(row["mean_gap"], gap, bound) and _close(row["mean_bound"], bound, bound)
+
+
+def _raised(call):
+    with pytest.raises(OupacError) as caught:
+        call()
+    return type(caught.value), str(caught.value)
+
+
+#: Features with a 5e-10 variance direction: with n = 6 the Gram matrix of
+#: some trials falls below the SPD tolerance, and at lr 1.0 the Hessians of
+#: others are too steep.  The seeds below put an unstable trial (third
+#: check) before a singular one (first check).
+_MIXED = RegressionTask(np.array([0.3, -0.2]), make_spd(np.diag([1.0, 5e-10])), 1.0, 6)
+
+
+@pytest.mark.parametrize("group_floats", [regression.GROUP_FLOATS, 1, 2 * 6 * 2])
+@pytest.mark.parametrize("task, lr, master_seed, error", [
+    (_MIXED, 1.0, 6, UnstableDynamicsError),
+    (RegressionTask(np.array([0.3, -0.2, 0.1]), make_spd(np.eye(3)), 1.0, 2), 0.1, 0,
+     SingularDesignError),
+    (default_task(n=20), 1.2, 0, UnstableDynamicsError),
+])
+def test_validity_raises_what_the_loop_raises_first(monkeypatch, group_floats, task, lr,
+                                                    master_seed, error):
+    monkeypatch.setattr(regression, "GROUP_FLOATS", group_floats)
+    args = (task, SgdDynamics(lr, 10, np.eye(task.dim)), SampleSpec(task.sample_size, 0.05),
+            standard_gaussian(task.dim))
+    want = _raised(lambda: _reference_validity(*args, trials=12, master_seed=master_seed))
+    assert want[0] is error
+    assert _raised(lambda: bound_validity_experiment(*args, trials=12,
+                                                     master_seed=master_seed)) == want
+
+
+@pytest.mark.parametrize("group_floats", [regression.GROUP_FLOATS, 1])
+@pytest.mark.parametrize("task, ns, lr, master_seed", [
+    (_MIXED, [6, 9], 1.0, 119),
+    (RegressionTask(np.array([0.3, -0.2]), make_spd(np.eye(2)), 1.0, 4), [4, 8, 16], 1.2, 0),
+])
+def test_scaling_raises_what_the_loop_raises_first(monkeypatch, group_floats, task, ns, lr,
+                                                   master_seed):
+    monkeypatch.setattr(regression, "GROUP_FLOATS", group_floats)
+    sgd = SgdDynamics(lr, 10, np.eye(task.dim))
+    want = _raised(lambda: _reference_scaling(task, ns, sgd, 0.05, master_seed, 8))
+    assert want[0] is UnstableDynamicsError
+    assert _raised(lambda: scaling_experiment(task, ns, sgd, 0.05, master_seed=master_seed,
+                                              trials_per_n=8)) == want
+
+
+@pytest.mark.parametrize("simulated", [False, True])
+def test_results_do_not_depend_on_the_group_size(monkeypatch, simulated):
+    task = _oracle_task(2, True, 1.0, 30)
+    args = (task, default_dynamics(), SampleSpec(30, 0.05), standard_gaussian(2))
+    kwargs = {"trials": 13, "master_seed": 2, "use_simulated_moments": simulated,
+              "steps": 1000}
+    results = []
+    for group_floats in (regression.GROUP_FLOATS, 1, 4 * 30 * 2, 10**12):
+        monkeypatch.setattr(regression, "GROUP_FLOATS", group_floats)
+        results.append((bound_validity_experiment(*args, **kwargs).records,
+                        scaling_experiment(task, [2, 8, 32], default_dynamics(), 0.05,
+                                           master_seed=3, trials_per_n=7)))
+    assert all(result == results[0] for result in results[1:])
+
+
+def test_one_group_makes_the_same_decompositions_for_any_trial_count(monkeypatch):
+    counts = {}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in ("eigh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    task = default_task(n=50)
+    seen = []
+    for trials in (10, 40):
+        counts.update(eigh=0, cholesky=0)
+        bound_validity_experiment(task, default_dynamics(), SampleSpec(50, 0.05),
+                                  standard_gaussian(2), trials=trials)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0]["eigh"] >= 1 and seen[0]["cholesky"] >= 1
