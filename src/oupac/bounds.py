@@ -7,6 +7,17 @@ the KL-consistent sign (log-determinant entering negatively), which the
 Monte-Carlo KL oracle confirms, and the flipped ``+log det`` variant,
 which is always computed and reported alongside as ``paper_literal_kl``
 so the two can be compared.  All logarithms are natural.
+
+D, the paper-literal D and D~ have one home, :func:`_discrepancies`,
+which takes one pair or a stack of pairs.  :func:`lemma2_survey`
+evaluates the pairs of a dimension as stacks, arrays with a leading pair
+axis, in groups whose covariances hold at most ``GROUP_FLOATS`` numbers:
+a group makes one QR and one ``eigvalsh`` for its random covariances,
+one Cholesky per side and one solve for its pair terms, where a
+pair-by-pair loop made each call once per pair.  Each pair still draws
+from its own seeded streams, and a failing pair raises what that loop
+would have raised first.  A pair term or discrepancy that overflows
+raises :class:`NumericalInconsistencyError` (CLI exit code 3).
 """
 
 from __future__ import annotations
@@ -18,10 +29,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidRangeError, InvalidSpecError
-from .gaussian import check_rate, gaussian_pair_terms
+from .gaussian import _pair_divergences, check_rate
+from .linalg import GROUP_FLOATS, SpdMatrix, Verdict, _make_spd_stack, _random_spd_entries, log_det
 # cholesky_factor is not called here; bench/tests/test_bench_trace.py reads it from here
-from .linalg import SpdMatrix, cholesky_factor, log_det, random_spd  # noqa: F401
+from .linalg import cholesky_factor  # noqa: F401
 from .rng import child_seed, make_rng
+
+#: A pair holds the discrepancy ordering when D <= D~ + HOLDS_TOLERANCE.
+HOLDS_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,13 +165,33 @@ def pretrain_bound(sigma_pt: SpdMatrix, spec: SampleSpec) -> BoundReport:
     )
 
 
-def _discrepancies(pair: DomainPair) -> tuple[float, float, float]:
-    """(D, paper-literal D, D~) from one gaussian_pair_terms call; D is exactly 2 KL."""
-    trace, log_det_ratio, maha = map(float, gaussian_pair_terms(pair.sigma_ft, pair.sigma_pt,
-                                                                pair.shift))
-    d = pair.dim
-    return (trace - d + maha + log_det_ratio, trace - d + maha - log_det_ratio,
-            math.log(trace) + trace + maha + d * math.log(d) - d)
+def _discrepancies(sigma_pt, sigma_ft, shift: np.ndarray) -> tuple[tuple, Verdict]:
+    """(D, paper-literal D, D~) of each pair of a stack (leading axes on every
+    argument) or of one pair, from one gaussian_pair_terms call, and the
+    verdict that they and the terms are finite.  D is exactly 2 KL."""
+    d = shift.shape[-1]
+
+    def formulas(trace, log_det_ratio, maha):
+        base = trace - d + maha
+        return (base + log_det_ratio, base - log_det_ratio,
+                _log(trace) + trace + maha + d * math.log(d) - d)
+
+    return _pair_divergences(sigma_ft, sigma_pt, shift, formulas)
+
+
+def _log(values) -> np.ndarray:
+    # math.log, not np.log: numpy's SIMD log differs from libm in the last
+    # bit for about 1 value in 2000, which would move the surveys' digits
+    values = np.asarray(values)
+    return np.reshape([math.log(v) if v > 0 else -math.inf for v in values.ravel().tolist()],
+                      values.shape)
+
+
+def _pair_discrepancies(pair: DomainPair) -> tuple[float, float, float]:
+    """:func:`_discrepancies` of one pair, as floats; raises if one is not finite."""
+    values, finite = _discrepancies(pair.sigma_pt, pair.sigma_ft, pair.shift)
+    finite.check()
+    return tuple(map(float, values))
 
 
 def discrepancy_d(pair: DomainPair, paper_literal: bool = False) -> float:
@@ -171,7 +206,7 @@ def discrepancy_d(pair: DomainPair, paper_literal: bool = False) -> float:
     with a plus sign instead; that variant can go negative and is
     returned as-is.
     """
-    d_value, literal, _ = _discrepancies(pair)
+    d_value, literal, _ = _pair_discrepancies(pair)
     return literal if paper_literal else d_value
 
 
@@ -181,12 +216,12 @@ def discrepancy_d_tilde(pair: DomainPair) -> float:
     ``log(tr(Spt^-1 Sft)) + tr(Spt^-1 Sft) + shift^T Spt^-1 shift
     + d log d - d``.
     """
-    return _discrepancies(pair)[2]
+    return _pair_discrepancies(pair)[2]
 
 
 def finetune_bound(pair: DomainPair, spec: SampleSpec) -> BoundReport:
     """Bound report for the fine-tuning stage, prior = source stationary."""
-    kl_term, literal, _ = _discrepancies(pair)
+    kl_term, literal, _ = _pair_discrepancies(pair)
     return BoundReport(
         kl_term=kl_term,
         complexity_term=_complexity_from_kl_term(kl_term, spec),
@@ -197,7 +232,7 @@ def finetune_bound(pair: DomainPair, spec: SampleSpec) -> BoundReport:
 
 def finetune_bound_dimension(pair: DomainPair, spec: SampleSpec) -> BoundReport:
     """Fine-tuning bound with the dimension-dependent discrepancy."""
-    _, literal, kl_term = _discrepancies(pair)
+    _, literal, kl_term = _pair_discrepancies(pair)
     return BoundReport(
         kl_term=kl_term,
         complexity_term=_complexity_from_kl_term(kl_term, spec),
@@ -206,14 +241,14 @@ def finetune_bound_dimension(pair: DomainPair, spec: SampleSpec) -> BoundReport:
     )
 
 
-def lemma2_check(pair: DomainPair, tolerance: float = 1e-12) -> Lemma2Result:
+def lemma2_check(pair: DomainPair, tolerance: float = HOLDS_TOLERANCE) -> Lemma2Result:
     """Compare the two discrepancies on one pair.
 
     ``holds`` is ``d_value <= d_tilde_value + tolerance``.  Whether the
     ordering holds for all SPD pairs is an empirical question, so this
     is a report, not an assertion.
     """
-    d_value, _, d_tilde_value = _discrepancies(pair)
+    d_value, _, d_tilde_value = _pair_discrepancies(pair)
     return Lemma2Result(
         d_value=d_value,
         d_tilde_value=d_tilde_value,
@@ -233,34 +268,55 @@ def lemma2_survey(
     """Random survey of the discrepancy ordering, one row per dimension.
 
     Each row reports ``{"dim", "pairs", "holds", "holds_fraction",
-    "min_margin"}`` over ``pairs_per_dim`` random domain pairs.
-    Deterministic for a fixed seed.
+    "min_margin"}`` over ``pairs_per_dim`` random domain pairs; pair i of
+    dimension d has covariances ``random_spd(d, eigenvalue_low,
+    eigenvalue_high, child_seed(seed, d, i, k))`` for k = 0, 1 and shift
+    ``shift_scale * make_rng(seed, d, i, 2).standard_normal(d)``, and
+    counts as holding when :func:`lemma2_check` says so.  The pairs are
+    evaluated as stacks (module docstring).  Deterministic for a fixed
+    seed.
     """
     if pairs_per_dim < 1:
         raise InvalidRangeError(f"pairs_per_dim must be >= 1, got {pairs_per_dim}")
     rows = []
     for d in dims:
-        holds = 0
-        min_margin = math.inf
-        for i in range(pairs_per_dim):
-            pair = DomainPair(
-                sigma_pt=random_spd(d, eigenvalue_low, eigenvalue_high,
-                                    child_seed(seed, d, i, 0)),
-                sigma_ft=random_spd(d, eigenvalue_low, eigenvalue_high,
-                                    child_seed(seed, d, i, 1)),
-                shift=shift_scale * make_rng(seed, d, i, 2).standard_normal(d),
-            )
-            result = lemma2_check(pair)
-            holds += int(result.holds)
-            min_margin = min(min_margin, result.margin)
+        per_group = max(1, GROUP_FLOATS // max(1, 2 * d * d))  # the draw rejects d < 1
+        holds, margins = 0, []
+        for start in range(0, pairs_per_dim, per_group):
+            d_value, d_tilde_value = _survey_group(
+                d, range(start, min(start + per_group, pairs_per_dim)), seed,
+                eigenvalue_low, eigenvalue_high, shift_scale)
+            holds += int(np.count_nonzero(d_value <= d_tilde_value + HOLDS_TOLERANCE))
+            margins += (d_tilde_value - d_value).tolist()
         rows.append({
             "dim": int(d),
             "pairs": int(pairs_per_dim),
             "holds": int(holds),
             "holds_fraction": holds / pairs_per_dim,
-            "min_margin": float(min_margin),
+            "min_margin": float(min(margins)),
         })
     return rows
+
+
+def _survey_group(d, pairs, seed, eigenvalue_low, eigenvalue_high, shift_scale):
+    """D and D~ of the surveyed pairs ``pairs`` of dimension d, as stacks.
+
+    A pair-by-pair loop checks pair i's source covariance, its target
+    covariance and then its discrepancies before it draws pair i + 1.  So
+    the covariances are drawn interleaved (source, target, source, ...),
+    the discrepancies are evaluated only for the pairs before the first
+    covariance to fail, and their failure is raised first."""
+    seeds = [child_seed(seed, d, i, side) for i in pairs for side in (0, 1)]
+    entries, spd = _make_spd_stack(_random_spd_entries(d, eigenvalue_low, eigenvalue_high,
+                                                       seeds))
+    shifts = shift_scale * np.array([make_rng(seed, d, i, 2).standard_normal(d) for i in pairs])
+    first = spd.first()
+    count = len(pairs) if first is None else first // 2
+    (d_value, _, d_tilde_value), finite = _discrepancies(
+        entries[0:2 * count:2], entries[1:2 * count:2], shifts[:count])
+    finite.check()
+    spd.check()
+    return d_value, d_tilde_value
 
 
 def kl_upper_bound_trace(

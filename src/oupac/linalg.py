@@ -8,11 +8,14 @@ stochastic recursion), and seeded random SPD generation for tests.
 Both solvers divide elementwise in an eigenbasis, of A or of a
 symmetric M; a non-symmetric M goes to scipy's Stein solver.
 
-The private kernels shared with :mod:`oupac.regression` (the SPD
-eigenvalue test, the eigenbasis solve, the residual check) take arrays
-with leading stack axes, one item per trailing matrix; a public function
-calls them on one matrix.  A check returns a :class:`Verdict`, which
-says which items fail and builds the error of a failing item.
+The private kernels shared with :mod:`oupac.regression` and
+:func:`oupac.bounds.lemma2_survey` (the random SPD draw, the SPD checks,
+the eigenbasis solve, the residual check) take arrays with leading stack
+axes, one item per trailing matrix; a public function calls them on one
+matrix.  A stacked pipeline evaluates its items in groups of at most
+``GROUP_FLOATS`` numbers, so memory does not grow with the item count.
+A check returns a :class:`Verdict`, which says which items fail and
+builds the error of a failing item.
 
 All values are immutable after construction and all functions are pure,
 so everything here is safe for unrestricted concurrent use.
@@ -47,6 +50,11 @@ PSD_RTOL = 1e-10
 #: ||residual||_F <= RESIDUAL_RTOL * (1 + ||Q||_F).
 RESIDUAL_RTOL = 1e-10
 
+#: Most numbers one group of a stacked pipeline holds (8 MiB): the
+#: feature matrices of a group of gap trials, or the two covariances of
+#: a group of surveyed domain pairs.
+GROUP_FLOATS = 1 << 20
+
 
 class Verdict(NamedTuple):
     """Outcome of a check on a stack: which items fail (``bad``, indexed
@@ -65,6 +73,11 @@ class Verdict(NamedTuple):
         if first is not None:
             raise self.error(first)
 
+    def __or__(self, other: Verdict) -> Verdict:
+        """Fails the items either check fails, with this check's error where both do."""
+        return Verdict(self.bad | other.bad,
+                       lambda i: self.error(i) if _item(self.bad, i) else other.error(i))
+
 
 def _item(values, index: int):
     """Item ``index`` of a stack of values (or the value itself, unstacked)."""
@@ -82,8 +95,12 @@ def _as_square_array(entries, name: str = "matrix") -> np.ndarray:
     if arr.shape[0] < 1:
         raise NotSquareError(f"{name} must have dimension >= 1")
     if not np.all(np.isfinite(arr)):
-        raise NotSquareError(f"{name} contains non-finite entries")
+        raise _non_finite(name)
     return arr
+
+
+def _non_finite(name: str) -> NotSquareError:
+    return NotSquareError(f"{name} contains non-finite entries")
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,6 +190,16 @@ def make_spd(entries, strictness: Strictness = "strict") -> SpdMatrix:
         smallest eigenvalue found).
     """
     return SpdMatrix(SymmetricMatrix(entries), strictness)
+
+
+def _make_spd_stack(entries: np.ndarray) -> tuple[np.ndarray, Verdict]:
+    """:func:`make_spd` (strict) on each matrix of a stack ``(..., d, d)``: the
+    symmetrized entries, and the verdict of its checks in its order (finite
+    entries, then the eigenvalue test)."""
+    finite = Verdict(~np.isfinite(entries).all(axis=(-2, -1)),
+                     lambda i: _non_finite("matrix"))
+    entries = _symmetrized(entries)
+    return entries, finite | _spd_verdict(np.linalg.eigvalsh(entries), "strict")
 
 
 def cholesky_factor(m) -> np.ndarray:
@@ -319,6 +346,14 @@ def random_spd(
     eigenvalue_high]`` and conjugates by a Haar-random orthogonal
     matrix.  Deterministic for a fixed seed.
     """
+    return make_spd(_random_spd_entries(dim, eigenvalue_low, eigenvalue_high, [seed])[0])
+
+
+def _random_spd_entries(dim: int, eigenvalue_low: float, eigenvalue_high: float,
+                        seeds) -> np.ndarray:
+    """The entries ``(len(seeds), dim, dim)`` that :func:`random_spd` checks
+    with :func:`make_spd`, one per seed, from one QR and one product.  The
+    range is checked before anything is drawn."""
     if not (0.0 < eigenvalue_low <= eigenvalue_high):
         raise InvalidRangeError(
             f"need 0 < eigenvalue_low <= eigenvalue_high, got "
@@ -326,15 +361,18 @@ def random_spd(
         )
     if dim < 1:
         raise InvalidRangeError("dim must be >= 1")
-    rng = make_rng(seed)
-    gauss = rng.standard_normal((dim, dim))
+    gauss = np.empty((len(seeds), dim, dim))
+    eigenvalues = np.empty((len(seeds), 1, dim))
+    for index, seed in enumerate(seeds):
+        rng = make_rng(seed)  # each seed's own stream: its normals, then its uniforms
+        rng.standard_normal(out=gauss[index])
+        eigenvalues[index, 0] = rng.uniform(eigenvalue_low, eigenvalue_high, size=dim)
     q_fac, r_fac = np.linalg.qr(gauss)
-    signs = np.sign(np.diag(r_fac))
+    signs = np.sign(np.diagonal(r_fac, axis1=-2, axis2=-1))[:, None, :]
+    del gauss, r_fac  # the stacks are the memory of a group: hold as few as needed
     signs[signs == 0] = 1.0
-    q_fac = q_fac * signs  # Haar measure needs the R-sign correction
-    eigenvalues = rng.uniform(eigenvalue_low, eigenvalue_high, size=dim)
-    entries = (q_fac * eigenvalues) @ q_fac.T
-    return make_spd(entries)
+    q_fac *= signs  # Haar measure needs the R-sign correction
+    return (q_fac * eigenvalues) @ q_fac.swapaxes(-1, -2)
 
 
 def _solve_in_eigenbasis(vecs: np.ndarray, rhs: np.ndarray, denom: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ in the last digits.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -47,12 +48,9 @@ from .gaussian import (
     _stationary_rhs,
     standard_gaussian,
 )
-from .linalg import (SpdMatrix, Verdict, _item, _lyapunov_in_eigenbasis, _spd_verdict,
-                     _symmetrized, cholesky_factor, make_spd)
+from .linalg import (GROUP_FLOATS, SpdMatrix, Verdict, _item, _lyapunov_in_eigenbasis,
+                     _spd_verdict, _symmetrized, cholesky_factor, make_spd)
 from .rng import child_seed, make_rng
-
-#: Most feature-matrix entries held by one group of stacked trials (8 MiB).
-GROUP_FLOATS = 1 << 20
 
 #: Recorded on every trial result: the complexity term is derived for
 #: bounded losses, while squared error is unbounded, so violation
@@ -368,8 +366,36 @@ def _summary(values: Sequence[float]) -> dict:
         "max": max(values),
         "mean": statistics.fmean(values),
         "median": statistics.median(values),
-        "std": statistics.stdev(values) if len(values) > 1 else 0.0,
+        "std": _stdev(values) if len(values) > 1 else 0.0,
     }
+
+
+def _stdev(values: Sequence[float]) -> float:
+    """``statistics.stdev`` of two or more finite floats: the correctly rounded
+    square root of the exact sample variance, in integers.  Each value is an
+    integer over a common power of two, 2^e, so the variance is ``(n S2 -
+    S1^2) / (n (n - 1) 4^e)`` with S1, S2 the integer sums."""
+    ratios = [value.as_integer_ratio() for value in values]
+    e = max(denominator for _, denominator in ratios).bit_length() - 1
+    scaled = [numerator << (e - denominator.bit_length() + 1) for numerator, denominator in ratios]
+    n = len(scaled)
+    total = sum(scaled)
+    numerator = n * sum(x * x for x in scaled) - total * total
+    denominator = n * (n - 1) << 2 * e
+    # sqrt(numerator / denominator) * 2^-shift is an integer of 55 bits; rounded to
+    # odd (the last bit is the sticky bit), one int / int division rounds it correctly
+    shift = (numerator.bit_length() - denominator.bit_length() - 109) // 2
+    if shift >= 0:
+        root, scale = _isqrt_to_odd(numerator, denominator << 2 * shift) << shift, 1
+    else:
+        root, scale = _isqrt_to_odd(numerator << -2 * shift, denominator), 1 << -shift
+    return root / scale
+
+
+def _isqrt_to_odd(numerator: int, denominator: int) -> int:
+    """sqrt(numerator / denominator) rounded down, with its last bit set if inexact."""
+    root = math.isqrt(numerator // denominator)
+    return root | (root * root * denominator != numerator)
 
 
 def bound_validity_experiment(

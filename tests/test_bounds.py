@@ -5,12 +5,14 @@ formulas; the Gaussian KL cross-checks use the closed form from the
 gaussian module, which is itself pinned to the Monte-Carlo oracle.
 """
 
+import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -21,6 +23,9 @@ from oupac import (
     GaussianMeasure,
     InvalidRangeError,
     InvalidSpecError,
+    NotPositiveDefiniteError,
+    NumericalInconsistencyError,
+    OupacError,
     SampleSpec,
     discrepancy_d,
     discrepancy_d_tilde,
@@ -37,7 +42,10 @@ from oupac import (
     random_spd,
     stationary_from_dynamics,
 )
-from oupac.rng import make_rng
+from oupac import bounds
+from oupac.gaussian import gaussian_pair_terms
+from oupac.linalg import _make_spd_stack, _random_spd_entries
+from oupac.rng import child_seed, make_rng
 
 # 40-digit mpmath evaluations of the closed forms
 MCALLESTER_0_100 = 0.21964913157744110     # kl=0, N=100, delta=0.05
@@ -425,3 +433,174 @@ class TestBoundReport:
     def test_negative_complexity_rejected(self):
         with pytest.raises(InvalidSpecError):
             BoundReport(kl_term=0.0, complexity_term=-1.0, paper_literal_kl=0.0)
+
+
+def _reference_survey(
+    dims,
+    pairs_per_dim: int = 100,
+    seed: int = 0,
+    eigenvalue_low: float = 0.2,
+    eigenvalue_high: float = 5.0,
+    shift_scale: float = 1.0,
+) -> list[dict]:
+    """The pair-by-pair body lemma2_survey had before it was stacked, verbatim."""
+    if pairs_per_dim < 1:
+        raise InvalidRangeError(f"pairs_per_dim must be >= 1, got {pairs_per_dim}")
+    rows = []
+    for d in dims:
+        holds = 0
+        min_margin = math.inf
+        for i in range(pairs_per_dim):
+            pair = DomainPair(
+                sigma_pt=random_spd(d, eigenvalue_low, eigenvalue_high,
+                                    child_seed(seed, d, i, 0)),
+                sigma_ft=random_spd(d, eigenvalue_low, eigenvalue_high,
+                                    child_seed(seed, d, i, 1)),
+                shift=shift_scale * make_rng(seed, d, i, 2).standard_normal(d),
+            )
+            result = lemma2_check(pair)
+            holds += int(result.holds)
+            min_margin = min(min_margin, result.margin)
+        rows.append({
+            "dim": int(d),
+            "pairs": int(pairs_per_dim),
+            "holds": int(holds),
+            "holds_fraction": holds / pairs_per_dim,
+            "min_margin": float(min_margin),
+        })
+    return rows
+
+
+def _outcome(survey, *args):
+    """The rows' JSON text, or the class and message of the error raised."""
+    try:
+        return json.dumps(survey(*args))
+    except OupacError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32),
+    dims=st.lists(st.integers(1, 48), min_size=1, max_size=3, unique=True),
+    pairs=st.integers(1, 20),
+    low=st.floats(1e-3, 10.0),
+    ratio=st.floats(1.0, 1e3),
+    shift_scale=st.floats(1e-3, 1e2),
+)
+@example(seed=5, dims=[1, 33], pairs=20, low=0.2, ratio=25.0, shift_scale=1.0)
+@example(seed=9, dims=[64], pairs=3, low=1e-3, ratio=1e3, shift_scale=1e2)
+def test_stacked_survey_matches_the_pair_by_pair_loop(seed, dims, pairs, low, ratio,
+                                                       shift_scale):
+    args = (dims, pairs, seed, low, low * ratio, shift_scale)
+    assert json.dumps(lemma2_survey(*args)) == json.dumps(_reference_survey(*args))
+
+
+@pytest.mark.parametrize("group_floats", [1, 2 * 7 * 7 * 3, 10**12])
+def test_survey_does_not_depend_on_the_group_size(monkeypatch, group_floats):
+    args = ((1, 2, 7, 40), 20, 3, 0.1, 8.0, 1.5)
+    want = json.dumps(lemma2_survey(*args))
+    monkeypatch.setattr(bounds, "GROUP_FLOATS", group_floats)
+    assert json.dumps(lemma2_survey(*args)) == want
+
+
+@pytest.mark.parametrize("group_floats", [bounds.GROUP_FLOATS, 1])
+@pytest.mark.parametrize("shift_scale", [1.0, 1e160])
+def test_survey_raises_what_the_loop_raises_first(monkeypatch, group_floats, shift_scale):
+    # eigenvalues in [1e-11, 2e-10] straddle the strict check's tolerance 1e-10:
+    # which pair fails first depends on the seed, and the message prints its
+    # smallest eigenvalue; with a huge shift a pair before it may overflow first
+    monkeypatch.setattr(bounds, "GROUP_FLOATS", group_floats)
+    seen = set()
+    for seed in range(12):
+        args = ((1, 2), 6, seed, 1e-11, 2e-10, shift_scale)
+        want = _outcome(_reference_survey, *args)
+        assert _outcome(lemma2_survey, *args) == want
+        seen.add(want)
+    assert {outcome[0] for outcome in seen} == (
+        {NotPositiveDefiniteError} if shift_scale == 1.0
+        else {NotPositiveDefiniteError, NumericalInconsistencyError})
+    assert len(seen) > 3
+
+
+@pytest.mark.parametrize("dims, low, high", [((3,), 0.0, 1.0), ((3,), 2.0, 1.0),
+                                             ((2, 0), 0.2, 5.0), ((0,), -1.0, 5.0)])
+def test_survey_rejects_a_bad_range_as_the_loop_does(dims, low, high):
+    want = _outcome(_reference_survey, dims, 4, 0, low, high, 1.0)
+    assert want[0] is InvalidRangeError
+    assert _outcome(lemma2_survey, dims, 4, 0, low, high, 1.0) == want
+
+
+def _reference_random_spd(dim, eigenvalue_low, eigenvalue_high, seed) -> np.ndarray:
+    """The one-matrix body random_spd had before the stacked draw, verbatim
+    from its draws on (range checks left out)."""
+    rng = make_rng(seed)
+    gauss = rng.standard_normal((dim, dim))
+    q_fac, r_fac = np.linalg.qr(gauss)
+    signs = np.sign(np.diag(r_fac))
+    signs[signs == 0] = 1.0
+    q_fac = q_fac * signs  # Haar measure needs the R-sign correction
+    eigenvalues = rng.uniform(eigenvalue_low, eigenvalue_high, size=dim)
+    entries = (q_fac * eigenvalues) @ q_fac.T
+    return make_spd(entries).entries
+
+
+@pytest.mark.parametrize("dim", [1, 2, 9, 40])
+def test_random_spd_is_an_item_of_the_stacked_draw(dim):
+    seeds = [child_seed(7, dim, i, 0) for i in range(5)]
+    entries, verdict = _make_spd_stack(_random_spd_entries(dim, 0.3, 4.0, seeds))
+    assert verdict.first() is None
+    for seed, item in zip(seeds, entries):
+        want = _reference_random_spd(dim, 0.3, 4.0, seed).tobytes()
+        assert random_spd(dim, 0.3, 4.0, seed).entries.tobytes() == want
+        assert item.tobytes() == want
+
+
+def test_one_group_makes_the_same_decompositions_for_any_pair_count(monkeypatch):
+    counts = {}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    names = ("qr", "eigvalsh", "cholesky", "solve")
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    seen = []
+    for pairs in (8, 40):
+        counts.update(dict.fromkeys(names, 0))
+        lemma2_survey(dims=(2, 33), pairs_per_dim=pairs, seed=1)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1] == {"qr": 2, "eigvalsh": 2, "cholesky": 4, "solve": 2}
+
+
+@pytest.mark.parametrize("count, dim", [(3000, 1), (1000, 4)])
+def test_stacked_discrepancies_equal_per_pair_calls_bit_for_bit(count, dim):
+    seeds = [child_seed(11, dim, i) for i in range(2 * count)]
+    entries, _ = _make_spd_stack(_random_spd_entries(dim, 0.2, 5.0, seeds))
+    shifts = make_rng(12).standard_normal((count, dim))
+    stacked, finite = bounds._discrepancies(entries[0::2], entries[1::2], shifts)
+    assert finite.first() is None
+    traces, _, mahas = gaussian_pair_terms(entries[1::2], entries[0::2], shifts)
+    for i in range(count):
+        pair = DomainPair(make_spd(entries[2 * i]), make_spd(entries[2 * i + 1]), shifts[i])
+        assert bounds._pair_discrepancies(pair) == tuple(value[i] for value in stacked)
+        # D~ in Python floats with libm's log, as the formula always was: numpy's
+        # SIMD log differs in the last bit for a few traces in 1000 near 1 (d = 1)
+        trace, maha = float(traces[i]), float(mahas[i])
+        assert stacked[2][i] == math.log(trace) + trace + maha + dim * math.log(dim) - dim
+
+
+def test_overflowing_pair_raises_without_a_warning():
+    pair = random_pair(3, 4, shift_scale=1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in (lemma2_check, discrepancy_d, discrepancy_d_tilde,
+                         lambda p: finetune_bound(p, SampleSpec(100, 0.05)),
+                         lambda p: lemma2_survey((1, 3), 4, shift_scale=1e160)):
+            with pytest.raises(NumericalInconsistencyError, match="not finite"):
+                evaluate(pair)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +361,29 @@ def test_out_of_range_option_exits_2_without_traceback(
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["lemma-survey", "dominance", "kl"])
+def test_overflowing_pair_term_exits_3_without_warning(capsys, tmp_path, identity_file,
+                                                       gaussian_file, command):
+    far = tmp_path / "far.txt"
+    write_gaussian(far, np.array([1e200, 0.0]), np.eye(2))
+    out_path = tmp_path / "out.json"
+    argv = {
+        "lemma-survey": ["lemma-survey", "--dims=1-3", "--pairs-per-dim=3",
+                         "--shift-scale=1e160"],
+        "dominance": ["dominance", "--sigma-pt", identity_file, "--sigma-ft", identity_file,
+                      "--shift=1e200,0", "--n-pt", "1000", "--n-ft", "100"],
+        "kl": ["kl", "--q", str(far), "--p", gaussian_file, "--mc-draws", "1000"],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, "--output", str(out_path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error in {command}: a Gaussian-pair term or divergence is not finite")
+    assert "Warning" not in err and "Traceback" not in err
+    assert not out_path.exists()
 
 
 def test_unknown_flag_exits_2(capsys):

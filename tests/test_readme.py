@@ -1,0 +1,59 @@
+"""The README's command-line examples run, exit 0 and print the same bytes twice.
+
+The commands are read from the README's command-line block, so an example
+that drifts from the CLI fails here.  Each input file it names gets a small
+fixture; each command runs twice through ``cli.main`` in one directory.
+"""
+
+import shlex
+from pathlib import Path
+
+import pytest
+
+from oupac.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+#: Matrix and Gaussian fixture files for the file names the examples use.
+FIXTURES = {
+    "hessian.txt": "2\n2 0.5\n0.5 1\n",
+    "noise.txt": "2\n1 0.2\n0.2 0.5\n",
+    "h.txt": "2\n1 0.2\n0.2 0.5\n",
+    "b.txt": "2\n0.5 0.1\n0 0.4\n",
+    "posterior.txt": "2\n0.05 0.01\n0.01 0.025\n0.1 -0.2\n",
+    "prior.txt": "2\n1 0\n0 1\n0 0\n",
+    "s.txt": "2\n0.05 0\n0 0.025\n",
+    "t.txt": "2\n0.08 0.01\n0.01 0.03\n",
+}
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each ``oupac ...`` line of the command-line block."""
+    text = README.read_text()
+    section = text[text.index("## Command-line interface"):]
+    block = section[section.index("```sh\n") + len("```sh\n"):]
+    block = block[:block.index("```")]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert commands and all(argv[0] == "oupac" for argv in commands)
+    return [argv[1:] for argv in commands]
+
+
+def _run(argv: list[str], capsys) -> tuple[int, str, bytes | None]:
+    code = main(argv)
+    out = capsys.readouterr().out
+    output = dict(zip(argv, argv[1:])).get("--output")
+    return code, out, Path(output).read_bytes() if output else None
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_example_runs_and_reruns_byte_identical(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in FIXTURES.items():
+        Path(name).write_text(text)
+    inputs = [value for flag, value in zip(argv, argv[1:])
+              if value.endswith(".txt") and flag != "--output"]
+    assert set(inputs) <= set(FIXTURES), f"no fixture for {set(inputs) - set(FIXTURES)}"
+    first = _run(argv, capsys)
+    assert first[0] == 0
+    assert first[1] and (first[2] is None or first[2])
+    assert _run(argv, capsys) == first

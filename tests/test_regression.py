@@ -11,6 +11,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oupac import (
     GaussianMeasure,
@@ -489,3 +491,18 @@ def test_one_group_makes_the_same_decompositions_for_any_trial_count(monkeypatch
         seen.append(dict(counts))
     assert seen[0] == seen[1]
     assert seen[0]["eigh"] >= 1 and seen[0]["cholesky"] >= 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=40),
+    st.builds(lambda base, noise: [base + x for x in noise], st.floats(-1e6, 1e6),
+              st.lists(st.floats(-1e-9, 1e-9), min_size=2, max_size=40)),
+    st.builds(lambda value, n: [value] * n, st.floats(-1e300, 1e300), st.integers(2, 40)),
+))
+@example([0.0, -0.0])
+@example([5e-324, 0.0, 1e300])
+def test_stdev_matches_statistics_stdev(values):
+    got = regression._stdev(values)
+    want = statistics.stdev(values)
+    assert got == want and np.signbit(got) == np.signbit(want)
