@@ -11,13 +11,13 @@ so the two can be compared.  All logarithms are natural.
 D, the paper-literal D and D~ have one home, :func:`_discrepancies`,
 which takes one pair or a stack of pairs.  :func:`lemma2_survey`
 evaluates the pairs of a dimension as stacks, arrays with a leading pair
-axis, in groups whose covariances hold at most ``GROUP_FLOATS`` numbers:
-a group makes one QR and one ``eigvalsh`` for its random covariances,
-one Cholesky per side and one solve for its pair terms, where a
-pair-by-pair loop made each call once per pair.  Each pair still draws
-from its own seeded streams, and a failing pair raises what that loop
-would have raised first.  A pair term or discrepancy that overflows
-raises :class:`NumericalInconsistencyError` (CLI exit code 3).
+axis, in the groups of :func:`oupac.linalg._in_groups` (which also says
+which error a failing group raises): a group makes one QR and one
+``eigvalsh`` for its random covariances, one Cholesky per side and one
+solve for its pair terms, where a pair-by-pair loop made each call once
+per pair.  Each pair still draws from its own seeded streams.  A pair
+term or discrepancy that overflows raises
+:class:`NumericalInconsistencyError` (CLI exit code 3).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidRangeError, InvalidSpecError
 from .gaussian import _pair_divergences, check_rate
-from .linalg import GROUP_FLOATS, SpdMatrix, Verdict, _make_spd_stack, _random_spd_entries, log_det
+from .linalg import SpdMatrix, Verdict, _in_groups, _make_spd_stack, _random_spd_entries, log_det
 # cholesky_factor is not called here; bench/tests/test_bench_trace.py reads it from here
 from .linalg import cholesky_factor  # noqa: F401
 from .rng import child_seed, make_rng
@@ -280,14 +280,12 @@ def lemma2_survey(
         raise InvalidRangeError(f"pairs_per_dim must be >= 1, got {pairs_per_dim}")
     rows = []
     for d in dims:
-        per_group = max(1, GROUP_FLOATS // max(1, 2 * d * d))  # the draw rejects d < 1
-        holds, margins = 0, []
-        for start in range(0, pairs_per_dim, per_group):
-            d_value, d_tilde_value = _survey_group(
-                d, range(start, min(start + per_group, pairs_per_dim)), seed,
-                eigenvalue_low, eigenvalue_high, shift_scale)
-            holds += int(np.count_nonzero(d_value <= d_tilde_value + HOLDS_TOLERANCE))
-            margins += (d_tilde_value - d_value).tolist()
+        d_value, d_tilde_value = _in_groups(
+            lambda pairs: _survey_group(d, pairs, seed, eigenvalue_low, eigenvalue_high,
+                                        shift_scale),
+            range(pairs_per_dim), 2 * d * d)
+        holds = np.count_nonzero(d_value <= d_tilde_value + HOLDS_TOLERANCE)
+        margins = (d_tilde_value - d_value).tolist()
         rows.append({
             "dim": int(d),
             "pairs": int(pairs_per_dim),
@@ -300,22 +298,15 @@ def lemma2_survey(
 
 def _survey_group(d, pairs, seed, eigenvalue_low, eigenvalue_high, shift_scale):
     """D and D~ of the surveyed pairs ``pairs`` of dimension d, as stacks.
-
-    A pair-by-pair loop checks pair i's source covariance, its target
-    covariance and then its discrepancies before it draws pair i + 1.  So
-    the covariances are drawn interleaved (source, target, source, ...),
-    the discrepancies are evaluated only for the pairs before the first
-    covariance to fail, and their failure is raised first."""
+    The covariances are drawn interleaved (source, target, source, ...), so
+    that a pair's source covariance fails before its target one."""
     seeds = [child_seed(seed, d, i, side) for i in pairs for side in (0, 1)]
     entries, spd = _make_spd_stack(_random_spd_entries(d, eigenvalue_low, eigenvalue_high,
                                                        seeds))
-    shifts = shift_scale * np.array([make_rng(seed, d, i, 2).standard_normal(d) for i in pairs])
-    first = spd.first()
-    count = len(pairs) if first is None else first // 2
-    (d_value, _, d_tilde_value), finite = _discrepancies(
-        entries[0:2 * count:2], entries[1:2 * count:2], shifts[:count])
-    finite.check()
     spd.check()
+    shifts = shift_scale * np.array([make_rng(seed, d, i, 2).standard_normal(d) for i in pairs])
+    (d_value, _, d_tilde_value), finite = _discrepancies(entries[0::2], entries[1::2], shifts)
+    finite.check()
     return d_value, d_tilde_value
 
 

@@ -30,6 +30,7 @@ from .linalg import (
     SymmetricMatrix,
     Verdict,
     _item,
+    _log_det_of_factor,
     cholesky_factor,
     log_det,
     make_spd,
@@ -160,13 +161,9 @@ def gaussian_pair_terms(sigma_q, sigma_p, shift: np.ndarray):
     # tr(Sp^-1 Sq) = ||Lp^-1 Lq||_F^2, and Lp^-1 shift, by one solve on [Lq | shift]
     solved = np.linalg.solve(lp, np.concatenate([lq, shift[..., None]], axis=-1))
     half, white = solved[..., :-1], solved[..., -1:]
-    log_det_ratio = 2.0 * (_log_diagonal_sum(lp) - _log_diagonal_sum(lq))
+    log_det_ratio = _log_det_of_factor(lp) - _log_det_of_factor(lq)
     maha = (white.swapaxes(-1, -2) @ white)[..., 0, 0][()]
     return np.sum(half * half, axis=(-2, -1)), log_det_ratio, maha
-
-
-def _log_diagonal_sum(factor: np.ndarray) -> np.ndarray:
-    return np.sum(np.log(np.diagonal(factor, axis1=-2, axis2=-1)), axis=-1)
 
 
 def _pair_divergences(sigma_q, sigma_p, shift: np.ndarray, formulas):

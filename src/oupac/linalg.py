@@ -12,10 +12,10 @@ The private kernels shared with :mod:`oupac.regression` and
 :func:`oupac.bounds.lemma2_survey` (the random SPD draw, the SPD checks,
 the eigenbasis solve, the residual check) take arrays with leading stack
 axes, one item per trailing matrix; a public function calls them on one
-matrix.  A stacked pipeline evaluates its items in groups of at most
-``GROUP_FLOATS`` numbers, so memory does not grow with the item count.
-A check returns a :class:`Verdict`, which says which items fail and
-builds the error of a failing item.
+matrix.  A check returns a :class:`Verdict`, which says which items fail
+and builds the error of a failing item.  A stacked pipeline runs its
+items through :func:`_in_groups`, which holds the group size and the
+order in which a failing group raises.
 
 All values are immutable after construction and all functions are pure,
 so everything here is safe for unrestricted concurrent use.
@@ -24,7 +24,7 @@ so everything here is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal, NamedTuple
+from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,8 +84,40 @@ def _item(values, index: int):
     return np.ravel(values)[index]
 
 
+def _in_groups(run: Callable[[Sequence], tuple], items: Sequence,
+               floats_per_item: int) -> tuple[np.ndarray, ...]:
+    """``run(group)`` on consecutive groups of ``items``, each of its result
+    arrays (one leading entry per item) concatenated in item order.
+
+    A group holds ``max(1, GROUP_FLOATS // floats_per_item)`` items, so
+    memory does not grow with the item count.  ``run`` may raise at the
+    first check that any item of its group fails: a group of more than one
+    item that raises an :class:`OupacError` is run again one item at a
+    time, in order, and the first item to fail raises its own error, which
+    is what an item-by-item loop raises first (the group's error if none
+    does).  Any other exception propagates at once.
+    """
+    per_group = max(1, GROUP_FLOATS // max(1, floats_per_item))
+    parts = []
+    for start in range(0, len(items), per_group):
+        group = items[start:start + per_group]
+        try:
+            parts.append(run(group))
+            continue
+        except OupacError as error:
+            if len(group) == 1:
+                raise
+            failure = error
+        for index in range(len(group)):
+            run(group[index:index + 1])
+        raise failure
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
 def _symmetrized(entries: np.ndarray) -> np.ndarray:
-    return (entries + entries.swapaxes(-1, -2)) / 2.0
+    """``(M + M^T) / 2``; an overflow gives ``inf`` (and ``inf - inf`` NaN) with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (entries + entries.swapaxes(-1, -2)) / 2.0
 
 
 def _as_square_array(entries, name: str = "matrix") -> np.ndarray:
@@ -103,6 +135,10 @@ def _non_finite(name: str) -> NotSquareError:
     return NotSquareError(f"{name} contains non-finite entries")
 
 
+def _overflow() -> NotSquareError:
+    return NotSquareError("matrix symmetrization (M + M^T) / 2 overflows float64")
+
+
 @dataclass(frozen=True, eq=False)
 class SymmetricMatrix:
     """Dense real symmetric matrix.
@@ -115,6 +151,8 @@ class SymmetricMatrix:
 
     def __post_init__(self):
         sym = _symmetrized(_as_square_array(self.entries))
+        if not np.isfinite(sym).all():
+            raise _overflow()
         sym.flags.writeable = False
         object.__setattr__(self, "entries", sym)
 
@@ -156,11 +194,11 @@ def _spd_verdict(eigenvalues: np.ndarray, strictness: Strictness) -> Verdict:
     ``(..., d)`` of a stack of symmetric matrices."""
     smallest = eigenvalues[..., 0]
     tol = PSD_RTOL * np.maximum(np.abs(eigenvalues).max(axis=-1), 1.0)
-    if strictness == "strict":
-        bad = smallest <= tol
+    if strictness == "strict":  # not (x > tol), so that a NaN eigenvalue fails
+        bad = ~(smallest > tol)
         text = "strictly positive definite: smallest eigenvalue {:.6g} <= tolerance {:.3g}"
     else:
-        bad = smallest <= -tol
+        bad = ~(smallest > -tol)
         text = "positive semidefinite: smallest eigenvalue {:.6g} < -{:.3g}"
 
     def error(i: int) -> NotPositiveDefiniteError:
@@ -184,7 +222,8 @@ def make_spd(entries, strictness: Strictness = "strict") -> SpdMatrix:
     Raises
     ------
     NotSquareError
-        If the input is not a square matrix of finite reals.
+        If the input is not a square matrix of finite reals, or if its
+        symmetrization overflows.
     NotPositiveDefiniteError
         If the eigenvalue check fails (the exception carries the
         smallest eigenvalue found).
@@ -195,11 +234,12 @@ def make_spd(entries, strictness: Strictness = "strict") -> SpdMatrix:
 def _make_spd_stack(entries: np.ndarray) -> tuple[np.ndarray, Verdict]:
     """:func:`make_spd` (strict) on each matrix of a stack ``(..., d, d)``: the
     symmetrized entries, and the verdict of its checks in its order (finite
-    entries, then the eigenvalue test)."""
-    finite = Verdict(~np.isfinite(entries).all(axis=(-2, -1)),
-                     lambda i: _non_finite("matrix"))
-    entries = _symmetrized(entries)
-    return entries, finite | _spd_verdict(np.linalg.eigvalsh(entries), "strict")
+    entries, a finite symmetrization, then the eigenvalue test)."""
+    sym = _symmetrized(entries)  # not finite where the entries are not, or where it overflows
+    finite = Verdict(~np.isfinite(sym).all(axis=(-2, -1)), lambda i: (
+        _overflow() if np.isfinite(entries.reshape(-1, *entries.shape[-2:])[i]).all()
+        else _non_finite("matrix")))
+    return sym, finite | _spd_verdict(np.linalg.eigvalsh(sym), "strict")
 
 
 def cholesky_factor(m) -> np.ndarray:
@@ -218,8 +258,12 @@ def log_det(m: SpdMatrix) -> float:
 
     ``log det(m) = 2 * sum(log diag(L))`` for the lower factor L.
     """
-    factor = cholesky_factor(m)
-    return 2.0 * float(np.sum(np.log(np.diag(factor))))
+    return float(_log_det_of_factor(cholesky_factor(m)))
+
+
+def _log_det_of_factor(factor: np.ndarray) -> np.ndarray:
+    """``log det(L L^T) = 2 * sum(log diag(L))`` of each lower factor of a stack."""
+    return 2.0 * np.sum(np.log(np.diagonal(factor, axis1=-2, axis2=-1)), axis=-1)
 
 
 def inverse(m: SpdMatrix) -> SpdMatrix:
@@ -414,7 +458,7 @@ def _residual_verdict(achieved: np.ndarray, target: np.ndarray, label: str) -> V
     each matrix of a stack (the target may be one matrix for all)."""
     residual = _frobenius(achieved - target)
     tol = RESIDUAL_RTOL * (1.0 + _frobenius(target))
-    return Verdict(residual > tol, lambda i: ResidualTooLargeError(
+    return Verdict(~(residual <= tol), lambda i: ResidualTooLargeError(
         f"{label} solve residual {_item(residual, i):.3g} exceeds tolerance "
         f"{_item(np.broadcast_to(tol, residual.shape), i):.3g}"
     ))

@@ -8,18 +8,18 @@ Gaussian-posterior risks, and measures generalization gaps against the
 bound evaluators.
 
 The gap trials of an experiment are evaluated as stacks: arrays with a
-leading trial axis, in groups whose features hold at most
-``GROUP_FLOATS`` numbers, so memory does not grow with the trial count.
-A group makes one call of each decomposition (``eigvalsh`` for the SPD
-and stability checks, ``eigh`` for the Lyapunov eigenbasis, ``cholesky``)
-where a trial-by-trial loop made one per trial.  The checks read
-``eigvalsh``, not the eigenvalues ``eigh`` returns with its basis: the
-two differ in the last bits, and a singular design's smallest
-eigenvalue, which its error message prints, is rounding noise.  Each
-trial's data still comes from its own seeded stream, a failing trial
-raises what that loop would have raised first, and the numbers agree
-with the loop to 1e-12 (tested); they may differ from earlier versions
-in the last digits.
+leading trial axis, in the groups of :func:`oupac.linalg._in_groups`
+(which also says which error a failing group raises).  A group makes one
+call of each decomposition (``eigvalsh`` for the SPD and stability
+checks, ``eigh`` for the Lyapunov eigenbasis, ``cholesky``) where a
+trial-by-trial loop made one per trial.  The checks read ``eigvalsh``,
+not the eigenvalues ``eigh`` returns with its basis: the two differ in
+the last bits, and a singular design's smallest eigenvalue, which its
+error message prints, is rounding noise.  Each trial's data still comes
+from its own seeded stream, and the numbers agree with the loop to
+1e-12 (tested); they may differ from earlier versions in the last
+digits.  A gap that is not finite (noise too large for float64) raises
+:class:`NumericalInconsistencyError`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidRangeError,
     NotPositiveDefiniteError,
-    OupacError,
+    NumericalInconsistencyError,
     SingularDesignError,
     UnstableDynamicsError,
 )
@@ -48,7 +48,7 @@ from .gaussian import (
     _stationary_rhs,
     standard_gaussian,
 )
-from .linalg import (GROUP_FLOATS, SpdMatrix, Verdict, _item, _lyapunov_in_eigenbasis,
+from .linalg import (SpdMatrix, Verdict, _in_groups, _item, _lyapunov_in_eigenbasis,
                      _spd_verdict, _symmetrized, cholesky_factor, make_spd)
 from .rng import child_seed, make_rng
 
@@ -206,9 +206,11 @@ def population_quadratic(task: RegressionTask) -> QuadraticLoss:
     """Exact population risk of the linear-Gaussian model.
 
     ``R(theta) = 0.5 (theta - w)^T feature_cov (theta - w)
-    + 0.5 noise_std^2``.
+    + 0.5 noise_std^2``; the offset is ``inf`` if that overflows.
     """
-    return QuadraticLoss(task.feature_cov, task.true_weights, 0.5 * task.noise_std**2)
+    # numpy's power on a float64 is the float's: the same C pow, without OverflowError
+    return QuadraticLoss(task.feature_cov, task.true_weights,
+                         float(0.5 * np.float64(task.noise_std)**2))
 
 
 def gap_trial(
@@ -241,28 +243,6 @@ def gap_trial(
     )
 
 
-class _Trials:
-    """How many trials of a group are still evaluated (the ones before
-    the first to fail a check so far) and that trial's error."""
-
-    def __init__(self, count: int):
-        self.count = count
-        self.error: OupacError | None = None
-
-    def fail(self, index: int, error: OupacError) -> int:
-        """Drop trial ``index`` and every later one; raise once none is left,
-        since no earlier trial can then fail first."""
-        self.count, self.error = index, error
-        if index == 0:
-            raise error
-        return index
-
-    def cut(self, verdict: Verdict) -> int:
-        """:meth:`fail` at the first trial that ``verdict`` fails; the count."""
-        first = verdict.first()
-        return self.count if first is None else self.fail(first, verdict.error(first))
-
-
 def _gap_trials(
     task: RegressionTask,
     sgd: SgdDynamics,
@@ -275,69 +255,52 @@ def _gap_trials(
 ) -> tuple[list[float], list[float], list[float]]:
     """Expected risks, empirical risks and bounds of :func:`gap_trial` at each
     seed, evaluated in stacked groups (module docstring)."""
-    per_group = max(1, GROUP_FLOATS // (task.sample_size * task.dim))
-    columns = [np.concatenate(parts) for parts in zip(*(
-        _gap_group(task, sgd, spec, prior, seeds[start:start + per_group], steps,
-                   use_simulated_moments, stride)
-        for start in range(0, len(seeds), per_group)
-    ))]
+    columns = _in_groups(lambda group: _gap_group(task, sgd, spec, prior, group, steps,
+                                                  use_simulated_moments, stride),
+                         seeds, task.sample_size * task.dim)
     return tuple(column.tolist() for column in columns)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails the gap check instead
 def _gap_group(task, sgd, spec, prior, seeds, steps, use_simulated_moments, stride):
-    """:func:`_gap_trials` on one group.  Each check cuts the stack before
-    the first trial it fails, keeping that trial's error: a trial-by-trial
-    loop would raise the error of the first trial to fail, at its first
-    failing check."""
-    trials = _Trials(len(seeds))
+    """:func:`_gap_trials` on one group; raises at the first check that a
+    trial fails, in the order a trial-by-trial loop makes the checks."""
     x, y = _datasets(task, [child_seed(seed, 0) for seed in seeds])
     hessian = _symmetrized(_gram(x))
     eigenvalues = np.linalg.eigvalsh(hessian)
     design = _spd_verdict(eigenvalues, "strict")
-    count = trials.cut(Verdict(design.bad, lambda i: _singular_design(design.error(i))))
-    hessian, eigenvalues = hessian[:count], eigenvalues[:count]
-    minimizer, offset = _least_squares(x[:count], y[:count], hessian)
+    Verdict(design.bad, lambda i: _singular_design(design.error(i))).check()
+    minimizer, offset = _least_squares(x, y, hessian)
     _check_dims(task, sgd)  # as stability_check does, with the task's dimension for the loss's
     radius = _step_radius(sgd.lr, eigenvalues)
-    count = trials.cut(Verdict(~(radius < 1.0), lambda i: UnstableDynamicsError(
+    Verdict(~(radius < 1.0), lambda i: UnstableDynamicsError(
         f"stability_check failed on the empirical Hessian: spectral radius "
         f"{_item(radius, i):.6g} >= 1"
-    )))
-    hessian, minimizer, offset = hessian[:count], minimizer[:count], offset[:count]
+    )).check()
     if use_simulated_moments:
-        moments = []
-        for index in range(count):
-            try:
-                empirical = QuadraticLoss(make_spd(hessian[index]), minimizer[index],
-                                          offset[index])
-                trajectory = simulate_chain(
-                    empirical.minimizer, empirical, sgd, steps, stride=stride,
-                    seed=child_seed(seeds[index], 1),
-                )
-                moments.append(estimate_stationary(trajectory))
-            except OupacError as exc:
-                count = trials.fail(index, exc)
-                break
+        moments = [estimate_stationary(simulate_chain(
+            minimizer[i], QuadraticLoss(make_spd(hessian[i]), minimizer[i], offset[i]), sgd,
+            steps, stride=stride, seed=child_seed(seed, 1))) for i, seed in enumerate(seeds)]
         mean = np.array([estimate.mean for estimate in moments])
         cov = np.array([estimate.covariance.entries for estimate in moments])
     else:
         lam, vecs = np.linalg.eigh(hessian)
         rhs = _stationary_rhs(sgd.noise_cov, sgd.lr, sgd.batch_size).entries
         cov, residual = _lyapunov_in_eigenbasis(hessian, lam, vecs, rhs)
-        count = trials.cut(residual)
-        mean, cov = minimizer[:count], cov[:count]
-    count = trials.cut(_spd_verdict(np.linalg.eigvalsh(cov), "strict"))
-    mean, cov = mean[:count], cov[:count]
+        residual.check()
+        mean = minimizer
+    _spd_verdict(np.linalg.eigvalsh(cov), "strict").check()
     population = population_quadratic(task)
     expected = _expected_risks(population.hessian.entries, population.minimizer,
                                population.offset, mean, cov)
-    empirical = _expected_risks(hessian[:count], minimizer[:count], offset[:count], mean, cov)
+    empirical = _expected_risks(hessian, minimizer, offset, mean, cov)
+    Verdict(~np.isfinite(expected - empirical), lambda i: NumericalInconsistencyError(
+        f"gap trial risks are not finite (expected {_item(expected, i):.6g}, empirical "
+        f"{_item(empirical, i):.6g}): the data are too large for float64"
+    )).check()
     kl, clamp = _kl_divergences(cov, mean, prior)
-    count = trials.cut(clamp)
-    bound = mcallester_bound(kl[:count], spec)
-    if trials.error is not None:
-        raise trials.error
-    return expected, empirical, bound
+    clamp.check()
+    return expected, empirical, mcallester_bound(kl, spec)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from oupac import (
     random_spd,
     stationary_from_dynamics,
 )
-from oupac import bounds
+from oupac import bounds, linalg
 from oupac.gaussian import gaussian_pair_terms
 from oupac.linalg import _make_spd_stack, _random_spd_entries
 from oupac.rng import child_seed, make_rng
@@ -496,26 +496,45 @@ def test_stacked_survey_matches_the_pair_by_pair_loop(seed, dims, pairs, low, ra
     assert json.dumps(lemma2_survey(*args)) == json.dumps(_reference_survey(*args))
 
 
+def _group_sizes(monkeypatch) -> list[int]:
+    """The number of pairs of each group that lemma2_survey evaluates, as it runs."""
+    sizes = []
+    run = bounds._survey_group
+    monkeypatch.setattr(bounds, "_survey_group",
+                        lambda d, pairs, *rest: sizes.append(len(pairs)) or run(d, pairs, *rest))
+    return sizes
+
+
 @pytest.mark.parametrize("group_floats", [1, 2 * 7 * 7 * 3, 10**12])
 def test_survey_does_not_depend_on_the_group_size(monkeypatch, group_floats):
     args = ((1, 2, 7, 40), 20, 3, 0.1, 8.0, 1.5)
     want = json.dumps(lemma2_survey(*args))
-    monkeypatch.setattr(bounds, "GROUP_FLOATS", group_floats)
+    monkeypatch.setattr(linalg, "GROUP_FLOATS", group_floats)
+    sizes = _group_sizes(monkeypatch)
     assert json.dumps(lemma2_survey(*args)) == want
+    # one group per pair; 20 pairs of 2 floats, 20 of 8, 3 per group of d = 7
+    # (2 * 49 floats), one per group of d = 40; one group per dimension
+    assert sizes == {1: [1] * 80, 294: [20, 20] + [3] * 6 + [2] + [1] * 20,
+                     10**12: [20] * 4}[group_floats]
 
 
-@pytest.mark.parametrize("group_floats", [bounds.GROUP_FLOATS, 1])
+@pytest.mark.parametrize("group_floats", [linalg.GROUP_FLOATS, 1])
 @pytest.mark.parametrize("shift_scale", [1.0, 1e160])
 def test_survey_raises_what_the_loop_raises_first(monkeypatch, group_floats, shift_scale):
     # eigenvalues in [1e-11, 2e-10] straddle the strict check's tolerance 1e-10:
     # which pair fails first depends on the seed, and the message prints its
     # smallest eigenvalue; with a huge shift a pair before it may overflow first
-    monkeypatch.setattr(bounds, "GROUP_FLOATS", group_floats)
+    monkeypatch.setattr(linalg, "GROUP_FLOATS", group_floats)
+    sizes = _group_sizes(monkeypatch)
     seen = set()
     for seed in range(12):
         args = ((1, 2), 6, seed, 1e-11, 2e-10, shift_scale)
         want = _outcome(_reference_survey, *args)
+        sizes.clear()
         assert _outcome(lemma2_survey, *args) == want
+        # a group of one pair each, or all six pairs and then a replay of one each
+        assert sizes[0] == (1 if group_floats == 1 else 6)
+        assert set(sizes[1:]) <= {1}
         seen.add(want)
     assert {outcome[0] for outcome in seen} == (
         {NotPositiveDefiniteError} if shift_scale == 1.0

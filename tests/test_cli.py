@@ -386,6 +386,35 @@ def test_overflowing_pair_term_exits_3_without_warning(capsys, tmp_path, identit
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command", ["dominance", "lyapunov"])
+def test_overflowing_matrix_exits_3_without_warning(capsys, tmp_path, identity_file, command):
+    big = tmp_path / "big.txt"
+    big.write_text("2\n1e308 0\n0 1e308\n")
+    argv = {
+        "dominance": ["dominance", "--sigma-pt", str(big), "--sigma-ft", identity_file,
+                      "--shift=0,0", "--n-pt", "1000", "--n-ft", "100"],
+        "lyapunov": ["lyapunov", "--a", str(big), "--q", identity_file],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error in {command}: matrix symmetrization (M + M^T) / 2 overflows float64\n"
+
+
+@pytest.mark.parametrize("noise_std", ["1e154", "1e200"])
+@pytest.mark.parametrize("command", ["validity", "scaling"])
+def test_overflowing_noise_exits_3_without_warning(capsys, command, noise_std):
+    argv = {"validity": ["validity", "--trials=10", "--n=20"],
+            "scaling": ["scaling", "--ns=20,40", "--trials=3"]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, "--noise-std", noise_std)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error in {command}: gap trial risks are not finite")
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["bound", "--kl", "0", "--n", "5", "--delta", "0.5", "--bogus", "1"])

@@ -6,7 +6,9 @@ is compared against the contract tolerance.  scipy's solvers serve as a
 second, external cross-check on a handful of instances.
 """
 
+import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +32,10 @@ from oupac import (
     solve_discrete_stein,
     spectral_radius,
 )
-from oupac.linalg import _lyapunov_in_eigenbasis, _residual_verdict, _spd_verdict
+from oupac import linalg
+from oupac.gaussian import gaussian_pair_terms
+from oupac.linalg import (_in_groups, _log_det_of_factor, _lyapunov_in_eigenbasis,
+                          _make_spd_stack, _residual_verdict, _spd_verdict)
 from oupac.rng import make_rng
 
 from conftest import random_symmetric
@@ -76,6 +81,32 @@ class TestMakeSpd:
         np.testing.assert_array_equal(m.entries, (asym + asym.T) / 2)
         assert not m.entries.flags.writeable
 
+    def test_overflowing_symmetrization_rejected_without_warning(self):
+        big = np.array([[1e308, 0.0], [0.0, 1e308]])
+        message = "matrix symmetrization (M + M^T) / 2 overflows float64"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (make_spd, SymmetricMatrix):
+                with pytest.raises(NotSquareError, match=re.escape(message)):
+                    build(big)
+            _, verdict = _make_spd_stack(np.stack([np.eye(2), big, [[np.nan, 0], [0, 1]]]))
+        assert verdict.bad.tolist() == [False, True, True]
+        assert str(verdict.error(1)) == message
+        assert str(verdict.error(2)) == "matrix contains non-finite entries"
+
+    @pytest.mark.parametrize("strictness", ["strict", "semidefinite"])
+    def test_nan_eigenvalues_fail_the_spd_check(self, strictness):
+        verdict = _spd_verdict(np.array([[np.nan, np.nan], [1.0, 2.0], [-np.inf, 1.0]]),
+                               strictness)
+        assert verdict.bad.tolist() == [True, False, True]
+        with pytest.raises(NotPositiveDefiniteError, match="smallest eigenvalue nan"):
+            verdict.check()
+
+    def test_nan_residual_fails_the_residual_check(self):
+        verdict = _residual_verdict(np.full((2, 2), np.nan), np.eye(2), "test")
+        with pytest.raises(ResidualTooLargeError, match="residual nan"):
+            verdict.check()
+
 
 class TestLogDet:
     def test_identity_any_dim(self):
@@ -94,6 +125,13 @@ class TestLogDet:
             m = random_spd(8, 0.05, 20.0, seed=seed)
             expected = float(np.sum(np.log(np.linalg.eigvalsh(m.entries))))
             assert log_det(m) == pytest.approx(expected, rel=1e-10)
+
+    def test_stacked_factors_give_log_det_and_the_pair_term_bit_for_bit(self):
+        matrices = [random_spd(4, 0.1, 30.0, seed=seed) for seed in range(6)]
+        stacked = _log_det_of_factor(cholesky_factor(np.stack([m.entries for m in matrices])))
+        assert stacked.tolist() == [log_det(m) for m in matrices]
+        _, log_det_ratio, _ = gaussian_pair_terms(matrices[0], matrices[1], np.zeros(4))
+        assert log_det_ratio == log_det(matrices[1]) - log_det(matrices[0])
 
     def test_inverse_negates_log_det(self):
         for seed in range(30):
@@ -416,3 +454,83 @@ def test_stacked_residual_check_matches_per_matrix_checks(count, dim, seed, log_
         assert bool(verdict.bad[index]) == bool(single.bad)
         if single.bad:
             assert str(verdict.error(index)) == str(single.error(0))
+
+
+class TestInGroups:
+    """The group and replay policy of stacked pipelines, on a synthetic run."""
+
+    @staticmethod
+    def recording(calls, fail=lambda group: None):
+        def run(group):
+            calls.append(list(group))
+            fail(group)
+            items = np.array(group, dtype=float)
+            return items * 2.0, items + 0.5
+        return run
+
+    def test_columns_concatenate_in_item_order(self, monkeypatch):
+        monkeypatch.setattr(linalg, "GROUP_FLOATS", 10)
+        calls = []
+        doubled, shifted = _in_groups(self.recording(calls), list(range(7)), 3)
+        assert calls == [[0, 1, 2], [3, 4, 5], [6]]
+        assert doubled.tolist() == [2.0 * i for i in range(7)]
+        assert shifted.tolist() == [i + 0.5 for i in range(7)]
+
+    @pytest.mark.parametrize("floats_per_item, sizes", [
+        (1, [10, 2]), (3, [3, 3, 3, 3]), (5, [2] * 6), (10, [1] * 12), (11, [1] * 12),
+        (0, [10, 2]),  # an item of no floats counts as one float
+    ])
+    def test_groups_hold_at_most_group_floats_and_at_least_one_item(
+            self, monkeypatch, floats_per_item, sizes):
+        monkeypatch.setattr(linalg, "GROUP_FLOATS", 10)
+        calls = []
+        _in_groups(self.recording(calls), range(12), floats_per_item)
+        assert [len(group) for group in calls] == sizes
+        assert [item for group in calls for item in group] == list(range(12))
+
+    def test_a_failing_group_raises_the_error_of_its_earliest_failing_item(self, monkeypatch):
+        # items 0-3 and 4-7 make two groups; the run checks item 3's failure
+        # before item 1's, as a stacked check of an earlier kind would
+        def fail(group):
+            if 3 in group:
+                raise InvalidRangeError("item 3")
+            if 1 in group:
+                raise NotSquareError("item 1")
+            if 6 in group:
+                raise ResidualTooLargeError("item 6")
+
+        monkeypatch.setattr(linalg, "GROUP_FLOATS", 4)
+        calls = []
+        with pytest.raises(NotSquareError, match="item 1"):
+            _in_groups(self.recording(calls, fail), list(range(8)), 1)
+        assert calls == [[0, 1, 2, 3], [0], [1]]
+
+    def test_a_failing_one_item_group_is_not_replayed(self, monkeypatch):
+        def fail(group):
+            if 2 in group:
+                raise InvalidRangeError("item 2")
+
+        monkeypatch.setattr(linalg, "GROUP_FLOATS", 1)
+        calls = []
+        with pytest.raises(InvalidRangeError, match="item 2"):
+            _in_groups(self.recording(calls, fail), list(range(5)), 1)
+        assert calls == [[0], [1], [2]]
+
+    def test_a_group_whose_items_pass_alone_raises_its_own_error(self, monkeypatch):
+        def fail(group):
+            if len(group) > 1:
+                raise ResidualTooLargeError("the whole group")
+
+        calls = []
+        with pytest.raises(ResidualTooLargeError, match="the whole group"):
+            _in_groups(self.recording(calls, fail), [0, 1, 2], 1)
+        assert calls == [[0, 1, 2], [0], [1], [2]]
+
+    def test_an_error_of_another_kind_propagates_without_a_replay(self, monkeypatch):
+        def fail(group):
+            raise ValueError("not a check")
+
+        calls = []
+        with pytest.raises(ValueError, match="not a check"):
+            _in_groups(self.recording(calls, fail), [0, 1, 2], 1)
+        assert calls == [[0, 1, 2]]

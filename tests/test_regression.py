@@ -40,7 +40,7 @@ from oupac import (
     standard_gaussian,
     stationary_from_dynamics,
 )
-from oupac import regression
+from oupac import linalg, regression
 from oupac.regression import GapTrial
 from oupac.rng import child_seed, make_rng
 
@@ -421,7 +421,19 @@ def _raised(call):
 _MIXED = RegressionTask(np.array([0.3, -0.2]), make_spd(np.diag([1.0, 5e-10])), 1.0, 6)
 
 
-@pytest.mark.parametrize("group_floats", [regression.GROUP_FLOATS, 1, 2 * 6 * 2])
+def _group_sizes(monkeypatch) -> list[int]:
+    """The number of trials of each group that _gap_trials evaluates, as it runs."""
+    sizes = []
+    run = regression._gap_group
+
+    def counted(task, sgd, spec, prior, seeds, *rest):
+        sizes.append(len(seeds))
+        return run(task, sgd, spec, prior, seeds, *rest)
+    monkeypatch.setattr(regression, "_gap_group", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("group_floats", [linalg.GROUP_FLOATS, 1, 2 * 6 * 2])
 @pytest.mark.parametrize("task, lr, master_seed, error", [
     (_MIXED, 1.0, 6, UnstableDynamicsError),
     (RegressionTask(np.array([0.3, -0.2, 0.1]), make_spd(np.eye(3)), 1.0, 2), 0.1, 0,
@@ -430,28 +442,36 @@ _MIXED = RegressionTask(np.array([0.3, -0.2]), make_spd(np.diag([1.0, 5e-10])), 
 ])
 def test_validity_raises_what_the_loop_raises_first(monkeypatch, group_floats, task, lr,
                                                     master_seed, error):
-    monkeypatch.setattr(regression, "GROUP_FLOATS", group_floats)
+    monkeypatch.setattr(linalg, "GROUP_FLOATS", group_floats)
     args = (task, SgdDynamics(lr, 10, np.eye(task.dim)), SampleSpec(task.sample_size, 0.05),
             standard_gaussian(task.dim))
     want = _raised(lambda: _reference_validity(*args, trials=12, master_seed=master_seed))
     assert want[0] is error
+    sizes = _group_sizes(monkeypatch)
     assert _raised(lambda: bound_validity_experiment(*args, trials=12,
                                                      master_seed=master_seed)) == want
+    # a group of one trial each, or all twelve trials and then a replay of one each
+    if group_floats != 2 * 6 * 2:
+        assert sizes[0] == (1 if group_floats == 1 else 12)
+        assert set(sizes[1:]) <= {1}
 
 
-@pytest.mark.parametrize("group_floats", [regression.GROUP_FLOATS, 1])
+@pytest.mark.parametrize("group_floats", [linalg.GROUP_FLOATS, 1])
 @pytest.mark.parametrize("task, ns, lr, master_seed", [
     (_MIXED, [6, 9], 1.0, 119),
     (RegressionTask(np.array([0.3, -0.2]), make_spd(np.eye(2)), 1.0, 4), [4, 8, 16], 1.2, 0),
 ])
 def test_scaling_raises_what_the_loop_raises_first(monkeypatch, group_floats, task, ns, lr,
                                                    master_seed):
-    monkeypatch.setattr(regression, "GROUP_FLOATS", group_floats)
+    monkeypatch.setattr(linalg, "GROUP_FLOATS", group_floats)
     sgd = SgdDynamics(lr, 10, np.eye(task.dim))
     want = _raised(lambda: _reference_scaling(task, ns, sgd, 0.05, master_seed, 8))
     assert want[0] is UnstableDynamicsError
+    sizes = _group_sizes(monkeypatch)
     assert _raised(lambda: scaling_experiment(task, ns, sgd, 0.05, master_seed=master_seed,
                                               trials_per_n=8)) == want
+    assert set(sizes) <= ({1} if group_floats == 1 else {8, 1})
+    assert 8 in sizes or group_floats == 1
 
 
 @pytest.mark.parametrize("simulated", [False, True])
@@ -461,11 +481,16 @@ def test_results_do_not_depend_on_the_group_size(monkeypatch, simulated):
     kwargs = {"trials": 13, "master_seed": 2, "use_simulated_moments": simulated,
               "steps": 1000}
     results = []
-    for group_floats in (regression.GROUP_FLOATS, 1, 4 * 30 * 2, 10**12):
-        monkeypatch.setattr(regression, "GROUP_FLOATS", group_floats)
+    sizes = _group_sizes(monkeypatch)
+    for group_floats in (linalg.GROUP_FLOATS, 1, 4 * 30 * 2, 10**12):
+        monkeypatch.setattr(linalg, "GROUP_FLOATS", group_floats)
+        sizes.clear()
         results.append((bound_validity_experiment(*args, **kwargs).records,
                         scaling_experiment(task, [2, 8, 32], default_dynamics(), 0.05,
                                            master_seed=3, trials_per_n=7)))
+        # 13 trials of 60 floats, then 7 trials of 4, 16 and 64 floats
+        assert sizes == {1: [1] * 34, 240: [4, 4, 4, 1, 7, 7, 3, 3, 1]}.get(
+            group_floats, [13, 7, 7, 7])
     assert all(result == results[0] for result in results[1:])
 
 
