@@ -92,10 +92,10 @@ def _in_groups(run: Callable[[Sequence], tuple], items: Sequence,
     A group holds ``max(1, GROUP_FLOATS // floats_per_item)`` items, so
     memory does not grow with the item count.  ``run`` may raise at the
     first check that any item of its group fails: a group of more than one
-    item that raises an :class:`OupacError` is run again one item at a
-    time, in order, and the first item to fail raises its own error, which
-    is what an item-by-item loop raises first (the group's error if none
-    does).  Any other exception propagates at once.
+    item that raises an :class:`OupacError` is replaced by its one-item
+    runs, in order, so the first item to fail raises its own error, which
+    is what an item-by-item loop raises first, and if none fails the
+    one-item results are kept.  Any other exception propagates at once.
     """
     per_group = max(1, GROUP_FLOATS // max(1, floats_per_item))
     parts = []
@@ -103,30 +103,35 @@ def _in_groups(run: Callable[[Sequence], tuple], items: Sequence,
         group = items[start:start + per_group]
         try:
             parts.append(run(group))
-            continue
-        except OupacError as error:
+        except OupacError:
             if len(group) == 1:
                 raise
-            failure = error
-        for index in range(len(group)):
-            run(group[index:index + 1])
-        raise failure
+            parts.extend(run(group[index:index + 1]) for index in range(len(group)))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _symmetrized(entries: np.ndarray) -> np.ndarray:
-    """``(M + M^T) / 2``; an overflow gives ``inf`` (and ``inf - inf`` NaN) with no warning."""
+    return (entries + entries.swapaxes(-1, -2)) / 2.0
+
+
+def _finite_symmetrized(entries: np.ndarray) -> tuple[np.ndarray, Verdict]:
+    """``(M + M^T) / 2`` of each matrix of a stack ``(..., d, d)``, with no
+    overflow warning, and the verdict that it is finite.  The error of a
+    failing item names a non-finite entry of M, or else the overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return (entries + entries.swapaxes(-1, -2)) / 2.0
+        sym = _symmetrized(entries)
+    return sym, Verdict(~np.isfinite(sym).all(axis=(-2, -1)), lambda i: (
+        _overflow() if np.isfinite(entries.reshape(-1, *entries.shape[-2:])[i]).all()
+        else _non_finite("matrix")))
 
 
-def _as_square_array(entries, name: str = "matrix") -> np.ndarray:
+def _as_square_array(entries, name: str = "matrix", finite: bool = True) -> np.ndarray:
     arr = np.asarray(entries, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotSquareError(f"{name} must be square, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise NotSquareError(f"{name} must have dimension >= 1")
-    if not np.all(np.isfinite(arr)):
+    if finite and not np.all(np.isfinite(arr)):
         raise _non_finite(name)
     return arr
 
@@ -150,9 +155,8 @@ class SymmetricMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        sym = _symmetrized(_as_square_array(self.entries))
-        if not np.isfinite(sym).all():
-            raise _overflow()
+        sym, finite = _finite_symmetrized(_as_square_array(self.entries, finite=False))
+        finite.check()
         sym.flags.writeable = False
         object.__setattr__(self, "entries", sym)
 
@@ -235,10 +239,7 @@ def _make_spd_stack(entries: np.ndarray) -> tuple[np.ndarray, Verdict]:
     """:func:`make_spd` (strict) on each matrix of a stack ``(..., d, d)``: the
     symmetrized entries, and the verdict of its checks in its order (finite
     entries, a finite symmetrization, then the eigenvalue test)."""
-    sym = _symmetrized(entries)  # not finite where the entries are not, or where it overflows
-    finite = Verdict(~np.isfinite(sym).all(axis=(-2, -1)), lambda i: (
-        _overflow() if np.isfinite(entries.reshape(-1, *entries.shape[-2:])[i]).all()
-        else _non_finite("matrix")))
+    sym, finite = _finite_symmetrized(entries)
     return sym, finite | _spd_verdict(np.linalg.eigvalsh(sym), "strict")
 
 
