@@ -65,7 +65,7 @@ class Verdict(NamedTuple):
 
     def first(self) -> int | None:
         """Index of the first failing item, or None."""
-        return int(np.flatnonzero(self.bad)[0]) if self.bad.any() else None
+        return int(np.flatnonzero(self.bad)[0]) if np.count_nonzero(self.bad) else None
 
     def check(self) -> None:
         """Raise the error of the first failing item, if any."""
