@@ -9,12 +9,12 @@ which is always computed and reported alongside as ``paper_literal_kl``
 so the two can be compared.  All logarithms are natural.
 
 D, the paper-literal D and D~ have one home, :func:`_discrepancies`,
-which takes one pair or a stack of pairs.  :func:`lemma2_survey`
-evaluates the pairs of a dimension as stacks, arrays with a leading pair
-axis, in the groups of :func:`oupac.linalg._in_groups` (which also says
-which error a failing group raises): a group makes one QR and one
+which takes one pair or a stack of pairs, and the complexity term one,
+:func:`_mcallester`.  :func:`lemma2_survey` evaluates the pairs of a
+dimension as stacks, arrays with a leading pair axis, in the groups of
+:func:`oupac.linalg._in_groups`: a group makes one QR and one
 ``eigvalsh`` for its random covariances, one Cholesky per side and one
-solve for its pair terms, where a pair-by-pair loop made each call once
+solve for its pair terms, where a pair-by-pair loop makes each call once
 per pair.  Each pair still draws from its own seeded streams.  A pair
 term or discrepancy that overflows raises
 :class:`NumericalInconsistencyError` (CLI exit code 3).
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidRangeError, InvalidSpecError
 from .gaussian import _pair_divergences, check_rate
-from .linalg import SpdMatrix, Verdict, _in_groups, _make_spd_stack, _random_spd_entries, log_det
+from .linalg import SpdMatrix, _in_groups, _make_spd_stack, _random_spd_entries, log_det
 # cholesky_factor is not called here; bench/tests/test_bench_trace.py reads it from here
 from .linalg import cholesky_factor  # noqa: F401
 from .rng import child_seed, make_rng
@@ -132,17 +132,24 @@ def mcallester_bound(kl, spec: SampleSpec):
     negative = np.flatnonzero(kl < 0)
     if negative.size:
         raise InvalidSpecError(f"kl must be nonnegative, got {np.ravel(kl)[negative[0]]}")
-    n = spec.sample_size
-    numerator = kl + math.log(1.0 / spec.delta) + math.log(n) + 2.0
-    bound = np.sqrt(numerator / (2.0 * n - 1.0))
+    bound = _mcallester(kl, spec)
     return float(bound) if bound.ndim == 0 else bound
 
 
-def _complexity_from_kl_term(kl_term: float, spec: SampleSpec) -> float:
-    # doubled-KL form; algebraically identical to mcallester_bound(kl_term/2)
+def _mcallester(kl, spec: SampleSpec):
+    """:func:`mcallester_bound` without its sign check: the bound reports
+    pass half a divergence term, which on identical domains is a rounding
+    error either side of 0."""
     n = spec.sample_size
-    numerator = kl_term + 2.0 * math.log(1.0 / spec.delta) + 2.0 * math.log(n) + 4.0
-    return math.sqrt(numerator / (4.0 * n - 2.0))
+    numerator = kl + math.log(1.0 / spec.delta) + math.log(n) + 2.0
+    return np.sqrt(numerator / (2.0 * n - 1.0))
+
+
+def _report(kl_term: float, paper_literal_kl: float, spec: SampleSpec, notes: str) -> BoundReport:
+    """A :class:`BoundReport` of a doubled divergence ``kl_term``: its
+    complexity term is :func:`_mcallester` at ``kl_term / 2``."""
+    return BoundReport(kl_term=kl_term, complexity_term=float(_mcallester(kl_term / 2, spec)),
+                       paper_literal_kl=paper_literal_kl, notes=notes)
 
 
 def pretrain_bound(sigma_pt: SpdMatrix, spec: SampleSpec) -> BoundReport:
@@ -155,20 +162,14 @@ def pretrain_bound(sigma_pt: SpdMatrix, spec: SampleSpec) -> BoundReport:
     d = sigma_pt.dim
     trace = float(np.trace(sigma_pt.entries))
     ldet = log_det(sigma_pt)
-    kl_term = trace - d - ldet
-    literal = ldet + trace - d
-    return BoundReport(
-        kl_term=kl_term,
-        complexity_term=_complexity_from_kl_term(kl_term, spec),
-        paper_literal_kl=literal,
-        notes="divergence vs standard Gaussian prior; kl_term = 2*KL",
-    )
+    return _report(trace - d - ldet, ldet + trace - d, spec,
+                   "divergence vs standard Gaussian prior; kl_term = 2*KL")
 
 
-def _discrepancies(sigma_pt, sigma_ft, shift: np.ndarray) -> tuple[tuple, Verdict]:
+def _discrepancies(sigma_pt, sigma_ft, shift: np.ndarray) -> tuple:
     """(D, paper-literal D, D~) of each pair of a stack (leading axes on every
-    argument) or of one pair, from one gaussian_pair_terms call, and the
-    verdict that they and the terms are finite.  D is exactly 2 KL."""
+    argument) or of one pair, from one gaussian_pair_terms call; raises if
+    one of them or a term is not finite.  D is exactly 2 KL."""
     d = shift.shape[-1]
 
     def formulas(trace, log_det_ratio, maha):
@@ -189,9 +190,7 @@ def _log(values) -> np.ndarray:
 
 def _pair_discrepancies(pair: DomainPair) -> tuple[float, float, float]:
     """:func:`_discrepancies` of one pair, as floats; raises if one is not finite."""
-    values, finite = _discrepancies(pair.sigma_pt, pair.sigma_ft, pair.shift)
-    finite.check()
-    return tuple(map(float, values))
+    return tuple(map(float, _discrepancies(pair.sigma_pt, pair.sigma_ft, pair.shift)))
 
 
 def discrepancy_d(pair: DomainPair, paper_literal: bool = False) -> float:
@@ -222,23 +221,14 @@ def discrepancy_d_tilde(pair: DomainPair) -> float:
 def finetune_bound(pair: DomainPair, spec: SampleSpec) -> BoundReport:
     """Bound report for the fine-tuning stage, prior = source stationary."""
     kl_term, literal, _ = _pair_discrepancies(pair)
-    return BoundReport(
-        kl_term=kl_term,
-        complexity_term=_complexity_from_kl_term(kl_term, spec),
-        paper_literal_kl=literal,
-        notes="divergence between fine-tuned and pre-trained stationary measures",
-    )
+    return _report(kl_term, literal, spec,
+                   "divergence between fine-tuned and pre-trained stationary measures")
 
 
 def finetune_bound_dimension(pair: DomainPair, spec: SampleSpec) -> BoundReport:
     """Fine-tuning bound with the dimension-dependent discrepancy."""
     _, literal, kl_term = _pair_discrepancies(pair)
-    return BoundReport(
-        kl_term=kl_term,
-        complexity_term=_complexity_from_kl_term(kl_term, spec),
-        paper_literal_kl=literal,
-        notes="dimension-dependent discrepancy variant",
-    )
+    return _report(kl_term, literal, spec, "dimension-dependent discrepancy variant")
 
 
 def lemma2_check(pair: DomainPair, tolerance: float = HOLDS_TOLERANCE) -> Lemma2Result:
@@ -301,12 +291,9 @@ def _survey_group(d, pairs, seed, eigenvalue_low, eigenvalue_high, shift_scale):
     The covariances are drawn interleaved (source, target, source, ...), so
     that a pair's source covariance fails before its target one."""
     seeds = [child_seed(seed, d, i, side) for i in pairs for side in (0, 1)]
-    entries, spd = _make_spd_stack(_random_spd_entries(d, eigenvalue_low, eigenvalue_high,
-                                                       seeds))
-    spd.check()
+    entries = _make_spd_stack(_random_spd_entries(d, eigenvalue_low, eigenvalue_high, seeds))
     shifts = shift_scale * np.array([make_rng(seed, d, i, 2).standard_normal(d) for i in pairs])
-    (d_value, _, d_tilde_value), finite = _discrepancies(entries[0::2], entries[1::2], shifts)
-    finite.check()
+    d_value, _, d_tilde_value = _discrepancies(entries[0::2], entries[1::2], shifts)
     return d_value, d_tilde_value
 
 
@@ -342,6 +329,10 @@ def dominance_report(
     spec_ft: SampleSpec,
 ) -> DominanceReport:
     """Compare the two stages' complexity terms; ratio = ft / pt."""
-    pt_term = pretrain_bound(sigma_pt, spec_pt).complexity_term
-    ft_term = finetune_bound(pair, spec_ft).complexity_term
+    return _dominance(pretrain_bound(sigma_pt, spec_pt), finetune_bound(pair, spec_ft))
+
+
+def _dominance(pt_report: BoundReport, ft_report: BoundReport) -> DominanceReport:
+    """:func:`dominance_report` of the two stages' evaluated bound reports."""
+    pt_term, ft_term = pt_report.complexity_term, ft_report.complexity_term
     return DominanceReport(pt_term=pt_term, ft_term=ft_term, ratio=ft_term / pt_term)

@@ -25,7 +25,7 @@ from . import matrixio
 from .bounds import (
     DomainPair,
     SampleSpec,
-    dominance_report,
+    _dominance,
     finetune_bound,
     lemma2_survey,
     mcallester_bound,
@@ -49,6 +49,7 @@ from .errors import (
 )
 from .gaussian import (
     GaussianMeasure,
+    _stationary_rhs,
     check_rate,
     kl_divergence,
     mc_kl_estimate,
@@ -163,8 +164,7 @@ def _run_lyapunov(params: dict) -> tuple[str, str]:
     a = make_spd(params["a"])
     q = SymmetricMatrix(params["q"])
     check_rate(params["eta"], params["batch"])
-    rhs = SymmetricMatrix((params["eta"] / params["batch"]) * q.entries)
-    solution = solve_continuous_lyapunov(a, rhs)
+    solution = solve_continuous_lyapunov(a, _stationary_rhs(q, params["eta"], params["batch"]))
     trace = float(np.trace(solution.entries))
     summary = (
         f"lyapunov: dim={a.dim} stationary covariance solved, "
@@ -290,7 +290,9 @@ def _run_dominance(params: dict) -> tuple[str, str]:
     pair = DomainPair(sigma_pt, sigma_ft, params["shift"])
     spec_pt = SampleSpec(params["n_pt"], params["delta"])
     spec_ft = SampleSpec(params["n_ft"], params["delta"])
-    report = dominance_report(sigma_pt, spec_pt, pair, spec_ft)
+    pt_report = pretrain_bound(sigma_pt, spec_pt)
+    ft_report = finetune_bound(pair, spec_ft)
+    report = _dominance(pt_report, ft_report)
     payload = {
         "pt_term": report.pt_term,
         "ft_term": report.ft_term,
@@ -298,8 +300,8 @@ def _run_dominance(params: dict) -> tuple[str, str]:
         "n_pt": params["n_pt"],
         "n_ft": params["n_ft"],
         "delta": params["delta"],
-        "pt_report": pretrain_bound(sigma_pt, spec_pt).as_dict(),
-        "ft_report": finetune_bound(pair, spec_ft).as_dict(),
+        "pt_report": pt_report.as_dict(),
+        "ft_report": ft_report.as_dict(),
     }
     summary = (
         f"dominance: pt_term={_fmt(report.pt_term)} ft_term={_fmt(report.ft_term)} "

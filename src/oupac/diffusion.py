@@ -23,9 +23,7 @@ recursions ``y' = (1 - lr*lam) * y + V^T kick`` for ``y = V^T (x -
 minimizer)``, which a log-depth prefix scan evaluates block by block
 (Blelloch 1990, "Prefix sums and their applications").  It reads the
 same noise stream as a step-by-step ``sgd_step`` loop and agrees with
-that loop to rounding; its bits differ from versions that stepped the
-chain one update at a time in the last digits, and reruns stay
-byte-identical.
+that loop to rounding, and reruns stay byte-identical.
 """
 
 from __future__ import annotations
@@ -317,16 +315,21 @@ def estimate_stationary(traj: Trajectory, burn_in_records: int | None = None) ->
     ``burn_in_records`` defaults to half the recorded trajectory; at
     least two records must survive the cut.
     """
-    if burn_in_records is None:
-        burn_in_records = traj.record_count // 2
-    if burn_in_records < 0:
-        raise InvalidRangeError(f"burn_in_records must be >= 0, got {burn_in_records}")
-    kept = traj.states[burn_in_records:]
-    if kept.shape[0] < 2:
+    return empirical_moments(_after_burn_in(traj.states, burn_in_records, 2))
+
+
+def _after_burn_in(records: np.ndarray, burn_in: int | None, need: int) -> np.ndarray:
+    """The records after the first ``burn_in`` (default: half of them); raises
+    for a negative ``burn_in`` or if fewer than ``need`` records remain."""
+    cut = records.shape[0] // 2 if burn_in is None else burn_in
+    if cut < 0:
+        raise InvalidRangeError(f"burn_in_records must be >= 0, got {cut}")
+    kept = records[cut:]
+    if kept.shape[0] < need:
         raise TooFewSamplesError(
-            f"{kept.shape[0]} records left after burn-in of {burn_in_records}; need >= 2"
+            f"{kept.shape[0]} records left after burn-in of {cut}; need >= {need}"
         )
-    return empirical_moments(kept)
+    return kept
 
 
 InitMode = Literal["analytic_sample", "chain_continue"]
@@ -357,7 +360,7 @@ def two_stage_run(
     result does not depend on scheduling.
 
     ``burn_in`` counts records per replica and stage; it defaults to
-    half of each trajectory's records.
+    half of each trajectory's records, and at least one must survive it.
     """
     if replicas < 2:
         raise InvalidRangeError(f"replicas must be >= 2, got {replicas}")
@@ -393,20 +396,10 @@ def two_stage_run(
             ft_init = pt_final
         ft_rng = make_rng(master_seed, replica, 2)
         ft_records, _ = _run_chain(ft_init, ft_loss, ft_dyn, ft_steps, stride, ft_rng)
-        pt_blocks.append(_post_burn_in(pt_records, burn_in))
-        ft_blocks.append(_post_burn_in(ft_records, burn_in))
+        pt_blocks.append(_after_burn_in(pt_records, burn_in, 1))
+        ft_blocks.append(_after_burn_in(ft_records, burn_in, 1))
 
     return TwoStageResult(
         pt_estimate=empirical_moments(np.concatenate(pt_blocks, axis=0)),
         ft_estimate=empirical_moments(np.concatenate(ft_blocks, axis=0)),
     )
-
-
-def _post_burn_in(records: np.ndarray, burn_in: int | None) -> np.ndarray:
-    cut = records.shape[0] // 2 if burn_in is None else burn_in
-    kept = records[cut:]
-    if kept.shape[0] < 1:
-        raise TooFewSamplesError(
-            f"burn-in {cut} leaves no records out of {records.shape[0]}"
-        )
-    return kept

@@ -6,10 +6,9 @@ unbiased empirical moments, and a Monte-Carlo KL estimator used as an
 independent oracle for the closed form.
 
 Every Gaussian-pair divergence (the KL here, the discrepancies of
-:mod:`oupac.bounds`) goes through :func:`_pair_divergences`, which
-evaluates the pair terms of a stack of pairs and checks that the terms
-and the divergences are finite: an input too large for float64 raises
-:class:`NumericalInconsistencyError` instead of giving ``inf`` or NaN.
+:mod:`oupac.bounds`) goes through :func:`_pair_divergences`: an input too
+large for float64 raises :class:`NumericalInconsistencyError` instead of
+giving ``inf`` or NaN.
 """
 
 from __future__ import annotations
@@ -141,7 +140,8 @@ def stationary_from_dynamics(
     return GaussianMeasure(minimizer, make_spd(sigma.entries))
 
 
-def _stationary_rhs(noise_cov: SpdMatrix, lr: float, batch_size: int) -> SymmetricMatrix:
+def _stationary_rhs(noise_cov: SymmetricMatrix | SpdMatrix, lr: float,
+                    batch_size: int) -> SymmetricMatrix:
     """Right-hand side ``(lr / batch_size) * C`` of the stationary Lyapunov equation."""
     return SymmetricMatrix((lr / float(batch_size)) * noise_cov.entries)
 
@@ -168,36 +168,33 @@ def gaussian_pair_terms(sigma_q, sigma_p, shift: np.ndarray):
 
 def _pair_divergences(sigma_q, sigma_p, shift: np.ndarray, formulas):
     """``formulas(trace, log_det_ratio, maha)`` of the :func:`gaussian_pair_terms`
-    of each pair of a stack (or of one pair), and the verdict that every term
-    and every value it returns is finite.  No overflow warning is printed;
-    the verdict reports it."""
+    of each pair of a stack (or of one pair).  Raises, with no overflow
+    warning, if a term or a value it returns is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         terms = gaussian_pair_terms(sigma_q, sigma_p, shift)
         values = formulas(*terms)
         finite = np.logical_and.reduce([np.isfinite(v) for v in (*terms, *values)])
     trace, log_det_ratio, maha = terms
-    return values, Verdict(~finite, lambda i: NumericalInconsistencyError(
+    Verdict(~finite, lambda i: NumericalInconsistencyError(
         f"a Gaussian-pair term or divergence is not finite (tr(Sp^-1 Sq) = "
         f"{_item(trace, i):.6g}, log det Sp - log det Sq = {_item(log_det_ratio, i):.6g}, "
         f"shift^T Sp^-1 shift = {_item(maha, i):.6g}): an input is too large for float64"
-    ))
+    )).check()
+    return values
 
 
-def _kl_divergences(sigma_q, mean_q: np.ndarray,
-                    p: GaussianMeasure) -> tuple[np.ndarray, Verdict]:
+def _kl_divergences(sigma_q, mean_q: np.ndarray, p: GaussianMeasure) -> np.ndarray:
     """``KL(N(mean_q, sigma_q) || p)`` for a stack of q's (leading axes on
-    both arguments), clamped as :func:`kl_divergence` documents, and the
-    verdict of its finiteness and of the clamp."""
+    both arguments), checked and clamped as :func:`kl_divergence` documents."""
     d = mean_q.shape[-1]
     if d != p.dim:
         raise DimensionMismatchError(f"dimensions disagree: {d} vs {p.dim}")
-    (value,), finite = _pair_divergences(
+    (value,) = _pair_divergences(
         sigma_q, p.covariance, p.mean - mean_q,
         lambda trace, log_det_ratio, maha: (0.5 * (trace - d + maha + log_det_ratio),))
-    return np.where(value < 0.0, 0.0, value), finite | Verdict(value < -KL_CLAMP, lambda i: (
-        NumericalInconsistencyError(
-            f"KL divergence evaluated to {_item(value, i):.6g} < -{KL_CLAMP}")
-    ))
+    Verdict(value < -KL_CLAMP, lambda i: NumericalInconsistencyError(
+        f"KL divergence evaluated to {_item(value, i):.6g} < -{KL_CLAMP}")).check()
+    return np.where(value < 0.0, 0.0, value)
 
 
 def kl_divergence(q: GaussianMeasure, p: GaussianMeasure) -> float:
@@ -212,9 +209,7 @@ def kl_divergence(q: GaussianMeasure, p: GaussianMeasure) -> float:
     a genuine inconsistency and raises instead of being hidden, as does
     a term that is not finite.
     """
-    value, verdict = _kl_divergences(q.covariance, q.mean, p)
-    verdict.check()
-    return float(value)
+    return float(_kl_divergences(q.covariance, q.mean, p))
 
 
 def sample(g: GaussianMeasure, count: int, seed: int) -> np.ndarray:

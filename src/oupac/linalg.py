@@ -12,10 +12,7 @@ The private kernels shared with :mod:`oupac.regression` and
 :func:`oupac.bounds.lemma2_survey` (the random SPD draw, the SPD checks,
 the eigenbasis solve, the residual check) take arrays with leading stack
 axes, one item per trailing matrix; a public function calls them on one
-matrix.  A check returns a :class:`Verdict`, which says which items fail
-and builds the error of a failing item.  A stacked pipeline runs its
-items through :func:`_in_groups`, which holds the group size and the
-order in which a failing group raises.
+matrix.  :func:`_in_groups` states how a stack raises.
 
 All values are immutable after construction and all functions are pure,
 so everything here is safe for unrestricted concurrent use.
@@ -63,15 +60,10 @@ class Verdict(NamedTuple):
     bad: np.ndarray
     error: Callable[[int], OupacError]
 
-    def first(self) -> int | None:
-        """Index of the first failing item, or None."""
-        return int(np.flatnonzero(self.bad)[0]) if np.count_nonzero(self.bad) else None
-
     def check(self) -> None:
         """Raise the error of the first failing item, if any."""
-        first = self.first()
-        if first is not None:
-            raise self.error(first)
+        if np.count_nonzero(self.bad):
+            raise self.error(int(np.flatnonzero(self.bad)[0]))
 
     def __or__(self, other: Verdict) -> Verdict:
         """Fails the items either check fails, with this check's error where both do."""
@@ -90,12 +82,14 @@ def _in_groups(run: Callable[[Sequence], tuple], items: Sequence,
     arrays (one leading entry per item) concatenated in item order.
 
     A group holds ``max(1, GROUP_FLOATS // floats_per_item)`` items, so
-    memory does not grow with the item count.  ``run`` may raise at the
-    first check that any item of its group fails: a group of more than one
-    item that raises an :class:`OupacError` is replaced by its one-item
-    runs, in order, so the first item to fail raises its own error, which
-    is what an item-by-item loop raises first, and if none fails the
-    one-item results are kept.  Any other exception propagates at once.
+    memory does not grow with the item count.  The check policy of every
+    stacked kernel is this: a kernel raises at its first failing check, as
+    soon as any item of its stack fails it, and returns only its values.
+    A group of more than one item that raises an :class:`OupacError` is
+    run again one item at a time, in order, so the first item to fail
+    raises its own error, which is what an item-by-item loop raises
+    first, and if none fails the one-item results are kept.  Any other
+    exception propagates at once.
     """
     per_group = max(1, GROUP_FLOATS // max(1, floats_per_item))
     parts = []
@@ -235,12 +229,14 @@ def make_spd(entries, strictness: Strictness = "strict") -> SpdMatrix:
     return SpdMatrix(SymmetricMatrix(entries), strictness)
 
 
-def _make_spd_stack(entries: np.ndarray) -> tuple[np.ndarray, Verdict]:
+def _make_spd_stack(entries: np.ndarray) -> np.ndarray:
     """:func:`make_spd` (strict) on each matrix of a stack ``(..., d, d)``: the
-    symmetrized entries, and the verdict of its checks in its order (finite
-    entries, a finite symmetrization, then the eigenvalue test)."""
+    symmetrized entries.  The first failing matrix raises, by its first
+    failing check in make_spd's order (finite entries, a finite
+    symmetrization, then the eigenvalue test)."""
     sym, finite = _finite_symmetrized(entries)
-    return sym, finite | _spd_verdict(np.linalg.eigvalsh(sym), "strict")
+    (finite | _spd_verdict(np.linalg.eigvalsh(sym), "strict")).check()
+    return sym
 
 
 def cholesky_factor(m) -> np.ndarray:
@@ -315,17 +311,16 @@ def solve_continuous_lyapunov(a: SpdMatrix, q: SymmetricMatrix) -> SymmetricMatr
     q_entries = _symmetric_entries(q)
     _check_same_dim(a.entries, q_entries)
     lam, vecs = np.linalg.eigh(a.entries)
-    solution, verdict = _lyapunov_in_eigenbasis(a.entries, lam, vecs, q_entries)
-    verdict.check()
-    return SymmetricMatrix(solution)
+    return SymmetricMatrix(_lyapunov_in_eigenbasis(a.entries, lam, vecs, q_entries))
 
 
 def _lyapunov_in_eigenbasis(a: np.ndarray, lam: np.ndarray, vecs: np.ndarray,
-                            q: np.ndarray) -> tuple[np.ndarray, Verdict]:
+                            q: np.ndarray) -> np.ndarray:
     """Symmetric X with ``A X + X A = Q`` for each ``A = V diag(lam) V^T``
-    of a stack, and the verdict of its residual check."""
+    of a stack; raises if a residual check fails."""
     x = _symmetrized(_solve_in_eigenbasis(vecs, q, lam[..., :, None] + lam[..., None, :]))
-    return x, _residual_verdict(a @ x + x @ a, q, "continuous Lyapunov")
+    _residual_verdict(a @ x + x @ a, q, "continuous Lyapunov").check()
+    return x
 
 
 def spectral_radius(m) -> float:

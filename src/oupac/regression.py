@@ -8,17 +8,16 @@ Gaussian-posterior risks, and measures generalization gaps against the
 bound evaluators.
 
 The gap trials of an experiment are evaluated as stacks: arrays with a
-leading trial axis, in the groups of :func:`oupac.linalg._in_groups`
-(which also says which error a failing group raises).  A group makes one
-call of each decomposition (``eigvalsh`` for the SPD and stability
-checks, ``eigh`` for the Lyapunov eigenbasis, ``cholesky``) where a
-trial-by-trial loop made one per trial.  The checks read ``eigvalsh``,
-not the eigenvalues ``eigh`` returns with its basis: the two differ in
-the last bits, and a singular design's smallest eigenvalue, which its
-error message prints, is rounding noise.  Each trial's data still comes
-from its own seeded stream, and the numbers agree with the loop to
-1e-12 (tested); they may differ from earlier versions in the last
-digits.  A gap that is not finite (noise too large for float64) raises
+leading trial axis, in the groups of :func:`oupac.linalg._in_groups`.  A
+group makes one call of each decomposition (``eigvalsh`` for the SPD
+and stability checks, ``eigh`` for the Lyapunov eigenbasis,
+``cholesky``) where a trial-by-trial loop makes one per trial.  The
+checks read ``eigvalsh``, not the eigenvalues ``eigh`` returns with its
+basis: the two differ in the last bits, and a singular design's
+smallest eigenvalue, which its error message prints, is rounding noise.
+Each trial's data still comes from its own seeded stream, and the
+numbers agree with the loop to 1e-12 (tested).  A gap that is not
+finite (noise too large for float64) raises
 :class:`NumericalInconsistencyError`.
 """
 
@@ -286,8 +285,7 @@ def _gap_group(task, sgd, spec, prior, seeds, steps, use_simulated_moments, stri
     else:
         lam, vecs = np.linalg.eigh(hessian)
         rhs = _stationary_rhs(sgd.noise_cov, sgd.lr, sgd.batch_size).entries
-        cov, residual = _lyapunov_in_eigenbasis(hessian, lam, vecs, rhs)
-        residual.check()
+        cov = _lyapunov_in_eigenbasis(hessian, lam, vecs, rhs)
         mean = minimizer
     _spd_verdict(np.linalg.eigvalsh(cov), "strict").check()
     population = population_quadratic(task)
@@ -298,9 +296,7 @@ def _gap_group(task, sgd, spec, prior, seeds, steps, use_simulated_moments, stri
         f"gap trial risks are not finite (expected {_item(expected, i):.6g}, empirical "
         f"{_item(empirical, i):.6g}): the data are too large for float64"
     )).check()
-    kl, clamp = _kl_divergences(cov, mean, prior)
-    clamp.check()
-    return expected, empirical, mcallester_bound(kl, spec)
+    return expected, empirical, mcallester_bound(_kl_divergences(cov, mean, prior), spec)
 
 
 @dataclass(frozen=True)

@@ -271,6 +271,25 @@ class TestDoubledFormIdentity:
                     assert doubled == pytest.approx(base, rel=1e-15)
 
 
+class TestIdenticalDomains:
+    """On identical domains D is a rounding error either side of 0; the bound
+    reports take it as it is, where mcallester_bound rejects a negative KL."""
+
+    def test_bound_reports_accept_a_rounding_negative_divergence(self):
+        spec = SampleSpec(100, 0.05)
+        kl_terms = []
+        for seed in range(60):
+            sigma = random_spd(1 + seed % 8, 0.2, 5.0, seed)
+            pair = DomainPair(sigma, sigma, np.zeros(sigma.dim))
+            report = finetune_bound(pair, spec)
+            kl_terms.append(report.kl_term)
+            assert report.complexity_term == pytest.approx(mcallester_bound(0.0, spec), rel=1e-14)
+            assert dominance_report(sigma, spec, pair, spec).ft_term == report.complexity_term
+        assert min(kl_terms) < 0.0
+        with pytest.raises(InvalidSpecError, match="kl must be nonnegative"):
+            mcallester_bound(min(kl_terms) / 2, spec)
+
+
 class TestDecayRate:
     def test_quarter_sample_ratio_in_band(self):
         pair = identity_pair(2, [3.0, 1.0])  # kl_term = 10
@@ -567,8 +586,7 @@ def _reference_random_spd(dim, eigenvalue_low, eigenvalue_high, seed) -> np.ndar
 @pytest.mark.parametrize("dim", [1, 2, 9, 40])
 def test_random_spd_is_an_item_of_the_stacked_draw(dim):
     seeds = [child_seed(7, dim, i, 0) for i in range(5)]
-    entries, verdict = _make_spd_stack(_random_spd_entries(dim, 0.3, 4.0, seeds))
-    assert verdict.first() is None
+    entries = _make_spd_stack(_random_spd_entries(dim, 0.3, 4.0, seeds))
     for seed, item in zip(seeds, entries):
         want = _reference_random_spd(dim, 0.3, 4.0, seed).tobytes()
         assert random_spd(dim, 0.3, 4.0, seed).entries.tobytes() == want
@@ -600,10 +618,9 @@ def test_one_group_makes_the_same_decompositions_for_any_pair_count(monkeypatch)
 @pytest.mark.parametrize("count, dim", [(3000, 1), (1000, 4)])
 def test_stacked_discrepancies_equal_per_pair_calls_bit_for_bit(count, dim):
     seeds = [child_seed(11, dim, i) for i in range(2 * count)]
-    entries, _ = _make_spd_stack(_random_spd_entries(dim, 0.2, 5.0, seeds))
+    entries = _make_spd_stack(_random_spd_entries(dim, 0.2, 5.0, seeds))
     shifts = make_rng(12).standard_normal((count, dim))
-    stacked, finite = bounds._discrepancies(entries[0::2], entries[1::2], shifts)
-    assert finite.first() is None
+    stacked = bounds._discrepancies(entries[0::2], entries[1::2], shifts)
     traces, _, mahas = gaussian_pair_terms(entries[1::2], entries[0::2], shifts)
     for i in range(count):
         pair = DomainPair(make_spd(entries[2 * i]), make_spd(entries[2 * i + 1]), shifts[i])

@@ -20,8 +20,9 @@ from oupac import (
     GaussianMeasure,
     make_spd,
     mcallester_bound,
+    random_spd,
 )
-from oupac import cli
+from oupac import bounds, cli
 from oupac.cli import main
 from oupac.matrixio import (
     FLOAT_FORMAT,
@@ -344,6 +345,7 @@ def _two_stage_argv(matrix):
     ("two-stage", ["--init-mode", "warm"]),
     ("scaling", ["--ns="]),
     ("bound", ["--kl", "0", "--output", os.path.join(os.devnull, "x.json")]),
+    ("two-stage", ["--burn-in=-1"]),
 ])
 def test_out_of_range_option_exits_2_without_traceback(
     capsys, identity_file, gaussian_file, command, extra
@@ -384,6 +386,40 @@ def test_overflowing_pair_term_exits_3_without_warning(capsys, tmp_path, identit
     assert err.startswith(f"error in {command}: a Gaussian-pair term or divergence is not finite")
     assert "Warning" not in err and "Traceback" not in err
     assert not out_path.exists()
+
+
+def test_dominance_on_identical_domains_exits_0(capsys, tmp_path):
+    # D on identical domains is a rounding error either side of 0 (seed 8 below 0)
+    kl_terms = []
+    for seed in range(12):
+        sigma = random_spd(1 + seed % 8, 0.2, 5.0, seed)
+        path, out_path = tmp_path / f"s{seed}.txt", tmp_path / f"s{seed}.json"
+        write_matrix(path, sigma.entries)
+        code, _, err = run_cli(capsys, "dominance", "--sigma-pt", str(path), "--sigma-ft",
+                               str(path), "--shift", ",".join(["0"] * sigma.dim),
+                               "--n-pt", "1000", "--n-ft", "100", "--output", str(out_path))
+        assert (code, err) == (0, "")
+        kl_terms.append(json.loads(out_path.read_text())["ft_report"]["kl_term"])
+    assert min(kl_terms) < 0.0
+
+
+def test_dominance_evaluates_each_bound_report_once(capsys, monkeypatch, identity_file):
+    counts = dict.fromkeys(["pretrain_bound", "finetune_bound"], 0)
+    for name in counts:
+        original = getattr(bounds, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+        for module in (bounds, cli):
+            monkeypatch.setattr(module, name, counted)
+    pair = bounds.DomainPair(make_spd(np.eye(2)), make_spd(2.0 * np.eye(2)), np.ones(2))
+    bounds.dominance_report(pair.sigma_pt, SampleSpec(1000, 0.05), pair, SampleSpec(100, 0.05))
+    assert counts == {"pretrain_bound": 1, "finetune_bound": 1}
+    code, _, _ = run_cli(capsys, "dominance", "--sigma-pt", identity_file, "--sigma-ft",
+                         identity_file, "--shift", "1,0", "--n-pt", "1000", "--n-ft", "100")
+    assert code == 0
+    assert counts == {"pretrain_bound": 2, "finetune_bound": 2}
 
 
 @pytest.mark.parametrize("command", ["dominance", "lyapunov"])

@@ -11,6 +11,7 @@ import pytest
 
 from oupac import (
     DimensionMismatchError,
+    InvalidRangeError,
     QuadraticLoss,
     SgdDynamics,
     SymmetricMatrix,
@@ -340,6 +341,22 @@ class TestTwoStageRun:
             first.pt_estimate.covariance.entries, second.pt_estimate.covariance.entries
         )
         np.testing.assert_array_equal(first.ft_estimate.mean, second.ft_estimate.mean)
+
+    @pytest.mark.parametrize("burn_in, error, message", [
+        (-1, InvalidRangeError, "burn_in_records must be >= 0, got -1"),
+        (-3, InvalidRangeError, "burn_in_records must be >= 0, got -3"),
+        (51, TooFewSamplesError, "0 records left after burn-in of 51; need >= 1"),
+    ])
+    def test_burn_in_out_of_range_rejected(self, burn_in, error, message):
+        # 500 steps at stride 10 record 51 states per chain
+        loss = isotropic_loss(2)
+        dyn = SgdDynamics(0.2, 1, np.eye(2))
+        with pytest.raises(error, match=f"^{message}$"):
+            two_stage_run(loss, dyn, loss, dyn, pt_steps=500, ft_steps=500, replicas=2,
+                          stride=10, burn_in=burn_in)
+        result = two_stage_run(loss, dyn, loss, dyn, pt_steps=500, ft_steps=500, replicas=2,
+                               stride=10, burn_in=50)
+        assert result.pt_estimate.sample_count == result.ft_estimate.sample_count == 2
 
     def test_chain_continue_mode(self):
         loss = isotropic_loss(2)

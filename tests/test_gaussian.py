@@ -311,8 +311,7 @@ def test_stacked_pair_terms_and_kl_match_per_pair_calls(count, dim, seed, log_co
     stacked = gaussian_pair_terms(sigma_q, sigma_p, shift)
     prior = GaussianMeasure(make_rng(seed, 3).standard_normal(dim),
                             make_spd(sigma_p if shared_p else sigma_p[0]))
-    kl, clamp = _kl_divergences(sigma_q, prior.mean - shift, prior)
-    assert not clamp.bad.any()
+    kl = _kl_divergences(sigma_q, prior.mean - shift, prior)
     for index in range(count):
         single = gaussian_pair_terms(sigma_q[index], sigma_p if shared_p else sigma_p[index],
                                      shift[index])

@@ -33,7 +33,9 @@ from oupac import (
     spectral_radius,
 )
 from oupac import linalg
-from oupac.gaussian import gaussian_pair_terms
+from oupac.bounds import _discrepancies
+from oupac.errors import OupacError
+from oupac.gaussian import GaussianMeasure, _kl_divergences, _pair_divergences, gaussian_pair_terms
 from oupac.linalg import (_in_groups, _log_det_of_factor, _lyapunov_in_eigenbasis,
                           _make_spd_stack, _residual_verdict, _spd_verdict)
 from oupac.rng import make_rng
@@ -89,10 +91,22 @@ class TestMakeSpd:
             for build in (make_spd, SymmetricMatrix):
                 with pytest.raises(NotSquareError, match=re.escape(message)):
                     build(big)
-            _, verdict = _make_spd_stack(np.stack([np.eye(2), big, [[np.nan, 0], [0, 1]]]))
-        assert verdict.bad.tolist() == [False, True, True]
-        assert str(verdict.error(1)) == message
-        assert str(verdict.error(2)) == "matrix contains non-finite entries"
+            nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+            with pytest.raises(NotSquareError, match=re.escape(message)):
+                _make_spd_stack(np.stack([np.eye(2), big, nan]))
+            with pytest.raises(NotSquareError, match="matrix contains non-finite entries"):
+                _make_spd_stack(np.stack([np.eye(2), nan, big]))
+
+    def test_a_stacked_matrix_fails_by_either_check_before_a_later_one(self):
+        # the one merged check: a one-pair survey stacks source and target
+        big = np.array([[1e308, 0.0], [0.0, 1e308]])
+        non_spd = np.diag([1.0, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefiniteError, match="smallest eigenvalue -1"):
+                _make_spd_stack(np.stack([non_spd, big]))
+            with pytest.raises(NotSquareError, match=re.escape("(M + M^T) / 2 overflows")):
+                _make_spd_stack(np.stack([big, non_spd]))
 
     @pytest.mark.parametrize("strictness", ["strict", "semidefinite"])
     def test_nan_eigenvalues_fail_the_spd_check(self, strictness):
@@ -429,8 +443,7 @@ def test_stacked_lyapunov_solve_matches_per_matrix_solves(count, dim, seed, log_
     q = _spd_stack(1 if shared_rhs else count, dim, 0.1, 2.0, seed + 1)
     q = q[0] if shared_rhs else q
     lam, vecs = np.linalg.eigh(a)
-    x, verdict = _lyapunov_in_eigenbasis(a, lam, vecs, q)
-    assert not verdict.bad.any()
+    x = _lyapunov_in_eigenbasis(a, lam, vecs, q)
     for index in range(count):
         want = solve_continuous_lyapunov(make_spd(a[index]), q if shared_rhs else q[index])
         np.testing.assert_array_max_ulp(x[index], want.entries, maxulp=4)
@@ -454,6 +467,44 @@ def test_stacked_residual_check_matches_per_matrix_checks(count, dim, seed, log_
         assert bool(verdict.bad[index]) == bool(single.bad)
         if single.bad:
             assert str(verdict.error(index)) == str(single.error(0))
+
+
+def _kernel_cases():
+    """Each stacked kernel, with its arguments for a stack of three items of
+    which item 1 fails (index None) or for one item of that stack."""
+    spd = _spd_stack(3, 2, 0.5, 2.0, 5)
+    lam, vecs = np.linalg.eigh(spd)
+    doubled = spd * np.array([1.0, 2.0, 1.0])[:, None, None]  # item 1 is not A of its basis
+    not_spd = spd.copy()
+    not_spd[1] = np.diag([1.0, -1.0])
+    huge = np.zeros((3, 2))
+    huge[1, 0] = 1e200  # its squared Mahalanobis norm overflows
+    prior = GaussianMeasure(np.zeros(2), make_spd(np.eye(2)))
+
+    def pick(stack, index):
+        return stack if index is None else stack[index]
+    return {
+        "make_spd_stack": (_make_spd_stack, lambda i: (pick(not_spd, i),)),
+        "lyapunov_in_eigenbasis": (_lyapunov_in_eigenbasis, lambda i: (
+            pick(doubled, i), pick(lam, i), pick(vecs, i), np.eye(2))),
+        "pair_divergences": (_pair_divergences, lambda i: (
+            pick(spd, i), np.eye(2), pick(huge, i), lambda trace, ratio, maha: (trace + maha,))),
+        "kl_divergences": (_kl_divergences, lambda i: (pick(spd, i), pick(huge, i), prior)),
+        "discrepancies": (_discrepancies, lambda i: (np.eye(2), pick(spd, i), pick(huge, i))),
+    }
+
+
+@pytest.mark.parametrize("name", list(_kernel_cases()))
+def test_a_stacked_kernel_raises_what_its_failing_item_raises_alone(name):
+    kernel, args = _kernel_cases()[name]
+    kernel(*args(0))
+    kernel(*args(2))
+    with pytest.raises(OupacError) as alone:
+        kernel(*args(1))
+    with pytest.raises(OupacError) as stacked:
+        kernel(*args(None))
+    assert type(stacked.value) is type(alone.value)
+    assert str(stacked.value) == str(alone.value)
 
 
 class TestInGroups:
