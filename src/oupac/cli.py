@@ -34,6 +34,7 @@ from .bounds import (
 from .diffusion import (
     QuadraticLoss,
     SgdDynamics,
+    _check_run,
     estimate_stationary,
     simulate_chain,
     stability_check,
@@ -145,10 +146,10 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _trajectory_csv(states: np.ndarray, stride: int) -> str:
-    """``_csv_text`` of each record's step and state, one format string a row."""
-    row = "%d," + ",".join([matrixio.FLOAT_FORMAT] * states.shape[1]) + "\n"
+    """``_csv_text`` of each record's step and state."""
     header = ",".join(["step"] + [f"theta_{i}" for i in range(states.shape[1])]) + "\n"
-    return header + "".join(row % (i * stride, *state) for i, state in enumerate(states.tolist()))
+    steps = np.arange(states.shape[0], dtype=np.int64) * stride
+    return header + matrixio.format_rows(states, ",", steps)
 
 
 def _json_text(payload) -> str:
@@ -183,6 +184,7 @@ def _load_dynamics(params: dict, prefix: str = "") -> tuple[QuadraticLoss, SgdDy
 def _run_simulate(params: dict) -> tuple[str, str]:
     loss, dyn = _load_dynamics(params)
     report = stability_check(loss, dyn)
+    _check_run(params["steps"], params["stride"], params["burn_in"], 2)
     trajectory = simulate_chain(loss.minimizer, loss, dyn, total_steps=params["steps"],
                                 stride=params["stride"], seed=params["seed"])
     estimate = estimate_stationary(trajectory, params["burn_in"])

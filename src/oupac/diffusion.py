@@ -321,15 +321,27 @@ def estimate_stationary(traj: Trajectory, burn_in_records: int | None = None) ->
 def _after_burn_in(records: np.ndarray, burn_in: int | None, need: int) -> np.ndarray:
     """The records after the first ``burn_in`` (default: half of them); raises
     for a negative ``burn_in`` or if fewer than ``need`` records remain."""
-    cut = records.shape[0] // 2 if burn_in is None else burn_in
+    return records[_burn_in_cut(records.shape[0], burn_in, need):]
+
+
+def _burn_in_cut(count: int, burn_in: int | None, need: int) -> int:
+    """How many of ``count`` records ``burn_in`` discards (``_after_burn_in``)."""
+    cut = count // 2 if burn_in is None else burn_in
     if cut < 0:
         raise InvalidRangeError(f"burn_in_records must be >= 0, got {cut}")
-    kept = records[cut:]
-    if kept.shape[0] < need:
+    if count - cut < need:
         raise TooFewSamplesError(
-            f"{kept.shape[0]} records left after burn-in of {cut}; need >= {need}"
+            f"{max(count - cut, 0)} records left after burn-in of {cut}; need >= {need}"
         )
-    return kept
+    return cut
+
+
+def _check_run(total_steps: int, stride: int, burn_in: int | None, need: int) -> None:
+    """Reject a run length, stride or burn-in before any chain runs: the
+    chain records ``total_steps // stride + 1`` states, and at least ``need``
+    must survive the burn-in."""
+    _check_run_length(total_steps, stride)
+    _burn_in_cut(total_steps // stride + 1, burn_in, need)
 
 
 InitMode = Literal["analytic_sample", "chain_continue"]
@@ -364,8 +376,8 @@ def two_stage_run(
     """
     if replicas < 2:
         raise InvalidRangeError(f"replicas must be >= 2, got {replicas}")
-    _check_run_length(pt_steps, stride)
-    _check_run_length(ft_steps, stride)
+    _check_run(pt_steps, stride, burn_in, 1)
+    _check_run(ft_steps, stride, burn_in, 1)
     if init_mode not in ("analytic_sample", "chain_continue"):
         raise InvalidRangeError(f"unknown init_mode {init_mode!r}")
     _check_dims(pt_loss, pt_dyn)

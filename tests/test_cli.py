@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from oupac import (
     mcallester_bound,
     random_spd,
 )
-from oupac import bounds, cli
+from oupac import bounds, cli, diffusion, matrixio
 from oupac.cli import main
 from oupac.matrixio import (
     FLOAT_FORMAT,
@@ -365,6 +366,23 @@ def test_out_of_range_option_exits_2_without_traceback(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, burn_in, message", [
+    ("simulate", "-1", "burn_in_records must be >= 0, got -1"),
+    ("simulate", "10", "1 records left after burn-in of 10; need >= 2"),
+    ("two-stage", "-1", "burn_in_records must be >= 0, got -1"),
+    ("two-stage", "100000", "0 records left after burn-in of 100000; need >= 1"),
+])
+def test_bad_burn_in_exits_2_before_any_chain_runs(capsys, monkeypatch, identity_file,
+                                                  command, burn_in, message):
+    def no_chain(*args):
+        raise AssertionError("a chain ran before the burn-in check")
+
+    monkeypatch.setattr(diffusion, "_run_chain", no_chain)
+    base = {"simulate": _simulate_argv, "two-stage": _two_stage_argv}[command](identity_file)
+    code, out, err = run_cli(capsys, *base, "--stride", "10", f"--burn-in={burn_in}")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["lemma-survey", "dominance", "kl"])
 def test_overflowing_pair_term_exits_3_without_warning(capsys, tmp_path, identity_file,
                                                        gaussian_file, command):
@@ -586,6 +604,29 @@ def test_trajectory_csv_matches_field_by_field_text(states, stride):
     assert cli._trajectory_csv(states, stride) == _csv_writer_text(header, rows)
 
 
+@pytest.mark.parametrize("dim", [1, 64])
+@pytest.mark.parametrize("extra_rows", [-1, 0, 1])
+def test_trajectory_csv_matches_field_by_field_text_across_blocks(dim, extra_rows):
+    # one block short of, exactly at and one row past the kernel's block size,
+    # with values the kernel formats one at a time spread through the table
+    rows = matrixio._block_rows(dim) + extra_rows
+    states = np.random.default_rng(dim + extra_rows).standard_normal((rows, dim))
+    states.flat[::97] = _EXTREMES.flat[np.arange(states.flat[::97].size) % _EXTREMES.size]
+    test_trajectory_csv_matches_field_by_field_text(states, 7)
+
+
+def test_trajectory_csv_peak_memory():
+    # no more than the per-row formatting it replaced took (13.07 MB measured)
+    states = np.random.default_rng(6).standard_normal((20001, 10))
+    tracemalloc.start()
+    try:
+        cli._trajectory_csv(states, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13.0e6
+
+
 def _format_matrix_by_field(entries) -> str:
     """Reference: FLOAT_FORMAT on each entry, the dimension line first."""
     lines = [str(len(entries))] + [" ".join(FLOAT_FORMAT % v for v in row) for row in entries]
@@ -597,6 +638,7 @@ def _format_matrix_by_field(entries) -> str:
     np.array([[5e-324]]),
     np.arange(16).reshape(4, 4),
     np.random.default_rng(4).standard_normal((6, 6)),
+    np.random.default_rng(5).standard_normal((64, 64)),
 ])
 def test_format_matrix_matches_field_by_field_text(entries):
     arr = np.asarray(entries, dtype=float)

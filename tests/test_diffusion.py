@@ -358,6 +358,23 @@ class TestTwoStageRun:
                                stride=10, burn_in=50)
         assert result.pt_estimate.sample_count == result.ft_estimate.sample_count == 2
 
+    @pytest.mark.parametrize("pt_steps, ft_steps, burn_in, error, message", [
+        (500, 500, -1, InvalidRangeError, "burn_in_records must be >= 0, got -1"),
+        (500, 500, 51, TooFewSamplesError, "0 records left after burn-in of 51; need >= 1"),
+        (5000, 500, 60, TooFewSamplesError, "0 records left after burn-in of 60; need >= 1"),
+    ])
+    def test_burn_in_rejected_before_any_chain_runs(self, monkeypatch, pt_steps, ft_steps,
+                                                     burn_in, error, message):
+        def no_chain(*args):
+            raise AssertionError("a chain ran before the burn-in check")
+
+        monkeypatch.setattr(diffusion, "_run_chain", no_chain)
+        loss = isotropic_loss(2)
+        dyn = SgdDynamics(0.2, 1, np.eye(2))
+        with pytest.raises(error, match=f"^{message}$"):
+            two_stage_run(loss, dyn, loss, dyn, pt_steps=pt_steps, ft_steps=ft_steps,
+                          replicas=2, stride=10, burn_in=burn_in)
+
     def test_chain_continue_mode(self):
         loss = isotropic_loss(2)
         dyn = SgdDynamics(0.2, 1, np.eye(2))
