@@ -23,7 +23,11 @@ recursions ``y' = (1 - lr*lam) * y + V^T kick`` for ``y = V^T (x -
 minimizer)``, which a log-depth prefix scan evaluates block by block
 (Blelloch 1990, "Prefix sums and their applications").  It reads the
 same noise stream as a step-by-step ``sgd_step`` loop and agrees with
-that loop to rounding, and reruns stay byte-identical.
+that loop to rounding, and reruns stay byte-identical.  The scan runs on
+contiguous scratch memory prebuilt once per stage (``_ScanPlan``), at
+most ``(4097 + 2 * 512) * d`` floats: 0.41 MB at d = 10 and 5.2 MB at
+d = 128; its output is bit-identical to the broadcast scan of earlier
+versions.
 """
 
 from __future__ import annotations
@@ -231,54 +235,93 @@ def _scan_rows(radius: float) -> int:
     return rows
 
 
-def _scan(block: np.ndarray, mu: np.ndarray, carry: np.ndarray) -> None:
-    """In place, row j of ``block`` becomes ``y_{j+1}`` of the recursion
-    ``y_{j+1} = mu * y_j + block[j]`` started at ``y_0 = carry``."""
-    block[0] += mu * carry
-    power = mu
-    shift = 1
-    while shift < block.shape[0]:
-        block[shift:] += power * block[:-shift]
-        shift *= 2
-        if shift < block.shape[0]:
-            power = power * power
+class _ScanPlan:
+    """The eigenbasis scan of one stage ``(loss, dyn)``, built once and
+    reused by every chain of that stage.
+
+    Holds ``A``'s eigenbasis, the factors ``mu = 1 - lr * lam``, the
+    rotated noise kick, and a contiguous ``rows x d`` scratch block with
+    a temporary of the same shape.  For each scan level ``shift = 1, 2,
+    4, ...`` it prebuilds the views ``(work[:-shift], power, tmp[:rows -
+    shift], work[shift:])``, where ``power`` is ``mu ** shift`` (by
+    repeated squaring) tiled to ``rows - shift`` rows, so a level is two
+    ufunc calls over contiguous memory.  The products and sums are those
+    of a broadcast scan of the same blocks, in the same order, so the
+    bits do not depend on this layout.
+
+    Scratch memory is ``(4097 + 2 * rows) * d`` floats at most: 0.41 MB
+    at d = 10 and 5.2 MB at d = 128, under 4% of the 134 MB noise chunk
+    there.
+    """
+
+    def __init__(self, loss: QuadraticLoss, dyn: SgdDynamics):
+        lam, self.basis = np.linalg.eigh(loss.hessian.entries)
+        self.minimizer = loss.minimizer
+        self.mu = 1.0 - dyn.lr * lam
+        self.rows = rows = _scan_rows(float(np.max(np.abs(self.mu))))
+        # row k of z @ kick is (lr/sqrt(b)) B^T z_k, rotated into the eigenbasis
+        self.kick = ((dyn.lr / np.sqrt(dyn.batch_size)) * dyn.noise_factor) @ self.basis
+        self.work = work = np.empty((rows, loss.dim))
+        tmp = np.empty((rows, loss.dim))
+        self.head = np.empty(loss.dim)
+        self.levels = []
+        power = self.mu
+        shift = 1
+        while shift < rows:
+            self.levels.append((shift, work[:-shift], np.tile(power, (rows - shift, 1)),
+                                tmp[:rows - shift], work[shift:]))
+            shift *= 2
+            if shift < rows:
+                power = power * power
+
+    def scan(self, block: np.ndarray, carry: np.ndarray) -> np.ndarray:
+        """Rows ``y_1 .. y_n`` of the recursion ``y_{j+1} = mu * y_j +
+        block[j]`` started at ``y_0 = carry``, as a view of the scratch
+        block that the next call overwrites."""
+        n = block.shape[0]
+        work = self.work[:n]
+        np.multiply(self.mu, carry, out=self.head)  # before the copy: carry may view work
+        work[:] = block
+        work[0] += self.head
+        levels = self.levels
+        if n < self.rows:
+            levels = [(shift, src[:n - shift], power[:n - shift], tmp[:n - shift],
+                       dst[:n - shift]) for shift, src, power, tmp, dst in levels if shift < n]
+        for _, src, power, tmp, dst in levels:
+            np.multiply(src, power, out=tmp)
+            np.add(dst, tmp, out=dst)
+        return work
 
 
 def _run_chain(
     init: np.ndarray,
-    loss: QuadraticLoss,
-    dyn: SgdDynamics,
+    plan: _ScanPlan,
     total_steps: int,
     stride: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scan the chain in the eigenbasis (module docstring); return
-    (records, final_state)."""
-    dim = loss.dim
-    lam, basis = np.linalg.eigh(loss.hessian.entries)
-    mu = 1.0 - dyn.lr * lam
-    rows = _scan_rows(float(np.max(np.abs(mu))))
-    # row k of z @ kick is (lr/sqrt(b)) B^T z_k, rotated into the eigenbasis
-    kick = ((dyn.lr / np.sqrt(dyn.batch_size)) * dyn.noise_factor) @ basis
+    """Scan the chain in the eigenbasis (module docstring) with ``plan``'s
+    stage; return (records, final_state)."""
+    dim = plan.mu.shape[0]
     records = np.empty((total_steps // stride + 1, dim))
     records[0] = init
-    carry = (np.asarray(init, dtype=float) - loss.minimizer) @ basis
+    carry = (np.asarray(init, dtype=float) - plan.minimizer) @ plan.basis
     step = 0
     next_record = 1
     while step < total_steps:
         chunk = min(NOISE_CHUNK, total_steps - step)
-        noise = rng.standard_normal((chunk, dim)) @ kick
-        for start in range(0, chunk, rows):
-            block = noise[start:start + rows]
-            _scan(block, mu, carry)
+        noise = rng.standard_normal((chunk, dim)) @ plan.kick
+        for start in range(0, chunk, plan.rows):
+            block = plan.scan(noise[start:start + plan.rows], carry)
             carry = block[-1]
             # block row j is step step + start + j + 1
             kept = block[(-(step + start + 1)) % stride::stride]
             records[next_record:next_record + kept.shape[0]] = kept
             next_record += kept.shape[0]
         step += chunk
-    records[1:] = records[1:] @ basis.T + loss.minimizer
-    return records, carry @ basis.T + loss.minimizer
+    del noise  # the rotation back below needs one records-sized temporary
+    np.add(records[1:] @ plan.basis.T, plan.minimizer, out=records[1:])
+    return records, carry @ plan.basis.T + plan.minimizer
 
 
 def simulate_chain(
@@ -305,7 +348,8 @@ def simulate_chain(
         )
     _check_run_length(total_steps, stride)
     _require_stable(loss, dyn, allow_unstable)
-    records, _ = _run_chain(init, loss, dyn, total_steps, stride, make_rng(seed))
+    records, _ = _run_chain(init, _ScanPlan(loss, dyn), total_steps, stride,
+                            make_rng(seed))
     return Trajectory(records, stride=stride, total_steps=total_steps, seed=seed)
 
 
@@ -395,19 +439,19 @@ def two_stage_run(
             pt_dyn.lr, pt_dyn.batch_size,
         )
 
+    pt_plan = _ScanPlan(pt_loss, pt_dyn)
+    ft_plan = _ScanPlan(ft_loss, ft_dyn)
     pt_blocks = []
     ft_blocks = []
     for replica in range(replicas):
         pt_rng = make_rng(master_seed, replica, 0)
-        pt_records, pt_final = _run_chain(
-            pt_loss.minimizer, pt_loss, pt_dyn, pt_steps, stride, pt_rng
-        )
+        pt_records, pt_final = _run_chain(pt_loss.minimizer, pt_plan, pt_steps, stride, pt_rng)
         if init_mode == "analytic_sample":
             ft_init = sample(pt_stationary, 1, child_seed(master_seed, replica, 1))[0]
         else:
             ft_init = pt_final
         ft_rng = make_rng(master_seed, replica, 2)
-        ft_records, _ = _run_chain(ft_init, ft_loss, ft_dyn, ft_steps, stride, ft_rng)
+        ft_records, _ = _run_chain(ft_init, ft_plan, ft_steps, stride, ft_rng)
         pt_blocks.append(_after_burn_in(pt_records, burn_in, 1))
         ft_blocks.append(_after_burn_in(ft_records, burn_in, 1))
 

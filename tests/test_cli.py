@@ -347,6 +347,12 @@ def _two_stage_argv(matrix):
     ("scaling", ["--ns="]),
     ("bound", ["--kl", "0", "--output", os.path.join(os.devnull, "x.json")]),
     ("two-stage", ["--burn-in=-1"]),
+    ("simulate", ["--seed=-1"]),
+    ("kl", ["--seed=-1"]),
+    ("two-stage", ["--seed=-1"]),
+    ("lemma-survey", ["--seed=-1"]),
+    ("validity", ["--seed=-1"]),
+    ("scaling", ["--ns", "10,20", "--seed=-1"]),
 ])
 def test_out_of_range_option_exits_2_without_traceback(
     capsys, identity_file, gaussian_file, command, extra

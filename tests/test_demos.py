@@ -1,4 +1,4 @@
-"""Smoke test: the demos that evaluate KL divergences and transfer bounds run cleanly."""
+"""Smoke test: every demo script runs cleanly."""
 
 import os
 import subprocess
@@ -10,14 +10,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["transfer_bounds.py", "kl_divergence_oracle.py"])
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_runs_without_traceback(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        [sys.executable, str(demo)],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0, result.stderr
-    assert "Traceback" not in result.stderr
-    assert result.stdout

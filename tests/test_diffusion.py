@@ -6,8 +6,12 @@ limit.  Noise-free chains are checked against the exact linear
 recursion.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oupac import (
     DimensionMismatchError,
@@ -25,10 +29,11 @@ from oupac import (
     solve_continuous_lyapunov,
     solve_discrete_stein,
     stability_check,
+    stationary_from_dynamics,
     two_stage_run,
 )
 from oupac import diffusion
-from oupac.gaussian import empirical_moments
+from oupac.gaussian import empirical_moments, sample
 from oupac.rng import child_seed, make_rng
 
 
@@ -63,6 +68,48 @@ def _sgd_step_loop(init, loss, dyn, total_steps, stride, seed):
             if done % stride == 0:
                 records.append(state)
     return np.array(records), state
+
+
+def _scan(block: np.ndarray, mu: np.ndarray, carry: np.ndarray) -> None:
+    """In place, row j of ``block`` becomes ``y_{j+1}`` of the recursion
+    ``y_{j+1} = mu * y_j + block[j]`` started at ``y_0 = carry``: the
+    broadcast scan the simulator's plan must match bit for bit."""
+    block[0] += mu * carry
+    power = mu
+    shift = 1
+    while shift < block.shape[0]:
+        block[shift:] += power * block[:-shift]
+        shift *= 2
+        if shift < block.shape[0]:
+            power = power * power
+
+
+def _broadcast_scan_chain(init, loss, dyn, total_steps, stride, rng):
+    """Reference chain: the eigenbasis scan with ``_scan`` on each block of
+    each noise chunk, in place; returns (records, final_state)."""
+    dim = loss.dim
+    lam, basis = np.linalg.eigh(loss.hessian.entries)
+    mu = 1.0 - dyn.lr * lam
+    rows = diffusion._scan_rows(float(np.max(np.abs(mu))))
+    kick = ((dyn.lr / np.sqrt(dyn.batch_size)) * dyn.noise_factor) @ basis
+    records = np.empty((total_steps // stride + 1, dim))
+    records[0] = init
+    carry = (np.asarray(init, dtype=float) - loss.minimizer) @ basis
+    step = 0
+    next_record = 1
+    while step < total_steps:
+        chunk = min(diffusion.NOISE_CHUNK, total_steps - step)
+        noise = rng.standard_normal((chunk, dim)) @ kick
+        for start in range(0, chunk, rows):
+            block = noise[start:start + rows]
+            _scan(block, mu, carry)
+            carry = block[-1]
+            kept = block[(-(step + start + 1)) % stride::stride]
+            records[next_record:next_record + kept.shape[0]] = kept
+            next_record += kept.shape[0]
+        step += chunk
+    records[1:] = records[1:] @ basis.T + loss.minimizer
+    return records, carry @ basis.T + loss.minimizer
 
 
 def _replay_error(got: np.ndarray, want: np.ndarray) -> float:
@@ -246,6 +293,81 @@ class TestSimulateChain:
         assert _replay_error(traj.states, want) <= 1e-12
 
 
+def _scan_case(dim: int, kind: str, seed: int):
+    """``_replay_case`` with ``mu = 1 - lr*lam`` of the given kind: all in
+    (0, 1), one below 0, spectral radius 1 - 1e-4, or unstable at -5 or
+    -20 (where the scan halves its block rows)."""
+    if kind == "near_unit":
+        loss, dyn = _replay_case(dim, 1.0, seed)
+        lr = 1e-4 / float(np.linalg.eigvalsh(loss.hessian.entries)[0])
+        return loss, SgdDynamics(lr, dyn.batch_size, dyn.noise_factor)
+    rate = {"stable": 0.6, "negative": 1.8, "unstable_5": 6.0, "unstable_20": 21.0}[kind]
+    return _replay_case(dim, rate, seed)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    dim=st.sampled_from([1, 2, 3, 10, 128]),
+    steps=st.sampled_from([1, 2, 511, 512, 513, 769, 1300, 2777]),
+    stride=st.sampled_from([1, 3, 7, 600]),
+    kind=st.sampled_from(["stable", "negative", "near_unit", "unstable_5", "unstable_20"]),
+    chunk=st.sampled_from([700, 1000, diffusion.NOISE_CHUNK]),
+    seed=st.integers(0, 2**32),
+)
+@example(dim=10, steps=2777, stride=3, kind="unstable_20", chunk=700, seed=1)
+@example(dim=128, steps=1300, stride=7, kind="near_unit", chunk=1000, seed=2)
+def test_scan_plan_matches_broadcast_scan_bit_for_bit(dim, steps, stride, kind, chunk, seed):
+    loss, dyn = _scan_case(dim, kind, seed)
+    init = make_rng(seed, 2).standard_normal(dim)
+    # an unstable chain overflows to inf and nan on both sides alike
+    with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+        patch.setattr(diffusion, "NOISE_CHUNK", chunk)
+        traj = simulate_chain(init, loss, dyn, steps, stride=stride, seed=seed,
+                              allow_unstable=True)
+        records, final = diffusion._run_chain(init, diffusion._ScanPlan(loss, dyn), steps,
+                                              stride, make_rng(seed))
+        want, want_final = _broadcast_scan_chain(init, loss, dyn, steps, stride,
+                                                 make_rng(seed))
+    assert np.array_equal(traj.states, want, equal_nan=True)
+    assert np.array_equal(records, want, equal_nan=True)
+    assert np.array_equal(final, want_final, equal_nan=True)
+
+
+def test_run_chain_peak_memory_is_records_noise_and_scratch():
+    # 20k steps in one noise chunk: the records, the normal draws and their
+    # rotation, the plan's (4097 + 2 * 512) * d scratch floats, and 32 KiB
+    # for the plan's views and the d x d arrays (about 11 KB); no
+    # records-sized or noise-sized buffer more
+    dim, steps = 10, 20_000
+    loss, dyn = _replay_case(dim, 0.6, seed=3)
+    cap = ((steps + 1) + 2 * steps + (4097 + 2 * 512)) * dim * 8 + (1 << 15)
+    rng = make_rng(3)
+    tracemalloc.start()
+    try:
+        diffusion._run_chain(np.zeros(dim), diffusion._ScanPlan(loss, dyn), steps, 1, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= cap
+
+
+def test_scan_allocates_no_temporaries():
+    # a full block and a tail block each reuse the plan's scratch; one
+    # per-level temporary would be (512 - 1) * 10 floats, 40 KB
+    loss, dyn = _replay_case(10, 0.6, seed=5)
+    plan = diffusion._ScanPlan(loss, dyn)
+    noise = make_rng(5).standard_normal((plan.rows + 300, 10))
+    carry = np.zeros(10)
+    tracemalloc.start()
+    try:
+        carry = plan.scan(noise[:plan.rows], carry)[-1]
+        plan.scan(noise[plan.rows:], carry)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 14
+
+
 class TestEstimateStationary:
     def test_noise_free_chain_collapses(self):
         loss = isotropic_loss(2)
@@ -406,6 +528,41 @@ class TestTwoStageRun:
                                    atol=1e-12 * scale)
         np.testing.assert_allclose(result.ft_estimate.covariance.entries,
                                    want.covariance.entries, rtol=0, atol=1e-12 * scale**2)
+
+    @pytest.mark.parametrize("init_mode", ["analytic_sample", "chain_continue"])
+    def test_one_plan_per_stage_gives_per_replica_bits(self, monkeypatch, init_mode):
+        # 1300 steps: the shared scratch holds a tail block when the next
+        # replica starts
+        pt_loss, pt_dyn = _replay_case(3, 0.6, seed=7)
+        ft_loss, ft_dyn = _replay_case(3, 1.8, seed=8)
+        kwargs = dict(pt_steps=1300, ft_steps=1300, replicas=3, stride=7, burn_in=0,
+                      master_seed=14, init_mode=init_mode)
+        plans = []
+
+        class CountedPlan(diffusion._ScanPlan):
+            def __init__(self, loss, dyn):
+                super().__init__(loss, dyn)
+                plans.append(self)
+
+        monkeypatch.setattr(diffusion, "_ScanPlan", CountedPlan)
+        result = two_stage_run(pt_loss, pt_dyn, ft_loss, ft_dyn, **kwargs)
+        assert len(plans) == 2
+        pt_stationary = stationary_from_dynamics(
+            pt_loss.hessian, pt_loss.minimizer, pt_dyn.noise_cov, pt_dyn.lr, pt_dyn.batch_size)
+        pt_blocks, ft_blocks = [], []
+        for replica in range(3):
+            pt_records, pt_final = _broadcast_scan_chain(
+                pt_loss.minimizer, pt_loss, pt_dyn, 1300, 7, make_rng(14, replica, 0))
+            ft_init = (pt_final if init_mode == "chain_continue" else
+                       sample(pt_stationary, 1, child_seed(14, replica, 1))[0])
+            ft_records, _ = _broadcast_scan_chain(ft_init, ft_loss, ft_dyn, 1300, 7,
+                                                  make_rng(14, replica, 2))
+            pt_blocks.append(pt_records)
+            ft_blocks.append(ft_records)
+        for got, blocks in ((result.pt_estimate, pt_blocks), (result.ft_estimate, ft_blocks)):
+            want = empirical_moments(np.concatenate(blocks))
+            assert np.array_equal(got.mean, want.mean)
+            assert np.array_equal(got.covariance.entries, want.covariance.entries)
 
     def test_replica_floor_and_instability(self):
         loss = isotropic_loss(2)
