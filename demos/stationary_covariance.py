@@ -29,10 +29,7 @@ def main():
     for lr in (0.1, 0.05, 0.01):
         dyn = op.SgdDynamics(lr, 1, noise_factor)
         report = op.stability_check(loss, dyn)
-        step_map = np.eye(dim) - lr * hessian.entries
-        stein = op.solve_discrete_stein(
-            step_map, op.SymmetricMatrix(lr**2 * dyn.noise_cov.entries)
-        ).entries
+        stein = op.stein_stationary_covariance(hessian, dyn.noise_cov, lr, 1).entries
         lyap = op.solve_continuous_lyapunov(
             hessian, op.SymmetricMatrix(lr * dyn.noise_cov.entries)
         ).entries
@@ -46,10 +43,7 @@ def main():
     trajectory = op.simulate_chain(np.zeros(dim), loss, dyn, steps, stride=1, seed=3)
     estimate = op.estimate_stationary(trajectory, burn_in_records=steps // 10)
 
-    step_map = np.eye(dim) - lr * hessian.entries
-    stein = op.solve_discrete_stein(
-        step_map, op.SymmetricMatrix(lr**2 * dyn.noise_cov.entries)
-    ).entries
+    stein = op.stein_stationary_covariance(hessian, dyn.noise_cov, lr, 1).entries
     empirical = estimate.covariance.entries
     rel = np.linalg.norm(empirical - stein, "fro") / np.linalg.norm(stein, "fro")
     print(f"empirical vs Stein covariance: {rel:.4%} relative Frobenius error")

@@ -33,11 +33,7 @@ def main():
         hessian, ft_loss.minimizer, dyn.noise_cov, dyn.lr, dyn.batch_size
     )
 
-    # the chain's exact law: X = M X M^T + (lr^2 / batch) C for M = I - lr A
-    step_map = np.eye(2) - dyn.lr * hessian.entries
-    stein = op.solve_discrete_stein(
-        step_map, op.SymmetricMatrix((dyn.lr**2 / dyn.batch_size) * dyn.noise_cov.entries)
-    )
+    stein = op.stein_stationary_covariance(hessian, dyn.noise_cov, dyn.lr, dyn.batch_size)
 
     print("pre-training stage:")
     print(f"  pooled records   {result.pt_estimate.sample_count}")

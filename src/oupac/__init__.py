@@ -62,6 +62,7 @@ from .gaussian import (
     sample,
     standard_gaussian,
     stationary_from_dynamics,
+    stein_stationary_covariance,
 )
 from .linalg import (
     SpdMatrix,
@@ -108,7 +109,7 @@ __all__ = [
     "UnstableDynamicsError",
     "GaussianMeasure", "MomentEstimate", "empirical_moments", "kl_divergence",
     "log_density", "mc_kl_estimate", "sample", "standard_gaussian",
-    "stationary_from_dynamics",
+    "stationary_from_dynamics", "stein_stationary_covariance",
     "SpdMatrix", "SymmetricMatrix", "cholesky_factor", "inverse", "log_det",
     "make_spd", "random_spd", "solve_continuous_lyapunov",
     "solve_discrete_stein", "spectral_radius",

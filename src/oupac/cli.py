@@ -55,8 +55,9 @@ from .gaussian import (
     kl_divergence,
     mc_kl_estimate,
     standard_gaussian,
+    stein_stationary_covariance,
 )
-from .linalg import SymmetricMatrix, make_spd, solve_continuous_lyapunov, solve_discrete_stein
+from .linalg import SymmetricMatrix, make_spd, solve_continuous_lyapunov
 from .regression import (
     RegressionTask,
     bound_validity_experiment,
@@ -188,9 +189,7 @@ def _run_simulate(params: dict) -> tuple[str, str]:
     trajectory = simulate_chain(loss.minimizer, loss, dyn, total_steps=params["steps"],
                                 stride=params["stride"], seed=params["seed"])
     estimate = estimate_stationary(trajectory, params["burn_in"])
-    step_map = np.eye(loss.dim) - dyn.lr * loss.hessian.entries
-    per_step_cov = (dyn.lr**2 / dyn.batch_size) * dyn.noise_cov.entries
-    stein = solve_discrete_stein(step_map, SymmetricMatrix(per_step_cov))
+    stein = stein_stationary_covariance(loss.hessian, dyn.noise_cov, dyn.lr, dyn.batch_size)
     gap = np.linalg.norm(estimate.covariance.entries - stein.entries, "fro")
     rel_gap = gap / max(np.linalg.norm(stein.entries, "fro"), np.finfo(float).tiny)
     summary = (

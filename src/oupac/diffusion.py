@@ -263,7 +263,6 @@ class _ScanPlan:
         self.kick = ((dyn.lr / np.sqrt(dyn.batch_size)) * dyn.noise_factor) @ self.basis
         self.work = work = np.empty((rows, loss.dim))
         tmp = np.empty((rows, loss.dim))
-        self.head = np.empty(loss.dim)
         self.levels = []
         power = self.mu
         shift = 1
@@ -280,9 +279,9 @@ class _ScanPlan:
         block that the next call overwrites."""
         n = block.shape[0]
         work = self.work[:n]
-        np.multiply(self.mu, carry, out=self.head)  # before the copy: carry may view work
+        head = self.mu * carry  # before the copy: carry may view work
         work[:] = block
-        work[0] += self.head
+        work[0] += head
         levels = self.levels
         if n < self.rows:
             levels = [(shift, src[:n - shift], power[:n - shift], tmp[:n - shift],

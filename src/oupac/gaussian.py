@@ -34,6 +34,7 @@ from .linalg import (
     log_det,
     make_spd,
     solve_continuous_lyapunov,
+    solve_discrete_stein,
 )
 from .rng import make_rng
 
@@ -138,6 +139,35 @@ def stationary_from_dynamics(
     check_rate(lr, batch_size)
     sigma = solve_continuous_lyapunov(hessian, _stationary_rhs(noise_cov, lr, batch_size))
     return GaussianMeasure(minimizer, make_spd(sigma.entries))
+
+
+def stein_stationary_covariance(
+    hessian: SpdMatrix,
+    noise_cov: SymmetricMatrix | SpdMatrix,
+    lr: float,
+    batch_size: int,
+) -> SymmetricMatrix:
+    """Exact stationary covariance of the discrete SGD chain.
+
+    The chain ``x' = M x + (lr / sqrt(batch_size)) B^T z`` with step map
+    ``M = I - lr * A`` has the stationary covariance X solving the Stein
+    equation ``X = M X M^T + (lr^2 / batch_size) * C``.  The Lyapunov
+    covariance of :func:`stationary_from_dynamics` is its small-rate
+    limit.
+
+    Raises
+    ------
+    InvalidRangeError
+        If lr/batch_size are out of range (see :func:`check_rate`).
+    SpectralRadiusTooLargeError
+        If the step map has spectral radius >= 1 (unstable chain).
+    ResidualTooLargeError
+        If the Stein solve fails its residual check.
+    """
+    check_rate(lr, batch_size)
+    step_map = np.eye(hessian.dim) - lr * hessian.entries
+    per_step_cov = (lr**2 / batch_size) * noise_cov.entries
+    return solve_discrete_stein(step_map, SymmetricMatrix(per_step_cov))
 
 
 def _stationary_rhs(noise_cov: SymmetricMatrix | SpdMatrix, lr: float,

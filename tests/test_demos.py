@@ -19,3 +19,5 @@ def test_demo_runs_without_traceback(demo):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout

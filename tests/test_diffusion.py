@@ -27,9 +27,9 @@ from oupac import (
     sgd_step,
     simulate_chain,
     solve_continuous_lyapunov,
-    solve_discrete_stein,
     stability_check,
     stationary_from_dynamics,
+    stein_stationary_covariance,
     two_stage_run,
 )
 from oupac import diffusion
@@ -43,9 +43,8 @@ def isotropic_loss(dim: int, center=None) -> QuadraticLoss:
 
 
 def stein_covariance(loss: QuadraticLoss, dyn: SgdDynamics) -> np.ndarray:
-    step_map = np.eye(loss.dim) - dyn.lr * loss.hessian.entries
-    per_step = (dyn.lr**2 / dyn.batch_size) * dyn.noise_cov.entries
-    return solve_discrete_stein(step_map, SymmetricMatrix(per_step)).entries
+    return stein_stationary_covariance(loss.hessian, dyn.noise_cov, dyn.lr,
+                                       dyn.batch_size).entries
 
 
 def lyapunov_covariance(loss: QuadraticLoss, dyn: SgdDynamics) -> np.ndarray:

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from oupac import (
     DimensionMismatchError,
     GaussianMeasure,
+    InvalidRangeError,
     NotPositiveDefiniteError,
+    SpectralRadiusTooLargeError,
     SymmetricMatrix,
     TooFewSamplesError,
     empirical_moments,
@@ -29,6 +31,7 @@ from oupac import (
     standard_gaussian,
     stationary_from_dynamics,
     solve_continuous_lyapunov,
+    stein_stationary_covariance,
 )
 from oupac.gaussian import _kl_divergences, gaussian_pair_terms
 from oupac.linalg import cholesky_factor
@@ -97,6 +100,39 @@ class TestStationaryFromDynamics:
         c = make_spd(np.diag([1.0, 0.0]), strictness="semidefinite")
         with pytest.raises(NotPositiveDefiniteError):
             stationary_from_dynamics(make_spd(np.eye(2)), np.zeros(2), c, 0.1, 1)
+
+
+class TestSteinStationaryCovariance:
+    def test_diagonal_closed_form(self):
+        # X = (1 - lr a)^2 X + lr^2 / b per direction: X = lr / (b a (2 - lr a))
+        x = stein_stationary_covariance(
+            make_spd(np.diag([1.0, 2.0])), make_spd(np.eye(2)), lr=0.05, batch_size=2
+        )
+        np.testing.assert_allclose(
+            x.entries, np.diag([0.05 / (2 * 1.95), 0.05 / (2 * 2 * 1.9)]), rtol=1e-14
+        )
+
+    def test_random_instance_approaches_lyapunov_as_lr_shrinks(self):
+        a = random_spd(5, 0.3, 2.0, seed=7)
+        c = random_spd(5, 0.2, 3.0, seed=8)
+        for lr, batch in ((0.1, 1), (0.01, 3)):
+            x = stein_stationary_covariance(a, c, lr, batch).entries
+            # the Stein equation rewritten: A X + X A - lr A X A = (lr / b) C
+            rhs = (lr / batch) * c.entries
+            residual = a.entries @ x + x @ a.entries - lr * a.entries @ x @ a.entries - rhs
+            assert np.linalg.norm(residual, "fro") <= 1e-10 * np.linalg.norm(rhs, "fro")
+            lyap = stationary_from_dynamics(a, np.zeros(5), c, lr, batch).covariance.entries
+            gap = np.linalg.norm(x - lyap, "fro") / np.linalg.norm(lyap, "fro")
+            assert 0 < gap <= lr * 2.0  # first-order in lr, since ||A|| <= 2
+
+    @pytest.mark.parametrize("lr, batch", [(0.0, 1), (float("nan"), 1), (0.1, 0)])
+    def test_rejects_rate_outside_range(self, lr, batch):
+        with pytest.raises(InvalidRangeError):
+            stein_stationary_covariance(make_spd(np.eye(2)), make_spd(np.eye(2)), lr, batch)
+
+    def test_rejects_unstable_step_map(self):
+        with pytest.raises(SpectralRadiusTooLargeError):
+            stein_stationary_covariance(make_spd(np.eye(2)), make_spd(np.eye(2)), 2.0, 1)
 
 
 class TestKlDivergence:
