@@ -188,6 +188,9 @@ def _run_simulate(params: dict) -> tuple[str, str]:
     _check_run(params["steps"], params["stride"], params["burn_in"], 2)
     trajectory = simulate_chain(loss.minimizer, loss, dyn, total_steps=params["steps"],
                                 stride=params["stride"], seed=params["seed"])
+    # rendered first: the threaded product of estimate_stationary would leave
+    # an OpenBLAS thread spinning on the core that renders half of the table
+    payload = _trajectory_csv(trajectory.states, trajectory.stride)
     estimate = estimate_stationary(trajectory, params["burn_in"])
     stein = stein_stationary_covariance(loss.hessian, dyn.noise_cov, dyn.lr, dyn.batch_size)
     gap = np.linalg.norm(estimate.covariance.entries - stein.entries, "fro")
@@ -197,7 +200,7 @@ def _run_simulate(params: dict) -> tuple[str, str]:
         f"spectral_radius={_fmt(report.spectral_radius)} "
         f"empirical_vs_stein_rel_frobenius={_fmt(float(rel_gap))}"
     )
-    return summary, _trajectory_csv(trajectory.states, trajectory.stride)
+    return summary, payload
 
 
 def _run_two_stage(params: dict) -> tuple[str, str]:

@@ -28,16 +28,25 @@ contiguous scratch memory prebuilt once per stage (``_ScanPlan``), at
 most ``(4097 + 2 * 512) * d`` floats: 0.41 MB at d = 10 and 5.2 MB at
 d = 128; its output is bit-identical to the broadcast scan of earlier
 versions.
+
+A chain runs with OpenBLAS held to one thread (:mod:`oupac._threads`).
+In ``two_stage_run`` one worker thread draws the next chunk of normals,
+in chain order, while the caller scans the current one, so its peak
+memory holds one more normals chunk (``NOISE_CHUNK * d`` floats) than a
+serial run.  Each generator is used by one thread at a time, in the
+order of a serial run, so the output does not depend on scheduling.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Literal, NamedTuple
+from typing import Iterator, Literal, NamedTuple
 
 import numpy as np
 
+from ._threads import _background, _one_blas_thread
 from .errors import (DimensionMismatchError, InvalidRangeError, TooFewSamplesError,
                      UnstableDynamicsError)
 from .gaussian import (MomentEstimate, check_rate, empirical_moments, sample,
@@ -292,15 +301,43 @@ class _ScanPlan:
         return work
 
 
+def _normal_chunks(rng: np.random.Generator, total_steps: int,
+                   dim: int) -> Iterator[np.ndarray]:
+    """A chain's standard normal draws, ``NOISE_CHUNK`` steps at a time."""
+    for step in range(0, total_steps, NOISE_CHUNK):
+        yield rng.standard_normal((min(NOISE_CHUNK, total_steps - step), dim))
+
+
+class _OneAhead:
+    """The items of ``items``, each made on a worker thread while the caller
+    holds the one before: one item ahead at most, one thread at a time in
+    ``items``, and no reference kept to an item once handed out."""
+
+    def __init__(self, items: Iterator[np.ndarray]):
+        self.items = items
+        self.join = _background(next, items, None)
+
+    def __iter__(self) -> _OneAhead:
+        return self
+
+    def __next__(self) -> np.ndarray:
+        item = self.join()
+        if item is None:
+            raise StopIteration
+        self.join = _background(next, self.items, None)
+        return item
+
+
 def _run_chain(
     init: np.ndarray,
     plan: _ScanPlan,
     total_steps: int,
     stride: int,
-    rng: np.random.Generator,
+    normals: Iterator[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scan the chain in the eigenbasis (module docstring) with ``plan``'s
-    stage; return (records, final_state)."""
+    stage, taking from ``normals`` the chunks of ``_normal_chunks`` for
+    ``total_steps`` steps; return (records, final_state)."""
     dim = plan.mu.shape[0]
     records = np.empty((total_steps // stride + 1, dim))
     records[0] = init
@@ -308,8 +345,8 @@ def _run_chain(
     step = 0
     next_record = 1
     while step < total_steps:
-        chunk = min(NOISE_CHUNK, total_steps - step)
-        noise = rng.standard_normal((chunk, dim)) @ plan.kick
+        noise = next(normals) @ plan.kick
+        chunk = noise.shape[0]
         for start in range(0, chunk, plan.rows):
             block = plan.scan(noise[start:start + plan.rows], carry)
             carry = block[-1]
@@ -347,8 +384,10 @@ def simulate_chain(
         )
     _check_run_length(total_steps, stride)
     _require_stable(loss, dyn, allow_unstable)
-    records, _ = _run_chain(init, _ScanPlan(loss, dyn), total_steps, stride,
-                            make_rng(seed))
+    plan = _ScanPlan(loss, dyn)
+    with _one_blas_thread():
+        records, _ = _run_chain(init, plan, total_steps, stride,
+                                _normal_chunks(make_rng(seed), total_steps, loss.dim))
     return Trajectory(records, stride=stride, total_steps=total_steps, seed=seed)
 
 
@@ -432,27 +471,33 @@ def two_stage_run(
     _require_stable(pt_loss, pt_dyn, allow_unstable=False)
     _require_stable(ft_loss, ft_dyn, allow_unstable=False)
 
+    ft_inits = None
     if init_mode == "analytic_sample":
         pt_stationary = stationary_from_dynamics(
             pt_loss.hessian, pt_loss.minimizer, pt_dyn.noise_cov,
             pt_dyn.lr, pt_dyn.batch_size,
         )
+        # drawn before the chains, with OpenBLAS unpinned: the bits of a
+        # Cholesky factor can depend on its thread count
+        ft_inits = [sample(pt_stationary, 1, child_seed(master_seed, replica, 1))[0]
+                    for replica in range(replicas)]
 
     pt_plan = _ScanPlan(pt_loss, pt_dyn)
     ft_plan = _ScanPlan(ft_loss, ft_dyn)
     pt_blocks = []
     ft_blocks = []
-    for replica in range(replicas):
-        pt_rng = make_rng(master_seed, replica, 0)
-        pt_records, pt_final = _run_chain(pt_loss.minimizer, pt_plan, pt_steps, stride, pt_rng)
-        if init_mode == "analytic_sample":
-            ft_init = sample(pt_stationary, 1, child_seed(master_seed, replica, 1))[0]
-        else:
-            ft_init = pt_final
-        ft_rng = make_rng(master_seed, replica, 2)
-        ft_records, _ = _run_chain(ft_init, ft_plan, ft_steps, stride, ft_rng)
-        pt_blocks.append(_after_burn_in(pt_records, burn_in, 1))
-        ft_blocks.append(_after_burn_in(ft_records, burn_in, 1))
+    with _one_blas_thread():
+        # every chain's draws in chain order, each generator made at its first draw
+        normals = _OneAhead(itertools.chain.from_iterable(
+            _normal_chunks(make_rng(master_seed, replica, stage), steps, pt_loss.dim)
+            for replica in range(replicas) for stage, steps in ((0, pt_steps), (2, ft_steps))))
+        for replica in range(replicas):
+            pt_records, pt_final = _run_chain(pt_loss.minimizer, pt_plan, pt_steps, stride,
+                                              normals)
+            ft_init = pt_final if ft_inits is None else ft_inits[replica]
+            ft_records, _ = _run_chain(ft_init, ft_plan, ft_steps, stride, normals)
+            pt_blocks.append(_after_burn_in(pt_records, burn_in, 1))
+            ft_blocks.append(_after_burn_in(ft_records, burn_in, 1))
 
     return TwoStageResult(
         pt_estimate=empirical_moments(np.concatenate(pt_blocks, axis=0)),

@@ -1,8 +1,9 @@
 """Text fixture formats for matrices, vectors, and Gaussian measures.
 
 Matrix format: first line is the dimension ``d``, followed by ``d``
-rows of ``d`` space-separated decimal reals.  Writers emit 17
-significant digits, enough to round-trip float64 exactly.
+rows of ``d`` space-separated decimal reals and nothing else but blank
+lines.  Writers emit 17 significant digits, enough to round-trip
+float64 exactly.
 
 Gaussian fixture format: a matrix block (the covariance) followed by
 one extra line holding the mean vector.
@@ -19,7 +20,10 @@ notation for -4 <= X < 17, else ``e+XX``/``e-XX``, without trailing
 zeros.  Every other value (zero, -0, subnormals, nan, +-inf and
 magnitudes outside the window) is formatted by ``FLOAT_FORMAT %`` one
 value at a time.  Rows are rendered in blocks of about
-``_BLOCK_VALUES`` values, which bounds the scratch memory.
+``_BLOCK_VALUES`` values, which bounds the scratch memory.  Rows that
+span more than one block are rendered in two halves, the first on a
+worker thread (:mod:`oupac._threads`), so the scratch holds two blocks
+at a time; a value's text does not depend on the block it falls in.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._threads import _background, _one_blas_thread
 from .errors import ConfigError
 
 FLOAT_FORMAT = "%.17g"
@@ -50,7 +55,7 @@ def parse_matrix(text: str) -> np.ndarray:
         raise ConfigError(f"first line must be the dimension, got {lines[0]!r}") from exc
     if dim < 1:
         raise ConfigError(f"matrix dimension must be >= 1, got {dim}")
-    if len(lines) < 1 + dim:
+    if len(lines) != 1 + dim:
         raise ConfigError(f"expected {dim} matrix rows, found {len(lines) - 1}")
     rows = []
     for line in lines[1 : 1 + dim]:
@@ -120,12 +125,25 @@ def format_rows(values: np.ndarray, sep: str, index: np.ndarray | None = None) -
     values = np.asarray(values, dtype=float)
     if values.shape[1] == 0:  # the mean line of an empty Gaussian, say
         return "\n" * values.shape[0]
+    if values.shape[0] <= _block_rows(values.shape[1]):
+        return "".join(_block_texts(values, ord(sep), index))
+    half = values.shape[0] // 2
+    _tables()  # built here, not by both threads at once
+    with _one_blas_thread():
+        first = _background(_block_texts, values[:half], ord(sep),
+                            None if index is None else index[:half])
+        second = _block_texts(values[half:], ord(sep), None if index is None else index[half:])
+        return "".join(first() + second)
+
+
+def _block_texts(values: np.ndarray, sep: int, index: np.ndarray | None) -> list[str]:
+    """``format_rows`` of ``values``, one text a block."""
     rows = _block_rows(values.shape[1])
-    parts = []
-    for start in range(0, values.shape[0], rows):
-        lead = None if index is None else np.asarray(index[start:start + rows], np.int64)
-        parts.append(_render_block(values[start:start + rows], ord(sep), lead))
-    return "".join(parts)
+    if index is not None:
+        index = np.asarray(index, np.int64)
+    return [_render_block(values[start:start + rows], sep,
+                          None if index is None else index[start:start + rows])
+            for start in range(0, values.shape[0], rows)]
 
 
 #: About how many values are rendered at a time, in whole rows: enough to

@@ -353,10 +353,13 @@ def _two_stage_argv(matrix):
     ("lemma-survey", ["--seed=-1"]),
     ("validity", ["--seed=-1"]),
     ("scaling", ["--ns", "10,20", "--seed=-1"]),
+    # a Gaussian fixture is a matrix file with one row too many
+    ("simulate", ["--hessian", "<gaussian_file>"]),
 ])
 def test_out_of_range_option_exits_2_without_traceback(
     capsys, identity_file, gaussian_file, command, extra
 ):
+    extra = [gaussian_file if arg == "<gaussian_file>" else arg for arg in extra]
     base = {
         "simulate": _simulate_argv(identity_file),
         "two-stage": _two_stage_argv(identity_file),

@@ -6,6 +6,8 @@ limit.  Noise-free chains are checked against the exact linear
 recursion.
 """
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -109,6 +111,29 @@ def _broadcast_scan_chain(init, loss, dyn, total_steps, stride, rng):
         step += chunk
     records[1:] = records[1:] @ basis.T + loss.minimizer
     return records, carry @ basis.T + loss.minimizer
+
+
+def _serial_two_stage(pt_loss, pt_dyn, ft_loss, ft_dyn, pt_steps, ft_steps, replicas,
+                      stride, burn_in, master_seed, init_mode):
+    """Reference: the two-stage loop on one thread, each chain scanned by
+    ``_broadcast_scan_chain`` on its own generator, made as the chain
+    starts; returns the pooled (pre-training, fine-tuning) moments."""
+    if init_mode == "analytic_sample":
+        pt_stationary = stationary_from_dynamics(
+            pt_loss.hessian, pt_loss.minimizer, pt_dyn.noise_cov, pt_dyn.lr, pt_dyn.batch_size)
+    pt_blocks, ft_blocks = [], []
+    for replica in range(replicas):
+        pt_records, pt_final = _broadcast_scan_chain(
+            pt_loss.minimizer, pt_loss, pt_dyn, pt_steps, stride,
+            make_rng(master_seed, replica, 0))
+        ft_init = (pt_final if init_mode == "chain_continue" else
+                   sample(pt_stationary, 1, child_seed(master_seed, replica, 1))[0])
+        ft_records, _ = _broadcast_scan_chain(ft_init, ft_loss, ft_dyn, ft_steps, stride,
+                                              make_rng(master_seed, replica, 2))
+        pt_blocks.append(pt_records[burn_in:])
+        ft_blocks.append(ft_records[burn_in:])
+    return (empirical_moments(np.concatenate(pt_blocks)),
+            empirical_moments(np.concatenate(ft_blocks)))
 
 
 def _replay_error(got: np.ndarray, want: np.ndarray) -> float:
@@ -323,8 +348,9 @@ def test_scan_plan_matches_broadcast_scan_bit_for_bit(dim, steps, stride, kind, 
         patch.setattr(diffusion, "NOISE_CHUNK", chunk)
         traj = simulate_chain(init, loss, dyn, steps, stride=stride, seed=seed,
                               allow_unstable=True)
-        records, final = diffusion._run_chain(init, diffusion._ScanPlan(loss, dyn), steps,
-                                              stride, make_rng(seed))
+        records, final = diffusion._run_chain(
+            init, diffusion._ScanPlan(loss, dyn), steps, stride,
+            diffusion._normal_chunks(make_rng(seed), steps, dim))
         want, want_final = _broadcast_scan_chain(init, loss, dyn, steps, stride,
                                                  make_rng(seed))
     assert np.array_equal(traj.states, want, equal_nan=True)
@@ -343,7 +369,8 @@ def test_run_chain_peak_memory_is_records_noise_and_scratch():
     rng = make_rng(3)
     tracemalloc.start()
     try:
-        diffusion._run_chain(np.zeros(dim), diffusion._ScanPlan(loss, dyn), steps, 1, rng)
+        diffusion._run_chain(np.zeros(dim), diffusion._ScanPlan(loss, dyn), steps, 1,
+                             diffusion._normal_chunks(rng, steps, dim))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -546,22 +573,128 @@ class TestTwoStageRun:
         monkeypatch.setattr(diffusion, "_ScanPlan", CountedPlan)
         result = two_stage_run(pt_loss, pt_dyn, ft_loss, ft_dyn, **kwargs)
         assert len(plans) == 2
-        pt_stationary = stationary_from_dynamics(
-            pt_loss.hessian, pt_loss.minimizer, pt_dyn.noise_cov, pt_dyn.lr, pt_dyn.batch_size)
-        pt_blocks, ft_blocks = [], []
-        for replica in range(3):
-            pt_records, pt_final = _broadcast_scan_chain(
-                pt_loss.minimizer, pt_loss, pt_dyn, 1300, 7, make_rng(14, replica, 0))
-            ft_init = (pt_final if init_mode == "chain_continue" else
-                       sample(pt_stationary, 1, child_seed(14, replica, 1))[0])
-            ft_records, _ = _broadcast_scan_chain(ft_init, ft_loss, ft_dyn, 1300, 7,
-                                                  make_rng(14, replica, 2))
-            pt_blocks.append(pt_records)
-            ft_blocks.append(ft_records)
-        for got, blocks in ((result.pt_estimate, pt_blocks), (result.ft_estimate, ft_blocks)):
-            want = empirical_moments(np.concatenate(blocks))
+        for got, want in zip(result, _serial_two_stage(pt_loss, pt_dyn, ft_loss, ft_dyn,
+                                                       **kwargs)):
             assert np.array_equal(got.mean, want.mean)
             assert np.array_equal(got.covariance.entries, want.covariance.entries)
+
+    @pytest.mark.parametrize("dim", [1, 2, 10, 128])
+    @pytest.mark.parametrize("init_mode", ["analytic_sample", "chain_continue"])
+    @pytest.mark.parametrize("replicas", [2, 3])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_draws_ahead_match_the_serial_loop_bit_for_bit(self, monkeypatch, dim, init_mode,
+                                                            replicas, stride):
+        # in chunks of 700 steps, pre-training draws 700, 700 and 100 rows and
+        # fine-tuning 700 and 100, so the draw ahead crosses chunk, chain and
+        # replica boundaries; d = 1 and 128 are where a thread count can
+        # change a sum's or a factor's bits
+        monkeypatch.setattr(diffusion, "NOISE_CHUNK", 700)
+        pt_loss, pt_dyn = _replay_case(dim, 0.6, seed=dim)
+        ft_loss, ft_dyn = _replay_case(dim, 1.8, seed=dim + 1)
+        kwargs = dict(pt_steps=1500, ft_steps=800, replicas=replicas, stride=stride,
+                      burn_in=0, master_seed=21, init_mode=init_mode)
+        result = two_stage_run(pt_loss, pt_dyn, ft_loss, ft_dyn, **kwargs)
+        for got, want in zip(result, _serial_two_stage(pt_loss, pt_dyn, ft_loss, ft_dyn,
+                                                       **kwargs)):
+            assert np.array_equal(got.mean, want.mean)
+            assert np.array_equal(got.covariance.entries, want.covariance.entries)
+
+    def test_draws_start_each_generator_at_its_first_draw(self, monkeypatch):
+        # chain order: replica 0 pre-training and fine-tuning, then replica 1,
+        # and each chain's generator is made just before its first draw
+        made, drawn = [], []
+        real = diffusion.make_rng
+
+        def traced(seed, replica, stage):
+            made.append((len(drawn), replica, stage))
+            rng = real(seed, replica, stage)
+
+            class Traced:
+                def standard_normal(self, shape):
+                    drawn.append((replica, stage, shape[0]))
+                    return rng.standard_normal(shape)
+
+            return Traced()
+
+        monkeypatch.setattr(diffusion, "NOISE_CHUNK", 700)
+        monkeypatch.setattr(diffusion, "make_rng", traced)
+        loss = isotropic_loss(2)
+        dyn = SgdDynamics(0.2, 1, np.eye(2))
+        two_stage_run(loss, dyn, loss, dyn, 1500, 800, replicas=2, stride=1,
+                      init_mode="chain_continue")
+        assert drawn == [(0, 0, 700), (0, 0, 700), (0, 0, 100), (0, 2, 700), (0, 2, 100),
+                         (1, 0, 700), (1, 0, 700), (1, 0, 100), (1, 2, 700), (1, 2, 100)]
+        assert made == [(0, 0, 0), (3, 0, 2), (5, 1, 0), (8, 1, 2)]
+
+    def test_worker_error_reaches_the_caller_and_the_pin_is_undone(self, monkeypatch,
+                                                                  openblas_threads):
+        seen = []
+
+        class Failing:
+            def standard_normal(self, shape):
+                seen.append((threading.get_ident(),
+                             openblas_threads and openblas_threads[0]()))
+                raise FloatingPointError("draw failed")
+
+        monkeypatch.setattr(diffusion, "make_rng", lambda *args: Failing())
+        loss = isotropic_loss(2)
+        dyn = SgdDynamics(0.2, 1, np.eye(2))
+        with pytest.raises(FloatingPointError, match="^draw failed$"):
+            two_stage_run(loss, dyn, loss, dyn, 100, 100, replicas=2)
+        assert len(seen) == 1 and seen[0][0] != threading.get_ident()
+        if openblas_threads is not None:
+            assert seen[0][1] == 1
+            assert openblas_threads[0]() == 2
+
+    def test_concurrent_runs_match_the_serial_loop(self, monkeypatch):
+        # three callers, each with its worker, on two cores, switching every
+        # 10 us: each run's draws stay in its own chain order
+        monkeypatch.setattr(diffusion, "NOISE_CHUNK", 700)
+        pt_loss, pt_dyn = _replay_case(2, 0.6, seed=2)
+        ft_loss, ft_dyn = _replay_case(2, 1.8, seed=3)
+        kwargs = [dict(pt_steps=1500, ft_steps=800, replicas=3, stride=1, burn_in=0,
+                       master_seed=seed, init_mode="chain_continue") for seed in range(3)]
+        results = [None] * 3
+
+        def run(i):
+            results[i] = two_stage_run(pt_loss, pt_dyn, ft_loss, ft_dyn, **kwargs[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for result, kw in zip(results, kwargs):
+            for got, want in zip(result, _serial_two_stage(pt_loss, pt_dyn, ft_loss, ft_dyn,
+                                                           **kw)):
+                assert np.array_equal(got.mean, want.mean)
+                assert np.array_equal(got.covariance.entries, want.covariance.entries)
+
+    def test_peak_memory_is_one_normals_chunk_ahead(self):
+        # at stride 1000 the records are small and the draws dominate: the
+        # caller's draws and their rotation, the next chain's draws on the
+        # worker, both plans' (4097 + 2 * 512) * d scratch floats, the records
+        # and 128 KiB for the rest (threads, views, d x d arrays: about 30 KB
+        # measured); a second chunk drawn ahead would be 1.6 MB more
+        dim, steps, replicas, stride = 10, 20_000, 2, 1000
+        pt_loss, pt_dyn = _replay_case(dim, 0.6, seed=3)
+        ft_loss, ft_dyn = _replay_case(dim, 1.8, seed=4)
+        records = 2 * replicas * (steps // stride + 1)
+        cap = (3 * steps + 2 * (4097 + 2 * 512) + records) * dim * 8 + (1 << 17)
+        tracemalloc.start()
+        try:
+            two_stage_run(pt_loss, pt_dyn, ft_loss, ft_dyn, steps, steps, replicas,
+                          stride=stride, master_seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap
 
     def test_replica_floor_and_instability(self):
         loss = isotropic_loss(2)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oupac import ConfigError, random_spd
+from oupac import ConfigError, matrixio, random_spd
 from oupac.matrixio import (
     FLOAT_FORMAT,
     format_gaussian,
@@ -49,6 +49,20 @@ def test_parse_rejects_malformed():
         parse_matrix("2\n1.0 2.0\n")  # missing row
     with pytest.raises(ConfigError):
         parse_matrix("2\n1.0\n2.0 3.0\n")  # short row
+
+
+@pytest.mark.parametrize("text", [
+    "2\n1 0\n0 1\nhello\n",
+    "2\n1 0\n0 1\n0 0\n",
+    "1\n1\n\n2\n",
+])
+def test_parse_rejects_lines_after_the_rows(text):
+    with pytest.raises(ConfigError, match="expected .* matrix rows, found"):
+        parse_matrix(text)
+
+
+def test_parse_ignores_blank_lines():
+    np.testing.assert_array_equal(parse_matrix("\n2\n1 0\n\n0 1\n  \n\n"), np.eye(2))
 
 
 def test_gaussian_round_trip_exact(tmp_path):
@@ -150,3 +164,29 @@ def test_no_window_value_rounds_up_to_a_power_of_ten():
         below = math.nextafter(float(power), 0) if Fraction(float(power)) >= power \
             else float(power)
         assert Fraction(below) < power * (1 - Fraction(1, 2 * 10**17)), n
+
+
+def _one_thread_blocks(values: np.ndarray, sep: str, index=None) -> str:
+    """Reference: ``format_rows`` as one thread renders it, block after block."""
+    rows = matrixio._block_rows(values.shape[1])
+    return "".join(
+        matrixio._render_block(values[start:start + rows], ord(sep),
+                               None if index is None else index[start:start + rows])
+        for start in range(0, values.shape[0], rows))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 10, 128])
+@pytest.mark.parametrize("blocks, extra_rows", [
+    (1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1),
+])
+def test_format_rows_in_two_halves_matches_one_thread(dim, blocks, extra_rows):
+    # rows around one and two blocks: from one block past, the halves split
+    # the table, mid-block for an odd number of blocks, with values the kernel
+    # formats one at a time spread through it
+    count = blocks * matrixio._block_rows(dim) + extra_rows
+    rng = make_rng(dim, blocks, extra_rows + 1)
+    values = rng.standard_normal((count, dim)) * 10.0 ** rng.integers(-12, 16, (count, dim))
+    values.flat[::89] = _BOUNDARIES[np.arange(values.flat[::89].size) % _BOUNDARIES.size]
+    index = np.arange(count, dtype=np.int64) * 7
+    assert format_rows(values, ",", index) == _one_thread_blocks(values, ",", index)
+    assert format_rows(values, " ") == _one_thread_blocks(values, " ")
