@@ -68,24 +68,20 @@ from .linalg import (
     SpdMatrix,
     SymmetricMatrix,
     cholesky_factor,
-    inverse,
     log_det,
     make_spd,
     random_spd,
     solve_continuous_lyapunov,
     solve_discrete_stein,
-    spectral_radius,
 )
 from .regression import (
     Dataset,
-    GapTrial,
     RegressionTask,
     TrialRecord,
     ValidityResult,
     bound_validity_experiment,
     empirical_quadratic,
     expected_risk_gaussian,
-    gap_trial,
     generate_dataset,
     population_quadratic,
     scaling_experiment,
@@ -110,12 +106,12 @@ __all__ = [
     "GaussianMeasure", "MomentEstimate", "empirical_moments", "kl_divergence",
     "log_density", "mc_kl_estimate", "sample", "standard_gaussian",
     "stationary_from_dynamics", "stein_stationary_covariance",
-    "SpdMatrix", "SymmetricMatrix", "cholesky_factor", "inverse", "log_det",
+    "SpdMatrix", "SymmetricMatrix", "cholesky_factor", "log_det",
     "make_spd", "random_spd", "solve_continuous_lyapunov",
-    "solve_discrete_stein", "spectral_radius",
-    "Dataset", "GapTrial", "RegressionTask", "TrialRecord", "ValidityResult",
+    "solve_discrete_stein",
+    "Dataset", "RegressionTask", "TrialRecord", "ValidityResult",
     "bound_validity_experiment", "empirical_quadratic",
-    "expected_risk_gaussian", "gap_trial", "generate_dataset",
+    "expected_risk_gaussian", "generate_dataset",
     "population_quadratic", "scaling_experiment",
     "child_seed", "make_rng",
 ]

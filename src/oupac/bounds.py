@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidRangeError, InvalidSpecError
 from .gaussian import _pair_divergences, check_rate
-from .linalg import SpdMatrix, _in_groups, _make_spd_stack, _random_spd_entries, log_det
+from .linalg import (SpdMatrix, _frozen_vector, _in_groups, _make_spd_stack, _random_spd_entries,
+                     log_det)
 # cholesky_factor is not called here; bench/tests/test_bench_trace.py reads it from here
 from .linalg import cholesky_factor  # noqa: F401
 from .rng import child_seed, make_rng
@@ -48,13 +49,12 @@ class DomainPair:
     shift: np.ndarray
 
     def __post_init__(self):
-        shift = np.asarray(self.shift, dtype=float).reshape(-1).copy()
+        shift = _frozen_vector(self.shift, "shift")
         if not (self.sigma_pt.dim == self.sigma_ft.dim == shift.shape[0]):
             raise DimensionMismatchError(
                 f"dimensions disagree: sigma_pt {self.sigma_pt.dim}, "
                 f"sigma_ft {self.sigma_ft.dim}, shift {shift.shape[0]}"
             )
-        shift.flags.writeable = False
         object.__setattr__(self, "shift", shift)
 
     @property
@@ -129,7 +129,7 @@ def mcallester_bound(kl, spec: SampleSpec):
     gives a float; an array of them (a stack of trials) gives an array.
     """
     kl = np.asarray(kl, dtype=float)
-    negative = np.flatnonzero(kl < 0)
+    negative = np.flatnonzero(~(kl >= 0))  # not (kl >= 0), so that NaN fails
     if negative.size:
         raise InvalidSpecError(f"kl must be nonnegative, got {np.ravel(kl)[negative[0]]}")
     bound = _mcallester(kl, spec)

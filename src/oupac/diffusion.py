@@ -51,7 +51,7 @@ from .errors import (DimensionMismatchError, InvalidRangeError, TooFewSamplesErr
                      UnstableDynamicsError)
 from .gaussian import (MomentEstimate, check_rate, empirical_moments, sample,
                        stationary_from_dynamics)
-from .linalg import SpdMatrix, make_spd
+from .linalg import SpdMatrix, _frozen_vector, make_spd
 from .rng import child_seed, make_rng
 
 #: Steps of simulation noise generated per chunk (bounds peak memory).
@@ -72,13 +72,12 @@ class QuadraticLoss:
     offset: float = 0.0
 
     def __post_init__(self):
-        minimizer = np.asarray(self.minimizer, dtype=float).reshape(-1).copy()
+        minimizer = _frozen_vector(self.minimizer, "minimizer")
         if minimizer.shape[0] != self.hessian.dim:
             raise DimensionMismatchError(
                 f"minimizer has dimension {minimizer.shape[0]}, hessian is "
                 f"{self.hessian.dim}x{self.hessian.dim}"
             )
-        minimizer.flags.writeable = False
         object.__setattr__(self, "minimizer", minimizer)
 
     @property

@@ -28,6 +28,7 @@ from .linalg import (
     SpdMatrix,
     SymmetricMatrix,
     Verdict,
+    _frozen_vector,
     _item,
     _log_det_of_factor,
     cholesky_factor,
@@ -53,7 +54,7 @@ class GaussianMeasure:
     covariance: SpdMatrix
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1).copy()
+        mean = _frozen_vector(self.mean, "mean")
         if self.covariance.strictness != "strict":
             raise NotPositiveDefiniteError(
                 "GaussianMeasure requires a strictly positive definite covariance"
@@ -63,7 +64,6 @@ class GaussianMeasure:
                 f"mean has dimension {mean.shape[0]} but covariance is "
                 f"{self.covariance.dim}x{self.covariance.dim}"
             )
-        mean.flags.writeable = False
         object.__setattr__(self, "mean", mean)
 
     @property

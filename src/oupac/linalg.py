@@ -1,12 +1,11 @@
 """Dense symmetric linear algebra for small matrices.
 
-Validated symmetric/SPD value types, Cholesky-based determinants and
-inverses, the continuous Lyapunov solver ``A X + X A = Q`` (stationary
-covariance of the continuous-time noise model), the discrete Stein
-solver ``X = M X M^T + Q`` (exact stationary covariance of the linear
+Validated symmetric/SPD value types, Cholesky-based determinants, the
+continuous Lyapunov solver ``A X + X A = Q`` (stationary covariance of
+the continuous-time noise model), the discrete Stein solver ``X = M X
+M^T + Q`` for a symmetric M (exact stationary covariance of the linear
 stochastic recursion), and seeded random SPD generation for tests.
-Both solvers divide elementwise in an eigenbasis, of A or of a
-symmetric M; a non-symmetric M goes to scipy's Stein solver.
+Both solvers divide elementwise in an eigenbasis, of A or of M.
 
 The private kernels shared with :mod:`oupac.regression` and
 :func:`oupac.bounds.lemma2_survey` (the random SPD draw, the SPD checks,
@@ -28,6 +27,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidRangeError,
+    InvalidSpecError,
     NotPositiveDefiniteError,
     NotSquareError,
     OupacError,
@@ -128,6 +128,16 @@ def _as_square_array(entries, name: str = "matrix", finite: bool = True) -> np.n
     if finite and not np.all(np.isfinite(arr)):
         raise _non_finite(name)
     return arr
+
+
+def _frozen_vector(values, name: str) -> np.ndarray:
+    """A read-only float copy of ``values`` flattened to a vector; raises
+    :class:`InvalidRangeError` if an entry is not finite."""
+    vector = np.asarray(values, dtype=float).reshape(-1).copy()
+    if not np.isfinite(vector).all():
+        raise InvalidRangeError(f"{name} contains non-finite entries")
+    vector.flags.writeable = False
+    return vector
 
 
 def _non_finite(name: str) -> NotSquareError:
@@ -263,16 +273,6 @@ def _log_det_of_factor(factor: np.ndarray) -> np.ndarray:
     return 2.0 * np.sum(np.log(np.diagonal(factor, axis1=-2, axis2=-1)), axis=-1)
 
 
-def inverse(m: SpdMatrix) -> SpdMatrix:
-    """Cholesky-based inverse of a strict SPD matrix."""
-    factor = cholesky_factor(m)
-    identity = np.eye(m.dim)
-    # L L^T X = I solved by two triangular solves
-    half = np.linalg.solve(factor, identity)
-    inv = np.linalg.solve(factor.T, half)
-    return make_spd(inv, strictness=m.strictness)
-
-
 def solve_continuous_lyapunov(a: SpdMatrix, q: SymmetricMatrix) -> SymmetricMatrix:
     """Solve ``A X + X A = Q`` for symmetric X with A strict SPD.
 
@@ -323,49 +323,41 @@ def _lyapunov_in_eigenbasis(a: np.ndarray, lam: np.ndarray, vecs: np.ndarray,
     return x
 
 
-def spectral_radius(m) -> float:
-    """Largest |eigenvalue| of a square (not necessarily symmetric) matrix."""
-    arr = _as_square_array(m)
-    return float(np.max(np.abs(np.linalg.eigvals(arr))))
-
-
 def solve_discrete_stein(m, q: SymmetricMatrix) -> SymmetricMatrix:
     """Solve ``X = M X M^T + Q`` for the stationary covariance X.
 
     This is the exact stationary covariance of the linear recursion
     ``x' = M x + noise`` with per-step noise covariance Q; it exists
-    when the spectral radius of M is below 1.  For a symmetric M (as
-    every SGD step map ``I - lr*A`` is), one eigendecomposition ``M = V
-    diag(mu) V^T`` gives the spectral radius and the exact solution
-    ``Xt[i, j] = Qt[i, j] / (1 - mu[i] mu[j])`` with ``Qt = V^T Q V``,
-    ``X = V Xt V^T``, refined once by the same solve for its residual.
-    Any other M goes to :func:`scipy.linalg.solve_discrete_lyapunov`,
-    which near the unit circle (e.g. d = 32, radius 1 - 1e-5) can miss
-    the residual contract; the solve then raises, in milliseconds.
+    when the spectral radius of M is below 1.  M must be exactly
+    symmetric, as every SGD step map ``I - lr*A`` is: one
+    eigendecomposition ``M = V diag(mu) V^T`` gives the spectral radius
+    and the exact solution ``Xt[i, j] = Qt[i, j] / (1 - mu[i] mu[j])``
+    with ``Qt = V^T Q V``, ``X = V Xt V^T``, refined once by the same
+    solve for its residual.
 
     Raises
     ------
+    InvalidSpecError
+        If M is not exactly symmetric (checked before any decomposition).
     SpectralRadiusTooLargeError
-        If ``spectral_radius(m) >= 1`` (no stationary solution).
+        If the spectral radius of M is >= 1 (no stationary solution).
     ResidualTooLargeError
         If the residual check fails.
     """
     m_arr = _as_square_array(m, "M")
     q_entries = _symmetric_entries(q)
     _check_same_dim(m_arr, q_entries)
-    if np.array_equal(m_arr, m_arr.T):
-        mu, vecs = np.linalg.eigh(m_arr)
-        _check_stationary(float(np.max(np.abs(mu))))
-        denom = 1.0 - mu[:, None] * mu[None, :]
-        x = _solve_in_eigenbasis(vecs, q_entries, denom)
-        # the eigendecomposition's rounding leaves a residual near
-        # eps * ||X|| ~ eps / (1 - rho^2) * ||Q||; solve for it once
-        x = x + _solve_in_eigenbasis(vecs, q_entries - x + m_arr @ x @ m_arr.T, denom)
-        solution = SymmetricMatrix(x)
-    else:
-        from scipy.linalg import solve_discrete_lyapunov  # slow to import; only used here
-        _check_stationary(spectral_radius(m_arr))
-        solution = SymmetricMatrix(solve_discrete_lyapunov(m_arr, q_entries))
+    if not np.array_equal(m_arr, m_arr.T):
+        raise InvalidSpecError("the Stein solve needs an exactly symmetric M; "
+                               "every SGD step map I - lr*A is one")
+    mu, vecs = np.linalg.eigh(m_arr)
+    _check_stationary(float(np.max(np.abs(mu))))
+    denom = 1.0 - mu[:, None] * mu[None, :]
+    x = _solve_in_eigenbasis(vecs, q_entries, denom)
+    # the eigendecomposition's rounding leaves a residual near
+    # eps * ||X|| ~ eps / (1 - rho^2) * ||Q||; solve for it once
+    x = x + _solve_in_eigenbasis(vecs, q_entries - x + m_arr @ x @ m_arr.T, denom)
+    solution = SymmetricMatrix(x)
     _residual_verdict(
         solution.entries - m_arr @ solution.entries @ m_arr.T,
         q_entries,

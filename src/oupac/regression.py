@@ -31,8 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import SampleSpec, mcallester_bound
-from .diffusion import (QuadraticLoss, SgdDynamics, _check_dims, _quadratic_values, _step_radius,
-                        estimate_stationary, simulate_chain)
+from .diffusion import QuadraticLoss, SgdDynamics, _check_dims, _quadratic_values, _step_radius
 from .errors import (
     DimensionMismatchError,
     InvalidRangeError,
@@ -47,8 +46,9 @@ from .gaussian import (
     _stationary_rhs,
     standard_gaussian,
 )
-from .linalg import (SpdMatrix, Verdict, _in_groups, _item, _lyapunov_in_eigenbasis,
-                     _spd_verdict, _symmetrized, cholesky_factor, make_spd)
+from .linalg import (SpdMatrix, Verdict, _frozen_vector, _in_groups, _item,
+                     _lyapunov_in_eigenbasis, _spd_verdict, _symmetrized, cholesky_factor,
+                     make_spd)
 from .rng import child_seed, make_rng
 
 #: Recorded on every trial result: the complexity term is derived for
@@ -70,7 +70,7 @@ class RegressionTask:
     sample_size: int
 
     def __post_init__(self):
-        weights = np.asarray(self.true_weights, dtype=float).reshape(-1).copy()
+        weights = _frozen_vector(self.true_weights, "true_weights")
         if weights.shape[0] != self.feature_cov.dim:
             raise DimensionMismatchError(
                 f"true_weights has dimension {weights.shape[0]}, feature_cov is "
@@ -80,7 +80,6 @@ class RegressionTask:
             raise InvalidRangeError(f"noise_std must be >= 0, got {self.noise_std}")
         if int(self.sample_size) != self.sample_size or self.sample_size < 1:
             raise InvalidRangeError(f"sample_size must be a positive integer, got {self.sample_size}")
-        weights.flags.writeable = False
         object.__setattr__(self, "true_weights", weights)
 
     @property
@@ -109,24 +108,6 @@ class Dataset:
     @property
     def sample_size(self) -> int:
         return self.features.shape[0]
-
-
-@dataclass(frozen=True)
-class GapTrial:
-    """One measured generalization gap and its bound."""
-
-    expected_risk: float
-    empirical_risk: float
-    gap: float
-    bound_value: float
-    violated: bool
-    note: str = BOUNDED_LOSS_NOTE
-
-    def __post_init__(self):
-        if abs(self.gap - (self.expected_risk - self.empirical_risk)) > 1e-12:
-            raise ValueError("gap must equal expected_risk - empirical_risk")
-        if self.violated != (self.gap > self.bound_value):
-            raise ValueError("violated must equal gap > bound_value")
 
 
 def generate_dataset(task: RegressionTask, seed: int) -> Dataset:
@@ -212,56 +193,26 @@ def population_quadratic(task: RegressionTask) -> QuadraticLoss:
                          float(0.5 * np.float64(task.noise_std)**2))
 
 
-def gap_trial(
-    task: RegressionTask,
-    sgd: SgdDynamics,
-    spec: SampleSpec,
-    prior: GaussianMeasure,
-    steps: int = 20_000,
-    seed: int = 0,
-    use_simulated_moments: bool = False,
-    stride: int = 10,
-) -> GapTrial:
-    """Full pipeline: data -> empirical quadratic -> posterior -> gap vs bound.
-
-    The posterior is the analytic stationary Gaussian of the SGD
-    dynamics on the empirical quadratic; ``use_simulated_moments``
-    switches to moments estimated from a simulated chain of ``steps``
-    updates (exercising the whole pipeline at the cost of chain noise).
-    """
-    (expected,), (empirical,), (bound_value,) = _gap_trials(
-        task, sgd, spec, prior, [seed], steps, use_simulated_moments, stride,
-    )
-    gap = expected - empirical
-    return GapTrial(
-        expected_risk=expected,
-        empirical_risk=empirical,
-        gap=gap,
-        bound_value=bound_value,
-        violated=gap > bound_value,
-    )
-
-
 def _gap_trials(
     task: RegressionTask,
     sgd: SgdDynamics,
     spec: SampleSpec,
     prior: GaussianMeasure,
     seeds: Sequence[int],
-    steps: int = 20_000,
-    use_simulated_moments: bool = False,
-    stride: int = 10,
 ) -> tuple[list[float], list[float], list[float]]:
-    """Expected risks, empirical risks and bounds of :func:`gap_trial` at each
-    seed, evaluated in stacked groups (module docstring)."""
-    columns = _in_groups(lambda group: _gap_group(task, sgd, spec, prior, group, steps,
-                                                  use_simulated_moments, stride),
+    """Expected risks, empirical risks and bounds of the gap trial at each
+    seed, evaluated in stacked groups (module docstring).
+
+    A trial draws its data with ``child_seed(seed, 0)``, takes the exact
+    empirical quadratic, and uses the analytic stationary Gaussian of the
+    SGD dynamics on it as the posterior."""
+    columns = _in_groups(lambda group: _gap_group(task, sgd, spec, prior, group),
                          seeds, task.sample_size * task.dim)
     return tuple(column.tolist() for column in columns)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow fails the gap check instead
-def _gap_group(task, sgd, spec, prior, seeds, steps, use_simulated_moments, stride):
+def _gap_group(task, sgd, spec, prior, seeds):
     """:func:`_gap_trials` on one group; raises at the first check that a
     trial fails, in the order a trial-by-trial loop makes the checks."""
     x, y = _datasets(task, [child_seed(seed, 0) for seed in seeds])
@@ -276,27 +227,19 @@ def _gap_group(task, sgd, spec, prior, seeds, steps, use_simulated_moments, stri
         f"stability_check failed on the empirical Hessian: spectral radius "
         f"{_item(radius, i):.6g} >= 1"
     )).check()
-    if use_simulated_moments:
-        moments = [estimate_stationary(simulate_chain(
-            minimizer[i], QuadraticLoss(make_spd(hessian[i]), minimizer[i], offset[i]), sgd,
-            steps, stride=stride, seed=child_seed(seed, 1))) for i, seed in enumerate(seeds)]
-        mean = np.array([estimate.mean for estimate in moments])
-        cov = np.array([estimate.covariance.entries for estimate in moments])
-    else:
-        lam, vecs = np.linalg.eigh(hessian)
-        rhs = _stationary_rhs(sgd.noise_cov, sgd.lr, sgd.batch_size).entries
-        cov = _lyapunov_in_eigenbasis(hessian, lam, vecs, rhs)
-        mean = minimizer
+    lam, vecs = np.linalg.eigh(hessian)
+    rhs = _stationary_rhs(sgd.noise_cov, sgd.lr, sgd.batch_size).entries
+    cov = _lyapunov_in_eigenbasis(hessian, lam, vecs, rhs)
     _spd_verdict(np.linalg.eigvalsh(cov), "strict").check()
     population = population_quadratic(task)
     expected = _expected_risks(population.hessian.entries, population.minimizer,
-                               population.offset, mean, cov)
-    empirical = _expected_risks(hessian, minimizer, offset, mean, cov)
+                               population.offset, minimizer, cov)
+    empirical = _expected_risks(hessian, minimizer, offset, minimizer, cov)
     Verdict(~np.isfinite(expected - empirical), lambda i: NumericalInconsistencyError(
         f"gap trial risks are not finite (expected {_item(expected, i):.6g}, empirical "
         f"{_item(empirical, i):.6g}): the data are too large for float64"
     )).check()
-    return expected, empirical, mcallester_bound(_kl_divergences(cov, mean, prior), spec)
+    return expected, empirical, mcallester_bound(_kl_divergences(cov, minimizer, prior), spec)
 
 
 @dataclass(frozen=True)
@@ -357,6 +300,13 @@ def _isqrt_to_odd(numerator: int, denominator: int) -> int:
     return root | (root * root * denominator != numerator)
 
 
+def _check_sample_sizes(ns: Sequence[int], dim: int) -> None:
+    """Each sample size is at least the feature dimension: with fewer rows
+    than features every design Gram matrix is singular."""
+    if any(n < dim for n in ns):
+        raise InvalidRangeError(f"every n must be >= feature dimension {dim}, got {list(ns)}")
+
+
 def bound_validity_experiment(
     task: RegressionTask,
     sgd: SgdDynamics,
@@ -364,18 +314,20 @@ def bound_validity_experiment(
     prior: GaussianMeasure,
     trials: int,
     master_seed: int = 0,
-    use_simulated_moments: bool = False,
-    steps: int = 20_000,
 ) -> ValidityResult:
-    """Run ``trials`` independent gap trials and count bound violations."""
+    """Run ``trials`` independent gap trials and count bound violations.
+
+    The sample size must be at least the feature dimension, which is
+    checked before any data are drawn."""
     if trials < 10:
         raise InvalidRangeError(f"trials must be >= 10, got {trials}")
+    _check_sample_sizes([task.sample_size], task.dim)
     seeds = [child_seed(master_seed, index) for index in range(trials)]
     records = [
         TrialRecord(seed=seed, sample_size=task.sample_size, gap=expected - empirical,
                     bound_value=bound, violated=expected - empirical > bound)
         for seed, expected, empirical, bound in zip(seeds, *_gap_trials(
-            task, sgd, spec, prior, seeds, steps, use_simulated_moments,
+            task, sgd, spec, prior, seeds,
         ))
     ]
     gaps = [r.gap for r in records]
@@ -409,8 +361,7 @@ def scaling_experiment(
         raise InvalidRangeError(f"need ns and trials_per_n >= 1, got {ns}, {trials_per_n}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise InvalidRangeError(f"ns must be strictly increasing, got {ns}")
-    if any(n < task_template.dim for n in ns):
-        raise InvalidRangeError(f"every n must be >= feature dimension {task_template.dim}")
+    _check_sample_sizes(ns, task_template.dim)
     if prior is None:
         prior = standard_gaussian(task_template.dim)
     mean_bounds: dict[int, float] = {}

@@ -59,8 +59,12 @@ def test_criterion_1_lyapunov_stein_residuals():
             np.linalg.cholesky(x_spd.entries)
         for i in range(1000):
             dim = int(rng.integers(1, 11))
-            g = make_rng(4 * i + 3).standard_normal((dim, dim))
-            m = g * (float(rng.uniform(0.2, 0.95)) / op.spectral_radius(g))
+            # a symmetric map, as every step map I - lr*A is, with eigenvalues
+            # on (-r, r): lr*lambda > 1 gives negative ones
+            radius = float(rng.uniform(0.2, 0.95))
+            basis, _ = np.linalg.qr(make_rng(4 * i + 3).standard_normal((dim, dim)))
+            m = (basis * make_rng(4 * i + 3, 1).uniform(-radius, radius, dim)) @ basis.T
+            m = (m + m.T) / 2.0
             q_sym = random_symmetric(dim, seed=4 * i + 1)
             x = op.solve_discrete_stein(m, q_sym)
             residual = np.linalg.norm(

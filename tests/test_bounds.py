@@ -127,8 +127,11 @@ def test_stacked_mcallester_bound_matches_per_kl_calls(kls, n, delta):
         want = mcallester_bound(kl, spec)
         assert type(want) is float
         np.testing.assert_array_max_ulp(got, want, maxulp=4)
-    with pytest.raises(InvalidSpecError, match="got -0.5"):
-        mcallester_bound(np.array(kls + [-0.5, -1.0]), spec)
+    for bad in (-0.5, math.nan):  # not (kl >= 0): a NaN fails the sign check too
+        with pytest.raises(InvalidSpecError, match=f"got {bad}"):
+            mcallester_bound(np.array(kls + [bad, -1.0]), spec)
+        with pytest.raises(InvalidSpecError, match=f"got {bad}"):
+            mcallester_bound(bad, spec)
 
 
 class TestPretrainBound:

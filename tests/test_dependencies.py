@@ -1,0 +1,35 @@
+"""The package runs on numpy alone: scipy is a test and benchmark reference."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [re.split(r"[<>=!~;\[ ]", dep)[0] for dep in project["dependencies"]] == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
+
+
+def _imported_modules(path: Path):
+    """Top-level names of every absolute import in a source file, wherever it sits."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_package_imports_only_stdlib_numpy_and_itself():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "oupac"}
+    sources = sorted((ROOT / "src" / "oupac").glob("*.py"))
+    assert len(sources) > 10
+    assert [(path.name, name) for path in sources for name in _imported_modules(path)
+            if name not in allowed] == []

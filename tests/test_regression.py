@@ -7,6 +7,7 @@ standard errors.
 
 import statistics
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from oupac import (
     GaussianMeasure,
+    InvalidRangeError,
     OupacError,
     QuadraticLoss,
     RegressionTask,
@@ -25,9 +27,7 @@ from oupac import (
     UnstableDynamicsError,
     bound_validity_experiment,
     empirical_quadratic,
-    estimate_stationary,
     expected_risk_gaussian,
-    gap_trial,
     generate_dataset,
     kl_divergence,
     make_spd,
@@ -35,13 +35,11 @@ from oupac import (
     population_quadratic,
     random_spd,
     scaling_experiment,
-    simulate_chain,
     stability_check,
     standard_gaussian,
     stationary_from_dynamics,
 )
 from oupac import linalg, regression
-from oupac.regression import GapTrial
 from oupac.rng import child_seed, make_rng
 
 
@@ -192,46 +190,6 @@ class TestPopulationQuadratic:
             )
 
 
-class TestGapTrial:
-    def test_noiseless_concentrated(self):
-        task = default_task(n=2000, noise_std=0.0)
-        trial = gap_trial(
-            task, default_dynamics(), SampleSpec(2000, 0.05), standard_gaussian(2),
-            seed=13,
-        )
-        assert abs(trial.gap) <= 0.05
-        assert not trial.violated
-
-    def test_deterministic(self):
-        task = default_task()
-        args = (task, default_dynamics(), SampleSpec(100, 0.05), standard_gaussian(2))
-        assert gap_trial(*args, seed=21) == gap_trial(*args, seed=21)
-
-    def test_simulated_moments_pipeline(self):
-        task = default_task()
-        analytic = gap_trial(
-            task, default_dynamics(), SampleSpec(100, 0.05), standard_gaussian(2),
-            seed=31,
-        )
-        simulated = gap_trial(
-            task, default_dynamics(), SampleSpec(100, 0.05), standard_gaussian(2),
-            steps=40_000, seed=31, use_simulated_moments=True,
-        )
-        # same dataset, so risks agree up to chain noise
-        assert simulated.empirical_risk == pytest.approx(
-            analytic.empirical_risk, rel=0.05
-        )
-        assert simulated.bound_value == pytest.approx(analytic.bound_value, rel=0.05)
-
-    def test_note_records_bounded_loss_caveat(self):
-        task = default_task()
-        trial = gap_trial(
-            task, default_dynamics(), SampleSpec(100, 0.05), standard_gaussian(2),
-            seed=1,
-        )
-        assert "unbounded" in trial.note
-
-
 class TestBoundValidityExperiment:
     def test_few_violations_and_positive_bounds(self):
         task = default_task()
@@ -251,6 +209,42 @@ class TestBoundValidityExperiment:
                 task, default_dynamics(), SampleSpec(100, 0.05),
                 standard_gaussian(2), trials=5,
             )
+
+    def test_noiseless_gaps_concentrate_below_their_bounds(self):
+        task = default_task(n=2000, noise_std=0.0)
+        result = bound_validity_experiment(
+            task, default_dynamics(), SampleSpec(2000, 0.05), standard_gaussian(2),
+            trials=10, master_seed=13,
+        )
+        assert all(abs(record.gap) <= 0.05 for record in result.records)
+        assert result.violation_count == 0
+
+    def test_deterministic(self):
+        args = (default_task(), default_dynamics(), SampleSpec(100, 0.05), standard_gaussian(2))
+        first = bound_validity_experiment(*args, trials=10, master_seed=21)
+        assert first == bound_validity_experiment(*args, trials=10, master_seed=21)
+        assert first != bound_validity_experiment(*args, trials=10, master_seed=22)
+
+    def test_note_records_bounded_loss_caveat(self):
+        result = bound_validity_experiment(
+            default_task(), default_dynamics(), SampleSpec(100, 0.05), standard_gaussian(2),
+            trials=10, master_seed=1,
+        )
+        assert "unbounded" in result.note
+
+
+@pytest.mark.parametrize("run", [
+    lambda task, sgd: bound_validity_experiment(task, sgd, SampleSpec(task.sample_size, 0.05),
+                                                standard_gaussian(task.dim), trials=10),
+    lambda task, sgd: scaling_experiment(task, [task.sample_size, 8], sgd, 0.05),
+], ids=["validity", "scaling"])
+def test_fewer_rows_than_features_rejected_before_any_data_are_drawn(monkeypatch, run):
+    def no_data(*args):
+        raise AssertionError("data were drawn before the sample-size check")
+
+    monkeypatch.setattr(regression, "_datasets", no_data)
+    with pytest.raises(InvalidRangeError, match="every n must be >= feature dimension 3"):
+        run(default_task(n=2, dim=3), default_dynamics(3))
 
 
 class TestScalingExperiment:
@@ -287,32 +281,30 @@ class TestScalingExperiment:
 
 def test_realizable_gap_shrinks_with_sample_size():
     # matched seeds: larger samples give smaller gaps in the noiseless case
-    dyn = default_dynamics()
-    prior = standard_gaussian(2)
-    smaller, larger = [], []
-    for pair_index in range(20):
-        seed = child_seed(100, pair_index)
-        small = gap_trial(
-            default_task(n=100, noise_std=0.0), dyn, SampleSpec(100, 0.05),
-            prior, seed=seed,
+    gaps = {}
+    for n in (100, 10_000):
+        result = bound_validity_experiment(
+            default_task(n=n, noise_std=0.0), default_dynamics(), SampleSpec(n, 0.05),
+            standard_gaussian(2), trials=20, master_seed=100,
         )
-        large = gap_trial(
-            default_task(n=10_000, noise_std=0.0), dyn, SampleSpec(10_000, 0.05),
-            prior, seed=seed,
-        )
-        smaller.append(abs(small.gap))
-        larger.append(abs(large.gap))
-    assert np.median(larger) < np.median(smaller)
+        gaps[n] = [abs(record.gap) for record in result.records]
+    assert np.median(gaps[10_000]) < np.median(gaps[100])
 
 
 # ---------------------------------------------------------------------------
 # the stacked trial pipeline against the trial-by-trial loop it replaced
 
 
-def _reference_gap_trial(
-    task, sgd, spec, prior, steps=20_000, seed=0, use_simulated_moments=False, stride=10,
-):
-    """Reference: gap_trial's body as it was before trials were stacked."""
+class _Trial(NamedTuple):
+    expected_risk: float
+    empirical_risk: float
+    gap: float
+    bound_value: float
+    violated: bool
+
+
+def _reference_gap_trial(task, sgd, spec, prior, seed=0):
+    """Reference: one gap trial as it was computed before trials were stacked."""
     data = generate_dataset(task, child_seed(seed, 0))
     empirical = empirical_quadratic(data)
     report = stability_check(empirical, sgd)
@@ -321,23 +313,14 @@ def _reference_gap_trial(
             f"stability_check failed on the empirical Hessian: spectral radius "
             f"{report.spectral_radius:.6g} >= 1"
         )
-    if use_simulated_moments:
-        trajectory = simulate_chain(
-            empirical.minimizer, empirical, sgd, steps, stride=stride,
-            seed=child_seed(seed, 1),
-        )
-        estimate = estimate_stationary(trajectory)
-        posterior = GaussianMeasure(estimate.mean, make_spd(estimate.covariance.entries))
-    else:
-        posterior = stationary_from_dynamics(
-            empirical.hessian, empirical.minimizer, sgd.noise_cov,
-            sgd.lr, sgd.batch_size,
-        )
+    posterior = stationary_from_dynamics(
+        empirical.hessian, empirical.minimizer, sgd.noise_cov, sgd.lr, sgd.batch_size,
+    )
     expected = expected_risk_gaussian(population_quadratic(task), posterior)
     empirical_val = expected_risk_gaussian(empirical, posterior)
     bound_value = mcallester_bound(kl_divergence(posterior, prior), spec)
     gap = expected - empirical_val
-    return GapTrial(
+    return _Trial(
         expected_risk=expected,
         empirical_risk=empirical_val,
         gap=gap,
@@ -346,10 +329,9 @@ def _reference_gap_trial(
     )
 
 
-def _reference_validity(task, sgd, spec, prior, trials, master_seed=0, **kwargs):
-    """Reference: bound_validity_experiment's loop, one gap_trial per seed."""
-    return [_reference_gap_trial(task, sgd, spec, prior, seed=child_seed(master_seed, index),
-                                 **kwargs)
+def _reference_validity(task, sgd, spec, prior, trials, master_seed=0):
+    """Reference: bound_validity_experiment's loop, one gap trial per seed."""
+    return [_reference_gap_trial(task, sgd, spec, prior, seed=child_seed(master_seed, index))
             for index in range(trials)]
 
 
@@ -379,24 +361,19 @@ def _oracle_task(dim: int, correlated: bool, noise_std: float, n: int) -> Regres
 @pytest.mark.parametrize("dim", [1, 2, 8])
 @pytest.mark.parametrize("correlated", [False, True])
 @pytest.mark.parametrize("noise_std", [0.0, 1.0])
-@pytest.mark.parametrize("simulated", [False, True])
-def test_stacked_trials_match_the_trial_by_trial_loop(dim, correlated, noise_std, simulated):
+def test_stacked_trials_match_the_trial_by_trial_loop(dim, correlated, noise_std):
     task = _oracle_task(dim, correlated, noise_std, n=5 * dim + 10)
     sgd = SgdDynamics(0.1, 10, np.eye(dim))
     spec = SampleSpec(task.sample_size, 0.05)
     prior = standard_gaussian(dim)
-    kwargs = {"use_simulated_moments": simulated, "steps": 2000 if simulated else 20_000}
     args = (task, sgd, spec, prior)
-    result = bound_validity_experiment(*args, trials=12, master_seed=dim, **kwargs)
-    want = _reference_validity(*args, trials=12, master_seed=dim, **kwargs)
+    result = bound_validity_experiment(*args, trials=12, master_seed=dim)
+    want = _reference_validity(*args, trials=12, master_seed=dim)
     for record, trial in zip(result.records, want, strict=True):
         scale = max(abs(trial.expected_risk), abs(trial.empirical_risk), trial.bound_value)
         assert _close(record.gap, trial.gap, scale)
         assert _close(record.bound_value, trial.bound_value, scale)
         assert record.violated == trial.violated
-    one = gap_trial(task, sgd, spec, prior, seed=child_seed(dim, 0), **kwargs)
-    assert one.violated == want[0].violated
-    assert _close(one.gap, want[0].gap, max(abs(want[0].expected_risk), want[0].bound_value))
 
 
 @pytest.mark.parametrize("dim, ns", [(2, [6, 12, 24]), (8, [24, 48, 96])])
@@ -436,8 +413,9 @@ def _group_sizes(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("group_floats", [linalg.GROUP_FLOATS, 1, 2 * 6 * 2])
 @pytest.mark.parametrize("task, lr, master_seed, error", [
     (_MIXED, 1.0, 6, UnstableDynamicsError),
-    (RegressionTask(np.array([0.3, -0.2, 0.1]), make_spd(np.eye(3)), 1.0, 2), 0.1, 0,
-     SingularDesignError),
+    # n >= d, and the 5e-10 variance direction makes trials 2, 5 and 9 singular
+    (RegressionTask(np.array([0.3, -0.2, 0.1]), make_spd(np.diag([1.0, 1.0, 5e-10])), 1.0, 7),
+     0.1, 0, SingularDesignError),
     (default_task(n=20), 1.2, 0, UnstableDynamicsError),
 ])
 def test_validity_raises_what_the_loop_raises_first(monkeypatch, group_floats, task, lr,
@@ -474,12 +452,10 @@ def test_scaling_raises_what_the_loop_raises_first(monkeypatch, group_floats, ta
     assert 8 in sizes or group_floats == 1
 
 
-@pytest.mark.parametrize("simulated", [False, True])
-def test_results_do_not_depend_on_the_group_size(monkeypatch, simulated):
+def test_results_do_not_depend_on_the_group_size(monkeypatch):
     task = _oracle_task(2, True, 1.0, 30)
     args = (task, default_dynamics(), SampleSpec(30, 0.05), standard_gaussian(2))
-    kwargs = {"trials": 13, "master_seed": 2, "use_simulated_moments": simulated,
-              "steps": 1000}
+    kwargs = {"trials": 13, "master_seed": 2}
     results = []
     sizes = _group_sizes(monkeypatch)
     for group_floats in (linalg.GROUP_FLOATS, 1, 4 * 30 * 2, 10**12):
