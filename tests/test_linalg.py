@@ -279,7 +279,8 @@ class TestDiscreteStein:
 
     @pytest.mark.parametrize(
         "dim, radius",
-        [(40, 1.0 - 1e-5), (128, 0.999), (8, -(1.0 - 1e-5)), (40, -(1.0 - 1e-5)),
+        [(8, 1.0 - 1e-5), (32, 1.0 - 1e-5), (40, 1.0 - 1e-5), (128, 0.999),
+         (8, -(1.0 - 1e-5)), (40, -(1.0 - 1e-5)),
          (32, 1.0 - 3e-7), (32, -(1.0 - 3e-7))],
     )
     def test_symmetric_map_near_unit_circle(self, dim, radius):

@@ -27,6 +27,7 @@ from oupac import (
     UnstableDynamicsError,
     bound_validity_experiment,
     empirical_quadratic,
+    estimate_stationary,
     expected_risk_gaussian,
     generate_dataset,
     kl_divergence,
@@ -35,9 +36,11 @@ from oupac import (
     population_quadratic,
     random_spd,
     scaling_experiment,
+    simulate_chain,
     stability_check,
     standard_gaussian,
     stationary_from_dynamics,
+    stein_stationary_covariance,
 )
 from oupac import linalg, regression
 from oupac.rng import child_seed, make_rng
@@ -316,6 +319,11 @@ def _reference_gap_trial(task, sgd, spec, prior, seed=0):
     posterior = stationary_from_dynamics(
         empirical.hessian, empirical.minimizer, sgd.noise_cov, sgd.lr, sgd.batch_size,
     )
+    return _trial_of_posterior(task, spec, prior, empirical, posterior)
+
+
+def _trial_of_posterior(task, spec, prior, empirical, posterior):
+    """Risks, gap and bound of one posterior on one dataset's empirical loss."""
     expected = expected_risk_gaussian(population_quadratic(task), posterior)
     empirical_val = expected_risk_gaussian(empirical, posterior)
     bound_value = mcallester_bound(kl_divergence(posterior, prior), spec)
@@ -374,6 +382,40 @@ def test_stacked_trials_match_the_trial_by_trial_loop(dim, correlated, noise_std
         assert _close(record.gap, trial.gap, scale)
         assert _close(record.bound_value, trial.bound_value, scale)
         assert record.violated == trial.violated
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8])
+@pytest.mark.parametrize("correlated", [False, True])
+def test_simulated_chain_moments_match_the_analytic_posterior(dim, correlated):
+    # the whole pipeline with the posterior's moments estimated from a
+    # simulated chain instead of solved for: on the same dataset, risks and
+    # bound agree with the analytic posterior's up to chain noise and the
+    # small-rate gap between the chain's Stein law and the Lyapunov one
+    task = _oracle_task(dim, correlated, 1.0, n=5 * dim + 10)
+    sgd = SgdDynamics(0.1, 10, np.eye(dim))
+    spec = SampleSpec(task.sample_size, 0.05)
+    prior = standard_gaussian(dim)
+    empirical = empirical_quadratic(generate_dataset(task, child_seed(31, 0)))
+    trajectory = simulate_chain(empirical.minimizer, empirical, sgd, 200_000, stride=10,
+                                seed=child_seed(31, 1))
+    estimate = estimate_stationary(trajectory)
+    simulated = GaussianMeasure(estimate.mean, make_spd(estimate.covariance.entries))
+    analytic = stationary_from_dynamics(empirical.hessian, empirical.minimizer,
+                                        sgd.noise_cov, sgd.lr, sgd.batch_size)
+    got = _trial_of_posterior(task, spec, prior, empirical, simulated)
+    want = _trial_of_posterior(task, spec, prior, empirical, analytic)
+    assert want == _reference_gap_trial(task, sgd, spec, prior, seed=31)
+    for field in ("expected_risk", "empirical_risk", "bound_value"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=0.05)
+    # the excess risk 0.5 tr(A S) isolates the covariance; against the exact
+    # Stein law it has no bias, and over 30 seeds per case its relative
+    # error has sd <= 0.02 and max 0.06
+    stein = stein_stationary_covariance(empirical.hessian, sgd.noise_cov, sgd.lr,
+                                        sgd.batch_size)
+    exact = GaussianMeasure(empirical.minimizer, make_spd(stein.entries))
+    excess = [expected_risk_gaussian(empirical, posterior) - empirical.offset
+              for posterior in (simulated, exact)]
+    assert excess[0] == pytest.approx(excess[1], rel=0.1)
 
 
 @pytest.mark.parametrize("dim, ns", [(2, [6, 12, 24]), (8, [24, 48, 96])])
