@@ -6,18 +6,22 @@ rule in :mod:`oupac.rng`, flags override config-file values, and
 repeated runs with the same configuration produce byte-identical
 output files.
 
+Flags are ``--key=value`` or ``--key value`` with the full long name;
+a value that starts with ``-`` needs ``=``.  A call made only of such
+flags is read straight from the option table (:func:`_table_args`);
+abbreviations, ``--help`` and parse errors go through argparse.
+
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure
 (the message names the operation that failed).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -63,6 +67,9 @@ from .regression import (
     bound_validity_experiment,
     scaling_experiment,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 #: Bad user input (exit 2) as opposed to numerical failure (exit 3).
 _VALIDATION_ERRORS = (ConfigError, DimensionMismatchError, InvalidRangeError,
@@ -526,6 +533,8 @@ def _help(option: _Option) -> str:
 
 def _build_parser(chosen: str | None = None) -> argparse.ArgumentParser:
     """The full parser: every subcommand, with options for ``chosen`` only."""
+    import argparse  # a well-formed call never builds a parser (_table_args)
+
     parser = argparse.ArgumentParser(
         prog="oupac",
         description=(
@@ -538,26 +547,41 @@ def _build_parser(chosen: str | None = None) -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     for name, spec in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=spec["help"], description=spec["help"])
-        if name == chosen:  # a call parses no other subcommand's options
-            _add_options(sub, name)
+        if name != chosen:  # a call parses no other subcommand's options
+            continue
+        # argparse only collects the text; _merge_params converts it
+        for key, option in spec["options"].items():
+            sub.add_argument("--" + key.replace("_", "-"), dest=key,
+                             default=argparse.SUPPRESS, help=_help(option))
+        sub.add_argument("--config", default=argparse.SUPPRESS,
+                         help="JSON file with option values (flags override)")
     return parser
 
 
-def _subcommand_parser(name: str) -> argparse.ArgumentParser:
-    """One subcommand's parser, as the full parser builds it, without the other eight."""
-    help_text = _COMMANDS[name]["help"]
-    return _add_options(argparse.ArgumentParser(prog=f"oupac {name}", description=help_text),
-                        name)
+def _table_args(name: str, words: list[str]) -> dict[str, str] | None:
+    """The flag texts of a well-formed call of ``name``, read straight from
+    its option table, or None for anything else.
 
-
-def _add_options(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    # argparse only collects the text; _merge_params converts it
-    for key, option in _COMMANDS[name]["options"].items():
-        parser.add_argument("--" + key.replace("_", "-"), dest=key,
-                            default=argparse.SUPPRESS, help=_help(option))
-    parser.add_argument("--config", default=argparse.SUPPRESS,
-                        help="JSON file with option values (flags override)")
-    return parser
+    Each flag is ``--key=value``, or ``--key value`` with a value that does
+    not start with ``-``, for an exact long option name or ``--config``; a
+    repeated flag's last value wins.  On such a call this is the dict of
+    argparse's Namespace; help, an abbreviation, ``--``, a stray word or a
+    missing value are left to :func:`_build_parser`.
+    """
+    keys = {"--" + key.replace("_", "-"): key for key in _COMMANDS[name]["options"]}
+    keys["--config"] = "config"
+    flags = {}
+    words = iter(words)
+    for word in words:
+        flag, has_value, value = word.partition("=")
+        if flag not in keys:
+            return None
+        if not has_value:
+            value = next(words, "-")  # a missing value fails as a dash does
+            if value.startswith("-"):
+                return None
+        flags[keys[flag]] = value
+    return flags
 
 
 def _load_config(path: str, options: dict[str, _Option]) -> dict:
@@ -576,11 +600,11 @@ def _load_config(path: str, options: dict[str, _Option]) -> dict:
     return {key: value for key, value in raw.items() if value is not None}
 
 
-def _merge_params(name: str, args: argparse.Namespace) -> dict:
+def _merge_params(name: str, flags: dict[str, str]) -> dict:
     """Option values by precedence default < config < flag, each converted by
     its option's parser: the one conversion path for every value."""
     options = _COMMANDS[name]["options"]
-    given = {k: v for k, v in vars(args).items() if k != "subcommand"}
+    given = dict(flags)
     raw = {key: option.default for key, option in options.items()}
     if "config" in given:
         raw.update(_load_config(given.pop("config"), options))
@@ -600,20 +624,19 @@ def _merge_params(name: str, args: argparse.Namespace) -> dict:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     name = argv[0] if argv else None
-    stray = True
-    if name in _COMMANDS:
-        args, stray = _subcommand_parser(name).parse_known_args(argv[1:])
-    if stray:
-        # no subcommand, an unknown one, or stray arguments: the full parser
-        # prints the help or error text and exits as it always has
+    flags = _table_args(name, argv[1:]) if name in _COMMANDS else None
+    if flags is None:
+        # no subcommand, an unknown one, help, an abbreviation or a parse
+        # error: argparse resolves the call, or prints its help or error
+        # text and exits, as it always has
         parser = _build_parser(name)
-        args = parser.parse_args(argv)
-        if args.subcommand is None:
+        flags = vars(parser.parse_args(argv))
+        name = flags.pop("subcommand")
+        if name is None:
             parser.print_help()
             return 2
-        name = args.subcommand
     try:
-        params = _merge_params(name, args)
+        params = _merge_params(name, flags)
         summary, payload = _COMMANDS[name]["run"](params)
         if params["output"] is not None:
             try:

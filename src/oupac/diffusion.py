@@ -221,9 +221,13 @@ def _step_radius(lr: float, eigenvalues: np.ndarray) -> np.ndarray:
 def _require_stable(loss: QuadraticLoss, dyn: SgdDynamics, allow_unstable: bool) -> None:
     report = stability_check(loss, dyn)
     if not report.stable and not allow_unstable:
+        # below lr * lambda_max = 2 a radius of 1 is 1 - lr*lambda rounded to 1
+        too_large = dyn.lr * np.linalg.eigvalsh(loss.hessian.entries)[-1] >= 2.0
+        cause = ("lr too large for this Hessian" if too_large else
+                 "1 - lr*lambda rounds to 1 in float64: lr too small for this Hessian")
         raise UnstableDynamicsError(
             f"stability_check failed: spectral radius of the step map is "
-            f"{report.spectral_radius:.6g} >= 1 (lr too large for this Hessian)"
+            f"{report.spectral_radius:.6g} >= 1 ({cause})"
         )
 
 

@@ -264,9 +264,14 @@ def empirical_moments(samples: np.ndarray) -> MomentEstimate:
     n = arr.shape[0]
     if n < 2:
         raise TooFewSamplesError(f"need >= 2 samples, got {n}")
-    mean = arr.mean(axis=0)
-    centered = arr - mean
-    cov = centered.T @ centered / (n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = arr.mean(axis=0)
+        centered = arr - mean
+        cov = centered.T @ centered / (n - 1)
+    if not np.isfinite(cov).all():
+        raise NumericalInconsistencyError(
+            "empirical_moments: the sample mean or covariance of the records "
+            "overflows float64")
     return MomentEstimate(mean, SymmetricMatrix(cov), n)
 
 

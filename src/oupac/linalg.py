@@ -328,7 +328,8 @@ def solve_discrete_stein(m, q: SymmetricMatrix) -> SymmetricMatrix:
 
     This is the exact stationary covariance of the linear recursion
     ``x' = M x + noise`` with per-step noise covariance Q; it exists
-    when the spectral radius of M is below 1.  M must be exactly
+    when the spectral radius of M is below 1.  M (an array, a
+    :class:`SymmetricMatrix` or an :class:`SpdMatrix`) must be exactly
     symmetric, as every SGD step map ``I - lr*A`` is: one
     eigendecomposition ``M = V diag(mu) V^T`` gives the spectral radius
     and the exact solution ``Xt[i, j] = Qt[i, j] / (1 - mu[i] mu[j])``
@@ -344,7 +345,8 @@ def solve_discrete_stein(m, q: SymmetricMatrix) -> SymmetricMatrix:
     ResidualTooLargeError
         If the residual check fails.
     """
-    m_arr = _as_square_array(m, "M")
+    m_arr = (m.entries if isinstance(m, (SpdMatrix, SymmetricMatrix))
+             else _as_square_array(m, "M"))
     q_entries = _symmetric_entries(q)
     _check_same_dim(m_arr, q_entries)
     if not np.array_equal(m_arr, m_arr.T):

@@ -29,6 +29,7 @@ at a time; a value's text does not depend on the block it falls in.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from pathlib import Path
 
@@ -110,7 +111,7 @@ def _parse_floats(line: str) -> list[float]:
         values = [float(token) for token in line.split()]
     except ValueError as exc:
         raise ConfigError(f"could not parse numeric row {line!r}") from exc
-    if not all(np.isfinite(values)):
+    if not all(map(math.isfinite, values)):
         raise ConfigError(f"numeric row {line!r} has non-finite entries")
     return values
 

@@ -96,8 +96,8 @@ class Dataset:
     seed: int
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=float)
-        targets = np.asarray(self.targets, dtype=float).reshape(-1)
+        features = _frozen_vector(self.features, "features").reshape(np.shape(self.features))
+        targets = _frozen_vector(self.targets, "targets")
         if features.shape[0] != targets.shape[0]:
             raise DimensionMismatchError(
                 f"{features.shape[0]} feature rows vs {targets.shape[0]} targets"

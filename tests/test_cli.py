@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oupac import (
     SampleSpec,
@@ -467,6 +469,30 @@ def test_overflowing_matrix_exits_3_without_warning(capsys, tmp_path, identity_f
     assert err == f"error in {command}: matrix symmetrization (M + M^T) / 2 overflows float64\n"
 
 
+_MOMENTS_OVERFLOW = ("empirical_moments: the sample mean or covariance of the records "
+                     "overflows float64")
+_RADIUS_ROUNDS_TO_1 = ("stability_check failed: spectral radius of the step map is 1 >= 1 "
+                       "(1 - lr*lambda rounds to 1 in float64: lr too small for this Hessian)")
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("simulate", ["--minimizer=1e300,1e300", "--stride=1"], _MOMENTS_OVERFLOW),
+    ("two-stage", ["--pt-minimizer=3e300,3e300", "--ft-minimizer=3e300,3e300", "--stride=1"],
+     _MOMENTS_OVERFLOW),
+    ("simulate", ["--eta=1e-17"], _RADIUS_ROUNDS_TO_1),
+    ("two-stage", ["--pt-eta=1e-17"], _RADIUS_ROUNDS_TO_1),
+])
+def test_chain_failure_exits_3_naming_its_cause(capsys, identity_file, command, flags,
+                                                message):
+    base = {"simulate": _simulate_argv, "two-stage": _two_stage_argv}[command](identity_file)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *base, *flags)
+    assert (code, out) == (3, "")
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+    assert err == f"error in {command}: {message}\n"
+
+
 @pytest.mark.parametrize("noise_std", ["1e154", "1e200"])
 @pytest.mark.parametrize("command", ["validity", "scaling"])
 def test_overflowing_noise_exits_3_without_warning(capsys, command, noise_std):
@@ -500,7 +526,6 @@ def test_every_default_reaches_params_alike_from_default_config_and_flag(
     options = cli._COMMANDS[name]["options"]
     required = [f"--{key.replace('_', '-')}={stand_ins[option.parse]}"
                 for key, option in options.items() if option.default is ...]
-    parser = cli._build_parser(name)
     config = tmp_path / "cfg.json"
     with_default = [key for key, option in options.items()
                     if option.default is not ... and option.default is not None]
@@ -510,7 +535,7 @@ def test_every_default_reaches_params_alike_from_default_config_and_flag(
         config.write_text(json.dumps({key: default}))
         text = repr(default) if isinstance(default, float) else str(default)
         ways = [[], ["--config", str(config)], [f"--{key.replace('_', '-')}={text}"]]
-        values = [cli._merge_params(name, parser.parse_args([name, *required, *way]))[key]
+        values = [cli._merge_params(name, cli._table_args(name, [*required, *way]))[key]
                   for way in ways]
         for value in values[1:]:
             assert type(value) is type(values[0]), key
@@ -559,6 +584,10 @@ def _full_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once for the property test; argparse keeps no state between parses.
+_FULL_PARSER = _full_parser()
+
+
 def _reference_main(argv: list[str]) -> int:
     """main's parsing and help, on the full parser."""
     parser = _full_parser()
@@ -587,12 +616,65 @@ def _parse_outcome(main_fn, argv: list[str], capsys) -> tuple[int, str, str]:
     ["simulate", "--stride", "1", "stray"],
     ["kl", "-h"],
     ["scaling", "--ns"],
+    ["simulate", "--steps"],
+    ["bound", "--kl", "--n", "3"],
+    ["bound", "--", "--kl", "0"],
 ])
 def test_help_and_parse_errors_match_full_parser(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "100")
     want = _parse_outcome(_reference_main, argv, capsys)
     assert want[0] in (0, 2)
     assert _parse_outcome(main, argv, capsys) == want
+
+
+@st.composite
+def _well_formed_call(draw) -> tuple[str, list[str]]:
+    """A subcommand and flags from its option table, each ``--key=value`` or
+    ``--key value``, some repeated, ``--config`` among them."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    flags = ["--" + key.replace("_", "-") for key in cli._COMMANDS[name]["options"]]
+    chosen = draw(st.lists(st.sampled_from([*flags, "--config"]), min_size=1, max_size=3))
+    words = []
+    for flag in draw(st.lists(st.sampled_from(chosen), max_size=8)):
+        if draw(st.booleans()):
+            words.append(f"{flag}={draw(st.text(max_size=6))}")
+        else:
+            words += [flag, draw(st.text(max_size=6).filter(lambda t: not t.startswith("-")))]
+    return name, words
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_well_formed_call())
+def test_table_args_match_the_full_parser(call):
+    name, words = call
+    want = vars(_FULL_PARSER.parse_args([name, *words]))
+    assert want.pop("subcommand") == name
+    assert cli._table_args(name, words) == want
+
+
+def test_abbreviated_flag_runs_through_argparse(capsys):
+    full = ["--kl", "0", "--n", "100", "--delta", "0.05"]
+    abbreviated = ["--k", "0", "--n", "100", "--delta", "0.05"]
+    assert cli._table_args("bound", abbreviated) is None
+    want = run_cli(capsys, "bound", *full)
+    assert want[0] == 0
+    assert run_cli(capsys, "bound", *abbreviated) == want
+
+
+def test_well_formed_call_imports_no_argparse():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "oupac",
+         "bound", "--kl", "0", "--n", "100", "--delta=0.05"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("bound: complexity_term=")
+    imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()]
+    assert "oupac.cli" in imported
+    assert "argparse" not in imported
 
 
 _EXTREMES = np.array([

@@ -342,6 +342,13 @@ class TestDiscreteStein:
         theirs = scipy.linalg.solve_discrete_lyapunov(m, q.entries)
         np.testing.assert_allclose(ours, theirs, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("wrap", [SymmetricMatrix, make_spd])
+    def test_symmetric_types_for_m_solve_as_their_entries(self, wrap):
+        q = random_symmetric(4, seed=33)
+        for m in [0.5 * np.eye(4), random_spd(4, 0.1, 0.9, seed=34).entries]:
+            want = solve_discrete_stein(m, q).entries
+            assert np.array_equal(solve_discrete_stein(wrap(m), q).entries, want)
+
     def test_unstable_map_rejected(self):
         with pytest.raises(SpectralRadiusTooLargeError):
             solve_discrete_stein(np.array([[1.0]]), SymmetricMatrix([[1.0]]))

@@ -61,6 +61,15 @@ def test_parse_rejects_lines_after_the_rows(text):
         parse_matrix(text)
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e999"])
+def test_parse_rejects_non_finite_entries(entry):
+    row = f"1 {entry}"
+    with pytest.raises(ConfigError, match=f"numeric row '{row}' has non-finite entries"):
+        parse_matrix(f"2\n1 0\n{row}\n")
+    with pytest.raises(ConfigError, match=f"numeric row '{row}' has non-finite entries"):
+        matrixio.parse_vector(row)
+
+
 def test_parse_ignores_blank_lines():
     np.testing.assert_array_equal(parse_matrix("\n2\n1 0\n\n0 1\n  \n\n"), np.eye(2))
 

@@ -110,6 +110,18 @@ class TestEmpiricalQuadratic:
             direct = 0.5 * float(residuals @ residuals) / task.sample_size
             assert quad.value(theta) == pytest.approx(direct, rel=1e-10)
 
+    @pytest.mark.parametrize("field, features, targets", [
+        ("features", [[1.0, np.nan], [0.0, 1.0]], [1.0, 2.0]),
+        ("features", [[np.inf, 0.0], [0.0, 1.0]], [1.0, 2.0]),
+        ("targets", np.eye(2), [1.0, np.nan]),
+        ("targets", np.eye(2), [-np.inf, 2.0]),
+    ])
+    def test_non_finite_data_rejected_at_construction(self, field, features, targets):
+        from oupac.regression import Dataset
+
+        with pytest.raises(InvalidRangeError, match=f"^{field} contains non-finite entries$"):
+            Dataset(np.array(features), np.array(targets), seed=0)
+
     def test_singular_design_rejected(self):
         from oupac.regression import Dataset
 
