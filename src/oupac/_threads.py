@@ -1,15 +1,16 @@
-"""One worker thread, and OpenBLAS held to one thread while it runs.
+"""OpenBLAS held to one thread while a chain runs.
 
-The chain commands run at most one thread besides the caller's: it draws
-the next chunk of normals or renders half of a table.  After a threaded
-product, OpenBLAS keeps a thread of its own spinning on a core for about
-0.1 s, so a section that runs a worker holds OpenBLAS to one thread.
-Only sections whose bits do not depend on OpenBLAS's thread count are
-held: a matrix product (GEMM) splits its output among threads, never an
-inner sum, and the normal draws and the table text use no BLAS.  The
+oupac starts no thread of its own.  A chain's products are small, and
+OpenBLAS's second thread does not pay for them: without the pin the
+``chain`` benchmark's peak resident memory measured 71.9 against
+70.1 MB (median of 5 alternated pairs on a 2-vCPU machine), at a speed
+within its run-to-run spread.  Only sections whose bits do not depend on OpenBLAS's
+thread count are held: a matrix product (GEMM) splits its output among
+threads, never an inner sum, and the normal draws use no BLAS.  The
 count is process-wide: while a section holds it, BLAS calls on other
-threads of the process run on one thread too.  Nothing is looked up and
-no thread is started at import.
+threads of the process run on one thread too, so sections on several
+threads share one save and one restore.  Nothing is looked up at
+import.
 """
 
 from __future__ import annotations
@@ -18,30 +19,6 @@ import contextlib
 import functools
 import threading
 from typing import Callable
-
-
-def _background(fn: Callable, *args) -> Callable:
-    """Start ``fn(*args)`` on a daemon thread; return a join that waits for
-    it and gives back its result, or raises its exception in the caller."""
-    outcome = []
-
-    def run():
-        try:
-            outcome.append((fn(*args), None))
-        except BaseException as exc:  # handed to the caller by join
-            outcome.append((None, exc))
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-
-    def join():
-        thread.join()
-        result, error = outcome.pop()
-        if error is not None:
-            raise error
-        return result
-
-    return join
 
 
 @functools.cache

@@ -17,11 +17,13 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical failure
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -153,11 +155,12 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
 
 
-def _trajectory_csv(states: np.ndarray, stride: int) -> str:
-    """``_csv_text`` of each record's step and state."""
-    header = ",".join(["step"] + [f"theta_{i}" for i in range(states.shape[1])]) + "\n"
+def _trajectory_csv(states: np.ndarray, stride: int) -> Iterator[str]:
+    """``_csv_text`` of each record's step and state: the header, then one
+    text a block of rows, each rendered when it is asked for."""
+    yield ",".join(["step"] + [f"theta_{i}" for i in range(states.shape[1])]) + "\n"
     steps = np.arange(states.shape[0], dtype=np.int64) * stride
-    return header + matrixio.format_rows(states, ",", steps)
+    yield from matrixio._block_texts(states, ",", steps)
 
 
 def _json_text(payload) -> str:
@@ -165,11 +168,11 @@ def _json_text(payload) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: params dict -> (summary line, payload text in the
-# requested format)
+# subcommand handlers: params dict -> (summary line, the pieces of the
+# payload text in the requested format)
 
 
-def _run_lyapunov(params: dict) -> tuple[str, str]:
+def _run_lyapunov(params: dict) -> tuple[str, Iterable[str]]:
     a = make_spd(params["a"])
     q = SymmetricMatrix(params["q"])
     check_rate(params["eta"], params["batch"])
@@ -179,7 +182,7 @@ def _run_lyapunov(params: dict) -> tuple[str, str]:
         f"lyapunov: dim={a.dim} stationary covariance solved, "
         f"trace={_fmt(trace)}"
     )
-    return summary, matrixio.format_matrix(solution.entries)
+    return summary, [matrixio.format_matrix(solution.entries)]
 
 
 def _load_dynamics(params: dict, prefix: str = "") -> tuple[QuadraticLoss, SgdDynamics]:
@@ -189,15 +192,12 @@ def _load_dynamics(params: dict, prefix: str = "") -> tuple[QuadraticLoss, SgdDy
     return loss, dyn
 
 
-def _run_simulate(params: dict) -> tuple[str, str]:
+def _run_simulate(params: dict) -> tuple[str, Iterable[str]]:
     loss, dyn = _load_dynamics(params)
     report = stability_check(loss, dyn)
-    _check_run(params["steps"], params["stride"], params["burn_in"], 2)
+    _check_run(params["steps"], params["stride"], params["burn_in"], 2, loss.dim, "steps")
     trajectory = simulate_chain(loss.minimizer, loss, dyn, total_steps=params["steps"],
                                 stride=params["stride"], seed=params["seed"])
-    # rendered first: the threaded product of estimate_stationary would leave
-    # an OpenBLAS thread spinning on the core that renders half of the table
-    payload = _trajectory_csv(trajectory.states, trajectory.stride)
     estimate = estimate_stationary(trajectory, params["burn_in"])
     stein = stein_stationary_covariance(loss.hessian, dyn.noise_cov, dyn.lr, dyn.batch_size)
     gap = np.linalg.norm(estimate.covariance.entries - stein.entries, "fro")
@@ -207,10 +207,10 @@ def _run_simulate(params: dict) -> tuple[str, str]:
         f"spectral_radius={_fmt(report.spectral_radius)} "
         f"empirical_vs_stein_rel_frobenius={_fmt(float(rel_gap))}"
     )
-    return summary, payload
+    return summary, _trajectory_csv(trajectory.states, trajectory.stride)
 
 
-def _run_two_stage(params: dict) -> tuple[str, str]:
+def _run_two_stage(params: dict) -> tuple[str, Iterable[str]]:
     pt_loss, pt_dyn = _load_dynamics(params, "pt_")
     ft_loss, ft_dyn = _load_dynamics(params, "ft_")
     result = two_stage_run(
@@ -230,7 +230,7 @@ def _run_two_stage(params: dict) -> tuple[str, str]:
         f"two-stage: pooled pt_records={result.pt_estimate.sample_count} "
         f"ft_records={result.ft_estimate.sample_count} ft_mean=[{ft_mean}]"
     )
-    return summary, _json_text(payload)
+    return summary, [_json_text(payload)]
 
 
 def _moments_payload(estimate) -> dict:
@@ -241,7 +241,7 @@ def _moments_payload(estimate) -> dict:
     }
 
 
-def _run_kl(params: dict) -> tuple[str, str]:
+def _run_kl(params: dict) -> tuple[str, Iterable[str]]:
     mean_q, cov_q = params["q"]
     mean_p, cov_p = params["p"]
     q = GaussianMeasure(mean_q, make_spd(cov_q))
@@ -259,10 +259,10 @@ def _run_kl(params: dict) -> tuple[str, str]:
         f"kl: closed_form={_fmt(closed)} mc_estimate={_fmt(estimate)} "
         f"mc_std_error={_fmt(std_error)}"
     )
-    return summary, _json_text(payload)
+    return summary, [_json_text(payload)]
 
 
-def _run_bound(params: dict) -> tuple[str, str]:
+def _run_bound(params: dict) -> tuple[str, Iterable[str]]:
     spec = SampleSpec(params["n"], params["delta"])
     value = mcallester_bound(params["kl"], spec)
     payload = {
@@ -271,10 +271,10 @@ def _run_bound(params: dict) -> tuple[str, str]:
         "delta": params["delta"],
         "complexity_term": value,
     }
-    return f"bound: complexity_term={_fmt(value)}", _json_text(payload)
+    return f"bound: complexity_term={_fmt(value)}", [_json_text(payload)]
 
 
-def _run_lemma_survey(params: dict) -> tuple[str, str]:
+def _run_lemma_survey(params: dict) -> tuple[str, Iterable[str]]:
     rows = lemma2_survey(
         dims=params["dims"],
         pairs_per_dim=params["pairs_per_dim"],
@@ -291,11 +291,11 @@ def _run_lemma_survey(params: dict) -> tuple[str, str]:
     )
     if params["format"] == "csv":
         header = ["dim", "pairs", "holds", "holds_fraction", "min_margin"]
-        return summary, _csv_text(header, [[row[k] for k in header] for row in rows])
-    return summary, _json_text(rows)
+        return summary, [_csv_text(header, [[row[k] for k in header] for row in rows])]
+    return summary, [_json_text(rows)]
 
 
-def _run_dominance(params: dict) -> tuple[str, str]:
+def _run_dominance(params: dict) -> tuple[str, Iterable[str]]:
     sigma_pt = make_spd(params["sigma_pt"])
     sigma_ft = make_spd(params["sigma_ft"])
     pair = DomainPair(sigma_pt, sigma_ft, params["shift"])
@@ -318,7 +318,7 @@ def _run_dominance(params: dict) -> tuple[str, str]:
         f"dominance: pt_term={_fmt(report.pt_term)} ft_term={_fmt(report.ft_term)} "
         f"ratio={_fmt(report.ratio)}"
     )
-    return summary, _json_text(payload)
+    return summary, [_json_text(payload)]
 
 
 def _build_task_and_dynamics(params: dict, sample_size: int) -> tuple[RegressionTask, SgdDynamics]:
@@ -330,7 +330,7 @@ def _build_task_and_dynamics(params: dict, sample_size: int) -> tuple[Regression
     return task, dyn
 
 
-def _run_validity(params: dict) -> tuple[str, str]:
+def _run_validity(params: dict) -> tuple[str, Iterable[str]]:
     task, dyn = _build_task_and_dynamics(params, params["n"])
     spec = SampleSpec(task.sample_size, params["delta"])
     result = bound_validity_experiment(
@@ -353,11 +353,11 @@ def _run_validity(params: dict) -> tuple[str, str]:
     if params["format"] == "csv":
         rows = [[r.seed, r.sample_size, r.gap, r.bound_value, r.violated]
                 for r in result.records]
-        return summary, _csv_text(["seed", "n", "gap", "bound", "violated"], rows)
-    return summary, _json_text(payload)
+        return summary, [_csv_text(["seed", "n", "gap", "bound", "violated"], rows)]
+    return summary, [_json_text(payload)]
 
 
-def _run_scaling(params: dict) -> tuple[str, str]:
+def _run_scaling(params: dict) -> tuple[str, Iterable[str]]:
     # scaling_experiment sets the sample size of each run; the task's is a placeholder
     task, dyn = _build_task_and_dynamics(params, params["ns"][0])
     rows = scaling_experiment(
@@ -370,8 +370,8 @@ def _run_scaling(params: dict) -> tuple[str, str]:
     )
     if params["format"] == "csv":
         header = ["n", "mean_bound", "mean_gap", "ratio_bound_4n"]
-        return summary, _csv_text(header, [[row[k] for k in header] for row in rows])
-    return summary, _json_text(rows)
+        return summary, [_csv_text(header, [[row[k] for k in header] for row in rows])]
+    return summary, [_json_text(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -637,12 +637,9 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     try:
         params = _merge_params(name, flags)
-        summary, payload = _COMMANDS[name]["run"](params)
+        summary, pieces = _COMMANDS[name]["run"](params)
         if params["output"] is not None:
-            try:
-                Path(params["output"]).write_text(payload)
-            except OSError as exc:
-                raise ConfigError(f"--output: {exc}") from exc
+            _write_output(params["output"], pieces)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -651,8 +648,27 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     print(summary)
     if params["output"] is None:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(pieces)
     return 0
+
+
+def _write_output(path: str, pieces: Iterable[str]) -> None:
+    """Write a payload's pieces to the file ``path`` as they come, none
+    joined to another; if a write fails, remove the partial file."""
+    try:
+        out = open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"--output: {exc}") from exc
+    try:
+        with out:
+            out.writelines(pieces)
+    except BaseException as exc:
+        if os.path.isfile(path):  # never a device or a pipe that --output names
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"--output: {exc}") from exc
+        raise
 
 
 if __name__ == "__main__":

@@ -29,12 +29,17 @@ most ``(4097 + 2 * 512) * d`` floats: 0.41 MB at d = 10 and 5.2 MB at
 d = 128; its output is bit-identical to the broadcast scan of earlier
 versions.
 
-A chain runs with OpenBLAS held to one thread (:mod:`oupac._threads`).
-In ``two_stage_run`` one worker thread draws the next chunk of normals,
-in chain order, while the caller scans the current one, so its peak
-memory holds one more normals chunk (``NOISE_CHUNK * d`` floats) than a
-serial run.  Each generator is used by one thread at a time, in the
-order of a serial run, so the output does not depend on scheduling.
+A chain runs on the caller's thread with OpenBLAS held to one thread
+(:mod:`oupac._threads`).  Its peak memory is its records,
+``(total_steps // stride + 1) * d`` floats, one chunk of normals and
+its kicked copy, ``2 * NOISE_CHUNK * d`` floats at most, and the scan's
+scratch; once the last chunk is freed, the rotation back into the
+original basis takes one records-sized temporary.  The records are
+capped at ``linalg.RECORD_FLOATS`` floats, checked before any chain
+runs.  The ``simulate`` command holds one chain's records and then one
+block of its CSV text at a time (:mod:`oupac.matrixio`); ``two-stage``
+holds the records of every replica and stage, the chunks of one chain
+at a time, and a small JSON text.
 """
 
 from __future__ import annotations
@@ -46,12 +51,12 @@ from typing import Iterator, Literal, NamedTuple
 
 import numpy as np
 
-from ._threads import _background, _one_blas_thread
+from ._threads import _one_blas_thread
 from .errors import (DimensionMismatchError, InvalidRangeError, TooFewSamplesError,
                      UnstableDynamicsError)
 from .gaussian import (MomentEstimate, check_rate, empirical_moments, sample,
                        stationary_from_dynamics)
-from .linalg import SpdMatrix, _frozen_vector, make_spd
+from .linalg import RECORD_FLOATS, SpdMatrix, _frozen_vector, make_spd
 from .rng import child_seed, make_rng
 
 #: Steps of simulation noise generated per chunk (bounds peak memory).
@@ -231,11 +236,22 @@ def _require_stable(loss: QuadraticLoss, dyn: SgdDynamics, allow_unstable: bool)
         )
 
 
-def _check_run_length(total_steps: int, stride: int) -> None:
+def _check_run_length(total_steps: int, stride: int, dim: int,
+                      name: str = "total_steps") -> None:
+    """Reject a run of ``total_steps`` (the option ``name``) at ``stride``
+    whose ``total_steps // stride + 1`` records of ``dim`` floats would
+    exceed ``RECORD_FLOATS``, before anything is allocated."""
     if total_steps < 1:
-        raise InvalidRangeError(f"total_steps must be >= 1, got {total_steps}")
+        raise InvalidRangeError(f"{name} must be >= 1, got {total_steps}")
     if stride < 1:
         raise InvalidRangeError(f"stride must be >= 1, got {stride}")
+    floats = (total_steps // stride + 1) * dim
+    if floats > RECORD_FLOATS:
+        raise InvalidRangeError(
+            f"{name}={total_steps} at stride {stride} records {floats} floats "
+            f"({8 * floats} bytes) at dimension {dim}; at most {RECORD_FLOATS} "
+            f"({8 * RECORD_FLOATS} bytes) are held"
+        )
 
 
 def _scan_rows(radius: float) -> int:
@@ -311,26 +327,6 @@ def _normal_chunks(rng: np.random.Generator, total_steps: int,
         yield rng.standard_normal((min(NOISE_CHUNK, total_steps - step), dim))
 
 
-class _OneAhead:
-    """The items of ``items``, each made on a worker thread while the caller
-    holds the one before: one item ahead at most, one thread at a time in
-    ``items``, and no reference kept to an item once handed out."""
-
-    def __init__(self, items: Iterator[np.ndarray]):
-        self.items = items
-        self.join = _background(next, items, None)
-
-    def __iter__(self) -> _OneAhead:
-        return self
-
-    def __next__(self) -> np.ndarray:
-        item = self.join()
-        if item is None:
-            raise StopIteration
-        self.join = _background(next, self.items, None)
-        return item
-
-
 def _run_chain(
     init: np.ndarray,
     plan: _ScanPlan,
@@ -385,7 +381,7 @@ def simulate_chain(
         raise DimensionMismatchError(
             f"init has dimension {init.shape[0]}, loss has {loss.dim}"
         )
-    _check_run_length(total_steps, stride)
+    _check_run_length(total_steps, stride, loss.dim)
     _require_stable(loss, dyn, allow_unstable)
     plan = _ScanPlan(loss, dyn)
     with _one_blas_thread():
@@ -421,11 +417,13 @@ def _burn_in_cut(count: int, burn_in: int | None, need: int) -> int:
     return cut
 
 
-def _check_run(total_steps: int, stride: int, burn_in: int | None, need: int) -> None:
-    """Reject a run length, stride or burn-in before any chain runs: the
-    chain records ``total_steps // stride + 1`` states, and at least ``need``
-    must survive the burn-in."""
-    _check_run_length(total_steps, stride)
+def _check_run(total_steps: int, stride: int, burn_in: int | None, need: int, dim: int,
+               name: str) -> None:
+    """Reject a run length (the option ``name``), stride or burn-in before
+    any chain runs: the chain records ``total_steps // stride + 1`` states
+    of ``dim`` floats, at most ``RECORD_FLOATS`` in all, and at least
+    ``need`` must survive the burn-in."""
+    _check_run_length(total_steps, stride, dim, name)
     _burn_in_cut(total_steps // stride + 1, burn_in, need)
 
 
@@ -461,8 +459,8 @@ def two_stage_run(
     """
     if replicas < 2:
         raise InvalidRangeError(f"replicas must be >= 2, got {replicas}")
-    _check_run(pt_steps, stride, burn_in, 1)
-    _check_run(ft_steps, stride, burn_in, 1)
+    _check_run(pt_steps, stride, burn_in, 1, pt_loss.dim, "pt_steps")
+    _check_run(ft_steps, stride, burn_in, 1, ft_loss.dim, "ft_steps")
     if init_mode not in ("analytic_sample", "chain_continue"):
         raise InvalidRangeError(f"unknown init_mode {init_mode!r}")
     _check_dims(pt_loss, pt_dyn)
@@ -491,9 +489,9 @@ def two_stage_run(
     ft_blocks = []
     with _one_blas_thread():
         # every chain's draws in chain order, each generator made at its first draw
-        normals = _OneAhead(itertools.chain.from_iterable(
+        normals = itertools.chain.from_iterable(
             _normal_chunks(make_rng(master_seed, replica, stage), steps, pt_loss.dim)
-            for replica in range(replicas) for stage, steps in ((0, pt_steps), (2, ft_steps))))
+            for replica in range(replicas) for stage, steps in ((0, pt_steps), (2, ft_steps)))
         for replica in range(replicas):
             pt_records, pt_final = _run_chain(pt_loss.minimizer, pt_plan, pt_steps, stride,
                                               normals)

@@ -52,6 +52,12 @@ RESIDUAL_RTOL = 1e-10
 #: a group of surveyed domain pairs.
 GROUP_FLOATS = 1 << 20
 
+#: Most numbers the records of one simulated chain may hold (1 GiB):
+#: ``(steps // stride + 1) * d``.  A longer run is rejected before any
+#: chain runs; at its peak a chain holds a second array of that size
+#: (the rotation's temporary, or the trajectory's copy).
+RECORD_FLOATS = 1 << 27
+
 
 class Verdict(NamedTuple):
     """Outcome of a check on a stack: which items fail (``bad``, indexed

@@ -19,10 +19,9 @@ rounds up to ``10**17``.  The digits are then laid out as ``%g`` does: fixed
 notation for -4 <= X < 17, else ``e+XX``/``e-XX``, without trailing
 zeros.  Every other value (zero, -0, subnormals, nan, +-inf and
 magnitudes outside the window) is formatted by ``FLOAT_FORMAT %`` one
-value at a time.  Rows are rendered in blocks of about
-``_BLOCK_VALUES`` values, which bounds the scratch memory.  Rows that
-span more than one block are rendered in two halves, the first on a
-worker thread (:mod:`oupac._threads`), so the scratch holds two blocks
+value at a time.  Rows are rendered one block of about ``_BLOCK_VALUES``
+values at a time (:func:`_block_texts`), which bounds the scratch
+memory, and a caller that streams the blocks out holds one block's text
 at a time; a value's text does not depend on the block it falls in.
 """
 
@@ -32,10 +31,10 @@ import functools
 import math
 import re
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from ._threads import _background, _one_blas_thread
 from .errors import ConfigError
 
 FLOAT_FORMAT = "%.17g"
@@ -126,25 +125,18 @@ def format_rows(values: np.ndarray, sep: str, index: np.ndarray | None = None) -
     values = np.asarray(values, dtype=float)
     if values.shape[1] == 0:  # the mean line of an empty Gaussian, say
         return "\n" * values.shape[0]
-    if values.shape[0] <= _block_rows(values.shape[1]):
-        return "".join(_block_texts(values, ord(sep), index))
-    half = values.shape[0] // 2
-    _tables()  # built here, not by both threads at once
-    with _one_blas_thread():
-        first = _background(_block_texts, values[:half], ord(sep),
-                            None if index is None else index[:half])
-        second = _block_texts(values[half:], ord(sep), None if index is None else index[half:])
-        return "".join(first() + second)
+    return "".join(_block_texts(values, sep, index))
 
 
-def _block_texts(values: np.ndarray, sep: int, index: np.ndarray | None) -> list[str]:
-    """``format_rows`` of ``values``, one text a block."""
+def _block_texts(values: np.ndarray, sep: str, index: np.ndarray | None) -> Iterator[str]:
+    """``format_rows`` of the 2-D ``values`` with at least one column, one
+    text a block, each rendered when it is asked for."""
     rows = _block_rows(values.shape[1])
     if index is not None:
         index = np.asarray(index, np.int64)
-    return [_render_block(values[start:start + rows], sep,
-                          None if index is None else index[start:start + rows])
-            for start in range(0, values.shape[0], rows)]
+    for start in range(0, values.shape[0], rows):
+        yield _render_block(values[start:start + rows], ord(sep),
+                            None if index is None else index[start:start + rows])
 
 
 #: About how many values are rendered at a time, in whole rows: enough to

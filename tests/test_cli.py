@@ -2,12 +2,14 @@
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -27,6 +29,7 @@ from oupac import (
 )
 from oupac import bounds, cli, diffusion, matrixio
 from oupac.cli import main
+from oupac.linalg import RECORD_FLOATS
 from oupac.matrixio import (
     FLOAT_FORMAT,
     format_gaussian,
@@ -396,6 +399,56 @@ def test_bad_burn_in_exits_2_before_any_chain_runs(capsys, monkeypatch, identity
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command, option", [
+    ("simulate", "--steps"), ("two-stage", "--pt-steps"), ("two-stage", "--ft-steps"),
+])
+def test_oversized_chain_exits_2_before_any_allocation(capsys, tmp_path, identity_file,
+                                                       command, option):
+    # 1e15 steps at stride 1 would record 2e15 floats (16 PB) at d = 2: the
+    # size is rejected by arithmetic, never allocated
+    steps = 10**15
+    out_path = tmp_path / "out"
+    base = {"simulate": _simulate_argv, "two-stage": _two_stage_argv}[command](identity_file)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *base, f"{option}={steps}", "--stride=1",
+                             "--output", str(out_path))
+    elapsed = time.perf_counter() - start
+    floats = 2 * (steps + 1)
+    limit = RECORD_FLOATS
+    assert (code, out) == (2, "")
+    assert err == (f"error: {option[2:].replace('-', '_')}={steps} at stride 1 records "
+                   f"{floats} floats ({8 * floats} bytes) at dimension 2; at most {limit} "
+                   f"({8 * limit} bytes) are held\n")
+    assert not out_path.exists()
+    assert elapsed < 1.0
+
+
+def test_failed_write_leaves_no_partial_output_file(capsys, monkeypatch, identity_file,
+                                                    tmp_path):
+    # the disk fills after the header: the partial file is removed
+    out_path = tmp_path / "traj.csv"
+    sizes = []
+
+    class DiskFull(io.TextIOWrapper):
+        def write(self, text):
+            if sizes:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            written = super().write(text)
+            self.flush()
+            sizes.append(out_path.stat().st_size)
+            return written
+
+    monkeypatch.setattr(cli, "open", lambda path, mode: DiskFull(open(path, mode + "b")),
+                        raising=False)
+    argv = _simulate_argv(identity_file) + ["--steps=20000", "--stride=1",
+                                            "--output", str(out_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --output: [Errno 28] No space left on device\n"
+    assert sizes == [len("step,theta_0,theta_1\n")]
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("command", ["lemma-survey", "dominance", "kl"])
 def test_overflowing_pair_term_exits_3_without_warning(capsys, tmp_path, identity_file,
                                                        gaussian_file, command):
@@ -694,7 +747,7 @@ _EXTREMES = np.array([
 def test_trajectory_csv_matches_field_by_field_text(states, stride):
     header = ["step"] + [f"theta_{i}" for i in range(states.shape[1])]
     rows = [[i * stride, *state] for i, state in enumerate(states.tolist())]
-    assert cli._trajectory_csv(states, stride) == _csv_writer_text(header, rows)
+    assert "".join(cli._trajectory_csv(states, stride)) == _csv_writer_text(header, rows)
 
 
 @pytest.mark.parametrize("dim", [1, 64])
@@ -708,12 +761,64 @@ def test_trajectory_csv_matches_field_by_field_text_across_blocks(dim, extra_row
     test_trajectory_csv_matches_field_by_field_text(states, 7)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 10, 128])
+@pytest.mark.parametrize("blocks, extra_rows", [
+    (1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1),
+])
+def test_simulate_file_matches_field_by_field_text_across_blocks(capsys, tmp_path, dim, blocks,
+                                                                 extra_rows):
+    # records around one and two blocks of the text kernel, which simulate
+    # writes to its file one block at a time; noise scales of 4e14 and 4e-10
+    # put values on both sides of the kernel's window, which it formats one
+    # at a time
+    records = blocks * matrixio._block_rows(dim) + extra_rows
+    hessian, factor = tmp_path / "a.txt", tmp_path / "b.txt"
+    scales = np.where(np.arange(dim) % 2, 4e-10, 4e14)
+    write_matrix(hessian, np.eye(dim))
+    write_matrix(factor, np.diag(scales))
+    out_path = tmp_path / "traj.csv"
+    seed = dim + blocks + extra_rows
+    code, _, err = run_cli(
+        capsys, "simulate", "--hessian", str(hessian), "--minimizer", ",".join(["0"] * dim),
+        "--noise-factor", str(factor), "--eta", "0.1", "--batch", "1",
+        "--steps", str(records - 1), "--stride", "1", f"--seed={seed}", "--output", str(out_path))
+    assert (code, err) == (0, "")
+    loss = diffusion.QuadraticLoss(make_spd(np.eye(dim)), np.zeros(dim))
+    dyn = diffusion.SgdDynamics(0.1, 1, np.diag(scales))
+    states = diffusion.simulate_chain(np.zeros(dim), loss, dyn, records - 1, stride=1,
+                                      seed=seed).states
+    header = ["step"] + [f"theta_{i}" for i in range(dim)]
+    rows = [[i, *state] for i, state in enumerate(states.tolist())]
+    assert out_path.read_bytes() == _csv_writer_text(header, rows).encode()
+
+
+def test_simulate_streams_its_csv_to_the_output_file(capsys, tmp_path):
+    # d = 10, 20000 steps at stride 1: the records (1.6 MB), one noise chunk
+    # and its kicked copy (3.2 MB) and the scan's scratch, then one block of
+    # text at a time; the joined 4 MB CSV, a copy or its bytes would be more.
+    # A first run makes the imports and tables that a fresh process makes once
+    eye = tmp_path / "eye.txt"
+    write_matrix(eye, np.eye(10))
+    argv = ["simulate", "--hessian", str(eye), "--minimizer", ",".join(["0"] * 10),
+            "--noise-factor", str(eye), "--eta", "0.1", "--batch", "1", "--steps", "20000",
+            "--stride", "1", "--output", str(tmp_path / "traj.csv")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 6.0e6
+
+
 def test_trajectory_csv_peak_memory():
     # no more than the per-row formatting it replaced took (13.07 MB measured)
     states = np.random.default_rng(6).standard_normal((20001, 10))
     tracemalloc.start()
     try:
-        cli._trajectory_csv(states, 1)
+        "".join(cli._trajectory_csv(states, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -582,12 +582,13 @@ class TestTwoStageRun:
     @pytest.mark.parametrize("init_mode", ["analytic_sample", "chain_continue"])
     @pytest.mark.parametrize("replicas", [2, 3])
     @pytest.mark.parametrize("stride", [1, 7])
-    def test_draws_ahead_match_the_serial_loop_bit_for_bit(self, monkeypatch, dim, init_mode,
-                                                            replicas, stride):
+    def test_chain_ordered_draws_match_the_serial_loop_bit_for_bit(self, monkeypatch, dim,
+                                                                    init_mode, replicas,
+                                                                    stride):
         # in chunks of 700 steps, pre-training draws 700, 700 and 100 rows and
-        # fine-tuning 700 and 100, so the draw ahead crosses chunk, chain and
-        # replica boundaries; d = 1 and 128 are where a thread count can
-        # change a sum's or a factor's bits
+        # fine-tuning 700 and 100, so the one iterator of draws crosses chunk,
+        # chain and replica boundaries; d = 1 and 128 are where a thread count
+        # can change a sum's or a factor's bits
         monkeypatch.setattr(diffusion, "NOISE_CHUNK", 700)
         pt_loss, pt_dyn = _replay_case(dim, 0.6, seed=dim)
         ft_loss, ft_dyn = _replay_case(dim, 1.8, seed=dim + 1)
@@ -626,8 +627,8 @@ class TestTwoStageRun:
                          (1, 0, 700), (1, 0, 700), (1, 0, 100), (1, 2, 700), (1, 2, 100)]
         assert made == [(0, 0, 0), (3, 0, 2), (5, 1, 0), (8, 1, 2)]
 
-    def test_worker_error_reaches_the_caller_and_the_pin_is_undone(self, monkeypatch,
-                                                                  openblas_threads):
+    def test_draw_error_reaches_the_caller_and_the_pin_is_undone(self, monkeypatch,
+                                                                openblas_threads):
         seen = []
 
         class Failing:
@@ -641,14 +642,14 @@ class TestTwoStageRun:
         dyn = SgdDynamics(0.2, 1, np.eye(2))
         with pytest.raises(FloatingPointError, match="^draw failed$"):
             two_stage_run(loss, dyn, loss, dyn, 100, 100, replicas=2)
-        assert len(seen) == 1 and seen[0][0] != threading.get_ident()
+        assert len(seen) == 1 and seen[0][0] == threading.get_ident()
         if openblas_threads is not None:
             assert seen[0][1] == 1
             assert openblas_threads[0]() == 2
 
     def test_concurrent_runs_match_the_serial_loop(self, monkeypatch):
-        # three callers, each with its worker, on two cores, switching every
-        # 10 us: each run's draws stay in its own chain order
+        # three callers on two cores, switching every 10 us: each run's draws
+        # stay in its own chain order
         monkeypatch.setattr(diffusion, "NOISE_CHUNK", 700)
         pt_loss, pt_dyn = _replay_case(2, 0.6, seed=2)
         ft_loss, ft_dyn = _replay_case(2, 1.8, seed=3)
@@ -676,17 +677,16 @@ class TestTwoStageRun:
                 assert np.array_equal(got.mean, want.mean)
                 assert np.array_equal(got.covariance.entries, want.covariance.entries)
 
-    def test_peak_memory_is_one_normals_chunk_ahead(self):
-        # at stride 1000 the records are small and the draws dominate: the
-        # caller's draws and their rotation, the next chain's draws on the
-        # worker, both plans' (4097 + 2 * 512) * d scratch floats, the records
-        # and 128 KiB for the rest (threads, views, d x d arrays: about 30 KB
-        # measured); a second chunk drawn ahead would be 1.6 MB more
+    def test_peak_memory_is_one_normals_chunk_and_its_kicked_copy(self):
+        # at stride 1000 the records are small and the draws dominate: one
+        # chunk of draws and its rotation, both plans' (4097 + 2 * 512) * d
+        # scratch floats, the records and 128 KiB for the rest (views, d x d
+        # arrays); a chunk drawn ahead would be 1.6 MB more
         dim, steps, replicas, stride = 10, 20_000, 2, 1000
         pt_loss, pt_dyn = _replay_case(dim, 0.6, seed=3)
         ft_loss, ft_dyn = _replay_case(dim, 1.8, seed=4)
         records = 2 * replicas * (steps // stride + 1)
-        cap = (3 * steps + 2 * (4097 + 2 * 512) + records) * dim * 8 + (1 << 17)
+        cap = (2 * steps + 2 * (4097 + 2 * 512) + records) * dim * 8 + (1 << 17)
         tracemalloc.start()
         try:
             two_stage_run(pt_loss, pt_dyn, ft_loss, ft_dyn, steps, steps, replicas,

@@ -173,29 +173,3 @@ def test_no_window_value_rounds_up_to_a_power_of_ten():
         below = math.nextafter(float(power), 0) if Fraction(float(power)) >= power \
             else float(power)
         assert Fraction(below) < power * (1 - Fraction(1, 2 * 10**17)), n
-
-
-def _one_thread_blocks(values: np.ndarray, sep: str, index=None) -> str:
-    """Reference: ``format_rows`` as one thread renders it, block after block."""
-    rows = matrixio._block_rows(values.shape[1])
-    return "".join(
-        matrixio._render_block(values[start:start + rows], ord(sep),
-                               None if index is None else index[start:start + rows])
-        for start in range(0, values.shape[0], rows))
-
-
-@pytest.mark.parametrize("dim", [1, 2, 10, 128])
-@pytest.mark.parametrize("blocks, extra_rows", [
-    (1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1),
-])
-def test_format_rows_in_two_halves_matches_one_thread(dim, blocks, extra_rows):
-    # rows around one and two blocks: from one block past, the halves split
-    # the table, mid-block for an odd number of blocks, with values the kernel
-    # formats one at a time spread through it
-    count = blocks * matrixio._block_rows(dim) + extra_rows
-    rng = make_rng(dim, blocks, extra_rows + 1)
-    values = rng.standard_normal((count, dim)) * 10.0 ** rng.integers(-12, 16, (count, dim))
-    values.flat[::89] = _BOUNDARIES[np.arange(values.flat[::89].size) % _BOUNDARIES.size]
-    index = np.arange(count, dtype=np.int64) * 7
-    assert format_rows(values, ",", index) == _one_thread_blocks(values, ",", index)
-    assert format_rows(values, " ") == _one_thread_blocks(values, " ")

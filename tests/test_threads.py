@@ -1,4 +1,4 @@
-"""The worker thread and the OpenBLAS pin of ``oupac._threads``."""
+"""The OpenBLAS pin of ``oupac._threads``."""
 
 import sys
 import threading
@@ -6,23 +6,7 @@ import threading
 import pytest
 
 from oupac import _threads
-from oupac._threads import _background, _one_blas_thread
-
-
-def test_background_runs_on_another_thread_and_returns_its_result():
-    join = _background(lambda a, b: (threading.get_ident(), a + b), 2, 3)
-    ident, total = join()
-    assert total == 5
-    assert ident != threading.get_ident()
-
-
-def test_background_raises_the_worker_error_in_the_caller():
-    def fail():
-        raise KeyError("worker")
-
-    join = _background(fail)
-    with pytest.raises(KeyError, match="worker"):
-        join()
+from oupac._threads import _one_blas_thread
 
 
 def test_pin_holds_one_thread_and_restores_the_count(openblas_threads):
