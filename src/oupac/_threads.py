@@ -1,16 +1,14 @@
-"""OpenBLAS held to one thread while a chain runs.
+"""OpenBLAS held to one thread for a command-line run.
 
-oupac starts no thread of its own.  A chain's products are small, and
-OpenBLAS's second thread does not pay for them: without the pin the
-``chain`` benchmark's peak resident memory measured 71.9 against
-70.1 MB (median of 5 alternated pairs on a 2-vCPU machine), at a speed
-within its run-to-run spread.  Only sections whose bits do not depend on OpenBLAS's
-thread count are held: a matrix product (GEMM) splits its output among
-threads, never an inner sum, and the normal draws use no BLAS.  The
-count is process-wide: while a section holds it, BLAS calls on other
-threads of the process run on one thread too, so sections on several
-threads share one save and one restore.  Nothing is looked up at
-import.
+The rule is one: ``cli.main`` holds OpenBLAS to one thread for its whole
+body, and a library call runs at OpenBLAS's own count.  A BLAS sum, such
+as a dot product over the samples of a regression, or a Cholesky factor
+can change in its last bits with the thread count, so a pinned run
+gives the same bytes at any core count or ``OPENBLAS_NUM_THREADS``.
+oupac starts no thread of its own.  The count is process-wide: while a
+run holds it, BLAS calls on other threads of the process run on one
+thread too, so runs on several threads share one save and one restore.
+Nothing is looked up at import.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from . import matrixio
+from . import _threads, matrixio
 from .bounds import (
     DomainPair,
     SampleSpec,
@@ -622,34 +622,37 @@ def _merge_params(name: str, flags: dict[str, str]) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    name = argv[0] if argv else None
-    flags = _table_args(name, argv[1:]) if name in _COMMANDS else None
-    if flags is None:
-        # no subcommand, an unknown one, help, an abbreviation or a parse
-        # error: argparse resolves the call, or prints its help or error
-        # text and exits, as it always has
-        parser = _build_parser(name)
-        flags = vars(parser.parse_args(argv))
-        name = flags.pop("subcommand")
-        if name is None:
-            parser.print_help()
+    """Run one subcommand and return its exit code, with OpenBLAS held to
+    one thread throughout (:mod:`oupac._threads`)."""
+    with _threads._one_blas_thread():
+        argv = sys.argv[1:] if argv is None else argv
+        name = argv[0] if argv else None
+        flags = _table_args(name, argv[1:]) if name in _COMMANDS else None
+        if flags is None:
+            # no subcommand, an unknown one, help, an abbreviation or a parse
+            # error: argparse resolves the call, or prints its help or error
+            # text and exits, as it always has
+            parser = _build_parser(name)
+            flags = vars(parser.parse_args(argv))
+            name = flags.pop("subcommand")
+            if name is None:
+                parser.print_help()
+                return 2
+        try:
+            params = _merge_params(name, flags)
+            summary, pieces = _COMMANDS[name]["run"](params)
+            if params["output"] is not None:
+                _write_output(params["output"], pieces)
+        except _VALIDATION_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
-    try:
-        params = _merge_params(name, flags)
-        summary, pieces = _COMMANDS[name]["run"](params)
-        if params["output"] is not None:
-            _write_output(params["output"], pieces)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OupacError as exc:
-        print(f"error in {name}: {exc}", file=sys.stderr)
-        return 3
-    print(summary)
-    if params["output"] is None:
-        sys.stdout.writelines(pieces)
-    return 0
+        except OupacError as exc:
+            print(f"error in {name}: {exc}", file=sys.stderr)
+            return 3
+        print(summary)
+        if params["output"] is None:
+            sys.stdout.writelines(pieces)
+        return 0
 
 
 def _write_output(path: str, pieces: Iterable[str]) -> None:

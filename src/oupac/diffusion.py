@@ -29,29 +29,29 @@ most ``(4097 + 2 * 512) * d`` floats: 0.41 MB at d = 10 and 5.2 MB at
 d = 128; its output is bit-identical to the broadcast scan of earlier
 versions.
 
-A chain runs on the caller's thread with OpenBLAS held to one thread
-(:mod:`oupac._threads`).  Its peak memory is its records,
-``(total_steps // stride + 1) * d`` floats, one chunk of normals and
-its kicked copy, ``2 * NOISE_CHUNK * d`` floats at most, and the scan's
-scratch; once the last chunk is freed, the rotation back into the
-original basis takes one records-sized temporary.  The records are
-capped at ``linalg.RECORD_FLOATS`` floats, checked before any chain
+A chain runs on the caller's thread, at the caller's OpenBLAS thread
+count (the CLI holds it to one, :mod:`oupac._threads`).  Its peak memory
+is its records, ``(total_steps // stride + 1) * d`` floats, one chunk
+of normals and its kicked copy, ``2 * NOISE_CHUNK * d`` floats at most,
+and the scan's scratch; once the last chunk is freed, the rotation back
+into the original basis takes one records-sized temporary.  The records
+are capped at ``linalg.RECORD_FLOATS`` floats, checked before any chain
 runs.  The ``simulate`` command holds one chain's records and then one
-block of its CSV text at a time (:mod:`oupac.matrixio`); ``two-stage``
-holds the records of every replica and stage, the chunks of one chain
-at a time, and a small JSON text.
+block of its CSV text at a time (:mod:`oupac.matrixio`).
+``two_stage_run`` copies each chain's post-burn-in records into one
+preallocated pool per stage, ``replicas * kept * d`` floats, also
+capped at ``RECORD_FLOATS`` before any draw, so it holds the pools and
+one chain at a time.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, Literal, NamedTuple
 
 import numpy as np
 
-from ._threads import _one_blas_thread
 from .errors import (DimensionMismatchError, InvalidRangeError, TooFewSamplesError,
                      UnstableDynamicsError)
 from .gaussian import (MomentEstimate, check_rate, empirical_moments, sample,
@@ -64,8 +64,6 @@ NOISE_CHUNK = 1 << 17
 
 #: Steps per prefix-scan block; the scan makes log2(SCAN_BLOCK) passes over it.
 SCAN_BLOCK = 512
-
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,9 +221,9 @@ def _step_radius(lr: float, eigenvalues: np.ndarray) -> np.ndarray:
     return np.max(np.abs(1.0 - lr * eigenvalues), axis=-1)
 
 
-def _require_stable(loss: QuadraticLoss, dyn: SgdDynamics, allow_unstable: bool) -> None:
+def _require_stable(loss: QuadraticLoss, dyn: SgdDynamics) -> None:
     report = stability_check(loss, dyn)
-    if not report.stable and not allow_unstable:
+    if not report.stable:
         # below lr * lambda_max = 2 a radius of 1 is 1 - lr*lambda rounded to 1
         too_large = dyn.lr * np.linalg.eigvalsh(loss.hessian.entries)[-1] >= 2.0
         cause = ("lr too large for this Hessian" if too_large else
@@ -254,30 +252,21 @@ def _check_run_length(total_steps: int, stride: int, dim: int,
         )
 
 
-def _scan_rows(radius: float) -> int:
-    """Rows per scan block: ``SCAN_BLOCK``, halved while the largest power
-    the scan takes, ``radius ** (rows // 2)``, would overflow."""
-    rows = SCAN_BLOCK
-    while radius > 1.0 and rows > 1 and rows // 2 * math.log(radius) > _LOG_FLOAT_MAX:
-        rows //= 2
-    return rows
-
-
 class _ScanPlan:
     """The eigenbasis scan of one stage ``(loss, dyn)``, built once and
     reused by every chain of that stage.
 
     Holds ``A``'s eigenbasis, the factors ``mu = 1 - lr * lam``, the
-    rotated noise kick, and a contiguous ``rows x d`` scratch block with
-    a temporary of the same shape.  For each scan level ``shift = 1, 2,
-    4, ...`` it prebuilds the views ``(work[:-shift], power, tmp[:rows -
-    shift], work[shift:])``, where ``power`` is ``mu ** shift`` (by
-    repeated squaring) tiled to ``rows - shift`` rows, so a level is two
-    ufunc calls over contiguous memory.  The products and sums are those
-    of a broadcast scan of the same blocks, in the same order, so the
-    bits do not depend on this layout.
+    rotated noise kick, and a contiguous ``rows x d`` scratch block, rows
+    = ``SCAN_BLOCK``, with a temporary of the same shape.  For each scan
+    level ``shift = 1, 2, 4, ...`` it prebuilds the views
+    ``(work[:-shift], power, tmp[:rows - shift], work[shift:])``, where
+    ``power`` is ``mu ** shift`` (by repeated squaring) tiled to ``rows -
+    shift`` rows, so a level is two ufunc calls over contiguous memory.
+    The products and sums are those of a broadcast scan of the same
+    blocks, in the same order, so the bits do not depend on this layout.
 
-    Scratch memory is ``(4097 + 2 * rows) * d`` floats at most: 0.41 MB
+    Scratch memory is ``(4097 + 2 * rows) * d`` floats: 0.41 MB
     at d = 10 and 5.2 MB at d = 128, under 4% of the 134 MB noise chunk
     there.
     """
@@ -286,7 +275,7 @@ class _ScanPlan:
         lam, self.basis = np.linalg.eigh(loss.hessian.entries)
         self.minimizer = loss.minimizer
         self.mu = 1.0 - dyn.lr * lam
-        self.rows = rows = _scan_rows(float(np.max(np.abs(self.mu))))
+        rows = SCAN_BLOCK
         # row k of z @ kick is (lr/sqrt(b)) B^T z_k, rotated into the eigenbasis
         self.kick = ((dyn.lr / np.sqrt(dyn.batch_size)) * dyn.noise_factor) @ self.basis
         self.work = work = np.empty((rows, loss.dim))
@@ -311,7 +300,7 @@ class _ScanPlan:
         work[:] = block
         work[0] += head
         levels = self.levels
-        if n < self.rows:
+        if n < SCAN_BLOCK:
             levels = [(shift, src[:n - shift], power[:n - shift], tmp[:n - shift],
                        dst[:n - shift]) for shift, src, power, tmp, dst in levels if shift < n]
         for _, src, power, tmp, dst in levels:
@@ -346,8 +335,8 @@ def _run_chain(
     while step < total_steps:
         noise = next(normals) @ plan.kick
         chunk = noise.shape[0]
-        for start in range(0, chunk, plan.rows):
-            block = plan.scan(noise[start:start + plan.rows], carry)
+        for start in range(0, chunk, SCAN_BLOCK):
+            block = plan.scan(noise[start:start + SCAN_BLOCK], carry)
             carry = block[-1]
             # block row j is step step + start + j + 1
             kept = block[(-(step + start + 1)) % stride::stride]
@@ -366,14 +355,12 @@ def simulate_chain(
     total_steps: int,
     stride: int = 10,
     seed: int = 0,
-    allow_unstable: bool = False,
 ) -> Trajectory:
     """Simulate the SGD chain for ``total_steps`` updates.
 
     Records the initial state and every ``stride``-th state thereafter;
     deterministic for a fixed seed.  Raises
-    :class:`UnstableDynamicsError` when ``stability_check`` fails,
-    unless ``allow_unstable`` is set.
+    :class:`UnstableDynamicsError` when ``stability_check`` fails.
     """
     _check_dims(loss, dyn)
     init = np.asarray(init, dtype=float).reshape(-1)
@@ -382,11 +369,9 @@ def simulate_chain(
             f"init has dimension {init.shape[0]}, loss has {loss.dim}"
         )
     _check_run_length(total_steps, stride, loss.dim)
-    _require_stable(loss, dyn, allow_unstable)
-    plan = _ScanPlan(loss, dyn)
-    with _one_blas_thread():
-        records, _ = _run_chain(init, plan, total_steps, stride,
-                                _normal_chunks(make_rng(seed), total_steps, loss.dim))
+    _require_stable(loss, dyn)
+    records, _ = _run_chain(init, _ScanPlan(loss, dyn), total_steps, stride,
+                            _normal_chunks(make_rng(seed), total_steps, loss.dim))
     return Trajectory(records, stride=stride, total_steps=total_steps, seed=seed)
 
 
@@ -418,13 +403,24 @@ def _burn_in_cut(count: int, burn_in: int | None, need: int) -> int:
 
 
 def _check_run(total_steps: int, stride: int, burn_in: int | None, need: int, dim: int,
-               name: str) -> None:
-    """Reject a run length (the option ``name``), stride or burn-in before
-    any chain runs: the chain records ``total_steps // stride + 1`` states
-    of ``dim`` floats, at most ``RECORD_FLOATS`` in all, and at least
-    ``need`` must survive the burn-in."""
+               name: str, replicas: int = 1) -> int:
+    """Reject a run length (the option ``name``), stride, burn-in or
+    replica count before any chain runs, and return how many records each
+    chain keeps after the burn-in: a chain records ``total_steps // stride
+    + 1`` states of ``dim`` floats, at most ``RECORD_FLOATS`` in all, at
+    least ``need`` must survive the burn-in, and the kept records of
+    ``replicas`` chains, pooled, are at most ``RECORD_FLOATS`` floats."""
     _check_run_length(total_steps, stride, dim, name)
-    _burn_in_cut(total_steps // stride + 1, burn_in, need)
+    count = total_steps // stride + 1
+    kept = count - _burn_in_cut(count, burn_in, need)
+    floats = replicas * kept * dim
+    if floats > RECORD_FLOATS:
+        raise InvalidRangeError(
+            f"replicas={replicas} pool {kept} records of {name}={total_steps} each after "
+            f"burn-in, {floats} floats ({8 * floats} bytes) at dimension {dim}; at most "
+            f"{RECORD_FLOATS} ({8 * RECORD_FLOATS} bytes) are held"
+        )
+    return kept
 
 
 InitMode = Literal["analytic_sample", "chain_continue"]
@@ -451,16 +447,16 @@ def two_stage_run(
     pre-training dynamics (``"analytic_sample"``) or the final
     pre-training state (``"chain_continue"``).  Per-replica seeds are
     derived from ``master_seed`` by the documented hashing rule, and
-    pooling concatenates post-burn-in records in replica order, so the
-    result does not depend on scheduling.
+    pooling stacks post-burn-in records in replica order, so the result
+    does not depend on scheduling.
 
     ``burn_in`` counts records per replica and stage; it defaults to
     half of each trajectory's records, and at least one must survive it.
     """
     if replicas < 2:
         raise InvalidRangeError(f"replicas must be >= 2, got {replicas}")
-    _check_run(pt_steps, stride, burn_in, 1, pt_loss.dim, "pt_steps")
-    _check_run(ft_steps, stride, burn_in, 1, ft_loss.dim, "ft_steps")
+    pt_kept = _check_run(pt_steps, stride, burn_in, 1, pt_loss.dim, "pt_steps", replicas)
+    ft_kept = _check_run(ft_steps, stride, burn_in, 1, ft_loss.dim, "ft_steps", replicas)
     if init_mode not in ("analytic_sample", "chain_continue"):
         raise InvalidRangeError(f"unknown init_mode {init_mode!r}")
     _check_dims(pt_loss, pt_dyn)
@@ -469,38 +465,31 @@ def two_stage_run(
         raise DimensionMismatchError(
             f"stage dimensions disagree: {pt_loss.dim} vs {ft_loss.dim}"
         )
-    _require_stable(pt_loss, pt_dyn, allow_unstable=False)
-    _require_stable(ft_loss, ft_dyn, allow_unstable=False)
+    _require_stable(pt_loss, pt_dyn)
+    _require_stable(ft_loss, ft_dyn)
 
-    ft_inits = None
     if init_mode == "analytic_sample":
         pt_stationary = stationary_from_dynamics(
             pt_loss.hessian, pt_loss.minimizer, pt_dyn.noise_cov,
             pt_dyn.lr, pt_dyn.batch_size,
         )
-        # drawn before the chains, with OpenBLAS unpinned: the bits of a
-        # Cholesky factor can depend on its thread count
-        ft_inits = [sample(pt_stationary, 1, child_seed(master_seed, replica, 1))[0]
-                    for replica in range(replicas)]
-
     pt_plan = _ScanPlan(pt_loss, pt_dyn)
     ft_plan = _ScanPlan(ft_loss, ft_dyn)
-    pt_blocks = []
-    ft_blocks = []
-    with _one_blas_thread():
-        # every chain's draws in chain order, each generator made at its first draw
-        normals = itertools.chain.from_iterable(
-            _normal_chunks(make_rng(master_seed, replica, stage), steps, pt_loss.dim)
-            for replica in range(replicas) for stage, steps in ((0, pt_steps), (2, ft_steps)))
-        for replica in range(replicas):
-            pt_records, pt_final = _run_chain(pt_loss.minimizer, pt_plan, pt_steps, stride,
-                                              normals)
-            ft_init = pt_final if ft_inits is None else ft_inits[replica]
-            ft_records, _ = _run_chain(ft_init, ft_plan, ft_steps, stride, normals)
-            pt_blocks.append(_after_burn_in(pt_records, burn_in, 1))
-            ft_blocks.append(_after_burn_in(ft_records, burn_in, 1))
+    pt_pool = np.empty((replicas * pt_kept, pt_loss.dim))
+    ft_pool = np.empty((replicas * ft_kept, ft_loss.dim))
+    # every chain's draws in chain order, each generator made at its first draw
+    normals = itertools.chain.from_iterable(
+        _normal_chunks(make_rng(master_seed, replica, stage), steps, pt_loss.dim)
+        for replica in range(replicas) for stage, steps in ((0, pt_steps), (2, ft_steps)))
+    for replica in range(replicas):
+        records, ft_init = _run_chain(pt_loss.minimizer, pt_plan, pt_steps, stride, normals)
+        pt_pool[replica * pt_kept:(replica + 1) * pt_kept] = records[-pt_kept:]
+        del records  # one chain's records are held at a time
+        if init_mode == "analytic_sample":
+            ft_init = sample(pt_stationary, 1, child_seed(master_seed, replica, 1))[0]
+        records, _ = _run_chain(ft_init, ft_plan, ft_steps, stride, normals)
+        ft_pool[replica * ft_kept:(replica + 1) * ft_kept] = records[-ft_kept:]
+        del records
 
-    return TwoStageResult(
-        pt_estimate=empirical_moments(np.concatenate(pt_blocks, axis=0)),
-        ft_estimate=empirical_moments(np.concatenate(ft_blocks, axis=0)),
-    )
+    return TwoStageResult(pt_estimate=empirical_moments(pt_pool),
+                          ft_estimate=empirical_moments(ft_pool))

@@ -423,6 +423,66 @@ def test_oversized_chain_exits_2_before_any_allocation(capsys, tmp_path, identit
     assert elapsed < 1.0
 
 
+def test_oversized_replica_pool_exits_2_before_any_allocation(capsys, tmp_path,
+                                                              identity_file):
+    # 100 steps at stride 10 keep 6 of 11 records after the burn-in: 1e15
+    # replicas would pool 1.2e16 floats (96 PB) at d = 2, rejected by arithmetic
+    replicas = 10**15
+    out_path = tmp_path / "out"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *_two_stage_argv(identity_file),
+                             f"--replicas={replicas}", "--output", str(out_path))
+    elapsed = time.perf_counter() - start
+    floats = replicas * 6 * 2
+    limit = RECORD_FLOATS
+    assert (code, out) == (2, "")
+    assert err == (f"error: replicas={replicas} pool 6 records of pt_steps=100 each after "
+                   f"burn-in, {floats} floats ({8 * floats} bytes) at dimension 2; at most "
+                   f"{limit} ({8 * limit} bytes) are held\n")
+    assert not out_path.exists()
+    assert elapsed < 1.0
+
+
+def test_main_holds_one_blas_thread_inside_a_handler(capsys, monkeypatch,
+                                                     openblas_threads):
+    if openblas_threads is None:
+        pytest.skip("no OpenBLAS found")
+    get, _ = openblas_threads
+    seen = []
+    run = cli._COMMANDS["bound"]["run"]
+
+    def recording(params):
+        seen.append(get())
+        return run(params)
+
+    monkeypatch.setitem(cli._COMMANDS["bound"], "run", recording)
+    code, _, _ = run_cli(capsys, "bound", "--kl", "0", "--n", "100", "--delta", "0.05")
+    assert (code, seen) == (0, [1])
+    assert get() == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bound", "--kl", "0", "--n", "100", "--delta", "0.05"], 0),
+    (["bound", "--kl", "0", "--n", "0", "--delta", "0.05"], 2),
+    (["simulate", "--eta", "3.0"], 3),
+    (["bound", "--help"], None),
+], ids=["exit_0", "exit_2", "exit_3", "help"])
+def test_main_restores_the_blas_thread_count(capsys, identity_file, openblas_threads,
+                                             argv, code):
+    if openblas_threads is None:
+        pytest.skip("no OpenBLAS found")
+    if argv[0] == "simulate":
+        argv = _simulate_argv(identity_file) + argv[1:]
+    if code is None:
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 0
+    else:
+        assert main(argv) == code
+    capsys.readouterr()
+    assert openblas_threads[0]() == 2
+
+
 def test_failed_write_leaves_no_partial_output_file(capsys, monkeypatch, identity_file,
                                                     tmp_path):
     # the disk fills after the header: the partial file is removed

@@ -1,11 +1,16 @@
-"""The README's command-line examples run, exit 0 and print the same bytes twice.
+"""The README's command-line examples run, exit 0 and print the same bytes
+twice, and the same bytes at one and at two OpenBLAS threads.
 
 The commands are read from the README's command-line block, so an example
 that drifts from the CLI fails here.  Each input file it names gets a small
-fixture; each command runs twice through ``cli.main`` in one directory.
+fixture; each command runs twice through ``cli.main`` in one directory, and
+once as ``python -m oupac`` under ``OPENBLAS_NUM_THREADS=1`` and ``=2``.
 """
 
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +18,7 @@ import pytest
 from oupac.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Matrix and Gaussian fixture files for the file names the examples use.
 FIXTURES = {
@@ -38,22 +44,51 @@ def readme_commands() -> list[list[str]]:
     return [argv[1:] for argv in commands]
 
 
+def _write_fixtures(argv: list[str], directory: Path) -> None:
+    for name, text in FIXTURES.items():
+        (directory / name).write_text(text)
+    inputs = [value for flag, value in zip(argv, argv[1:])
+              if value.endswith(".txt") and flag != "--output"]
+    assert set(inputs) <= set(FIXTURES), f"no fixture for {set(inputs) - set(FIXTURES)}"
+
+
+def _output(argv: list[str], directory: Path) -> bytes | None:
+    output = dict(zip(argv, argv[1:])).get("--output")
+    return (directory / output).read_bytes() if output else None
+
+
 def _run(argv: list[str], capsys) -> tuple[int, str, bytes | None]:
     code = main(argv)
-    out = capsys.readouterr().out
-    output = dict(zip(argv, argv[1:])).get("--output")
-    return code, out, Path(output).read_bytes() if output else None
+    return code, capsys.readouterr().out, _output(argv, Path.cwd())
 
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
 def test_readme_example_runs_and_reruns_byte_identical(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    for name, text in FIXTURES.items():
-        Path(name).write_text(text)
-    inputs = [value for flag, value in zip(argv, argv[1:])
-              if value.endswith(".txt") and flag != "--output"]
-    assert set(inputs) <= set(FIXTURES), f"no fixture for {set(inputs) - set(FIXTURES)}"
+    _write_fixtures(argv, tmp_path)
     first = _run(argv, capsys)
     assert first[0] == 0
     assert first[1] and (first[2] is None or first[2])
     assert _run(argv, capsys) == first
+
+
+def _run_python(argv: list[str], directory: Path, threads: int) -> tuple[str, bytes | None]:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "oupac", *argv], cwd=directory, capture_output=True,
+        text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(threads)},
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout, _output(argv, directory)
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_example_bytes_do_not_depend_on_blas_threads(argv, tmp_path):
+    runs = []
+    for threads in (1, 2):
+        directory = tmp_path / str(threads)
+        directory.mkdir()
+        _write_fixtures(argv, directory)
+        runs.append(_run_python(argv, directory, threads))
+    assert runs[0] == runs[1]
