@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidRangeError, InvalidSpecError
 from .gaussian import _pair_divergences, check_rate
-from .linalg import (SpdMatrix, _frozen_vector, _in_groups, _make_spd_stack, _random_spd_entries,
-                     log_det)
+from .linalg import (SpdMatrix, _check_held, _frozen_vector, _in_groups, _make_spd_stack,
+                     _random_spd_entries, log_det)
 # cholesky_factor is not called here; bench/tests/test_bench_trace.py reads it from here
 from .linalg import cholesky_factor  # noqa: F401
 from .rng import child_seed, make_rng
@@ -268,6 +268,8 @@ def lemma2_survey(
     """
     if pairs_per_dim < 1:
         raise InvalidRangeError(f"pairs_per_dim must be >= 1, got {pairs_per_dim}")
+    largest = max(dims, default=0)
+    _check_held("dims: one pair's covariances hold", 2 * largest * largest, largest)
     rows = []
     for d in dims:
         d_value, d_tilde_value = _in_groups(

@@ -6,10 +6,11 @@ rule in :mod:`oupac.rng`, flags override config-file values, and
 repeated runs with the same configuration produce byte-identical
 output files.
 
-Flags are ``--key=value`` or ``--key value`` with the full long name;
-a value that starts with ``-`` needs ``=``.  A call made only of such
-flags is read straight from the option table (:func:`_table_args`);
-abbreviations, ``--help`` and parse errors go through argparse.
+Every call is read from the option table (:func:`_table_args`): flags
+are ``--key=value`` or ``--key value`` with the full long name, and a
+value that starts with ``-`` needs ``=``.  Anything else, such as an
+abbreviated flag, is an invalid configuration.  ``-h``/``--help`` prints
+help generated from the same table.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure
 (the message names the operation that failed).
@@ -23,7 +24,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -69,9 +70,6 @@ from .regression import (
     bound_validity_experiment,
     scaling_experiment,
 )
-
-if TYPE_CHECKING:
-    import argparse
 
 #: Bad user input (exit 2) as opposed to numerical failure (exit 3).
 _VALIDATION_ERRORS = (ConfigError, DimensionMismatchError, InvalidRangeError,
@@ -531,55 +529,53 @@ def _help(option: _Option) -> str:
     return f"{option.help} (default {'%g' % default if isinstance(default, float) else default})"
 
 
-def _build_parser(chosen: str | None = None) -> argparse.ArgumentParser:
-    """The full parser: every subcommand, with options for ``chosen`` only."""
-    import argparse  # a well-formed call never builds a parser (_table_args)
+_DESCRIPTION = """\
+Stationary-covariance solvers, SGD-chain simulation, Gaussian KL
+divergences, PAC-Bayes bounds, and generalization-gap experiments.
+Values may come from a JSON --config file (keys are the long option
+names with underscores); command-line flags take precedence.
+'oupac SUBCOMMAND --help' lists a subcommand's flags."""
 
-    parser = argparse.ArgumentParser(
-        prog="oupac",
-        description=(
-            "Stationary-covariance solvers, SGD-chain simulation, Gaussian KL "
-            "divergences, PAC-Bayes bounds, and generalization-gap experiments. "
-            "Values may come from a JSON --config file (keys are the long option "
-            "names with underscores); command-line flags take precedence."
-        ),
-    )
-    subparsers = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    for name, spec in _COMMANDS.items():
-        sub = subparsers.add_parser(name, help=spec["help"], description=spec["help"])
-        if name != chosen:  # a call parses no other subcommand's options
-            continue
-        # argparse only collects the text; _merge_params converts it
-        for key, option in spec["options"].items():
-            sub.add_argument("--" + key.replace("_", "-"), dest=key,
-                             default=argparse.SUPPRESS, help=_help(option))
-        sub.add_argument("--config", default=argparse.SUPPRESS,
-                         help="JSON file with option values (flags override)")
-    return parser
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _table_args(name: str, words: list[str]) -> dict[str, str] | None:
-    """The flag texts of a well-formed call of ``name``, read straight from
-    its option table, or None for anything else.
+def _help_text(name: str | None) -> str:
+    """The help of subcommand ``name``, each flag with its help, or of the
+    program for None, each subcommand with its help: both from ``_COMMANDS``."""
+    if name is None:
+        head = _DESCRIPTION + "\n\nsubcommands:"
+        rows = {command: spec["help"] for command, spec in _COMMANDS.items()}
+    else:
+        head = _COMMANDS[name]["help"] + "\n\noptions:"
+        rows = {_flag(key): _help(option) for key, option in _COMMANDS[name]["options"].items()}
+        rows["--config"] = "JSON file with option values (flags override)"
+    width = max(map(len, rows))
+    return (f"usage: oupac {name or 'SUBCOMMAND'} [--flag VALUE ...]\n\n{head}"
+            + "".join(f"\n  {left:<{width}}  {right}" for left, right in rows.items()) + "\n")
+
+
+def _table_args(name: str, words: list[str]) -> dict[str, str]:
+    """The flag texts of a call of ``name``, read from its option table.
 
     Each flag is ``--key=value``, or ``--key value`` with a value that does
     not start with ``-``, for an exact long option name or ``--config``; a
-    repeated flag's last value wins.  On such a call this is the dict of
-    argparse's Namespace; help, an abbreviation, ``--``, a stray word or a
-    missing value are left to :func:`_build_parser`.
+    repeated flag's last value wins.  Anything else (an abbreviation,
+    ``--``, a stray word or a missing value) raises :class:`ConfigError`.
     """
-    keys = {"--" + key.replace("_", "-"): key for key in _COMMANDS[name]["options"]}
+    keys = {_flag(key): key for key in _COMMANDS[name]["options"]}
     keys["--config"] = "config"
     flags = {}
     words = iter(words)
     for word in words:
         flag, has_value, value = word.partition("=")
         if flag not in keys:
-            return None
+            raise ConfigError(f"unrecognized argument {word!r} (see 'oupac {name} --help')")
         if not has_value:
             value = next(words, "-")  # a missing value fails as a dash does
             if value.startswith("-"):
-                return None
+                raise ConfigError(f"{flag} needs a value (write {flag}=VALUE for one "
+                                  f"that starts with '-')")
         flags[keys[flag]] = value
     return flags
 
@@ -617,29 +613,23 @@ def _merge_params(name: str, flags: dict[str, str]) -> dict:
         try:
             params[key] = None if value is None else options[key].parse(value)
         except (ConfigError, ValueError, OSError) as exc:
-            raise ConfigError(f"--{key.replace('_', '-')}: {exc}") from exc
+            raise ConfigError(f"{_flag(key)}: {exc}") from exc
     return params
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand and return its exit code, with OpenBLAS held to
-    one thread throughout (:mod:`oupac._threads`)."""
+    """Run one subcommand, or print help, and return the exit code, with
+    OpenBLAS held to one thread throughout (:mod:`oupac._threads`)."""
     with _threads._one_blas_thread():
         argv = sys.argv[1:] if argv is None else argv
         name = argv[0] if argv else None
-        flags = _table_args(name, argv[1:]) if name in _COMMANDS else None
-        if flags is None:
-            # no subcommand, an unknown one, help, an abbreviation or a parse
-            # error: argparse resolves the call, or prints its help or error
-            # text and exits, as it always has
-            parser = _build_parser(name)
-            flags = vars(parser.parse_args(argv))
-            name = flags.pop("subcommand")
-            if name is None:
-                parser.print_help()
-                return 2
+        if not argv or {"-h", "--help"}.intersection(argv):
+            print(_help_text(name if name in _COMMANDS else None), end="")
+            return 0 if argv else 2
         try:
-            params = _merge_params(name, flags)
+            if name not in _COMMANDS:
+                raise ConfigError(f"unknown subcommand {name!r}; choose from {list(_COMMANDS)}")
+            params = _merge_params(name, _table_args(name, argv[1:]))
             summary, pieces = _COMMANDS[name]["run"](params)
             if params["output"] is not None:
                 _write_output(params["output"], pieces)

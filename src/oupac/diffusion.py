@@ -54,9 +54,9 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, InvalidRangeError, TooFewSamplesError,
                      UnstableDynamicsError)
-from .gaussian import (MomentEstimate, check_rate, empirical_moments, sample,
+from .gaussian import (MomentEstimate, _draw, check_rate, empirical_moments,
                        stationary_from_dynamics)
-from .linalg import RECORD_FLOATS, SpdMatrix, _frozen_vector, make_spd
+from .linalg import SpdMatrix, _check_held, _frozen_vector, cholesky_factor, make_spd
 from .rng import child_seed, make_rng
 
 #: Steps of simulation noise generated per chunk (bounds peak memory).
@@ -234,24 +234,6 @@ def _require_stable(loss: QuadraticLoss, dyn: SgdDynamics) -> None:
         )
 
 
-def _check_run_length(total_steps: int, stride: int, dim: int,
-                      name: str = "total_steps") -> None:
-    """Reject a run of ``total_steps`` (the option ``name``) at ``stride``
-    whose ``total_steps // stride + 1`` records of ``dim`` floats would
-    exceed ``RECORD_FLOATS``, before anything is allocated."""
-    if total_steps < 1:
-        raise InvalidRangeError(f"{name} must be >= 1, got {total_steps}")
-    if stride < 1:
-        raise InvalidRangeError(f"stride must be >= 1, got {stride}")
-    floats = (total_steps // stride + 1) * dim
-    if floats > RECORD_FLOATS:
-        raise InvalidRangeError(
-            f"{name}={total_steps} at stride {stride} records {floats} floats "
-            f"({8 * floats} bytes) at dimension {dim}; at most {RECORD_FLOATS} "
-            f"({8 * RECORD_FLOATS} bytes) are held"
-        )
-
-
 class _ScanPlan:
     """The eigenbasis scan of one stage ``(loss, dyn)``, built once and
     reused by every chain of that stage.
@@ -368,7 +350,7 @@ def simulate_chain(
         raise DimensionMismatchError(
             f"init has dimension {init.shape[0]}, loss has {loss.dim}"
         )
-    _check_run_length(total_steps, stride, loss.dim)
+    _check_run(total_steps, stride, burn_in=0, need=1, dim=loss.dim, name="total_steps")
     _require_stable(loss, dyn)
     records, _ = _run_chain(init, _ScanPlan(loss, dyn), total_steps, stride,
                             _normal_chunks(make_rng(seed), total_steps, loss.dim))
@@ -410,16 +392,15 @@ def _check_run(total_steps: int, stride: int, burn_in: int | None, need: int, di
     + 1`` states of ``dim`` floats, at most ``RECORD_FLOATS`` in all, at
     least ``need`` must survive the burn-in, and the kept records of
     ``replicas`` chains, pooled, are at most ``RECORD_FLOATS`` floats."""
-    _check_run_length(total_steps, stride, dim, name)
+    if total_steps < 1:
+        raise InvalidRangeError(f"{name} must be >= 1, got {total_steps}")
+    if stride < 1:
+        raise InvalidRangeError(f"stride must be >= 1, got {stride}")
     count = total_steps // stride + 1
+    _check_held(f"{name}={total_steps} at stride {stride} records", count * dim, dim)
     kept = count - _burn_in_cut(count, burn_in, need)
-    floats = replicas * kept * dim
-    if floats > RECORD_FLOATS:
-        raise InvalidRangeError(
-            f"replicas={replicas} pool {kept} records of {name}={total_steps} each after "
-            f"burn-in, {floats} floats ({8 * floats} bytes) at dimension {dim}; at most "
-            f"{RECORD_FLOATS} ({8 * RECORD_FLOATS} bytes) are held"
-        )
+    _check_held(f"replicas={replicas} pool {kept} records of {name}={total_steps} each "
+                f"after burn-in,", replicas * kept * dim, dim)
     return kept
 
 
@@ -473,6 +454,7 @@ def two_stage_run(
             pt_loss.hessian, pt_loss.minimizer, pt_dyn.noise_cov,
             pt_dyn.lr, pt_dyn.batch_size,
         )
+        pt_factor = cholesky_factor(pt_stationary.covariance)  # once for every replica
     pt_plan = _ScanPlan(pt_loss, pt_dyn)
     ft_plan = _ScanPlan(ft_loss, ft_dyn)
     pt_pool = np.empty((replicas * pt_kept, pt_loss.dim))
@@ -486,7 +468,8 @@ def two_stage_run(
         pt_pool[replica * pt_kept:(replica + 1) * pt_kept] = records[-pt_kept:]
         del records  # one chain's records are held at a time
         if init_mode == "analytic_sample":
-            ft_init = sample(pt_stationary, 1, child_seed(master_seed, replica, 1))[0]
+            ft_init = _draw(pt_stationary.mean, pt_factor, 1,
+                            child_seed(master_seed, replica, 1))[0]
         records, _ = _run_chain(ft_init, ft_plan, ft_steps, stride, normals)
         ft_pool[replica * ft_kept:(replica + 1) * ft_kept] = records[-ft_kept:]
         del records

@@ -28,6 +28,7 @@ from .linalg import (
     SpdMatrix,
     SymmetricMatrix,
     Verdict,
+    _check_held,
     _frozen_vector,
     _item,
     _log_det_of_factor,
@@ -251,9 +252,14 @@ def sample(g: GaussianMeasure, count: int, seed: int) -> np.ndarray:
     """
     if count < 1:
         raise TooFewSamplesError(f"count must be >= 1, got {count}")
-    factor = cholesky_factor(g.covariance)
-    z = make_rng(seed).standard_normal((int(count), g.dim))
-    return g.mean + z @ factor.T
+    return _draw(g.mean, cholesky_factor(g.covariance), count, seed)
+
+
+def _draw(mean: np.ndarray, factor: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """:func:`sample` of the Gaussian with ``mean`` and lower Cholesky
+    factor ``factor``, for callers that draw often from one measure."""
+    z = make_rng(seed).standard_normal((int(count), mean.shape[0]))
+    return mean + z @ factor.T
 
 
 def empirical_moments(samples: np.ndarray) -> MomentEstimate:
@@ -302,6 +308,7 @@ def mc_kl_estimate(
         raise TooFewSamplesError(
             f"Monte-Carlo KL needs >= {MC_KL_MIN_DRAWS} draws, got {count}"
         )
+    _check_held(f"Monte-Carlo KL with {count} draws holds", count * q.dim, q.dim)
     draws = sample(q, count, seed)
     values = log_density(q, draws) - log_density(p, draws)
     estimate = float(np.mean(values))

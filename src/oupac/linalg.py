@@ -52,11 +52,21 @@ RESIDUAL_RTOL = 1e-10
 #: a group of surveyed domain pairs.
 GROUP_FLOATS = 1 << 20
 
-#: Most numbers the records of one simulated chain may hold (1 GiB):
-#: ``(steps // stride + 1) * d``.  A longer run is rejected before any
-#: chain runs; at its peak a chain holds a second array of that size
-#: (the rotation's temporary, or the trajectory's copy).
+#: Most numbers one array sized by an option may hold (1 GiB): a chain's
+#: or a replica pool's records, a Monte-Carlo KL's draws, one gap trial's
+#: design, one surveyed pair's covariances.  :func:`_check_held` rejects a
+#: larger size before anything is drawn; a run holds a few such arrays.
 RECORD_FLOATS = 1 << 27
+
+
+def _check_held(what: str, floats: int, dim: int) -> None:
+    """Raise :class:`InvalidRangeError` if ``what``, an array of ``floats``
+    numbers at dimension ``dim``, would exceed ``RECORD_FLOATS``."""
+    if floats > RECORD_FLOATS:
+        raise InvalidRangeError(
+            f"{what} {floats} floats ({8 * floats} bytes) at dimension {dim}; at most "
+            f"{RECORD_FLOATS} ({8 * RECORD_FLOATS} bytes) are held"
+        )
 
 
 class Verdict(NamedTuple):

@@ -46,7 +46,7 @@ from .gaussian import (
     _stationary_rhs,
     standard_gaussian,
 )
-from .linalg import (SpdMatrix, Verdict, _frozen_vector, _in_groups, _item,
+from .linalg import (SpdMatrix, Verdict, _check_held, _frozen_vector, _in_groups, _item,
                      _lyapunov_in_eigenbasis, _spd_verdict, _symmetrized, cholesky_factor,
                      make_spd)
 from .rng import child_seed, make_rng
@@ -301,10 +301,13 @@ def _isqrt_to_odd(numerator: int, denominator: int) -> int:
 
 
 def _check_sample_sizes(ns: Sequence[int], dim: int) -> None:
-    """Each sample size is at least the feature dimension: with fewer rows
-    than features every design Gram matrix is singular."""
+    """Each sample size is at least the feature dimension, since with fewer
+    rows than features every design Gram matrix is singular, and the
+    design of one trial, ``n * dim`` floats, fits ``RECORD_FLOATS``."""
     if any(n < dim for n in ns):
         raise InvalidRangeError(f"every n must be >= feature dimension {dim}, got {list(ns)}")
+    largest = max(ns)
+    _check_held(f"n={largest}: the design of one trial holds", largest * dim, dim)
 
 
 def bound_validity_experiment(

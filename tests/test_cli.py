@@ -29,6 +29,7 @@ from oupac import (
 )
 from oupac import bounds, cli, diffusion, matrixio
 from oupac.cli import main
+from oupac.errors import ConfigError
 from oupac.linalg import RECORD_FLOATS
 from oupac.matrixio import (
     FLOAT_FORMAT,
@@ -443,6 +444,32 @@ def test_oversized_replica_pool_exits_2_before_any_allocation(capsys, tmp_path,
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("argv, what, floats, dim", [
+    (["kl", "--q", "<gaussian_file>", "--p", "<gaussian_file>", "--mc-draws", str(10**15)],
+     f"Monte-Carlo KL with {10**15} draws holds", 2 * 10**15, 2),
+    (["validity", "--trials", "10", "--n", str(10**15)],
+     f"n={10**15}: the design of one trial holds", 2 * 10**15, 2),
+    (["scaling", "--ns", str(10**15)], f"n={10**15}: the design of one trial holds",
+     2 * 10**15, 2),
+    (["lemma-survey", "--dims", "100000", "--pairs-per-dim", "1"],
+     "dims: one pair's covariances hold", 2 * 10**10, 100000),
+], ids=["kl", "validity", "scaling", "lemma-survey"])
+def test_oversized_option_exits_2_before_any_allocation(capsys, tmp_path, gaussian_file, argv,
+                                                        what, floats, dim):
+    # each size is rejected by arithmetic against RECORD_FLOATS, never allocated
+    argv = [gaussian_file if arg == "<gaussian_file>" else arg for arg in argv]
+    out_path = tmp_path / "out"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--output", str(out_path))
+    elapsed = time.perf_counter() - start
+    limit = RECORD_FLOATS
+    assert (code, out) == (2, "")
+    assert err == (f"error: {what} {floats} floats ({8 * floats} bytes) at dimension {dim}; "
+                   f"at most {limit} ({8 * limit} bytes) are held\n")
+    assert not out_path.exists()
+    assert elapsed < 1.0
+
+
 def test_main_holds_one_blas_thread_inside_a_handler(capsys, monkeypatch,
                                                      openblas_threads):
     if openblas_threads is None:
@@ -465,7 +492,7 @@ def test_main_holds_one_blas_thread_inside_a_handler(capsys, monkeypatch,
     (["bound", "--kl", "0", "--n", "100", "--delta", "0.05"], 0),
     (["bound", "--kl", "0", "--n", "0", "--delta", "0.05"], 2),
     (["simulate", "--eta", "3.0"], 3),
-    (["bound", "--help"], None),
+    (["bound", "--help"], 0),
 ], ids=["exit_0", "exit_2", "exit_3", "help"])
 def test_main_restores_the_blas_thread_count(capsys, identity_file, openblas_threads,
                                              argv, code):
@@ -473,12 +500,7 @@ def test_main_restores_the_blas_thread_count(capsys, identity_file, openblas_thr
         pytest.skip("no OpenBLAS found")
     if argv[0] == "simulate":
         argv = _simulate_argv(identity_file) + argv[1:]
-    if code is None:
-        with pytest.raises(SystemExit) as exited:
-            main(argv)
-        assert exited.value.code == 0
-    else:
-        assert main(argv) == code
+    assert main(argv) == code
     capsys.readouterr()
     assert openblas_threads[0]() == 2
 
@@ -620,9 +642,10 @@ def test_overflowing_noise_exits_3_without_warning(capsys, command, noise_std):
 
 
 def test_unknown_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["bound", "--kl", "0", "--n", "5", "--delta", "0.5", "--bogus", "1"])
-    assert excinfo.value.code == 2
+    code, out, err = run_cli(capsys, "bound", "--kl", "0", "--n", "5", "--delta", "0.5",
+                             "--bogus", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: unrecognized argument '--bogus' (see 'oupac bound --help')\n"
 
 
 def test_no_subcommand_exits_2(capsys):
@@ -685,7 +708,7 @@ def test_csv_text_matches_csv_writer():
 
 def _full_parser() -> argparse.ArgumentParser:
     """Reference: one parser with every subcommand's options, from _COMMANDS."""
-    parser = argparse.ArgumentParser(prog="oupac", description=cli._build_parser().description)
+    parser = argparse.ArgumentParser(prog="oupac", description=cli._DESCRIPTION)
     subparsers = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     for name, spec in cli._COMMANDS.items():
         sub = subparsers.add_parser(name, help=spec["help"], description=spec["help"])
@@ -701,43 +724,42 @@ def _full_parser() -> argparse.ArgumentParser:
 _FULL_PARSER = _full_parser()
 
 
-def _reference_main(argv: list[str]) -> int:
-    """main's parsing and help, on the full parser."""
-    parser = _full_parser()
-    if parser.parse_args(argv).subcommand is None:
-        parser.print_help()
-        return 2
-    raise AssertionError(f"{argv} parsed")
-
-
-def _parse_outcome(main_fn, argv: list[str], capsys) -> tuple[int, str, str]:
-    try:
-        code = main_fn(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-@pytest.mark.parametrize("argv", [
-    ["--help"],
-    *([name, "--help"] for name in cli._COMMANDS),
-    ["bogus"],
-    [],
-    ["bound", "--kl", "0", "--bogus", "1"],
-    ["validity", "--trials"],
-    ["simulate", "--stride", "1", "stray"],
-    ["kl", "-h"],
-    ["scaling", "--ns"],
-    ["simulate", "--steps"],
-    ["bound", "--kl", "--n", "3"],
-    ["bound", "--", "--kl", "0"],
+@pytest.mark.parametrize("argv, named", [
+    (["bogus"], "unknown subcommand 'bogus'"),
+    (["--bogus"], "unknown subcommand '--bogus'"),
+    (["bound", "--kl", "0", "--bogus", "1"], "'--bogus'"),
+    (["validity", "--trials"], "--trials needs a value"),
+    (["simulate", "--stride", "1", "stray"], "'stray'"),
+    (["scaling", "--ns"], "--ns needs a value"),
+    (["simulate", "--steps"], "--steps needs a value"),
+    (["bound", "--kl", "--n", "3"], "--kl needs a value"),
+    (["bound", "--", "--kl", "0"], "'--'"),
+    (["bound", "--k", "0", "--n", "100", "--delta", "0.05"], "'--k'"),
 ])
-def test_help_and_parse_errors_match_full_parser(capsys, monkeypatch, argv):
-    monkeypatch.setenv("COLUMNS", "100")
-    want = _parse_outcome(_reference_main, argv, capsys)
-    assert want[0] in (0, 2)
-    assert _parse_outcome(main, argv, capsys) == want
+def test_malformed_call_exits_2_with_one_error_line(capsys, tmp_path, argv, named):
+    out_path = tmp_path / "out.json"
+    # a SystemExit or any other exception escaping main() fails this call
+    code, out, err = run_cli(capsys, argv[0], "--output", str(out_path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+    assert named in err
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+@pytest.mark.parametrize("name", [None, *cli._COMMANDS])
+def test_help_lists_every_option_with_its_help(capsys, name, flag):
+    code, out, err = run_cli(capsys, *filter(None, [name, flag]))
+    assert (code, err) == (0, "")
+    rows = dict(line.split(None, 1) for line in out.splitlines() if line.startswith("  "))
+    if name is None:
+        want = {command: spec["help"] for command, spec in cli._COMMANDS.items()}
+    else:
+        want = {"--" + key.replace("_", "-"): cli._help(option)
+                for key, option in cli._COMMANDS[name]["options"].items()}
+        want["--config"] = "JSON file with option values (flags override)"
+    assert rows == want
 
 
 @st.composite
@@ -765,26 +787,30 @@ def test_table_args_match_the_full_parser(call):
     assert cli._table_args(name, words) == want
 
 
-def test_abbreviated_flag_runs_through_argparse(capsys):
-    full = ["--kl", "0", "--n", "100", "--delta", "0.05"]
-    abbreviated = ["--k", "0", "--n", "100", "--delta", "0.05"]
-    assert cli._table_args("bound", abbreviated) is None
-    want = run_cli(capsys, "bound", *full)
-    assert want[0] == 0
-    assert run_cli(capsys, "bound", *abbreviated) == want
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_abbreviated_flag_is_rejected(name):
+    flags = ["--" + key.replace("_", "-") for key in cli._COMMANDS[name]["options"]]
+    for flag in flags:
+        for prefix in {flag[:end] for end in range(3, len(flag))} - set(flags):
+            with pytest.raises(ConfigError, match=f"^unrecognized argument '{prefix}' "):
+                cli._table_args(name, [prefix, "1"])
 
 
-def test_well_formed_call_imports_no_argparse():
+@pytest.mark.parametrize("argv, code, stdout", [
+    (["bound", "--kl", "0", "--n", "100", "--delta=0.05"], 0, "bound: complexity_term="),
+    (["bound", "--help"], 0, "usage: oupac bound "),
+    (["bound", "--k", "0", "--n", "100", "--delta=0.05"], 2, ""),
+], ids=["well_formed", "help", "malformed"])
+def test_no_call_imports_argparse(argv, code, stdout):
     src = str(Path(__file__).resolve().parents[1] / "src")
     result = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "oupac",
-         "bound", "--kl", "0", "--n", "100", "--delta=0.05"],
+        [sys.executable, "-X", "importtime", "-m", "oupac", *argv],
         capture_output=True, text=True, timeout=120,
         env={**os.environ,
              "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("bound: complexity_term=")
+    assert result.returncode == code, result.stderr
+    assert result.stdout.startswith(stdout) if stdout else result.stdout == ""
     imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()]
     assert "oupac.cli" in imported
     assert "argparse" not in imported

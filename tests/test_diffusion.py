@@ -34,7 +34,7 @@ from oupac import (
     stein_stationary_covariance,
     two_stage_run,
 )
-from oupac import diffusion
+from oupac import diffusion, linalg
 from oupac.gaussian import empirical_moments, sample
 from oupac.rng import child_seed, make_rng
 
@@ -702,7 +702,7 @@ class TestTwoStageRun:
 
     def test_pooled_records_are_bounded_by_record_floats(self, monkeypatch):
         # 9 steps at stride 1 keep 5 of 10 records: 10 floats per replica at d = 2
-        monkeypatch.setattr(diffusion, "RECORD_FLOATS", 100)
+        monkeypatch.setattr(linalg, "RECORD_FLOATS", 100)
         loss = isotropic_loss(2)
         dyn = SgdDynamics(0.2, 1, np.eye(2))
         result = two_stage_run(loss, dyn, loss, dyn, 9, 9, replicas=10, stride=1)
@@ -710,6 +710,21 @@ class TestTwoStageRun:
         with pytest.raises(InvalidRangeError, match=r"^replicas=11 pool 5 records of "
                                                     r"pt_steps=9 each .* 110 floats"):
             two_stage_run(loss, dyn, loss, dyn, 9, 9, replicas=11, stride=1)
+
+    def test_analytic_inits_share_one_cholesky_factor(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        loss = isotropic_loss(2)
+        dyn = SgdDynamics(0.2, 1, np.eye(2))
+        two_stage_run(loss, dyn, loss, dyn, 20, 20, replicas=8, stride=1,
+                      init_mode="analytic_sample")
+        assert calls == [(2, 2)]
 
     def test_replica_floor_and_instability(self):
         loss = isotropic_loss(2)

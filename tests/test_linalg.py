@@ -601,3 +601,13 @@ class TestInGroups:
         with pytest.raises(ValueError, match="not a check"):
             _in_groups(self.recording(calls, fail), [0, 1, 2], 1)
         assert calls == [[0, 1, 2]]
+
+
+def test_check_held_allows_record_floats_and_rejects_one_more():
+    # arithmetic only: no array of either size is made
+    limit = linalg.RECORD_FLOATS
+    linalg._check_held("steps=1 records", limit, 4)
+    with pytest.raises(InvalidRangeError) as raised:
+        linalg._check_held("steps=1 records", limit + 1, 4)
+    assert str(raised.value) == (f"steps=1 records {limit + 1} floats ({8 * limit + 8} bytes) "
+                                 f"at dimension 4; at most {limit} ({8 * limit} bytes) are held")
