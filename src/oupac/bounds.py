@@ -268,8 +268,7 @@ def lemma2_survey(
     """
     if pairs_per_dim < 1:
         raise InvalidRangeError(f"pairs_per_dim must be >= 1, got {pairs_per_dim}")
-    largest = max(dims, default=0)
-    _check_held("dims: one pair's covariances hold", 2 * largest * largest, largest)
+    _check_survey_dim(max(dims, default=0))
     rows = []
     for d in dims:
         d_value, d_tilde_value = _in_groups(
@@ -286,6 +285,12 @@ def lemma2_survey(
             "min_margin": float(min(margins)),
         })
     return rows
+
+
+def _check_survey_dim(largest: int) -> None:
+    """Reject a survey whose largest dimension d gives one pair's two
+    covariances, ``2 d^2`` floats, more than ``RECORD_FLOATS``."""
+    _check_held("dims: one pair's covariances hold", 2 * largest * largest, largest)
 
 
 def _survey_group(d, pairs, seed, eigenvalue_low, eigenvalue_high, shift_scale):

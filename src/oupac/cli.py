@@ -32,6 +32,7 @@ from . import _threads, matrixio
 from .bounds import (
     DomainPair,
     SampleSpec,
+    _check_survey_dim,
     _dominance,
     finetune_bound,
     lemma2_survey,
@@ -128,9 +129,17 @@ def _ints(value) -> list[int]:
 
 
 def _dims(value) -> list[int]:
-    """A range 'lo-hi' or a list of dimensions."""
+    """A range 'lo-hi' or a list of dimensions; the top of a range that is
+    not empty is checked against the survey's size limit before the range
+    is built."""
     lo, is_range, hi = str(value).partition("-")
-    dims = list(range(int(lo), int(hi) + 1)) if is_range else _ints(value)
+    if is_range:
+        lo, hi = int(lo), int(hi)
+        if hi >= lo:
+            _check_survey_dim(hi)
+        dims = list(range(lo, hi + 1))
+    else:
+        dims = _ints(value)
     if not dims:
         raise ConfigError(f"dims range {value!r} is empty")
     if any(d < 1 for d in dims):

@@ -36,8 +36,10 @@ of normals and its kicked copy, ``2 * NOISE_CHUNK * d`` floats at most,
 and the scan's scratch; once the last chunk is freed, the rotation back
 into the original basis takes one records-sized temporary.  The records
 are capped at ``linalg.RECORD_FLOATS`` floats, checked before any chain
-runs.  The ``simulate`` command holds one chain's records and then one
-block of its CSV text at a time (:mod:`oupac.matrixio`).
+runs.  ``simulate_chain`` peaks at twice its records: first during that
+rotation, then while ``Trajectory`` copies them.  The ``simulate``
+command then holds one chain's records and one block of its CSV text at
+a time (:mod:`oupac.matrixio`).
 ``two_stage_run`` copies each chain's post-burn-in records into one
 preallocated pool per stage, ``replicas * kept * d`` floats, also
 capped at ``RECORD_FLOATS`` before any draw, so it holds the pools and
@@ -54,9 +56,9 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, InvalidRangeError, TooFewSamplesError,
                      UnstableDynamicsError)
-from .gaussian import (MomentEstimate, _draw, check_rate, empirical_moments,
+from .gaussian import (MomentEstimate, check_rate, empirical_moments, sample,
                        stationary_from_dynamics)
-from .linalg import SpdMatrix, _check_held, _frozen_vector, cholesky_factor, make_spd
+from .linalg import SpdMatrix, _check_held, _frozen_vector, make_spd
 from .rng import child_seed, make_rng
 
 #: Steps of simulation noise generated per chunk (bounds peak memory).
@@ -212,7 +214,7 @@ def stability_check(loss: QuadraticLoss, dyn: SgdDynamics) -> StabilityReport:
     case is reported unstable.
     """
     _check_dims(loss, dyn)
-    radius = float(_step_radius(dyn.lr, np.linalg.eigvalsh(loss.hessian.entries)))
+    radius = float(_step_radius(dyn.lr, loss.hessian.eigenvalues))
     return StabilityReport(stable=radius < 1.0, spectral_radius=radius)
 
 
@@ -225,7 +227,7 @@ def _require_stable(loss: QuadraticLoss, dyn: SgdDynamics) -> None:
     report = stability_check(loss, dyn)
     if not report.stable:
         # below lr * lambda_max = 2 a radius of 1 is 1 - lr*lambda rounded to 1
-        too_large = dyn.lr * np.linalg.eigvalsh(loss.hessian.entries)[-1] >= 2.0
+        too_large = dyn.lr * loss.hessian.eigenvalues[-1] >= 2.0
         cause = ("lr too large for this Hessian" if too_large else
                  "1 - lr*lambda rounds to 1 in float64: lr too small for this Hessian")
         raise UnstableDynamicsError(
@@ -238,10 +240,11 @@ class _ScanPlan:
     """The eigenbasis scan of one stage ``(loss, dyn)``, built once and
     reused by every chain of that stage.
 
-    Holds ``A``'s eigenbasis, the factors ``mu = 1 - lr * lam``, the
-    rotated noise kick, and a contiguous ``rows x d`` scratch block, rows
-    = ``SCAN_BLOCK``, with a temporary of the same shape.  For each scan
-    level ``shift = 1, 2, 4, ...`` it prebuilds the views
+    Holds ``A``'s eigenbasis (the Hessian's kept ``eigh``), the factors
+    ``mu = 1 - lr * lam``, the rotated noise kick, and a contiguous ``rows
+    x d`` scratch block, rows = ``SCAN_BLOCK``, with a temporary of the
+    same shape.  For each scan level ``shift = 1, 2, 4, ...`` it prebuilds
+    the views
     ``(work[:-shift], power, tmp[:rows - shift], work[shift:])``, where
     ``power`` is ``mu ** shift`` (by repeated squaring) tiled to ``rows -
     shift`` rows, so a level is two ufunc calls over contiguous memory.
@@ -254,7 +257,7 @@ class _ScanPlan:
     """
 
     def __init__(self, loss: QuadraticLoss, dyn: SgdDynamics):
-        lam, self.basis = np.linalg.eigh(loss.hessian.entries)
+        lam, self.basis = loss.hessian.eigh
         self.minimizer = loss.minimizer
         self.mu = 1.0 - dyn.lr * lam
         rows = SCAN_BLOCK
@@ -454,7 +457,6 @@ def two_stage_run(
             pt_loss.hessian, pt_loss.minimizer, pt_dyn.noise_cov,
             pt_dyn.lr, pt_dyn.batch_size,
         )
-        pt_factor = cholesky_factor(pt_stationary.covariance)  # once for every replica
     pt_plan = _ScanPlan(pt_loss, pt_dyn)
     ft_plan = _ScanPlan(ft_loss, ft_dyn)
     pt_pool = np.empty((replicas * pt_kept, pt_loss.dim))
@@ -468,8 +470,7 @@ def two_stage_run(
         pt_pool[replica * pt_kept:(replica + 1) * pt_kept] = records[-pt_kept:]
         del records  # one chain's records are held at a time
         if init_mode == "analytic_sample":
-            ft_init = _draw(pt_stationary.mean, pt_factor, 1,
-                            child_seed(master_seed, replica, 1))[0]
+            ft_init = sample(pt_stationary, 1, child_seed(master_seed, replica, 1))[0]
         records, _ = _run_chain(ft_init, ft_plan, ft_steps, stride, normals)
         ft_pool[replica * ft_kept:(replica + 1) * ft_kept] = records[-ft_kept:]
         del records

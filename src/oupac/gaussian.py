@@ -9,6 +9,12 @@ Every Gaussian-pair divergence (the KL here, the discrepancies of
 :mod:`oupac.bounds`) goes through :func:`_pair_divergences`: an input too
 large for float64 raises :class:`NumericalInconsistencyError` instead of
 giving ``inf`` or NaN.
+
+Sampling, densities and the pair terms read a covariance's Cholesky
+factor, and the normalizer its log-determinant, from its
+:class:`~oupac.linalg.SpdMatrix`, which computes each once, at first use,
+at the OpenBLAS thread count in force then.  A stack of raw covariances is
+factored at each call and nothing of it is kept.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ class GaussianMeasure:
 
     @property
     def log_normalizer(self) -> float:
-        """Log of the density normalizing constant (never stored)."""
+        """Log of the density normalizing constant."""
         return -0.5 * (self.dim * np.log(2.0 * np.pi) + log_det(self.covariance))
 
 
@@ -252,14 +258,8 @@ def sample(g: GaussianMeasure, count: int, seed: int) -> np.ndarray:
     """
     if count < 1:
         raise TooFewSamplesError(f"count must be >= 1, got {count}")
-    return _draw(g.mean, cholesky_factor(g.covariance), count, seed)
-
-
-def _draw(mean: np.ndarray, factor: np.ndarray, count: int, seed: int) -> np.ndarray:
-    """:func:`sample` of the Gaussian with ``mean`` and lower Cholesky
-    factor ``factor``, for callers that draw often from one measure."""
-    z = make_rng(seed).standard_normal((int(count), mean.shape[0]))
-    return mean + z @ factor.T
+    z = make_rng(seed).standard_normal((int(count), g.dim))
+    return g.mean + z @ cholesky_factor(g.covariance).T
 
 
 def empirical_moments(samples: np.ndarray) -> MomentEstimate:
@@ -288,9 +288,8 @@ def log_density(g: GaussianMeasure, points: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"points have dimension {pts.shape[1]}, measure has {g.dim}"
         )
-    factor = cholesky_factor(g.covariance)
     # one product with the inverse factor: cheaper than a solve on n right-hand sides
-    white = np.linalg.inv(factor) @ (pts - g.mean).T
+    white = np.linalg.inv(cholesky_factor(g.covariance)) @ (pts - g.mean).T
     return g.log_normalizer - 0.5 * np.sum(white * white, axis=0)
 
 

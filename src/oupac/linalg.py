@@ -13,13 +13,20 @@ the eigenbasis solve, the residual check) take arrays with leading stack
 axes, one item per trailing matrix; a public function calls them on one
 matrix.  :func:`_in_groups` states how a stack raises.
 
-All values are immutable after construction and all functions are pure,
-so everything here is safe for unrestricted concurrent use.
+An :class:`SpdMatrix` owns its decompositions, each computed once, at
+first use, at the OpenBLAS thread count in force then;
+:func:`cholesky_factor` and :func:`log_det` read them.  A stack of raw
+entries is factored at each call and nothing of it is kept.
+
+All values are immutable after construction (an SPD value's kept
+decompositions never change once made) and all functions are pure, so
+everything here is safe for unrestricted concurrent use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -146,14 +153,18 @@ def _as_square_array(entries, name: str = "matrix", finite: bool = True) -> np.n
     return arr
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def _frozen_vector(values, name: str) -> np.ndarray:
     """A read-only float copy of ``values`` flattened to a vector; raises
     :class:`InvalidRangeError` if an entry is not finite."""
     vector = np.asarray(values, dtype=float).reshape(-1).copy()
     if not np.isfinite(vector).all():
         raise InvalidRangeError(f"{name} contains non-finite entries")
-    vector.flags.writeable = False
-    return vector
+    return _read_only(vector)
 
 
 def _non_finite(name: str) -> NotSquareError:
@@ -177,8 +188,7 @@ class SymmetricMatrix:
     def __post_init__(self):
         sym, finite = _finite_symmetrized(_as_square_array(self.entries, finite=False))
         finite.check()
-        sym.flags.writeable = False
-        object.__setattr__(self, "entries", sym)
+        object.__setattr__(self, "entries", _read_only(sym))
 
     @property
     def dim(self) -> int:
@@ -194,15 +204,38 @@ class SpdMatrix:
     relative tolerance, ``"semidefinite"`` allows eigenvalues down to
     minus that tolerance.  Cholesky factorization is guaranteed to
     succeed for strict instances.
+
+    ``eigenvalues`` are the ascending ``eigvalsh`` eigenvalues that the
+    check read; ``factor`` (lower Cholesky), ``log_det`` and ``eigh``
+    (eigenvalues and eigenvectors as columns) are made at first use and
+    kept (module docstring).  Every array is read-only.  A factorization
+    that fails, as it can for a semidefinite matrix, raises
+    :class:`NotPositiveDefiniteError` at every access.
     """
 
     base: SymmetricMatrix
     strictness: Strictness = "strict"
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.strictness not in ("strict", "semidefinite"):
             raise ValueError(f"unknown strictness {self.strictness!r}")
-        _spd_verdict(np.linalg.eigvalsh(self.base.entries), self.strictness).check()
+        eigenvalues = np.linalg.eigvalsh(self.base.entries)
+        _spd_verdict(eigenvalues, self.strictness).check()
+        object.__setattr__(self, "eigenvalues", _read_only(eigenvalues))
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        return _read_only(_lower_factor(self.entries))
+
+    @cached_property
+    def log_det(self) -> float:
+        return float(_log_det_of_factor(self.factor))
+
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        values, vectors = np.linalg.eigh(self.entries)
+        return _read_only(values), _read_only(vectors)
 
     @property
     def entries(self) -> np.ndarray:
@@ -267,9 +300,14 @@ def _make_spd_stack(entries: np.ndarray) -> np.ndarray:
 
 def cholesky_factor(m) -> np.ndarray:
     """Lower Cholesky factor L with ``L L^T = m``, of an :class:`SpdMatrix`
-    or of each matrix of a stack ``(..., d, d)`` of strict SPD entries."""
+    (its kept, read-only factor) or of each matrix of a stack ``(..., d,
+    d)`` of strict SPD entries."""
+    return m.factor if isinstance(m, SpdMatrix) else _lower_factor(getattr(m, "entries", m))
+
+
+def _lower_factor(entries: np.ndarray) -> np.ndarray:
     try:
-        return np.linalg.cholesky(getattr(m, "entries", m))
+        return np.linalg.cholesky(entries)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             f"Cholesky factorization failed: {exc}"
@@ -279,9 +317,10 @@ def cholesky_factor(m) -> np.ndarray:
 def log_det(m: SpdMatrix) -> float:
     """Natural-log determinant of a strict SPD matrix via Cholesky.
 
-    ``log det(m) = 2 * sum(log diag(L))`` for the lower factor L.
+    ``log det(m) = 2 * sum(log diag(L))`` for the lower factor L, kept by
+    ``m`` like L.
     """
-    return float(_log_det_of_factor(cholesky_factor(m)))
+    return m.log_det
 
 
 def _log_det_of_factor(factor: np.ndarray) -> np.ndarray:
@@ -326,7 +365,7 @@ def solve_continuous_lyapunov(a: SpdMatrix, q: SymmetricMatrix) -> SymmetricMatr
         )
     q_entries = _symmetric_entries(q)
     _check_same_dim(a.entries, q_entries)
-    lam, vecs = np.linalg.eigh(a.entries)
+    lam, vecs = a.eigh
     return SymmetricMatrix(_lyapunov_in_eigenbasis(a.entries, lam, vecs, q_entries))
 
 

@@ -453,7 +453,10 @@ def test_oversized_replica_pool_exits_2_before_any_allocation(capsys, tmp_path,
      2 * 10**15, 2),
     (["lemma-survey", "--dims", "100000", "--pairs-per-dim", "1"],
      "dims: one pair's covariances hold", 2 * 10**10, 100000),
-], ids=["kl", "validity", "scaling", "lemma-survey"])
+    # the range's top is checked before the range is built
+    (["lemma-survey", "--dims", f"1-{10**15}", "--pairs-per-dim", "1"],
+     "--dims: dims: one pair's covariances hold", 2 * 10**30, 10**15),
+], ids=["kl", "validity", "scaling", "lemma-survey", "lemma-survey-range"])
 def test_oversized_option_exits_2_before_any_allocation(capsys, tmp_path, gaussian_file, argv,
                                                         what, floats, dim):
     # each size is rejected by arithmetic against RECORD_FLOATS, never allocated
@@ -586,6 +589,51 @@ def test_dominance_evaluates_each_bound_report_once(capsys, monkeypatch, identit
                          identity_file, "--shift", "1,0", "--n-pt", "1000", "--n-ft", "100")
     assert code == 0
     assert counts == {"pretrain_bound": 2, "finetune_bound": 2}
+
+
+def _stage_flags(prefix: str, hessian: str, factor: str) -> list[str]:
+    return [f"--{prefix}hessian", hessian, f"--{prefix}minimizer", "0,0,0",
+            f"--{prefix}noise-factor", factor, f"--{prefix}eta", "0.1",
+            f"--{prefix}batch", "1", f"--{prefix}steps", "200"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["kl", "--q", "q.txt", "--p", "p.txt", "--mc-draws", "1000"],
+     {"cholesky": 2, "eigh": 0, "eigvalsh": 2}),
+    (["dominance", "--sigma-pt", "h.txt", "--sigma-ft", "s.txt", "--shift", "1,0,0",
+      "--n-pt", "1000", "--n-ft", "100"],
+     {"cholesky": 2, "eigh": 0, "eigvalsh": 2}),
+    (["two-stage", *_stage_flags("pt-", "h.txt", "b.txt"),
+      *_stage_flags("ft-", "s.txt", "b.txt"), "--init-mode", "analytic_sample"],
+     {"cholesky": 1, "eigh": 2, "eigvalsh": 5}),
+    (["two-stage", *_stage_flags("pt-", "h.txt", "b.txt"),
+      *_stage_flags("ft-", "s.txt", "b.txt"), "--init-mode", "chain_continue"],
+     {"cholesky": 0, "eigh": 2, "eigvalsh": 4}),
+    (["simulate", *_stage_flags("", "h.txt", "b.txt")],
+     {"cholesky": 0, "eigh": 2, "eigvalsh": 2}),
+], ids=["kl", "dominance", "two-stage-analytic_sample", "two-stage-chain_continue", "simulate"])
+def test_each_spd_value_decomposes_once_per_call(capsys, monkeypatch, tmp_path, argv, expected):
+    # every SPD value is decomposed once: cholesky once per covariance used (the
+    # pre-training bound reads sigma_pt's log det from its factor), eigh once per
+    # Hessian (the Lyapunov solve and the chain scan share it) and once for the
+    # simulate Stein solve's step map, and eigvalsh once per SPD value, at its
+    # check, whose eigenvalues the stability checks reuse
+    write_matrix(tmp_path / "h.txt", [[2.0, 0.5, 0.0], [0.5, 1.0, 0.1], [0.0, 0.1, 1.5]])
+    write_matrix(tmp_path / "s.txt", [[1.5, 0.2, 0.0], [0.2, 0.8, 0.0], [0.0, 0.0, 1.2]])
+    write_matrix(tmp_path / "b.txt", [[0.5, 0.1, 0.0], [0.0, 0.4, 0.1], [0.0, 0.0, 0.3]])
+    write_gaussian(tmp_path / "q.txt", [0.1, -0.2, 0.3],
+                   [[0.05, 0.01, 0.0], [0.01, 0.025, 0.0], [0.0, 0.0, 0.04]])
+    write_gaussian(tmp_path / "p.txt", np.zeros(3), np.eye(3))
+    monkeypatch.chdir(tmp_path)
+    counts = dict.fromkeys(expected, 0)
+    for name in counts:
+        def counted(*args, name=name, original=getattr(np.linalg, name)):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert counts == expected
 
 
 @pytest.mark.parametrize("command", ["dominance", "lyapunov"])

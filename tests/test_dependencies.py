@@ -33,3 +33,13 @@ def test_package_imports_only_stdlib_numpy_and_itself():
     assert len(sources) > 10
     assert [(path.name, name) for path in sources for name in _imported_modules(path)
             if name not in allowed] == []
+
+
+def test_test_extra_lists_every_package_the_tests_import():
+    optional = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    extra = {re.split(r"[<>=!~;\[ ]", dep)[0] for dep in optional["optional-dependencies"]["test"]}
+    local = {path.stem for path in (ROOT / "tests").glob("*.py")} | {"oupac"}
+    allowed = set(sys.stdlib_module_names) | local | {"numpy"} | extra
+    sources = sorted((ROOT / "tests").glob("*.py"))
+    assert [(path.name, name) for path in sources for name in _imported_modules(path)
+            if name not in allowed] == []

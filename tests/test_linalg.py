@@ -404,6 +404,57 @@ def test_cholesky_factor_reconstructs():
     np.testing.assert_allclose(factor @ factor.T, m.entries, rtol=1e-12, atol=1e-14)
 
 
+class TestKeptDecompositions:
+    def test_each_is_computed_once_with_the_bits_of_its_lapack_call(self, monkeypatch):
+        m = random_spd(5, 0.2, 3.0, seed=4)
+        want = (np.linalg.eigvalsh(m.entries), np.linalg.cholesky(m.entries),
+                np.linalg.eigh(m.entries))
+        calls = []
+        for name in ("cholesky", "eigh", "eigvalsh"):
+            def counted(a, name=name, original=getattr(np.linalg, name)):
+                calls.append(name)
+                return original(a)
+            monkeypatch.setattr(np.linalg, name, counted)
+        for _ in range(3):
+            assert cholesky_factor(m) is m.factor
+            assert log_det(m) == m.log_det
+            values, vectors = m.eigh
+        assert calls == ["cholesky", "eigh"]
+        assert np.array_equal(m.eigenvalues, want[0])
+        assert np.array_equal(m.factor, want[1])
+        assert np.array_equal(values, want[2][0]) and np.array_equal(vectors, want[2][1])
+        assert m.log_det == float(_log_det_of_factor(want[1]))
+
+    def test_every_kept_array_is_read_only(self):
+        m = random_spd(4, 0.5, 2.0, seed=9)
+        for array in (m.eigenvalues, m.factor, *m.eigh):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_a_failing_factorization_raises_at_every_access(self):
+        m = make_spd(np.diag([1.0, 0.0]), strictness="semidefinite")
+        for _ in range(2):
+            with pytest.raises(NotPositiveDefiniteError, match="Cholesky factorization failed"):
+                cholesky_factor(m)
+            with pytest.raises(NotPositiveDefiniteError, match="Cholesky factorization failed"):
+                log_det(m)
+        assert "factor" not in vars(m) and "log_det" not in vars(m)
+        assert m.eigh[0].tolist() == [0.0, 1.0]
+
+    def test_a_stack_of_entries_is_factored_at_each_call(self, monkeypatch):
+        stack = np.stack([random_spd(3, 0.5, 2.0, seed=seed).entries for seed in range(4)])
+        calls = []
+
+        def counted(a, original=np.linalg.cholesky):
+            calls.append(a.shape)
+            return original(a)
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        first, second = cholesky_factor(stack), cholesky_factor(stack)
+        assert calls == [(4, 3, 3)] * 2 and first.flags.writeable
+        assert np.array_equal(first, second)
+
+
 def _spd_stack(count: int, dim: int, low: float, high: float, seed: int) -> np.ndarray:
     """Symmetric matrices with eigenvalues drawn from [low, high] (low may be <= 0)."""
     rng = make_rng(seed)

@@ -1,0 +1,250 @@
+"""Metamorphic properties: transformations whose effect on the outputs the
+mathematics fixes, checked on random well-conditioned inputs.
+
+- Rotation: for an orthogonal Q, mapping A -> Q A Q^T, B -> B Q^T, every
+  covariance S -> Q S Q^T and every vector v -> Q v leaves KL, D, the
+  paper-literal D, D~, the bound reports and the step radius unchanged,
+  and maps the Lyapunov and Stein solutions to Q S Q^T.
+- Noise scale: scaling the noise covariance by a power of two scales both
+  stationary solutions by it, bit for bit.
+- Identity: the KL and the D of a domain paired with itself are 0.
+- Data order: permuting a dataset's rows leaves its empirical quadratic
+  unchanged to rounding.
+
+Each tolerance is fixed from the dimension d, the condition number kappa
+of the inputs and the unit roundoff eps (``EPS``) before any example runs.
+Translation is not among them: chain moments far from the origin lose the
+chain's noise to rounding today.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oupac import (
+    Dataset,
+    DomainPair,
+    GaussianMeasure,
+    QuadraticLoss,
+    RegressionTask,
+    SampleSpec,
+    SgdDynamics,
+    SymmetricMatrix,
+    discrepancy_d,
+    discrepancy_d_tilde,
+    empirical_quadratic,
+    finetune_bound,
+    generate_dataset,
+    kl_divergence,
+    make_spd,
+    pretrain_bound,
+    random_spd,
+    solve_continuous_lyapunov,
+    stability_check,
+    stationary_from_dynamics,
+    stein_stationary_covariance,
+)
+from oupac.gaussian import gaussian_pair_terms
+from oupac.rng import child_seed, make_rng
+
+EPS = np.finfo(float).eps
+
+SPEC = SampleSpec(1000, 0.05)
+
+DIMS = st.integers(1, 8)
+SEEDS = st.integers(0, 2**32 - 1)
+KAPPAS = st.floats(1.0, 100.0)
+
+
+def _orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
+    q_fac, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q_fac
+
+
+def _rotated(m, q: np.ndarray):
+    return make_spd(q @ m.entries @ q.T)
+
+
+def _cond(m) -> float:
+    return float(m.eigenvalues[-1] / m.eigenvalues[0])
+
+
+def _spd_pair(dim: int, kappa: float, seed: int):
+    """Two covariances with eigenvalues in [low, low * kappa], low drawn from
+    [0.01, 100], so that each condition number is at most kappa."""
+    low = 10.0 ** make_rng(seed, 2).uniform(-2.0, 2.0)
+    return tuple(random_spd(dim, low, low * kappa, child_seed(seed, side)) for side in (0, 1))
+
+
+def _pair_values(pair: DomainPair) -> dict:
+    """KL(N(shift, Sft) || N(0, Spt)), the discrepancies and both bound reports."""
+    ft, pt = finetune_bound(pair, SPEC), pretrain_bound(pair.sigma_pt, SPEC)
+    return {
+        "kl": kl_divergence(GaussianMeasure(pair.shift, pair.sigma_ft),
+                            GaussianMeasure(np.zeros(pair.dim), pair.sigma_pt)),
+        "d": discrepancy_d(pair),
+        "d_literal": discrepancy_d(pair, paper_literal=True),
+        "d_tilde": discrepancy_d_tilde(pair),
+        "ft_kl_term": ft.kl_term,
+        "ft_literal": ft.paper_literal_kl,
+        "ft_complexity": ft.complexity_term,
+        "pt_kl_term": pt.kl_term,
+        "pt_literal": pt.paper_literal_kl,
+        "pt_complexity": pt.complexity_term,
+    }
+
+
+def _pair_tolerances(pair: DomainPair, values: dict, kappa: float) -> dict:
+    """The rotation tolerance of each of ``_pair_values``.
+
+    Rotating rounds every input: each entry of Q S Q^T and of Q shift is
+    within about 2 d eps of its exact value, relative to the matrix or
+    vector.  To first order, such a change moves each term of a divergence
+    by at most kappa times that relative change times the term's size, and
+    the kernel's own rounding on either side is of the same form.  So a
+    value that sums the terms tr(Sp^-1 Sq), d, the Mahalanobis term and
+    the log-determinant ratio moves by at most 4 d kappa eps times the sum
+    of their magnitudes (KL, half of it; D~ has |log tr| and d log d in
+    place of the log-determinant ratio; the pre-training report pairs S
+    with the N(0, I) prior).  A complexity term sqrt((kl_term / 2 + c) /
+    (2N - 1)) moves by its derivative times its kl_term's tolerance, plus
+    a few roundings of the square root."""
+    d = pair.dim
+    unit = 4.0 * d * kappa * EPS
+    trace, log_det_ratio, maha = map(float, gaussian_pair_terms(
+        pair.sigma_ft, pair.sigma_pt, pair.shift))
+    terms = trace + d + maha + abs(log_det_ratio)
+    pt_terms = float(np.trace(pair.sigma_pt.entries)) + d + abs(pair.sigma_pt.log_det)
+    tol = {
+        "kl": unit * terms / 2.0,
+        "d_tilde": unit * (abs(math.log(trace)) + trace + maha + d * math.log(d) + d),
+    }
+    tol["d"] = tol["d_literal"] = tol["ft_kl_term"] = tol["ft_literal"] = unit * terms
+    tol["pt_kl_term"] = tol["pt_literal"] = unit * pt_terms
+    for stage in ("ft", "pt"):
+        term = values[f"{stage}_complexity"]
+        slope = 1.0 / (4.0 * (2 * SPEC.sample_size - 1) * term)
+        tol[f"{stage}_complexity"] = slope * tol[f"{stage}_kl_term"] + 4.0 * EPS * term
+    return tol
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(dim=DIMS, kappa=KAPPAS, seed=SEEDS)
+def test_divergences_and_bounds_are_rotation_invariant(dim, kappa, seed):
+    sigma_pt, sigma_ft = _spd_pair(dim, kappa, seed)
+    rng = make_rng(seed, 3)
+    shift = rng.standard_normal(dim)
+    q = _orthogonal(rng, dim)
+    pair = DomainPair(sigma_pt, sigma_ft, shift)
+    turned = DomainPair(_rotated(sigma_pt, q), _rotated(sigma_ft, q), q @ shift)
+    values, turned_values = _pair_values(pair), _pair_values(turned)
+    tolerances = _pair_tolerances(pair, values, max(_cond(sigma_pt), _cond(sigma_ft)))
+    for key, value in values.items():
+        assert abs(turned_values[key] - value) <= tolerances[key], key
+
+
+def _stage(dim: int, kappa: float, seed: int):
+    """A Hessian of condition at most kappa, a noise factor, a minimizer and
+    a rate that keeps the chain stable (lr * lambda_max in [0.05, 1.9])."""
+    rng = make_rng(seed, 4)
+    hessian = random_spd(dim, 1.0, kappa, child_seed(seed, 5))
+    lr = rng.uniform(0.05, 1.9) / hessian.eigenvalues[-1]
+    return hessian, rng.standard_normal((dim, dim)), rng.standard_normal(dim), lr
+
+
+def _frobenius(entries: np.ndarray) -> float:
+    return float(np.linalg.norm(entries, "fro"))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dim=DIMS, kappa=KAPPAS, seed=SEEDS, batch=st.integers(1, 16))
+def test_stationary_solutions_rotate_and_the_radius_is_invariant(dim, kappa, seed, batch):
+    hessian, factor, minimizer, lr = _stage(dim, kappa, seed)
+    q = _orthogonal(make_rng(seed, 6), dim)
+    loss, dyn = QuadraticLoss(hessian, minimizer), SgdDynamics(lr, batch, factor)
+    turned_loss = QuadraticLoss(_rotated(hessian, q), q @ minimizer)
+    turned_dyn = SgdDynamics(lr, batch, factor @ q.T)
+
+    radius = stability_check(loss, dyn).spectral_radius
+    turned_radius = stability_check(turned_loss, turned_dyn).spectral_radius
+    # each eigenvalue of A moves by about 4 d eps ||A|| between the two
+    assert abs(turned_radius - radius) <= 4 * dim * EPS * (1.0 + lr * hessian.eigenvalues[-1])
+
+    # Lyapunov: rotating changes A and C each by about 2 d eps, relative, and
+    # a relative change of either moves S by at most d kappa(A) times it
+    lyapunov = stationary_from_dynamics(hessian, minimizer, dyn.noise_cov, lr, batch)
+    turned = stationary_from_dynamics(turned_loss.hessian, turned_loss.minimizer,
+                                      turned_dyn.noise_cov, lr, batch)
+    want = q @ lyapunov.covariance.entries @ q.T
+    assert (_frobenius(turned.covariance.entries - want)
+            <= 4 * dim**2 * _cond(hessian) * EPS * _frobenius(want))
+    assert np.array_equal(turned.mean, q @ minimizer)
+
+    # Stein: the same rule, with the Stein amplification 1 / (1 - rho^2) in
+    # place of kappa(A)
+    stein = stein_stationary_covariance(hessian, dyn.noise_cov, lr, batch)
+    turned_stein = stein_stationary_covariance(turned_loss.hessian, turned_dyn.noise_cov,
+                                               lr, batch)
+    want = q @ stein.entries @ q.T
+    assert (_frobenius(turned_stein.entries - want)
+            <= 4 * dim**2 * EPS * _frobenius(want) / (1.0 - radius**2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(dim=DIMS, kappa=KAPPAS, seed=SEEDS, power=st.integers(-30, 30),
+       batch=st.integers(1, 16))
+def test_stationary_solutions_scale_with_the_noise_bit_for_bit(dim, kappa, seed, power, batch):
+    hessian, factor, _, lr = _stage(dim, kappa, seed)
+    noise = factor.T @ factor
+    scale = 2.0**power
+    scaled = make_spd(scale * noise, strictness="semidefinite")
+    noise = make_spd(noise, strictness="semidefinite")
+    # the solve of stationary_from_dynamics, whose SPD check of the solution
+    # has an absolute floor (PSD_RTOL) that a small enough scale falls below
+    lyapunov = solve_continuous_lyapunov(hessian, SymmetricMatrix(lr / batch * noise.entries))
+    scaled_lyapunov = solve_continuous_lyapunov(hessian,
+                                                SymmetricMatrix(lr / batch * scaled.entries))
+    assert np.array_equal(scaled_lyapunov.entries, scale * lyapunov.entries)
+    stein = stein_stationary_covariance(hessian, noise, lr, batch)
+    scaled_stein = stein_stationary_covariance(hessian, scaled, lr, batch)
+    assert np.array_equal(scaled_stein.entries, scale * stein.entries)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(dim=DIMS, kappa=KAPPAS, seed=SEEDS)
+def test_a_domain_paired_with_itself_has_zero_divergence(dim, kappa, seed):
+    sigma, _ = _spd_pair(dim, kappa, seed)
+    mean = make_rng(seed, 3).standard_normal(dim)
+    measure = GaussianMeasure(mean, sigma)
+    assert abs(kl_divergence(measure, measure)) <= dim * EPS
+    assert abs(discrepancy_d(DomainPair(sigma, sigma, np.zeros(dim)))) <= dim * EPS
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dim=DIMS, extra_rows=st.integers(1, 60), seed=SEEDS)
+def test_empirical_quadratic_ignores_the_order_of_the_rows(dim, extra_rows, seed):
+    rng = make_rng(seed, 7)
+    task = RegressionTask(rng.standard_normal(dim), random_spd(dim, 0.5, 2.0, seed),
+                          1.0, dim + extra_rows)
+    data = generate_dataset(task, seed)
+    order = rng.permutation(task.sample_size)
+    base = empirical_quadratic(data)
+    turned = empirical_quadratic(Dataset(data.features[order], data.targets[order], seed))
+
+    x, y, n = data.features, data.targets, task.sample_size
+    # each computation of a sum of n products is within gamma_n of |X|^T |X|
+    gamma = n * EPS / (1.0 - n * EPS)
+    assert np.all(np.abs(turned.hessian.entries - base.hessian.entries)
+                  <= 2.0 * (gamma + EPS) * (np.abs(x).T @ np.abs(x)) / n)
+    # those changes, through H^-1 on the normal equations, and the two solves
+    theta = base.minimizer
+    lam = base.hessian.eigenvalues
+    kappa = lam[-1] / lam[0]
+    moment = np.linalg.norm(np.abs(x).T @ np.abs(y)) / (n * lam[0])
+    assert (np.linalg.norm(turned.minimizer - theta)
+            <= 4 * (n + dim) * EPS * (dim * kappa * np.linalg.norm(theta) + moment))
+    # each residual to gamma_(d+1) of |y| + |X| |theta|, and its square sum to gamma_n
+    scale = np.sum((np.abs(y) + np.abs(x) @ np.abs(theta)) ** 2) / n
+    assert abs(turned.offset - base.offset) <= 4 * (n + dim) * EPS * scale

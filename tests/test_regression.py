@@ -537,10 +537,11 @@ def test_one_group_makes_the_same_decompositions_for_any_trial_count(monkeypatch
 
     for name in ("eigh", "cholesky"):
         monkeypatch.setattr(np.linalg, name, counting(name))
-    task = default_task(n=50)
     seen = []
     for trials in (10, 40):
         counts.update(eigh=0, cholesky=0)
+        # a fresh task each run: its feature covariance keeps its factor once made
+        task = default_task(n=50)
         bound_validity_experiment(task, default_dynamics(), SampleSpec(50, 0.05),
                                   standard_gaussian(2), trials=trials)
         seen.append(dict(counts))
