@@ -42,9 +42,7 @@ from .bounds import (
 from .diffusion import (
     QuadraticLoss,
     SgdDynamics,
-    _check_run,
-    estimate_stationary,
-    simulate_chain,
+    _simulate,
     stability_check,
     two_stage_run,
 )
@@ -65,7 +63,7 @@ from .gaussian import (
     standard_gaussian,
     stein_stationary_covariance,
 )
-from .linalg import SymmetricMatrix, make_spd, solve_continuous_lyapunov
+from .linalg import SymmetricMatrix, _frobenius, make_spd, solve_continuous_lyapunov
 from .regression import (
     RegressionTask,
     bound_validity_experiment,
@@ -202,13 +200,12 @@ def _load_dynamics(params: dict, prefix: str = "") -> tuple[QuadraticLoss, SgdDy
 def _run_simulate(params: dict) -> tuple[str, Iterable[str]]:
     loss, dyn = _load_dynamics(params)
     report = stability_check(loss, dyn)
-    _check_run(params["steps"], params["stride"], params["burn_in"], 2, loss.dim, "steps")
-    trajectory = simulate_chain(loss.minimizer, loss, dyn, total_steps=params["steps"],
-                                stride=params["stride"], seed=params["seed"])
-    estimate = estimate_stationary(trajectory, params["burn_in"])
+    trajectory, estimate = _simulate(loss.minimizer, loss, dyn, params["steps"],
+                                     params["stride"], params["seed"], params["burn_in"],
+                                     "steps", moments=True)
     stein = stein_stationary_covariance(loss.hessian, dyn.noise_cov, dyn.lr, dyn.batch_size)
-    gap = np.linalg.norm(estimate.covariance.entries - stein.entries, "fro")
-    rel_gap = gap / max(np.linalg.norm(stein.entries, "fro"), np.finfo(float).tiny)
+    gap = _frobenius(estimate.covariance.entries - stein.entries)
+    rel_gap = gap / max(_frobenius(stein.entries), np.finfo(float).tiny)
     summary = (
         f"simulate: steps={trajectory.total_steps} records={trajectory.record_count} "
         f"spectral_radius={_fmt(report.spectral_radius)} "

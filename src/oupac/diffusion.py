@@ -31,34 +31,34 @@ versions.
 
 A chain runs on the caller's thread, at the caller's OpenBLAS thread
 count (the CLI holds it to one, :mod:`oupac._threads`).  Its peak memory
-is its records, ``(total_steps // stride + 1) * d`` floats, one chunk
-of normals and its kicked copy, ``2 * NOISE_CHUNK * d`` floats at most,
-and the scan's scratch; once the last chunk is freed, the rotation back
-into the original basis takes one records-sized temporary.  The records
-are capped at ``linalg.RECORD_FLOATS`` floats, checked before any chain
-runs.  ``simulate_chain`` peaks at twice its records: first during that
-rotation, then while ``Trajectory`` copies them.  The ``simulate``
-command then holds one chain's records and one block of its CSV text at
-a time (:mod:`oupac.matrixio`).
-``two_stage_run`` copies each chain's post-burn-in records into one
-preallocated pool per stage, ``replicas * kept * d`` floats, also
-capped at ``RECORD_FLOATS`` before any draw, so it holds the pools and
-one chain at a time.
+is its records, ``(total_steps // stride + 1) * d`` floats in the scan's
+coordinates, one chunk of normals and its kicked copy, ``2 * NOISE_CHUNK
+* d`` floats at most, and the scan's scratch.  The records are capped at
+``linalg.RECORD_FLOATS`` floats, checked before any chain runs.
+
+Chain moments are taken in the scan's coordinates, where a chain far
+from the origin keeps its noise, and rotated back once
+(:func:`_pooled_estimates`).  ``two_stage_run`` keeps only each chain's
+moments, so it holds one chain's records at a time and ``replicas``
+sizes no array.  ``simulate_chain`` peaks at twice its records: first
+while it rotates them back, then while ``Trajectory`` copies them.  The
+``simulate`` command then holds one chain's records and one block of its
+CSV text at a time (:mod:`oupac.matrixio`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Literal, NamedTuple
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, InvalidRangeError, TooFewSamplesError,
-                     UnstableDynamicsError)
+from .errors import (DimensionMismatchError, InvalidRangeError, NumericalInconsistencyError,
+                     TooFewSamplesError, UnstableDynamicsError)
 from .gaussian import (MomentEstimate, check_rate, empirical_moments, sample,
                        stationary_from_dynamics)
-from .linalg import SpdMatrix, _check_held, _frozen_vector, make_spd
+from .linalg import SpdMatrix, SymmetricMatrix, _check_held, _frozen_vector, make_spd
 from .rng import child_seed, make_rng
 
 #: Steps of simulation noise generated per chunk (bounds peak memory).
@@ -130,9 +130,9 @@ class SgdDynamics:
         factor = factor.copy()
         factor.flags.writeable = False
         object.__setattr__(self, "noise_factor", factor)
-        object.__setattr__(
-            self, "noise_cov", make_spd(factor.T @ factor, strictness="semidefinite")
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # make_spd rejects an overflow
+            gram = factor.T @ factor
+        object.__setattr__(self, "noise_cov", make_spd(gram, strictness="semidefinite"))
 
     @property
     def dim(self) -> int:
@@ -310,11 +310,12 @@ def _run_chain(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scan the chain in the eigenbasis (module docstring) with ``plan``'s
     stage, taking from ``normals`` the chunks of ``_normal_chunks`` for
-    ``total_steps`` steps; return (records, final_state)."""
+    ``total_steps`` steps; return (records, final_state): the records in
+    the scan's coordinates ``y = V^T (x - minimizer)``, the initial state's
+    first, and the final state in the original ones."""
     dim = plan.mu.shape[0]
     records = np.empty((total_steps // stride + 1, dim))
-    records[0] = init
-    carry = (np.asarray(init, dtype=float) - plan.minimizer) @ plan.basis
+    records[0] = carry = (np.asarray(init, dtype=float) - plan.minimizer) @ plan.basis
     step = 0
     next_record = 1
     while step < total_steps:
@@ -328,9 +329,47 @@ def _run_chain(
             records[next_record:next_record + kept.shape[0]] = kept
             next_record += kept.shape[0]
         step += chunk
-    del noise  # the rotation back below needs one records-sized temporary
-    np.add(records[1:] @ plan.basis.T, plan.minimizer, out=records[1:])
     return records, carry @ plan.basis.T + plan.minimizer
+
+
+def _scan_moments(records: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Count, mean and centred scatter ``sum_k (y_k - mean)(y_k - mean)^T`` of
+    one chain's records ``y`` ``(n, d)`` in its scan's coordinates, n >= 1."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = records.mean(axis=0)
+        centred = records - mean
+        return records.shape[0], mean, centred.T @ centred
+
+
+def _pooled_estimates(chains: Iterable[Sequence[tuple]],
+                      plans: Sequence[_ScanPlan]) -> list[MomentEstimate]:
+    """Each stage's moments, from one :func:`_scan_moments` per stage (in the
+    order of ``plans``) of each of ``chains``, merged in chain order by the
+    pairwise update of Chan, Golub and LeVeque (1983, "Algorithms for
+    computing the sample variance") and rotated back once, as mean ``m + V
+    ybar`` and covariance ``V S V^T / (n - 1)``.  Raises if one overflows."""
+    pools = None
+    for chain in chains:
+        pools = chain if pools is None else list(map(_merged, pools, chain))
+    estimates = []
+    for (count, mean, scatter), plan in zip(pools, plans):
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = plan.minimizer + plan.basis @ mean
+            cov = plan.basis @ scatter @ plan.basis.T / (count - 1)
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise NumericalInconsistencyError(
+                "chain moments: the mean or covariance of the records overflows float64")
+        estimates.append(MomentEstimate(mean, SymmetricMatrix(cov), count))
+    return estimates
+
+
+def _merged(a: tuple, b: tuple) -> tuple[int, np.ndarray, np.ndarray]:
+    (count_a, mean_a, scatter_a), (count_b, mean_b, scatter_b) = a, b
+    count = count_a + count_b
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = mean_b - mean_a
+        scatter = scatter_a + scatter_b + np.outer(delta, delta) * (count_a * count_b / count)
+        return count, mean_a + delta * (count_b / count), scatter
 
 
 def simulate_chain(
@@ -347,36 +386,49 @@ def simulate_chain(
     deterministic for a fixed seed.  Raises
     :class:`UnstableDynamicsError` when ``stability_check`` fails.
     """
+    return _simulate(init, loss, dyn, total_steps, stride, seed)[0]
+
+
+def _simulate(init: np.ndarray, loss: QuadraticLoss, dyn: SgdDynamics, total_steps: int,
+              stride: int, seed: int, burn_in: int | None = None, name: str = "total_steps",
+              moments: bool = False) -> tuple[Trajectory, MomentEstimate | None]:
+    """:func:`simulate_chain`, naming its run length ``name``, and, if
+    ``moments``, the :func:`_pooled_estimates` of its records after
+    ``burn_in`` (default half; at least two must remain)."""
     _check_dims(loss, dyn)
     init = np.asarray(init, dtype=float).reshape(-1)
     if init.shape[0] != loss.dim:
         raise DimensionMismatchError(
             f"init has dimension {init.shape[0]}, loss has {loss.dim}"
         )
-    _check_run(total_steps, stride, burn_in=0, need=1, dim=loss.dim, name="total_steps")
+    kept = _check_run(total_steps, stride, burn_in, 2 if moments else 1, loss.dim, name)
     _require_stable(loss, dyn)
-    records, _ = _run_chain(init, _ScanPlan(loss, dyn), total_steps, stride,
+    plan = _ScanPlan(loss, dyn)
+    records, _ = _run_chain(init, plan, total_steps, stride,
                             _normal_chunks(make_rng(seed), total_steps, loss.dim))
-    return Trajectory(records, stride=stride, total_steps=total_steps, seed=seed)
+    estimate = (_pooled_estimates([[_scan_moments(records[-kept:])]], [plan])[0]
+                if moments else None)
+    np.add(records[1:] @ plan.basis.T, plan.minimizer, out=records[1:])
+    records[0] = init
+    return Trajectory(records, stride=stride, total_steps=total_steps, seed=seed), estimate
 
 
 def estimate_stationary(traj: Trajectory, burn_in_records: int | None = None) -> MomentEstimate:
     """Moments of the post-burn-in records of a trajectory.
 
     ``burn_in_records`` defaults to half the recorded trajectory; at
-    least two records must survive the cut.
+    least two records must survive the cut.  The moments are those of the
+    absolute states, so a chain far from the origin (beyond about 1e15
+    times its noise) loses its noise to rounding here, unlike the moments
+    of ``simulate`` and ``two_stage_run``, taken in the chain's coordinates.
     """
-    return empirical_moments(_after_burn_in(traj.states, burn_in_records, 2))
-
-
-def _after_burn_in(records: np.ndarray, burn_in: int | None, need: int) -> np.ndarray:
-    """The records after the first ``burn_in`` (default: half of them); raises
-    for a negative ``burn_in`` or if fewer than ``need`` records remain."""
-    return records[_burn_in_cut(records.shape[0], burn_in, need):]
+    return empirical_moments(traj.states[_burn_in_cut(traj.record_count, burn_in_records, 2):])
 
 
 def _burn_in_cut(count: int, burn_in: int | None, need: int) -> int:
-    """How many of ``count`` records ``burn_in`` discards (``_after_burn_in``)."""
+    """How many of ``count`` records ``burn_in`` (default: half of them)
+    discards; raises for a negative ``burn_in`` or if fewer than ``need``
+    records remain."""
     cut = count // 2 if burn_in is None else burn_in
     if cut < 0:
         raise InvalidRangeError(f"burn_in_records must be >= 0, got {cut}")
@@ -388,23 +440,19 @@ def _burn_in_cut(count: int, burn_in: int | None, need: int) -> int:
 
 
 def _check_run(total_steps: int, stride: int, burn_in: int | None, need: int, dim: int,
-               name: str, replicas: int = 1) -> int:
-    """Reject a run length (the option ``name``), stride, burn-in or
-    replica count before any chain runs, and return how many records each
-    chain keeps after the burn-in: a chain records ``total_steps // stride
-    + 1`` states of ``dim`` floats, at most ``RECORD_FLOATS`` in all, at
-    least ``need`` must survive the burn-in, and the kept records of
-    ``replicas`` chains, pooled, are at most ``RECORD_FLOATS`` floats."""
+               name: str) -> int:
+    """Reject a run length (the option ``name``), stride or burn-in before
+    any chain runs, and return how many records the chain keeps after the
+    burn-in: a chain records ``total_steps // stride + 1`` states of
+    ``dim`` floats, at most ``RECORD_FLOATS`` in all, and at least
+    ``need`` must survive the burn-in."""
     if total_steps < 1:
         raise InvalidRangeError(f"{name} must be >= 1, got {total_steps}")
     if stride < 1:
         raise InvalidRangeError(f"stride must be >= 1, got {stride}")
     count = total_steps // stride + 1
     _check_held(f"{name}={total_steps} at stride {stride} records", count * dim, dim)
-    kept = count - _burn_in_cut(count, burn_in, need)
-    _check_held(f"replicas={replicas} pool {kept} records of {name}={total_steps} each "
-                f"after burn-in,", replicas * kept * dim, dim)
-    return kept
+    return count - _burn_in_cut(count, burn_in, need)
 
 
 InitMode = Literal["analytic_sample", "chain_continue"]
@@ -430,17 +478,19 @@ def two_stage_run(
     is either a draw from the analytic stationary Gaussian of the
     pre-training dynamics (``"analytic_sample"``) or the final
     pre-training state (``"chain_continue"``).  Per-replica seeds are
-    derived from ``master_seed`` by the documented hashing rule, and
-    pooling stacks post-burn-in records in replica order, so the result
-    does not depend on scheduling.
+    derived from ``master_seed`` by the documented hashing rule.  Each
+    chain keeps only the moments of its post-burn-in records, in its
+    scan's coordinates, and the moments merge in replica order
+    (:func:`_pooled_estimates`), so the result does not depend on
+    scheduling and memory does not grow with ``replicas``.
 
     ``burn_in`` counts records per replica and stage; it defaults to
     half of each trajectory's records, and at least one must survive it.
     """
     if replicas < 2:
         raise InvalidRangeError(f"replicas must be >= 2, got {replicas}")
-    pt_kept = _check_run(pt_steps, stride, burn_in, 1, pt_loss.dim, "pt_steps", replicas)
-    ft_kept = _check_run(ft_steps, stride, burn_in, 1, ft_loss.dim, "ft_steps", replicas)
+    pt_kept = _check_run(pt_steps, stride, burn_in, 1, pt_loss.dim, "pt_steps")
+    ft_kept = _check_run(ft_steps, stride, burn_in, 1, ft_loss.dim, "ft_steps")
     if init_mode not in ("analytic_sample", "chain_continue"):
         raise InvalidRangeError(f"unknown init_mode {init_mode!r}")
     _check_dims(pt_loss, pt_dyn)
@@ -459,21 +509,21 @@ def two_stage_run(
         )
     pt_plan = _ScanPlan(pt_loss, pt_dyn)
     ft_plan = _ScanPlan(ft_loss, ft_dyn)
-    pt_pool = np.empty((replicas * pt_kept, pt_loss.dim))
-    ft_pool = np.empty((replicas * ft_kept, ft_loss.dim))
     # every chain's draws in chain order, each generator made at its first draw
     normals = itertools.chain.from_iterable(
         _normal_chunks(make_rng(master_seed, replica, stage), steps, pt_loss.dim)
         for replica in range(replicas) for stage, steps in ((0, pt_steps), (2, ft_steps)))
-    for replica in range(replicas):
-        records, ft_init = _run_chain(pt_loss.minimizer, pt_plan, pt_steps, stride, normals)
-        pt_pool[replica * pt_kept:(replica + 1) * pt_kept] = records[-pt_kept:]
-        del records  # one chain's records are held at a time
-        if init_mode == "analytic_sample":
-            ft_init = sample(pt_stationary, 1, child_seed(master_seed, replica, 1))[0]
-        records, _ = _run_chain(ft_init, ft_plan, ft_steps, stride, normals)
-        ft_pool[replica * ft_kept:(replica + 1) * ft_kept] = records[-ft_kept:]
-        del records
 
-    return TwoStageResult(pt_estimate=empirical_moments(pt_pool),
-                          ft_estimate=empirical_moments(ft_pool))
+    def chains() -> Iterator[tuple[tuple, tuple]]:
+        for replica in range(replicas):
+            records, ft_init = _run_chain(pt_loss.minimizer, pt_plan, pt_steps, stride,
+                                          normals)
+            pt = _scan_moments(records[-pt_kept:])
+            del records  # one chain's records are held at a time
+            if init_mode == "analytic_sample":
+                ft_init = sample(pt_stationary, 1, child_seed(master_seed, replica, 1))[0]
+            records, _ = _run_chain(ft_init, ft_plan, ft_steps, stride, normals)
+            yield pt, _scan_moments(records[-ft_kept:])
+            del records
+
+    return TwoStageResult(*_pooled_estimates(chains(), [pt_plan, ft_plan]))

@@ -60,10 +60,12 @@ RESIDUAL_RTOL = 1e-10
 GROUP_FLOATS = 1 << 20
 
 #: Most numbers one array sized by an option may hold (1 GiB): a chain's
-#: or a replica pool's records, a Monte-Carlo KL's draws, one gap trial's
-#: design, one surveyed pair's covariances.  :func:`_check_held` rejects a
-#: larger size before anything is drawn; a run holds a few such arrays.
+#: records, a Monte-Carlo KL's draws, one gap trial's design, one surveyed
+#: pair's covariances.  :func:`_check_held` rejects a larger size before
+#: anything is drawn; a run holds a few such arrays.
 RECORD_FLOATS = 1 << 27
+
+_TINY = np.finfo(float).tiny
 
 
 def _check_held(what: str, floats: int, dim: int) -> None:
@@ -493,9 +495,21 @@ def _check_stationary(rho: float) -> None:
 
 
 def _frobenius(entries: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack, by one dot product each."""
+    """Frobenius norm of each matrix of a stack, by one dot product each.
+
+    A stack, or a matrix whose sum of squares leaves the normal range, is
+    scaled first by the power of two of each matrix's largest entry, so
+    that no square overflows (where a residual check would pass as ``inf
+    <= inf``); the scaling is exact, so a norm whose squares stay in range
+    keeps its bits."""
+    if entries.ndim == 2:
+        squares = np.vdot(entries, entries)  # the bits of the dot below, and no warning
+        if _TINY <= squares < np.inf:
+            return np.sqrt(squares)
     flat = entries.reshape(*entries.shape[:-2], 1, -1)
-    return np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
+    _, power = np.frexp(np.abs(flat).max(axis=-1, keepdims=True))
+    flat = np.ldexp(flat, -power)
+    return np.ldexp(np.sqrt(flat @ flat.swapaxes(-1, -2)), power)[..., 0, 0]
 
 
 def _residual_verdict(achieved: np.ndarray, target: np.ndarray, label: str) -> Verdict:

@@ -424,26 +424,6 @@ def test_oversized_chain_exits_2_before_any_allocation(capsys, tmp_path, identit
     assert elapsed < 1.0
 
 
-def test_oversized_replica_pool_exits_2_before_any_allocation(capsys, tmp_path,
-                                                              identity_file):
-    # 100 steps at stride 10 keep 6 of 11 records after the burn-in: 1e15
-    # replicas would pool 1.2e16 floats (96 PB) at d = 2, rejected by arithmetic
-    replicas = 10**15
-    out_path = tmp_path / "out"
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, *_two_stage_argv(identity_file),
-                             f"--replicas={replicas}", "--output", str(out_path))
-    elapsed = time.perf_counter() - start
-    floats = replicas * 6 * 2
-    limit = RECORD_FLOATS
-    assert (code, out) == (2, "")
-    assert err == (f"error: replicas={replicas} pool 6 records of pt_steps=100 each after "
-                   f"burn-in, {floats} floats ({8 * floats} bytes) at dimension 2; at most "
-                   f"{limit} ({8 * limit} bytes) are held\n")
-    assert not out_path.exists()
-    assert elapsed < 1.0
-
-
 @pytest.mark.parametrize("argv, what, floats, dim", [
     (["kl", "--q", "<gaussian_file>", "--p", "<gaussian_file>", "--mc-draws", str(10**15)],
      f"Monte-Carlo KL with {10**15} draws holds", 2 * 10**15, 2),
@@ -652,28 +632,89 @@ def test_overflowing_matrix_exits_3_without_warning(capsys, tmp_path, identity_f
     assert err == f"error in {command}: matrix symmetrization (M + M^T) / 2 overflows float64\n"
 
 
-_MOMENTS_OVERFLOW = ("empirical_moments: the sample mean or covariance of the records "
-                     "overflows float64")
+_MOMENTS_OVERFLOW = "chain moments: the mean or covariance of the records overflows float64"
 _RADIUS_ROUNDS_TO_1 = ("stability_check failed: spectral radius of the step map is 1 >= 1 "
                        "(1 - lr*lambda rounds to 1 in float64: lr too small for this Hessian)")
 
 
+def _noise_file(tmp_path, scale: float) -> str:
+    path = tmp_path / f"noise-{scale:g}.txt"
+    write_matrix(path, scale * np.eye(2))
+    return str(path)
+
+
 @pytest.mark.parametrize("command, flags, message", [
-    ("simulate", ["--minimizer=1e300,1e300", "--stride=1"], _MOMENTS_OVERFLOW),
-    ("two-stage", ["--pt-minimizer=3e300,3e300", "--ft-minimizer=3e300,3e300", "--stride=1"],
+    # the noise factor 5e153 I: its Gram 2.5e307 I is finite, and so is each
+    # record, about 1e153, but the sum of 5001 squared records is not
+    ("simulate", ["--noise-factor=<big>", "--steps=10000", "--stride=1"], _MOMENTS_OVERFLOW),
+    ("two-stage", ["--pt-noise-factor=<big>", "--pt-steps=10000", "--stride=1"],
      _MOMENTS_OVERFLOW),
     ("simulate", ["--eta=1e-17"], _RADIUS_ROUNDS_TO_1),
     ("two-stage", ["--pt-eta=1e-17"], _RADIUS_ROUNDS_TO_1),
 ])
-def test_chain_failure_exits_3_naming_its_cause(capsys, identity_file, command, flags,
-                                                message):
+def test_chain_failure_exits_3_naming_its_cause(capsys, tmp_path, identity_file, command,
+                                                flags, message):
     base = {"simulate": _simulate_argv, "two-stage": _two_stage_argv}[command](identity_file)
+    flags = [flag.replace("<big>", _noise_file(tmp_path, 5e153)) for flag in flags]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, *base, *flags)
     assert (code, out) == (3, "")
     assert "RuntimeWarning" not in err and "Traceback" not in err
     assert err == f"error in {command}: {message}\n"
+
+
+def test_chain_far_from_the_origin_keeps_its_moments(capsys, tmp_path, identity_file):
+    # the moments are taken in the chain's own coordinates, where the
+    # minimizer does not enter, so simulate prints the origin's summary at
+    # every minimizer; on absolute states a kick of about 0.1 is lost below
+    # half an ulp of 1e16
+    simulate = _simulate_argv(identity_file)[:-2] + ["--steps=20000", "--stride=10"]
+    summaries = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for centre in ["0,0", "1e8,1e8", "1e16,1e16", "1e20,1e20", "1e300,1e300"]:
+            simulate[simulate.index("--minimizer") + 1] = centre
+            code, out, err = run_cli(capsys, *simulate, "--output", str(tmp_path / "t.csv"))
+            assert (code, err) == (0, "")
+            summaries.append(out)
+        assert summaries == summaries[:1] * 5
+        assert "empirical_vs_stein_rel_frobenius=0.04338327665327" in summaries[0]
+
+        # at 1e300 the fine-tuning start loses its offset from the minimizer
+        # to rounding; 500 burn-in steps at radius 0.9 shrink it by 1e-23,
+        # below the last bit of the kept records
+        payloads = []
+        for centre in ["0,0", "1e300,1e300"]:
+            argv = _two_stage_argv(identity_file) + [
+                f"--pt-minimizer={centre}", f"--ft-minimizer={centre}", "--pt-steps=1000",
+                "--ft-steps=1000", "--stride=1", "--output", str(tmp_path / "two.json")]
+            assert run_cli(capsys, *argv)[0] == 0
+            payloads.append(json.loads((tmp_path / "two.json").read_text()))
+    for stage in ("pt", "ft"):
+        assert payloads[1][stage]["covariance"] == payloads[0][stage]["covariance"]
+        assert payloads[1][stage]["mean"] == [1e300, 1e300]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--noise-factor"), ("two-stage", "--pt-noise-factor"),
+    ("two-stage", "--ft-noise-factor")])
+def test_huge_noise_factor_exits_3_or_0_without_warning(capsys, tmp_path, identity_file,
+                                                        command, flag):
+    # 1e200 I: the Gram B^T B overflows and is rejected as not finite;
+    # 1e150 I: every norm of the relative gap and of the residual checks is
+    # finite, though its squares would overflow
+    base = {"simulate": _simulate_argv, "two-stage": _two_stage_argv}[command](identity_file)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *base, f"{flag}={_noise_file(tmp_path, 1e200)}")
+        assert (code, out, err) == (3, "", f"error in {command}: matrix contains non-finite "
+                                           f"entries\n")
+        code, out, err = run_cli(capsys, *base, f"{flag}={_noise_file(tmp_path, 1e150)}")
+    assert (code, err) == (0, "")
+    if command == "simulate":
+        gap = float(out.split("empirical_vs_stein_rel_frobenius=")[1].split()[0])
+        assert 0.0 < gap < 1.0
 
 
 @pytest.mark.parametrize("noise_std", ["1e154", "1e200"])

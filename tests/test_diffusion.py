@@ -34,7 +34,7 @@ from oupac import (
     stein_stationary_covariance,
     two_stage_run,
 )
-from oupac import diffusion, linalg
+from oupac import diffusion
 from oupac.gaussian import empirical_moments, sample
 from oupac.rng import child_seed, make_rng
 
@@ -87,15 +87,15 @@ def _scan(block: np.ndarray, mu: np.ndarray, carry: np.ndarray) -> None:
 
 def _broadcast_scan_chain(init, loss, dyn, total_steps, stride, rng):
     """Reference chain: the eigenbasis scan with ``_scan`` on each block of
-    each noise chunk, in place; returns (records, final_state)."""
+    each noise chunk, in place; returns (records, final_state), the records
+    in the scan's coordinates ``V^T (x - minimizer)``."""
     dim = loss.dim
     lam, basis = np.linalg.eigh(loss.hessian.entries)
     mu = 1.0 - dyn.lr * lam
     rows = diffusion.SCAN_BLOCK
     kick = ((dyn.lr / np.sqrt(dyn.batch_size)) * dyn.noise_factor) @ basis
     records = np.empty((total_steps // stride + 1, dim))
-    records[0] = init
-    carry = (np.asarray(init, dtype=float) - loss.minimizer) @ basis
+    records[0] = carry = (np.asarray(init, dtype=float) - loss.minimizer) @ basis
     step = 0
     next_record = 1
     while step < total_steps:
@@ -109,19 +109,29 @@ def _broadcast_scan_chain(init, loss, dyn, total_steps, stride, rng):
             records[next_record:next_record + kept.shape[0]] = kept
             next_record += kept.shape[0]
         step += chunk
-    records[1:] = records[1:] @ basis.T + loss.minimizer
     return records, carry @ basis.T + loss.minimizer
 
 
-def _serial_two_stage(pt_loss, pt_dyn, ft_loss, ft_dyn, pt_steps, ft_steps, replicas,
-                      stride, burn_in, master_seed, init_mode):
+def _absolute(records, init, loss):
+    """The states of scan-coordinate ``records`` of a chain started at
+    ``init``, rotated back as ``simulate_chain`` rotates them."""
+    basis = np.linalg.eigh(loss.hessian.entries)[1]
+    states = records.copy()
+    states[1:] = records[1:] @ basis.T + loss.minimizer
+    states[0] = init
+    return states
+
+
+def _serial_chains(pt_loss, pt_dyn, ft_loss, ft_dyn, pt_steps, ft_steps, replicas, stride,
+                   master_seed, init_mode):
     """Reference: the two-stage loop on one thread, each chain scanned by
     ``_broadcast_scan_chain`` on its own generator, made as the chain
-    starts; returns the pooled (pre-training, fine-tuning) moments."""
+    starts; returns each replica's (pre-training, fine-tuning) records in
+    the scan's coordinates and the fine-tuning start."""
     if init_mode == "analytic_sample":
         pt_stationary = stationary_from_dynamics(
             pt_loss.hessian, pt_loss.minimizer, pt_dyn.noise_cov, pt_dyn.lr, pt_dyn.batch_size)
-    pt_blocks, ft_blocks = [], []
+    chains = []
     for replica in range(replicas):
         pt_records, pt_final = _broadcast_scan_chain(
             pt_loss.minimizer, pt_loss, pt_dyn, pt_steps, stride,
@@ -130,10 +140,21 @@ def _serial_two_stage(pt_loss, pt_dyn, ft_loss, ft_dyn, pt_steps, ft_steps, repl
                    sample(pt_stationary, 1, child_seed(master_seed, replica, 1))[0])
         ft_records, _ = _broadcast_scan_chain(ft_init, ft_loss, ft_dyn, ft_steps, stride,
                                               make_rng(master_seed, replica, 2))
-        pt_blocks.append(pt_records[burn_in:])
-        ft_blocks.append(ft_records[burn_in:])
-    return (empirical_moments(np.concatenate(pt_blocks)),
-            empirical_moments(np.concatenate(ft_blocks)))
+        chains.append((pt_records, ft_records, ft_init))
+    return chains
+
+
+def _serial_two_stage(pt_loss, pt_dyn, ft_loss, ft_dyn, pt_steps, ft_steps, replicas,
+                      stride, burn_in, master_seed, init_mode):
+    """Reference: the pooled (pre-training, fine-tuning) moments of
+    ``_serial_chains``, each chain's post-burn-in records reduced to its
+    moments and the moments pooled in replica order."""
+    chains = _serial_chains(pt_loss, pt_dyn, ft_loss, ft_dyn, pt_steps, ft_steps, replicas,
+                            stride, master_seed, init_mode)
+    moments = [(diffusion._scan_moments(pt[burn_in:]), diffusion._scan_moments(ft[burn_in:]))
+               for pt, ft, _ in chains]
+    plans = [diffusion._ScanPlan(pt_loss, pt_dyn), diffusion._ScanPlan(ft_loss, ft_dyn)]
+    return diffusion._pooled_estimates(moments, plans)
 
 
 def _replay_error(got: np.ndarray, want: np.ndarray) -> float:
@@ -326,7 +347,7 @@ def test_scan_plan_matches_broadcast_scan_bit_for_bit(dim, steps, stride, kind, 
             diffusion._normal_chunks(make_rng(seed), steps, dim))
         want, want_final = _broadcast_scan_chain(init, loss, dyn, steps, stride,
                                                  make_rng(seed))
-    assert np.array_equal(traj.states, want)
+    assert np.array_equal(traj.states, _absolute(want, init, loss))
     assert np.array_equal(records, want)
     assert np.array_equal(final, want_final)
 
@@ -397,6 +418,22 @@ class TestEstimateStationary:
         inflation = np.sqrt((1 + rho) / (1 - rho))
         se = np.sqrt(np.diag(est.covariance.entries) / est.sample_count) * inflation
         assert np.all(np.abs(est.mean - center) <= 4 * se)
+
+    @pytest.mark.parametrize("dim, stride, burn_in", [(1, 1, None), (3, 5, 0), (10, 7, 80)])
+    def test_simulate_moments_match_the_trajectory_moments(self, dim, stride, burn_in):
+        # the command's moments, taken in the scan's coordinates, against the
+        # moments of the absolute states to 1e-12 of their scale
+        loss, dyn = _replay_case(dim, 0.6, seed=dim)
+        traj, got = diffusion._simulate(loss.minimizer, loss, dyn, 1000, stride, seed=4,
+                                        burn_in=burn_in, moments=True)
+        assert np.array_equal(traj.states,
+                              simulate_chain(loss.minimizer, loss, dyn, 1000, stride, 4).states)
+        want = estimate_stationary(traj, burn_in)
+        scale = float(np.max(np.abs(traj.states)))
+        assert got.sample_count == want.sample_count
+        np.testing.assert_allclose(got.mean, want.mean, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(got.covariance.entries, want.covariance.entries, rtol=0,
+                                   atol=1e-12 * scale**2)
 
     def test_burn_in_consuming_everything_rejected(self):
         loss = isotropic_loss(1)
@@ -671,45 +708,57 @@ class TestTwoStageRun:
             tracemalloc.stop()
         assert peak <= cap
 
-    def test_peak_memory_is_the_pools_and_one_chain(self):
-        # at stride 1 the records dominate: both stages' pools of kept
-        # records, one chain's records and its rotation temporary, one chunk
-        # of draws and its kicked copy, both plans' (4097 + 2 * 512) * d
-        # scratch floats, empirical_moments' centred copy of one pool and
-        # 128 KiB for the rest: 26.6 MB, while every chain's records with
-        # the pools would be 38.4 MB
-        dim, steps, replicas = 10, 20_000, 8
+    def test_peak_memory_does_not_grow_with_replicas(self):
+        # each chain keeps only its moments, so 16 replicas peak where 2 do,
+        # give or take the d x d arrays of one merge; pools of kept records
+        # would add 14 * 2 * 101 * d floats (724 KB), and a list of each
+        # chain's moments 14 * 2 * (d * d + d) floats (236 KB)
+        dim, steps = 32, 200
         pt_loss, pt_dyn = _replay_case(dim, 0.6, seed=3)
         ft_loss, ft_dyn = _replay_case(dim, 1.8, seed=4)
-        chain = steps + 1
-        kept = chain - chain // 2
-        floats = (2 * replicas * kept + 2 * chain + 2 * steps + 2 * (4097 + 2 * 512)
-                  + replicas * kept)
-        cap = floats * dim * 8 + (1 << 17)
-        tracemalloc.start()
-        try:
-            result = two_stage_run(pt_loss, pt_dyn, ft_loss, ft_dyn, steps, steps, replicas,
-                                   stride=1, master_seed=5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= cap
-        want = _serial_two_stage(pt_loss, pt_dyn, ft_loss, ft_dyn, steps, steps, replicas,
-                                 1, chain // 2, 5, "analytic_sample")
-        for got, expected in zip(result, want):
-            assert np.array_equal(got.mean, expected.mean)
-            assert np.array_equal(got.covariance.entries, expected.covariance.entries)
 
-    def test_pooled_records_are_bounded_by_record_floats(self, monkeypatch):
-        # 9 steps at stride 1 keep 5 of 10 records: 10 floats per replica at d = 2
-        monkeypatch.setattr(linalg, "RECORD_FLOATS", 100)
-        loss = isotropic_loss(2)
-        dyn = SgdDynamics(0.2, 1, np.eye(2))
-        result = two_stage_run(loss, dyn, loss, dyn, 9, 9, replicas=10, stride=1)
-        assert result.pt_estimate.sample_count == 50
-        with pytest.raises(InvalidRangeError, match=r"^replicas=11 pool 5 records of "
-                                                    r"pt_steps=9 each .* 110 floats"):
-            two_stage_run(loss, dyn, loss, dyn, 9, 9, replicas=11, stride=1)
+        def peak(replicas, init_mode):
+            tracemalloc.start()
+            try:
+                two_stage_run(pt_loss, pt_dyn, ft_loss, ft_dyn, steps, steps, replicas,
+                              stride=1, master_seed=5, init_mode=init_mode)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for init_mode in ("analytic_sample", "chain_continue"):
+            peak(2, init_mode)  # the losses keep their decompositions at first use
+            assert peak(16, init_mode) - peak(2, init_mode) < 4 * dim * dim * 8
+
+    @pytest.mark.parametrize("dim, stride, burn_in, init_mode", [
+        (1, 1, 0, "analytic_sample"),
+        (3, 4, 5, "chain_continue"),
+        (10, 7, 100, "analytic_sample"),
+        # each fine-tuning chain keeps one record: a count of 1 and no scatter
+        (2, 7, 142, "chain_continue"),
+    ])
+    def test_pooled_moments_match_the_concatenated_records(self, dim, stride, burn_in,
+                                                           init_mode):
+        # the moments of every kept state, rotated back and concatenated in
+        # replica order, to rounding: 1e-12 of the states' scale, as in
+        # test_chain_continue_replays_sgd_step
+        pt_loss, pt_dyn = _replay_case(dim, 0.6, seed=dim)
+        ft_loss, ft_dyn = _replay_case(dim, 1.8, seed=dim + 1)
+        kwargs = dict(pt_steps=1001, ft_steps=1000, replicas=3, stride=stride,
+                      master_seed=9, init_mode=init_mode)
+        result = two_stage_run(pt_loss, pt_dyn, ft_loss, ft_dyn, burn_in=burn_in, **kwargs)
+        chains = _serial_chains(pt_loss, pt_dyn, ft_loss, ft_dyn, **kwargs)
+        stages = [(pt_loss, result.pt_estimate, lambda chain: pt_loss.minimizer),
+                  (ft_loss, result.ft_estimate, lambda chain: chain[2])]
+        for stage, (loss, got, start) in enumerate(stages):
+            states = np.concatenate([_absolute(chain[stage], start(chain), loss)[burn_in:]
+                                     for chain in chains])
+            want = empirical_moments(states)
+            scale = float(np.max(np.abs(states)))
+            assert got.sample_count == want.sample_count
+            np.testing.assert_allclose(got.mean, want.mean, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(got.covariance.entries, want.covariance.entries,
+                                       rtol=0, atol=1e-12 * scale**2)
 
     def test_analytic_inits_share_one_cholesky_factor(self, monkeypatch):
         calls = []

@@ -356,6 +356,38 @@ class TestDiscreteStein:
             solve_discrete_stein(1.5 * np.eye(3), SymmetricMatrix(np.eye(3)))
 
 
+class TestFrobenius:
+    def test_a_norm_whose_squares_stay_in_range_keeps_the_bits_of_the_plain_dot(self):
+        # 20000 matrices over 40 decades: scaling by a power of two is exact
+        rng = make_rng(31)
+        entries = rng.standard_normal((20000, 3, 3)) * 10.0 ** rng.uniform(-20, 20, (20000, 1, 1))
+        flat = entries.reshape(20000, 1, 9)
+        plain = np.sqrt(flat @ flat.swapaxes(-1, -2))[:, 0, 0]
+        assert np.array_equal(linalg._frobenius(entries), plain)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e160, 1e300])
+    def test_a_norm_whose_squares_leave_the_range_is_right(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = linalg._frobenius(scale * np.array([[3.0, 0.0], [0.0, 4.0]]))
+        assert norm == pytest.approx(5.0 * scale, rel=4 * np.finfo(float).eps, abs=0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e100, 1e160, 1e200])
+    def test_a_wrong_solution_fails_the_residual_check_at_every_scale(self, monkeypatch,
+                                                                       scale):
+        # a solve three times too large; from 1e160 the squares of a norm
+        # overflow, where the check would pass as inf <= inf
+        solve = linalg._solve_in_eigenbasis
+        monkeypatch.setattr(linalg, "_solve_in_eigenbasis", lambda *args: 3.0 * solve(*args))
+        q = SymmetricMatrix(scale * np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResidualTooLargeError, match="continuous Lyapunov"):
+                solve_continuous_lyapunov(make_spd(np.eye(2)), q)
+            with pytest.raises(ResidualTooLargeError, match="discrete Stein"):
+                solve_discrete_stein(0.5 * np.eye(2), q)
+
+
 class TestRandomSpd:
     def test_forced_spectrum_gives_identity(self):
         for seed in (0, 1, 99):

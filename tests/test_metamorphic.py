@@ -10,11 +10,14 @@ mathematics fixes, checked on random well-conditioned inputs.
 - Identity: the KL and the D of a domain paired with itself are 0.
 - Data order: permuting a dataset's rows leaves its empirical quadratic
   unchanged to rounding.
+- Translation: shifting every minimizer by c, up to |c| = 1e300, leaves the
+  chain covariances of ``simulate`` and ``two-stage`` unchanged and shifts
+  their means by c.
 
 Each tolerance is fixed from the dimension d, the condition number kappa
-of the inputs and the unit roundoff eps (``EPS``) before any example runs.
-Translation is not among them: chain moments far from the origin lose the
-chain's noise to rounding today.
+of the inputs and the unit roundoff eps (``EPS``) before any example runs,
+and for translation from rho^(burn-in steps), the factor by which the
+fine-tuning chain forgets the part of its start that rounding loses.
 """
 
 import math
@@ -42,11 +45,14 @@ from oupac import (
     pretrain_bound,
     random_spd,
     solve_continuous_lyapunov,
+    simulate_chain,
     stability_check,
     stationary_from_dynamics,
     stein_stationary_covariance,
+    two_stage_run,
 )
-from oupac.gaussian import gaussian_pair_terms
+from oupac import diffusion
+from oupac.gaussian import gaussian_pair_terms, sample
 from oupac.rng import child_seed, make_rng
 
 EPS = np.finfo(float).eps
@@ -248,3 +254,84 @@ def test_empirical_quadratic_ignores_the_order_of_the_rows(dim, extra_rows, seed
     # each residual to gamma_(d+1) of |y| + |X| |theta|, and its square sum to gamma_n
     scale = np.sum((np.abs(y) + np.abs(x) @ np.abs(theta)) ** 2) / n
     assert abs(turned.offset - base.offset) <= 4 * (n + dim) * EPS * scale
+
+
+def _chain_stage(dim: int, kappa: float, seed: int, stage: int):
+    """A loss and dynamics whose step map has radius at most 0.98: Hessian
+    eigenvalues in [1, kappa] with kappa <= 10 and lr * lambda_max in
+    [0.2, 1.8], a noise factor near 2 I and a minimizer near the origin."""
+    rng = make_rng(seed, 8, stage)
+    hessian = random_spd(dim, 1.0, kappa, child_seed(seed, 9, stage))
+    lr = rng.uniform(0.2, 1.8) / hessian.eigenvalues[-1]
+    factor = rng.standard_normal((dim, dim)) + 2.0 * np.eye(dim)
+    return QuadraticLoss(hessian, rng.standard_normal(dim)), SgdDynamics(lr, 1, factor)
+
+
+def _shifted(loss: QuadraticLoss, shift: np.ndarray) -> QuadraticLoss:
+    return QuadraticLoss(loss.hessian, loss.minimizer + shift)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 6), kappa=st.floats(1.0, 10.0), seed=SEEDS,
+       size=st.sampled_from([1e8, 1e16, 1e100, 1e300]),
+       init_mode=st.sampled_from(["analytic_sample", "chain_continue"]))
+def test_chain_moments_shift_with_the_minimizers(dim, kappa, seed, size, init_mode):
+    pt_loss, pt_dyn = _chain_stage(dim, kappa, seed, 0)
+    ft_loss, ft_dyn = _chain_stage(dim, kappa, seed, 1)
+    direction = make_rng(seed, 10).standard_normal(dim)
+    shift = size * direction / np.linalg.norm(direction)
+    rho = max(stability_check(loss, dyn).spectral_radius
+              for loss, dyn in ((pt_loss, pt_dyn), (ft_loss, ft_dyn)))
+    # a burn-in of half the records, at stride 1, is `burn` steps, after
+    # which the fine-tuning start's offset has shrunk by rho^burn <= 1e-20
+    burn = math.ceil(math.log(1e-20) / math.log(rho))
+    replicas = 2
+    run = dict(pt_steps=2 * burn, ft_steps=2 * burn, replicas=replicas, stride=1,
+               master_seed=seed, init_mode=init_mode)
+    base = two_stage_run(pt_loss, pt_dyn, ft_loss, ft_dyn, **run)
+    moved = two_stage_run(_shifted(pt_loss, shift), pt_dyn, _shifted(ft_loss, shift), ft_dyn,
+                          **run)
+    simulated = [diffusion._simulate(loss.minimizer, loss, pt_dyn, 2 * burn, 1, seed,
+                                     moments=True)[1]
+                 for loss in (pt_loss, _shifted(pt_loss, shift))]
+
+    # a chain started at its minimizer scans the same records wherever the
+    # minimizer lies, so its covariance keeps its bits; its mean is m + V ybar,
+    # which rounds at the scale of m
+    for got, want in [(moved.pt_estimate, base.pt_estimate), simulated[::-1]]:
+        assert np.array_equal(got.covariance.entries, want.covariance.entries)
+        assert np.all(np.abs(got.mean - (want.mean + shift))
+                      <= 2 * EPS * (np.abs(got.mean) + np.abs(want.mean)))
+
+    # the fine-tuning start m_pt + s (s the analytic draw's offset or the final
+    # pre-training deviation) loses to rounding at most |m_pt| + |s| + |m_ft|
+    # of its offset from m_ft, elementwise; with twice that as d0, record k
+    # moves by at most rho^k d0, and by Cauchy-Schwarz against the centred
+    # records (sum of squares (n - 1) tr S) the covariance by the terms below;
+    # the scans' and rotations' own rounding adds 8 d eps sqrt(tr S) to a
+    # record (`jitter`)
+    offsets = []
+    for replica in range(replicas):
+        if init_mode == "analytic_sample":
+            stationary = stationary_from_dynamics(pt_loss.hessian, pt_loss.minimizer,
+                                                  pt_dyn.noise_cov, pt_dyn.lr, 1)
+            start = sample(stationary, 1, child_seed(seed, replica, 1))[0]
+        else:
+            start = simulate_chain(pt_loss.minimizer, pt_loss, pt_dyn, 2 * burn, 2 * burn,
+                                   child_seed(seed, replica, 0)).states[-1]
+        offsets.append(np.linalg.norm(np.abs(pt_loss.minimizer)
+                                      + np.abs(start - pt_loss.minimizer)
+                                      + np.abs(ft_loss.minimizer)))
+    d0 = 2.0 * max(offsets)
+    want = base.ft_estimate
+    n = want.sample_count
+    trace = float(np.trace(want.covariance.entries))
+    decay = rho**burn
+    jitter = 8 * dim * EPS * math.sqrt(trace)
+    drift = replicas * decay * d0 / ((1.0 - rho) * n) + jitter
+    spread = math.sqrt(replicas / (1.0 - rho**2)) * decay * d0 + math.sqrt(n) * jitter
+    got = moved.ft_estimate
+    assert (_frobenius(got.covariance.entries - want.covariance.entries)
+            <= (2 * math.sqrt((n - 1) * trace) * spread + spread**2) / (n - 1))
+    assert np.all(np.abs(got.mean - (want.mean + shift))
+                  <= 2 * EPS * (np.abs(got.mean) + np.abs(want.mean)) + drift)

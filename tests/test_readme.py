@@ -5,12 +5,20 @@ The commands are read from the README's command-line block, so an example
 that drifts from the CLI fails here.  Each input file it names gets a small
 fixture; each command runs twice through ``cli.main`` in one directory, and
 once as ``python -m oupac`` under ``OPENBLAS_NUM_THREADS=1`` and ``=2``.
+
+Run as a script, ``PYTHONPATH=src python tests/test_readme.py`` prints
+one line per example: the subcommand, the exit code, and the sha256 of
+its stdout, its stderr and its ``--output`` file (``-`` for none), from
+``python -m oupac`` on the ``src`` next to this file.  Diffing that
+listing between two checkouts shows which example's bytes a change moves.
 """
 
+import hashlib
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -72,14 +80,17 @@ def test_readme_example_runs_and_reruns_byte_identical(argv, capsys, tmp_path, m
     assert _run(argv, capsys) == first
 
 
-def _run_python(argv: list[str], directory: Path, threads: int) -> tuple[str, bytes | None]:
+def _python_m_oupac(argv: list[str], directory: Path, **env: str) -> subprocess.CompletedProcess:
+    """``python -m oupac argv`` in ``directory`` on the ``src`` next to this file."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "oupac", *argv], cwd=directory, capture_output=True,
-        text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(threads)},
-    )
-    assert result.returncode == 0, result.stderr
+    return subprocess.run([sys.executable, "-m", "oupac", *argv], cwd=directory,
+                          capture_output=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path, **env})
+
+
+def _run_python(argv: list[str], directory: Path, threads: int) -> tuple[bytes, bytes | None]:
+    result = _python_m_oupac(argv, directory, OPENBLAS_NUM_THREADS=str(threads))
+    assert result.returncode == 0, result.stderr.decode()
     return result.stdout, _output(argv, directory)
 
 
@@ -92,3 +103,22 @@ def test_readme_example_bytes_do_not_depend_on_blas_threads(argv, tmp_path):
         _write_fixtures(argv, directory)
         runs.append(_run_python(argv, directory, threads))
     assert runs[0] == runs[1]
+
+
+def print_example_digests() -> None:
+    """For each README example: subcommand, exit code, and the sha256 of
+    stdout, stderr and the ``--output`` file (``-`` for none)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, argv in enumerate(readme_commands()):
+            directory = Path(tmp) / str(index)
+            directory.mkdir()
+            _write_fixtures(argv, directory)
+            result = _python_m_oupac(argv, directory)
+            output = _output(argv, directory)
+            digests = [hashlib.sha256(data).hexdigest() if data is not None else "-"
+                       for data in (result.stdout, result.stderr, output)]
+            print(argv[0], result.returncode, *digests)
+
+
+if __name__ == "__main__":
+    print_example_digests()
