@@ -15,7 +15,8 @@ dimension as stacks, arrays with a leading pair axis, in the groups of
 :func:`oupac.linalg._in_groups`: a group makes one QR and one
 ``eigvalsh`` for its random covariances, one Cholesky per side and one
 solve for its pair terms, where a pair-by-pair loop makes each call once
-per pair.  Each pair still draws from its own seeded streams.  A pair
+per pair.  Each pair still draws from its own seeded streams, which one
+stack of streams (:func:`oupac.rng._streams`) seeds for the group.  A pair
 term or discrepancy that overflows raises
 :class:`NumericalInconsistencyError` (CLI exit code 3).
 """
@@ -34,7 +35,7 @@ from .linalg import (SpdMatrix, _check_held, _frozen_vector, _in_groups, _make_s
                      _random_spd_entries, log_det)
 # cholesky_factor is not called here; bench/tests/test_bench_trace.py reads it from here
 from .linalg import cholesky_factor  # noqa: F401
-from .rng import child_seed, make_rng
+from .rng import _child_seeds, _streams
 
 #: A pair holds the discrepancy ordering when D <= D~ + HOLDS_TOLERANCE.
 HOLDS_TOLERANCE = 1e-12
@@ -263,7 +264,11 @@ def lemma2_survey(
     eigenvalue_high, child_seed(seed, d, i, k))`` for k = 0, 1 and shift
     ``shift_scale * make_rng(seed, d, i, 2).standard_normal(d)``, and
     counts as holding when :func:`lemma2_check` says so.  The pairs are
-    evaluated as stacks (module docstring).  Deterministic for a fixed
+    evaluated as stacks (module docstring).  One call of the stack entry
+    point :func:`oupac.rng._streams` seeds each group of pairs; its
+    generators are those of the one-stream entry point
+    :func:`oupac.rng.make_rng` for the same seeds, as ``tests/test_rng.py``
+    checks against numpy's ``default_rng``.  Deterministic for a fixed
     seed.
     """
     if pairs_per_dim < 1:
@@ -274,7 +279,7 @@ def lemma2_survey(
         d_value, d_tilde_value = _in_groups(
             lambda pairs: _survey_group(d, pairs, seed, eigenvalue_low, eigenvalue_high,
                                         shift_scale),
-            range(pairs_per_dim), 2 * d * d)
+            range(pairs_per_dim), 2 * d * d + 12)  # two covariances, three streams' words
         holds = np.count_nonzero(d_value <= d_tilde_value + HOLDS_TOLERANCE)
         margins = (d_tilde_value - d_value).tolist()
         rows.append({
@@ -295,11 +300,15 @@ def _check_survey_dim(largest: int) -> None:
 
 def _survey_group(d, pairs, seed, eigenvalue_low, eigenvalue_high, shift_scale):
     """D and D~ of the surveyed pairs ``pairs`` of dimension d, as stacks.
-    The covariances are drawn interleaved (source, target, source, ...), so
-    that a pair's source covariance fails before its target one."""
-    seeds = [child_seed(seed, d, i, side) for i in pairs for side in (0, 1)]
-    entries = _make_spd_stack(_random_spd_entries(d, eigenvalue_low, eigenvalue_high, seeds))
-    shifts = shift_scale * np.array([make_rng(seed, d, i, 2).standard_normal(d) for i in pairs])
+    One stack of streams seeds the group: the covariances' streams,
+    interleaved (source, target, source, ...) so that a pair's source
+    covariance fails before its target one, then the shifts' streams."""
+    streams = _streams(_child_seeds(seed, [(d, i, side) for i in pairs for side in (0, 1)]
+                                    + [(d, i, 2) for i in pairs]))
+    count = 2 * len(pairs)
+    entries = _make_spd_stack(_random_spd_entries(d, eigenvalue_low, eigenvalue_high,
+                                                  streams[:count]))
+    shifts = shift_scale * np.array([rng.standard_normal(d) for rng in streams[count:]])
     d_value, _, d_tilde_value = _discrepancies(entries[0::2], entries[1::2], shifts)
     return d_value, d_tilde_value
 

@@ -437,14 +437,16 @@ def random_spd(
     eigenvalue_high]`` and conjugates by a Haar-random orthogonal
     matrix.  Deterministic for a fixed seed.
     """
-    return make_spd(_random_spd_entries(dim, eigenvalue_low, eigenvalue_high, [seed])[0])
+    return make_spd(_random_spd_entries(dim, eigenvalue_low, eigenvalue_high,
+                                        [make_rng(seed)])[0])
 
 
 def _random_spd_entries(dim: int, eigenvalue_low: float, eigenvalue_high: float,
-                        seeds) -> np.ndarray:
-    """The entries ``(len(seeds), dim, dim)`` that :func:`random_spd` checks
-    with :func:`make_spd`, one per seed, from one QR and one product.  The
-    range is checked before anything is drawn."""
+                        streams) -> np.ndarray:
+    """The entries ``(len(streams), dim, dim)`` that :func:`random_spd`
+    checks with :func:`make_spd`, one per seeded stream (a list of
+    generators or an :func:`oupac.rng._streams` stack), from one QR and one
+    product.  The range is checked before anything is drawn."""
     if not (0.0 < eigenvalue_low <= eigenvalue_high):
         raise InvalidRangeError(
             f"need 0 < eigenvalue_low <= eigenvalue_high, got "
@@ -452,10 +454,9 @@ def _random_spd_entries(dim: int, eigenvalue_low: float, eigenvalue_high: float,
         )
     if dim < 1:
         raise InvalidRangeError("dim must be >= 1")
-    gauss = np.empty((len(seeds), dim, dim))
-    eigenvalues = np.empty((len(seeds), 1, dim))
-    for index, seed in enumerate(seeds):
-        rng = make_rng(seed)  # each seed's own stream: its normals, then its uniforms
+    gauss = np.empty((len(streams), dim, dim))
+    eigenvalues = np.empty((len(streams), 1, dim))
+    for index, rng in enumerate(streams):  # each stream: its normals, then its uniforms
         rng.standard_normal(out=gauss[index])
         eigenvalues[index, 0] = rng.uniform(eigenvalue_low, eigenvalue_high, size=dim)
     q_fac, r_fac = np.linalg.qr(gauss)

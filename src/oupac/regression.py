@@ -15,9 +15,10 @@ and stability checks, ``eigh`` for the Lyapunov eigenbasis,
 checks read ``eigvalsh``, not the eigenvalues ``eigh`` returns with its
 basis: the two differ in the last bits, and a singular design's
 smallest eigenvalue, which its error message prints, is rounding noise.
-Each trial's data still comes from its own seeded stream, and the
-numbers agree with the loop to 1e-12 (tested).  A gap that is not
-finite (noise too large for float64) raises
+Each trial's data still comes from its own seeded stream, and one stack
+of streams (:func:`oupac.rng._streams`) seeds all the trials of an
+experiment.  The numbers agree with the loop to 1e-12 (tested).  A gap
+that is not finite (noise too large for float64) raises
 :class:`NumericalInconsistencyError`.
 """
 
@@ -49,7 +50,7 @@ from .gaussian import (
 from .linalg import (SpdMatrix, Verdict, _check_held, _frozen_vector, _in_groups, _item,
                      _lyapunov_in_eigenbasis, _spd_verdict, _symmetrized, cholesky_factor,
                      make_spd)
-from .rng import child_seed, make_rng
+from .rng import _child_seeds, _streams, _Streams, child_seed, make_rng
 
 #: Recorded on every trial result: the complexity term is derived for
 #: bounded losses, while squared error is unbounded, so violation
@@ -112,16 +113,16 @@ class Dataset:
 
 def generate_dataset(task: RegressionTask, seed: int) -> Dataset:
     """Draw a dataset from the task's model; deterministic per seed."""
-    features, targets = _datasets(task, [seed])
+    features, targets = _datasets(task, [make_rng(seed)])
     return Dataset(features[0], targets[0], seed)
 
 
-def _datasets(task: RegressionTask, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Features ``(T, n, d)`` and targets ``(T, n)`` drawn with each of ``seeds``."""
-    draws = np.empty((len(seeds), task.sample_size, task.dim))
-    noise = np.empty((len(seeds), task.sample_size))
-    for draw, row, seed in zip(draws, noise, seeds):
-        rng = make_rng(seed)
+def _datasets(task: RegressionTask, streams) -> tuple[np.ndarray, np.ndarray]:
+    """Features ``(T, n, d)`` and targets ``(T, n)`` drawn from each of
+    ``streams``, a list of generators or an :func:`oupac.rng._streams` stack."""
+    draws = np.empty((len(streams), task.sample_size, task.dim))
+    noise = np.empty((len(streams), task.sample_size))
+    for draw, row, rng in zip(draws, noise, streams):
         rng.standard_normal(out=draw)
         rng.standard_normal(out=row)
     features = draws @ cholesky_factor(task.feature_cov).T
@@ -198,24 +199,24 @@ def _gap_trials(
     sgd: SgdDynamics,
     spec: SampleSpec,
     prior: GaussianMeasure,
-    seeds: Sequence[int],
+    streams: _Streams,
 ) -> tuple[list[float], list[float], list[float]]:
-    """Expected risks, empirical risks and bounds of the gap trial at each
-    seed, evaluated in stacked groups (module docstring).
+    """Expected risks, empirical risks and bounds of the gap trial of each
+    of ``streams``, evaluated in stacked groups (module docstring).
 
-    A trial draws its data with ``child_seed(seed, 0)``, takes the exact
-    empirical quadratic, and uses the analytic stationary Gaussian of the
-    SGD dynamics on it as the posterior."""
+    A trial draws its data from its stream, takes the exact empirical
+    quadratic, and uses the analytic stationary Gaussian of the SGD
+    dynamics on it as the posterior."""
     columns = _in_groups(lambda group: _gap_group(task, sgd, spec, prior, group),
-                         seeds, task.sample_size * task.dim)
+                         streams, task.sample_size * task.dim)
     return tuple(column.tolist() for column in columns)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow fails the gap check instead
-def _gap_group(task, sgd, spec, prior, seeds):
+def _gap_group(task, sgd, spec, prior, streams):
     """:func:`_gap_trials` on one group; raises at the first check that a
     trial fails, in the order a trial-by-trial loop makes the checks."""
-    x, y = _datasets(task, [child_seed(seed, 0) for seed in seeds])
+    x, y = _datasets(task, streams)
     hessian = _symmetrized(_gram(x))
     eigenvalues = np.linalg.eigvalsh(hessian)
     design = _spd_verdict(eigenvalues, "strict")
@@ -240,6 +241,12 @@ def _gap_group(task, sgd, spec, prior, seeds):
         f"{_item(empirical, i):.6g}): the data are too large for float64"
     )).check()
     return expected, empirical, mcallester_bound(_kl_divergences(cov, minimizer, prior), spec)
+
+
+def _trial_streams(seeds: Sequence[int]) -> _Streams:
+    """The data streams of the gap trials with ``seeds``, as one stack: a
+    trial draws its data with ``child_seed(seed, 0)``."""
+    return _streams([child_seed(seed, 0) for seed in seeds])
 
 
 @dataclass(frozen=True)
@@ -325,12 +332,12 @@ def bound_validity_experiment(
     if trials < 10:
         raise InvalidRangeError(f"trials must be >= 10, got {trials}")
     _check_sample_sizes([task.sample_size], task.dim)
-    seeds = [child_seed(master_seed, index) for index in range(trials)]
+    seeds = _child_seeds(master_seed, [(index,) for index in range(trials)])
     records = [
         TrialRecord(seed=seed, sample_size=task.sample_size, gap=expected - empirical,
                     bound_value=bound, violated=expected - empirical > bound)
         for seed, expected, empirical, bound in zip(seeds, *_gap_trials(
-            task, sgd, spec, prior, seeds,
+            task, sgd, spec, prior, _trial_streams(seeds),
         ))
     ]
     gaps = [r.gap for r in records]
@@ -367,12 +374,15 @@ def scaling_experiment(
     _check_sample_sizes(ns, task_template.dim)
     if prior is None:
         prior = standard_gaussian(task_template.dim)
+    streams = _trial_streams(_child_seeds(
+        master_seed, [(n_index, trial) for n_index in range(len(ns))
+                      for trial in range(trials_per_n)]))
     mean_bounds: dict[int, float] = {}
     mean_gaps: dict[int, float] = {}
     for n_index, n in enumerate(ns):
         expected, empirical, bounds = _gap_trials(
             replace(task_template, sample_size=n), sgd, SampleSpec(n, delta), prior,
-            [child_seed(master_seed, n_index, trial) for trial in range(trials_per_n)],
+            streams[n_index * trials_per_n:(n_index + 1) * trials_per_n],
         )
         mean_bounds[n] = statistics.fmean(bounds)
         mean_gaps[n] = statistics.fmean([e - m for e, m in zip(expected, empirical)])

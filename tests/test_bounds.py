@@ -26,7 +26,10 @@ from oupac import (
     NotPositiveDefiniteError,
     NumericalInconsistencyError,
     OupacError,
+    RegressionTask,
     SampleSpec,
+    SgdDynamics,
+    bound_validity_experiment,
     discrepancy_d,
     discrepancy_d_tilde,
     dominance_report,
@@ -40,12 +43,14 @@ from oupac import (
     mcallester_bound,
     pretrain_bound,
     random_spd,
+    scaling_experiment,
+    standard_gaussian,
     stationary_from_dynamics,
 )
 from oupac import bounds, linalg
 from oupac.gaussian import gaussian_pair_terms
 from oupac.linalg import _make_spd_stack, _random_spd_entries
-from oupac.rng import child_seed, make_rng
+from oupac.rng import _streams, child_seed, make_rng
 
 # 40-digit mpmath evaluations of the closed forms
 MCALLESTER_0_100 = 0.21964913157744110     # kl=0, N=100, delta=0.05
@@ -534,9 +539,10 @@ def test_survey_does_not_depend_on_the_group_size(monkeypatch, group_floats):
     monkeypatch.setattr(linalg, "GROUP_FLOATS", group_floats)
     sizes = _group_sizes(monkeypatch)
     assert json.dumps(lemma2_survey(*args)) == want
-    # one group per pair; 20 pairs of 2 floats, 20 of 8, 3 per group of d = 7
-    # (2 * 49 floats), one per group of d = 40; one group per dimension
-    assert sizes == {1: [1] * 80, 294: [20, 20] + [3] * 6 + [2] + [1] * 20,
+    # a pair holds its two covariances and its three streams' 12 state words:
+    # one group per pair; 20 pairs of 14 numbers, 14 then 6 of 20, 2 per group
+    # of d = 7 (2 * 49 + 12), one per group of d = 40; one group per dimension
+    assert sizes == {1: [1] * 80, 294: [20, 14, 6] + [2] * 10 + [1] * 20,
                      10**12: [20] * 4}[group_floats]
 
 
@@ -589,7 +595,7 @@ def _reference_random_spd(dim, eigenvalue_low, eigenvalue_high, seed) -> np.ndar
 @pytest.mark.parametrize("dim", [1, 2, 9, 40])
 def test_random_spd_is_an_item_of_the_stacked_draw(dim):
     seeds = [child_seed(7, dim, i, 0) for i in range(5)]
-    entries = _make_spd_stack(_random_spd_entries(dim, 0.3, 4.0, seeds))
+    entries = _make_spd_stack(_random_spd_entries(dim, 0.3, 4.0, _streams(seeds)))
     for seed, item in zip(seeds, entries):
         want = _reference_random_spd(dim, 0.3, 4.0, seed).tobytes()
         assert random_spd(dim, 0.3, 4.0, seed).entries.tobytes() == want
@@ -618,10 +624,47 @@ def test_one_group_makes_the_same_decompositions_for_any_pair_count(monkeypatch)
     assert seen[0] == seen[1] == {"qr": 2, "eigvalsh": 2, "cholesky": 4, "solve": 2}
 
 
+@pytest.mark.parametrize("group_floats", [linalg.GROUP_FLOATS, 3 * (2 * 2 * 2 + 12)])
+def test_each_group_seeds_its_streams_in_one_kernel_call(monkeypatch, group_floats):
+    # no stream of a stacked pipeline is seeded through default_rng; the survey
+    # seeds each group with one call of the stack kernel, and a regression
+    # experiment all its trials, for every sample size, with one
+    small = group_floats < linalg.GROUP_FLOATS
+    monkeypatch.setattr(linalg, "GROUP_FLOATS", group_floats)
+    calls = {"default_rng": 0, "kernel": 0}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np.random, "default_rng", counting("default_rng", np.random.default_rng))
+    monkeypatch.setattr(oupac.rng, "_state_words", counting("kernel", oupac.rng._state_words))
+    sizes = _group_sizes(monkeypatch)
+    task = RegressionTask(np.array([0.3, -0.2]), make_spd(np.eye(2)), 0.5, 6)
+    sgd = SgdDynamics(0.1, 4, np.eye(2))
+    for count in (8, 40):
+        calls.update(default_rng=0, kernel=0)
+        sizes.clear()
+        lemma2_survey(dims=(2, 33), pairs_per_dim=count, seed=1)
+        # one group per dimension, or 3 pairs per group at d = 2 and 1 at d = 33
+        assert len(sizes) == (-(-count // 3) + count if small else 2)
+        assert calls == {"default_rng": 0, "kernel": len(sizes)}
+        for run in (
+            lambda: bound_validity_experiment(task, sgd, SampleSpec(6, 0.05),
+                                              standard_gaussian(2), trials=max(count, 10)),
+            lambda: scaling_experiment(task, [2, 4, 8], sgd, 0.05, trials_per_n=count),
+        ):
+            calls.update(default_rng=0, kernel=0)
+            run()
+            assert calls == {"default_rng": 0, "kernel": 1}
+
+
 @pytest.mark.parametrize("count, dim", [(3000, 1), (1000, 4)])
 def test_stacked_discrepancies_equal_per_pair_calls_bit_for_bit(count, dim):
     seeds = [child_seed(11, dim, i) for i in range(2 * count)]
-    entries = _make_spd_stack(_random_spd_entries(dim, 0.2, 5.0, seeds))
+    entries = _make_spd_stack(_random_spd_entries(dim, 0.2, 5.0, _streams(seeds)))
     shifts = make_rng(12).standard_normal((count, dim))
     stacked = bounds._discrepancies(entries[0::2], entries[1::2], shifts)
     traces, _, mahas = gaussian_pair_terms(entries[1::2], entries[0::2], shifts)

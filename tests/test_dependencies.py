@@ -1,7 +1,9 @@
 """The package runs on numpy alone: scipy is a test and benchmark reference."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,3 +45,15 @@ def test_test_extra_lists_every_package_the_tests_import():
     sources = sorted((ROOT / "tests").glob("*.py"))
     assert [(path.name, name) for path in sources for name in _imported_modules(path)
             if name not in allowed] == []
+
+
+def test_importing_the_package_and_its_cli_leaves_numpy_random_unimported():
+    # numpy.random costs 11-17 ms to import, which every CLI call, even one
+    # that draws nothing, would pay; the package imports it at its first draw
+    code = ("import sys; import oupac, oupac.cli; "
+            "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

@@ -6,7 +6,8 @@ mathematics fixes, checked on random well-conditioned inputs.
   paper-literal D, D~, the bound reports and the step radius unchanged,
   and maps the Lyapunov and Stein solutions to Q S Q^T.
 - Noise scale: scaling the noise covariance by a power of two scales both
-  stationary solutions by it, bit for bit.
+  stationary solutions by it, bit for bit, and at every scale the trace
+  bound on the Lyapunov solution S is KL(N(0, S) || N(0, I)).
 - Identity: the KL and the D of a domain paired with itself are 0.
 - Data order: permuting a dataset's rows leaves its empirical quadratic
   unchanged to rounding.
@@ -41,12 +42,14 @@ from oupac import (
     finetune_bound,
     generate_dataset,
     kl_divergence,
+    kl_upper_bound_trace,
     make_spd,
     pretrain_bound,
     random_spd,
     solve_continuous_lyapunov,
     simulate_chain,
     stability_check,
+    standard_gaussian,
     stationary_from_dynamics,
     stein_stationary_covariance,
     two_stage_run,
@@ -216,6 +219,34 @@ def test_stationary_solutions_scale_with_the_noise_bit_for_bit(dim, kappa, seed,
     stein = stein_stationary_covariance(hessian, noise, lr, batch)
     scaled_stein = stein_stationary_covariance(hessian, scaled, lr, batch)
     assert np.array_equal(scaled_stein.entries, scale * stein.entries)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(dim=DIMS, kappa=KAPPAS, seed=SEEDS, power=st.integers(-20, 30),
+       batch=st.integers(1, 4))
+def test_trace_bound_is_the_stationary_kl_at_every_noise_scale(dim, kappa, seed, power,
+                                                               batch):
+    # A S + S A = (lr / b) sC gives tr S = (lr / b) tr(A^-1 sC) / 2 exactly, so
+    # the trace bound on the solution S_s is KL(N(0, S_s) || N(0, I)) at every s.
+    # Hessian eigenvalues in [1, kappa] with top t, lr t in [0.05, 1.9], noise
+    # eigenvalues in [l, l kappa] with l in t^2 [0.1, 1]: every eigenvalue of
+    # S_1 is at least 0.05 * 0.1 / (2 * 4) = 6e-4, so S_s stays above the SPD
+    # check's absolute floor of 1e-10 down to s = 2^-20 (a factor 6 to spare)
+    hessian = random_spd(dim, 1.0, kappa, child_seed(seed, 5))
+    rng = make_rng(seed, 8)
+    top = hessian.eigenvalues[-1]
+    lr = rng.uniform(0.05, 1.9) / top
+    low = top**2 * 10.0 ** rng.uniform(-1.0, 0.0)
+    noise = random_spd(dim, low, low * kappa, child_seed(seed, 9))
+    scaled = make_spd(2.0**power * noise.entries)
+    sigma = stationary_from_dynamics(hessian, np.zeros(dim), scaled, lr, batch).covariance
+    bound = kl_upper_bound_trace(hessian, scaled, lr, batch, sigma)
+    kl = kl_divergence(GaussianMeasure(np.zeros(dim), sigma), standard_gaussian(dim))
+    # the two traces differ by the solves' rounding, at most d kappa(A) eps
+    # relative each, a few times over; the log-determinant is the same number
+    # on both sides, and each side sums its terms to a few eps of their size
+    terms = 0.5 * (float(np.trace(sigma.entries)) + abs(sigma.log_det) + dim)
+    assert abs(bound - kl) <= 4 * dim * kappa * EPS * terms
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

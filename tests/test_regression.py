@@ -457,9 +457,9 @@ def _group_sizes(monkeypatch) -> list[int]:
     sizes = []
     run = regression._gap_group
 
-    def counted(task, sgd, spec, prior, seeds, *rest):
-        sizes.append(len(seeds))
-        return run(task, sgd, spec, prior, seeds, *rest)
+    def counted(task, sgd, spec, prior, streams, *rest):
+        sizes.append(len(streams))
+        return run(task, sgd, spec, prior, streams, *rest)
     monkeypatch.setattr(regression, "_gap_group", counted)
     return sizes
 
