@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidRangeError, InvalidSpecError
-from .gaussian import _pair_divergences, check_rate
+from .gaussian import _check_float_count, _pair_divergences, check_rate
 from .linalg import (SpdMatrix, _check_held, _frozen_vector, _in_groups, _make_spd_stack,
                      _random_spd_entries, log_det)
 # cholesky_factor is not called here; bench/tests/test_bench_trace.py reads it from here
@@ -68,7 +68,8 @@ class SampleSpec:
     """Sample size N and confidence level delta for a bound evaluation.
 
     ``delta = 1`` is admitted as the degenerate no-confidence case
-    (its log term vanishes); anything outside ``(0, 1]`` is rejected.
+    (its log term vanishes); anything outside ``(0, 1]`` is rejected, and
+    so is a sample size too large for float64, in which the bound takes it.
     """
 
     sample_size: int
@@ -79,6 +80,7 @@ class SampleSpec:
             raise InvalidSpecError(
                 f"sample_size must be a positive integer, got {self.sample_size}"
             )
+        _check_float_count(self.sample_size, "sample_size", InvalidSpecError)
         if not (0.0 < self.delta <= 1.0):
             raise InvalidSpecError(f"delta must lie in (0, 1], got {self.delta}")
 
@@ -142,7 +144,10 @@ def _mcallester(kl, spec: SampleSpec):
     pass half a divergence term, which on identical domains is a rounding
     error either side of 0."""
     n = spec.sample_size
-    numerator = kl + math.log(1.0 / spec.delta) + math.log(n) + 2.0
+    inverse = 1.0 / spec.delta
+    # 1/delta overflows for a subnormal delta, whose -log(delta) is finite
+    confidence = -math.log(spec.delta) if inverse == math.inf else math.log(inverse)
+    numerator = kl + confidence + math.log(n) + 2.0
     return np.sqrt(numerator / (2.0 * n - 1.0))
 
 
@@ -232,10 +237,10 @@ def finetune_bound_dimension(pair: DomainPair, spec: SampleSpec) -> BoundReport:
     return _report(kl_term, literal, spec, "dimension-dependent discrepancy variant")
 
 
-def lemma2_check(pair: DomainPair, tolerance: float = HOLDS_TOLERANCE) -> Lemma2Result:
+def lemma2_check(pair: DomainPair) -> Lemma2Result:
     """Compare the two discrepancies on one pair.
 
-    ``holds`` is ``d_value <= d_tilde_value + tolerance``.  Whether the
+    ``holds`` is ``d_value <= d_tilde_value + HOLDS_TOLERANCE``.  Whether the
     ordering holds for all SPD pairs is an empirical question, so this
     is a report, not an assertion.
     """
@@ -243,7 +248,7 @@ def lemma2_check(pair: DomainPair, tolerance: float = HOLDS_TOLERANCE) -> Lemma2
     return Lemma2Result(
         d_value=d_value,
         d_tilde_value=d_tilde_value,
-        holds=bool(d_value <= d_tilde_value + tolerance),
+        holds=bool(d_value <= d_tilde_value + HOLDS_TOLERANCE),
         margin=d_tilde_value - d_value,
     )
 

@@ -38,25 +38,25 @@ coordinates, one chunk of normals and its kicked copy, ``2 * NOISE_CHUNK
 
 Chain moments are taken in the scan's coordinates, where a chain far
 from the origin keeps its noise, and rotated back once
-(:func:`_pooled_estimates`).  ``two_stage_run`` keeps only each chain's
-moments, so it holds one chain's records at a time and ``replicas``
-sizes no array.  ``simulate_chain`` peaks at twice its records: first
-while it rotates them back, then while ``Trajectory`` copies them.  The
-``simulate`` command then holds one chain's records and one block of its
-CSV text at a time (:mod:`oupac.matrixio`).
+(:func:`_stage_estimate`).  ``two_stage_run`` folds each chain's
+moments into one running pool per stage (:func:`_merged`), so it holds
+one chain's records at a time and ``replicas`` sizes no array.
+``simulate_chain`` peaks at twice its records: first while it rotates
+them back, then while ``Trajectory`` copies them.  The ``simulate``
+command then holds one chain's records and one block of its CSV text at
+a time (:mod:`oupac.matrixio`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
+from typing import Literal, NamedTuple
 
 import numpy as np
 
 from .errors import (DimensionMismatchError, InvalidRangeError, NumericalInconsistencyError,
                      TooFewSamplesError, UnstableDynamicsError)
-from .gaussian import (MomentEstimate, check_rate, empirical_moments, sample,
+from .gaussian import (MomentEstimate, _centred_moments, check_rate, empirical_moments, sample,
                        stationary_from_dynamics)
 from .linalg import SpdMatrix, SymmetricMatrix, _check_held, _frozen_vector, make_spd
 from .rng import child_seed, make_rng
@@ -202,7 +202,7 @@ def sgd_step(
             f"dimension {loss.dim}"
         )
     drift = dyn.lr * loss.gradient(state)
-    kick = (dyn.lr / np.sqrt(dyn.batch_size)) * (dyn.noise_factor.T @ noise_draw)
+    kick = (dyn.lr / np.sqrt(float(dyn.batch_size))) * (dyn.noise_factor.T @ noise_draw)
     return state - drift + kick
 
 
@@ -219,15 +219,17 @@ def stability_check(loss: QuadraticLoss, dyn: SgdDynamics) -> StabilityReport:
 
 
 def _step_radius(lr: float, eigenvalues: np.ndarray) -> np.ndarray:
-    """Spectral radius of ``I - lr*A`` from A's eigenvalues ``(..., d)``."""
-    return np.max(np.abs(1.0 - lr * eigenvalues), axis=-1)
+    """Spectral radius of ``I - lr*A`` from A's eigenvalues ``(..., d)``; inf
+    where ``lr * lambda`` overflows."""
+    with np.errstate(over="ignore"):
+        return np.max(np.abs(1.0 - lr * eigenvalues), axis=-1)
 
 
 def _require_stable(loss: QuadraticLoss, dyn: SgdDynamics) -> None:
     report = stability_check(loss, dyn)
     if not report.stable:
         # below lr * lambda_max = 2 a radius of 1 is 1 - lr*lambda rounded to 1
-        too_large = dyn.lr * loss.hessian.eigenvalues[-1] >= 2.0
+        too_large = dyn.lr * float(loss.hessian.eigenvalues[-1]) >= 2.0
         cause = ("lr too large for this Hessian" if too_large else
                  "1 - lr*lambda rounds to 1 in float64: lr too small for this Hessian")
         raise UnstableDynamicsError(
@@ -262,7 +264,7 @@ class _ScanPlan:
         self.mu = 1.0 - dyn.lr * lam
         rows = SCAN_BLOCK
         # row k of z @ kick is (lr/sqrt(b)) B^T z_k, rotated into the eigenbasis
-        self.kick = ((dyn.lr / np.sqrt(dyn.batch_size)) * dyn.noise_factor) @ self.basis
+        self.kick = ((dyn.lr / np.sqrt(float(dyn.batch_size))) * dyn.noise_factor) @ self.basis
         self.work = work = np.empty((rows, loss.dim))
         tmp = np.empty((rows, loss.dim))
         self.levels = []
@@ -294,82 +296,62 @@ class _ScanPlan:
         return work
 
 
-def _normal_chunks(rng: np.random.Generator, total_steps: int,
-                   dim: int) -> Iterator[np.ndarray]:
-    """A chain's standard normal draws, ``NOISE_CHUNK`` steps at a time."""
-    for step in range(0, total_steps, NOISE_CHUNK):
-        yield rng.standard_normal((min(NOISE_CHUNK, total_steps - step), dim))
-
-
 def _run_chain(
     init: np.ndarray,
     plan: _ScanPlan,
     total_steps: int,
     stride: int,
-    normals: Iterator[np.ndarray],
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scan the chain in the eigenbasis (module docstring) with ``plan``'s
-    stage, taking from ``normals`` the chunks of ``_normal_chunks`` for
-    ``total_steps`` steps; return (records, final_state): the records in
-    the scan's coordinates ``y = V^T (x - minimizer)``, the initial state's
-    first, and the final state in the original ones."""
+    stage for ``total_steps`` steps, drawing its standard normals from
+    ``rng`` ``NOISE_CHUNK`` steps at a time; return (records, final_state):
+    the records in the scan's coordinates ``y = V^T (x - minimizer)``, the
+    initial state's first, and the final state in the original ones."""
     dim = plan.mu.shape[0]
     records = np.empty((total_steps // stride + 1, dim))
     records[0] = carry = (np.asarray(init, dtype=float) - plan.minimizer) @ plan.basis
-    step = 0
     next_record = 1
-    while step < total_steps:
-        noise = next(normals) @ plan.kick
-        chunk = noise.shape[0]
-        for start in range(0, chunk, SCAN_BLOCK):
+    for step in range(0, total_steps, NOISE_CHUNK):
+        noise = rng.standard_normal((min(NOISE_CHUNK, total_steps - step), dim)) @ plan.kick
+        for start in range(0, noise.shape[0], SCAN_BLOCK):
             block = plan.scan(noise[start:start + SCAN_BLOCK], carry)
             carry = block[-1]
             # block row j is step step + start + j + 1
             kept = block[(-(step + start + 1)) % stride::stride]
             records[next_record:next_record + kept.shape[0]] = kept
             next_record += kept.shape[0]
-        step += chunk
+        del noise  # freed before the next chunk is drawn
     return records, carry @ plan.basis.T + plan.minimizer
 
 
-def _scan_moments(records: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """Count, mean and centred scatter ``sum_k (y_k - mean)(y_k - mean)^T`` of
-    one chain's records ``y`` ``(n, d)`` in its scan's coordinates, n >= 1."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = records.mean(axis=0)
-        centred = records - mean
-        return records.shape[0], mean, centred.T @ centred
-
-
-def _pooled_estimates(chains: Iterable[Sequence[tuple]],
-                      plans: Sequence[_ScanPlan]) -> list[MomentEstimate]:
-    """Each stage's moments, from one :func:`_scan_moments` per stage (in the
-    order of ``plans``) of each of ``chains``, merged in chain order by the
-    pairwise update of Chan, Golub and LeVeque (1983, "Algorithms for
-    computing the sample variance") and rotated back once, as mean ``m + V
-    ybar`` and covariance ``V S V^T / (n - 1)``.  Raises if one overflows."""
-    pools = None
-    for chain in chains:
-        pools = chain if pools is None else list(map(_merged, pools, chain))
-    estimates = []
-    for (count, mean, scatter), plan in zip(pools, plans):
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = plan.minimizer + plan.basis @ mean
-            cov = plan.basis @ scatter @ plan.basis.T / (count - 1)
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise NumericalInconsistencyError(
-                "chain moments: the mean or covariance of the records overflows float64")
-        estimates.append(MomentEstimate(mean, SymmetricMatrix(cov), count))
-    return estimates
-
-
-def _merged(a: tuple, b: tuple) -> tuple[int, np.ndarray, np.ndarray]:
-    (count_a, mean_a, scatter_a), (count_b, mean_b, scatter_b) = a, b
+def _merged(pool: tuple | None, moments: tuple) -> tuple[int, np.ndarray, np.ndarray]:
+    """A stage's running pool of (count, mean, centred scatter), None while
+    empty, with one chain's ``moments`` folded in by the pairwise update of
+    Chan, Golub and LeVeque (1983, "Algorithms for computing the sample
+    variance")."""
+    if pool is None:
+        return moments
+    (count_a, mean_a, scatter_a), (count_b, mean_b, scatter_b) = pool, moments
     count = count_a + count_b
     with np.errstate(over="ignore", invalid="ignore"):
         delta = mean_b - mean_a
         scatter = scatter_a + scatter_b + np.outer(delta, delta) * (count_a * count_b / count)
         return count, mean_a + delta * (count_b / count), scatter
+
+
+def _stage_estimate(pool: tuple, plan: _ScanPlan) -> MomentEstimate:
+    """The moments of a pool of (count, mean ``ybar``, centred scatter ``S``)
+    in ``plan``'s scan coordinates, rotated back once, as mean ``m + V ybar``
+    and covariance ``V S V^T / (n - 1)``.  Raises if one overflows."""
+    count, mean, scatter = pool
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = plan.minimizer + plan.basis @ mean
+        cov = plan.basis @ scatter @ plan.basis.T / (count - 1)
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise NumericalInconsistencyError(
+            "chain moments: the mean or covariance of the records overflows float64")
+    return MomentEstimate(mean, SymmetricMatrix(cov), count)
 
 
 def simulate_chain(
@@ -393,10 +375,10 @@ def _simulate(init: np.ndarray, loss: QuadraticLoss, dyn: SgdDynamics, total_ste
               stride: int, seed: int, burn_in: int | None = None, name: str = "total_steps",
               moments: bool = False) -> tuple[Trajectory, MomentEstimate | None]:
     """:func:`simulate_chain`, naming its run length ``name``, and, if
-    ``moments``, the :func:`_pooled_estimates` of its records after
+    ``moments``, the :func:`_stage_estimate` of its records after
     ``burn_in`` (default half; at least two must remain)."""
     _check_dims(loss, dyn)
-    init = np.asarray(init, dtype=float).reshape(-1)
+    init = _frozen_vector(init, "init")
     if init.shape[0] != loss.dim:
         raise DimensionMismatchError(
             f"init has dimension {init.shape[0]}, loss has {loss.dim}"
@@ -404,10 +386,8 @@ def _simulate(init: np.ndarray, loss: QuadraticLoss, dyn: SgdDynamics, total_ste
     kept = _check_run(total_steps, stride, burn_in, 2 if moments else 1, loss.dim, name)
     _require_stable(loss, dyn)
     plan = _ScanPlan(loss, dyn)
-    records, _ = _run_chain(init, plan, total_steps, stride,
-                            _normal_chunks(make_rng(seed), total_steps, loss.dim))
-    estimate = (_pooled_estimates([[_scan_moments(records[-kept:])]], [plan])[0]
-                if moments else None)
+    records, _ = _run_chain(init, plan, total_steps, stride, make_rng(seed))
+    estimate = _stage_estimate(_centred_moments(records[-kept:]), plan) if moments else None
     np.add(records[1:] @ plan.basis.T, plan.minimizer, out=records[1:])
     records[0] = init
     return Trajectory(records, stride=stride, total_steps=total_steps, seed=seed), estimate
@@ -480,9 +460,9 @@ def two_stage_run(
     pre-training state (``"chain_continue"``).  Per-replica seeds are
     derived from ``master_seed`` by the documented hashing rule.  Each
     chain keeps only the moments of its post-burn-in records, in its
-    scan's coordinates, and the moments merge in replica order
-    (:func:`_pooled_estimates`), so the result does not depend on
-    scheduling and memory does not grow with ``replicas``.
+    scan's coordinates, and the moments merge into one pool per stage in
+    replica order (:func:`_merged`), so memory does not grow with
+    ``replicas``.
 
     ``burn_in`` counts records per replica and stage; it defaults to
     half of each trajectory's records, and at least one must survive it.
@@ -509,21 +489,16 @@ def two_stage_run(
         )
     pt_plan = _ScanPlan(pt_loss, pt_dyn)
     ft_plan = _ScanPlan(ft_loss, ft_dyn)
-    # every chain's draws in chain order, each generator made at its first draw
-    normals = itertools.chain.from_iterable(
-        _normal_chunks(make_rng(master_seed, replica, stage), steps, pt_loss.dim)
-        for replica in range(replicas) for stage, steps in ((0, pt_steps), (2, ft_steps)))
-
-    def chains() -> Iterator[tuple[tuple, tuple]]:
-        for replica in range(replicas):
-            records, ft_init = _run_chain(pt_loss.minimizer, pt_plan, pt_steps, stride,
-                                          normals)
-            pt = _scan_moments(records[-pt_kept:])
-            del records  # one chain's records are held at a time
-            if init_mode == "analytic_sample":
-                ft_init = sample(pt_stationary, 1, child_seed(master_seed, replica, 1))[0]
-            records, _ = _run_chain(ft_init, ft_plan, ft_steps, stride, normals)
-            yield pt, _scan_moments(records[-ft_kept:])
-            del records
-
-    return TwoStageResult(*_pooled_estimates(chains(), [pt_plan, ft_plan]))
+    pt_pool = ft_pool = None
+    for replica in range(replicas):
+        records, ft_init = _run_chain(pt_loss.minimizer, pt_plan, pt_steps, stride,
+                                      make_rng(master_seed, replica, 0))
+        pt_pool = _merged(pt_pool, _centred_moments(records[-pt_kept:]))
+        del records  # one chain's records are held at a time
+        if init_mode == "analytic_sample":
+            ft_init = sample(pt_stationary, 1, child_seed(master_seed, replica, 1))[0]
+        records, _ = _run_chain(ft_init, ft_plan, ft_steps, stride,
+                                make_rng(master_seed, replica, 2))
+        ft_pool = _merged(ft_pool, _centred_moments(records[-ft_kept:]))
+        del records
+    return TwoStageResult(_stage_estimate(pt_pool, pt_plan), _stage_estimate(ft_pool, ft_plan))

@@ -104,11 +104,23 @@ def standard_gaussian(dim: int) -> GaussianMeasure:
 
 
 def check_rate(lr: float, batch_size: int) -> None:
-    """Raise :class:`InvalidRangeError` unless lr > 0 and batch_size >= 1."""
+    """Raise :class:`InvalidRangeError` unless lr > 0 and batch_size is an
+    integer >= 1 that float64 holds."""
     if not lr > 0:
         raise InvalidRangeError(f"lr must be positive, got {lr}")
     if int(batch_size) != batch_size or batch_size < 1:
         raise InvalidRangeError(f"batch_size must be a positive integer, got {batch_size}")
+    _check_float_count(batch_size, "batch_size", InvalidRangeError)
+
+
+def _check_float_count(count: int, name: str, error: type[Exception]) -> None:
+    """Raise ``error`` if the integer ``count``, a size that the formulas take
+    as a float, overflows float64 (from about 1.8e308)."""
+    try:
+        float(count)
+    except OverflowError:
+        raise error(f"{name} must be below 2**1024, got an integer of "
+                    f"{len(str(count))} digits") from None
 
 
 def stationary_from_dynamics(
@@ -267,18 +279,24 @@ def empirical_moments(samples: np.ndarray) -> MomentEstimate:
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2:
         raise DimensionMismatchError(f"sample matrix must be 2-D, got shape {arr.shape}")
-    n = arr.shape[0]
-    if n < 2:
-        raise TooFewSamplesError(f"need >= 2 samples, got {n}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = arr.mean(axis=0)
-        centered = arr - mean
-        cov = centered.T @ centered / (n - 1)
+    if arr.shape[0] < 2:
+        raise TooFewSamplesError(f"need >= 2 samples, got {arr.shape[0]}")
+    n, mean, scatter = _centred_moments(arr)
+    cov = scatter / (n - 1)
     if not np.isfinite(cov).all():
         raise NumericalInconsistencyError(
             "empirical_moments: the sample mean or covariance of the records "
             "overflows float64")
     return MomentEstimate(mean, SymmetricMatrix(cov), n)
+
+
+def _centred_moments(samples: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Count, mean and centred scatter ``sum_k (x_k - mean)(x_k - mean)^T`` of
+    the rows ``x_k`` of a ``(n, d)`` array, n >= 1, with no overflow warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = samples.mean(axis=0)
+        centred = samples - mean
+        return samples.shape[0], mean, centred.T @ centred
 
 
 def log_density(g: GaussianMeasure, points: np.ndarray) -> np.ndarray:

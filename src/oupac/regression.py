@@ -357,9 +357,9 @@ def scaling_experiment(
     delta: float,
     master_seed: int = 0,
     trials_per_n: int = 20,
-    prior: GaussianMeasure | None = None,
 ) -> list[dict]:
-    """Mean bound and mean gap as the sample size grows.
+    """Mean bound and mean gap as the sample size grows, against the
+    N(0, I) prior.
 
     ``ns`` must be strictly increasing with every entry at least the
     feature dimension.  Each output row carries ``{"n", "mean_bound",
@@ -372,8 +372,7 @@ def scaling_experiment(
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise InvalidRangeError(f"ns must be strictly increasing, got {ns}")
     _check_sample_sizes(ns, task_template.dim)
-    if prior is None:
-        prior = standard_gaussian(task_template.dim)
+    prior = standard_gaussian(task_template.dim)
     streams = _trial_streams(_child_seeds(
         master_seed, [(n_index, trial) for n_index in range(len(ns))
                       for trial in range(trials_per_n)]))

@@ -92,6 +92,12 @@ class TestSampleSpec:
         with pytest.raises(InvalidSpecError):
             SampleSpec(100, 1.5)
 
+    def test_sample_size_too_large_for_float64_rejected(self):
+        assert mcallester_bound(0.0, SampleSpec(2**1000, 0.05)) > 0
+        with pytest.raises(InvalidSpecError, match="^sample_size must be below 2\\*\\*1024, "
+                                                   "got an integer of 401 digits$"):
+            SampleSpec(10**400, 0.05)
+
     def test_negative_kl_rejected(self):
         with pytest.raises(InvalidSpecError):
             mcallester_bound(-0.1, SampleSpec(100, 0.05))
@@ -102,6 +108,12 @@ class TestMcallesterBound:
         spec = SampleSpec(100, 0.05)
         assert mcallester_bound(0.0, spec) == pytest.approx(MCALLESTER_0_100, rel=1e-14)
         assert mcallester_bound(10.0, spec) == pytest.approx(MCALLESTER_10_100, rel=1e-14)
+
+    @pytest.mark.parametrize("delta", [1e-320, 5e-324])
+    def test_subnormal_delta_gives_the_finite_bound(self, delta):
+        # 1/delta overflows to inf, while log(1/delta) = -log(delta) is finite
+        want = math.sqrt((1.0 - math.log(delta) + math.log(10) + 2.0) / 19.0)
+        assert mcallester_bound(1.0, SampleSpec(10, delta)) == pytest.approx(want, rel=1e-15)
 
     def test_monotone_in_arguments(self):
         # decreasing in N, increasing in kl and in 1/delta

@@ -730,6 +730,58 @@ def test_overflowing_noise_exits_3_without_warning(capsys, command, noise_std):
     assert "Traceback" not in err
 
 
+_EXTREME_FLOATS = ["0", "-0.0", "5e-324", "1e-320", "1e-300", "1e200", "1e308", "-1e308"]
+_EXTREME_INTS = ["0", "-1", str(2**63), str(2**64), str(10**400)]
+# run lengths and counts set the work a call does, so only their low edge is swept
+_COUNT_OPTIONS = {"steps", "pt_steps", "ft_steps", "replicas", "mc_draws", "pairs_per_dim",
+                  "trials"}
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_extreme_option_values_exit_0_2_or_3_with_finite_payloads(
+    capsys, tmp_path, identity_file, gaussian_file, name
+):
+    # each numeric option of the table, in turn, on a small valid call
+    small = {
+        "lyapunov": ["--a", identity_file, "--q", identity_file],
+        "simulate": _simulate_argv(identity_file)[1:] + ["--stride=1"],
+        "two-stage": _two_stage_argv(identity_file)[1:] + ["--replicas=2", "--stride=1"],
+        "kl": ["--q", gaussian_file, "--p", gaussian_file, "--mc-draws=1000"],
+        "bound": ["--kl=1", "--n=10", "--delta=0.05"],
+        "lemma-survey": ["--dims=1-2", "--pairs-per-dim=2"],
+        "dominance": ["--sigma-pt", identity_file, "--sigma-ft", identity_file,
+                      "--shift=1,0", "--n-pt=10", "--n-ft=10"],
+        "validity": ["--trials=10", "--n=20"],
+        "scaling": ["--ns=10,40", "--trials=2"],
+    }[name]
+    output = tmp_path / "payload"
+    for key, option in cli._COMMANDS[name]["options"].items():
+        if option.parse is cli._float:
+            values = _EXTREME_FLOATS
+        elif option.parse is cli._int:
+            values = _EXTREME_INTS[:2] if key in _COUNT_OPTIONS else _EXTREME_INTS
+        else:
+            continue
+        for value in values:
+            argv = [name, *small, f"{cli._flag(key)}={value}", f"--output={output}"]
+            # an exception or a warning escaping main() fails this call with its traceback
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv)
+            capsys.readouterr()
+            assert code in (0, 2, 3), argv
+            if code == 0:
+                text = output.read_text()
+                if name in ("lyapunov", "simulate"):
+                    assert "inf" not in text and "nan" not in text, argv
+                else:
+                    json.loads(text, parse_constant=_refuse_constant)
+
+
 def test_unknown_flag_exits_2(capsys):
     code, out, err = run_cli(capsys, "bound", "--kl", "0", "--n", "5", "--delta", "0.5",
                              "--bogus", "1")

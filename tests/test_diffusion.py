@@ -6,6 +6,7 @@ limit.  Noise-free chains are checked against the exact linear
 recursion.
 """
 
+import math
 import sys
 import threading
 import tracemalloc
@@ -35,7 +36,7 @@ from oupac import (
     two_stage_run,
 )
 from oupac import diffusion
-from oupac.gaussian import empirical_moments, sample
+from oupac.gaussian import _centred_moments, empirical_moments, sample
 from oupac.rng import child_seed, make_rng
 
 
@@ -151,10 +152,12 @@ def _serial_two_stage(pt_loss, pt_dyn, ft_loss, ft_dyn, pt_steps, ft_steps, repl
     moments and the moments pooled in replica order."""
     chains = _serial_chains(pt_loss, pt_dyn, ft_loss, ft_dyn, pt_steps, ft_steps, replicas,
                             stride, master_seed, init_mode)
-    moments = [(diffusion._scan_moments(pt[burn_in:]), diffusion._scan_moments(ft[burn_in:]))
-               for pt, ft, _ in chains]
-    plans = [diffusion._ScanPlan(pt_loss, pt_dyn), diffusion._ScanPlan(ft_loss, ft_dyn)]
-    return diffusion._pooled_estimates(moments, plans)
+    pt_pool = ft_pool = None
+    for pt, ft, _ in chains:
+        pt_pool = diffusion._merged(pt_pool, _centred_moments(pt[burn_in:]))
+        ft_pool = diffusion._merged(ft_pool, _centred_moments(ft[burn_in:]))
+    return (diffusion._stage_estimate(pt_pool, diffusion._ScanPlan(pt_loss, pt_dyn)),
+            diffusion._stage_estimate(ft_pool, diffusion._ScanPlan(ft_loss, ft_dyn)))
 
 
 def _replay_error(got: np.ndarray, want: np.ndarray) -> float:
@@ -230,6 +233,14 @@ class TestStabilityCheck:
         assert report.spectral_radius == pytest.approx(1.0, rel=1e-14)
         assert not report.stable
 
+    def test_overflowing_rate_gives_an_infinite_radius_without_a_warning(self):
+        # lr * lambda overflows to inf: the radius is inf, and the run is refused
+        dyn = SgdDynamics(1e308, 1, np.eye(2))
+        loss = QuadraticLoss(make_spd(np.diag([1.0, 30.0])), np.zeros(2))
+        assert stability_check(loss, dyn) == (False, math.inf)
+        with pytest.raises(UnstableDynamicsError, match="lr too large"):
+            simulate_chain(np.zeros(2), loss, dyn, 10, seed=0)
+
 
 class TestSimulateChain:
     def test_noise_free_matches_exact_recursion(self):
@@ -257,6 +268,19 @@ class TestSimulateChain:
         dyn = SgdDynamics(3.0, 1, np.eye(2))
         with pytest.raises(UnstableDynamicsError, match="stability_check"):
             simulate_chain(np.zeros(2), loss, dyn, 10, seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_init_rejected(self, bad):
+        dyn = SgdDynamics(0.1, 1, np.eye(2))
+        with pytest.raises(InvalidRangeError, match="^init contains non-finite entries$"):
+            simulate_chain(np.array([bad, 0.0]), isotropic_loss(2), dyn, 10, seed=0)
+
+    def test_batch_beyond_int64_scales_the_noise_as_its_float(self):
+        # the noise scale is lr / sqrt(b) with b taken as a float64
+        loss = isotropic_loss(2)
+        states = [simulate_chain(np.ones(2), loss, SgdDynamics(0.1, batch, np.eye(2)), 50,
+                                 stride=1, seed=3).states for batch in (2**64, 2.0**64)]
+        np.testing.assert_array_equal(*states)
 
     def test_empirical_covariance_near_stein_solution(self):
         loss = isotropic_loss(2)
@@ -343,8 +367,7 @@ def test_scan_plan_matches_broadcast_scan_bit_for_bit(dim, steps, stride, kind, 
         patch.setattr(diffusion, "NOISE_CHUNK", chunk)
         traj = simulate_chain(init, loss, dyn, steps, stride=stride, seed=seed)
         records, final = diffusion._run_chain(
-            init, diffusion._ScanPlan(loss, dyn), steps, stride,
-            diffusion._normal_chunks(make_rng(seed), steps, dim))
+            init, diffusion._ScanPlan(loss, dyn), steps, stride, make_rng(seed))
         want, want_final = _broadcast_scan_chain(init, loss, dyn, steps, stride,
                                                  make_rng(seed))
     assert np.array_equal(traj.states, _absolute(want, init, loss))
@@ -352,19 +375,20 @@ def test_scan_plan_matches_broadcast_scan_bit_for_bit(dim, steps, stride, kind, 
     assert np.array_equal(final, want_final)
 
 
-def test_run_chain_peak_memory_is_records_noise_and_scratch():
-    # 20k steps in one noise chunk: the records, the normal draws and their
-    # rotation, the plan's (4097 + 2 * 512) * d scratch floats, and 32 KiB
-    # for the plan's views and the d x d arrays (about 11 KB); no
-    # records-sized or noise-sized buffer more
+@pytest.mark.parametrize("chunk", [diffusion.NOISE_CHUNK, 5000])
+def test_run_chain_peak_memory_is_records_noise_and_scratch(monkeypatch, chunk):
+    # 20k steps in one noise chunk or in four: the records, one chunk of
+    # normal draws and its rotation, the plan's (4097 + 2 * 512) * d scratch
+    # floats, and 32 KiB for the plan's views and the d x d arrays (about
+    # 11 KB); no records-sized or noise-sized buffer more
+    monkeypatch.setattr(diffusion, "NOISE_CHUNK", chunk)
     dim, steps = 10, 20_000
     loss, dyn = _replay_case(dim, 0.6, seed=3)
-    cap = ((steps + 1) + 2 * steps + (4097 + 2 * 512)) * dim * 8 + (1 << 15)
+    cap = ((steps + 1) + 2 * min(chunk, steps) + (4097 + 2 * 512)) * dim * 8 + (1 << 15)
     rng = make_rng(3)
     tracemalloc.start()
     try:
-        diffusion._run_chain(np.zeros(dim), diffusion._ScanPlan(loss, dyn), steps, 1,
-                             diffusion._normal_chunks(rng, steps, dim))
+        diffusion._run_chain(np.zeros(dim), diffusion._ScanPlan(loss, dyn), steps, 1, rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -125,7 +125,8 @@ class TestSteinStationaryCovariance:
             gap = np.linalg.norm(x - lyap, "fro") / np.linalg.norm(lyap, "fro")
             assert 0 < gap <= lr * 2.0  # first-order in lr, since ||A|| <= 2
 
-    @pytest.mark.parametrize("lr, batch", [(0.0, 1), (float("nan"), 1), (0.1, 0)])
+    @pytest.mark.parametrize("lr, batch", [(0.0, 1), (float("nan"), 1), (0.1, 0),
+                                           (0.1, 10**400)])
     def test_rejects_rate_outside_range(self, lr, batch):
         with pytest.raises(InvalidRangeError):
             stein_stationary_covariance(make_spd(np.eye(2)), make_spd(np.eye(2)), lr, batch)
