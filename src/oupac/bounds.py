@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidRangeError, InvalidSpecError
 from .gaussian import _check_float_count, _pair_divergences, check_rate
-from .linalg import (SpdMatrix, _check_held, _frozen_vector, _in_groups, _make_spd_stack,
-                     _random_spd_entries, log_det)
+from .linalg import (SpdMatrix, SymmetricMatrix, _check_held, _frozen_vector, _in_groups,
+                     _make_spd_stack, _random_spd_entries, log_det)
 # cholesky_factor is not called here; bench/tests/test_bench_trace.py reads it from here
 from .linalg import cholesky_factor  # noqa: F401
 from .rng import _child_seeds, _streams
@@ -320,7 +320,7 @@ def _survey_group(d, pairs, seed, eigenvalue_low, eigenvalue_high, shift_scale):
 
 def kl_upper_bound_trace(
     hessian: SpdMatrix,
-    noise_cov: SpdMatrix,
+    noise_cov: SymmetricMatrix,
     lr: float,
     batch_size: int,
     sigma: SpdMatrix,

@@ -58,7 +58,7 @@ from .errors import (DimensionMismatchError, InvalidRangeError, NumericalInconsi
                      TooFewSamplesError, UnstableDynamicsError)
 from .gaussian import (MomentEstimate, _centred_moments, check_rate, empirical_moments, sample,
                        stationary_from_dynamics)
-from .linalg import SpdMatrix, SymmetricMatrix, _check_held, _frozen_vector, make_spd
+from .linalg import SpdMatrix, SymmetricMatrix, _check_held, _frozen_vector
 from .rng import child_seed, make_rng
 
 #: Steps of simulation noise generated per chunk (bounds peak memory).
@@ -111,14 +111,15 @@ class SgdDynamics:
     The single-sample gradient-noise covariance ``C = B^T B`` is
     computed once and cached.  The simulated chain adds
     ``(lr / sqrt(batch_size)) * B^T z`` per step, whose covariance is
-    ``(lr^2 / batch_size) * C`` for any square B, symmetric or not.  A
-    rank-deficient B (semidefinite C) is allowed.
+    ``(lr^2 / batch_size) * C`` for any square B, symmetric or not.  C
+    is a :class:`SymmetricMatrix`, not an :class:`SpdMatrix`: only its
+    entries are read, so a rank-deficient B (semidefinite C) is allowed.
     """
 
     lr: float
     batch_size: int
     noise_factor: np.ndarray
-    noise_cov: SpdMatrix = field(init=False)
+    noise_cov: SymmetricMatrix = field(init=False)
 
     def __post_init__(self):
         check_rate(self.lr, self.batch_size)
@@ -130,9 +131,9 @@ class SgdDynamics:
         factor = factor.copy()
         factor.flags.writeable = False
         object.__setattr__(self, "noise_factor", factor)
-        with np.errstate(over="ignore", invalid="ignore"):  # make_spd rejects an overflow
+        with np.errstate(over="ignore", invalid="ignore"):  # SymmetricMatrix rejects an overflow
             gram = factor.T @ factor
-        object.__setattr__(self, "noise_cov", make_spd(gram, strictness="semidefinite"))
+        object.__setattr__(self, "noise_cov", SymmetricMatrix(gram))
 
     @property
     def dim(self) -> int:

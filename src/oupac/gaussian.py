@@ -62,7 +62,7 @@ class GaussianMeasure:
 
     def __post_init__(self):
         mean = _frozen_vector(self.mean, "mean")
-        if self.covariance.strictness != "strict":
+        if not isinstance(self.covariance, SpdMatrix):
             raise NotPositiveDefiniteError(
                 "GaussianMeasure requires a strictly positive definite covariance"
             )
@@ -126,7 +126,7 @@ def _check_float_count(count: int, name: str, error: type[Exception]) -> None:
 def stationary_from_dynamics(
     hessian: SpdMatrix,
     minimizer: np.ndarray,
-    noise_cov: SpdMatrix,
+    noise_cov: SymmetricMatrix,
     lr: float,
     batch_size: int,
 ) -> GaussianMeasure:
@@ -162,7 +162,7 @@ def stationary_from_dynamics(
 
 def stein_stationary_covariance(
     hessian: SpdMatrix,
-    noise_cov: SymmetricMatrix | SpdMatrix,
+    noise_cov: SymmetricMatrix,
     lr: float,
     batch_size: int,
 ) -> SymmetricMatrix:
@@ -189,8 +189,7 @@ def stein_stationary_covariance(
     return solve_discrete_stein(step_map, SymmetricMatrix(per_step_cov))
 
 
-def _stationary_rhs(noise_cov: SymmetricMatrix | SpdMatrix, lr: float,
-                    batch_size: int) -> SymmetricMatrix:
+def _stationary_rhs(noise_cov: SymmetricMatrix, lr: float, batch_size: int) -> SymmetricMatrix:
     """Right-hand side ``(lr / batch_size) * C`` of the stationary Lyapunov equation."""
     return SymmetricMatrix((lr / float(batch_size)) * noise_cov.entries)
 

@@ -13,10 +13,12 @@ the eigenbasis solve, the residual check) take arrays with leading stack
 axes, one item per trailing matrix; a public function calls them on one
 matrix.  :func:`_in_groups` states how a stack raises.
 
-An :class:`SpdMatrix` owns its decompositions, each computed once, at
-first use, at the OpenBLAS thread count in force then;
-:func:`cholesky_factor` and :func:`log_det` read them.  A stack of raw
-entries is factored at each call and nothing of it is kept.
+An :class:`SpdMatrix` is a :class:`SymmetricMatrix` that passed the
+strict eigenvalue check; every covariance a Gaussian or a bound reads is
+one.  It owns its decompositions, each computed once, at first use, at
+the OpenBLAS thread count in force then; :func:`cholesky_factor` and
+:func:`log_det` read them.  A stack of raw entries is factored at each
+call and nothing of it is kept.
 
 All values are immutable after construction (an SPD value's kept
 decompositions never change once made) and all functions are pure, so
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Literal, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,11 +45,8 @@ from .errors import (
 )
 from .rng import make_rng
 
-Strictness = Literal["strict", "semidefinite"]
-
 #: Relative eigenvalue tolerance for the SPD check: a matrix is accepted
-#: as strict (semidefinite) when every eigenvalue exceeds +tol (-tol)
-#: with tol = PSD_RTOL * max(largest |eigenvalue|, 1).
+#: when every eigenvalue exceeds tol = PSD_RTOL * max(largest |eigenvalue|, 1).
 PSD_RTOL = 1e-10
 
 #: Relative Frobenius tolerance for solver residuals:
@@ -198,32 +197,23 @@ class SymmetricMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class SpdMatrix:
-    """Symmetric (semi-)positive-definite matrix.
-
-    ``strictness`` records which eigenvalue check the matrix passed at
-    construction: ``"strict"`` requires every eigenvalue above the
-    relative tolerance, ``"semidefinite"`` allows eigenvalues down to
-    minus that tolerance.  Cholesky factorization is guaranteed to
-    succeed for strict instances.
+class SpdMatrix(SymmetricMatrix):
+    """Symmetric strictly positive-definite matrix: every eigenvalue
+    exceeds the relative tolerance ``PSD_RTOL``, so Cholesky
+    factorization succeeds.
 
     ``eigenvalues`` are the ascending ``eigvalsh`` eigenvalues that the
     check read; ``factor`` (lower Cholesky), ``log_det`` and ``eigh``
     (eigenvalues and eigenvectors as columns) are made at first use and
-    kept (module docstring).  Every array is read-only.  A factorization
-    that fails, as it can for a semidefinite matrix, raises
-    :class:`NotPositiveDefiniteError` at every access.
+    kept (module docstring).  Every array is read-only.
     """
 
-    base: SymmetricMatrix
-    strictness: Strictness = "strict"
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.strictness not in ("strict", "semidefinite"):
-            raise ValueError(f"unknown strictness {self.strictness!r}")
-        eigenvalues = np.linalg.eigvalsh(self.base.entries)
-        _spd_verdict(eigenvalues, self.strictness).check()
+        super().__post_init__()
+        eigenvalues = np.linalg.eigvalsh(self.entries)
+        _spd_verdict(eigenvalues).check()
         object.__setattr__(self, "eigenvalues", _read_only(eigenvalues))
 
     @cached_property
@@ -239,44 +229,29 @@ class SpdMatrix:
         values, vectors = np.linalg.eigh(self.entries)
         return _read_only(values), _read_only(vectors)
 
-    @property
-    def entries(self) -> np.ndarray:
-        return self.base.entries
 
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-
-def _spd_verdict(eigenvalues: np.ndarray, strictness: Strictness) -> Verdict:
+def _spd_verdict(eigenvalues: np.ndarray) -> Verdict:
     """The SPD eigenvalue test (see ``PSD_RTOL``) on ascending eigenvalues
     ``(..., d)`` of a stack of symmetric matrices."""
     smallest = eigenvalues[..., 0]
     tol = PSD_RTOL * np.maximum(np.abs(eigenvalues).max(axis=-1), 1.0)
-    if strictness == "strict":  # not (x > tol), so that a NaN eigenvalue fails
-        bad = ~(smallest > tol)
-        text = "strictly positive definite: smallest eigenvalue {:.6g} <= tolerance {:.3g}"
-    else:
-        bad = ~(smallest > -tol)
-        text = "positive semidefinite: smallest eigenvalue {:.6g} < -{:.3g}"
 
     def error(i: int) -> NotPositiveDefiniteError:
         value = float(_item(smallest, i))
-        return NotPositiveDefiniteError("matrix is not " + text.format(value, _item(tol, i)),
-                                        smallest_eigenvalue=value)
+        return NotPositiveDefiniteError(
+            f"matrix is not strictly positive definite: smallest eigenvalue {value:.6g} "
+            f"<= tolerance {_item(tol, i):.3g}", smallest_eigenvalue=value)
 
-    return Verdict(bad, error)
+    return Verdict(~(smallest > tol), error)  # not (x > tol), so that a NaN eigenvalue fails
 
 
-def make_spd(entries, strictness: Strictness = "strict") -> SpdMatrix:
+def make_spd(entries) -> SpdMatrix:
     """Build a validated :class:`SpdMatrix` from a square array.
 
     Parameters
     ----------
     entries : array_like, shape (d, d)
         Square matrix of finite reals; symmetrized on construction.
-    strictness : {"strict", "semidefinite"}
-        Eigenvalue check to apply.
 
     Raises
     ------
@@ -287,16 +262,16 @@ def make_spd(entries, strictness: Strictness = "strict") -> SpdMatrix:
         If the eigenvalue check fails (the exception carries the
         smallest eigenvalue found).
     """
-    return SpdMatrix(SymmetricMatrix(entries), strictness)
+    return SpdMatrix(entries)
 
 
 def _make_spd_stack(entries: np.ndarray) -> np.ndarray:
-    """:func:`make_spd` (strict) on each matrix of a stack ``(..., d, d)``: the
+    """:func:`make_spd` on each matrix of a stack ``(..., d, d)``: the
     symmetrized entries.  The first failing matrix raises, by its first
     failing check in make_spd's order (finite entries, a finite
     symmetrization, then the eigenvalue test)."""
     sym, finite = _finite_symmetrized(entries)
-    (finite | _spd_verdict(np.linalg.eigvalsh(sym), "strict")).check()
+    (finite | _spd_verdict(np.linalg.eigvalsh(sym))).check()
     return sym
 
 
@@ -344,7 +319,7 @@ def solve_continuous_lyapunov(a: SpdMatrix, q: SymmetricMatrix) -> SymmetricMatr
     a : SpdMatrix
         Strict SPD coefficient matrix.
     q : SymmetricMatrix
-        Right-hand side; an :class:`SpdMatrix` is accepted as well.
+        Right-hand side.
 
     Returns
     -------
@@ -353,18 +328,11 @@ def solve_continuous_lyapunov(a: SpdMatrix, q: SymmetricMatrix) -> SymmetricMatr
 
     Raises
     ------
-    NotPositiveDefiniteError
-        If ``a`` was constructed with semidefinite strictness.
     DimensionMismatchError
         If dimensions disagree.
     ResidualTooLargeError
         If the residual check fails (signals numerical breakdown).
     """
-    if a.strictness != "strict":
-        raise NotPositiveDefiniteError(
-            "continuous Lyapunov solve requires a strictly positive definite "
-            "coefficient matrix"
-        )
     q_entries = _symmetric_entries(q)
     _check_same_dim(a.entries, q_entries)
     lam, vecs = a.eigh
@@ -385,10 +353,10 @@ def solve_discrete_stein(m, q: SymmetricMatrix) -> SymmetricMatrix:
 
     This is the exact stationary covariance of the linear recursion
     ``x' = M x + noise`` with per-step noise covariance Q; it exists
-    when the spectral radius of M is below 1.  M (an array, a
-    :class:`SymmetricMatrix` or an :class:`SpdMatrix`) must be exactly
-    symmetric, as every SGD step map ``I - lr*A`` is: one
-    eigendecomposition ``M = V diag(mu) V^T`` gives the spectral radius
+    when the spectral radius of M is below 1.  M (an array or a
+    :class:`SymmetricMatrix`) must be exactly symmetric, as every SGD
+    step map ``I - lr*A`` is: one eigendecomposition
+    ``M = V diag(mu) V^T`` gives the spectral radius
     and the exact solution ``Xt[i, j] = Qt[i, j] / (1 - mu[i] mu[j])``
     with ``Qt = V^T Q V``, ``X = V Xt V^T``, refined once by the same
     solve for its residual.
@@ -402,8 +370,7 @@ def solve_discrete_stein(m, q: SymmetricMatrix) -> SymmetricMatrix:
     ResidualTooLargeError
         If the residual check fails.
     """
-    m_arr = (m.entries if isinstance(m, (SpdMatrix, SymmetricMatrix))
-             else _as_square_array(m, "M"))
+    m_arr = m.entries if isinstance(m, SymmetricMatrix) else _as_square_array(m, "M")
     q_entries = _symmetric_entries(q)
     _check_same_dim(m_arr, q_entries)
     if not np.array_equal(m_arr, m_arr.T):
@@ -475,7 +442,7 @@ def _solve_in_eigenbasis(vecs: np.ndarray, rhs: np.ndarray, denom: np.ndarray) -
 
 
 def _symmetric_entries(q) -> np.ndarray:
-    if isinstance(q, (SpdMatrix, SymmetricMatrix)):
+    if isinstance(q, SymmetricMatrix):
         return q.entries
     return SymmetricMatrix(q).entries
 

@@ -219,7 +219,7 @@ def _gap_group(task, sgd, spec, prior, streams):
     x, y = _datasets(task, streams)
     hessian = _symmetrized(_gram(x))
     eigenvalues = np.linalg.eigvalsh(hessian)
-    design = _spd_verdict(eigenvalues, "strict")
+    design = _spd_verdict(eigenvalues)
     Verdict(design.bad, lambda i: _singular_design(design.error(i))).check()
     minimizer, offset = _least_squares(x, y, hessian)
     _check_dims(task, sgd)  # as stability_check does, with the task's dimension for the loss's
@@ -231,7 +231,7 @@ def _gap_group(task, sgd, spec, prior, streams):
     lam, vecs = np.linalg.eigh(hessian)
     rhs = _stationary_rhs(sgd.noise_cov, sgd.lr, sgd.batch_size).entries
     cov = _lyapunov_in_eigenbasis(hessian, lam, vecs, rhs)
-    _spd_verdict(np.linalg.eigvalsh(cov), "strict").check()
+    _spd_verdict(np.linalg.eigvalsh(cov)).check()
     population = population_quadratic(task)
     expected = _expected_risks(population.hessian.entries, population.minimizer,
                                population.offset, minimizer, cov)

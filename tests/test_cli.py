@@ -585,19 +585,20 @@ def _stage_flags(prefix: str, hessian: str, factor: str) -> list[str]:
      {"cholesky": 2, "eigh": 0, "eigvalsh": 2}),
     (["two-stage", *_stage_flags("pt-", "h.txt", "b.txt"),
       *_stage_flags("ft-", "s.txt", "b.txt"), "--init-mode", "analytic_sample"],
-     {"cholesky": 1, "eigh": 2, "eigvalsh": 5}),
+     {"cholesky": 1, "eigh": 2, "eigvalsh": 3}),
     (["two-stage", *_stage_flags("pt-", "h.txt", "b.txt"),
       *_stage_flags("ft-", "s.txt", "b.txt"), "--init-mode", "chain_continue"],
-     {"cholesky": 0, "eigh": 2, "eigvalsh": 4}),
-    (["simulate", *_stage_flags("", "h.txt", "b.txt")],
      {"cholesky": 0, "eigh": 2, "eigvalsh": 2}),
+    (["simulate", *_stage_flags("", "h.txt", "b.txt")],
+     {"cholesky": 0, "eigh": 2, "eigvalsh": 1}),
 ], ids=["kl", "dominance", "two-stage-analytic_sample", "two-stage-chain_continue", "simulate"])
 def test_each_spd_value_decomposes_once_per_call(capsys, monkeypatch, tmp_path, argv, expected):
     # every SPD value is decomposed once: cholesky once per covariance used (the
     # pre-training bound reads sigma_pt's log det from its factor), eigh once per
     # Hessian (the Lyapunov solve and the chain scan share it) and once for the
     # simulate Stein solve's step map, and eigvalsh once per SPD value, at its
-    # check, whose eigenvalues the stability checks reuse
+    # check, whose eigenvalues the stability checks reuse; the noise covariance
+    # C = B^T B is a SymmetricMatrix, not an SPD value, and is never decomposed
     write_matrix(tmp_path / "h.txt", [[2.0, 0.5, 0.0], [0.5, 1.0, 0.1], [0.0, 0.1, 1.5]])
     write_matrix(tmp_path / "s.txt", [[1.5, 0.2, 0.0], [0.2, 0.8, 0.0], [0.0, 0.0, 1.2]])
     write_matrix(tmp_path / "b.txt", [[0.5, 0.1, 0.0], [0.0, 0.4, 0.1], [0.0, 0.0, 0.3]])

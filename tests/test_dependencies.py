@@ -57,3 +57,32 @@ def test_importing_the_package_and_its_cli_leaves_numpy_random_unimported():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads, skipping ``from __future__``
+    and any import whose lines carry ``# noqa: F401``."""
+    source = path.read_text()
+    tree = ast.parse(source, filename=str(path))
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_every_package_import_is_used():
+    # __init__.py imports names only to re-export them
+    sources = sorted(path for path in (ROOT / "src" / "oupac").glob("*.py")
+                     if path.name != "__init__.py")
+    assert len(sources) > 10
+    assert {path.name: unused for path in sources
+            if (unused := _unused_imports(path))} == {}

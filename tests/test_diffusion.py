@@ -21,6 +21,7 @@ from oupac import (
     InvalidRangeError,
     QuadraticLoss,
     SgdDynamics,
+    SpdMatrix,
     SymmetricMatrix,
     TooFewSamplesError,
     UnstableDynamicsError,
@@ -819,12 +820,15 @@ class TestValueTypes:
     def test_noise_cov_cached_as_gram(self):
         b = np.array([[1.0, 1.0], [0.0, 1.0]])
         dyn = SgdDynamics(0.1, 1, b)
-        np.testing.assert_allclose(dyn.noise_cov.entries, b.T @ b)
-        assert dyn.noise_cov.strictness == "semidefinite"
+        np.testing.assert_array_equal(dyn.noise_cov.entries, b.T @ b)
+        assert isinstance(dyn.noise_cov, SymmetricMatrix)
+        assert not isinstance(dyn.noise_cov, SpdMatrix)
 
     def test_rank_deficient_noise_factor_allowed(self):
         dyn = SgdDynamics(0.1, 1, np.diag([1.0, 0.0]))
-        assert dyn.noise_cov.strictness == "semidefinite"
+        np.testing.assert_array_equal(dyn.noise_cov.entries, np.diag([1.0, 0.0]))
+        assert isinstance(dyn.noise_cov, SymmetricMatrix)
+        assert not isinstance(dyn.noise_cov, SpdMatrix)
 
     def test_trajectory_record_count_invariant(self):
         from oupac import Trajectory

@@ -97,7 +97,7 @@ class TestStationaryFromDynamics:
 
     def test_rank_deficient_noise_rejected(self):
         # singular noise covariance gives a singular stationary covariance
-        c = make_spd(np.diag([1.0, 0.0]), strictness="semidefinite")
+        c = SymmetricMatrix(np.diag([1.0, 0.0]))
         with pytest.raises(NotPositiveDefiniteError):
             stationary_from_dynamics(make_spd(np.eye(2)), np.zeros(2), c, 0.1, 1)
 

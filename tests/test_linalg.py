@@ -25,6 +25,8 @@ from oupac import (
     QuadraticLoss,
     RegressionTask,
     ResidualTooLargeError,
+    SgdDynamics,
+    SpdMatrix,
     SpectralRadiusTooLargeError,
     SymmetricMatrix,
     cholesky_factor,
@@ -39,7 +41,7 @@ from oupac.bounds import _discrepancies
 from oupac.errors import OupacError
 from oupac.gaussian import GaussianMeasure, _kl_divergences, _pair_divergences, gaussian_pair_terms
 from oupac.linalg import (_in_groups, _log_det_of_factor, _lyapunov_in_eigenbasis,
-                          _make_spd_stack, _residual_verdict, _spd_verdict)
+                          _make_spd_stack, _residual_verdict, _spd_verdict, _symmetric_entries)
 from oupac.rng import make_rng
 
 from conftest import random_symmetric
@@ -51,7 +53,7 @@ class TestMakeSpd:
     def test_identity_strict(self):
         m = make_spd(np.eye(2))
         assert m.dim == 2
-        assert m.strictness == "strict"
+        assert isinstance(m, SymmetricMatrix)
         np.testing.assert_array_equal(m.entries, np.eye(2))
 
     def test_indefinite_rejected_with_smallest_eigenvalue(self):
@@ -66,12 +68,21 @@ class TestMakeSpd:
         eigs = np.linalg.eigvalsh(m.entries)
         assert eigs[0] == pytest.approx(0.001, rel=1e-9)
 
-    def test_semidefinite_accepts_singular(self):
+    def test_singular_rejected(self):
         singular = np.array([[1.0, 1.0], [1.0, 1.0]])
-        m = make_spd(singular, strictness="semidefinite")
-        assert m.strictness == "semidefinite"
         with pytest.raises(NotPositiveDefiniteError):
-            make_spd(singular, strictness="strict")
+            make_spd(singular)
+
+    def test_an_spd_value_is_a_symmetric_matrix(self):
+        x = np.array([[2.0, 0.3], [0.1, 1.0]])
+        spd = make_spd(x)
+        assert isinstance(spd, SymmetricMatrix)
+        assert spd.entries.tobytes() == SpdMatrix(x).entries.tobytes()
+        assert _symmetric_entries(spd) is spd.entries
+        # the noise covariance of a rank-deficient factor is symmetric but not SPD
+        noise_cov = SgdDynamics(0.1, 1, np.diag([1.0, 0.0])).noise_cov
+        with pytest.raises(NotPositiveDefiniteError):
+            GaussianMeasure(np.zeros(2), noise_cov)
 
     def test_not_square(self):
         with pytest.raises(NotSquareError):
@@ -110,10 +121,8 @@ class TestMakeSpd:
             with pytest.raises(NotSquareError, match=re.escape("(M + M^T) / 2 overflows")):
                 _make_spd_stack(np.stack([big, non_spd]))
 
-    @pytest.mark.parametrize("strictness", ["strict", "semidefinite"])
-    def test_nan_eigenvalues_fail_the_spd_check(self, strictness):
-        verdict = _spd_verdict(np.array([[np.nan, np.nan], [1.0, 2.0], [-np.inf, 1.0]]),
-                               strictness)
+    def test_nan_eigenvalues_fail_the_spd_check(self):
+        verdict = _spd_verdict(np.array([[np.nan, np.nan], [1.0, 2.0], [-np.inf, 1.0]]))
         assert verdict.bad.tolist() == [True, False, True]
         with pytest.raises(NotPositiveDefiniteError, match="smallest eigenvalue nan"):
             verdict.check()
@@ -194,11 +203,6 @@ class TestContinuousLyapunov:
         ours = solve_continuous_lyapunov(a, q).entries
         theirs = scipy.linalg.solve_continuous_lyapunov(a.entries, q.entries)
         np.testing.assert_allclose(ours, theirs, rtol=1e-9, atol=1e-12)
-
-    def test_semidefinite_coefficient_rejected(self):
-        a = make_spd(np.eye(2), strictness="semidefinite")
-        with pytest.raises(NotPositiveDefiniteError):
-            solve_continuous_lyapunov(a, SymmetricMatrix(np.eye(2)))
 
     def test_rhs_doubling_doubles_solution_exactly(self):
         a = random_spd(5, 0.3, 3.0, seed=21)
@@ -464,16 +468,6 @@ class TestKeptDecompositions:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 
-    def test_a_failing_factorization_raises_at_every_access(self):
-        m = make_spd(np.diag([1.0, 0.0]), strictness="semidefinite")
-        for _ in range(2):
-            with pytest.raises(NotPositiveDefiniteError, match="Cholesky factorization failed"):
-                cholesky_factor(m)
-            with pytest.raises(NotPositiveDefiniteError, match="Cholesky factorization failed"):
-                log_det(m)
-        assert "factor" not in vars(m) and "log_det" not in vars(m)
-        assert m.eigh[0].tolist() == [0.0, 1.0]
-
     def test_a_stack_of_entries_is_factored_at_each_call(self, monkeypatch):
         stack = np.stack([random_spd(3, 0.5, 2.0, seed=seed).entries for seed in range(4)])
         calls = []
@@ -511,18 +505,17 @@ def _failure(call) -> str | None:
     dim=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
     low=st.sampled_from([-1e-3, -1e-11, 0.0, 1e-11, 2e-10, 1e-3, 0.5]),
-    strictness=st.sampled_from(["strict", "semidefinite"]),
 )
-def test_stacked_spd_test_matches_per_matrix_checks(count, dim, seed, low, strictness):
+def test_stacked_spd_test_matches_per_matrix_checks(count, dim, seed, low):
     stack = _spd_stack(count, dim, low, 2.0, seed)
-    verdict = _spd_verdict(np.linalg.eigvalsh(stack), strictness)
+    verdict = _spd_verdict(np.linalg.eigvalsh(stack))
     for index, entries in enumerate(stack):
-        want = _failure(lambda: make_spd(entries, strictness))
+        want = _failure(lambda: make_spd(entries))
         assert bool(verdict.bad[index]) == (want is not None)
         if want is not None:
             assert str(verdict.error(index)) == want
     assert _failure(verdict.check) == next(
-        (m for m in (_failure(lambda: make_spd(e, strictness)) for e in stack) if m), None)
+        (m for m in (_failure(lambda: make_spd(e)) for e in stack) if m), None)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -208,8 +208,8 @@ def test_stationary_solutions_scale_with_the_noise_bit_for_bit(dim, kappa, seed,
     hessian, factor, _, lr = _stage(dim, kappa, seed)
     noise = factor.T @ factor
     scale = 2.0**power
-    scaled = make_spd(scale * noise, strictness="semidefinite")
-    noise = make_spd(noise, strictness="semidefinite")
+    scaled = SymmetricMatrix(scale * noise)
+    noise = SymmetricMatrix(noise)
     # the solve of stationary_from_dynamics, whose SPD check of the solution
     # has an absolute floor (PSD_RTOL) that a small enough scale falls below
     lyapunov = solve_continuous_lyapunov(hessian, SymmetricMatrix(lr / batch * noise.entries))
