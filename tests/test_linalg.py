@@ -468,6 +468,16 @@ class TestKeptDecompositions:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 
+    def test_a_failing_factorization_raises_at_every_access(self):
+        # only entries that are not an SpdMatrix can reach a failing factorization
+        singular = SgdDynamics(0.1, 1, np.diag([1.0, 0.0])).noise_cov
+        stack = np.stack([np.eye(2), np.diag([1.0, 0.0])])
+        for m in (singular, singular.entries, stack):
+            for _ in range(2):
+                with pytest.raises(NotPositiveDefiniteError, match="Cholesky factorization failed"):
+                    cholesky_factor(m)
+        assert vars(singular).keys() == {"entries"}
+
     def test_a_stack_of_entries_is_factored_at_each_call(self, monkeypatch):
         stack = np.stack([random_spd(3, 0.5, 2.0, seed=seed).entries for seed in range(4)])
         calls = []
