@@ -55,7 +55,6 @@ from .errors import (
 from .gaussian import (
     GaussianMeasure,
     MomentEstimate,
-    empirical_moments,
     kl_divergence,
     log_density,
     mc_kl_estimate,
@@ -103,8 +102,8 @@ __all__ = [
     "NumericalInconsistencyError", "OupacError", "ResidualTooLargeError",
     "SingularDesignError", "SpectralRadiusTooLargeError", "TooFewSamplesError",
     "UnstableDynamicsError",
-    "GaussianMeasure", "MomentEstimate", "empirical_moments", "kl_divergence",
-    "log_density", "mc_kl_estimate", "sample", "standard_gaussian",
+    "GaussianMeasure", "MomentEstimate", "kl_divergence", "log_density",
+    "mc_kl_estimate", "sample", "standard_gaussian",
     "stationary_from_dynamics", "stein_stationary_covariance",
     "SpdMatrix", "SymmetricMatrix", "cholesky_factor", "log_det",
     "make_spd", "random_spd", "solve_continuous_lyapunov",

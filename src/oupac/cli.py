@@ -42,7 +42,9 @@ from .bounds import (
 from .diffusion import (
     QuadraticLoss,
     SgdDynamics,
-    _simulate,
+    _check_run,
+    estimate_stationary,
+    simulate_chain,
     stability_check,
     two_stage_run,
 )
@@ -200,9 +202,10 @@ def _load_dynamics(params: dict, prefix: str = "") -> tuple[QuadraticLoss, SgdDy
 def _run_simulate(params: dict) -> tuple[str, Iterable[str]]:
     loss, dyn = _load_dynamics(params)
     report = stability_check(loss, dyn)
-    trajectory, estimate = _simulate(loss.minimizer, loss, dyn, params["steps"],
-                                     params["stride"], params["seed"], params["burn_in"],
-                                     "steps", moments=True)
+    steps, stride, burn_in = params["steps"], params["stride"], params["burn_in"]
+    _check_run(steps, stride, burn_in, 2, loss.dim, "steps")  # before the chain runs
+    trajectory = simulate_chain(loss.minimizer, loss, dyn, steps, stride, params["seed"])
+    estimate = estimate_stationary(trajectory, burn_in)
     stein = stein_stationary_covariance(loss.hessian, dyn.noise_cov, dyn.lr, dyn.batch_size)
     gap = _frobenius(estimate.covariance.entries - stein.entries)
     rel_gap = gap / max(_frobenius(stein.entries), np.finfo(float).tiny)

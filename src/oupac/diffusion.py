@@ -38,27 +38,30 @@ coordinates, one chunk of normals and its kicked copy, ``2 * NOISE_CHUNK
 
 Chain moments are taken in the scan's coordinates, where a chain far
 from the origin keeps its noise, and rotated back once
-(:func:`_stage_estimate`).  ``two_stage_run`` folds each chain's
-moments into one running pool per stage (:func:`_merged`), so it holds
-one chain's records at a time and ``replicas`` sizes no array.
-``simulate_chain`` peaks at twice its records: first while it rotates
-them back, then while ``Trajectory`` copies them.  The ``simulate``
-command then holds one chain's records and one block of its CSV text at
-a time (:mod:`oupac.matrixio`).
+(:func:`_stage_estimate`), by ``estimate_stationary`` and
+``two_stage_run`` alike.  ``two_stage_run`` folds each chain's moments
+into one running pool per stage (:func:`_merged`), so it holds one
+chain's records at a time and ``replicas`` sizes no array.  A
+``Trajectory`` keeps the scan's records as they are, with no copy; its
+``states``, rotated back at first use and kept, are a second
+records-sized array, so reading them peaks at twice the records (80.1 MB
+for the 40 MB of records of 500000 steps at stride 1 and d = 10).  The
+``simulate`` command then holds those two and one block of its CSV text
+at a time (:mod:`oupac.matrixio`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal, NamedTuple
 
 import numpy as np
 
 from .errors import (DimensionMismatchError, InvalidRangeError, NumericalInconsistencyError,
                      TooFewSamplesError, UnstableDynamicsError)
-from .gaussian import (MomentEstimate, _centred_moments, check_rate, empirical_moments, sample,
-                       stationary_from_dynamics)
-from .linalg import SpdMatrix, SymmetricMatrix, _check_held, _frozen_vector
+from .gaussian import MomentEstimate, check_rate, sample, stationary_from_dynamics
+from .linalg import SpdMatrix, SymmetricMatrix, _check_held, _frozen_vector, _read_only
 from .rng import child_seed, make_rng
 
 #: Steps of simulation noise generated per chunk (bounds peak memory).
@@ -144,30 +147,43 @@ class SgdDynamics:
 class Trajectory:
     """Recorded states of a simulated chain.
 
-    ``states`` holds the initial state plus every ``stride``-th state,
-    ``total_steps // stride + 1`` records in all.
+    ``records`` holds the initial state plus every ``stride``-th state,
+    ``total_steps // stride + 1`` rows in all, in the scan's coordinates
+    ``y = V^T (x - minimizer)``, V the Hessian's eigenbasis ``basis``; the
+    array is taken over, not copied, and made read-only.  ``states`` are
+    the records in the original coordinates, ``minimizer + V y`` with row 0
+    the exact ``init``, made at first use and kept.
     """
 
-    states: np.ndarray
+    records: np.ndarray
+    basis: np.ndarray
+    minimizer: np.ndarray
+    init: np.ndarray
     stride: int
     total_steps: int
     seed: int
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=float)
+        records = np.asarray(self.records, dtype=float)
         expected = self.total_steps // self.stride + 1
-        if states.shape[0] != expected:
+        if records.shape[0] != expected:
             raise DimensionMismatchError(
-                f"trajectory has {states.shape[0]} records, expected {expected} "
+                f"trajectory has {records.shape[0]} records, expected {expected} "
                 f"for {self.total_steps} steps at stride {self.stride}"
             )
-        states = states.copy()
-        states.flags.writeable = False
-        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "records", _read_only(records))
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        states = np.empty_like(self.records)
+        np.matmul(self.records[1:], self.basis.T, out=states[1:])
+        np.add(states[1:], self.minimizer, out=states[1:])
+        states[0] = self.init
+        return _read_only(states)
 
     @property
     def record_count(self) -> int:
-        return self.states.shape[0]
+        return self.records.shape[0]
 
 
 class StabilityReport(NamedTuple):
@@ -341,14 +357,24 @@ def _merged(pool: tuple | None, moments: tuple) -> tuple[int, np.ndarray, np.nda
         return count, mean_a + delta * (count_b / count), scatter
 
 
-def _stage_estimate(pool: tuple, plan: _ScanPlan) -> MomentEstimate:
+def _centred_moments(samples: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Count, mean and centred scatter ``sum_k (y_k - mean)(y_k - mean)^T`` of
+    the rows ``y_k`` of a ``(n, d)`` array, n >= 1, with no overflow warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = samples.mean(axis=0)
+        centred = samples - mean
+        return samples.shape[0], mean, centred.T @ centred
+
+
+def _stage_estimate(pool: tuple, basis: np.ndarray, minimizer: np.ndarray) -> MomentEstimate:
     """The moments of a pool of (count, mean ``ybar``, centred scatter ``S``)
-    in ``plan``'s scan coordinates, rotated back once, as mean ``m + V ybar``
-    and covariance ``V S V^T / (n - 1)``.  Raises if one overflows."""
+    in the scan coordinates of ``basis`` V and ``minimizer`` m, rotated back
+    once, as mean ``m + V ybar`` and covariance ``V S V^T / (n - 1)``.
+    Raises if one overflows."""
     count, mean, scatter = pool
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = plan.minimizer + plan.basis @ mean
-        cov = plan.basis @ scatter @ plan.basis.T / (count - 1)
+        mean = minimizer + basis @ mean
+        cov = basis @ scatter @ basis.T / (count - 1)
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise NumericalInconsistencyError(
             "chain moments: the mean or covariance of the records overflows float64")
@@ -369,41 +395,28 @@ def simulate_chain(
     deterministic for a fixed seed.  Raises
     :class:`UnstableDynamicsError` when ``stability_check`` fails.
     """
-    return _simulate(init, loss, dyn, total_steps, stride, seed)[0]
-
-
-def _simulate(init: np.ndarray, loss: QuadraticLoss, dyn: SgdDynamics, total_steps: int,
-              stride: int, seed: int, burn_in: int | None = None, name: str = "total_steps",
-              moments: bool = False) -> tuple[Trajectory, MomentEstimate | None]:
-    """:func:`simulate_chain`, naming its run length ``name``, and, if
-    ``moments``, the :func:`_stage_estimate` of its records after
-    ``burn_in`` (default half; at least two must remain)."""
     _check_dims(loss, dyn)
     init = _frozen_vector(init, "init")
     if init.shape[0] != loss.dim:
         raise DimensionMismatchError(
             f"init has dimension {init.shape[0]}, loss has {loss.dim}"
         )
-    kept = _check_run(total_steps, stride, burn_in, 2 if moments else 1, loss.dim, name)
+    _check_run(total_steps, stride, None, 1, loss.dim, "total_steps")
     _require_stable(loss, dyn)
     plan = _ScanPlan(loss, dyn)
     records, _ = _run_chain(init, plan, total_steps, stride, make_rng(seed))
-    estimate = _stage_estimate(_centred_moments(records[-kept:]), plan) if moments else None
-    np.add(records[1:] @ plan.basis.T, plan.minimizer, out=records[1:])
-    records[0] = init
-    return Trajectory(records, stride=stride, total_steps=total_steps, seed=seed), estimate
+    return Trajectory(records, plan.basis, plan.minimizer, init, stride, total_steps, seed)
 
 
 def estimate_stationary(traj: Trajectory, burn_in_records: int | None = None) -> MomentEstimate:
-    """Moments of the post-burn-in records of a trajectory.
+    """Moments of the post-burn-in records of a trajectory, taken in its
+    scan's coordinates and rotated back once (:func:`_stage_estimate`).
 
     ``burn_in_records`` defaults to half the recorded trajectory; at
-    least two records must survive the cut.  The moments are those of the
-    absolute states, so a chain far from the origin (beyond about 1e15
-    times its noise) loses its noise to rounding here, unlike the moments
-    of ``simulate`` and ``two_stage_run``, taken in the chain's coordinates.
+    least two records must survive the cut.
     """
-    return empirical_moments(traj.states[_burn_in_cut(traj.record_count, burn_in_records, 2):])
+    cut = _burn_in_cut(traj.record_count, burn_in_records, 2)
+    return _stage_estimate(_centred_moments(traj.records[cut:]), traj.basis, traj.minimizer)
 
 
 def _burn_in_cut(count: int, burn_in: int | None, need: int) -> int:
@@ -502,4 +515,5 @@ def two_stage_run(
                                 make_rng(master_seed, replica, 2))
         ft_pool = _merged(ft_pool, _centred_moments(records[-ft_kept:]))
         del records
-    return TwoStageResult(_stage_estimate(pt_pool, pt_plan), _stage_estimate(ft_pool, ft_plan))
+    return TwoStageResult(_stage_estimate(pt_pool, pt_plan.basis, pt_plan.minimizer),
+                          _stage_estimate(ft_pool, ft_plan.basis, ft_plan.minimizer))

@@ -1,9 +1,10 @@
 """Multivariate Gaussian measures.
 
 Construction of stationary Gaussians from SGD dynamics parameters,
-exact KL divergence between Gaussians, seeded Cholesky sampling,
-unbiased empirical moments, and a Monte-Carlo KL estimator used as an
-independent oracle for the closed form.
+exact KL divergence between Gaussians, seeded Cholesky sampling, the
+moment estimate that the chain estimators of :mod:`oupac.diffusion`
+return, and a Monte-Carlo KL estimator used as an independent oracle for
+the closed form.
 
 Every Gaussian-pair divergence (the KL here, the discrepancies of
 :mod:`oupac.bounds`) goes through :func:`_pair_divergences`: an input too
@@ -271,31 +272,6 @@ def sample(g: GaussianMeasure, count: int, seed: int) -> np.ndarray:
         raise TooFewSamplesError(f"count must be >= 1, got {count}")
     z = make_rng(seed).standard_normal((int(count), g.dim))
     return g.mean + z @ cholesky_factor(g.covariance).T
-
-
-def empirical_moments(samples: np.ndarray) -> MomentEstimate:
-    """Unbiased mean/covariance of a ``(n, d)`` sample matrix (n >= 2)."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionMismatchError(f"sample matrix must be 2-D, got shape {arr.shape}")
-    if arr.shape[0] < 2:
-        raise TooFewSamplesError(f"need >= 2 samples, got {arr.shape[0]}")
-    n, mean, scatter = _centred_moments(arr)
-    cov = scatter / (n - 1)
-    if not np.isfinite(cov).all():
-        raise NumericalInconsistencyError(
-            "empirical_moments: the sample mean or covariance of the records "
-            "overflows float64")
-    return MomentEstimate(mean, SymmetricMatrix(cov), n)
-
-
-def _centred_moments(samples: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """Count, mean and centred scatter ``sum_k (x_k - mean)(x_k - mean)^T`` of
-    the rows ``x_k`` of a ``(n, d)`` array, n >= 1, with no overflow warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = samples.mean(axis=0)
-        centred = samples - mean
-        return samples.shape[0], mean, centred.T @ centred
 
 
 def log_density(g: GaussianMeasure, points: np.ndarray) -> np.ndarray:

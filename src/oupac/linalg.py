@@ -426,11 +426,10 @@ def _random_spd_entries(dim: int, eigenvalue_low: float, eigenvalue_high: float,
     for index, rng in enumerate(streams):  # each stream: its normals, then its uniforms
         rng.standard_normal(out=gauss[index])
         eigenvalues[index, 0] = rng.uniform(eigenvalue_low, eigenvalue_high, size=dim)
-    q_fac, r_fac = np.linalg.qr(gauss)
-    signs = np.sign(np.diagonal(r_fac, axis1=-2, axis2=-1))[:, None, :]
-    del gauss, r_fac  # the stacks are the memory of a group: hold as few as needed
-    signs[signs == 0] = 1.0
-    q_fac *= signs  # Haar measure needs the R-sign correction
+    q_fac = np.linalg.qr(gauss).Q
+    del gauss  # the stacks are the memory of a group: hold as few as needed
+    # the signs of Q's columns cancel in Q diag(lam) Q^T, bit for bit, so the
+    # QR's Q gives the matrix that a Haar-random Q with the R-sign correction gives
     return (q_fac * eigenvalues) @ q_fac.swapaxes(-1, -2)
 
 

@@ -106,10 +106,6 @@ class Dataset:
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "targets", targets)
 
-    @property
-    def sample_size(self) -> int:
-        return self.features.shape[0]
-
 
 def generate_dataset(task: RegressionTask, seed: int) -> Dataset:
     """Draw a dataset from the task's model; deterministic per seed."""

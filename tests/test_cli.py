@@ -363,11 +363,21 @@ def _two_stage_argv(matrix):
     ("simulate", ["--hessian", "<gaussian_file>"]),
     # fewer rows than features: rejected before any data are drawn
     ("validity", ["--n", "1", "--trials", "10"]),
+    # a config file that is not valid JSON or holds an array, an empty vector,
+    # and a non-positive --dims entry
+    ("bound", ["--config", "<not_json>"]),
+    ("bound", ["--config", "<json_array>"]),
+    ("simulate", ["--minimizer="]),
+    ("lemma-survey", ["--dims=0,2"]),
 ])
 def test_out_of_range_option_exits_2_without_traceback(
-    capsys, identity_file, gaussian_file, command, extra
+    capsys, tmp_path, identity_file, gaussian_file, command, extra
 ):
-    extra = [gaussian_file if arg == "<gaussian_file>" else arg for arg in extra]
+    files = {"<gaussian_file>": gaussian_file, "<not_json>": tmp_path / "not.json",
+             "<json_array>": tmp_path / "array.json"}
+    files["<not_json>"].write_text("{\"kl\": 0,")
+    files["<json_array>"].write_text(json.dumps([{"kl": 0}]))
+    extra = [str(files.get(arg, arg)) for arg in extra]
     base = {
         "simulate": _simulate_argv(identity_file),
         "two-stage": _two_stage_argv(identity_file),
@@ -379,7 +389,7 @@ def test_out_of_range_option_exits_2_without_traceback(
     code, out, err = run_cli(capsys, *base, *extra)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -24,6 +24,7 @@ from oupac import (
     SpdMatrix,
     SymmetricMatrix,
     TooFewSamplesError,
+    Trajectory,
     UnstableDynamicsError,
     estimate_stationary,
     make_spd,
@@ -37,8 +38,10 @@ from oupac import (
     two_stage_run,
 )
 from oupac import diffusion
-from oupac.gaussian import _centred_moments, empirical_moments, sample
+from oupac.gaussian import sample
 from oupac.rng import child_seed, make_rng
+
+from conftest import simulate_command_estimate
 
 
 def isotropic_loss(dim: int, center=None) -> QuadraticLoss:
@@ -155,10 +158,18 @@ def _serial_two_stage(pt_loss, pt_dyn, ft_loss, ft_dyn, pt_steps, ft_steps, repl
                             stride, master_seed, init_mode)
     pt_pool = ft_pool = None
     for pt, ft, _ in chains:
-        pt_pool = diffusion._merged(pt_pool, _centred_moments(pt[burn_in:]))
-        ft_pool = diffusion._merged(ft_pool, _centred_moments(ft[burn_in:]))
-    return (diffusion._stage_estimate(pt_pool, diffusion._ScanPlan(pt_loss, pt_dyn)),
-            diffusion._stage_estimate(ft_pool, diffusion._ScanPlan(ft_loss, ft_dyn)))
+        pt_pool = diffusion._merged(pt_pool, diffusion._centred_moments(pt[burn_in:]))
+        ft_pool = diffusion._merged(ft_pool, diffusion._centred_moments(ft[burn_in:]))
+    return (diffusion._stage_estimate(pt_pool, pt_loss.hessian.eigh[1], pt_loss.minimizer),
+            diffusion._stage_estimate(ft_pool, ft_loss.hessian.eigh[1], ft_loss.minimizer))
+
+
+def _sample_moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference moments of the rows of an ``(n, d)`` array: the mean, and
+    the centred scatter divided by n - 1."""
+    mean = rows.mean(axis=0)
+    centred = rows - mean
+    return mean, centred.T @ centred / (rows.shape[0] - 1)
 
 
 def _replay_error(got: np.ndarray, want: np.ndarray) -> float:
@@ -445,20 +456,24 @@ class TestEstimateStationary:
         assert np.all(np.abs(est.mean - center) <= 4 * se)
 
     @pytest.mark.parametrize("dim, stride, burn_in", [(1, 1, None), (3, 5, 0), (10, 7, 80)])
-    def test_simulate_moments_match_the_trajectory_moments(self, dim, stride, burn_in):
-        # the command's moments, taken in the scan's coordinates, against the
-        # moments of the absolute states to 1e-12 of their scale
+    def test_simulate_moments_match_the_trajectory_moments(self, tmp_path, dim, stride,
+                                                            burn_in):
+        # one estimator: the simulate command's moments are estimate_stationary's
+        # of the library's trajectory, bit for bit; taken in the scan's
+        # coordinates, they are the reference moments of the absolute states to
+        # 1e-12 of their scale
         loss, dyn = _replay_case(dim, 0.6, seed=dim)
-        traj, got = diffusion._simulate(loss.minimizer, loss, dyn, 1000, stride, seed=4,
-                                        burn_in=burn_in, moments=True)
-        assert np.array_equal(traj.states,
-                              simulate_chain(loss.minimizer, loss, dyn, 1000, stride, 4).states)
+        got = simulate_command_estimate(tmp_path, loss, dyn, 1000, stride, 4, burn_in)
+        traj = simulate_chain(loss.minimizer, loss, dyn, 1000, stride, 4)
         want = estimate_stationary(traj, burn_in)
-        scale = float(np.max(np.abs(traj.states)))
         assert got.sample_count == want.sample_count
-        np.testing.assert_allclose(got.mean, want.mean, rtol=0, atol=1e-12 * scale)
-        np.testing.assert_allclose(got.covariance.entries, want.covariance.entries, rtol=0,
-                                   atol=1e-12 * scale**2)
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.covariance.entries, want.covariance.entries)
+        states = traj.states[-want.sample_count:]
+        mean, cov = _sample_moments(states)
+        scale = float(np.max(np.abs(traj.states)))
+        np.testing.assert_allclose(want.mean, mean, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(want.covariance.entries, cov, rtol=0, atol=1e-12 * scale**2)
 
     def test_burn_in_consuming_everything_rejected(self):
         loss = isotropic_loss(1)
@@ -584,12 +599,11 @@ class TestTwoStageRun:
                                            seed=child_seed(14, replica, 2))
             ft_blocks.append(ft_records)
         ft_records = np.concatenate(ft_blocks)
-        want = empirical_moments(ft_records)
+        mean, cov = _sample_moments(ft_records)
         scale = float(np.max(np.abs(ft_records)))
-        np.testing.assert_allclose(result.ft_estimate.mean, want.mean, rtol=0,
-                                   atol=1e-12 * scale)
-        np.testing.assert_allclose(result.ft_estimate.covariance.entries,
-                                   want.covariance.entries, rtol=0, atol=1e-12 * scale**2)
+        np.testing.assert_allclose(result.ft_estimate.mean, mean, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(result.ft_estimate.covariance.entries, cov, rtol=0,
+                                   atol=1e-12 * scale**2)
 
     @pytest.mark.parametrize("init_mode", ["analytic_sample", "chain_continue"])
     def test_one_plan_per_stage_gives_per_replica_bits(self, monkeypatch, init_mode):
@@ -778,12 +792,12 @@ class TestTwoStageRun:
         for stage, (loss, got, start) in enumerate(stages):
             states = np.concatenate([_absolute(chain[stage], start(chain), loss)[burn_in:]
                                      for chain in chains])
-            want = empirical_moments(states)
+            mean, cov = _sample_moments(states)
             scale = float(np.max(np.abs(states)))
-            assert got.sample_count == want.sample_count
-            np.testing.assert_allclose(got.mean, want.mean, rtol=0, atol=1e-12 * scale)
-            np.testing.assert_allclose(got.covariance.entries, want.covariance.entries,
-                                       rtol=0, atol=1e-12 * scale**2)
+            assert got.sample_count == states.shape[0]
+            np.testing.assert_allclose(got.mean, mean, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(got.covariance.entries, cov, rtol=0,
+                                       atol=1e-12 * scale**2)
 
     def test_analytic_inits_share_one_cholesky_factor(self, monkeypatch):
         calls = []
@@ -831,7 +845,16 @@ class TestValueTypes:
         assert not isinstance(dyn.noise_cov, SpdMatrix)
 
     def test_trajectory_record_count_invariant(self):
-        from oupac import Trajectory
-
         with pytest.raises(DimensionMismatchError):
-            Trajectory(np.zeros((5, 2)), stride=10, total_steps=100, seed=0)
+            Trajectory(np.zeros((5, 2)), np.eye(2), np.zeros(2), np.zeros(2), stride=10,
+                       total_steps=100, seed=0)
+
+    def test_trajectory_keeps_the_records_and_derives_the_states_once(self):
+        records = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        basis = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        traj = Trajectory(records, basis, np.array([10.0, 20.0]), np.array([7.0, 8.0]),
+                          stride=2, total_steps=5, seed=0)
+        assert traj.records is records and not records.flags.writeable
+        assert traj.states is traj.states and not traj.states.flags.writeable
+        # row 0 is the exact init; row k >= 1 is minimizer + V y_k
+        np.testing.assert_array_equal(traj.states, [[7.0, 8.0], [14.0, 17.0], [16.0, 15.0]])

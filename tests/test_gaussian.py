@@ -20,7 +20,8 @@ from oupac import (
     SpectralRadiusTooLargeError,
     SymmetricMatrix,
     TooFewSamplesError,
-    empirical_moments,
+    Trajectory,
+    estimate_stationary,
     kl_divergence,
     log_density,
     log_det,
@@ -203,27 +204,39 @@ class TestSample:
     def test_covariance_transform(self):
         g = random_measure(4, 13)
         draws = sample(g, 200_000, seed=2)
-        est = empirical_moments(draws)
+        est = _estimated_moments(draws)
         np.testing.assert_allclose(
             est.covariance.entries, g.covariance.entries, atol=0.05
         )
 
 
+def _estimated_moments(samples):
+    """The moments of the rows of ``samples`` as the one chain-moments
+    estimator takes them: ``estimate_stationary`` of a trajectory that
+    records them in the scan coordinates of the identity basis at the
+    origin, with no burn-in."""
+    samples = np.asarray(samples, dtype=float)
+    count, dim = samples.shape
+    trajectory = Trajectory(samples, np.eye(dim), np.zeros(dim), samples[0], stride=1,
+                            total_steps=count - 1, seed=0)
+    return estimate_stationary(trajectory, burn_in_records=0)
+
+
 class TestEmpiricalMoments:
     def test_two_point_formula(self):
-        est = empirical_moments(np.array([[0.0, 0.0], [2.0, 2.0]]))
+        est = _estimated_moments(np.array([[0.0, 0.0], [2.0, 2.0]]))
         np.testing.assert_array_equal(est.mean, [1.0, 1.0])
         np.testing.assert_array_equal(est.covariance.entries, [[2.0, 2.0], [2.0, 2.0]])
         assert est.sample_count == 2
 
     def test_standard_normal_concentration(self):
         draws = sample(standard_gaussian(2), 10**6, seed=9)
-        est = empirical_moments(draws)
+        est = _estimated_moments(draws)
         assert np.linalg.norm(est.covariance.entries - np.eye(2), "fro") <= 0.02
 
     def test_single_row_rejected(self):
         with pytest.raises(TooFewSamplesError):
-            empirical_moments(np.ones((1, 3)))
+            _estimated_moments(np.ones((1, 3)))
 
 
 class TestMcKlEstimate:

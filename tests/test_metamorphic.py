@@ -13,7 +13,8 @@ mathematics fixes, checked on random well-conditioned inputs.
   unchanged to rounding.
 - Translation: shifting every minimizer by c, up to |c| = 1e300, leaves the
   chain covariances of ``simulate`` and ``two-stage`` unchanged and shifts
-  their means by c.
+  their means by c, and the library's ``simulate_chain`` ->
+  ``estimate_stationary`` gives the ``simulate`` command's moments there.
 
 Each tolerance is fixed from the dimension d, the condition number kappa
 of the inputs and the unit roundoff eps (``EPS``) before any example runs,
@@ -24,6 +25,7 @@ fine-tuning chain forgets the part of its start that rounding loses.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +41,7 @@ from oupac import (
     discrepancy_d,
     discrepancy_d_tilde,
     empirical_quadratic,
+    estimate_stationary,
     finetune_bound,
     generate_dataset,
     kl_divergence,
@@ -57,6 +60,8 @@ from oupac import (
 from oupac import diffusion
 from oupac.gaussian import gaussian_pair_terms, sample
 from oupac.rng import child_seed, make_rng
+
+from conftest import simulate_command_estimate
 
 EPS = np.finfo(float).eps
 
@@ -302,6 +307,25 @@ def _shifted(loss: QuadraticLoss, shift: np.ndarray) -> QuadraticLoss:
     return QuadraticLoss(loss.hessian, loss.minimizer + shift)
 
 
+@pytest.mark.parametrize("size", [1e8, 1e16, 1e20, 1e300])
+def test_library_chain_moments_are_the_commands_far_from_the_origin(tmp_path, size):
+    # simulate_chain -> estimate_stationary takes the moments that the simulate
+    # command takes, bit for bit; and a chain started at its minimizer scans the
+    # same records wherever the minimizer lies, so its covariance keeps the bits
+    # of the chain at the origin
+    loss, dyn = _chain_stage(3, 4.0, 1, 0)
+    origin = QuadraticLoss(loss.hessian, np.zeros(3))
+    moved = _shifted(origin, size * np.array([2.0, -1.0, 2.0]) / 3.0)
+    run = dict(total_steps=20_000, stride=1, seed=1)
+    want = estimate_stationary(simulate_chain(origin.minimizer, origin, dyn, **run), 5000)
+    got = estimate_stationary(simulate_chain(moved.minimizer, moved, dyn, **run), 5000)
+    assert np.array_equal(got.covariance.entries, want.covariance.entries)
+    command = simulate_command_estimate(tmp_path, moved, dyn, 20_000, 1, 1, 5000)
+    assert command.sample_count == got.sample_count
+    assert np.array_equal(command.mean, got.mean)
+    assert np.array_equal(command.covariance.entries, got.covariance.entries)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(dim=st.integers(1, 6), kappa=st.floats(1.0, 10.0), seed=SEEDS,
        size=st.sampled_from([1e8, 1e16, 1e100, 1e300]),
@@ -322,8 +346,8 @@ def test_chain_moments_shift_with_the_minimizers(dim, kappa, seed, size, init_mo
     base = two_stage_run(pt_loss, pt_dyn, ft_loss, ft_dyn, **run)
     moved = two_stage_run(_shifted(pt_loss, shift), pt_dyn, _shifted(ft_loss, shift), ft_dyn,
                           **run)
-    simulated = [diffusion._simulate(loss.minimizer, loss, pt_dyn, 2 * burn, 1, seed,
-                                     moments=True)[1]
+    simulated = [estimate_stationary(simulate_chain(loss.minimizer, loss, pt_dyn, 2 * burn, 1,
+                                                    seed))
                  for loss in (pt_loss, _shifted(pt_loss, shift))]
 
     # a chain started at its minimizer scans the same records wherever the
