@@ -150,9 +150,11 @@ class Trajectory:
     ``records`` holds the initial state plus every ``stride``-th state,
     ``total_steps // stride + 1`` rows in all, in the scan's coordinates
     ``y = V^T (x - minimizer)``, V the Hessian's eigenbasis ``basis``; the
-    array is taken over, not copied, and made read-only.  ``states`` are
-    the records in the original coordinates, ``minimizer + V y`` with row 0
-    the exact ``init``, made at first use and kept.
+    array is taken over, not copied, so the caller's array becomes
+    read-only.  ``basis``, ``minimizer`` and ``init`` are kept as read-only
+    copies.  ``states`` are the records in the original coordinates,
+    ``minimizer + V y`` with row 0 the exact ``init``, made at first use and
+    kept.
     """
 
     records: np.ndarray
@@ -165,13 +167,18 @@ class Trajectory:
 
     def __post_init__(self):
         records = np.asarray(self.records, dtype=float)
-        expected = self.total_steps // self.stride + 1
-        if records.shape[0] != expected:
-            raise DimensionMismatchError(
-                f"trajectory has {records.shape[0]} records, expected {expected} "
-                f"for {self.total_steps} steps at stride {self.stride}"
-            )
-        object.__setattr__(self, "records", _read_only(records))
+        dim = records.shape[1] if records.ndim == 2 else -1
+        rows = self.total_steps // self.stride + 1
+        fields = {"records": (records, (rows, dim)),
+                  "basis": (np.array(self.basis, dtype=float), (dim, dim)),
+                  "minimizer": (_frozen_vector(self.minimizer, "minimizer"), (dim,)),
+                  "init": (_frozen_vector(self.init, "init"), (dim,))}
+        for name, (value, shape) in fields.items():
+            if value.shape != shape:
+                raise DimensionMismatchError(
+                    f"trajectory {name} has shape {value.shape}, expected {shape} for "
+                    f"{self.total_steps} steps at stride {self.stride}")
+            object.__setattr__(self, name, _read_only(value))
 
     @cached_property
     def states(self) -> np.ndarray:

@@ -426,8 +426,8 @@ def _random_spd_entries(dim: int, eigenvalue_low: float, eigenvalue_high: float,
     for index, rng in enumerate(streams):  # each stream: its normals, then its uniforms
         rng.standard_normal(out=gauss[index])
         eigenvalues[index, 0] = rng.uniform(eigenvalue_low, eigenvalue_high, size=dim)
-    q_fac = np.linalg.qr(gauss).Q
-    del gauss  # the stacks are the memory of a group: hold as few as needed
+    q_fac = np.linalg.qr(gauss)[0]  # R goes at once: the stacks are a group's memory
+    del gauss
     # the signs of Q's columns cancel in Q diag(lam) Q^T, bit for bit, so the
     # QR's Q gives the matrix that a Haar-random Q with the R-sign correction gives
     return (q_fac * eigenvalues) @ q_fac.swapaxes(-1, -2)

@@ -1,7 +1,6 @@
 import pytest
 
-from oupac import SymmetricMatrix, _threads, cli, diffusion
-from oupac.matrixio import write_matrix
+from oupac import SymmetricMatrix, _threads
 from oupac.rng import make_rng
 
 
@@ -27,31 +26,3 @@ def openblas_threads():
         yield threads
     finally:
         set_count(own)
-
-
-def simulate_command_estimate(tmp_path, loss, dyn, steps: int, stride: int, seed: int,
-                              burn_in: int | None = None):
-    """The moments that the ``simulate`` command takes of its chain for
-    ``(loss, dyn)``, run in process through ``cli.main`` with the matrices in
-    files, as ``diffusion._stage_estimate``, the estimator that every chain
-    command reaches, returns them."""
-    hessian, noise = tmp_path / "hessian.txt", tmp_path / "noise.txt"
-    write_matrix(hessian, loss.hessian.entries)
-    write_matrix(noise, dyn.noise_factor)
-    argv = ["simulate", f"--hessian={hessian}", f"--noise-factor={noise}",
-            "--minimizer=" + ",".join(map(repr, loss.minimizer.tolist())),
-            f"--eta={float(dyn.lr)!r}", f"--batch={dyn.batch_size}", f"--steps={steps}",
-            f"--stride={stride}", f"--seed={seed}", f"--output={tmp_path / 'states.csv'}"]
-    if burn_in is not None:
-        argv.append(f"--burn-in={burn_in}")
-    stage_estimate, estimates = diffusion._stage_estimate, []
-
-    def kept(*args):
-        estimates.append(stage_estimate(*args))
-        return estimates[-1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(diffusion, "_stage_estimate", kept)
-        assert cli.main(argv) == 0
-    (estimate,) = estimates
-    return estimate

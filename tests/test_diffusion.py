@@ -41,8 +41,6 @@ from oupac import diffusion
 from oupac.gaussian import sample
 from oupac.rng import child_seed, make_rng
 
-from conftest import simulate_command_estimate
-
 
 def isotropic_loss(dim: int, center=None) -> QuadraticLoss:
     center = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
@@ -456,24 +454,18 @@ class TestEstimateStationary:
         assert np.all(np.abs(est.mean - center) <= 4 * se)
 
     @pytest.mark.parametrize("dim, stride, burn_in", [(1, 1, None), (3, 5, 0), (10, 7, 80)])
-    def test_simulate_moments_match_the_trajectory_moments(self, tmp_path, dim, stride,
-                                                            burn_in):
-        # one estimator: the simulate command's moments are estimate_stationary's
-        # of the library's trajectory, bit for bit; taken in the scan's
-        # coordinates, they are the reference moments of the absolute states to
-        # 1e-12 of their scale
+    def test_trajectory_moments_match_the_reference_moments(self, dim, stride, burn_in):
+        # taken in the scan's coordinates and rotated back once, the moments are
+        # the reference moments of the absolute states to 1e-12 of their scale
         loss, dyn = _replay_case(dim, 0.6, seed=dim)
-        got = simulate_command_estimate(tmp_path, loss, dyn, 1000, stride, 4, burn_in)
         traj = simulate_chain(loss.minimizer, loss, dyn, 1000, stride, 4)
-        want = estimate_stationary(traj, burn_in)
-        assert got.sample_count == want.sample_count
-        assert np.array_equal(got.mean, want.mean)
-        assert np.array_equal(got.covariance.entries, want.covariance.entries)
-        states = traj.states[-want.sample_count:]
-        mean, cov = _sample_moments(states)
+        got = estimate_stationary(traj, burn_in)
+        cut = traj.record_count // 2 if burn_in is None else burn_in
+        assert got.sample_count == traj.record_count - cut
+        mean, cov = _sample_moments(traj.states[cut:])
         scale = float(np.max(np.abs(traj.states)))
-        np.testing.assert_allclose(want.mean, mean, rtol=0, atol=1e-12 * scale)
-        np.testing.assert_allclose(want.covariance.entries, cov, rtol=0, atol=1e-12 * scale**2)
+        np.testing.assert_allclose(got.mean, mean, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(got.covariance.entries, cov, rtol=0, atol=1e-12 * scale**2)
 
     def test_burn_in_consuming_everything_rejected(self):
         loss = isotropic_loss(1)
@@ -844,10 +836,16 @@ class TestValueTypes:
         assert isinstance(dyn.noise_cov, SymmetricMatrix)
         assert not isinstance(dyn.noise_cov, SpdMatrix)
 
-    def test_trajectory_record_count_invariant(self):
+    @pytest.mark.parametrize("records, basis, minimizer, init", [
+        (np.zeros((5, 2)), np.eye(2), np.zeros(2), np.zeros(2)),  # 11 rows expected
+        (np.zeros(11), np.eye(2), np.zeros(2), np.zeros(2)),
+        (np.zeros((11, 2)), np.eye(3), np.zeros(2), np.zeros(2)),
+        (np.zeros((11, 2)), np.eye(2), np.zeros(3), np.zeros(2)),
+        (np.zeros((11, 2)), np.eye(2), np.zeros(2), np.zeros(1)),
+    ])
+    def test_trajectory_shape_invariants(self, records, basis, minimizer, init):
         with pytest.raises(DimensionMismatchError):
-            Trajectory(np.zeros((5, 2)), np.eye(2), np.zeros(2), np.zeros(2), stride=10,
-                       total_steps=100, seed=0)
+            Trajectory(records, basis, minimizer, init, stride=10, total_steps=100, seed=0)
 
     def test_trajectory_keeps_the_records_and_derives_the_states_once(self):
         records = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
@@ -855,6 +853,11 @@ class TestValueTypes:
         traj = Trajectory(records, basis, np.array([10.0, 20.0]), np.array([7.0, 8.0]),
                           stride=2, total_steps=5, seed=0)
         assert traj.records is records and not records.flags.writeable
+        # the other arrays are the trajectory's own: changing the caller's
+        # basis before the first read of the states leaves them as they were
+        assert not (traj.basis.flags.writeable or traj.minimizer.flags.writeable
+                    or traj.init.flags.writeable)
+        basis[:] = 0.0
         assert traj.states is traj.states and not traj.states.flags.writeable
         # row 0 is the exact init; row k >= 1 is minimizer + V y_k
         np.testing.assert_array_equal(traj.states, [[7.0, 8.0], [14.0, 17.0], [16.0, 15.0]])
