@@ -44,8 +44,8 @@ def main():
     for row in op.lemma2_survey(dims=range(1, 6), pairs_per_dim=100, seed=11):
         print(f"  dim {row['dim']}: holds {row['holds']:>3}/100   "
               f"min margin {row['min_margin']:+.3f}")
-    print("  (the ordering is an empirical question; it fails for "
-          "strongly contracted target covariances)")
+    print("  (it holds exactly when tr(R) det(R) >= d^-d, R = Spt^-1 Sft, so it fails "
+          "for strongly contracted target covariances)")
 
 
 if __name__ == "__main__":

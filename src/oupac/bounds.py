@@ -9,9 +9,10 @@ which is always computed and reported alongside as ``paper_literal_kl``
 so the two can be compared.  All logarithms are natural.
 
 D, the paper-literal D and D~ have one home, :func:`_discrepancies`,
-which takes one pair or a stack of pairs, and the complexity term one,
-:func:`_mcallester`.  :func:`lemma2_survey` evaluates the pairs of a
-dimension as stacks, arrays with a leading pair axis, in the groups of
+which takes one pair or a stack of pairs, Lemma 2's margin D~ - D one,
+:func:`_lemma2_margin`, and the complexity term one, :func:`_mcallester`.
+:func:`lemma2_survey` evaluates the pairs of a dimension as stacks,
+arrays with a leading pair axis, in the groups of
 :func:`oupac.linalg._in_groups`: a group makes one QR and one
 ``eigvalsh`` for its random covariances, one Cholesky per side and one
 solve for its pair terms, where a pair-by-pair loop makes each call once
@@ -37,7 +38,7 @@ from .linalg import (SpdMatrix, SymmetricMatrix, _check_held, _frozen_vector, _i
 from .linalg import cholesky_factor  # noqa: F401
 from .rng import _child_seeds, _streams
 
-#: A pair holds the discrepancy ordering when D <= D~ + HOLDS_TOLERANCE.
+#: A pair holds the discrepancy ordering when its margin D~ - D >= -HOLDS_TOLERANCE.
 HOLDS_TOLERANCE = 1e-12
 
 
@@ -173,17 +174,25 @@ def pretrain_bound(sigma_pt: SpdMatrix, spec: SampleSpec) -> BoundReport:
 
 
 def _discrepancies(sigma_pt, sigma_ft, shift: np.ndarray) -> tuple:
-    """(D, paper-literal D, D~) of each pair of a stack (leading axes on every
-    argument) or of one pair, from one gaussian_pair_terms call; raises if
-    one of them or a term is not finite.  D is exactly 2 KL."""
+    """(D, paper-literal D, D~, Lemma 2's margin) of each pair of a stack
+    (leading axes on every argument) or of one pair, from one
+    gaussian_pair_terms call; raises if one of them or a term is not
+    finite.  D is exactly 2 KL."""
     d = shift.shape[-1]
 
     def formulas(trace, log_det_ratio, maha):
         base = trace - d + maha
         return (base + log_det_ratio, base - log_det_ratio,
-                _log(trace) + trace + maha + d * math.log(d) - d)
+                _log(trace) + trace + maha + d * math.log(d) - d,
+                _lemma2_margin(trace, log_det_ratio, d))
 
     return _pair_divergences(sigma_ft, sigma_pt, shift, formulas)
+
+
+def _lemma2_margin(trace, log_det_ratio, d: int):
+    """Lemma 2's margin ``D~ - D = log t + d log d + log det R``, R = Spt^-1 Sft,
+    t = tr R, from the pair terms: the shift term of D and D~ cancels."""
+    return _log(trace) + d * math.log(d) - log_det_ratio
 
 
 def _log(values) -> np.ndarray:
@@ -194,7 +203,7 @@ def _log(values) -> np.ndarray:
                       values.shape)
 
 
-def _pair_discrepancies(pair: DomainPair) -> tuple[float, float, float]:
+def _pair_discrepancies(pair: DomainPair) -> tuple[float, float, float, float]:
     """:func:`_discrepancies` of one pair, as floats; raises if one is not finite."""
     return tuple(map(float, _discrepancies(pair.sigma_pt, pair.sigma_ft, pair.shift)))
 
@@ -211,7 +220,7 @@ def discrepancy_d(pair: DomainPair, paper_literal: bool = False) -> float:
     with a plus sign instead; that variant can go negative and is
     returned as-is.
     """
-    d_value, literal, _ = _pair_discrepancies(pair)
+    d_value, literal, _, _ = _pair_discrepancies(pair)
     return literal if paper_literal else d_value
 
 
@@ -226,30 +235,31 @@ def discrepancy_d_tilde(pair: DomainPair) -> float:
 
 def finetune_bound(pair: DomainPair, spec: SampleSpec) -> BoundReport:
     """Bound report for the fine-tuning stage, prior = source stationary."""
-    kl_term, literal, _ = _pair_discrepancies(pair)
+    kl_term, literal, _, _ = _pair_discrepancies(pair)
     return _report(kl_term, literal, spec,
                    "divergence between fine-tuned and pre-trained stationary measures")
 
 
 def finetune_bound_dimension(pair: DomainPair, spec: SampleSpec) -> BoundReport:
     """Fine-tuning bound with the dimension-dependent discrepancy."""
-    _, literal, kl_term = _pair_discrepancies(pair)
+    _, literal, kl_term, _ = _pair_discrepancies(pair)
     return _report(kl_term, literal, spec, "dimension-dependent discrepancy variant")
 
 
 def lemma2_check(pair: DomainPair) -> Lemma2Result:
     """Compare the two discrepancies on one pair.
 
-    ``holds`` is ``d_value <= d_tilde_value + HOLDS_TOLERANCE``.  Whether the
-    ordering holds for all SPD pairs is an empirical question, so this
-    is a report, not an assertion.
+    ``margin`` is :func:`_lemma2_margin`, which does not read the shift, and
+    ``holds`` is ``margin >= -HOLDS_TOLERANCE``: the ordering holds exactly
+    when ``tr(R) det(R) >= d^-d``, at d = 1 when ``Sft >= Spt``.  It fails
+    for some SPD pairs, so this is a report, not an assertion.
     """
-    d_value, _, d_tilde_value = _pair_discrepancies(pair)
+    d_value, _, d_tilde_value, margin = _pair_discrepancies(pair)
     return Lemma2Result(
         d_value=d_value,
         d_tilde_value=d_tilde_value,
-        holds=bool(d_value <= d_tilde_value + HOLDS_TOLERANCE),
-        margin=d_tilde_value - d_value,
+        holds=margin >= -HOLDS_TOLERANCE,
+        margin=margin,
     )
 
 
@@ -259,16 +269,15 @@ def lemma2_survey(
     seed: int = 0,
     eigenvalue_low: float = 0.2,
     eigenvalue_high: float = 5.0,
-    shift_scale: float = 1.0,
 ) -> list[dict]:
     """Random survey of the discrepancy ordering, one row per dimension.
 
     Each row reports ``{"dim", "pairs", "holds", "holds_fraction",
     "min_margin"}`` over ``pairs_per_dim`` random domain pairs; pair i of
     dimension d has covariances ``random_spd(d, eigenvalue_low,
-    eigenvalue_high, child_seed(seed, d, i, k))`` for k = 0, 1 and shift
-    ``shift_scale * make_rng(seed, d, i, 2).standard_normal(d)``, and
-    counts as holding when :func:`lemma2_check` says so.  The pairs are
+    eigenvalue_high, child_seed(seed, d, i, k))`` for k = 0, 1, and
+    :func:`lemma2_check` gives its margin and whether it holds, at any
+    shift, since the margin does not read one.  The pairs are
     evaluated as stacks (module docstring).  One call of the stack entry
     point :func:`oupac.rng._streams` seeds each group of pairs; its
     generators are those of the one-stream entry point
@@ -279,20 +288,19 @@ def lemma2_survey(
     if pairs_per_dim < 1:
         raise InvalidRangeError(f"pairs_per_dim must be >= 1, got {pairs_per_dim}")
     _check_survey_dim(max(dims, default=0))
+    _check_held("pairs_per_dim: the margins hold", pairs_per_dim, max(dims, default=0))
     rows = []
     for d in dims:
-        d_value, d_tilde_value = _in_groups(
-            lambda pairs: _survey_group(d, pairs, seed, eigenvalue_low, eigenvalue_high,
-                                        shift_scale),
-            range(pairs_per_dim), 2 * d * d + 12)  # two covariances, three streams' words
-        holds = np.count_nonzero(d_value <= d_tilde_value + HOLDS_TOLERANCE)
-        margins = (d_tilde_value - d_value).tolist()
+        (margins,) = _in_groups(
+            lambda pairs: _survey_group(d, pairs, seed, eigenvalue_low, eigenvalue_high),
+            range(pairs_per_dim), 2 * d * d + 8)  # two covariances, two streams' words
+        holds = np.count_nonzero(margins >= -HOLDS_TOLERANCE)
         rows.append({
             "dim": int(d),
             "pairs": int(pairs_per_dim),
             "holds": int(holds),
             "holds_fraction": holds / pairs_per_dim,
-            "min_margin": float(min(margins)),
+            "min_margin": float(margins.min()),
         })
     return rows
 
@@ -303,19 +311,17 @@ def _check_survey_dim(largest: int) -> None:
     _check_held("dims: one pair's covariances hold", 2 * largest * largest, largest)
 
 
-def _survey_group(d, pairs, seed, eigenvalue_low, eigenvalue_high, shift_scale):
-    """D and D~ of the surveyed pairs ``pairs`` of dimension d, as stacks.
-    One stack of streams seeds the group: the covariances' streams,
+def _survey_group(d, pairs, seed, eigenvalue_low, eigenvalue_high):
+    """Lemma 2's margins of the surveyed pairs ``pairs`` of dimension d, as
+    a one-array tuple.  One stack of streams seeds the group's covariances,
     interleaved (source, target, source, ...) so that a pair's source
-    covariance fails before its target one, then the shifts' streams."""
-    streams = _streams(_child_seeds(seed, [(d, i, side) for i in pairs for side in (0, 1)]
-                                    + [(d, i, 2) for i in pairs]))
-    count = 2 * len(pairs)
-    entries = _make_spd_stack(_random_spd_entries(d, eigenvalue_low, eigenvalue_high,
-                                                  streams[:count]))
-    shifts = shift_scale * np.array([rng.standard_normal(d) for rng in streams[count:]])
-    d_value, _, d_tilde_value = _discrepancies(entries[0::2], entries[1::2], shifts)
-    return d_value, d_tilde_value
+    covariance fails before its target one.  The pair terms take a zero
+    shift, which the margin does not read."""
+    streams = _streams(_child_seeds(seed, [(d, i, side) for i in pairs for side in (0, 1)]))
+    entries = _make_spd_stack(_random_spd_entries(d, eigenvalue_low, eigenvalue_high, streams))
+    return _pair_divergences(
+        entries[1::2], entries[0::2], np.zeros((len(pairs), d)),
+        lambda trace, log_det_ratio, _: (_lemma2_margin(trace, log_det_ratio, d),))
 
 
 def kl_upper_bound_trace(

@@ -121,19 +121,21 @@ def _vector(value) -> np.ndarray:
 
 
 def _ints(value) -> list[int]:
-    """Comma- or space-separated integers, at least one."""
-    ints = [int(t) for t in str(value).replace(",", " ").split()]
+    """Comma- or space-separated integers, or a JSON array of integers from
+    a config file; at least one."""
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    ints = [int(t) for t in text.replace(",", " ").split()]
     if not ints:
         raise ConfigError(f"no integers in {value!r}")
     return ints
 
 
 def _dims(value) -> list[int]:
-    """A range 'lo-hi' or a list of dimensions; the top of a range that is
-    not empty is checked against the survey's size limit before the range
-    is built."""
+    """A range 'lo-hi' or a list of dimensions (a JSON array from a config
+    file is a list); the top of a range that is not empty is checked
+    against the survey's size limit before the range is built."""
     lo, is_range, hi = str(value).partition("-")
-    if is_range:
+    if is_range and not isinstance(value, list):
         lo, hi = int(lo), int(hi)
         if hi >= lo:
             _check_survey_dim(hi)
@@ -288,7 +290,6 @@ def _run_lemma_survey(params: dict) -> tuple[str, Iterable[str]]:
         seed=params["seed"],
         eigenvalue_low=params["eig_low"],
         eigenvalue_high=params["eig_high"],
-        shift_scale=params["shift_scale"],
     )
     total = sum(r["pairs"] for r in rows)
     holds = sum(r["holds"] for r in rows)
@@ -488,7 +489,7 @@ _COMMANDS: dict[str, dict] = {
             "pairs_per_dim": _Option(_int, 100, "pairs per dimension"),
             "eig_low": _Option(_float, 0.2, "smallest covariance eigenvalue"),
             "eig_high": _Option(_float, 5.0, "largest covariance eigenvalue"),
-            "shift_scale": _Option(_float, 1.0, "std of the random shift"),
+            "shift_scale": _Option(_float, 1.0, "ignored: the margin does not read the shift"),
             **_COMMON,
             **_JSON_OR_CSV,
         },

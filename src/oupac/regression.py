@@ -328,6 +328,7 @@ def bound_validity_experiment(
     if trials < 10:
         raise InvalidRangeError(f"trials must be >= 10, got {trials}")
     _check_sample_sizes([task.sample_size], task.dim)
+    _check_held("trials: the per-trial results hold", trials, task.dim)
     seeds = _child_seeds(master_seed, [(index,) for index in range(trials)])
     records = [
         TrialRecord(seed=seed, sample_size=task.sample_size, gap=expected - empirical,
@@ -368,6 +369,7 @@ def scaling_experiment(
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise InvalidRangeError(f"ns must be strictly increasing, got {ns}")
     _check_sample_sizes(ns, task_template.dim)
+    _check_held("trials: every n's trials hold", trials_per_n * len(ns), task_template.dim)
     prior = standard_gaussian(task_template.dim)
     streams = _trial_streams(_child_seeds(
         master_seed, [(n_index, trial) for n_index in range(len(ns))

@@ -27,7 +27,7 @@ from oupac import (
     mcallester_bound,
     random_spd,
 )
-from oupac import bounds, cli, diffusion, matrixio
+from oupac import bounds, cli, diffusion, linalg, matrixio, regression
 from oupac.cli import main
 from oupac.errors import ConfigError
 from oupac.linalg import RECORD_FLOATS
@@ -111,6 +111,15 @@ class TestConfigFile:
         ("bound", {"kl": [0], "n": 100, "delta": 0.05}),
         ("simulate", {"steps": "abc"}),
         ("simulate", {"steps": 100, "seed": True}),
+        # an integer list's entries are integers: not a bool, a fraction or a list
+        ("scaling", {"ns": [20, True]}),
+        ("scaling", {"ns": [20.5, 80]}),
+        ("scaling", {"ns": [[20], 80]}),
+        ("scaling", {"ns": []}),
+        ("lemma-survey", {"dims": [True]}),
+        ("lemma-survey", {"dims": [1, 2.5]}),
+        ("lemma-survey", {"dims": [[1, 2]]}),
+        ("lemma-survey", {"dims": [1, -2]}),
     ])
     def test_config_value_of_wrong_type_exits_2(
         self, capsys, tmp_path, identity_file, command, config
@@ -132,6 +141,9 @@ class TestConfigFile:
         ("simulate", {"minimizer": [0, 0.5], "eta": 0.1, "steps": 200},
          ["--minimizer", "0,0.5", "--eta", "0.1", "--steps", "200"]),
         ("validity", {"eta": None, "trials": 12}, ["--trials", "12"]),
+        ("scaling", {"ns": [20, 80], "trials": 4}, ["--ns", "20,80", "--trials", "4"]),
+        ("lemma-survey", {"dims": [1, 2]}, ["--dims", "1,2"]),
+        ("lemma-survey", {"dims": [3]}, ["--dims", "3"]),
     ])
     def test_config_run_prints_same_bytes_as_flag_run(
         self, capsys, tmp_path, identity_file, command, config, flags
@@ -385,12 +397,17 @@ def test_out_of_range_option_exits_2_without_traceback(
         "kl": ["kl", "--q", gaussian_file, "--p", gaussian_file],
         "bound": ["bound", "--n", "100", "--delta", "0.05"],
     }.get(command, [command])
+    # a case that names no output of its own writes to one that must not appear
+    out_path = tmp_path / "out"
+    if not any(arg.startswith("--output") for arg in extra):
+        extra.append(f"--output={out_path}")
     # an exception escaping main() would fail this call with its traceback
     code, out, err = run_cli(capsys, *base, *extra)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("command, burn_in, message", [
@@ -463,6 +480,41 @@ def test_oversized_option_exits_2_before_any_allocation(capsys, tmp_path, gaussi
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("command, flags, option, count, what, floats_per_count, dim", [
+    ("validity", ["--n=100"], "--trials", 300, "trials: the per-trial results hold", 1, 2),
+    ("scaling", ["--ns=10,20"], "--trials", 150,
+     "trials: every n's trials hold", 2, 2),
+    ("lemma-survey", ["--dims=1-3"], "--pairs-per-dim", 300,
+     "pairs_per_dim: the margins hold", 1, 3),
+], ids=["validity", "scaling", "lemma-survey"])
+def test_per_item_count_exits_2_before_any_list_is_built(capsys, monkeypatch, tmp_path, command,
+                                                        flags, option, count, what,
+                                                        floats_per_count, dim):
+    # a count of trials or pairs is checked against RECORD_FLOATS by arithmetic;
+    # the limit is lowered to 300 floats, so that the count at the limit runs in
+    # milliseconds and the one past it exits 2 before any seed list is built
+    limit = 300
+    monkeypatch.setattr(linalg, "RECORD_FLOATS", limit)
+    out_path = tmp_path / "out"
+    code, _, err = run_cli(capsys, command, *flags, f"{option}={count}", "--output",
+                           str(out_path))
+    assert (code, err) == (0, "")
+
+    def no_list(*args):
+        raise AssertionError("a per-item seed list was built")
+
+    monkeypatch.setattr(bounds, "_child_seeds", no_list)
+    monkeypatch.setattr(regression, "_child_seeds", no_list)
+    out_path.unlink()
+    code, out, err = run_cli(capsys, command, *flags, f"{option}={count + 1}", "--output",
+                             str(out_path))
+    floats = floats_per_count * (count + 1)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {what} {floats} floats ({8 * floats} bytes) at dimension {dim}; "
+                   f"at most {limit} ({8 * limit} bytes) are held\n")
+    assert not out_path.exists()
+
+
 def test_main_holds_one_blas_thread_inside_a_handler(capsys, monkeypatch,
                                                      openblas_threads):
     if openblas_threads is None:
@@ -524,15 +576,13 @@ def test_failed_write_leaves_no_partial_output_file(capsys, monkeypatch, identit
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("command", ["lemma-survey", "dominance", "kl"])
+@pytest.mark.parametrize("command", ["dominance", "kl"])
 def test_overflowing_pair_term_exits_3_without_warning(capsys, tmp_path, identity_file,
                                                        gaussian_file, command):
     far = tmp_path / "far.txt"
     write_gaussian(far, np.array([1e200, 0.0]), np.eye(2))
     out_path = tmp_path / "out.json"
     argv = {
-        "lemma-survey": ["lemma-survey", "--dims=1-3", "--pairs-per-dim=3",
-                         "--shift-scale=1e160"],
         "dominance": ["dominance", "--sigma-pt", identity_file, "--sigma-ft", identity_file,
                       "--shift=1e200,0", "--n-pt", "1000", "--n-ft", "100"],
         "kl": ["kl", "--q", str(far), "--p", gaussian_file, "--mc-draws", "1000"],
@@ -545,6 +595,26 @@ def test_overflowing_pair_term_exits_3_without_warning(capsys, tmp_path, identit
     assert err.startswith(f"error in {command}: a Gaussian-pair term or divergence is not finite")
     assert "Warning" not in err and "Traceback" not in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv, summary", [
+    (["--dims=1-4", "--pairs-per-dim=200", "--seed=3"],
+     "lemma-survey: pairs=800 holds=684 overall_fraction=0.85499999999999998\n"),
+    # a shift of 1e160 overflowed the shift term, which the margin no longer reads
+    (["--dims=1-3", "--pairs-per-dim=3"],
+     "lemma-survey: pairs=9 holds=8 overall_fraction=0.88888888888888884\n"),
+], ids=["dims-1-4", "dims-1-3"])
+def test_lemma_survey_payload_does_not_depend_on_the_shift_scale(capsys, argv, summary):
+    # Lemma 2's margin D~ - D does not depend on the shift, and --shift-scale,
+    # still parsed, changes no byte of the output
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = run_cli(capsys, "lemma-survey", *argv)
+        for scale in ("1e4", "1e6", "1e8", "1e10", "1e160", "0"):
+            assert run_cli(capsys, "lemma-survey", *argv, f"--shift-scale={scale}") == want
+    code, out, err = want
+    assert (code, err) == (0, "")
+    assert out.startswith(summary)
 
 
 def test_dominance_on_identical_domains_exits_0(capsys, tmp_path):
