@@ -2,9 +2,10 @@
 
 Runs a constant-rate SGD chain on a random quadratic loss and compares
 the empirical covariance against two predictions: the exact discrete
-stationary covariance (Stein equation of the step map) and the
-continuous-time Lyapunov covariance, which the discrete one approaches
-as the learning rate shrinks.
+stationary covariance (the Stein law, ``A X + X A - lr A X A = lr C``
+for batch 1) and the continuous-time Lyapunov covariance, which the
+discrete one approaches as the learning rate shrinks, with a relative
+gap of about lr times a constant.
 """
 
 import numpy as np
@@ -17,6 +18,12 @@ def spd_square_root(entries):
     return (vecs * np.sqrt(lam)) @ vecs.T
 
 
+def lyapunov_law(loss, dyn):
+    """The continuous model's stationary covariance, the Stein law's small-rate limit."""
+    return op.stationary_from_dynamics(loss.hessian, loss.minimizer, dyn.noise_cov,
+                                       dyn.lr, dyn.batch_size).covariance.entries
+
+
 def main():
     dim = 3
     hessian = op.random_spd(dim, 0.3, 1.0, seed=1)
@@ -25,16 +32,14 @@ def main():
     loss = op.QuadraticLoss(hessian, np.zeros(dim))
 
     print("Stein vs Lyapunov covariance as the learning rate shrinks")
-    print(f"{'lr':>6} {'spectral radius':>16} {'rel Frobenius gap':>18}")
-    for lr in (0.1, 0.05, 0.01):
+    print(f"{'lr':>6} {'spectral radius':>16} {'rel Frobenius gap':>18} {'gap / lr':>9}")
+    for lr in (0.1, 0.05, 0.01, 1e-4, 1e-6, 1e-8):
         dyn = op.SgdDynamics(lr, 1, noise_factor)
         report = op.stability_check(loss, dyn)
         stein = op.stein_stationary_covariance(hessian, dyn.noise_cov, lr, 1).entries
-        lyap = op.solve_continuous_lyapunov(
-            hessian, op.SymmetricMatrix(lr * dyn.noise_cov.entries)
-        ).entries
+        lyap = lyapunov_law(loss, dyn)
         gap = np.linalg.norm(stein - lyap, "fro") / np.linalg.norm(lyap, "fro")
-        print(f"{lr:>6} {report.spectral_radius:>16.4f} {gap:>18.4%}")
+        print(f"{lr:>6g} {report.spectral_radius:>16.10f} {gap:>18.4e} {gap / lr:>9.4f}")
 
     lr = 0.1
     dyn = op.SgdDynamics(lr, 1, noise_factor)
@@ -50,9 +55,7 @@ def main():
     print("empirical diagonal:", np.round(np.diag(empirical), 5))
     print("Stein diagonal:    ", np.round(np.diag(stein), 5))
 
-    lyap = op.solve_continuous_lyapunov(
-        hessian, op.SymmetricMatrix(lr * dyn.noise_cov.entries)
-    ).entries
+    lyap = lyapunov_law(loss, dyn)
     trace_pred = 0.5 * lr * np.trace(
         np.linalg.solve(hessian.entries, dyn.noise_cov.entries)
     )

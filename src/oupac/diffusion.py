@@ -10,12 +10,12 @@ This module simulates that chain, checks its stability, estimates its
 stationary moments, and runs the two-stage pipeline in which a second
 (fine-tuning) chain starts from the stationary state of the first.
 
-The discrete chain's exact stationary covariance solves the Stein
-equation for ``(I - lr*A, (lr^2/batch) * B^T B)``; the continuous-time
-model's covariance solves the Lyapunov equation with right-hand side
-``(lr/batch) * C``.  Simulations here are compared against the Stein
-solution (simulator ground truth), with the Lyapunov solution as the
-small-rate limit.
+The chain's exact stationary covariance X solves the Stein equation ``X
+= (I - lr A) X (I - lr A) + (lr^2/batch) C``, ``C = B^T B``; divided by
+lr, ``A X + X A - lr A X A = (lr/batch) C``, the continuous-time model's
+Lyapunov equation (its small-rate limit) with one more term.  X exists
+exactly when ``lr * lambda_max(A) < 2``.  Simulations here are compared
+against it (simulator ground truth).
 
 The chain is evaluated exactly in A's eigenbasis, on the deviation from
 the minimizer: with ``A = V diag(lam) V^T`` it splits into d scalar

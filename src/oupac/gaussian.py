@@ -31,20 +31,9 @@ from .errors import (
     NumericalInconsistencyError,
     TooFewSamplesError,
 )
-from .linalg import (
-    SpdMatrix,
-    SymmetricMatrix,
-    Verdict,
-    _check_held,
-    _frozen_vector,
-    _item,
-    _log_det_of_factor,
-    cholesky_factor,
-    log_det,
-    make_spd,
-    solve_continuous_lyapunov,
-    solve_discrete_stein,
-)
+from .linalg import (SpdMatrix, SymmetricMatrix, Verdict, _check_held, _check_same_dim,
+                     _frozen_vector, _item, _log_det_of_factor, _lyapunov_in_eigenbasis,
+                     cholesky_factor, log_det, make_spd, solve_continuous_lyapunov)
 from .rng import make_rng
 
 #: KL values in (-KL_CLAMP, 0) are treated as floating-point noise and
@@ -150,12 +139,6 @@ def stationary_from_dynamics(
         If the resulting covariance is not strictly positive definite
         (e.g. a rank-deficient noise covariance).
     """
-    minimizer = np.asarray(minimizer, dtype=float).reshape(-1)
-    if not (hessian.dim == noise_cov.dim == minimizer.shape[0]):
-        raise DimensionMismatchError(
-            f"dimensions disagree: hessian {hessian.dim}, noise {noise_cov.dim}, "
-            f"minimizer {minimizer.shape[0]}"
-        )
     check_rate(lr, batch_size)
     sigma = solve_continuous_lyapunov(hessian, _stationary_rhs(noise_cov, lr, batch_size))
     return GaussianMeasure(minimizer, make_spd(sigma.entries))
@@ -169,29 +152,33 @@ def stein_stationary_covariance(
 ) -> SymmetricMatrix:
     """Exact stationary covariance of the discrete SGD chain.
 
-    The chain ``x' = M x + (lr / sqrt(batch_size)) B^T z`` with step map
-    ``M = I - lr * A`` has the stationary covariance X solving the Stein
-    equation ``X = M X M^T + (lr^2 / batch_size) * C``.  The Lyapunov
-    covariance of :func:`stationary_from_dynamics` is its small-rate
-    limit.
+    The chain ``x' = (I - lr A) x + (lr / sqrt(batch_size)) B^T z`` has the
+    stationary covariance X of ``X = (I - lr A) X (I - lr A) + (lr^2 /
+    batch_size) C``: divided by lr, ``A X + X A - lr A X A = (lr /
+    batch_size) C``, the Lyapunov law of :func:`stationary_from_dynamics`
+    (its small-rate limit) with one more term, solved like it in the
+    Hessian's kept eigenbasis.  X exists exactly when ``lr * lambda_max(A)
+    < 2``; its accuracy does not degrade as lr shrinks.
 
     Raises
     ------
+    DimensionMismatchError
+        If the Hessian and noise covariance dimensions disagree.
     InvalidRangeError
         If lr/batch_size are out of range (see :func:`check_rate`).
     SpectralRadiusTooLargeError
-        If the step map has spectral radius >= 1 (unstable chain).
+        If ``lr * lambda_max(A) >= 2`` (no stationary covariance).
     ResidualTooLargeError
-        If the Stein solve fails its residual check.
+        If the solve fails its residual check.
     """
     check_rate(lr, batch_size)
-    step_map = np.eye(hessian.dim) - lr * hessian.entries
-    per_step_cov = (lr**2 / batch_size) * noise_cov.entries
-    return solve_discrete_stein(step_map, SymmetricMatrix(per_step_cov))
+    rhs = _stationary_rhs(noise_cov, lr, batch_size).entries
+    _check_same_dim(hessian.entries, rhs)
+    return SymmetricMatrix(_lyapunov_in_eigenbasis(hessian.entries, *hessian.eigh, rhs, lr))
 
 
 def _stationary_rhs(noise_cov: SymmetricMatrix, lr: float, batch_size: int) -> SymmetricMatrix:
-    """Right-hand side ``(lr / batch_size) * C`` of the stationary Lyapunov equation."""
+    """Right-hand side ``(lr / batch_size) * C`` of both stationary laws."""
     return SymmetricMatrix((lr / float(batch_size)) * noise_cov.entries)
 
 

@@ -335,16 +335,25 @@ def solve_continuous_lyapunov(a: SpdMatrix, q: SymmetricMatrix) -> SymmetricMatr
     """
     q_entries = _symmetric_entries(q)
     _check_same_dim(a.entries, q_entries)
-    lam, vecs = a.eigh
-    return SymmetricMatrix(_lyapunov_in_eigenbasis(a.entries, lam, vecs, q_entries))
+    return SymmetricMatrix(_lyapunov_in_eigenbasis(a.entries, *a.eigh, q_entries))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails a check instead
 def _lyapunov_in_eigenbasis(a: np.ndarray, lam: np.ndarray, vecs: np.ndarray,
-                            q: np.ndarray) -> np.ndarray:
-    """Symmetric X with ``A X + X A = Q`` for each ``A = V diag(lam) V^T``
-    of a stack; raises if a residual check fails."""
-    x = _symmetrized(_solve_in_eigenbasis(vecs, q, lam[..., :, None] + lam[..., None, :]))
-    _residual_verdict(a @ x + x @ a, q, "continuous Lyapunov").check()
+                            q: np.ndarray, lr: float = 0.0) -> np.ndarray:
+    """Symmetric X with ``A X + X A - lr A X A = Q`` for each ``A = V diag(lam)
+    V^T`` of a stack: the Lyapunov law at lr = 0, else the SGD chain's Stein law
+    divided by lr.  A denominator, summed from positive terms as ``lam_i h_j +
+    h_i lam_j``, ``h = 1 - lr lam / 2``, is not positive exactly where ``lr *
+    lam_max >= 2``, which raises; so does a failing residual check."""
+    half = 1.0 - 0.5 * lr * lam
+    denom = lam[..., :, None] * half[..., None, :] + half[..., :, None] * lam[..., None, :]
+    Verdict(~(denom > 0.0).all(axis=(-2, -1)), lambda i: SpectralRadiusTooLargeError(
+        f"lr * lambda_max = {lr * float(_item(lam[..., -1], i)):.6g} >= 2: the step map "
+        f"I - lr*A has spectral radius >= 1 and the chain no stationary covariance")).check()
+    x = _symmetrized(_solve_in_eigenbasis(vecs, q, denom))
+    achieved = a @ x + x @ a - ((lr * a) @ x @ a if lr else 0.0)
+    _residual_verdict(achieved, q, "SGD chain Stein" if lr else "continuous Lyapunov").check()
     return x
 
 
@@ -377,7 +386,10 @@ def solve_discrete_stein(m, q: SymmetricMatrix) -> SymmetricMatrix:
         raise InvalidSpecError("the Stein solve needs an exactly symmetric M; "
                                "every SGD step map I - lr*A is one")
     mu, vecs = np.linalg.eigh(m_arr)
-    _check_stationary(float(np.max(np.abs(mu))))
+    rho = float(np.max(np.abs(mu)))
+    if rho >= 1.0:
+        raise SpectralRadiusTooLargeError(
+            f"spectral radius {rho:.6g} >= 1: the recursion has no stationary covariance")
     denom = 1.0 - mu[:, None] * mu[None, :]
     x = _solve_in_eigenbasis(vecs, q_entries, denom)
     # the eigendecomposition's rounding leaves a residual near
@@ -450,14 +462,6 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise DimensionMismatchError(
             f"operand shapes disagree: {a.shape} vs {b.shape}"
-        )
-
-
-def _check_stationary(rho: float) -> None:
-    if rho >= 1.0:
-        raise SpectralRadiusTooLargeError(
-            f"spectral radius {rho:.6g} >= 1: the recursion has no "
-            f"stationary covariance"
         )
 
 

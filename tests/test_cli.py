@@ -20,12 +20,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oupac import (
+    DimensionMismatchError,
+    InvalidRangeError,
+    QuadraticLoss,
     SampleSpec,
+    SgdDynamics,
+    SymmetricMatrix,
     kl_divergence,
     GaussianMeasure,
     make_spd,
     mcallester_bound,
     random_spd,
+    simulate_chain,
+    stationary_from_dynamics,
+    stein_stationary_covariance,
+    two_stage_run,
 )
 from oupac import bounds, cli, diffusion, linalg, matrixio, regression
 from oupac.cli import main
@@ -481,9 +490,10 @@ def test_oversized_option_exits_2_before_any_allocation(capsys, tmp_path, gaussi
 
 
 @pytest.mark.parametrize("command, flags, option, count, what, floats_per_count, dim", [
-    ("validity", ["--n=100"], "--trials", 300, "trials: the per-trial results hold", 1, 2),
+    ("validity", ["--n=100"], "--trials", 300, "trials: the per-trial results hold",
+     regression.VALIDITY_TRIAL_FLOATS, 2),
     ("scaling", ["--ns=10,20"], "--trials", 150,
-     "trials: every n's trials hold", 2, 2),
+     "trials: every n's trials hold", 2 * regression.SCALING_TRIAL_FLOATS, 2),
     ("lemma-survey", ["--dims=1-3"], "--pairs-per-dim", 300,
      "pairs_per_dim: the margins hold", 1, 3),
 ], ids=["validity", "scaling", "lemma-survey"])
@@ -491,9 +501,10 @@ def test_per_item_count_exits_2_before_any_list_is_built(capsys, monkeypatch, tm
                                                         flags, option, count, what,
                                                         floats_per_count, dim):
     # a count of trials or pairs is checked against RECORD_FLOATS by arithmetic;
-    # the limit is lowered to 300 floats, so that the count at the limit runs in
-    # milliseconds and the one past it exits 2 before any seed list is built
-    limit = 300
+    # the limit is lowered to the floats of ``count`` items, so that the count at
+    # the limit runs in milliseconds and the one past it exits 2 before any seed
+    # list is built
+    limit = floats_per_count * count
     monkeypatch.setattr(linalg, "RECORD_FLOATS", limit)
     out_path = tmp_path / "out"
     code, _, err = run_cli(capsys, command, *flags, f"{option}={count}", "--output",
@@ -513,6 +524,48 @@ def test_per_item_count_exits_2_before_any_list_is_built(capsys, monkeypatch, tm
     assert err == (f"error: {what} {floats} floats ({8 * floats} bytes) at dimension {dim}; "
                    f"at most {limit} ({8 * limit} bytes) are held\n")
     assert not out_path.exists()
+
+
+def _mismatch_cases():
+    """Each dimension or mode check of the stationary laws and the chain
+    runners: a call with two operands that disagree, and the error it
+    raises (type and message start)."""
+    def stage(dim):
+        return QuadraticLoss(make_spd(np.eye(dim)), np.zeros(dim)), SgdDynamics(0.1, 1, np.eye(dim))
+
+    def two_stage(pt_dim, ft_dim, init_mode="analytic_sample"):
+        return lambda: two_stage_run(*stage(pt_dim), *stage(ft_dim), 20, 20, 2,
+                                     init_mode=init_mode)
+    shapes = "operand shapes disagree: (2, 2) vs (3, 3)"
+    return {
+        "stein": (lambda: stein_stationary_covariance(
+            make_spd(np.eye(2)), SymmetricMatrix(np.eye(3)), 0.1, 1),
+            DimensionMismatchError, shapes),
+        "stationary": (lambda: stationary_from_dynamics(
+            make_spd(np.eye(2)), np.zeros(2), SymmetricMatrix(np.eye(3)), 0.1, 1),
+            DimensionMismatchError, shapes),
+        "lyapunov-cli": (None, None, f"error: {shapes}\n"),
+        "two-stage-init-mode": (two_stage(2, 2, "warm_start"), InvalidRangeError,
+                                "unknown init_mode 'warm_start'"),
+        "two-stage-dims": (two_stage(2, 3), DimensionMismatchError,
+                           "stage dimensions disagree: 2 vs 3"),
+        "simulate-init": (lambda: simulate_chain(np.zeros(3), *stage(2), 20),
+                          DimensionMismatchError, "init has dimension 3, loss has 2"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_mismatch_cases()))
+def test_operands_that_disagree_are_rejected(capsys, tmp_path, identity_file, case):
+    call, error, message = _mismatch_cases()[case]
+    if call is None:  # the command line: exit 2, one error line, no traceback
+        write_matrix(tmp_path / "I3.txt", np.eye(3))
+        code, out, err = run_cli(capsys, "lyapunov", "--a", identity_file,
+                                 "--q", str(tmp_path / "I3.txt"))
+        assert (code, out, err) == (2, "", message)
+        return
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value).startswith(message)
 
 
 def test_main_holds_one_blas_thread_inside_a_handler(capsys, monkeypatch,
@@ -670,15 +723,15 @@ def _stage_flags(prefix: str, hessian: str, factor: str) -> list[str]:
       *_stage_flags("ft-", "s.txt", "b.txt"), "--init-mode", "chain_continue"],
      {"cholesky": 0, "eigh": 2, "eigvalsh": 2}),
     (["simulate", *_stage_flags("", "h.txt", "b.txt")],
-     {"cholesky": 0, "eigh": 2, "eigvalsh": 1}),
+     {"cholesky": 0, "eigh": 1, "eigvalsh": 1}),
 ], ids=["kl", "dominance", "two-stage-analytic_sample", "two-stage-chain_continue", "simulate"])
 def test_each_spd_value_decomposes_once_per_call(capsys, monkeypatch, tmp_path, argv, expected):
     # every SPD value is decomposed once: cholesky once per covariance used (the
     # pre-training bound reads sigma_pt's log det from its factor), eigh once per
-    # Hessian (the Lyapunov solve and the chain scan share it) and once for the
-    # simulate Stein solve's step map, and eigvalsh once per SPD value, at its
-    # check, whose eigenvalues the stability checks reuse; the noise covariance
-    # C = B^T B is a SymmetricMatrix, not an SPD value, and is never decomposed
+    # Hessian (the Lyapunov and Stein solves and the chain scan share it), and
+    # eigvalsh once per SPD value, at its check, whose eigenvalues the stability
+    # checks reuse; the noise covariance C = B^T B is a SymmetricMatrix, not an
+    # SPD value, and is never decomposed
     write_matrix(tmp_path / "h.txt", [[2.0, 0.5, 0.0], [0.5, 1.0, 0.1], [0.0, 0.1, 1.5]])
     write_matrix(tmp_path / "s.txt", [[1.5, 0.2, 0.0], [0.2, 0.8, 0.0], [0.0, 0.0, 1.2]])
     write_matrix(tmp_path / "b.txt", [[0.5, 0.1, 0.0], [0.0, 0.4, 0.1], [0.0, 0.0, 0.3]])

@@ -5,11 +5,15 @@ KL; agreement is asserted at three standard errors.  Frozen constants
 were computed with a 40-digit mpmath evaluation of the closed forms.
 """
 
+import itertools
+import math
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oupac import (
@@ -17,6 +21,7 @@ from oupac import (
     GaussianMeasure,
     InvalidRangeError,
     NotPositiveDefiniteError,
+    ResidualTooLargeError,
     SpectralRadiusTooLargeError,
     SymmetricMatrix,
     TooFewSamplesError,
@@ -35,8 +40,10 @@ from oupac import (
     stein_stationary_covariance,
 )
 from oupac.gaussian import _kl_divergences, gaussian_pair_terms
-from oupac.linalg import cholesky_factor
+from oupac.linalg import RESIDUAL_RTOL, cholesky_factor
 from oupac.rng import make_rng
+
+EPS = np.finfo(float).eps
 
 # KL(N(0, diag(0.05, 0.025)) || N(0, I)), 40-digit evaluation
 KL_DIAG_EXAMPLE = 2.3798058638339636
@@ -132,9 +139,94 @@ class TestSteinStationaryCovariance:
         with pytest.raises(InvalidRangeError):
             stein_stationary_covariance(make_spd(np.eye(2)), make_spd(np.eye(2)), lr, batch)
 
-    def test_rejects_unstable_step_map(self):
-        with pytest.raises(SpectralRadiusTooLargeError):
-            stein_stationary_covariance(make_spd(np.eye(2)), make_spd(np.eye(2)), 2.0, 1)
+    @pytest.mark.parametrize("lam, lr", [(1.0, 2.0), (1.0, 3.0), (1e10, 1e300)])
+    def test_rejects_unstable_step_map(self, lam, lr):
+        # lr * lambda_max >= 2, where lr * lambda may overflow: no warning
+        with pytest.raises(SpectralRadiusTooLargeError, match="lr \\* lambda_max = "):
+            stein_stationary_covariance(make_spd(lam * np.eye(2)), make_spd(np.eye(2)), lr, 1)
+
+    def test_gap_to_lyapunov_matches_its_closed_form_as_lr_shrinks(self):
+        # diagonal A, C = I: X_ii = lr / (lam_i (2 - lr lam_i)) and S_ii = lr / (2 lam_i),
+        # so (X - S)_ii / S_ii = lr lam_i / (2 - lr lam_i), down to 5e-11 here; X and
+        # S each take a few roundings, so the computed ratio is within 16 eps of it
+        lam = np.array([0.5, 1.25, 3.0])
+        hessian, noise = make_spd(np.diag(lam)), make_spd(np.eye(3))
+        for lr in 10.0 ** -np.arange(2, 11):
+            stein = np.diag(stein_stationary_covariance(hessian, noise, lr, 1).entries)
+            lyap = np.diag(solve_continuous_lyapunov(hessian, SymmetricMatrix(lr * np.eye(3)))
+                           .entries)
+            np.testing.assert_allclose((stein - lyap) / lyap, lr * lam / (2.0 - lr * lam),
+                                       rtol=0, atol=16 * EPS)
+
+    def test_a_step_that_rounds_to_one_still_has_its_law(self):
+        # 1 - 1e-16 * lam rounds to 1 for lam <= 3, yet the law needs no step map
+        lam = np.array([0.5, 1.25, 3.0])
+        x = stein_stationary_covariance(make_spd(np.diag(lam)), make_spd(np.eye(3)), 1e-16, 1)
+        np.testing.assert_allclose(x.entries, np.diag(1e-16 / (lam * (2.0 - 1e-16 * lam))),
+                                   rtol=4 * EPS, atol=0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(1, 5),
+        log_condition=st.floats(0.0, 8.0),
+        log_step=st.floats(-12.0, math.log10(1.999)),
+        rotated=st.booleans(),
+        batch=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dim=4, log_condition=8.0, log_step=-12.0, rotated=False, batch=1, seed=0)
+    @example(dim=4, log_condition=8.0, log_step=math.log10(1.999), rotated=False, batch=1,
+             seed=0)
+    @example(dim=4, log_condition=8.0, log_step=-8.0, rotated=True, batch=1, seed=0)
+    def test_accuracy_against_an_exact_solve(self, dim, log_condition, log_step, rotated,
+                                             batch, seed):
+        # A has eigenvalues 1 and 10^-log_condition and others log-uniform between,
+        # diagonal or turned by a random rotation; lr * lambda_max = step.  The
+        # denominators round to a few eps / (2 - step); a rotated A's eigh moves
+        # its smallest eigenvalue by about eps * lambda_max, which the law feels
+        # as eps * kappa.  So the bound, fixed here before the solve, is
+        kappa = 10.0 ** log_condition
+        step = 10.0 ** log_step
+        bound = 16 * dim * EPS * (kappa if rotated else 1.0) / (2.0 - step)
+        rng = make_rng(seed)
+        lam = np.concatenate([[1.0, 1.0 / kappa], kappa ** -rng.uniform(0, 1, dim)])[:dim]
+        turn = np.linalg.qr(rng.standard_normal((dim, dim)))[0] if rotated else np.eye(dim)
+        a = make_spd((turn * lam) @ turn.T)
+        c = random_spd(dim, 0.1, 2.0, seed=seed + 1)
+        lr = step / float(a.eigenvalues[-1])
+        norm_q = lr / batch * np.linalg.norm(c.entries)
+        try:
+            x = stein_stationary_covariance(a, c, lr, batch).entries
+        except ResidualTooLargeError:
+            # evaluating the residual rounds at about dim * eps * kappa * ||Q|| / (2 -
+            # step), past its 1e-10 (1 + ||Q||) budget for a large kappa, as the
+            # Lyapunov solve's does
+            assert dim * EPS * kappa * norm_q / (2.0 - step) > RESIDUAL_RTOL * (1 + norm_q)
+            return
+        want = _exact_chain_law(a.entries, c.entries, lr, batch)
+        assert np.linalg.norm(x - want) <= bound * np.linalg.norm(want)
+
+
+def _exact_chain_law(a: np.ndarray, c: np.ndarray, lr: float, batch: int) -> np.ndarray:
+    """X with ``A X + X A - lr A X A = (lr / batch) C`` for these float entries,
+    rounded once: in rationals for a diagonal A, else by a 60-digit solve of
+    the Kronecker form."""
+    dim = a.shape[0]
+    if np.array_equal(a, np.diag(np.diag(a))):
+        lam, rate = [Fraction(v) for v in np.diag(a)], Fraction(lr)
+        return np.array([[float(rate / batch * Fraction(c[i, j])
+                                / (lam[i] + lam[j] - rate * lam[i] * lam[j]))
+                          for j in range(dim)] for i in range(dim)])
+    with mpmath.workdps(60):
+        am, rate = mpmath.matrix(a.tolist()), mpmath.mpf(lr)
+        kron = mpmath.matrix(dim * dim, dim * dim)
+        for i, j, k, l in itertools.product(range(dim), repeat=4):
+            # (A X)_ij, (X A)_ij and (A X A)_ij read X_kl with these weights
+            kron[i * dim + j, k * dim + l] = (am[i, k] * (j == l) + (i == k) * am[l, j]
+                                              - rate * am[i, k] * am[l, j])
+        rhs = mpmath.matrix([rate / batch * mpmath.mpf(v) for v in c.reshape(-1)])
+        x = mpmath.lu_solve(kron, rhs)
+        return np.array([float(v) for v in x]).reshape(dim, dim)
 
 
 class TestKlDivergence:

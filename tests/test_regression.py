@@ -6,6 +6,7 @@ standard errors.
 """
 
 import statistics
+import tracemalloc
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -562,3 +563,32 @@ def test_stdev_matches_statistics_stdev(values):
     got = regression._stdev(values)
     want = statistics.stdev(values)
     assert got == want and np.signbit(got) == np.signbit(want)
+
+
+@pytest.mark.parametrize("experiment, held", [
+    ("validity", regression.VALIDITY_TRIAL_FLOATS),
+    ("scaling", regression.SCALING_TRIAL_FLOATS),
+])
+def test_a_trial_holds_no_more_floats_than_its_check_counts(monkeypatch, experiment, held):
+    # the slope of tracemalloc's peak from 4000 to 8000 trials, at d = n = 1 and
+    # in groups of 256 trials, so that a group's arrays are a fixed cost and the
+    # slope is what each trial holds until the run returns
+    monkeypatch.setattr(linalg, "GROUP_FLOATS", 256)
+    task = RegressionTask(np.ones(1), make_spd(np.eye(1)), 0.5, 1)
+    sgd = SgdDynamics(0.05, 1, np.eye(1))
+    run = {
+        "validity": lambda trials: bound_validity_experiment(
+            task, sgd, SampleSpec(1, 0.05), standard_gaussian(1), trials),
+        "scaling": lambda trials: scaling_experiment(task, [1, 2], sgd, 0.05,
+                                                     trials_per_n=trials // 2),
+    }[experiment]
+    run(100)  # the one-time allocations come before the measurement
+    peaks = []
+    for trials in (4000, 8000):
+        tracemalloc.start()
+        try:
+            run(trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 4000 <= 8 * held
