@@ -12,26 +12,26 @@ import oupac as op
 
 
 def main():
-    # a pre-trained model whose stationary covariance is mildly spread
-    sigma_pt = op.make_spd(np.diag([1.4, 0.8]))
-    pretrain = op.pretrain_bound(sigma_pt, op.SampleSpec(10**6, 0.05))
+    # a pre-trained model whose stationary covariance is mildly spread, and a
+    # fine-tuning stage that shifts the minimizer and reshapes the covariance;
+    # the pre-trained covariance is also the fine-tuning prior
+    pair = op.DomainPair(op.make_spd(np.diag([1.4, 0.8])), op.make_spd(np.diag([1.0, 1.2])),
+                         np.array([0.8, -0.3]))
+    spec_pt, spec_ft = op.SampleSpec(10**6, 0.05), op.SampleSpec(10**3, 0.05)
+
+    pretrain = op.pretrain_bound(pair.sigma_pt, spec_pt)
     print("pre-training stage (N = 1e6):")
     print(f"  divergence term   = {pretrain.kl_term:.6f}")
     print(f"  complexity term   = {pretrain.complexity_term:.6f}")
     print(f"  flipped-sign term = {pretrain.paper_literal_kl:.6f}")
 
-    # fine-tuning shifts the minimizer and reshapes the covariance
-    pair = op.DomainPair(sigma_pt, op.make_spd(np.diag([1.0, 1.2])),
-                         np.array([0.8, -0.3]))
-    finetune = op.finetune_bound(pair, op.SampleSpec(10**3, 0.05))
+    finetune = op.finetune_bound(pair, spec_ft)
     print("\nfine-tuning stage (N = 1e3):")
     print(f"  discrepancy D       = {op.discrepancy_d(pair):.6f}")
     print(f"  discrepancy D-tilde = {op.discrepancy_d_tilde(pair):.6f}")
     print(f"  complexity term     = {finetune.complexity_term:.6f}")
 
-    report = op.dominance_report(
-        sigma_pt, op.SampleSpec(10**6, 0.05), pair, op.SampleSpec(10**3, 0.05)
-    )
+    report = op.dominance_report(pair, spec_pt, spec_ft)
     print(f"\ndominance: fine-tuning term is {report.ratio:.1f}x the "
           "pre-training term")
 

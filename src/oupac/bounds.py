@@ -349,14 +349,10 @@ def kl_upper_bound_trace(
     return 0.25 * (lr / batch_size) * trace_ca_inv - 0.5 * log_det(sigma) - 0.5 * d
 
 
-def dominance_report(
-    sigma_pt: SpdMatrix,
-    spec_pt: SampleSpec,
-    pair: DomainPair,
-    spec_ft: SampleSpec,
-) -> DominanceReport:
-    """Compare the two stages' complexity terms; ratio = ft / pt."""
-    return _dominance(pretrain_bound(sigma_pt, spec_pt), finetune_bound(pair, spec_ft))
+def dominance_report(pair: DomainPair, spec_pt: SampleSpec, spec_ft: SampleSpec) -> DominanceReport:
+    """Compare the two stages' complexity terms; ratio = ft / pt.  The
+    pre-training bound is ``pair.sigma_pt``'s, the fine-tuning prior's."""
+    return _dominance(pretrain_bound(pair.sigma_pt, spec_pt), finetune_bound(pair, spec_ft))
 
 
 def _dominance(pt_report: BoundReport, ft_report: BoundReport) -> DominanceReport:

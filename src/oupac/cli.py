@@ -304,12 +304,10 @@ def _run_lemma_survey(params: dict) -> tuple[str, Iterable[str]]:
 
 
 def _run_dominance(params: dict) -> tuple[str, Iterable[str]]:
-    sigma_pt = make_spd(params["sigma_pt"])
-    sigma_ft = make_spd(params["sigma_ft"])
-    pair = DomainPair(sigma_pt, sigma_ft, params["shift"])
+    pair = DomainPair(make_spd(params["sigma_pt"]), make_spd(params["sigma_ft"]), params["shift"])
     spec_pt = SampleSpec(params["n_pt"], params["delta"])
     spec_ft = SampleSpec(params["n_ft"], params["delta"])
-    pt_report = pretrain_bound(sigma_pt, spec_pt)
+    pt_report = pretrain_bound(pair.sigma_pt, spec_pt)
     ft_report = finetune_bound(pair, spec_ft)
     report = _dominance(pt_report, ft_report)
     payload = {
@@ -329,18 +327,18 @@ def _run_dominance(params: dict) -> tuple[str, Iterable[str]]:
     return summary, [_json_text(payload)]
 
 
-def _build_task_and_dynamics(params: dict, sample_size: int) -> tuple[RegressionTask, SgdDynamics]:
+def _build_task_and_dynamics(params: dict) -> tuple[RegressionTask, SgdDynamics]:
     dim = params["weights"].shape[0]
     feature_cov = params["feature_cov"]
     feature_cov = make_spd(np.eye(dim) if feature_cov is None else feature_cov)
-    task = RegressionTask(params["weights"], feature_cov, params["noise_std"], sample_size)
+    task = RegressionTask(params["weights"], feature_cov, params["noise_std"])
     dyn = SgdDynamics(params["eta"], params["batch"], params["noise_scale"] * np.eye(dim))
     return task, dyn
 
 
 def _run_validity(params: dict) -> tuple[str, Iterable[str]]:
-    task, dyn = _build_task_and_dynamics(params, params["n"])
-    spec = SampleSpec(task.sample_size, params["delta"])
+    spec = SampleSpec(params["n"], params["delta"])
+    task, dyn = _build_task_and_dynamics(params)
     result = bound_validity_experiment(
         task, dyn, spec, standard_gaussian(task.dim),
         trials=params["trials"], master_seed=params["seed"],
@@ -348,7 +346,7 @@ def _run_validity(params: dict) -> tuple[str, Iterable[str]]:
     payload = {
         "violation_count": result.violation_count,
         "trials": params["trials"],
-        "n": task.sample_size,
+        "n": spec.sample_size,
         "delta": params["delta"],
         "gaps": result.gaps,
         "bounds": result.bounds,
@@ -359,15 +357,14 @@ def _run_validity(params: dict) -> tuple[str, Iterable[str]]:
         f"mean_gap={_fmt(result.gaps['mean'])} mean_bound={_fmt(result.bounds['mean'])}"
     )
     if params["format"] == "csv":
-        rows = [[r.seed, r.sample_size, r.gap, r.bound_value, r.violated]
+        rows = [[r.seed, spec.sample_size, r.gap, r.bound_value, r.violated]
                 for r in result.records]
         return summary, [_csv_text(["seed", "n", "gap", "bound", "violated"], rows)]
     return summary, [_json_text(payload)]
 
 
 def _run_scaling(params: dict) -> tuple[str, Iterable[str]]:
-    # scaling_experiment sets the sample size of each run; the task's is a placeholder
-    task, dyn = _build_task_and_dynamics(params, params["ns"][0])
+    task, dyn = _build_task_and_dynamics(params)
     rows = scaling_experiment(
         task, params["ns"], dyn, params["delta"],
         master_seed=params["seed"], trials_per_n=params["trials"],

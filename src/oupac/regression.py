@@ -5,7 +5,8 @@ quadratic in the parameters, so the quadratic-loss machinery applies
 with no approximation error.  This module generates Gaussian regression
 data, extracts the exact empirical quadratic, evaluates closed-form
 Gaussian-posterior risks, and measures generalization gaps against the
-bound evaluators.
+bound evaluators.  A :class:`RegressionTask` is the data model alone: an
+experiment's sample size is its ``SampleSpec``'s, the N of its bound.
 
 The gap trials of an experiment are evaluated as stacks: arrays with a
 leading trial axis, in the groups of :func:`oupac.linalg._in_groups`.  A
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -54,7 +55,7 @@ from .rng import _child_seeds, _streams, _Streams, child_seed, make_rng
 
 #: Floats a gap trial holds until its run returns, counted against
 #: ``RECORD_FLOATS``: a seed, a TrialRecord, a gap and a bound in validity
-#: (48-68 measured by tracemalloc), a seed and its risks in scaling (25-33).
+#: (44-61 measured by tracemalloc), a seed and its risks in scaling (25-33).
 VALIDITY_TRIAL_FLOATS = 80
 SCALING_TRIAL_FLOATS = 40
 
@@ -69,12 +70,11 @@ BOUNDED_LOSS_NOTE = (
 
 @dataclass(frozen=True, eq=False)
 class RegressionTask:
-    """Linear-Gaussian data model ``y = x^T w + noise_std * eps``."""
+    """Linear-Gaussian data model ``y = x^T w + noise_std * eps``, without a sample size."""
 
     true_weights: np.ndarray
     feature_cov: SpdMatrix
     noise_std: float
-    sample_size: int
 
     def __post_init__(self):
         weights = _frozen_vector(self.true_weights, "true_weights")
@@ -85,8 +85,6 @@ class RegressionTask:
             )
         if not self.noise_std >= 0:
             raise InvalidRangeError(f"noise_std must be >= 0, got {self.noise_std}")
-        if int(self.sample_size) != self.sample_size or self.sample_size < 1:
-            raise InvalidRangeError(f"sample_size must be a positive integer, got {self.sample_size}")
         object.__setattr__(self, "true_weights", weights)
 
     @property
@@ -113,17 +111,19 @@ class Dataset:
         object.__setattr__(self, "targets", targets)
 
 
-def generate_dataset(task: RegressionTask, seed: int) -> Dataset:
-    """Draw a dataset from the task's model; deterministic per seed."""
-    features, targets = _datasets(task, [make_rng(seed)])
+def generate_dataset(task: RegressionTask, sample_size: int, seed: int) -> Dataset:
+    """Draw ``sample_size`` rows from the task's model; deterministic per seed."""
+    if int(sample_size) != sample_size or sample_size < 1:
+        raise InvalidRangeError(f"sample_size must be a positive integer, got {sample_size}")
+    features, targets = _datasets(task, sample_size, [make_rng(seed)])
     return Dataset(features[0], targets[0], seed)
 
 
-def _datasets(task: RegressionTask, streams) -> tuple[np.ndarray, np.ndarray]:
+def _datasets(task: RegressionTask, n: int, streams) -> tuple[np.ndarray, np.ndarray]:
     """Features ``(T, n, d)`` and targets ``(T, n)`` drawn from each of
     ``streams``, a list of generators or an :func:`oupac.rng._streams` stack."""
-    draws = np.empty((len(streams), task.sample_size, task.dim))
-    noise = np.empty((len(streams), task.sample_size))
+    draws = np.empty((len(streams), n, task.dim))
+    noise = np.empty((len(streams), n))
     for draw, row, rng in zip(draws, noise, streams):
         rng.standard_normal(out=draw)
         rng.standard_normal(out=row)
@@ -210,7 +210,7 @@ def _gap_trials(
     quadratic, and uses the analytic stationary Gaussian of the SGD
     dynamics on it as the posterior."""
     columns = _in_groups(lambda group: _gap_group(task, sgd, spec, prior, group),
-                         streams, task.sample_size * task.dim)
+                         streams, spec.sample_size * task.dim)
     return tuple(column.tolist() for column in columns)
 
 
@@ -218,7 +218,7 @@ def _gap_trials(
 def _gap_group(task, sgd, spec, prior, streams):
     """:func:`_gap_trials` on one group; raises at the first check that a
     trial fails, in the order a trial-by-trial loop makes the checks."""
-    x, y = _datasets(task, streams)
+    x, y = _datasets(task, spec.sample_size, streams)
     hessian = _symmetrized(_gram(x))
     eigenvalues = np.linalg.eigvalsh(hessian)
     design = _spd_verdict(eigenvalues)
@@ -255,10 +255,12 @@ class TrialRecord:
     """Row of a validity experiment: one seed, one gap, one bound."""
 
     seed: int
-    sample_size: int
     gap: float
     bound_value: float
-    violated: bool
+
+    @property
+    def violated(self) -> bool:
+        return self.gap > self.bound_value
 
 
 @dataclass(frozen=True)
@@ -326,18 +328,18 @@ def bound_validity_experiment(
     trials: int,
     master_seed: int = 0,
 ) -> ValidityResult:
-    """Run ``trials`` independent gap trials and count bound violations.
+    """Run ``trials`` independent gap trials of ``spec.sample_size`` rows
+    each and count bound violations.
 
     The sample size must be at least the feature dimension, which is
     checked before any data are drawn."""
     if trials < 10:
         raise InvalidRangeError(f"trials must be >= 10, got {trials}")
-    _check_sample_sizes([task.sample_size], task.dim)
+    _check_sample_sizes([spec.sample_size], task.dim)
     _check_held("trials: the per-trial results hold", VALIDITY_TRIAL_FLOATS * trials, task.dim)
     seeds = _child_seeds(master_seed, [(index,) for index in range(trials)])
     records = [
-        TrialRecord(seed=seed, sample_size=task.sample_size, gap=expected - empirical,
-                    bound_value=bound, violated=expected - empirical > bound)
+        TrialRecord(seed=seed, gap=expected - empirical, bound_value=bound)
         for seed, expected, empirical, bound in zip(seeds, *_gap_trials(
             task, sgd, spec, prior, _trial_streams(seeds),
         ))
@@ -353,7 +355,7 @@ def bound_validity_experiment(
 
 
 def scaling_experiment(
-    task_template: RegressionTask,
+    task: RegressionTask,
     ns: Sequence[int],
     sgd: SgdDynamics,
     delta: float,
@@ -373,10 +375,10 @@ def scaling_experiment(
         raise InvalidRangeError(f"need ns and trials_per_n >= 1, got {ns}, {trials_per_n}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise InvalidRangeError(f"ns must be strictly increasing, got {ns}")
-    _check_sample_sizes(ns, task_template.dim)
+    _check_sample_sizes(ns, task.dim)
     _check_held("trials: every n's trials hold", SCALING_TRIAL_FLOATS * trials_per_n * len(ns),
-                task_template.dim)
-    prior = standard_gaussian(task_template.dim)
+                task.dim)
+    prior = standard_gaussian(task.dim)
     streams = _trial_streams(_child_seeds(
         master_seed, [(n_index, trial) for n_index in range(len(ns))
                       for trial in range(trials_per_n)]))
@@ -384,7 +386,7 @@ def scaling_experiment(
     mean_gaps: dict[int, float] = {}
     for n_index, n in enumerate(ns):
         expected, empirical, bounds = _gap_trials(
-            replace(task_template, sample_size=n), sgd, SampleSpec(n, delta), prior,
+            task, sgd, SampleSpec(n, delta), prior,
             streams[n_index * trials_per_n:(n_index + 1) * trials_per_n],
         )
         mean_bounds[n] = statistics.fmean(bounds)

@@ -180,7 +180,7 @@ def test_criterion_6_bound_validity():
     with criterion(6, "at most 10 violations in 200 regression trials"):
         start = time.perf_counter()
         task = op.RegressionTask(
-            np.array([0.3, -0.2]), op.make_spd(np.eye(2)), 1.0, 100
+            np.array([0.3, -0.2]), op.make_spd(np.eye(2)), 1.0
         )
         result = op.bound_validity_experiment(
             task,
@@ -219,10 +219,10 @@ def test_criterion_8_finetuning_dominance():
         import math
 
         sigma_val = brentq(lambda s: s - 1.0 - math.log(s) - 1.0, 1.5, 10.0, xtol=1e-14)
+        sigma = op.make_spd([[sigma_val]])
         report = op.dominance_report(
-            op.make_spd([[sigma_val]]),
+            op.DomainPair(sigma, sigma, np.array([math.sqrt(sigma_val)])),
             op.SampleSpec(10**6, 0.05),
-            op.DomainPair(op.make_spd([[1.0]]), op.make_spd([[1.0]]), np.array([1.0])),
             op.SampleSpec(10**3, 0.05),
         )
         assert report.ratio >= 10.0

@@ -305,7 +305,7 @@ class TestIdenticalDomains:
             report = finetune_bound(pair, spec)
             kl_terms.append(report.kl_term)
             assert report.complexity_term == pytest.approx(mcallester_bound(0.0, spec), rel=1e-14)
-            assert dominance_report(sigma, spec, pair, spec).ft_term == report.complexity_term
+            assert dominance_report(pair, spec, spec).ft_term == report.complexity_term
         assert min(kl_terms) < 0.0
         with pytest.raises(InvalidSpecError, match="kl must be nonnegative"):
             mcallester_bound(min(kl_terms) / 2, spec)
@@ -482,33 +482,30 @@ class TestKlUpperBoundTrace:
 
 class TestDominance:
     def test_reference_instance(self):
-        # scalar pre-training covariance tuned so its divergence term is 1
+        # scalar pre-training covariance tuned so its divergence term is 1; as the
+        # fine-tuning prior, with a shift of sqrt(s), it gives a divergence term of 1 too
         sigma_val = brentq(lambda s: s - 1.0 - math.log(s) - 1.0, 1.5, 10.0, xtol=1e-14)
-        sigma_pt = make_spd([[sigma_val]])
-        pair = DomainPair(make_spd([[1.0]]), make_spd([[1.0]]), np.array([1.0]))
-        report = dominance_report(
-            sigma_pt, SampleSpec(10**6, 0.05), pair, SampleSpec(10**3, 0.05)
-        )
+        sigma = make_spd([[sigma_val]])
+        pair = DomainPair(sigma, sigma, np.array([math.sqrt(sigma_val)]))
+        report = dominance_report(pair, SampleSpec(10**6, 0.05), SampleSpec(10**3, 0.05))
         assert report.pt_term == pytest.approx(DOMINANCE_PT, rel=1e-9)
         assert report.ft_term == pytest.approx(DOMINANCE_FT, rel=1e-12)
         assert report.ratio == pytest.approx(DOMINANCE_RATIO, rel=1e-9)
         assert abs(report.ratio - 25.35) <= 0.01
 
     def test_equal_budgets_give_unit_ratio(self):
-        pair = identity_pair(1, [1.0])
         sigma_val = brentq(lambda s: s - 1.0 - math.log(s) - 1.0, 1.5, 10.0, xtol=1e-14)
-        sigma_pt = make_spd([[sigma_val]])
+        sigma = make_spd([[sigma_val]])
+        pair = DomainPair(sigma, sigma, np.array([math.sqrt(sigma_val)]))
         spec = SampleSpec(5000, 0.05)
-        report = dominance_report(sigma_pt, spec, pair, spec)
+        report = dominance_report(pair, spec, spec)
         assert report.ratio == pytest.approx(1.0, rel=1e-9)
 
     def test_ratio_increases_with_pretraining_data(self):
-        pair = identity_pair(1, [1.0])
-        sigma_pt = make_spd([[2.5]])
+        sigma = make_spd([[2.5]])
+        pair = DomainPair(sigma, sigma, np.array([math.sqrt(2.5)]))
         ratios = [
-            dominance_report(
-                sigma_pt, SampleSpec(n_pt, 0.05), pair, SampleSpec(1000, 0.05)
-            ).ratio
+            dominance_report(pair, SampleSpec(n_pt, 0.05), SampleSpec(1000, 0.05)).ratio
             for n_pt in (10**3, 10**4, 10**5, 10**6, 10**7)
         ]
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
@@ -706,7 +703,7 @@ def test_each_group_seeds_its_streams_in_one_kernel_call(monkeypatch, group_floa
     monkeypatch.setattr(np.random, "default_rng", counting("default_rng", np.random.default_rng))
     monkeypatch.setattr(oupac.rng, "_state_words", counting("kernel", oupac.rng._state_words))
     sizes = _group_sizes(monkeypatch)
-    task = RegressionTask(np.array([0.3, -0.2]), make_spd(np.eye(2)), 0.5, 6)
+    task = RegressionTask(np.array([0.3, -0.2]), make_spd(np.eye(2)), 0.5)
     sgd = SgdDynamics(0.1, 4, np.eye(2))
     for count in (8, 40):
         calls.update(default_rng=0, kernel=0)
@@ -749,3 +746,12 @@ def test_overflowing_pair_raises_without_a_warning():
                          lambda p: finetune_bound(p, SampleSpec(100, 0.05))):
             with pytest.raises(NumericalInconsistencyError, match="not finite"):
                 evaluate(pair)
+
+
+def test_log_of_zero_is_minus_infinity_without_a_warning():
+    # D~ and Lemma 2's margin take the log of tr R, which can underflow to 0;
+    # math.log(0.0) would raise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logs = bounds._log(np.array([0.0, 1.0]))
+    assert logs.tolist() == [-math.inf, 0.0]

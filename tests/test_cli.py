@@ -20,18 +20,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oupac import (
+    Dataset,
     DimensionMismatchError,
+    DomainPair,
     InvalidRangeError,
+    MomentEstimate,
+    NotSquareError,
     QuadraticLoss,
+    RegressionTask,
     SampleSpec,
     SgdDynamics,
     SymmetricMatrix,
+    TooFewSamplesError,
+    expected_risk_gaussian,
     kl_divergence,
+    kl_upper_bound_trace,
     GaussianMeasure,
+    log_density,
     make_spd,
+    mc_kl_estimate,
     mcallester_bound,
     random_spd,
+    sample,
     simulate_chain,
+    solve_discrete_stein,
+    stability_check,
+    standard_gaussian,
     stationary_from_dynamics,
     stein_stationary_covariance,
     two_stage_run,
@@ -390,14 +404,26 @@ def _two_stage_argv(matrix):
     ("bound", ["--config", "<json_array>"]),
     ("simulate", ["--minimizer="]),
     ("lemma-survey", ["--dims=0,2"]),
+    # fixture files that the parsers reject: their messages are checked below
+    ("lyapunov", ["--a", "<zero_dim>"]),
+    ("kl", ["--q", "<empty_file>"]),
+    ("lyapunov", ["--a", "<bad_row>"]),
 ])
 def test_out_of_range_option_exits_2_without_traceback(
     capsys, tmp_path, identity_file, gaussian_file, command, extra
 ):
     files = {"<gaussian_file>": gaussian_file, "<not_json>": tmp_path / "not.json",
-             "<json_array>": tmp_path / "array.json"}
+             "<json_array>": tmp_path / "array.json", "<zero_dim>": tmp_path / "zero.txt",
+             "<empty_file>": tmp_path / "empty.txt", "<bad_row>": tmp_path / "bad_row.txt"}
     files["<not_json>"].write_text("{\"kl\": 0,")
     files["<json_array>"].write_text(json.dumps([{"kl": 0}]))
+    files["<zero_dim>"].write_text("0\n")
+    files["<empty_file>"].write_text("")
+    files["<bad_row>"].write_text("2\n1 x\n0 1\n")
+    messages = {"<zero_dim>": "--a: matrix dimension must be >= 1, got 0",
+                "<empty_file>": "--q: empty Gaussian fixture",
+                "<bad_row>": "--a: could not parse numeric row '1 x'"}
+    message = next((messages[arg] for arg in extra if arg in messages), None)
     extra = [str(files.get(arg, arg)) for arg in extra]
     base = {
         "simulate": _simulate_argv(identity_file),
@@ -416,7 +442,17 @@ def test_out_of_range_option_exits_2_without_traceback(
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert message is None or err == f"error: {message}\n"
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the sample size is checked before the dynamics that --eta configures
+    (["validity", "--n=0", "--eta=-1"], "sample_size must be a positive integer, got 0"),
+    (["scaling", "--ns=0,5"], "every n must be >= feature dimension 2, got [0, 5]"),
+], ids=["validity", "scaling"])
+def test_a_bad_sample_size_exits_2_with_its_message(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command, burn_in, message", [
@@ -527,11 +563,14 @@ def test_per_item_count_exits_2_before_any_list_is_built(capsys, monkeypatch, tm
 
 
 def _mismatch_cases():
-    """Each dimension or mode check of the stationary laws and the chain
-    runners: a call with two operands that disagree, and the error it
-    raises (type and message start)."""
+    """Each dimension, mode or size check of the library's value types,
+    stationary laws, chain runners, Gaussian tools and regression testbed: a
+    call with two operands that disagree, or with one that is empty, too
+    small a count or not finite, and the error it raises (type and message
+    start)."""
     def stage(dim):
         return QuadraticLoss(make_spd(np.eye(dim)), np.zeros(dim)), SgdDynamics(0.1, 1, np.eye(dim))
+    eye2 = make_spd(np.eye(2))
 
     def two_stage(pt_dim, ft_dim, init_mode="analytic_sample"):
         return lambda: two_stage_run(*stage(pt_dim), *stage(ft_dim), 20, 20, 2,
@@ -551,6 +590,38 @@ def _mismatch_cases():
                            "stage dimensions disagree: 2 vs 3"),
         "simulate-init": (lambda: simulate_chain(np.zeros(3), *stage(2), 20),
                           DimensionMismatchError, "init has dimension 3, loss has 2"),
+        "loss-minimizer": (lambda: QuadraticLoss(eye2, np.zeros(3)), DimensionMismatchError,
+                           "minimizer has dimension 3, hessian is 2x2"),
+        "dynamics-factor": (lambda: SgdDynamics(0.1, 1, np.ones((2, 3))), DimensionMismatchError,
+                            "noise factor must be square, got shape (2, 3)"),
+        "stability-dims": (lambda: stability_check(stage(2)[0], stage(3)[1]),
+                           DimensionMismatchError, "loss dimension 2 != dynamics dimension 3"),
+        "domain-pair": (lambda: DomainPair(eye2, make_spd(np.eye(3)), np.zeros(2)),
+                        DimensionMismatchError,
+                        "dimensions disagree: sigma_pt 2, sigma_ft 3, shift 2"),
+        "kl-trace": (lambda: kl_upper_bound_trace(eye2, SymmetricMatrix(np.eye(3)), 0.1, 1, eye2),
+                     DimensionMismatchError, "dimensions disagree: hessian 2, noise 3, sigma 2"),
+        "gaussian-mean": (lambda: GaussianMeasure(np.zeros(3), eye2), DimensionMismatchError,
+                          "mean has dimension 3 but covariance is 2x2"),
+        "moment-estimate": (lambda: MomentEstimate(np.zeros(2), SymmetricMatrix(np.eye(2)), 1),
+                            TooFewSamplesError, "moment estimate needs >= 2 samples, got 1"),
+        "sample-count": (lambda: sample(standard_gaussian(2), 0, seed=0), TooFewSamplesError,
+                         "count must be >= 1, got 0"),
+        "log-density": (lambda: log_density(standard_gaussian(2), np.zeros((4, 3))),
+                        DimensionMismatchError, "points have dimension 3, measure has 2"),
+        "mc-kl": (lambda: mc_kl_estimate(standard_gaussian(2), standard_gaussian(3), 1000, 0),
+                  DimensionMismatchError, "dimensions disagree: 2 vs 3"),
+        "task-weights": (lambda: RegressionTask(np.zeros(3), eye2, 1.0), DimensionMismatchError,
+                         "true_weights has dimension 3, feature_cov is 2x2"),
+        "dataset-rows": (lambda: Dataset(np.eye(2), np.zeros(3), seed=0), DimensionMismatchError,
+                         "2 feature rows vs 3 targets"),
+        "expected-risk": (lambda: expected_risk_gaussian(stage(2)[0], standard_gaussian(3)),
+                          DimensionMismatchError, "dimensions disagree: 2 vs 3"),
+        "empty-matrix": (lambda: SymmetricMatrix(np.zeros((0, 0))), NotSquareError,
+                         "matrix must have dimension >= 1"),
+        "stein-nan": (lambda: solve_discrete_stein(np.array([[np.nan, 0.0], [0.0, 0.5]]),
+                                                   SymmetricMatrix(np.eye(2))),
+                      NotSquareError, "M contains non-finite entries"),
     }
 
 
@@ -696,7 +767,7 @@ def test_dominance_evaluates_each_bound_report_once(capsys, monkeypatch, identit
         for module in (bounds, cli):
             monkeypatch.setattr(module, name, counted)
     pair = bounds.DomainPair(make_spd(np.eye(2)), make_spd(2.0 * np.eye(2)), np.ones(2))
-    bounds.dominance_report(pair.sigma_pt, SampleSpec(1000, 0.05), pair, SampleSpec(100, 0.05))
+    bounds.dominance_report(pair, SampleSpec(1000, 0.05), SampleSpec(100, 0.05))
     assert counts == {"pretrain_bound": 1, "finetune_bound": 1}
     code, _, _ = run_cli(capsys, "dominance", "--sigma-pt", identity_file, "--sigma-ft",
                          identity_file, "--shift", "1,0", "--n-pt", "1000", "--n-ft", "100")

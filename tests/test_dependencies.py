@@ -86,3 +86,15 @@ def test_every_package_import_is_used():
     assert len(sources) > 10
     assert {path.name: unused for path in sources
             if (unused := _unused_imports(path))} == {}
+
+
+def test_all_lists_each_name_that_init_imports_once():
+    # __init__.py states its exports twice, in its imports and in __all__: an
+    # export added to only one of the two lists fails here
+    tree = ast.parse((ROOT / "src" / "oupac" / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign) and node.targets[0].id == "__all__")
+    assert len(imported) == len(set(imported)) > 0
+    assert sorted(exported) == sorted(imported)

@@ -422,7 +422,7 @@ class TestRandomSpd:
     (lambda v: QuadraticLoss(make_spd(np.eye(2)), v), "minimizer"),
     (lambda v: GaussianMeasure(v, make_spd(np.eye(2))), "mean"),
     (lambda v: DomainPair(make_spd(np.eye(2)), make_spd(np.eye(2)), v), "shift"),
-    (lambda v: RegressionTask(v, make_spd(np.eye(2)), 1.0, 10), "true_weights"),
+    (lambda v: RegressionTask(v, make_spd(np.eye(2)), 1.0), "true_weights"),
 ], ids=["minimizer", "mean", "shift", "true_weights"])
 def test_vector_fields_are_frozen_copies_of_finite_entries(build, field):
     column = np.array([[1.0], [-2.0]])

@@ -266,14 +266,14 @@ def test_a_domain_paired_with_itself_has_zero_divergence(dim, kappa, seed):
 @given(dim=DIMS, extra_rows=st.integers(1, 60), seed=SEEDS)
 def test_empirical_quadratic_ignores_the_order_of_the_rows(dim, extra_rows, seed):
     rng = make_rng(seed, 7)
-    task = RegressionTask(rng.standard_normal(dim), random_spd(dim, 0.5, 2.0, seed),
-                          1.0, dim + extra_rows)
-    data = generate_dataset(task, seed)
-    order = rng.permutation(task.sample_size)
+    task = RegressionTask(rng.standard_normal(dim), random_spd(dim, 0.5, 2.0, seed), 1.0)
+    n = dim + extra_rows
+    data = generate_dataset(task, n, seed)
+    order = rng.permutation(n)
     base = empirical_quadratic(data)
     turned = empirical_quadratic(Dataset(data.features[order], data.targets[order], seed))
 
-    x, y, n = data.features, data.targets, task.sample_size
+    x, y = data.features, data.targets
     # each computation of a sum of n products is within gamma_n of |X|^T |X|
     gamma = n * EPS / (1.0 - n * EPS)
     assert np.all(np.abs(turned.hessian.entries - base.hessian.entries)

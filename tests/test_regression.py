@@ -7,7 +7,6 @@ standard errors.
 
 import statistics
 import tracemalloc
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +24,7 @@ from oupac import (
     SampleSpec,
     SgdDynamics,
     SingularDesignError,
+    TrialRecord,
     UnstableDynamicsError,
     bound_validity_experiment,
     empirical_quadratic,
@@ -47,9 +47,9 @@ from oupac import linalg, regression
 from oupac.rng import child_seed, make_rng
 
 
-def default_task(n: int = 100, noise_std: float = 1.0, dim: int = 2) -> RegressionTask:
+def default_task(noise_std: float = 1.0, dim: int = 2) -> RegressionTask:
     weights = np.array([0.3, -0.2, 0.1, 0.4][:dim])
-    return RegressionTask(weights, make_spd(np.eye(dim)), noise_std, n)
+    return RegressionTask(weights, make_spd(np.eye(dim)), noise_std)
 
 
 def default_dynamics(dim: int = 2) -> SgdDynamics:
@@ -58,29 +58,38 @@ def default_dynamics(dim: int = 2) -> SgdDynamics:
 
 class TestGenerateDataset:
     def test_noiseless_targets_exact(self):
-        task = default_task(n=10, noise_std=0.0)
-        data = generate_dataset(task, seed=3)
+        task = default_task(noise_std=0.0)
+        data = generate_dataset(task, 10, seed=3)
         np.testing.assert_array_equal(data.targets, data.features @ task.true_weights)
 
     def test_feature_covariance_concentrates(self):
-        task = default_task(n=100_000)
-        data = generate_dataset(task, seed=1)
-        empirical = data.features.T @ data.features / task.sample_size
+        data = generate_dataset(default_task(), 100_000, seed=1)
+        empirical = data.features.T @ data.features / 100_000
         assert np.linalg.norm(empirical - np.eye(2), "fro") <= 0.02
 
     def test_deterministic(self):
         task = default_task()
-        a = generate_dataset(task, seed=9)
-        b = generate_dataset(task, seed=9)
+        a = generate_dataset(task, 100, seed=9)
+        b = generate_dataset(task, 100, seed=9)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.targets, b.targets)
 
     def test_correlated_features(self):
         cov = make_spd([[1.0, 0.6], [0.6, 1.0]])
-        task = RegressionTask(np.zeros(2), cov, 0.5, 50_000)
-        data = generate_dataset(task, seed=2)
-        empirical = data.features.T @ data.features / task.sample_size
+        task = RegressionTask(np.zeros(2), cov, 0.5)
+        data = generate_dataset(task, 50_000, seed=2)
+        empirical = data.features.T @ data.features / 50_000
         np.testing.assert_allclose(empirical, cov.entries, atol=0.03)
+
+    @pytest.mark.parametrize("sample_size", [0, -3, 2.5])
+    def test_sample_size_must_be_a_positive_integer(self, sample_size):
+        with pytest.raises(InvalidRangeError,
+                           match=f"^sample_size must be a positive integer, got {sample_size}$"):
+            generate_dataset(default_task(), sample_size, seed=0)
+
+    def test_a_seed_alone_is_not_read_as_the_sample_size(self):
+        with pytest.raises(TypeError):
+            generate_dataset(default_task(), 3)
 
 
 class TestEmpiricalQuadratic:
@@ -94,21 +103,20 @@ class TestEmpiricalQuadratic:
         assert quad.offset == pytest.approx(0.0, abs=1e-12)
 
     def test_noiseless_recovers_weights(self):
-        task = default_task(n=50, noise_std=0.0)
-        quad = empirical_quadratic(generate_dataset(task, seed=4))
+        task = default_task(noise_std=0.0)
+        quad = empirical_quadratic(generate_dataset(task, 50, seed=4))
         assert quad.offset == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(quad.minimizer, task.true_weights, atol=1e-8)
 
     def test_reconstructs_direct_average(self):
         # direct-sum oracle: mean(0.5 (y - x theta)^2) at random theta
-        task = default_task(n=200)
-        data = generate_dataset(task, seed=5)
+        data = generate_dataset(default_task(), 200, seed=5)
         quad = empirical_quadratic(data)
         rng = make_rng(6)
         for _ in range(20):
             theta = rng.standard_normal(2) * 2.0
             residuals = data.targets - data.features @ theta
-            direct = 0.5 * float(residuals @ residuals) / task.sample_size
+            direct = 0.5 * float(residuals @ residuals) / 200
             assert quad.value(theta) == pytest.approx(direct, rel=1e-10)
 
     @pytest.mark.parametrize("field, features, targets", [
@@ -189,7 +197,7 @@ class TestPopulationQuadratic:
 
     def test_matches_fresh_data_oracle(self):
         task = RegressionTask(
-            np.array([0.5, -1.0]), make_spd([[1.0, 0.3], [0.3, 2.0]]), 0.8, 100
+            np.array([0.5, -1.0]), make_spd([[1.0, 0.3], [0.3, 2.0]]), 0.8
         )
         quad = population_quadratic(task)
         rng = make_rng(1234)
@@ -227,7 +235,7 @@ class TestBoundValidityExperiment:
             )
 
     def test_noiseless_gaps_concentrate_below_their_bounds(self):
-        task = default_task(n=2000, noise_std=0.0)
+        task = default_task(noise_std=0.0)
         result = bound_validity_experiment(
             task, default_dynamics(), SampleSpec(2000, 0.05), standard_gaussian(2),
             trials=10, master_seed=13,
@@ -241,6 +249,10 @@ class TestBoundValidityExperiment:
         assert first == bound_validity_experiment(*args, trials=10, master_seed=21)
         assert first != bound_validity_experiment(*args, trials=10, master_seed=22)
 
+    def test_a_record_is_violated_only_when_its_gap_exceeds_its_bound(self):
+        assert TrialRecord(seed=0, gap=0.2, bound_value=0.1).violated
+        assert not TrialRecord(seed=0, gap=0.1, bound_value=0.1).violated
+
     def test_note_records_bounded_loss_caveat(self):
         result = bound_validity_experiment(
             default_task(), default_dynamics(), SampleSpec(100, 0.05), standard_gaussian(2),
@@ -250,9 +262,9 @@ class TestBoundValidityExperiment:
 
 
 @pytest.mark.parametrize("run", [
-    lambda task, sgd: bound_validity_experiment(task, sgd, SampleSpec(task.sample_size, 0.05),
+    lambda task, sgd: bound_validity_experiment(task, sgd, SampleSpec(2, 0.05),
                                                 standard_gaussian(task.dim), trials=10),
-    lambda task, sgd: scaling_experiment(task, [task.sample_size, 8], sgd, 0.05),
+    lambda task, sgd: scaling_experiment(task, [2, 8], sgd, 0.05),
 ], ids=["validity", "scaling"])
 def test_fewer_rows_than_features_rejected_before_any_data_are_drawn(monkeypatch, run):
     def no_data(*args):
@@ -260,7 +272,7 @@ def test_fewer_rows_than_features_rejected_before_any_data_are_drawn(monkeypatch
 
     monkeypatch.setattr(regression, "_datasets", no_data)
     with pytest.raises(InvalidRangeError, match="every n must be >= feature dimension 3"):
-        run(default_task(n=2, dim=3), default_dynamics(3))
+        run(default_task(dim=3), default_dynamics(3))
 
 
 class TestScalingExperiment:
@@ -300,7 +312,7 @@ def test_realizable_gap_shrinks_with_sample_size():
     gaps = {}
     for n in (100, 10_000):
         result = bound_validity_experiment(
-            default_task(n=n, noise_std=0.0), default_dynamics(), SampleSpec(n, 0.05),
+            default_task(noise_std=0.0), default_dynamics(), SampleSpec(n, 0.05),
             standard_gaussian(2), trials=20, master_seed=100,
         )
         gaps[n] = [abs(record.gap) for record in result.records]
@@ -321,7 +333,7 @@ class _Trial(NamedTuple):
 
 def _reference_gap_trial(task, sgd, spec, prior, seed=0):
     """Reference: one gap trial as it was computed before trials were stacked."""
-    data = generate_dataset(task, child_seed(seed, 0))
+    data = generate_dataset(task, spec.sample_size, child_seed(seed, 0))
     empirical = empirical_quadratic(data)
     report = stability_check(empirical, sgd)
     if not report.stable:
@@ -360,7 +372,7 @@ def _reference_scaling(task, ns, sgd, delta, master_seed, trials_per_n):
     """Reference: scaling_experiment's mean gap and mean bound per n."""
     rows = []
     for n_index, n in enumerate(ns):
-        trials = [_reference_gap_trial(replace(task, sample_size=n), sgd, SampleSpec(n, delta),
+        trials = [_reference_gap_trial(task, sgd, SampleSpec(n, delta),
                                        standard_gaussian(task.dim),
                                        seed=child_seed(master_seed, n_index, trial))
                   for trial in range(trials_per_n)]
@@ -373,19 +385,19 @@ def _close(got: float, want: float, scale: float) -> bool:
     return abs(got - want) <= 1e-12 * scale
 
 
-def _oracle_task(dim: int, correlated: bool, noise_std: float, n: int) -> RegressionTask:
+def _oracle_task(dim: int, correlated: bool, noise_std: float) -> RegressionTask:
     weights = make_rng(dim, 1).uniform(-1.0, 1.0, dim)
     cov = random_spd(dim, 0.5, 2.0, seed=dim) if correlated else make_spd(np.eye(dim))
-    return RegressionTask(weights, cov, noise_std, n)
+    return RegressionTask(weights, cov, noise_std)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 8])
 @pytest.mark.parametrize("correlated", [False, True])
 @pytest.mark.parametrize("noise_std", [0.0, 1.0])
 def test_stacked_trials_match_the_trial_by_trial_loop(dim, correlated, noise_std):
-    task = _oracle_task(dim, correlated, noise_std, n=5 * dim + 10)
+    task = _oracle_task(dim, correlated, noise_std)
     sgd = SgdDynamics(0.1, 10, np.eye(dim))
-    spec = SampleSpec(task.sample_size, 0.05)
+    spec = SampleSpec(5 * dim + 10, 0.05)
     prior = standard_gaussian(dim)
     args = (task, sgd, spec, prior)
     result = bound_validity_experiment(*args, trials=12, master_seed=dim)
@@ -404,11 +416,11 @@ def test_simulated_chain_moments_match_the_analytic_posterior(dim, correlated):
     # simulated chain instead of solved for: on the same dataset, risks and
     # bound agree with the analytic posterior's up to chain noise and the
     # small-rate gap between the chain's Stein law and the Lyapunov one
-    task = _oracle_task(dim, correlated, 1.0, n=5 * dim + 10)
+    task = _oracle_task(dim, correlated, 1.0)
     sgd = SgdDynamics(0.1, 10, np.eye(dim))
-    spec = SampleSpec(task.sample_size, 0.05)
+    spec = SampleSpec(5 * dim + 10, 0.05)
     prior = standard_gaussian(dim)
-    empirical = empirical_quadratic(generate_dataset(task, child_seed(31, 0)))
+    empirical = empirical_quadratic(generate_dataset(task, spec.sample_size, child_seed(31, 0)))
     trajectory = simulate_chain(empirical.minimizer, empirical, sgd, 200_000, stride=10,
                                 seed=child_seed(31, 1))
     estimate = estimate_stationary(trajectory)
@@ -433,7 +445,7 @@ def test_simulated_chain_moments_match_the_analytic_posterior(dim, correlated):
 
 @pytest.mark.parametrize("dim, ns", [(2, [6, 12, 24]), (8, [24, 48, 96])])
 def test_stacked_scaling_matches_the_trial_by_trial_loop(dim, ns):
-    task = _oracle_task(dim, True, 1.0, ns[0])
+    task = _oracle_task(dim, True, 1.0)
     sgd = SgdDynamics(0.1, 10, np.eye(dim))
     rows = scaling_experiment(task, ns, sgd, 0.05, master_seed=4, trials_per_n=5)
     for row, (gap, bound) in zip(rows, _reference_scaling(task, ns, sgd, 0.05, 4, 5), strict=True):
@@ -450,7 +462,7 @@ def _raised(call):
 #: some trials falls below the SPD tolerance, and at lr 1.0 the Hessians of
 #: others are too steep.  The seeds below put an unstable trial (third
 #: check) before a singular one (first check).
-_MIXED = RegressionTask(np.array([0.3, -0.2]), make_spd(np.diag([1.0, 5e-10])), 1.0, 6)
+_MIXED = RegressionTask(np.array([0.3, -0.2]), make_spd(np.diag([1.0, 5e-10])), 1.0)
 
 
 def _group_sizes(monkeypatch) -> list[int]:
@@ -466,17 +478,17 @@ def _group_sizes(monkeypatch) -> list[int]:
 
 
 @pytest.mark.parametrize("group_floats", [linalg.GROUP_FLOATS, 1, 2 * 6 * 2])
-@pytest.mark.parametrize("task, lr, master_seed, error", [
-    (_MIXED, 1.0, 6, UnstableDynamicsError),
+@pytest.mark.parametrize("task, n, lr, master_seed, error", [
+    (_MIXED, 6, 1.0, 6, UnstableDynamicsError),
     # n >= d, and the 5e-10 variance direction makes trials 2, 5 and 9 singular
-    (RegressionTask(np.array([0.3, -0.2, 0.1]), make_spd(np.diag([1.0, 1.0, 5e-10])), 1.0, 7),
-     0.1, 0, SingularDesignError),
-    (default_task(n=20), 1.2, 0, UnstableDynamicsError),
+    (RegressionTask(np.array([0.3, -0.2, 0.1]), make_spd(np.diag([1.0, 1.0, 5e-10])), 1.0),
+     7, 0.1, 0, SingularDesignError),
+    (default_task(), 20, 1.2, 0, UnstableDynamicsError),
 ])
-def test_validity_raises_what_the_loop_raises_first(monkeypatch, group_floats, task, lr,
+def test_validity_raises_what_the_loop_raises_first(monkeypatch, group_floats, task, n, lr,
                                                     master_seed, error):
     monkeypatch.setattr(linalg, "GROUP_FLOATS", group_floats)
-    args = (task, SgdDynamics(lr, 10, np.eye(task.dim)), SampleSpec(task.sample_size, 0.05),
+    args = (task, SgdDynamics(lr, 10, np.eye(task.dim)), SampleSpec(n, 0.05),
             standard_gaussian(task.dim))
     want = _raised(lambda: _reference_validity(*args, trials=12, master_seed=master_seed))
     assert want[0] is error
@@ -492,7 +504,7 @@ def test_validity_raises_what_the_loop_raises_first(monkeypatch, group_floats, t
 @pytest.mark.parametrize("group_floats", [linalg.GROUP_FLOATS, 1])
 @pytest.mark.parametrize("task, ns, lr, master_seed", [
     (_MIXED, [6, 9], 1.0, 119),
-    (RegressionTask(np.array([0.3, -0.2]), make_spd(np.eye(2)), 1.0, 4), [4, 8, 16], 1.2, 0),
+    (RegressionTask(np.array([0.3, -0.2]), make_spd(np.eye(2)), 1.0), [4, 8, 16], 1.2, 0),
 ])
 def test_scaling_raises_what_the_loop_raises_first(monkeypatch, group_floats, task, ns, lr,
                                                    master_seed):
@@ -508,7 +520,7 @@ def test_scaling_raises_what_the_loop_raises_first(monkeypatch, group_floats, ta
 
 
 def test_results_do_not_depend_on_the_group_size(monkeypatch):
-    task = _oracle_task(2, True, 1.0, 30)
+    task = _oracle_task(2, True, 1.0)
     args = (task, default_dynamics(), SampleSpec(30, 0.05), standard_gaussian(2))
     kwargs = {"trials": 13, "master_seed": 2}
     results = []
@@ -542,7 +554,7 @@ def test_one_group_makes_the_same_decompositions_for_any_trial_count(monkeypatch
     for trials in (10, 40):
         counts.update(eigh=0, cholesky=0)
         # a fresh task each run: its feature covariance keeps its factor once made
-        task = default_task(n=50)
+        task = default_task()
         bound_validity_experiment(task, default_dynamics(), SampleSpec(50, 0.05),
                                   standard_gaussian(2), trials=trials)
         seen.append(dict(counts))
@@ -574,7 +586,7 @@ def test_a_trial_holds_no_more_floats_than_its_check_counts(monkeypatch, experim
     # in groups of 256 trials, so that a group's arrays are a fixed cost and the
     # slope is what each trial holds until the run returns
     monkeypatch.setattr(linalg, "GROUP_FLOATS", 256)
-    task = RegressionTask(np.ones(1), make_spd(np.eye(1)), 0.5, 1)
+    task = RegressionTask(np.ones(1), make_spd(np.eye(1)), 0.5)
     sgd = SgdDynamics(0.05, 1, np.eye(1))
     run = {
         "validity": lambda trials: bound_validity_experiment(

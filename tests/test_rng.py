@@ -108,9 +108,9 @@ def test_one_stream_takes_any_seed(seed):
     matrix = random_spd(3, 0.5, 2.0, seed)
     assert np.array_equal(
         matrix.entries, make_spd(_random_spd_entries(3, 0.5, 2.0, [want])[0]).entries)
-    task = RegressionTask(np.array([0.5, -1.0]), make_spd(np.eye(2)), 0.3, 5)
-    data = generate_dataset(task, seed)
-    features, targets = _datasets(task, [np.random.default_rng(seed)])
+    task = RegressionTask(np.array([0.5, -1.0]), make_spd(np.eye(2)), 0.3)
+    data = generate_dataset(task, 5, seed)
+    features, targets = _datasets(task, 5, [np.random.default_rng(seed)])
     assert data.seed == seed
     assert np.array_equal(data.features, features[0])
     assert np.array_equal(data.targets, targets[0])
