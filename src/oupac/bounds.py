@@ -30,10 +30,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidRangeError, InvalidSpecError
+from .errors import DimensionMismatchError, InvalidSpecError, _integer, _real, _typed
 from .gaussian import _check_float_count, _pair_divergences, check_rate
-from .linalg import (SpdMatrix, SymmetricMatrix, _check_held, _frozen_vector, _in_groups,
-                     _make_spd_stack, _random_spd_entries, log_det)
+from .linalg import (SpdMatrix, SymmetricMatrix, _check_held, _eigenvalue_range,
+                     _frozen_vector, _in_groups, _make_spd_stack, _random_spd_entries, log_det)
 # cholesky_factor is not called here; bench/tests/test_bench_trace.py reads it from here
 from .linalg import cholesky_factor  # noqa: F401
 from .rng import _child_seeds, _streams
@@ -51,6 +51,8 @@ class DomainPair:
     shift: np.ndarray
 
     def __post_init__(self):
+        _typed(self.sigma_pt, SpdMatrix, "sigma_pt")
+        _typed(self.sigma_ft, SpdMatrix, "sigma_ft")
         shift = _frozen_vector(self.shift, "shift")
         if not (self.sigma_pt.dim == self.sigma_ft.dim == shift.shape[0]):
             raise DimensionMismatchError(
@@ -77,13 +79,13 @@ class SampleSpec:
     delta: float
 
     def __post_init__(self):
-        if int(self.sample_size) != self.sample_size or self.sample_size < 1:
-            raise InvalidSpecError(
-                f"sample_size must be a positive integer, got {self.sample_size}"
-            )
-        _check_float_count(self.sample_size, "sample_size", InvalidSpecError)
-        if not (0.0 < self.delta <= 1.0):
-            raise InvalidSpecError(f"delta must lie in (0, 1], got {self.delta}")
+        sample_size = _integer(self.sample_size, "sample_size", error=InvalidSpecError)
+        _check_float_count(sample_size, "sample_size", InvalidSpecError)
+        delta = _real(self.delta, "delta", InvalidSpecError)
+        if not (0.0 < delta <= 1.0):
+            raise InvalidSpecError(f"delta must lie in (0, 1], got {delta}")
+        object.__setattr__(self, "sample_size", sample_size)
+        object.__setattr__(self, "delta", delta)
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,7 @@ def pretrain_bound(sigma_pt: SpdMatrix, spec: SampleSpec) -> BoundReport:
     ``complexity_term = sqrt((kl_term + 2 log(1/delta) + 2 log N + 4)
     / (4N - 2))``.
     """
-    d = sigma_pt.dim
+    d = _typed(sigma_pt, SpdMatrix, "sigma_pt").dim
     trace = float(np.trace(sigma_pt.entries))
     ldet = log_det(sigma_pt)
     return _report(trace - d - ldet, ldet + trace - d, spec,
@@ -285,8 +287,9 @@ def lemma2_survey(
     checks against numpy's ``default_rng``.  Deterministic for a fixed
     seed.
     """
-    if pairs_per_dim < 1:
-        raise InvalidRangeError(f"pairs_per_dim must be >= 1, got {pairs_per_dim}")
+    pairs_per_dim = _integer(pairs_per_dim, "pairs_per_dim")
+    eigenvalue_low, eigenvalue_high = _eigenvalue_range(eigenvalue_low, eigenvalue_high)
+    dims = [_integer(d, "dim") for d in dims]  # random_spd's name, as the loop raises
     _check_survey_dim(max(dims, default=0))
     _check_held("pairs_per_dim: the margins hold", pairs_per_dim, max(dims, default=0))
     rows = []
@@ -296,8 +299,8 @@ def lemma2_survey(
             range(pairs_per_dim), 2 * d * d + 8)  # two covariances, two streams' words
         holds = np.count_nonzero(margins >= -HOLDS_TOLERANCE)
         rows.append({
-            "dim": int(d),
-            "pairs": int(pairs_per_dim),
+            "dim": d,
+            "pairs": pairs_per_dim,
             "holds": int(holds),
             "holds_fraction": holds / pairs_per_dim,
             "min_margin": float(margins.min()),
@@ -338,12 +341,15 @@ def kl_upper_bound_trace(
     * tr(C A^-1) / 2`` exactly, so when ``sigma`` is the stationary
     solution this equals the exact KL divergence.
     """
+    _typed(hessian, SpdMatrix, "hessian")
+    _typed(noise_cov, SymmetricMatrix, "noise_cov")
+    _typed(sigma, SpdMatrix, "sigma")
     if not (hessian.dim == noise_cov.dim == sigma.dim):
         raise DimensionMismatchError(
             f"dimensions disagree: hessian {hessian.dim}, noise {noise_cov.dim}, "
             f"sigma {sigma.dim}"
         )
-    check_rate(lr, batch_size)
+    lr, batch_size = check_rate(lr, batch_size)
     trace_ca_inv = float(np.trace(np.linalg.solve(hessian.entries, noise_cov.entries)))
     d = hessian.dim
     return 0.25 * (lr / batch_size) * trace_ca_inv - 0.5 * log_det(sigma) - 0.5 * d

@@ -144,8 +144,6 @@ def _dims(value) -> list[int]:
         dims = _ints(value)
     if not dims:
         raise ConfigError(f"dims range {value!r} is empty")
-    if any(d < 1 for d in dims):
-        raise ConfigError(f"dims must be positive, got {value!r}")
     return dims
 
 
@@ -646,9 +644,17 @@ def main(argv: list[str] | None = None) -> int:
         except OupacError as exc:
             print(f"error in {name}: {exc}", file=sys.stderr)
             return 3
-        print(summary)
-        if params["output"] is None:
-            sys.stdout.writelines(pieces)
+        try:
+            print(summary)
+            if params["output"] is None:
+                sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except OSError as exc:  # stdout to os.devnull: the flush at exit cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                return 1
+            print(f"error: standard output: {exc}", file=sys.stderr)
+            return 2
         return 0
 
 

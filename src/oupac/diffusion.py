@@ -59,7 +59,7 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from .errors import (DimensionMismatchError, InvalidRangeError, NumericalInconsistencyError,
-                     TooFewSamplesError, UnstableDynamicsError)
+                     TooFewSamplesError, UnstableDynamicsError, _integer, _real, _typed)
 from .gaussian import MomentEstimate, check_rate, sample, stationary_from_dynamics
 from .linalg import SpdMatrix, SymmetricMatrix, _check_held, _frozen_vector, _read_only
 from .rng import child_seed, make_rng
@@ -80,6 +80,7 @@ class QuadraticLoss:
     offset: float = 0.0
 
     def __post_init__(self):
+        _typed(self.hessian, SpdMatrix, "hessian")
         minimizer = _frozen_vector(self.minimizer, "minimizer")
         if minimizer.shape[0] != self.hessian.dim:
             raise DimensionMismatchError(
@@ -87,6 +88,7 @@ class QuadraticLoss:
                 f"{self.hessian.dim}x{self.hessian.dim}"
             )
         object.__setattr__(self, "minimizer", minimizer)
+        object.__setattr__(self, "offset", _real(self.offset, "offset"))
 
     @property
     def dim(self) -> int:
@@ -125,7 +127,9 @@ class SgdDynamics:
     noise_cov: SymmetricMatrix = field(init=False)
 
     def __post_init__(self):
-        check_rate(self.lr, self.batch_size)
+        lr, batch_size = check_rate(self.lr, self.batch_size)
+        object.__setattr__(self, "lr", lr)
+        object.__setattr__(self, "batch_size", batch_size)
         factor = np.asarray(self.noise_factor, dtype=float)
         if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
             raise DimensionMismatchError(
@@ -408,7 +412,7 @@ def simulate_chain(
         raise DimensionMismatchError(
             f"init has dimension {init.shape[0]}, loss has {loss.dim}"
         )
-    _check_run(total_steps, stride, None, 1, loss.dim, "total_steps")
+    total_steps, stride, _ = _check_run(total_steps, stride, None, 1, loss.dim, "total_steps")
     _require_stable(loss, dyn)
     plan = _ScanPlan(loss, dyn)
     records, _ = _run_chain(init, plan, total_steps, stride, make_rng(seed))
@@ -428,11 +432,9 @@ def estimate_stationary(traj: Trajectory, burn_in_records: int | None = None) ->
 
 def _burn_in_cut(count: int, burn_in: int | None, need: int) -> int:
     """How many of ``count`` records ``burn_in`` (default: half of them)
-    discards; raises for a negative ``burn_in`` or if fewer than ``need``
-    records remain."""
-    cut = count // 2 if burn_in is None else burn_in
-    if cut < 0:
-        raise InvalidRangeError(f"burn_in_records must be >= 0, got {cut}")
+    discards; raises unless ``burn_in`` is a non-negative integer, or if
+    fewer than ``need`` records remain."""
+    cut = count // 2 if burn_in is None else _integer(burn_in, "burn_in_records", 0)
     if count - cut < need:
         raise TooFewSamplesError(
             f"{max(count - cut, 0)} records left after burn-in of {cut}; need >= {need}"
@@ -441,19 +443,16 @@ def _burn_in_cut(count: int, burn_in: int | None, need: int) -> int:
 
 
 def _check_run(total_steps: int, stride: int, burn_in: int | None, need: int, dim: int,
-               name: str) -> int:
+               name: str) -> tuple[int, int, int]:
     """Reject a run length (the option ``name``), stride or burn-in before
-    any chain runs, and return how many records the chain keeps after the
-    burn-in: a chain records ``total_steps // stride + 1`` states of
-    ``dim`` floats, at most ``RECORD_FLOATS`` in all, and at least
-    ``need`` must survive the burn-in."""
-    if total_steps < 1:
-        raise InvalidRangeError(f"{name} must be >= 1, got {total_steps}")
-    if stride < 1:
-        raise InvalidRangeError(f"stride must be >= 1, got {stride}")
+    any chain runs; return the run length, the stride and how many records
+    the chain keeps after the burn-in: a chain records ``total_steps //
+    stride + 1`` states of ``dim`` floats, at most ``RECORD_FLOATS`` in
+    all, and at least ``need`` must survive the burn-in."""
+    total_steps, stride = _integer(total_steps, name), _integer(stride, "stride")
     count = total_steps // stride + 1
     _check_held(f"{name}={total_steps} at stride {stride} records", count * dim, dim)
-    return count - _burn_in_cut(count, burn_in, need)
+    return total_steps, stride, count - _burn_in_cut(count, burn_in, need)
 
 
 InitMode = Literal["analytic_sample", "chain_continue"]
@@ -488,10 +487,9 @@ def two_stage_run(
     ``burn_in`` counts records per replica and stage; it defaults to
     half of each trajectory's records, and at least one must survive it.
     """
-    if replicas < 2:
-        raise InvalidRangeError(f"replicas must be >= 2, got {replicas}")
-    pt_kept = _check_run(pt_steps, stride, burn_in, 1, pt_loss.dim, "pt_steps")
-    ft_kept = _check_run(ft_steps, stride, burn_in, 1, ft_loss.dim, "ft_steps")
+    replicas = _integer(replicas, "replicas", 2)
+    pt_steps, stride, pt_kept = _check_run(pt_steps, stride, burn_in, 1, pt_loss.dim, "pt_steps")
+    ft_steps, _, ft_kept = _check_run(ft_steps, stride, burn_in, 1, ft_loss.dim, "ft_steps")
     if init_mode not in ("analytic_sample", "chain_continue"):
         raise InvalidRangeError(f"unknown init_mode {init_mode!r}")
     _check_dims(pt_loss, pt_dyn)

@@ -5,7 +5,16 @@
 or burn-in the caller chose) signal bad user input (CLI exit code 2);
 every other subclass of :class:`OupacError` signals a numerical or
 precondition failure inside the library (CLI exit code 3).
+
+Every argument check goes through three helpers, so a wrong-typed or
+non-finite argument raises an :class:`OupacError`: :func:`_integer` (a
+Python or numpy integer, not a bool, with a lower bound), :func:`_real` (a
+finite real, not a bool) and :func:`_typed` (an instance of a given type).
 """
+
+import math
+import numbers
+import operator
 
 
 class OupacError(Exception):
@@ -67,3 +76,38 @@ class NumericalInconsistencyError(OupacError):
 
 class ConfigError(OupacError):
     """Invalid run configuration (bad/missing/unknown keys or values)."""
+
+
+def _integer(value, name: str, least: int | None = 1,
+             error: type[OupacError] = InvalidRangeError) -> int:
+    """``value`` as an int, if ``operator.index`` takes it (a Python or numpy
+    integer; not a float) and it is not a bool, and it is at least ``least``
+    (no bound if None); else raise ``error``."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is not None and (least is None or number >= least):
+        return number
+    kind = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+    raise error(f"{name} must be {kind.get(least, f'an integer >= {least}')}, got {value!r}")
+
+
+def _real(value, name: str, error: type[OupacError] = InvalidRangeError) -> float:
+    """``value`` as a float, if it is a finite real number (not a bool); else
+    raise ``error``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond float64
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise error(f"{name} must be a finite real number, got {value!r}")
+
+
+def _typed(value, cls: type, name: str):
+    """``value``, if it is a ``cls``; else raise :class:`InvalidRangeError`."""
+    if not isinstance(value, cls):
+        raise InvalidRangeError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value

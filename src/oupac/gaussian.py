@@ -24,13 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidRangeError,
-    NotPositiveDefiniteError,
-    NumericalInconsistencyError,
-    TooFewSamplesError,
-)
+from .errors import (DimensionMismatchError, InvalidRangeError, NumericalInconsistencyError,
+                     TooFewSamplesError, _integer, _real, _typed)
 from .linalg import (SpdMatrix, SymmetricMatrix, Verdict, _check_held, _check_same_dim,
                      _frozen_vector, _item, _log_det_of_factor, _lyapunov_in_eigenbasis,
                      cholesky_factor, log_det, make_spd, solve_continuous_lyapunov)
@@ -52,10 +47,7 @@ class GaussianMeasure:
 
     def __post_init__(self):
         mean = _frozen_vector(self.mean, "mean")
-        if not isinstance(self.covariance, SpdMatrix):
-            raise NotPositiveDefiniteError(
-                "GaussianMeasure requires a strictly positive definite covariance"
-            )
+        _typed(self.covariance, SpdMatrix, "covariance")
         if mean.shape[0] != self.covariance.dim:
             raise DimensionMismatchError(
                 f"mean has dimension {mean.shape[0]} but covariance is "
@@ -90,17 +82,20 @@ class MomentEstimate:
 
 def standard_gaussian(dim: int) -> GaussianMeasure:
     """The N(0, I) measure in the given dimension."""
+    dim = _integer(dim, "dim")
     return GaussianMeasure(np.zeros(dim), make_spd(np.eye(dim)))
 
 
-def check_rate(lr: float, batch_size: int) -> None:
-    """Raise :class:`InvalidRangeError` unless lr > 0 and batch_size is an
-    integer >= 1 that float64 holds."""
+def check_rate(lr: float, batch_size: int) -> tuple[float, int]:
+    """``(lr, batch_size)`` as a float and an int; raises
+    :class:`InvalidRangeError` unless lr is a finite real > 0 and batch_size
+    an integer >= 1 that float64 holds."""
+    lr = _real(lr, "lr")
     if not lr > 0:
         raise InvalidRangeError(f"lr must be positive, got {lr}")
-    if int(batch_size) != batch_size or batch_size < 1:
-        raise InvalidRangeError(f"batch_size must be a positive integer, got {batch_size}")
+    batch_size = _integer(batch_size, "batch_size")
     _check_float_count(batch_size, "batch_size", InvalidRangeError)
+    return lr, batch_size
 
 
 def _check_float_count(count: int, name: str, error: type[Exception]) -> None:
@@ -139,7 +134,8 @@ def stationary_from_dynamics(
         If the resulting covariance is not strictly positive definite
         (e.g. a rank-deficient noise covariance).
     """
-    check_rate(lr, batch_size)
+    _typed(hessian, SpdMatrix, "hessian")
+    lr, batch_size = check_rate(lr, batch_size)
     sigma = solve_continuous_lyapunov(hessian, _stationary_rhs(noise_cov, lr, batch_size))
     return GaussianMeasure(minimizer, make_spd(sigma.entries))
 
@@ -171,7 +167,8 @@ def stein_stationary_covariance(
     ResidualTooLargeError
         If the solve fails its residual check.
     """
-    check_rate(lr, batch_size)
+    _typed(hessian, SpdMatrix, "hessian")
+    lr, batch_size = check_rate(lr, batch_size)
     rhs = _stationary_rhs(noise_cov, lr, batch_size).entries
     _check_same_dim(hessian.entries, rhs)
     return SymmetricMatrix(_lyapunov_in_eigenbasis(hessian.entries, *hessian.eigh, rhs, lr))
@@ -179,7 +176,8 @@ def stein_stationary_covariance(
 
 def _stationary_rhs(noise_cov: SymmetricMatrix, lr: float, batch_size: int) -> SymmetricMatrix:
     """Right-hand side ``(lr / batch_size) * C`` of both stationary laws."""
-    return SymmetricMatrix((lr / float(batch_size)) * noise_cov.entries)
+    return SymmetricMatrix((lr / float(batch_size))
+                           * _typed(noise_cov, SymmetricMatrix, "noise_cov").entries)
 
 
 def gaussian_pair_terms(sigma_q, sigma_p, shift: np.ndarray):
@@ -245,7 +243,8 @@ def kl_divergence(q: GaussianMeasure, p: GaussianMeasure) -> float:
     a genuine inconsistency and raises instead of being hidden, as does
     a term that is not finite.
     """
-    return float(_kl_divergences(q.covariance, q.mean, p))
+    _typed(q, GaussianMeasure, "q")
+    return float(_kl_divergences(q.covariance, q.mean, _typed(p, GaussianMeasure, "p")))
 
 
 def sample(g: GaussianMeasure, count: int, seed: int) -> np.ndarray:
@@ -255,9 +254,8 @@ def sample(g: GaussianMeasure, count: int, seed: int) -> np.ndarray:
     ``z ~ N(0, I)``; rows of the returned ``(count, d)`` array are
     independent draws.
     """
-    if count < 1:
-        raise TooFewSamplesError(f"count must be >= 1, got {count}")
-    z = make_rng(seed).standard_normal((int(count), g.dim))
+    count = _integer(count, "count", error=TooFewSamplesError)
+    z = make_rng(seed).standard_normal((count, g.dim))
     return g.mean + z @ cholesky_factor(g.covariance).T
 
 
@@ -283,10 +281,7 @@ def mc_kl_estimate(
     """
     if q.dim != p.dim:
         raise DimensionMismatchError(f"dimensions disagree: {q.dim} vs {p.dim}")
-    if count < MC_KL_MIN_DRAWS:
-        raise TooFewSamplesError(
-            f"Monte-Carlo KL needs >= {MC_KL_MIN_DRAWS} draws, got {count}"
-        )
+    count = _integer(count, "count", MC_KL_MIN_DRAWS, TooFewSamplesError)
     _check_held(f"Monte-Carlo KL with {count} draws holds", count * q.dim, q.dim)
     draws = sample(q, count, seed)
     values = log_density(q, draws) - log_density(p, draws)

@@ -33,16 +33,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidRangeError,
-    InvalidSpecError,
-    NotPositiveDefiniteError,
-    NotSquareError,
-    OupacError,
-    ResidualTooLargeError,
-    SpectralRadiusTooLargeError,
-)
+from .errors import (DimensionMismatchError, InvalidRangeError, InvalidSpecError,
+                     NotPositiveDefiniteError, NotSquareError, OupacError, ResidualTooLargeError,
+                     SpectralRadiusTooLargeError, _integer, _real, _typed)
 from .rng import make_rng
 
 #: Relative eigenvalue tolerance for the SPD check: a matrix is accepted
@@ -297,7 +290,7 @@ def log_det(m: SpdMatrix) -> float:
     ``log det(m) = 2 * sum(log diag(L))`` for the lower factor L, kept by
     ``m`` like L.
     """
-    return m.log_det
+    return _typed(m, SpdMatrix, "m").log_det
 
 
 def _log_det_of_factor(factor: np.ndarray) -> np.ndarray:
@@ -333,6 +326,7 @@ def solve_continuous_lyapunov(a: SpdMatrix, q: SymmetricMatrix) -> SymmetricMatr
     ResidualTooLargeError
         If the residual check fails (signals numerical breakdown).
     """
+    _typed(a, SpdMatrix, "a")
     q_entries = _symmetric_entries(q)
     _check_same_dim(a.entries, q_entries)
     return SymmetricMatrix(_lyapunov_in_eigenbasis(a.entries, *a.eigh, q_entries))
@@ -426,13 +420,8 @@ def _random_spd_entries(dim: int, eigenvalue_low: float, eigenvalue_high: float,
     checks with :func:`make_spd`, one per seeded stream (a list of
     generators or an :func:`oupac.rng._streams` stack), from one QR and one
     product.  The range is checked before anything is drawn."""
-    if not (0.0 < eigenvalue_low <= eigenvalue_high):
-        raise InvalidRangeError(
-            f"need 0 < eigenvalue_low <= eigenvalue_high, got "
-            f"[{eigenvalue_low}, {eigenvalue_high}]"
-        )
-    if dim < 1:
-        raise InvalidRangeError("dim must be >= 1")
+    eigenvalue_low, eigenvalue_high = _eigenvalue_range(eigenvalue_low, eigenvalue_high)
+    dim = _integer(dim, "dim")
     gauss = np.empty((len(streams), dim, dim))
     eigenvalues = np.empty((len(streams), 1, dim))
     for index, rng in enumerate(streams):  # each stream: its normals, then its uniforms
@@ -443,6 +432,16 @@ def _random_spd_entries(dim: int, eigenvalue_low: float, eigenvalue_high: float,
     # the signs of Q's columns cancel in Q diag(lam) Q^T, bit for bit, so the
     # QR's Q gives the matrix that a Haar-random Q with the R-sign correction gives
     return (q_fac * eigenvalues) @ q_fac.swapaxes(-1, -2)
+
+
+def _eigenvalue_range(low: float, high: float) -> tuple[float, float]:
+    """The interval ``[low, high]`` of :func:`random_spd`'s eigenvalues, as
+    floats; raises :class:`InvalidRangeError` unless ``0 < low <= high``, both finite."""
+    low, high = _real(low, "eigenvalue_low"), _real(high, "eigenvalue_high")
+    if not (0.0 < low <= high):
+        raise InvalidRangeError(
+            f"need 0 < eigenvalue_low <= eigenvalue_high, got [{low}, {high}]")
+    return low, high
 
 
 def _solve_in_eigenbasis(vecs: np.ndarray, rhs: np.ndarray, denom: np.ndarray) -> np.ndarray:

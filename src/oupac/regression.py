@@ -34,20 +34,10 @@ import numpy as np
 
 from .bounds import SampleSpec, mcallester_bound
 from .diffusion import QuadraticLoss, SgdDynamics, _check_dims, _quadratic_values, _step_radius
-from .errors import (
-    DimensionMismatchError,
-    InvalidRangeError,
-    NotPositiveDefiniteError,
-    NumericalInconsistencyError,
-    SingularDesignError,
-    UnstableDynamicsError,
-)
-from .gaussian import (
-    GaussianMeasure,
-    _kl_divergences,
-    _stationary_rhs,
-    standard_gaussian,
-)
+from .errors import (DimensionMismatchError, InvalidRangeError, NotPositiveDefiniteError,
+                     NumericalInconsistencyError, SingularDesignError, UnstableDynamicsError,
+                     _integer, _real, _typed)
+from .gaussian import GaussianMeasure, _kl_divergences, _stationary_rhs, standard_gaussian
 from .linalg import (SpdMatrix, Verdict, _check_held, _frozen_vector, _in_groups, _item,
                      _lyapunov_in_eigenbasis, _spd_verdict, _symmetrized, cholesky_factor,
                      make_spd)
@@ -77,15 +67,18 @@ class RegressionTask:
     noise_std: float
 
     def __post_init__(self):
+        _typed(self.feature_cov, SpdMatrix, "feature_cov")
         weights = _frozen_vector(self.true_weights, "true_weights")
         if weights.shape[0] != self.feature_cov.dim:
             raise DimensionMismatchError(
                 f"true_weights has dimension {weights.shape[0]}, feature_cov is "
                 f"{self.feature_cov.dim}x{self.feature_cov.dim}"
             )
-        if not self.noise_std >= 0:
-            raise InvalidRangeError(f"noise_std must be >= 0, got {self.noise_std}")
+        noise_std = _real(self.noise_std, "noise_std")
+        if not noise_std >= 0:
+            raise InvalidRangeError(f"noise_std must be >= 0, got {noise_std}")
         object.__setattr__(self, "true_weights", weights)
+        object.__setattr__(self, "noise_std", noise_std)
 
     @property
     def dim(self) -> int:
@@ -113,9 +106,7 @@ class Dataset:
 
 def generate_dataset(task: RegressionTask, sample_size: int, seed: int) -> Dataset:
     """Draw ``sample_size`` rows from the task's model; deterministic per seed."""
-    if int(sample_size) != sample_size or sample_size < 1:
-        raise InvalidRangeError(f"sample_size must be a positive integer, got {sample_size}")
-    features, targets = _datasets(task, sample_size, [make_rng(seed)])
+    features, targets = _datasets(task, _integer(sample_size, "sample_size"), [make_rng(seed)])
     return Dataset(features[0], targets[0], seed)
 
 
@@ -189,11 +180,17 @@ def population_quadratic(task: RegressionTask) -> QuadraticLoss:
     """Exact population risk of the linear-Gaussian model.
 
     ``R(theta) = 0.5 (theta - w)^T feature_cov (theta - w)
-    + 0.5 noise_std^2``; the offset is ``inf`` if that overflows.
+    + 0.5 noise_std^2``; the offset must be finite, so a ``noise_std`` whose
+    square overflows float64 raises :class:`InvalidRangeError`.
     """
+    return QuadraticLoss(task.feature_cov, task.true_weights, _noise_risk(task.noise_std))
+
+
+@np.errstate(over="ignore")
+def _noise_risk(noise_std: float) -> float:
+    """``0.5 noise_std^2``, the population risk's offset; inf if that overflows."""
     # numpy's power on a float64 is the float's: the same C pow, without OverflowError
-    return QuadraticLoss(task.feature_cov, task.true_weights,
-                         float(0.5 * np.float64(task.noise_std)**2))
+    return float(0.5 * np.float64(noise_std)**2)
 
 
 def _gap_trials(
@@ -233,9 +230,8 @@ def _gap_group(task, sgd, spec, prior, streams):
     cov = _lyapunov_in_eigenbasis(hessian, *np.linalg.eigh(hessian),
                                   _stationary_rhs(sgd.noise_cov, sgd.lr, sgd.batch_size).entries)
     _spd_verdict(np.linalg.eigvalsh(cov)).check()
-    population = population_quadratic(task)
-    expected = _expected_risks(population.hessian.entries, population.minimizer,
-                               population.offset, minimizer, cov)
+    expected = _expected_risks(task.feature_cov.entries, task.true_weights,
+                               _noise_risk(task.noise_std), minimizer, cov)
     empirical = _expected_risks(hessian, minimizer, offset, minimizer, cov)
     Verdict(~np.isfinite(expected - empirical), lambda i: NumericalInconsistencyError(
         f"gap trial risks are not finite (expected {_item(expected, i):.6g}, empirical "
@@ -333,8 +329,7 @@ def bound_validity_experiment(
 
     The sample size must be at least the feature dimension, which is
     checked before any data are drawn."""
-    if trials < 10:
-        raise InvalidRangeError(f"trials must be >= 10, got {trials}")
+    trials = _integer(trials, "trials", 10)
     _check_sample_sizes([spec.sample_size], task.dim)
     _check_held("trials: the per-trial results hold", VALIDITY_TRIAL_FLOATS * trials, task.dim)
     seeds = _child_seeds(master_seed, [(index,) for index in range(trials)])
@@ -370,9 +365,11 @@ def scaling_experiment(
     "mean_gap", "ratio_bound_4n"}`` where the ratio column holds
     ``mean_bound(4n) / mean_bound(n)`` whenever ``4n`` is also present.
     """
-    ns = [int(n) for n in ns]
-    if not ns or trials_per_n < 1:
-        raise InvalidRangeError(f"need ns and trials_per_n >= 1, got {ns}, {trials_per_n}")
+    # a sample size below the dimension fails _check_sample_sizes, with its message
+    ns = [_integer(n, "each n", None) for n in ns]
+    trials_per_n = _integer(trials_per_n, "trials_per_n")
+    if not ns:
+        raise InvalidRangeError("ns must hold at least one sample size")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise InvalidRangeError(f"ns must be strictly increasing, got {ns}")
     _check_sample_sizes(ns, task.dim)

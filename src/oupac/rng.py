@@ -36,14 +36,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import InvalidRangeError
-
-
-def _master_seed(seed) -> int:
-    """``seed`` as an int, if it is a non-negative integer."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidRangeError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
+from .errors import InvalidRangeError, _integer
 
 
 def _digest_seed(text: str) -> int:
@@ -51,15 +44,16 @@ def _digest_seed(text: str) -> int:
 
 
 def child_seed(master_seed: int, *path: int) -> int:
-    """Derive a 64-bit child seed from a master seed and an index path."""
-    master = _master_seed(master_seed)
-    return _digest_seed("oupac:" + ":".join(str(int(x)) for x in (master, *path)))
+    """Derive a 64-bit child seed from a master seed and a path of integers."""
+    master = _integer(master_seed, "seed", 0)
+    path = [_integer(x, "seed path entry", None) for x in path]
+    return _digest_seed("oupac:" + ":".join(map(str, (master, *path))))
 
 
 def _child_seeds(master_seed: int, paths) -> list[int]:
     """``child_seed(master_seed, *path)`` for each of ``paths``, non-empty
     tuples of ints, with one check of the master seed."""
-    prefix = f"oupac:{_master_seed(master_seed)}:"
+    prefix = f"oupac:{_integer(master_seed, 'seed', 0)}:"
     return [_digest_seed(prefix + ":".join(map(str, path))) for path in paths]
 
 
@@ -71,13 +65,13 @@ def make_rng(seed: int, *path: int) -> np.random.Generator:
     """
     if path:
         return np.random.default_rng(child_seed(seed, *path))
-    return np.random.default_rng(_master_seed(seed))
+    return np.random.default_rng(_integer(seed, "seed", 0))
 
 
 def _streams(seeds) -> _Streams:
     """The generators ``np.random.default_rng(seed)`` of ``seeds``, a
     sequence of non-negative integers below 2^64, as a stack."""
-    values = [_master_seed(seed) for seed in seeds]
+    values = [_integer(seed, "seed", 0) for seed in seeds]
     if values and max(values) >> 64:
         raise InvalidRangeError(f"a stack of streams takes seeds below 2**64, got {max(values)}")
     return _Streams(_state_words(values))

@@ -40,8 +40,10 @@ from oupac import (
     make_spd,
     mc_kl_estimate,
     mcallester_bound,
+    population_quadratic,
     random_spd,
     sample,
+    scaling_experiment,
     simulate_chain,
     solve_discrete_stein,
     stability_check,
@@ -456,9 +458,9 @@ def test_a_bad_sample_size_exits_2_with_its_message(capsys, argv, message):
 
 
 @pytest.mark.parametrize("command, burn_in, message", [
-    ("simulate", "-1", "burn_in_records must be >= 0, got -1"),
+    ("simulate", "-1", "burn_in_records must be a non-negative integer, got -1"),
     ("simulate", "10", "1 records left after burn-in of 10; need >= 2"),
-    ("two-stage", "-1", "burn_in_records must be >= 0, got -1"),
+    ("two-stage", "-1", "burn_in_records must be a non-negative integer, got -1"),
     ("two-stage", "100000", "0 records left after burn-in of 100000; need >= 1"),
 ])
 def test_bad_burn_in_exits_2_before_any_chain_runs(capsys, monkeypatch, identity_file,
@@ -566,8 +568,8 @@ def _mismatch_cases():
     """Each dimension, mode or size check of the library's value types,
     stationary laws, chain runners, Gaussian tools and regression testbed: a
     call with two operands that disagree, or with one that is empty, too
-    small a count or not finite, and the error it raises (type and message
-    start)."""
+    small a count, not an integer or not finite, and the error it raises
+    (type and message start)."""
     def stage(dim):
         return QuadraticLoss(make_spd(np.eye(dim)), np.zeros(dim)), SgdDynamics(0.1, 1, np.eye(dim))
     eye2 = make_spd(np.eye(2))
@@ -606,7 +608,17 @@ def _mismatch_cases():
         "moment-estimate": (lambda: MomentEstimate(np.zeros(2), SymmetricMatrix(np.eye(2)), 1),
                             TooFewSamplesError, "moment estimate needs >= 2 samples, got 1"),
         "sample-count": (lambda: sample(standard_gaussian(2), 0, seed=0), TooFewSamplesError,
-                         "count must be >= 1, got 0"),
+                         "count must be a positive integer, got 0"),
+        "sample-count-fraction": (lambda: sample(standard_gaussian(2), 2.5, seed=0),
+                                  TooFewSamplesError, "count must be a positive integer, got 2.5"),
+        "loss-offset-nan": (lambda: QuadraticLoss(eye2, np.zeros(2), np.nan), InvalidRangeError,
+                            "offset must be a finite real number, got nan"),
+        "population-offset": (
+            lambda: population_quadratic(RegressionTask(np.zeros(2), eye2, 1e200)),
+            InvalidRangeError, "offset must be a finite real number, got inf"),
+        "scaling-fractional-n": (lambda: scaling_experiment(
+            RegressionTask(np.zeros(2), eye2, 1.0), [4.5, 16], stage(2)[1], 0.05),
+            InvalidRangeError, "each n must be an integer, got 4.5"),
         "log-density": (lambda: log_density(standard_gaussian(2), np.zeros((4, 3))),
                         DimensionMismatchError, "points have dimension 3, measure has 2"),
         "mc-kl": (lambda: mc_kl_estimate(standard_gaussian(2), standard_gaussian(3), 1000, 0),
@@ -698,6 +710,39 @@ def test_failed_write_leaves_no_partial_output_file(capsys, monkeypatch, identit
     assert err == "error: --output: [Errno 28] No space left on device\n"
     assert sizes == [len("step,theta_0,theta_1\n")]
     assert not out_path.exists()
+
+
+def _oupac_process(argv, stdout) -> subprocess.Popen:
+    """``python -m oupac argv`` with its stdout at ``stdout`` and its stderr piped."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.Popen(
+        [sys.executable, "-m", "oupac", *argv], stdout=stdout, stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+    )
+
+
+def test_a_closed_stdout_pipe_exits_1_without_a_traceback(identity_file):
+    # like `oupac simulate ... | head -1`: a CSV of 200001 rows outgrows the pipe
+    argv = _simulate_argv(identity_file) + ["--steps=200000", "--stride=1"]
+    process = _oupac_process(argv, subprocess.PIPE)
+    assert process.stdout.readline().startswith("simulate: steps=200000 ")
+    process.stdout.close()
+    err = process.stderr.read()
+    process.stderr.close()
+    assert process.wait(timeout=120) == 1
+    assert err == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_full_stdout_exits_2_with_one_error_line(identity_file):
+    with open("/dev/full", "w") as full:
+        process = _oupac_process(_simulate_argv(identity_file), full)
+        err = process.stderr.read()
+    process.stderr.close()
+    assert process.wait(timeout=120) == 2
+    assert err == "error: standard output: [Errno 28] No space left on device\n"
 
 
 @pytest.mark.parametrize("command", ["dominance", "kl"])

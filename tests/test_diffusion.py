@@ -286,10 +286,11 @@ class TestSimulateChain:
             simulate_chain(np.array([bad, 0.0]), isotropic_loss(2), dyn, 10, seed=0)
 
     def test_batch_beyond_int64_scales_the_noise_as_its_float(self):
-        # the noise scale is lr / sqrt(b) with b taken as a float64
+        # the noise scale is lr / sqrt(b) with b taken as a float64: 2**64 and
+        # 2**64 + 1 round to the same float64
         loss = isotropic_loss(2)
         states = [simulate_chain(np.ones(2), loss, SgdDynamics(0.1, batch, np.eye(2)), 50,
-                                 stride=1, seed=3).states for batch in (2**64, 2.0**64)]
+                                 stride=1, seed=3).states for batch in (2**64, 2**64 + 1)]
         np.testing.assert_array_equal(*states)
 
     def test_empirical_covariance_near_stein_solution(self):
@@ -534,8 +535,8 @@ class TestTwoStageRun:
         np.testing.assert_array_equal(first.ft_estimate.mean, second.ft_estimate.mean)
 
     @pytest.mark.parametrize("burn_in, error, message", [
-        (-1, InvalidRangeError, "burn_in_records must be >= 0, got -1"),
-        (-3, InvalidRangeError, "burn_in_records must be >= 0, got -3"),
+        (-1, InvalidRangeError, "burn_in_records must be a non-negative integer, got -1"),
+        (-3, InvalidRangeError, "burn_in_records must be a non-negative integer, got -3"),
         (51, TooFewSamplesError, "0 records left after burn-in of 51; need >= 1"),
     ])
     def test_burn_in_out_of_range_rejected(self, burn_in, error, message):
@@ -550,7 +551,8 @@ class TestTwoStageRun:
         assert result.pt_estimate.sample_count == result.ft_estimate.sample_count == 2
 
     @pytest.mark.parametrize("pt_steps, ft_steps, burn_in, error, message", [
-        (500, 500, -1, InvalidRangeError, "burn_in_records must be >= 0, got -1"),
+        (500, 500, -1, InvalidRangeError,
+         "burn_in_records must be a non-negative integer, got -1"),
         (500, 500, 51, TooFewSamplesError, "0 records left after burn-in of 51; need >= 1"),
         (5000, 500, 60, TooFewSamplesError, "0 records left after burn-in of 60; need >= 1"),
     ])

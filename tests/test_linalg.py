@@ -81,7 +81,8 @@ class TestMakeSpd:
         assert _symmetric_entries(spd) is spd.entries
         # the noise covariance of a rank-deficient factor is symmetric but not SPD
         noise_cov = SgdDynamics(0.1, 1, np.diag([1.0, 0.0])).noise_cov
-        with pytest.raises(NotPositiveDefiniteError):
+        with pytest.raises(InvalidRangeError,
+                           match="^covariance must be a SpdMatrix, got SymmetricMatrix$"):
             GaussianMeasure(np.zeros(2), noise_cov)
 
     def test_not_square(self):

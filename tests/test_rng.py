@@ -30,7 +30,7 @@ def test_child_seed_follows_the_documented_rule():
     lambda seed: make_rng(seed, 0, 1),
     lambda seed: child_seed(seed, 0),
 ])
-@pytest.mark.parametrize("seed", [-1, 2.0, "3"])
+@pytest.mark.parametrize("seed", [-1, 2.0, "3", True])
 def test_master_seed_must_be_a_non_negative_integer(call, seed):
     message = f"seed must be a non-negative integer, got {seed!r}"
     with pytest.raises(InvalidRangeError, match=f"^{re.escape(message)}$"):
@@ -86,6 +86,15 @@ def test_state_words_are_seed_sequence_states():
 def test_an_empty_stack_yields_nothing():
     assert len(_streams([])) == 0
     assert list(_streams([])) == []
+
+
+@pytest.mark.parametrize("entry", [2.5, 2.0, True, "2", np.array([2])])
+def test_a_seed_path_holds_integers(entry):
+    # a float entry was once read as its int part: child_seed(0, 2.5) == child_seed(0, 2)
+    message = f"seed path entry must be an integer, got {entry!r}"
+    with pytest.raises(InvalidRangeError, match=f"^{re.escape(message)}$"):
+        child_seed(0, entry)
+    assert child_seed(0, np.int64(-2)) == child_seed(0, -2)
 
 
 @pytest.mark.parametrize("seed", [-1, 2.0, "3", np.float64(4.0)])
