@@ -134,6 +134,7 @@ def mcallester_bound(kl, spec: SampleSpec):
     ``sqrt((kl + log(1/delta) + log N + 2) / (2N - 1))``.  A float ``kl``
     gives a float; an array of them (a stack of trials) gives an array.
     """
+    _typed(spec, SampleSpec, "spec")
     kl = np.asarray(kl, dtype=float)
     negative = np.flatnonzero(~(kl >= 0))  # not (kl >= 0), so that NaN fails
     if negative.size:
@@ -169,6 +170,7 @@ def pretrain_bound(sigma_pt: SpdMatrix, spec: SampleSpec) -> BoundReport:
     / (4N - 2))``.
     """
     d = _typed(sigma_pt, SpdMatrix, "sigma_pt").dim
+    _typed(spec, SampleSpec, "spec")
     trace = float(np.trace(sigma_pt.entries))
     ldet = log_det(sigma_pt)
     return _report(trace - d - ldet, ldet + trace - d, spec,
@@ -207,6 +209,7 @@ def _log(values) -> np.ndarray:
 
 def _pair_discrepancies(pair: DomainPair) -> tuple[float, float, float, float]:
     """:func:`_discrepancies` of one pair, as floats; raises if one is not finite."""
+    _typed(pair, DomainPair, "pair")
     return tuple(map(float, _discrepancies(pair.sigma_pt, pair.sigma_ft, pair.shift)))
 
 
@@ -237,6 +240,7 @@ def discrepancy_d_tilde(pair: DomainPair) -> float:
 
 def finetune_bound(pair: DomainPair, spec: SampleSpec) -> BoundReport:
     """Bound report for the fine-tuning stage, prior = source stationary."""
+    _typed(spec, SampleSpec, "spec")
     kl_term, literal, _, _ = _pair_discrepancies(pair)
     return _report(kl_term, literal, spec,
                    "divergence between fine-tuned and pre-trained stationary measures")
@@ -244,6 +248,7 @@ def finetune_bound(pair: DomainPair, spec: SampleSpec) -> BoundReport:
 
 def finetune_bound_dimension(pair: DomainPair, spec: SampleSpec) -> BoundReport:
     """Fine-tuning bound with the dimension-dependent discrepancy."""
+    _typed(spec, SampleSpec, "spec")
     _, literal, kl_term, _ = _pair_discrepancies(pair)
     return _report(kl_term, literal, spec, "dimension-dependent discrepancy variant")
 
@@ -358,6 +363,9 @@ def kl_upper_bound_trace(
 def dominance_report(pair: DomainPair, spec_pt: SampleSpec, spec_ft: SampleSpec) -> DominanceReport:
     """Compare the two stages' complexity terms; ratio = ft / pt.  The
     pre-training bound is ``pair.sigma_pt``'s, the fine-tuning prior's."""
+    _typed(pair, DomainPair, "pair")
+    _typed(spec_pt, SampleSpec, "spec_pt")
+    _typed(spec_ft, SampleSpec, "spec_ft")
     return _dominance(pretrain_bound(pair.sigma_pt, spec_pt), finetune_bound(pair, spec_ft))
 
 

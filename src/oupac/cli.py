@@ -162,12 +162,15 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
 
 
-def _trajectory_csv(states: np.ndarray, stride: int) -> Iterator[str]:
+def _trajectory_csv(blocks: Iterable[np.ndarray], dim: int, stride: int) -> Iterator[str]:
     """``_csv_text`` of each record's step and state: the header, then one
-    text a block of rows, each rendered when it is asked for."""
-    yield ",".join(["step"] + [f"theta_{i}" for i in range(states.shape[1])]) + "\n"
-    steps = np.arange(states.shape[0], dtype=np.int64) * stride
-    yield from matrixio._block_texts(states, ",", steps)
+    text a block of ``dim``-column rows, each rendered when it is asked for."""
+    yield ",".join(["step"] + [f"theta_{i}" for i in range(dim)]) + "\n"
+    start = 0
+    for block in blocks:
+        steps = np.arange(start, start + block.shape[0], dtype=np.int64) * stride
+        start += block.shape[0]
+        yield matrixio.format_rows(block, ",", steps)
 
 
 def _json_text(payload) -> str:
@@ -214,7 +217,7 @@ def _run_simulate(params: dict) -> tuple[str, Iterable[str]]:
         f"spectral_radius={_fmt(report.spectral_radius)} "
         f"empirical_vs_stein_rel_frobenius={_fmt(float(rel_gap))}"
     )
-    return summary, _trajectory_csv(trajectory.states, trajectory.stride)
+    return summary, _trajectory_csv(trajectory.state_blocks(), loss.dim, trajectory.stride)
 
 
 def _run_two_stage(params: dict) -> tuple[str, Iterable[str]]:

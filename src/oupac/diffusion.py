@@ -42,19 +42,20 @@ from the origin keeps its noise, and rotated back once
 ``two_stage_run`` alike.  ``two_stage_run`` folds each chain's moments
 into one running pool per stage (:func:`_merged`), so it holds one
 chain's records at a time and ``replicas`` sizes no array.  A
-``Trajectory`` keeps the scan's records as they are, with no copy; its
-``states``, rotated back at first use and kept, are a second
-records-sized array, so reading them peaks at twice the records (80.1 MB
-for the 40 MB of records of 500000 steps at stride 1 and d = 10).  The
-``simulate`` command then holds those two and one block of its CSV text
-at a time (:mod:`oupac.matrixio`).
+``Trajectory`` keeps the scan's records as they are, with no copy, and
+they are the one records-sized array of a chain:
+:meth:`Trajectory.state_blocks` rotates them back one block of rows at a
+time, the rows :mod:`oupac.matrixio` renders at a time, and the
+``simulate`` command writes each block of its CSV as it comes.  It peaks
+at its records plus the larger of one chunk of normals with its kicked
+copy and the centred post-burn-in copy its moments take: 61.4 MB for the
+40 MB of records of 500000 steps at stride 1 and d = 10 (``tracemalloc``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Literal, NamedTuple
+from typing import Iterator, Literal, NamedTuple
 
 import numpy as np
 
@@ -62,6 +63,7 @@ from .errors import (DimensionMismatchError, InvalidRangeError, NumericalInconsi
                      TooFewSamplesError, UnstableDynamicsError, _integer, _real, _typed)
 from .gaussian import MomentEstimate, check_rate, sample, stationary_from_dynamics
 from .linalg import SpdMatrix, SymmetricMatrix, _check_held, _frozen_vector, _read_only
+from .matrixio import _block_rows
 from .rng import child_seed, make_rng
 
 #: Steps of simulation noise generated per chunk (bounds peak memory).
@@ -156,9 +158,8 @@ class Trajectory:
     ``y = V^T (x - minimizer)``, V the Hessian's eigenbasis ``basis``; the
     array is taken over, not copied, so the caller's array becomes
     read-only.  ``basis``, ``minimizer`` and ``init`` are kept as read-only
-    copies.  ``states`` are the records in the original coordinates,
-    ``minimizer + V y`` with row 0 the exact ``init``, made at first use and
-    kept.
+    copies.  No other records-sized array is kept: :meth:`state_blocks`
+    yields the states in the original coordinates a block at a time.
     """
 
     records: np.ndarray
@@ -170,6 +171,9 @@ class Trajectory:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "stride", _integer(self.stride, "stride"))
+        object.__setattr__(self, "total_steps", _integer(self.total_steps, "total_steps", 0))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
         records = np.asarray(self.records, dtype=float)
         dim = records.shape[1] if records.ndim == 2 else -1
         rows = self.total_steps // self.stride + 1
@@ -184,13 +188,16 @@ class Trajectory:
                     f"{self.total_steps} steps at stride {self.stride}")
             object.__setattr__(self, name, _read_only(value))
 
-    @cached_property
-    def states(self) -> np.ndarray:
-        states = np.empty_like(self.records)
-        np.matmul(self.records[1:], self.basis.T, out=states[1:])
-        np.add(states[1:], self.minimizer, out=states[1:])
-        states[0] = self.init
-        return _read_only(states)
+    def state_blocks(self) -> Iterator[np.ndarray]:
+        """The records in the original coordinates, ``minimizer + V y`` with
+        row 0 the exact ``init``, as consecutive blocks of the rows that
+        ``matrixio`` renders at a time; each block is a fresh array."""
+        rows = _block_rows(self.init.shape[0])
+        for start in range(0, self.record_count, rows):
+            block = self.records[start:start + rows] @ self.basis.T + self.minimizer
+            if start == 0:
+                block[0] = self.init
+            yield block
 
     @property
     def record_count(self) -> int:
@@ -221,7 +228,7 @@ def sgd_step(
     noise_draw: np.ndarray,
 ) -> np.ndarray:
     """One SGD update from ``state`` given a standard-normal draw."""
-    _check_dims(loss, dyn)
+    _check_dims(_typed(loss, QuadraticLoss, "loss"), _typed(dyn, SgdDynamics, "dyn"))
     state = np.asarray(state, dtype=float)
     noise_draw = np.asarray(noise_draw, dtype=float)
     if state.shape != (loss.dim,) or noise_draw.shape != (loss.dim,):
@@ -241,7 +248,7 @@ def stability_check(loss: QuadraticLoss, dyn: SgdDynamics) -> StabilityReport:
     below 1 (equivalently ``lr * lambda_max(A) < 2``); the boundary
     case is reported unstable.
     """
-    _check_dims(loss, dyn)
+    _check_dims(_typed(loss, QuadraticLoss, "loss"), _typed(dyn, SgdDynamics, "dyn"))
     radius = float(_step_radius(dyn.lr, loss.hessian.eigenvalues))
     return StabilityReport(stable=radius < 1.0, spectral_radius=radius)
 
@@ -406,7 +413,7 @@ def simulate_chain(
     deterministic for a fixed seed.  Raises
     :class:`UnstableDynamicsError` when ``stability_check`` fails.
     """
-    _check_dims(loss, dyn)
+    _check_dims(_typed(loss, QuadraticLoss, "loss"), _typed(dyn, SgdDynamics, "dyn"))
     init = _frozen_vector(init, "init")
     if init.shape[0] != loss.dim:
         raise DimensionMismatchError(
@@ -426,7 +433,7 @@ def estimate_stationary(traj: Trajectory, burn_in_records: int | None = None) ->
     ``burn_in_records`` defaults to half the recorded trajectory; at
     least two records must survive the cut.
     """
-    cut = _burn_in_cut(traj.record_count, burn_in_records, 2)
+    cut = _burn_in_cut(_typed(traj, Trajectory, "traj").record_count, burn_in_records, 2)
     return _stage_estimate(_centred_moments(traj.records[cut:]), traj.basis, traj.minimizer)
 
 
@@ -487,13 +494,13 @@ def two_stage_run(
     ``burn_in`` counts records per replica and stage; it defaults to
     half of each trajectory's records, and at least one must survive it.
     """
+    _check_dims(_typed(pt_loss, QuadraticLoss, "pt_loss"), _typed(pt_dyn, SgdDynamics, "pt_dyn"))
+    _check_dims(_typed(ft_loss, QuadraticLoss, "ft_loss"), _typed(ft_dyn, SgdDynamics, "ft_dyn"))
     replicas = _integer(replicas, "replicas", 2)
     pt_steps, stride, pt_kept = _check_run(pt_steps, stride, burn_in, 1, pt_loss.dim, "pt_steps")
     ft_steps, _, ft_kept = _check_run(ft_steps, stride, burn_in, 1, ft_loss.dim, "ft_steps")
     if init_mode not in ("analytic_sample", "chain_continue"):
         raise InvalidRangeError(f"unknown init_mode {init_mode!r}")
-    _check_dims(pt_loss, pt_dyn)
-    _check_dims(ft_loss, ft_dyn)
     if pt_loss.dim != ft_loss.dim:
         raise DimensionMismatchError(
             f"stage dimensions disagree: {pt_loss.dim} vs {ft_loss.dim}"

@@ -90,7 +90,8 @@ def _integer(value, name: str, least: int | None = 1,
     if number is not None and (least is None or number >= least):
         return number
     kind = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
-    raise error(f"{name} must be {kind.get(least, f'an integer >= {least}')}, got {value!r}")
+    raise error(f"{name} must be {kind.get(least, f'an integer >= {least}')}, "
+                f"got {_shown(value)}")
 
 
 def _real(value, name: str, error: type[OupacError] = InvalidRangeError) -> float:
@@ -103,7 +104,15 @@ def _real(value, name: str, error: type[OupacError] = InvalidRangeError) -> floa
             number = math.inf
         if math.isfinite(number):
             return number
-    raise error(f"{name} must be a finite real number, got {value!r}")
+    raise error(f"{name} must be a finite real number, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for a message, or the bit length of an int of more
+    than 256 bits, which Python may refuse to print (over 4300 digits)."""
+    if type(value) is int and abs(value).bit_length() > 256:
+        return f"{'a negative' if value < 0 else 'an'} integer of {abs(value).bit_length()} bits"
+    return repr(value)
 
 
 def _typed(value, cls: type, name: str):

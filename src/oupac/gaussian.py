@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionMismatchError, InvalidRangeError, NumericalInconsistencyError,
-                     TooFewSamplesError, _integer, _real, _typed)
+                     TooFewSamplesError, _integer, _real, _shown, _typed)
 from .linalg import (SpdMatrix, SymmetricMatrix, Verdict, _check_held, _check_same_dim,
                      _frozen_vector, _item, _log_det_of_factor, _lyapunov_in_eigenbasis,
                      cholesky_factor, log_det, make_spd, solve_continuous_lyapunov)
@@ -104,8 +104,7 @@ def _check_float_count(count: int, name: str, error: type[Exception]) -> None:
     try:
         float(count)
     except OverflowError:
-        raise error(f"{name} must be below 2**1024, got an integer of "
-                    f"{len(str(count))} digits") from None
+        raise error(f"{name} must be below 2**1024, got {_shown(count)}") from None
 
 
 def stationary_from_dynamics(
@@ -254,6 +253,7 @@ def sample(g: GaussianMeasure, count: int, seed: int) -> np.ndarray:
     ``z ~ N(0, I)``; rows of the returned ``(count, d)`` array are
     independent draws.
     """
+    _typed(g, GaussianMeasure, "g")
     count = _integer(count, "count", error=TooFewSamplesError)
     z = make_rng(seed).standard_normal((count, g.dim))
     return g.mean + z @ cholesky_factor(g.covariance).T
@@ -261,6 +261,7 @@ def sample(g: GaussianMeasure, count: int, seed: int) -> np.ndarray:
 
 def log_density(g: GaussianMeasure, points: np.ndarray) -> np.ndarray:
     """Log density of ``g`` at each row of ``points`` (shape ``(n, d)``)."""
+    _typed(g, GaussianMeasure, "g")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != g.dim:
         raise DimensionMismatchError(
@@ -279,7 +280,7 @@ def mc_kl_estimate(
     Averages ``log q(x) - log p(x)`` over ``count`` draws ``x ~ q``;
     serves as the independent oracle for :func:`kl_divergence`.
     """
-    if q.dim != p.dim:
+    if _typed(q, GaussianMeasure, "q").dim != _typed(p, GaussianMeasure, "p").dim:
         raise DimensionMismatchError(f"dimensions disagree: {q.dim} vs {p.dim}")
     count = _integer(count, "count", MC_KL_MIN_DRAWS, TooFewSamplesError)
     _check_held(f"Monte-Carlo KL with {count} draws holds", count * q.dim, q.dim)

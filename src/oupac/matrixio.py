@@ -20,9 +20,10 @@ notation for -4 <= X < 17, else ``e+XX``/``e-XX``, without trailing
 zeros.  Every other value (zero, -0, subnormals, nan, +-inf and
 magnitudes outside the window) is formatted by ``FLOAT_FORMAT %`` one
 value at a time.  Rows are rendered one block of about ``_BLOCK_VALUES``
-values at a time (:func:`_block_texts`), which bounds the scratch
-memory, and a caller that streams the blocks out holds one block's text
-at a time; a value's text does not depend on the block it falls in.
+values at a time (:func:`_block_rows`), which bounds the scratch memory,
+and a caller that passes ``format_rows`` one such block at a time holds
+one block's text at a time; a value's text does not depend on the block
+it falls in.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import functools
 import math
 import re
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -125,18 +125,12 @@ def format_rows(values: np.ndarray, sep: str, index: np.ndarray | None = None) -
     values = np.asarray(values, dtype=float)
     if values.shape[1] == 0:  # the mean line of an empty Gaussian, say
         return "\n" * values.shape[0]
-    return "".join(_block_texts(values, sep, index))
-
-
-def _block_texts(values: np.ndarray, sep: str, index: np.ndarray | None) -> Iterator[str]:
-    """``format_rows`` of the 2-D ``values`` with at least one column, one
-    text a block, each rendered when it is asked for."""
     rows = _block_rows(values.shape[1])
     if index is not None:
         index = np.asarray(index, np.int64)
-    for start in range(0, values.shape[0], rows):
-        yield _render_block(values[start:start + rows], ord(sep),
-                            None if index is None else index[start:start + rows])
+    return "".join(_render_block(values[start:start + rows], ord(sep),
+                                 None if index is None else index[start:start + rows])
+                   for start in range(0, values.shape[0], rows))
 
 
 #: About how many values are rendered at a time, in whole rows: enough to

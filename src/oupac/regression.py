@@ -106,7 +106,8 @@ class Dataset:
 
 def generate_dataset(task: RegressionTask, sample_size: int, seed: int) -> Dataset:
     """Draw ``sample_size`` rows from the task's model; deterministic per seed."""
-    features, targets = _datasets(task, _integer(sample_size, "sample_size"), [make_rng(seed)])
+    features, targets = _datasets(_typed(task, RegressionTask, "task"),
+                                  _integer(sample_size, "sample_size"), [make_rng(seed)])
     return Dataset(features[0], targets[0], seed)
 
 
@@ -129,7 +130,7 @@ def empirical_quadratic(data: Dataset) -> QuadraticLoss:
     the minimum empirical risk, so the returned quadratic reproduces
     ``mean(0.5 * (y_i - x_i^T theta)^2)`` at every theta.
     """
-    x, y = data.features, data.targets
+    x, y = _typed(data, Dataset, "data").features, data.targets
     try:
         hessian = make_spd(_gram(x))
     except NotPositiveDefiniteError as exc:
@@ -164,7 +165,7 @@ def expected_risk_gaussian(loss: QuadraticLoss, q: GaussianMeasure) -> float:
 
     ``offset + 0.5 (mu - min)^T A (mu - min) + 0.5 tr(A S)``.
     """
-    if loss.dim != q.dim:
+    if _typed(loss, QuadraticLoss, "loss").dim != _typed(q, GaussianMeasure, "q").dim:
         raise DimensionMismatchError(f"dimensions disagree: {loss.dim} vs {q.dim}")
     return float(_expected_risks(loss.hessian.entries, loss.minimizer, loss.offset,
                                  q.mean, q.covariance.entries))
@@ -183,6 +184,7 @@ def population_quadratic(task: RegressionTask) -> QuadraticLoss:
     + 0.5 noise_std^2``; the offset must be finite, so a ``noise_std`` whose
     square overflows float64 raises :class:`InvalidRangeError`.
     """
+    _typed(task, RegressionTask, "task")
     return QuadraticLoss(task.feature_cov, task.true_weights, _noise_risk(task.noise_std))
 
 
@@ -329,6 +331,10 @@ def bound_validity_experiment(
 
     The sample size must be at least the feature dimension, which is
     checked before any data are drawn."""
+    _typed(task, RegressionTask, "task")
+    _typed(sgd, SgdDynamics, "sgd")
+    _typed(spec, SampleSpec, "spec")
+    _typed(prior, GaussianMeasure, "prior")
     trials = _integer(trials, "trials", 10)
     _check_sample_sizes([spec.sample_size], task.dim)
     _check_held("trials: the per-trial results hold", VALIDITY_TRIAL_FLOATS * trials, task.dim)
@@ -365,6 +371,8 @@ def scaling_experiment(
     "mean_gap", "ratio_bound_4n"}`` where the ratio column holds
     ``mean_bound(4n) / mean_bound(n)`` whenever ``4n`` is also present.
     """
+    _typed(task, RegressionTask, "task")
+    _typed(sgd, SgdDynamics, "sgd")
     # a sample size below the dimension fails _check_sample_sizes, with its message
     ns = [_integer(n, "each n", None) for n in ns]
     trials_per_n = _integer(trials_per_n, "trials_per_n")

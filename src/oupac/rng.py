@@ -6,7 +6,9 @@ are derived by hashing, never by sharing generator state, so results
 are independent of evaluation order and safe to parallelize.
 
 A master seed must be a non-negative integer; every function here raises
-:class:`InvalidRangeError` for any other.
+:class:`InvalidRangeError` for any other, and the derivation below for a
+seed or path entry too long for Python to print in decimal (over 4300
+digits by default).
 
 Derivation rule (fixed, documented, stable across platforms):
     child_seed(master, *path) = first 8 bytes, little-endian, of
@@ -32,11 +34,12 @@ same generator for the same seed:
 from __future__ import annotations
 
 import hashlib
+import sys
 from functools import cache
 
 import numpy as np
 
-from .errors import InvalidRangeError, _integer
+from .errors import InvalidRangeError, _integer, _shown
 
 
 def _digest_seed(text: str) -> int:
@@ -47,13 +50,24 @@ def child_seed(master_seed: int, *path: int) -> int:
     """Derive a 64-bit child seed from a master seed and a path of integers."""
     master = _integer(master_seed, "seed", 0)
     path = [_integer(x, "seed path entry", None) for x in path]
-    return _digest_seed("oupac:" + ":".join(map(str, (master, *path))))
+    return _digest_seed(_seed_text((master, *path)))
+
+
+def _seed_text(values) -> str:
+    """``"oupac:"`` and the decimal ``values`` joined by ``:``; raises
+    :class:`InvalidRangeError` for a value too long for Python to print."""
+    try:
+        return "oupac:" + ":".join(map(str, values))
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise InvalidRangeError(
+            f"a seed must have at most {sys.get_int_max_str_digits()} digits, got "
+            f"{_shown(max(values, key=abs))}") from None
 
 
 def _child_seeds(master_seed: int, paths) -> list[int]:
     """``child_seed(master_seed, *path)`` for each of ``paths``, non-empty
     tuples of ints, with one check of the master seed."""
-    prefix = f"oupac:{_integer(master_seed, 'seed', 0)}:"
+    prefix = _seed_text([_integer(master_seed, "seed", 0)]) + ":"
     return [_digest_seed(prefix + ":".join(map(str, path))) for path in paths]
 
 

@@ -1,8 +1,9 @@
 """The argument contract of the public API: every callable of
-``oupac.__all__`` that takes an integer, a real, a sequence of integers or a
-typed matrix returns or raises an :class:`OupacError` when one argument is
-replaced by a wrong-typed or non-finite value, and the hand-written checks
-that ``oupac.errors._integer``, ``_real`` and ``_typed`` replaced stay gone."""
+``oupac.__all__`` that takes an integer, a real, a sequence of integers, a
+typed matrix or a value of one of the package's types returns or raises an
+:class:`OupacError` when one argument is replaced by a wrong-typed,
+non-finite or huge value, and the hand-written checks that
+``oupac.errors._integer``, ``_real`` and ``_typed`` replaced stay gone."""
 
 import ast
 import inspect
@@ -16,6 +17,7 @@ import pytest
 
 import oupac
 from oupac import (
+    Dataset,
     DomainPair,
     GaussianMeasure,
     QuadraticLoss,
@@ -34,11 +36,15 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "oupac"
 BAD_INTS = [10.0, 2.5, True, math.nan, math.inf, -math.inf, "3", np.array([1, 2])]
 BAD_REALS = [True, math.nan, math.inf, -math.inf, "0.1", np.array([0.1, 0.2])]
 BAD_MATRICES = [np.eye(2), np.ones(3)]
+#: the package's value types, each read by attribute
+PACKAGE_TYPES = ["GaussianMeasure", "QuadraticLoss", "SgdDynamics", "SampleSpec", "DomainPair",
+                 "RegressionTask", "Dataset", "Trajectory"]
 BAD_VALUES = {"int": BAD_INTS, "int | None": BAD_INTS, "float": BAD_REALS,
-              "SpdMatrix": BAD_MATRICES, "SymmetricMatrix": BAD_MATRICES}
+              "SpdMatrix": BAD_MATRICES, "SymmetricMatrix": BAD_MATRICES,
+              **dict.fromkeys(PACKAGE_TYPES, [None, np.eye(2)])}
 
 #: result records: they hold what a computation returned and check no argument
-RECORDS = {"BoundReport", "TrialRecord", "ValidityResult", "MomentEstimate", "Trajectory"}
+RECORDS = {"BoundReport", "TrialRecord", "ValidityResult", "MomentEstimate"}
 
 
 @cache
@@ -50,18 +56,32 @@ def _valid_calls() -> dict:
     dyn = SgdDynamics(0.1, 1, np.eye(2))
     task = RegressionTask(np.array([0.5, -1.0]), eye, 0.3)
     g = standard_gaussian(2)
+    pair = DomainPair(eye, eye, np.zeros(2))
+    spec = SampleSpec(100, 0.05)
     return {
         "DomainPair": (eye, eye, np.zeros(2)),
         "SampleSpec": (100, 0.05),
+        "discrepancy_d": (pair,),
+        "discrepancy_d_tilde": (pair,),
+        "dominance_report": (pair, spec, spec),
+        "finetune_bound": (pair, spec),
+        "finetune_bound_dimension": (pair, spec),
         "kl_upper_bound_trace": (eye, dyn.noise_cov, 0.1, 1, eye),
+        "lemma2_check": (pair,),
         "lemma2_survey": ((1, 2), 2),
-        "pretrain_bound": (eye, SampleSpec(100, 0.05)),
+        "mcallester_bound": (0.5, spec),
+        "pretrain_bound": (eye, spec),
         "QuadraticLoss": (eye, np.zeros(2), 0.5),
         "SgdDynamics": (0.1, 1, np.eye(2)),
+        "Trajectory": (np.zeros((3, 2)), np.eye(2), np.zeros(2), np.zeros(2), 1, 2, 0),
         "estimate_stationary": (simulate_chain(np.zeros(2), loss, dyn, 20, 1), 5),
+        "sgd_step": (np.zeros(2), loss, dyn, np.zeros(2)),
         "simulate_chain": (np.zeros(2), loss, dyn, 20, 1, 0),
+        "stability_check": (loss, dyn),
         "two_stage_run": (loss, dyn, loss, dyn, 20, 20, 2, 1, 5, 0),
         "GaussianMeasure": (np.zeros(2), eye),
+        "kl_divergence": (g, g),
+        "log_density": (g, np.zeros((1, 2))),
         "mc_kl_estimate": (g, g, 1000, 0),
         "sample": (g, 3, 0),
         "standard_gaussian": (2,),
@@ -74,7 +94,10 @@ def _valid_calls() -> dict:
         "Dataset": (np.eye(2), np.zeros(2), 0),
         "RegressionTask": (np.array([0.5, -1.0]), eye, 0.3),
         "bound_validity_experiment": (task, dyn, SampleSpec(4, 0.05), g, 10, 0),
+        "empirical_quadratic": (Dataset(np.eye(2), np.zeros(2), 0),),
+        "expected_risk_gaussian": (loss, g),
         "generate_dataset": (task, 4, 0),
+        "population_quadratic": (task,),
         "scaling_experiment": (task, [4, 16], dyn, 0.05, 0, 2),
         "child_seed": (7, 1, 2),
         "make_rng": (7, 1, 2),
@@ -83,8 +106,8 @@ def _valid_calls() -> dict:
 
 def _walked_parameters(name: str) -> list[inspect.Parameter]:
     """The parameters of ``name`` that the walk replaces: an integer, a real,
-    a sequence of integers (``Sequence[int]`` or ``*path: int``) or a typed
-    matrix."""
+    a sequence of integers (``Sequence[int]`` or ``*path: int``), a typed
+    matrix or a value of a package type."""
     params = inspect.signature(getattr(oupac, name)).parameters.values()
     return [p for p in params if p.annotation in BAD_VALUES or p.annotation == "Sequence[int]"]
 
@@ -137,6 +160,23 @@ def test_a_bad_argument_returns_or_raises_an_oupac_error(name, param, sequence, 
 ], ids=["gaussian", "domain-pair", "kl"])
 def test_a_plain_array_for_a_typed_argument_names_both_types(call):
     with pytest.raises(oupac.InvalidRangeError, match=r"must be a \w+, got ndarray$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SampleSpec(10**5000, 0.1), "^sample_size must be below 2\\*\\*1024, got an integer "
+                                        "of 16610 bits$"),
+    (lambda: SgdDynamics(10**5000, 1, np.eye(2)), "^lr must be a finite real number, got an "
+                                                  "integer of 16610 bits$"),
+    (lambda: oupac.child_seed(-10**5000), "^seed must be a non-negative integer, got a negative "
+                                          "integer of 16610 bits$"),
+    (lambda: oupac.child_seed(7, 10**5000), "^a seed must have at most 4300 digits, got an "
+                                            "integer of 16610 bits$"),
+], ids=["sample-size", "lr", "negative-seed", "seed-path"])
+def test_an_integer_too_long_to_print_is_named_by_its_bit_length(call, message):
+    # Python refuses to print an int of more than 4300 digits (by default),
+    # so a message that printed it would raise a bare ValueError
+    with pytest.raises(OupacError, match=message):
         call()
 
 

@@ -96,7 +96,7 @@ class TestSampleSpec:
     def test_sample_size_too_large_for_float64_rejected(self):
         assert mcallester_bound(0.0, SampleSpec(2**1000, 0.05)) > 0
         with pytest.raises(InvalidSpecError, match="^sample_size must be below 2\\*\\*1024, "
-                                                   "got an integer of 401 digits$"):
+                                                   "got an integer of 1329 bits$"):
             SampleSpec(10**400, 0.05)
 
     def test_negative_kl_rejected(self):

@@ -1222,9 +1222,12 @@ _EXTREMES = np.array([
     (np.random.default_rng(3).standard_normal((50, 7)), 10),
 ])
 def test_trajectory_csv_matches_field_by_field_text(states, stride):
+    # the states whole, and in three blocks that step numbers must continue across
     header = ["step"] + [f"theta_{i}" for i in range(states.shape[1])]
     rows = [[i * stride, *state] for i, state in enumerate(states.tolist())]
-    assert "".join(cli._trajectory_csv(states, stride)) == _csv_writer_text(header, rows)
+    for blocks in [states], np.array_split(states, 3):
+        text = "".join(cli._trajectory_csv(blocks, states.shape[1], stride))
+        assert text == _csv_writer_text(header, rows)
 
 
 @pytest.mark.parametrize("dim", [1, 64])
@@ -1262,8 +1265,8 @@ def test_simulate_file_matches_field_by_field_text_across_blocks(capsys, tmp_pat
     assert (code, err) == (0, "")
     loss = diffusion.QuadraticLoss(make_spd(np.eye(dim)), np.zeros(dim))
     dyn = diffusion.SgdDynamics(0.1, 1, np.diag(scales))
-    states = diffusion.simulate_chain(np.zeros(dim), loss, dyn, records - 1, stride=1,
-                                      seed=seed).states
+    traj = diffusion.simulate_chain(np.zeros(dim), loss, dyn, records - 1, stride=1, seed=seed)
+    states = np.concatenate(list(traj.state_blocks()))
     header = ["step"] + [f"theta_{i}" for i in range(dim)]
     rows = [[i, *state] for i, state in enumerate(states.tolist())]
     assert out_path.read_bytes() == _csv_writer_text(header, rows).encode()
@@ -1290,12 +1293,35 @@ def test_simulate_streams_its_csv_to_the_output_file(capsys, tmp_path):
     assert peak <= 6.0e6
 
 
+def test_simulate_holds_one_records_array(tmp_path):
+    # d = 2, 600000 steps at stride 1: the records (9.6 MB), one noise chunk
+    # and its kicked copy (4.2 MB) or, later, the 4.8 MB centred copy of the
+    # post-burn-in half, and under 2 MB for the scan's scratch, a block of
+    # states and its text; a second records-sized array (19.3 MB in all)
+    # would not fit.  A first run makes the imports and tables once
+    dim, steps = 2, 600_000
+    eye = tmp_path / "eye.txt"
+    write_matrix(eye, np.eye(dim))
+    argv = ["simulate", "--hessian", str(eye), "--minimizer", "0,0", "--noise-factor", str(eye),
+            "--eta", "0.1", "--batch", "1", "--steps", str(steps), "--stride", "1",
+            "--output", str(tmp_path / "traj.csv")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= (steps + 1) * dim * 8 + 2 * diffusion.NOISE_CHUNK * dim * 8 + 2e6
+
+
 def test_trajectory_csv_peak_memory():
     # no more than the per-row formatting it replaced took (13.07 MB measured)
     states = np.random.default_rng(6).standard_normal((20001, 10))
     tracemalloc.start()
     try:
-        "".join(cli._trajectory_csv(states, 1))
+        "".join(cli._trajectory_csv([states], 10, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

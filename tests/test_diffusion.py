@@ -6,6 +6,7 @@ limit.  Noise-free chains are checked against the exact linear
 recursion.
 """
 
+import dataclasses
 import math
 import sys
 import threading
@@ -37,7 +38,7 @@ from oupac import (
     stein_stationary_covariance,
     two_stage_run,
 )
-from oupac import diffusion
+from oupac import diffusion, matrixio
 from oupac.gaussian import sample
 from oupac.rng import child_seed, make_rng
 
@@ -117,12 +118,19 @@ def _broadcast_scan_chain(init, loss, dyn, total_steps, stride, rng):
 
 def _absolute(records, init, loss):
     """The states of scan-coordinate ``records`` of a chain started at
-    ``init``, rotated back as ``simulate_chain`` rotates them."""
+    ``init``, rotated back as ``Trajectory.state_blocks`` rotates them: one
+    block of ``matrixio._block_rows(d)`` rows at a time."""
     basis = np.linalg.eigh(loss.hessian.entries)[1]
-    states = records.copy()
-    states[1:] = records[1:] @ basis.T + loss.minimizer
+    rows = matrixio._block_rows(loss.dim)
+    states = np.concatenate([records[start:start + rows] @ basis.T + loss.minimizer
+                             for start in range(0, records.shape[0], rows)])
     states[0] = init
     return states
+
+
+def _states(traj):
+    """All of a trajectory's states, its blocks joined."""
+    return np.concatenate(list(traj.state_blocks()))
 
 
 def _serial_chains(pt_loss, pt_dyn, ft_loss, ft_dyn, pt_steps, ft_steps, replicas, stride,
@@ -261,7 +269,7 @@ class TestSimulateChain:
         init = np.array([2.0, 0.0, -1.0])
         traj = simulate_chain(init, loss, dyn, total_steps=200, stride=10, seed=0)
         step_map = np.eye(3) - 0.1 * a.entries
-        for i, state in enumerate(traj.states):
+        for i, state in enumerate(_states(traj)):
             expected = np.linalg.matrix_power(step_map, i * 10) @ (init - center) + center
             np.testing.assert_allclose(state, expected, atol=1e-12)
 
@@ -270,7 +278,7 @@ class TestSimulateChain:
         dyn = SgdDynamics(0.1, 2, np.eye(2))
         a = simulate_chain(np.ones(2), loss, dyn, 5000, stride=7, seed=3)
         b = simulate_chain(np.ones(2), loss, dyn, 5000, stride=7, seed=3)
-        np.testing.assert_array_equal(a.states, b.states)
+        np.testing.assert_array_equal(_states(a), _states(b))
         assert a.record_count == 5000 // 7 + 1
 
     def test_unstable_raises(self):
@@ -289,8 +297,8 @@ class TestSimulateChain:
         # the noise scale is lr / sqrt(b) with b taken as a float64: 2**64 and
         # 2**64 + 1 round to the same float64
         loss = isotropic_loss(2)
-        states = [simulate_chain(np.ones(2), loss, SgdDynamics(0.1, batch, np.eye(2)), 50,
-                                 stride=1, seed=3).states for batch in (2**64, 2**64 + 1)]
+        states = [_states(simulate_chain(np.ones(2), loss, SgdDynamics(0.1, batch, np.eye(2)),
+                                         50, stride=1, seed=3)) for batch in (2**64, 2**64 + 1)]
         np.testing.assert_array_equal(*states)
 
     def test_empirical_covariance_near_stein_solution(self):
@@ -324,7 +332,7 @@ class TestSimulateChain:
         init = make_rng(dim, 2).standard_normal(dim)
         traj = simulate_chain(init, loss, dyn, 1300, stride=stride, seed=10)
         want, _ = _sgd_step_loop(init, loss, dyn, 1300, stride, seed=10)
-        assert _replay_error(traj.states, want) <= 1e-12
+        assert _replay_error(_states(traj), want) <= 1e-12
 
     def test_replay_across_noise_chunks(self, monkeypatch):
         # chunks of 1000 steps: each ends inside a 512-step scan block
@@ -332,7 +340,7 @@ class TestSimulateChain:
         loss, dyn = _replay_case(3, 0.6, seed=4)
         traj = simulate_chain(np.zeros(3), loss, dyn, 2777, stride=3, seed=11)
         want, _ = _sgd_step_loop(np.zeros(3), loss, dyn, 2777, 3, seed=11)
-        assert _replay_error(traj.states, want) <= 1e-12
+        assert _replay_error(_states(traj), want) <= 1e-12
 
     def test_replay_near_unit_spectral_radius(self):
         # 1 - rho = 1e-4: rounding errors are carried for about 1e4 steps,
@@ -346,7 +354,7 @@ class TestSimulateChain:
         tolerance = 100 * dim * np.finfo(float).eps / gap
         traj = simulate_chain(np.zeros(dim), loss, dyn, 20_000, stride=5, seed=13)
         want, _ = _sgd_step_loop(np.zeros(dim), loss, dyn, 20_000, 5, seed=13)
-        assert _replay_error(traj.states, want) <= tolerance
+        assert _replay_error(_states(traj), want) <= tolerance
 
 
 def _scan_case(dim: int, kind: str, seed: int):
@@ -381,7 +389,7 @@ def test_scan_plan_matches_broadcast_scan_bit_for_bit(dim, steps, stride, kind, 
             init, diffusion._ScanPlan(loss, dyn), steps, stride, make_rng(seed))
         want, want_final = _broadcast_scan_chain(init, loss, dyn, steps, stride,
                                                  make_rng(seed))
-    assert np.array_equal(traj.states, _absolute(want, init, loss))
+    assert np.array_equal(_states(traj), _absolute(want, init, loss))
     assert np.array_equal(records, want)
     assert np.array_equal(final, want_final)
 
@@ -463,8 +471,9 @@ class TestEstimateStationary:
         got = estimate_stationary(traj, burn_in)
         cut = traj.record_count // 2 if burn_in is None else burn_in
         assert got.sample_count == traj.record_count - cut
-        mean, cov = _sample_moments(traj.states[cut:])
-        scale = float(np.max(np.abs(traj.states)))
+        states = _states(traj)
+        mean, cov = _sample_moments(states[cut:])
+        scale = float(np.max(np.abs(states)))
         np.testing.assert_allclose(got.mean, mean, rtol=0, atol=1e-12 * scale)
         np.testing.assert_allclose(got.covariance.entries, cov, rtol=0, atol=1e-12 * scale**2)
 
@@ -849,17 +858,36 @@ class TestValueTypes:
         with pytest.raises(DimensionMismatchError):
             Trajectory(records, basis, minimizer, init, stride=10, total_steps=100, seed=0)
 
-    def test_trajectory_keeps_the_records_and_derives_the_states_once(self):
+    def test_trajectory_keeps_the_records_and_derives_the_states_in_blocks(self):
         records = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         basis = np.array([[0.0, 1.0], [-1.0, 0.0]])
         traj = Trajectory(records, basis, np.array([10.0, 20.0]), np.array([7.0, 8.0]),
                           stride=2, total_steps=5, seed=0)
         assert traj.records is records and not records.flags.writeable
         # the other arrays are the trajectory's own: changing the caller's
-        # basis before the first read of the states leaves them as they were
+        # basis leaves the states as they were
         assert not (traj.basis.flags.writeable or traj.minimizer.flags.writeable
                     or traj.init.flags.writeable)
         basis[:] = 0.0
-        assert traj.states is traj.states and not traj.states.flags.writeable
         # row 0 is the exact init; row k >= 1 is minimizer + V y_k
-        np.testing.assert_array_equal(traj.states, [[7.0, 8.0], [14.0, 17.0], [16.0, 15.0]])
+        [block] = traj.state_blocks()
+        np.testing.assert_array_equal(block, [[7.0, 8.0], [14.0, 17.0], [16.0, 15.0]])
+        # each block is a fresh array the caller may keep and change, and the
+        # trajectory keeps no array but the records
+        block[:] = 0.0
+        np.testing.assert_array_equal(_states(traj), [[7.0, 8.0], [14.0, 17.0], [16.0, 15.0]])
+        assert vars(traj).keys() == {field.name for field in dataclasses.fields(Trajectory)}
+
+    @pytest.mark.parametrize("extra_rows", [-1, 0, 1])
+    def test_state_blocks_are_the_rows_matrixio_renders_at_a_time(self, extra_rows):
+        dim = 3
+        rows = matrixio._block_rows(dim)
+        loss, dyn = _replay_case(dim, 0.6, seed=2)
+        traj = simulate_chain(np.ones(dim), loss, dyn, 2 * rows + extra_rows - 1, stride=1,
+                              seed=2)
+        blocks = list(traj.state_blocks())
+        assert [block.shape for block in blocks] == [
+            (min(rows, traj.record_count - start), dim)
+            for start in range(0, traj.record_count, rows)]
+        assert all(block.base is None and block.flags.writeable for block in blocks)
+        np.testing.assert_array_equal(blocks[0][0], np.ones(dim))

@@ -11,6 +11,8 @@ mathematics fixes, checked on random well-conditioned inputs.
 - Identity: the KL and the D of a domain paired with itself are 0.
 - Data order: permuting a dataset's rows leaves its empirical quadratic
   unchanged to rounding.
+- Chain under rotation: with the same draws, the chain of (Q A Q^T, Q m,
+  B Q^T) started at Q x0 records Q times the states of (A, m, B) from x0.
 - Translation: shifting every minimizer by c, up to |c| = 1e300, leaves the
   chain covariances of ``simulate`` and ``two-stage`` unchanged and shifts
   their means by c, and so does the library's ``simulate_chain`` ->
@@ -57,7 +59,7 @@ from oupac import (
     stein_stationary_covariance,
     two_stage_run,
 )
-from oupac import diffusion
+from oupac import diffusion, matrixio
 from oupac.gaussian import gaussian_pair_terms, sample
 from oupac.rng import child_seed, make_rng
 
@@ -290,6 +292,31 @@ def test_empirical_quadratic_ignores_the_order_of_the_rows(dim, extra_rows, seed
     assert abs(turned.offset - base.offset) <= 4 * (n + dim) * EPS * scale
 
 
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(dim=st.sampled_from([2, 10, 32]), kappa=st.floats(1.0, 10.0), seed=SEEDS)
+def test_chain_states_rotate_with_the_stage(dim, kappa, seed):
+    # lr * lambda_max in [0.2, 1] puts the step map's radius at 1 - lr *
+    # lambda_min, so a rounding change of A, about d eps ||A|| from the
+    # rotation and the eigensolver, moves a state by at most kappa(A) times
+    # it, relative to the states' scale
+    rng = make_rng(seed, 11)
+    hessian = random_spd(dim, 1.0, kappa, child_seed(seed, 12))
+    lr = rng.uniform(0.2, 1.0) / hessian.eigenvalues[-1]
+    loss = QuadraticLoss(hessian, rng.standard_normal(dim))
+    dyn = SgdDynamics(lr, 1, rng.standard_normal((dim, dim)))
+    init = rng.standard_normal(dim)
+    q = _orthogonal(make_rng(seed, 13), dim)
+    turned_loss = QuadraticLoss(_rotated(hessian, q), q @ loss.minimizer)
+    turned_dyn = SgdDynamics(lr, 1, dyn.noise_factor @ q.T)
+    steps = 2 * matrixio._block_rows(dim)  # states in three blocks
+    states = np.concatenate(list(simulate_chain(init, loss, dyn, steps, 1, seed).state_blocks()))
+    turned = np.concatenate(list(
+        simulate_chain(q @ init, turned_loss, turned_dyn, steps, 1, seed).state_blocks()))
+    want = states @ q.T
+    assert (np.max(np.abs(turned - want))
+            <= 4 * dim * _cond(hessian) * EPS * np.max(np.abs(want)))
+
+
 def _chain_stage(dim: int, kappa: float, seed: int, stage: int):
     """A loss and dynamics whose step map has radius at most 0.98: Hessian
     eigenvalues in [1, kappa] with kappa <= 10 and lr * lambda_max in
@@ -366,8 +393,9 @@ def test_chain_moments_shift_with_the_minimizers(dim, kappa, seed, size, init_mo
                                                   pt_dyn.noise_cov, pt_dyn.lr, 1)
             start = sample(stationary, 1, child_seed(seed, replica, 1))[0]
         else:
-            start = simulate_chain(pt_loss.minimizer, pt_loss, pt_dyn, 2 * burn, 2 * burn,
-                                   child_seed(seed, replica, 0)).states[-1]
+            chain = simulate_chain(pt_loss.minimizer, pt_loss, pt_dyn, 2 * burn, 2 * burn,
+                                   child_seed(seed, replica, 0))
+            start = list(chain.state_blocks())[-1][-1]
         offsets.append(np.linalg.norm(np.abs(pt_loss.minimizer)
                                       + np.abs(start - pt_loss.minimizer)
                                       + np.abs(ft_loss.minimizer)))
