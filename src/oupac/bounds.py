@@ -11,14 +11,20 @@ so the two can be compared.  All logarithms are natural.
 D, the paper-literal D and D~ have one home, :func:`_discrepancies`,
 which takes one pair or a stack of pairs, Lemma 2's margin D~ - D one,
 :func:`_lemma2_margin`, and the complexity term one, :func:`_mcallester`.
-:func:`lemma2_survey` evaluates the pairs of a dimension as stacks,
-arrays with a leading pair axis, in the groups of
-:func:`oupac.linalg._in_groups`: a group makes one QR and one
-``eigvalsh`` for its random covariances, one Cholesky per side and one
-solve for its pair terms, where a pair-by-pair loop makes each call once
-per pair.  Each pair still draws from its own seeded streams, which one
-stack of streams (:func:`oupac.rng._streams`) seeds for the group.  A pair
-term or discrepancy that overflows raises
+:func:`lemma2_survey` evaluates the pairs of all its dimensions as one
+pipeline of stacks, arrays with a leading pair axis, in the groups of
+:func:`oupac.linalg._in_groups`, each sized by what its pairs hold, so a
+group may span dimensions.  One stack of streams
+(:func:`oupac.rng._streams`) seeds a group, and each dimension's pairs in
+it make one QR for their random covariances, one Cholesky per side and
+one solve for their pair terms, where a pair-by-pair loop makes each call
+once per pair.  A covariance drawn with eigenvalues in ``[low, high]``
+passes the strict SPD test of :func:`oupac.linalg.make_spd` whenever
+``low - slack > PSD_RTOL * max(high + slack, 1)``, ``slack = 16 d^2 eps
+high`` (:func:`oupac.linalg._spectrum_passes`); there the ``eigvalsh``
+check is skipped, and only a range with ``low / high`` within rounding
+of ``PSD_RTOL`` (1e-10) still runs it.  Each pair still draws from its
+own seeded streams.  A pair term or discrepancy that overflows raises
 :class:`NumericalInconsistencyError` (CLI exit code 3).
 """
 
@@ -33,7 +39,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidSpecError, _integer, _real, _typed
 from .gaussian import _check_float_count, _pair_divergences, check_rate
 from .linalg import (SpdMatrix, SymmetricMatrix, _check_held, _eigenvalue_range,
-                     _frozen_vector, _in_groups, _make_spd_stack, _random_spd_entries, log_det)
+                     _frozen_vector, _in_groups, _random_spd_stack, log_det)
 # cholesky_factor is not called here; bench/tests/test_bench_trace.py reads it from here
 from .linalg import cholesky_factor  # noqa: F401
 from .rng import _child_seeds, _streams
@@ -284,31 +290,40 @@ def lemma2_survey(
     dimension d has covariances ``random_spd(d, eigenvalue_low,
     eigenvalue_high, child_seed(seed, d, i, k))`` for k = 0, 1, and
     :func:`lemma2_check` gives its margin and whether it holds, at any
-    shift, since the margin does not read one.  The pairs are
-    evaluated as stacks (module docstring).  One call of the stack entry
-    point :func:`oupac.rng._streams` seeds each group of pairs; its
-    generators are those of the one-stream entry point
-    :func:`oupac.rng.make_rng` for the same seeds, as ``tests/test_rng.py``
-    checks against numpy's ``default_rng``.  Deterministic for a fixed
-    seed.
+    shift, since the margin does not read one.  The pairs of all
+    dimensions are evaluated as one stacked pipeline (module docstring).
+    A covariance skips ``random_spd``'s ``eigvalsh`` check where ``low -
+    slack > 1e-10 * max(high + slack, 1)``, ``slack = 16 d^2 eps high``,
+    which decides it, as at the default range for any d the survey takes;
+    at a ratio ``low / high`` within rounding of 1e-10 the check runs.
+    One call of the stack entry point :func:`oupac.rng._streams`
+    seeds each group of pairs; its generators are those of the one-stream
+    entry point :func:`oupac.rng.make_rng` for the same seeds, as
+    ``tests/test_rng.py`` checks against numpy's ``default_rng``.
+    Deterministic for a fixed seed.
     """
     pairs_per_dim = _integer(pairs_per_dim, "pairs_per_dim")
     eigenvalue_low, eigenvalue_high = _eigenvalue_range(eigenvalue_low, eigenvalue_high)
     dims = [_integer(d, "dim") for d in dims]  # random_spd's name, as the loop raises
     _check_survey_dim(max(dims, default=0))
-    _check_held("pairs_per_dim: the margins hold", pairs_per_dim, max(dims, default=0))
+    _check_held("pairs_per_dim: the margins hold", len(dims) * pairs_per_dim,
+                max(dims, default=0))
+    if not dims:
+        return []
+    (margins,) = _in_groups(
+        lambda items: _survey_group(items, dims, pairs_per_dim, seed, eigenvalue_low,
+                                    eigenvalue_high),
+        range(len(dims) * pairs_per_dim),
+        [(pairs_per_dim, 2 * d * d + 8) for d in dims])  # two covariances, two streams' words
     rows = []
-    for d in dims:
-        (margins,) = _in_groups(
-            lambda pairs: _survey_group(d, pairs, seed, eigenvalue_low, eigenvalue_high),
-            range(pairs_per_dim), 2 * d * d + 8)  # two covariances, two streams' words
-        holds = np.count_nonzero(margins >= -HOLDS_TOLERANCE)
+    for d, row in zip(dims, margins.reshape(len(dims), pairs_per_dim)):
+        holds = np.count_nonzero(row >= -HOLDS_TOLERANCE)
         rows.append({
             "dim": d,
             "pairs": pairs_per_dim,
             "holds": int(holds),
             "holds_fraction": holds / pairs_per_dim,
-            "min_margin": float(margins.min()),
+            "min_margin": float(row.min()),
         })
     return rows
 
@@ -319,17 +334,28 @@ def _check_survey_dim(largest: int) -> None:
     _check_held("dims: one pair's covariances hold", 2 * largest * largest, largest)
 
 
-def _survey_group(d, pairs, seed, eigenvalue_low, eigenvalue_high):
-    """Lemma 2's margins of the surveyed pairs ``pairs`` of dimension d, as
-    a one-array tuple.  One stack of streams seeds the group's covariances,
-    interleaved (source, target, source, ...) so that a pair's source
-    covariance fails before its target one.  The pair terms take a zero
-    shift, which the margin does not read."""
-    streams = _streams(_child_seeds(seed, [(d, i, side) for i in pairs for side in (0, 1)]))
-    entries = _make_spd_stack(_random_spd_entries(d, eigenvalue_low, eigenvalue_high, streams))
-    return _pair_divergences(
-        entries[1::2], entries[0::2], np.zeros((len(pairs), d)),
-        lambda trace, log_det_ratio, _: (_lemma2_margin(trace, log_det_ratio, d),))
+def _survey_group(items, dims, pairs_per_dim, seed, eigenvalue_low, eigenvalue_high):
+    """Lemma 2's margins of the surveyed pairs ``items``, a range of
+    indices ``j * pairs_per_dim + i`` of pair i of dimension ``dims[j]``,
+    as a one-array tuple.  One stack of streams seeds the group's
+    covariances, interleaved (source, target, source, ...) so that a pair's
+    source covariance fails before its target one; each dimension's pairs
+    are then drawn, checked and evaluated as one stack.  The pair terms
+    take a zero shift, which the margin does not read."""
+    streams = _streams(_child_seeds(seed, [
+        (dims[k // pairs_per_dim], k % pairs_per_dim, side) for k in items for side in (0, 1)]))
+    margins = []
+    start = items.start
+    while start < items.stop:
+        d = dims[start // pairs_per_dim]
+        stop = min(items.stop, (start // pairs_per_dim + 1) * pairs_per_dim)
+        entries = _random_spd_stack(d, eigenvalue_low, eigenvalue_high,
+                                    streams[2 * (start - items.start):2 * (stop - items.start)])
+        margins.extend(_pair_divergences(
+            entries[1::2], entries[0::2], np.zeros((stop - start, d)),
+            lambda trace, log_det_ratio, _: (_lemma2_margin(trace, log_det_ratio, d),)))
+        start = stop
+    return (np.concatenate(margins),)
 
 
 def kl_upper_bound_trace(

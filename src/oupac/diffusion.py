@@ -60,7 +60,8 @@ from typing import Iterator, Literal, NamedTuple
 import numpy as np
 
 from .errors import (DimensionMismatchError, InvalidRangeError, NumericalInconsistencyError,
-                     TooFewSamplesError, UnstableDynamicsError, _integer, _real, _typed)
+                     TooFewSamplesError, UnstableDynamicsError, _integer, _real, _shown,
+                     _typed)
 from .gaussian import MomentEstimate, check_rate, sample, stationary_from_dynamics
 from .linalg import SpdMatrix, SymmetricMatrix, _check_held, _frozen_vector, _read_only
 from .matrixio import _block_rows
@@ -184,8 +185,8 @@ class Trajectory:
         for name, (value, shape) in fields.items():
             if value.shape != shape:
                 raise DimensionMismatchError(
-                    f"trajectory {name} has shape {value.shape}, expected {shape} for "
-                    f"{self.total_steps} steps at stride {self.stride}")
+                    f"trajectory {name} has shape {value.shape}, expected {_shown(shape)} for "
+                    f"{_shown(self.total_steps)} steps at stride {_shown(self.stride)}")
             object.__setattr__(self, name, _read_only(value))
 
     def state_blocks(self) -> Iterator[np.ndarray]:
@@ -444,7 +445,7 @@ def _burn_in_cut(count: int, burn_in: int | None, need: int) -> int:
     cut = count // 2 if burn_in is None else _integer(burn_in, "burn_in_records", 0)
     if count - cut < need:
         raise TooFewSamplesError(
-            f"{max(count - cut, 0)} records left after burn-in of {cut}; need >= {need}"
+            f"{max(count - cut, 0)} records left after burn-in of {_shown(cut)}; need >= {need}"
         )
     return cut
 
@@ -458,7 +459,7 @@ def _check_run(total_steps: int, stride: int, burn_in: int | None, need: int, di
     all, and at least ``need`` must survive the burn-in."""
     total_steps, stride = _integer(total_steps, name), _integer(stride, "stride")
     count = total_steps // stride + 1
-    _check_held(f"{name}={total_steps} at stride {stride} records", count * dim, dim)
+    _check_held(name + "={} at stride {} records", count * dim, dim, total_steps, stride)
     return total_steps, stride, count - _burn_in_cut(count, burn_in, need)
 
 

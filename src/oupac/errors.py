@@ -108,10 +108,15 @@ def _real(value, name: str, error: type[OupacError] = InvalidRangeError) -> floa
 
 
 def _shown(value) -> str:
-    """``repr(value)`` for a message, or the bit length of an int of more
-    than 256 bits, which Python may refuse to print (over 4300 digits)."""
+    """``repr(value)`` for a message, with an int of more than 256 bits, which
+    Python may refuse to print (over 4300 digits), named by its bit length,
+    also as an entry of a list or tuple."""
     if type(value) is int and abs(value).bit_length() > 256:
         return f"{'a negative' if value < 0 else 'an'} integer of {abs(value).bit_length()} bits"
+    if type(value) is list:
+        return f"[{', '.join(map(_shown, value))}]"
+    if type(value) is tuple:
+        return f"({', '.join(map(_shown, value))}{',' if len(value) == 1 else ''})"
     return repr(value)
 
 

@@ -83,6 +83,7 @@ class MomentEstimate:
 def standard_gaussian(dim: int) -> GaussianMeasure:
     """The N(0, I) measure in the given dimension."""
     dim = _integer(dim, "dim")
+    _check_held("dim: the covariance holds", dim * dim, dim)
     return GaussianMeasure(np.zeros(dim), make_spd(np.eye(dim)))
 
 
@@ -255,6 +256,7 @@ def sample(g: GaussianMeasure, count: int, seed: int) -> np.ndarray:
     """
     _typed(g, GaussianMeasure, "g")
     count = _integer(count, "count", error=TooFewSamplesError)
+    _check_held("count={}: the draws hold", count * g.dim, g.dim, count)
     z = make_rng(seed).standard_normal((count, g.dim))
     return g.mean + z @ cholesky_factor(g.covariance).T
 
@@ -283,7 +285,7 @@ def mc_kl_estimate(
     if _typed(q, GaussianMeasure, "q").dim != _typed(p, GaussianMeasure, "p").dim:
         raise DimensionMismatchError(f"dimensions disagree: {q.dim} vs {p.dim}")
     count = _integer(count, "count", MC_KL_MIN_DRAWS, TooFewSamplesError)
-    _check_held(f"Monte-Carlo KL with {count} draws holds", count * q.dim, q.dim)
+    _check_held("Monte-Carlo KL with {} draws holds", count * q.dim, q.dim, count)
     draws = sample(q, count, seed)
     values = log_density(q, draws) - log_density(p, draws)
     estimate = float(np.mean(values))

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, InvalidRangeError, InvalidSpecError,
                      NotPositiveDefiniteError, NotSquareError, OupacError, ResidualTooLargeError,
-                     SpectralRadiusTooLargeError, _integer, _real, _typed)
+                     SpectralRadiusTooLargeError, _integer, _real, _shown, _typed)
 from .rng import make_rng
 
 #: Relative eigenvalue tolerance for the SPD check: a matrix is accepted
@@ -58,14 +58,19 @@ GROUP_FLOATS = 1 << 20
 RECORD_FLOATS = 1 << 27
 
 _TINY = np.finfo(float).tiny
+_EPS = float(np.finfo(float).eps)  # a Python float: an overflow gives inf, no warning
 
 
-def _check_held(what: str, floats: int, dim: int) -> None:
+def _check_held(what: str, floats: int, dim: int, *numbers: int) -> None:
     """Raise :class:`InvalidRangeError` if ``what``, an array of ``floats``
-    numbers at dimension ``dim``, would exceed ``RECORD_FLOATS``."""
+    numbers at dimension ``dim``, would exceed ``RECORD_FLOATS``.  ``what``
+    has a ``{}`` field for each of ``numbers``; they, ``floats`` and ``dim``
+    print through :func:`oupac.errors._shown`, so that an int too long to
+    print is named by its bit length."""
     if floats > RECORD_FLOATS:
         raise InvalidRangeError(
-            f"{what} {floats} floats ({8 * floats} bytes) at dimension {dim}; at most "
+            f"{what.format(*map(_shown, numbers))} {_shown(floats)} floats "
+            f"({_shown(8 * floats)} bytes) at dimension {_shown(dim)}; at most "
             f"{RECORD_FLOATS} ({8 * RECORD_FLOATS} bytes) are held"
         )
 
@@ -94,24 +99,29 @@ def _item(values, index: int):
 
 
 def _in_groups(run: Callable[[Sequence], tuple], items: Sequence,
-               floats_per_item: int) -> tuple[np.ndarray, ...]:
+               floats_per_item: int | list[tuple[int, int]]) -> tuple[np.ndarray, ...]:
     """``run(group)`` on consecutive groups of ``items``, each of its result
     arrays (one leading entry per item) concatenated in item order.
 
-    A group holds ``max(1, GROUP_FLOATS // floats_per_item)`` items, so
-    memory does not grow with the item count.  The check policy of every
-    stacked kernel is this: a kernel raises at its first failing check, as
-    soon as any item of its stack fails it, and returns only its values.
+    ``floats_per_item`` is the count of numbers an item holds: one int for
+    every item, or a list of ``(count, floats)`` runs that cover the items
+    in order.  A group takes items while they hold at most ``GROUP_FLOATS``
+    numbers in all, and at least one item (an item of no numbers counts as
+    one), so memory does not grow with the item count.  The check policy
+    of every stacked kernel is this: a kernel raises at its first failing
+    check, as soon as any item of its stack fails it, and returns only its
+    values.
     A group of more than one item that raises an :class:`OupacError` is
     run again one item at a time, in order, so the first item to fail
     raises its own error, which is what an item-by-item loop raises
     first, and if none fails the one-item results are kept.  Any other
     exception propagates at once.
     """
-    per_group = max(1, GROUP_FLOATS // max(1, floats_per_item))
+    if not isinstance(floats_per_item, list):
+        floats_per_item = [(len(items), floats_per_item)]
     parts = []
-    for start in range(0, len(items), per_group):
-        group = items[start:start + per_group]
+    for start, stop in _group_bounds(floats_per_item):
+        group = items[start:stop]
         try:
             parts.append(run(group))
         except OupacError:
@@ -119,6 +129,24 @@ def _in_groups(run: Callable[[Sequence], tuple], items: Sequence,
                 raise
             parts.extend(run(group[index:index + 1]) for index in range(len(group)))
     return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _group_bounds(runs: list[tuple[int, int]]):
+    """The ``(start, stop)`` item bounds of each group of :func:`_in_groups`
+    over items of ``(count, floats)`` runs, by arithmetic on each run."""
+    start = stop = held = 0
+    for count, floats in runs:
+        floats, end = max(1, floats), stop + count
+        while stop < end:
+            fits = min((GROUP_FLOATS - held) // floats, end - stop)
+            if fits <= 0 and stop > start:  # the group is full
+                yield start, stop
+                start, held = stop, 0
+                continue
+            fits = max(fits, 1)
+            stop, held = stop + fits, held + fits * floats
+    if stop > start:
+        yield start, stop
 
 
 def _symmetrized(entries: np.ndarray) -> np.ndarray:
@@ -225,7 +253,9 @@ class SpdMatrix(SymmetricMatrix):
 
 def _spd_verdict(eigenvalues: np.ndarray) -> Verdict:
     """The SPD eigenvalue test (see ``PSD_RTOL``) on ascending eigenvalues
-    ``(..., d)`` of a stack of symmetric matrices."""
+    ``(..., d)`` of a stack of symmetric matrices.  :func:`_spectrum_passes`
+    decides the same test from a drawn spectrum; a change to one is a
+    change to both."""
     smallest = eigenvalues[..., 0]
     tol = PSD_RTOL * np.maximum(np.abs(eigenvalues).max(axis=-1), 1.0)
 
@@ -414,14 +444,54 @@ def random_spd(
                                         [make_rng(seed)])[0])
 
 
+def _random_spd_stack(dim: int, eigenvalue_low: float, eigenvalue_high: float,
+                      streams) -> np.ndarray:
+    """:func:`_make_spd_stack` of :func:`_random_spd_entries`: the checked
+    entries of :func:`random_spd` for each of ``streams``, with the same
+    error from the same first failing matrix.  Where the drawn spectrum
+    decides the eigenvalue test (:func:`_spectrum_passes`), only the finite
+    checks run, and no ``eigvalsh``."""
+    low, high = _eigenvalue_range(eigenvalue_low, eigenvalue_high)
+    entries = _random_spd_entries(dim, low, high, streams)
+    if not _spectrum_passes(entries.shape[-1], low, high):
+        return _make_spd_stack(entries)
+    sym, finite = _finite_symmetrized(entries)
+    finite.check()
+    return sym
+
+
+def _spectrum_passes(dim: int, low: float, high: float) -> bool:
+    """Whether every finite matrix that :func:`_random_spd_entries` draws at
+    dimension ``dim`` with eigenvalues in ``[low, high]`` passes the strict
+    SPD test on its ``eigvalsh`` eigenvalues: whether ``low - slack >
+    PSD_RTOL * max(high + slack, 1)``, ``slack = 16 d^2 eps high``.
+
+    The computed eigenvalues of ``fl(Q diag(lam) Q^T)``, symmetrized, lie
+    within ``slack`` of ``[low, high]``: the two products round each entry
+    by at most about ``d eps`` times the entries of ``|Q| diag(lam) |Q|^T``,
+    whose norm is at most ``d high``, which moves an eigenvalue by at most
+    about ``d^2 eps high``; the QR's Q, orthogonal to about ``d eps``, and
+    ``eigvalsh``'s own backward error each add a small multiple of ``d eps
+    high``.  The factor 16 covers these constants with room: over d = 1 to
+    128, 20 matrices each, no computed eigenvalue left ``[low, high]`` by
+    more than ``22 eps high`` (d = 128, ``low = high``, where every
+    eigenvalue sits at an end of the range).  Only a range whose ratio
+    ``low / high`` is within rounding of ``PSD_RTOL`` fails this test; its
+    matrices take the ``eigvalsh`` check of :func:`_make_spd_stack`."""
+    slack = 16.0 * dim * dim * _EPS * high
+    return low - slack > PSD_RTOL * max(high + slack, 1.0)
+
+
 def _random_spd_entries(dim: int, eigenvalue_low: float, eigenvalue_high: float,
                         streams) -> np.ndarray:
     """The entries ``(len(streams), dim, dim)`` that :func:`random_spd`
     checks with :func:`make_spd`, one per seeded stream (a list of
     generators or an :func:`oupac.rng._streams` stack), from one QR and one
-    product.  The range is checked before anything is drawn."""
+    product.  The range and the size of one matrix are checked before
+    anything is drawn."""
     eigenvalue_low, eigenvalue_high = _eigenvalue_range(eigenvalue_low, eigenvalue_high)
     dim = _integer(dim, "dim")
+    _check_held("dim: the covariance holds", dim * dim, dim)
     gauss = np.empty((len(streams), dim, dim))
     eigenvalues = np.empty((len(streams), 1, dim))
     for index, rng in enumerate(streams):  # each stream: its normals, then its uniforms

@@ -36,7 +36,7 @@ from .bounds import SampleSpec, mcallester_bound
 from .diffusion import QuadraticLoss, SgdDynamics, _check_dims, _quadratic_values, _step_radius
 from .errors import (DimensionMismatchError, InvalidRangeError, NotPositiveDefiniteError,
                      NumericalInconsistencyError, SingularDesignError, UnstableDynamicsError,
-                     _integer, _real, _typed)
+                     _integer, _real, _shown, _typed)
 from .gaussian import GaussianMeasure, _kl_divergences, _stationary_rhs, standard_gaussian
 from .linalg import (SpdMatrix, Verdict, _check_held, _frozen_vector, _in_groups, _item,
                      _lyapunov_in_eigenbasis, _spd_verdict, _symmetrized, cholesky_factor,
@@ -106,8 +106,11 @@ class Dataset:
 
 def generate_dataset(task: RegressionTask, sample_size: int, seed: int) -> Dataset:
     """Draw ``sample_size`` rows from the task's model; deterministic per seed."""
-    features, targets = _datasets(_typed(task, RegressionTask, "task"),
-                                  _integer(sample_size, "sample_size"), [make_rng(seed)])
+    _typed(task, RegressionTask, "task")
+    sample_size = _integer(sample_size, "sample_size")
+    _check_held("sample_size={}: the dataset holds", sample_size * (task.dim + 1), task.dim,
+                sample_size)
+    features, targets = _datasets(task, sample_size, [make_rng(seed)])
     return Dataset(features[0], targets[0], seed)
 
 
@@ -313,9 +316,10 @@ def _check_sample_sizes(ns: Sequence[int], dim: int) -> None:
     rows than features every design Gram matrix is singular, and the
     design of one trial, ``n * dim`` floats, fits ``RECORD_FLOATS``."""
     if any(n < dim for n in ns):
-        raise InvalidRangeError(f"every n must be >= feature dimension {dim}, got {list(ns)}")
+        raise InvalidRangeError(
+            f"every n must be >= feature dimension {dim}, got {_shown(list(ns))}")
     largest = max(ns)
-    _check_held(f"n={largest}: the design of one trial holds", largest * dim, dim)
+    _check_held("n={}: the design of one trial holds", largest * dim, dim, largest)
 
 
 def bound_validity_experiment(
@@ -379,7 +383,7 @@ def scaling_experiment(
     if not ns:
         raise InvalidRangeError("ns must hold at least one sample size")
     if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise InvalidRangeError(f"ns must be strictly increasing, got {ns}")
+        raise InvalidRangeError(f"ns must be strictly increasing, got {_shown(ns)}")
     _check_sample_sizes(ns, task.dim)
     _check_held("trials: every n's trials hold", SCALING_TRIAL_FLOATS * trials_per_n * len(ns),
                 task.dim)

@@ -2,8 +2,9 @@
 ``oupac.__all__`` that takes an integer, a real, a sequence of integers, a
 typed matrix or a value of one of the package's types returns or raises an
 :class:`OupacError` when one argument is replaced by a wrong-typed,
-non-finite or huge value, and the hand-written checks that
-``oupac.errors._integer``, ``_real`` and ``_typed`` replaced stay gone."""
+non-finite or huge value, the hand-written checks that
+``oupac.errors._integer``, ``_real`` and ``_typed`` replaced stay gone, and
+no size check formats its own numbers."""
 
 import ast
 import inspect
@@ -172,12 +173,92 @@ def test_a_plain_array_for_a_typed_argument_names_both_types(call):
                                           "integer of 16610 bits$"),
     (lambda: oupac.child_seed(7, 10**5000), "^a seed must have at most 4300 digits, got an "
                                             "integer of 16610 bits$"),
-], ids=["sample-size", "lr", "negative-seed", "seed-path"])
+    (lambda: _with("lemma2_survey", 0, (10**5000,)),
+     "^dims: one pair's covariances hold an integer of 33221 bits floats \\(an integer of 33224 "
+     "bits bytes\\) at dimension an integer of 16610 bits; at most"),
+    (lambda: _with("lemma2_survey", 1, 10**5000),
+     "^pairs_per_dim: the margins hold an integer of 16611 bits floats \\(an integer of 16614 "
+     "bits bytes\\) at dimension 2; at most"),
+    (lambda: _with("simulate_chain", 3, 10**5000),
+     "^total_steps=an integer of 16610 bits at stride 1 records an integer of 16611 bits floats"),
+    (lambda: _with("mc_kl_estimate", 2, 10**5000),
+     "^Monte-Carlo KL with an integer of 16610 bits draws holds an integer of 16611 bits floats"),
+    (lambda: _with("Trajectory", 5, 10**5000),
+     "^trajectory records has shape \\(3, 2\\), expected \\(an integer of 16610 bits, 2\\) for an "
+     "integer of 16610 bits steps at stride 1$"),
+    (lambda: _with("estimate_stationary", 1, 10**5000),
+     "^0 records left after burn-in of an integer of 16610 bits; need >= 2$"),
+    (lambda: _with("two_stage_run", 8, 10**5000),
+     "^0 records left after burn-in of an integer of 16610 bits; need >= 1$"),
+    (lambda: _with("scaling_experiment", 1, [10**5000, 4]),
+     "^ns must be strictly increasing, got \\[an integer of 16610 bits, 4\\]$"),
+], ids=["sample-size", "lr", "negative-seed", "seed-path", "survey-dim", "survey-pairs",
+        "chain-steps", "mc-kl-draws", "trajectory-steps", "estimate-burn-in", "two-stage-burn-in",
+        "scaling-ns"])
 def test_an_integer_too_long_to_print_is_named_by_its_bit_length(call, message):
     # Python refuses to print an int of more than 4300 digits (by default),
     # so a message that printed it would raise a bare ValueError
     with pytest.raises(OupacError, match=message):
         call()
+
+
+def _with(name: str, index: int, value):
+    """The walked callable ``name`` on its valid call, argument ``index`` replaced."""
+    args = list(_valid_calls()[name])
+    args[index] = value
+    return getattr(oupac, name)(*args)
+
+
+@pytest.mark.parametrize("name, index, message", [
+    ("random_spd", 0, "^dim: the covariance holds an integer of 2658 bits floats"),
+    ("standard_gaussian", 0, "^dim: the covariance holds an integer of 2658 bits floats"),
+    ("sample", 1, "^count=an integer of 1329 bits: the draws hold an integer of 1330 bits floats"),
+    ("generate_dataset", 1, "^sample_size=an integer of 1329 bits: the dataset holds an integer "
+                            "of 1331 bits floats"),
+], ids=["random-spd", "standard-gaussian", "sample", "generate-dataset"])
+def test_a_size_too_large_to_hold_is_refused_before_anything_is_drawn(name, index, message):
+    # numpy would refuse the shape with a bare ValueError ("Maximum allowed
+    # dimension exceeded"); each size is checked against RECORD_FLOATS first
+    with pytest.raises(oupac.InvalidRangeError, match=message + ".* are held$"):
+        _with(name, index, 10**400)
+
+
+def _formatted_size_messages(tree: ast.Module) -> list[str]:
+    """The ``_check_held`` calls that pass an f-string, a ``.format`` call or a
+    ``%`` format: each would print its numbers before the check could refuse
+    one too long to print, where ``_check_held`` prints them through
+    ``errors._shown``."""
+    found = []
+    for call in ast.walk(tree):
+        if not (isinstance(call, ast.Call) and ast.unparse(call.func).endswith("_check_held")):
+            continue
+        for node in [sub for arg in call.args for sub in ast.walk(arg)]:
+            if (isinstance(node, ast.JoinedStr)
+                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "format"
+                    or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                    and isinstance(node.left, ast.Constant) and isinstance(node.left.value, str)):
+                found.append(ast.unparse(call))
+                break
+    return found
+
+
+def test_the_size_message_guard_finds_each_formatted_message():
+    source = """
+_check_held(f"n={n} holds", n, d)
+linalg._check_held("n={} holds".format(n), n, d)
+_check_held("n=%d holds" % n, n, d)
+_check_held("n={} holds", n, d, n)
+_check_held(name + "={} holds", n * d, d, n)
+"""
+    assert _formatted_size_messages(ast.parse(source)) == [
+        "_check_held(f'n={n} holds', n, d)", "linalg._check_held('n={} holds'.format(n), n, d)",
+        "_check_held('n=%d holds' % n, n, d)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_size_message_prints_its_numbers_itself(path):
+    assert _formatted_size_messages(ast.parse(path.read_text())) == []
 
 
 def _int_names(function: ast.FunctionDef) -> set[str]:

@@ -48,7 +48,7 @@ from oupac import (
     standard_gaussian,
     stationary_from_dynamics,
 )
-from oupac import bounds, linalg
+from oupac import bounds, cli, linalg
 from oupac.gaussian import gaussian_pair_terms
 from oupac.linalg import _make_spd_stack, _random_spd_entries
 from oupac.rng import _streams, child_seed, make_rng
@@ -586,7 +586,7 @@ def _group_sizes(monkeypatch) -> list[int]:
     sizes = []
     run = bounds._survey_group
     monkeypatch.setattr(bounds, "_survey_group",
-                        lambda d, pairs, *rest: sizes.append(len(pairs)) or run(d, pairs, *rest))
+                        lambda items, *rest: sizes.append(len(items)) or run(items, *rest))
     return sizes
 
 
@@ -601,13 +601,72 @@ def test_survey_does_not_depend_on_the_group_size(monkeypatch, group_floats):
     monkeypatch.setattr(oupac.rng, "_state_words",
                         lambda seeds: seeded.append(len(seeds)) or kernel(seeds))
     assert json.dumps(lemma2_survey(*args)) == want
-    # a pair holds its two covariances and its two streams' 8 state words:
-    # one group per pair; 20 pairs of 10 numbers, 18 then 2 of 16, 2 per group
-    # of d = 7 (2 * 49 + 8), one per group of d = 40; one group per dimension
-    assert sizes == {1: [1] * 80, 294: [20, 18, 2] + [2] * 10 + [1] * 20,
-                     10**12: [20] * 4}[group_floats]
+    # a pair holds its two covariances and its two streams' 8 state words, and
+    # a group may span dimensions: one group per pair; 20 pairs of 10 numbers
+    # and 5 of 16, then 15 of 16, 2 per group of d = 7 (2 * 49 + 8), one per
+    # group of d = 40; one group of all 80 pairs
+    assert sizes == {1: [1] * 80, 294: [25, 15] + [2] * 10 + [1] * 20,
+                     10**12: [80]}[group_floats]
     # one seeding kernel call per group, over the group's two streams per pair
     assert seeded == [2 * size for size in sizes]
+
+
+def test_a_group_is_sized_by_the_dimension_of_its_pairs(monkeypatch):
+    # a d = 1 pair holds 10 numbers and a d = 40 pair 3208, so a group of 100
+    # numbers takes ten d = 1 pairs, and each d = 40 pair alone
+    monkeypatch.setattr(linalg, "GROUP_FLOATS", 100)
+    sizes = _group_sizes(monkeypatch)
+    lemma2_survey(dims=(1,), pairs_per_dim=25, seed=2)
+    alone = list(sizes)
+    sizes.clear()
+    lemma2_survey(dims=(1, 40), pairs_per_dim=25, seed=2)
+    assert alone == [10, 10, 5]
+    assert sizes == alone + [1] * 25
+
+
+def test_the_default_survey_slice_is_one_group_seeded_in_one_kernel_call(monkeypatch, tmp_path):
+    sizes = _group_sizes(monkeypatch)
+    seeded = []
+    kernel = oupac.rng._state_words
+    monkeypatch.setattr(oupac.rng, "_state_words",
+                        lambda seeds: seeded.append(len(seeds)) or kernel(seeds))
+    assert cli.main(["lemma-survey", "--dims", "1-10", "--pairs-per-dim", "8",
+                     "--output", str(tmp_path / "survey.json")]) == 0
+    assert sizes == [80]
+    assert seeded == [160]
+
+
+def _slack(dim: int, high: float) -> float:
+    """The rounding slack of linalg._spectrum_passes: 16 d^2 eps high."""
+    return 16.0 * dim * dim * np.finfo(float).eps * high
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(1, 64),
+    seed=st.integers(0, 2**64 - 1),
+    high=st.floats(1e-6, 1e6),
+    factor=st.floats(1.0, 10.0),
+    narrow=st.booleans(),
+)
+@example(dim=128, seed=3, high=5.0, factor=1.0, narrow=False)
+@example(dim=128, seed=3, high=5.0, factor=1.0, narrow=True)
+def test_a_skipped_spd_check_passes_on_the_same_entries(dim, seed, high, factor, narrow):
+    # low from the decision's threshold to 10 times it, or low = high, which
+    # puts every eigenvalue at the range's ends, where the slack is spent
+    threshold = _slack(dim, high) + linalg.PSD_RTOL * max(high + _slack(dim, high), 1.0)
+    low = high if narrow else threshold * factor
+    streams = _streams([child_seed(seed, k) for k in range(4)])
+    entries = _random_spd_entries(dim, low, high, streams)
+    skips = linalg._spectrum_passes(dim, low, high)
+    assert skips or low == threshold  # only the threshold itself may round to a miss
+    checked = linalg._random_spd_stack(dim, low, high, streams)
+    if skips:
+        # the check that was skipped passes, and no eigenvalue left the slack
+        assert checked.tobytes() == _make_spd_stack(entries).tobytes()
+        eigenvalues = np.linalg.eigvalsh(checked)
+        assert eigenvalues.min() >= low - _slack(dim, high)
+        assert eigenvalues.max() <= high + _slack(dim, high)
 
 
 @pytest.mark.parametrize("group_floats", [linalg.GROUP_FLOATS, 1])
@@ -623,8 +682,9 @@ def test_survey_raises_what_the_loop_raises_first(monkeypatch, group_floats):
         want = _outcome(_reference_survey, *args)
         sizes.clear()
         assert _outcome(lemma2_survey, *args) == want
-        # a group of one pair each, or all six pairs and then a replay of one each
-        assert sizes[0] == (1 if group_floats == 1 else 6)
+        # a group of one pair each, or the twelve pairs of both dimensions and
+        # then a replay of one each
+        assert sizes[0] == (1 if group_floats == 1 else 12)
         assert set(sizes[1:]) <= {1}
         seen.add(want)
     assert {outcome[0] for outcome in seen} == {NotPositiveDefiniteError}
@@ -682,7 +742,9 @@ def test_one_group_makes_the_same_decompositions_for_any_pair_count(monkeypatch)
         counts.update(dict.fromkeys(names, 0))
         lemma2_survey(dims=(2, 33), pairs_per_dim=pairs, seed=1)
         seen.append(dict(counts))
-    assert seen[0] == seen[1] == {"qr": 2, "eigvalsh": 2, "cholesky": 4, "solve": 2}
+    # one group of both dimensions, one stack each; the drawn spectrum decides
+    # the SPD check, so no eigvalsh runs
+    assert seen[0] == seen[1] == {"qr": 2, "eigvalsh": 0, "cholesky": 4, "solve": 2}
 
 
 @pytest.mark.parametrize("group_floats", [linalg.GROUP_FLOATS, 3 * (2 * 2 * 2 + 8)])
@@ -709,8 +771,8 @@ def test_each_group_seeds_its_streams_in_one_kernel_call(monkeypatch, group_floa
         calls.update(default_rng=0, kernel=0)
         sizes.clear()
         lemma2_survey(dims=(2, 33), pairs_per_dim=count, seed=1)
-        # one group per dimension, or 3 pairs per group at d = 2 and 1 at d = 33
-        assert len(sizes) == (-(-count // 3) + count if small else 2)
+        # one group of both dimensions, or 3 pairs per group at d = 2 and 1 at d = 33
+        assert len(sizes) == (-(-count // 3) + count if small else 1)
         assert calls == {"default_rng": 0, "kernel": len(sizes)}
         for run in (
             lambda: bound_validity_experiment(task, sgd, SampleSpec(6, 0.05),

@@ -533,7 +533,7 @@ def test_oversized_option_exits_2_before_any_allocation(capsys, tmp_path, gaussi
     ("scaling", ["--ns=10,20"], "--trials", 150,
      "trials: every n's trials hold", 2 * regression.SCALING_TRIAL_FLOATS, 2),
     ("lemma-survey", ["--dims=1-3"], "--pairs-per-dim", 300,
-     "pairs_per_dim: the margins hold", 1, 3),
+     "pairs_per_dim: the margins hold", 3, 3),  # the margins of all three dimensions
 ], ids=["validity", "scaling", "lemma-survey"])
 def test_per_item_count_exits_2_before_any_list_is_built(capsys, monkeypatch, tmp_path, command,
                                                         flags, option, count, what,
