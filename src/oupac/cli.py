@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Every subcommand is a reproducible, config-driven experiment: all
-randomness derives from the single ``--seed`` flag through the hashing
-rule in :mod:`oupac.rng`, flags override config-file values, and
-repeated runs with the same configuration produce byte-identical
-output files.
+Every subcommand is a reproducible, config-driven experiment: flags
+override config-file values, and repeated runs with the same
+configuration produce byte-identical output files.  The six subcommands
+that draw (``simulate``, ``two-stage``, ``kl``, ``lemma-survey``,
+``validity`` and ``scaling``) derive all their randomness from the
+single ``--seed`` option through the hashing rule in :mod:`oupac.rng`;
+``lyapunov``, ``bound`` and ``dominance`` draw nothing and take no seed,
+so ``--seed`` there, as a flag or a config key, exits 2.
 
 Every call is read from the option table (:func:`_table_args`): flags
 are ``--key=value`` or ``--key value`` with the full long name, and a
@@ -147,13 +150,21 @@ def _dims(value) -> list[int]:
     return dims
 
 
+def _path(value) -> str:
+    """A file name: a flag's text or a config file's string, never a number,
+    list or other JSON value that would name a file by its text."""
+    if not isinstance(value, str):
+        raise ConfigError(f"a file name must be a string, got {value!r}")
+    return value
+
+
 def _matrix_file(value) -> np.ndarray:
     # matrixio's attribute is read at each call, so a wrapper put on it sees the call
-    return matrixio.read_matrix(str(value))
+    return matrixio.read_matrix(_path(value))
 
 
 def _gaussian_file(value) -> tuple[np.ndarray, np.ndarray]:
-    return matrixio.read_gaussian(str(value))
+    return matrixio.read_gaussian(_path(value))
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -392,10 +403,10 @@ class _Option(NamedTuple):
     help: str
 
 
-_COMMON = {
-    "seed": _Option(_int, 0, "master seed for all randomness"),
-    "output": _Option(str, None, "write results to this file (default: stdout)"),
-}
+_OUTPUT = {"output": _Option(_path, None, "write results to this file (default: stdout)")}
+
+#: The options of a command that draws: only these take a seed.
+_SEEDED = {"seed": _Option(_int, 0, "master seed for all randomness"), **_OUTPUT}
 
 _JSON_OR_CSV = {"format": _Option(_choice("json", "csv"), "json", "output format: json or csv")}
 
@@ -438,13 +449,13 @@ _COMMANDS: dict[str, dict] = {
             "q": _Option(_matrix_file, ..., "matrix file: symmetric right-hand side Q"),
             "eta": _Option(_float, 1.0, "learning rate scaling"),
             "batch": _Option(_int, 1, "batch size scaling"),
-            **_COMMON,
+            **_OUTPUT,
         },
     },
     "simulate": {
         "run": _run_simulate,
         "help": "simulate the SGD chain and compare moments to the exact solution",
-        "options": {**_sgd_stage(), **_CHAIN_RECORDS, **_COMMON},
+        "options": {**_sgd_stage(), **_CHAIN_RECORDS, **_SEEDED},
     },
     "two-stage": {
         "run": _run_two_stage,
@@ -456,7 +467,7 @@ _COMMANDS: dict[str, dict] = {
             **_CHAIN_RECORDS,
             "init_mode": _Option(_choice("analytic_sample", "chain_continue"), "analytic_sample",
                                  "fine-tuning start: analytic_sample or chain_continue"),
-            **_COMMON,
+            **_SEEDED,
         },
     },
     "kl": {
@@ -466,7 +477,7 @@ _COMMANDS: dict[str, dict] = {
             "q": _Option(_gaussian_file, ..., "Gaussian fixture file: first measure"),
             "p": _Option(_gaussian_file, ..., "Gaussian fixture file: second measure"),
             "mc_draws": _Option(_int, 100_000, "Monte-Carlo draws"),
-            **_COMMON,
+            **_SEEDED,
         },
     },
     "bound": {
@@ -476,7 +487,7 @@ _COMMANDS: dict[str, dict] = {
             "kl": _Option(_float, ..., "KL divergence value (nonnegative)"),
             "n": _Option(_int, ..., "sample size"),
             "delta": _Option(_float, ..., "confidence level in (0, 1]"),
-            **_COMMON,
+            **_OUTPUT,
         },
     },
     "lemma-survey": {
@@ -488,7 +499,7 @@ _COMMANDS: dict[str, dict] = {
             "eig_low": _Option(_float, 0.2, "smallest covariance eigenvalue"),
             "eig_high": _Option(_float, 5.0, "largest covariance eigenvalue"),
             "shift_scale": _Option(_float, 1.0, "ignored: the margin does not read the shift"),
-            **_COMMON,
+            **_SEEDED,
             **_JSON_OR_CSV,
         },
     },
@@ -502,7 +513,7 @@ _COMMANDS: dict[str, dict] = {
             "n_pt": _Option(_int, ..., "pre-training sample size"),
             "n_ft": _Option(_int, ..., "fine-tuning sample size"),
             "delta": _Option(_float, 0.05, "confidence level"),
-            **_COMMON,
+            **_OUTPUT,
         },
     },
     "validity": {
@@ -512,7 +523,7 @@ _COMMANDS: dict[str, dict] = {
             "n": _Option(_int, 100, "training sample size"),
             "trials": _Option(_int, 200, "independent trials"),
             **_REGRESSION,
-            **_COMMON,
+            **_SEEDED,
             **_JSON_OR_CSV,
         },
     },
@@ -523,7 +534,7 @@ _COMMANDS: dict[str, dict] = {
             "ns": _Option(_ints, ..., "comma-separated sample sizes, strictly increasing"),
             "trials": _Option(_int, 20, "trials per sample size"),
             **_REGRESSION,
-            **_COMMON,
+            **_SEEDED,
             **_JSON_OR_CSV,
         },
     },
@@ -591,16 +602,18 @@ def _table_args(name: str, words: list[str]) -> dict[str, str]:
 def _load_config(path: str, options: dict[str, _Option]) -> dict:
     """The option values of a JSON config file; a null value keeps the default."""
     try:
-        raw = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # absent, a directory, not UTF-8, a NUL in the path
+        raise ConfigError(f"--config: {exc}") from exc
+    try:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise ConfigError(f"--config: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise ConfigError("--config: the file must hold a JSON object")
     unknown = set(raw) - set(options)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"--config: unknown keys: {sorted(unknown)}")
     return {key: value for key, value in raw.items() if value is not None}
 
 
@@ -666,7 +679,7 @@ def _write_output(path: str, pieces: Iterable[str]) -> None:
     joined to another; if a write fails, remove the partial file."""
     try:
         out = open(path, "w")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
         raise ConfigError(f"--output: {exc}") from exc
     try:
         with out:
@@ -678,7 +691,3 @@ def _write_output(path: str, pieces: Iterable[str]) -> None:
         if isinstance(exc, OSError):
             raise ConfigError(f"--output: {exc}") from exc
         raise
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import (DimensionMismatchError, InvalidRangeError, NumericalInconsistencyError,
                      TooFewSamplesError, _integer, _real, _shown, _typed)
 from .linalg import (SpdMatrix, SymmetricMatrix, Verdict, _check_held, _check_same_dim,
@@ -269,9 +270,27 @@ def log_density(g: GaussianMeasure, points: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"points have dimension {pts.shape[1]}, measure has {g.dim}"
         )
+    return _log_density_rows(pts, np.empty_like(pts), _density_terms(g))
+
+
+def _density_terms(g: GaussianMeasure) -> tuple[np.ndarray, np.ndarray, float]:
+    """The mean, inverse Cholesky factor and log normalizer of ``g``'s density."""
+    return g.mean, np.linalg.inv(cholesky_factor(g.covariance)), g.log_normalizer
+
+
+def _log_density_rows(points: np.ndarray, scratch: np.ndarray, terms: tuple) -> np.ndarray:
+    """The log density of :func:`_density_terms` ``terms`` at each row of
+    ``points``, with the differences written over ``scratch`` (the shape of
+    ``points``) and the squares over the one product: a new vector of one
+    number a row."""
+    mean, inverse, normalizer = terms
+    np.subtract(points, mean, out=scratch)
     # one product with the inverse factor: cheaper than a solve on n right-hand sides
-    white = np.linalg.inv(cholesky_factor(g.covariance)) @ (pts - g.mean).T
-    return g.log_normalizer - 0.5 * np.sum(white * white, axis=0)
+    white = inverse @ scratch.T
+    white *= white
+    total = np.sum(white, axis=0)
+    total *= 0.5
+    return np.subtract(normalizer, total, out=total)
 
 
 def mc_kl_estimate(
@@ -285,9 +304,23 @@ def mc_kl_estimate(
     if _typed(q, GaussianMeasure, "q").dim != _typed(p, GaussianMeasure, "p").dim:
         raise DimensionMismatchError(f"dimensions disagree: {q.dim} vs {p.dim}")
     count = _integer(count, "count", MC_KL_MIN_DRAWS, TooFewSamplesError)
-    _check_held("Monte-Carlo KL with {} draws holds", count * q.dim, q.dim, count)
-    draws = sample(q, count, seed)
-    values = log_density(q, draws) - log_density(p, draws)
-    estimate = float(np.mean(values))
-    std_error = float(np.std(values, ddof=1) / np.sqrt(count))
-    return estimate, std_error
+    _check_held("Monte-Carlo KL with {} draws holds", count, q.dim, count)
+    rng, factor = make_rng(seed), cholesky_factor(q.covariance)
+    terms = [_density_terms(g) for g in (q, p)]
+    # a chunk's draws, their differences, one product and two densities,
+    # 3d + 2 numbers a draw, hold at most GROUP_FLOATS
+    chunk = max(1, linalg.GROUP_FLOATS // (3 * q.dim + 2))
+    values = np.empty(count)
+    for start in range(0, count, chunk):
+        z = rng.standard_normal((min(chunk, count - start), q.dim))
+        draws = z @ factor.T
+        draws += q.mean  # sample()'s q.mean + z L^T, bit for bit
+        log_q, log_p = (_log_density_rows(draws, z, g) for g in terms)  # each over z
+        np.subtract(log_q, log_p, out=values[start:start + len(z)])
+        del z, draws, log_q, log_p  # freed before the next chunk is drawn
+    estimate = np.mean(values)
+    # np.std(values, ddof=1) as numpy computes it, the deviations written over values
+    values -= estimate
+    values *= values
+    std_error = float(np.sqrt(np.sum(values) / (count - 1)) / np.sqrt(count))
+    return float(estimate), std_error

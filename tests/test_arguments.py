@@ -182,7 +182,7 @@ def test_a_plain_array_for_a_typed_argument_names_both_types(call):
     (lambda: _with("simulate_chain", 3, 10**5000),
      "^total_steps=an integer of 16610 bits at stride 1 records an integer of 16611 bits floats"),
     (lambda: _with("mc_kl_estimate", 2, 10**5000),
-     "^Monte-Carlo KL with an integer of 16610 bits draws holds an integer of 16611 bits floats"),
+     "^Monte-Carlo KL with an integer of 16610 bits draws holds an integer of 16610 bits floats"),
     (lambda: _with("Trajectory", 5, 10**5000),
      "^trajectory records has shape \\(3, 2\\), expected \\(an integer of 16610 bits, 2\\) for an "
      "integer of 16610 bits steps at stride 1$"),

@@ -438,6 +438,9 @@ class TestLemma2:
         again = lemma2_survey(dims=(1, 2, 3), pairs_per_dim=25, seed=5)
         assert rows == again
 
+    def test_survey_of_no_dimensions_is_empty(self):
+        assert lemma2_survey(dims=(), pairs_per_dim=25, seed=5) == []
+
 
 class TestKlUpperBoundTrace:
     def test_identity_stationary_point(self):

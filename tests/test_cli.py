@@ -500,7 +500,7 @@ def test_oversized_chain_exits_2_before_any_allocation(capsys, tmp_path, identit
 
 @pytest.mark.parametrize("argv, what, floats, dim", [
     (["kl", "--q", "<gaussian_file>", "--p", "<gaussian_file>", "--mc-draws", str(10**15)],
-     f"Monte-Carlo KL with {10**15} draws holds", 2 * 10**15, 2),
+     f"Monte-Carlo KL with {10**15} draws holds", 10**15, 2),
     (["validity", "--trials", "10", "--n", str(10**15)],
      f"n={10**15}: the design of one trial holds", 2 * 10**15, 2),
     (["scaling", "--ns", str(10**15)], f"n={10**15}: the design of one trial holds",
@@ -709,6 +709,26 @@ def test_failed_write_leaves_no_partial_output_file(capsys, monkeypatch, identit
     assert (code, out) == (2, "")
     assert err == "error: --output: [Errno 28] No space left on device\n"
     assert sizes == [len("step,theta_0,theta_1\n")]
+    assert not out_path.exists()
+
+
+def test_interrupted_write_leaves_no_partial_output_file(capsys, monkeypatch, identity_file,
+                                                         tmp_path):
+    # an interrupt between two blocks of the CSV removes the partial file and
+    # goes on up
+    out_path = tmp_path / "traj.csv"
+    format_rows = matrixio.format_rows
+
+    def interrupted(values, *args):
+        if out_path.stat().st_size > len("step,theta_0,theta_1\n"):
+            raise KeyboardInterrupt
+        return format_rows(values, *args)
+
+    monkeypatch.setattr(matrixio, "format_rows", interrupted)
+    argv = _simulate_argv(identity_file) + ["--steps=20000", "--stride=1",
+                                            "--output", str(out_path)]
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
     assert not out_path.exists()
 
 
@@ -1043,7 +1063,13 @@ def test_no_subcommand_exits_2(capsys):
     assert main([]) == 2
 
 
-@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def _has_default(option) -> bool:
+    return option.default is not ... and option.default is not None
+
+
+# every command but bound, all of whose options are required or default to None
+@pytest.mark.parametrize("name", [name for name, spec in cli._COMMANDS.items()
+                                  if any(map(_has_default, spec["options"].values()))])
 def test_every_default_reaches_params_alike_from_default_config_and_flag(
     tmp_path, identity_file, gaussian_file, name
 ):
@@ -1054,9 +1080,7 @@ def test_every_default_reaches_params_alike_from_default_config_and_flag(
     required = [f"--{key.replace('_', '-')}={stand_ins[option.parse]}"
                 for key, option in options.items() if option.default is ...]
     config = tmp_path / "cfg.json"
-    with_default = [key for key, option in options.items()
-                    if option.default is not ... and option.default is not None]
-    assert with_default
+    with_default = [key for key, option in options.items() if _has_default(option)]
     for key in with_default:
         default = options[key].default
         config.write_text(json.dumps({key: default}))
@@ -1359,6 +1383,26 @@ def _run_python(code: str) -> str:
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()[-1]
+
+
+def test_kl_peak_memory_grows_by_one_value_a_draw(tmp_path):
+    # the one-pass estimator held about 61 bytes a draw at d = 2 (a 4e6-draw
+    # run peaked 244 MB above a 1e5-draw one); chunked, a draw adds its
+    # 8-byte value and the scratch of a chunk stays the same
+    q, p = tmp_path / "q.txt", tmp_path / "p.txt"
+    write_gaussian(q, np.zeros(2), np.eye(2))
+    write_gaussian(p, np.ones(2), 2 * np.eye(2))
+    peaks = {}
+    for draws in (10**5, 4 * 10**6):
+        argv = ["kl", "--q", str(q), "--p", str(p), f"--mc-draws={draws}",
+                "--output", str(tmp_path / "kl.json")]
+        peaks[draws] = int(_run_python(f"""
+            import resource
+            from oupac.cli import main
+            assert main({argv!r}) == 0
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)  # KiB on Linux
+        """))
+    assert (peaks[4 * 10**6] - peaks[10**5]) * 1024 <= 12 * 4 * 10**6
 
 
 def test_two_stage_run_leaves_scipy_signal_unimported(identity_file):

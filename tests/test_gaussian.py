@@ -39,6 +39,7 @@ from oupac import (
     solve_continuous_lyapunov,
     stein_stationary_covariance,
 )
+from oupac import linalg
 from oupac.gaussian import _kl_divergences, gaussian_pair_terms
 from oupac.linalg import RESIDUAL_RTOL, cholesky_factor
 from oupac.rng import make_rng
@@ -360,6 +361,23 @@ class TestMcKlEstimate:
         p = standard_gaussian(2)
         with pytest.raises(TooFewSamplesError):
             mc_kl_estimate(p, p, 999, seed=0)
+
+    @pytest.mark.parametrize("dim, count", [(1, 1000), (2, 1000), (2, 3001), (5, 4567)])
+    def test_chunked_estimate_has_the_bits_of_one_pass(self, monkeypatch, dim, count):
+        # chunks of 1000 // (3d + 2) draws against all draws at once, scored by
+        # the density formula written out and summarized by np.mean and np.std
+        q, p = random_measure(dim, 60 + dim, 3.0), random_measure(dim, 70 + dim)
+        draws = sample(q, count, 9)
+
+        def density(g):
+            white = np.linalg.inv(cholesky_factor(g.covariance)) @ (draws - g.mean).T
+            return g.log_normalizer - 0.5 * np.sum(white * white, axis=0)
+
+        values = density(q) - density(p)
+        want = (float(np.mean(values)), float(np.std(values, ddof=1) / np.sqrt(count)))
+        assert mc_kl_estimate(q, p, count, 9) == want
+        monkeypatch.setattr(linalg, "GROUP_FLOATS", 1000)
+        assert mc_kl_estimate(q, p, count, 9) == want
 
 
 def test_log_normalizer_matches_direct_formula():

@@ -305,6 +305,8 @@ class TestScalingExperiment:
             scaling_experiment(task, [100, 100], default_dynamics(), 0.05)
         with pytest.raises(ValueError):
             scaling_experiment(task, [1, 100], default_dynamics(), 0.05)
+        with pytest.raises(InvalidRangeError, match="^ns must hold at least one sample size$"):
+            scaling_experiment(task, [], default_dynamics(), 0.05)
 
 
 def test_realizable_gap_shrinks_with_sample_size():

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from oupac import InvalidRangeError, RegressionTask, generate_dataset, make_spd, random_spd
 from oupac.linalg import _random_spd_entries
 from oupac.regression import _datasets
-from oupac.rng import _child_seeds, _state_words, _streams, child_seed, make_rng
+from oupac.rng import (_child_seeds, _state_words, _StateWords, _streams, child_seed,
+                       make_rng)
 
 
 def test_child_seed_follows_the_documented_rule():
@@ -81,6 +82,15 @@ def test_state_words_are_seed_sequence_states():
     for row, seed in zip(words, seeds):
         np.testing.assert_array_equal(
             row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+
+
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint64), (2, np.uint64)])
+def test_state_words_serve_pcg64_only(n_words, dtype):
+    # a generator other than PCG64 would ask for other words: refused, not misfed
+    words = _StateWords(_state_words([7])[0])
+    assert words.generate_state(4, np.uint64) is words.words
+    with pytest.raises(ValueError, match="four uint64 state words only"):
+        words.generate_state(n_words, dtype)
 
 
 def test_an_empty_stack_yields_nothing():

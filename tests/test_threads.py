@@ -30,6 +30,23 @@ def test_pin_restores_the_count_when_its_body_raises(openblas_threads):
     assert get() == 2
 
 
+def _refuse(*args):
+    raise OSError("refused")
+
+
+def test_no_openblas_is_found_when_the_maps_cannot_be_read(monkeypatch):
+    monkeypatch.setattr(_threads, "open", _refuse, raising=False)
+    assert _threads._openblas_threads.__wrapped__() is None
+
+
+def test_no_openblas_is_found_when_no_library_loads(monkeypatch):
+    # each library named in the maps is skipped, and none is left
+    import ctypes
+
+    monkeypatch.setattr(ctypes, "CDLL", _refuse)
+    assert _threads._openblas_threads.__wrapped__() is None
+
+
 def test_pin_is_a_no_op_without_openblas(monkeypatch, openblas_threads):
     monkeypatch.setattr(_threads, "_openblas_threads", lambda: None)
     count = None if openblas_threads is None else openblas_threads[0]()
