@@ -20,7 +20,7 @@ it make one QR for their random covariances, one Cholesky per side and
 one solve for their pair terms, where a pair-by-pair loop makes each call
 once per pair.  A covariance drawn with eigenvalues in ``[low, high]``
 passes the strict SPD test of :func:`oupac.linalg.make_spd` whenever
-``low - slack > PSD_RTOL * max(high + slack, 1)``, ``slack = 16 d^2 eps
+``low - slack > PSD_RTOL * (high + slack)``, ``slack = 16 d^2 eps
 high`` (:func:`oupac.linalg._spectrum_passes`); there the ``eigvalsh``
 check is skipped, and only a range with ``low / high`` within rounding
 of ``PSD_RTOL`` (1e-10) still runs it.  Each pair still draws from its
@@ -36,7 +36,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidSpecError, _integer, _real, _typed
+from .errors import (DimensionMismatchError, InvalidSpecError, NumericalInconsistencyError,
+                     _integer, _real, _typed)
 from .gaussian import _check_float_count, _pair_divergences, check_rate
 from .linalg import (SpdMatrix, SymmetricMatrix, _check_held, _eigenvalue_range,
                      _frozen_vector, _in_groups, _random_spd_stack, log_det)
@@ -173,11 +174,17 @@ def pretrain_bound(sigma_pt: SpdMatrix, spec: SampleSpec) -> BoundReport:
 
     ``kl_term = tr(S - I) - log det S = 2 KL(N(0, S) || N(0, I))`` and
     ``complexity_term = sqrt((kl_term + 2 log(1/delta) + 2 log N + 4)
-    / (4N - 2))``.
+    / (4N - 2))``.  Raises :class:`NumericalInconsistencyError` if
+    ``tr S`` overflows.
     """
     d = _typed(sigma_pt, SpdMatrix, "sigma_pt").dim
     _typed(spec, SampleSpec, "spec")
-    trace = float(np.trace(sigma_pt.entries))
+    with np.errstate(over="ignore"):
+        trace = float(np.trace(sigma_pt.entries))
+    if not math.isfinite(trace):
+        raise NumericalInconsistencyError(
+            f"pre-training divergence is not finite (tr S = {trace:.6g}): an input is too "
+            f"large for float64")
     ldet = log_det(sigma_pt)
     return _report(trace - d - ldet, ldet + trace - d, spec,
                    "divergence vs standard Gaussian prior; kl_term = 2*KL")

@@ -9,7 +9,7 @@ Both solvers divide elementwise in an eigenbasis, of A or of M.
 
 The private kernels shared with :mod:`oupac.regression` and
 :func:`oupac.bounds.lemma2_survey` (the random SPD draw, the SPD checks,
-the eigenbasis solve, the residual check) take arrays with leading stack
+the eigenbasis solve, the backward-error check) take arrays with leading stack
 axes, one item per trailing matrix; a public function calls them on one
 matrix.  :func:`_in_groups` states how a stack raises.
 
@@ -27,6 +27,7 @@ everything here is safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -39,12 +40,20 @@ from .errors import (DimensionMismatchError, InvalidRangeError, InvalidSpecError
 from .rng import make_rng
 
 #: Relative eigenvalue tolerance for the SPD check: a matrix is accepted
-#: when every eigenvalue exceeds tol = PSD_RTOL * max(largest |eigenvalue|, 1).
+#: when every eigenvalue exceeds tol = PSD_RTOL * (largest |eigenvalue|),
+#: so that the check, like the matrix's condition, has no unit.
 PSD_RTOL = 1e-10
 
-#: Relative Frobenius tolerance for solver residuals:
-#: ||residual||_F <= RESIDUAL_RTOL * (1 + ||Q||_F).
-RESIDUAL_RTOL = 1e-10
+#: Backward-error bound of every solve, in units of d * eps: a solution X
+#: of a d x d equation with residual R passes when its normwise backward
+#: error eta = ||R||_F / (w ||X||_F + ||Q||_F) is at most
+#: BACKWARD_UNITS * d * eps, where w ||X||_F bounds the norm of the
+#: equation's operator applied to X (Higham, "Accuracy and Stability of
+#: Numerical Algorithms", ch. 16): w = 2 ||A||_2 + lr ||A||_2^2 for ``A X +
+#: X A - lr A X A = Q`` and w = 1 + rho^2 for ``X - M X M^T = Q``.  An eta
+#: within it makes X the exact solution of an equation within a few
+#: roundings of the one posed, at every scale of A, X and Q.
+BACKWARD_UNITS = 16.0
 
 #: Most numbers one group of a stacked pipeline holds (8 MiB): the
 #: feature matrices of a group of gap trials, or the two covariances of
@@ -58,6 +67,7 @@ GROUP_FLOATS = 1 << 20
 RECORD_FLOATS = 1 << 27
 
 _TINY = np.finfo(float).tiny
+_HALF_MAX = float(np.finfo(float).max) / 2.0
 _EPS = float(np.finfo(float).eps)  # a Python float: an overflow gives inf, no warning
 
 
@@ -149,19 +159,21 @@ def _group_bounds(runs: list[tuple[int, int]]):
         yield start, stop
 
 
-def _symmetrized(entries: np.ndarray) -> np.ndarray:
-    return (entries + entries.swapaxes(-1, -2)) / 2.0
-
-
-def _finite_symmetrized(entries: np.ndarray) -> tuple[np.ndarray, Verdict]:
-    """``(M + M^T) / 2`` of each matrix of a stack ``(..., d, d)``, with no
-    overflow warning, and the verdict that it is finite.  The error of a
-    failing item names a non-finite entry of M, or else the overflow."""
+def _symmetrized(entries: np.ndarray, peak=None) -> np.ndarray:
+    """``(M + M^T) / 2`` of each matrix of a stack ``(..., d, d)``, finite
+    wherever M is; ``peak``, if given, bounds the stack's ``|entries|``.
+    A matrix with an entry above half the float64 maximum, whose sum could
+    overflow, is halved before adding; any other takes the plain sum, with
+    its bits, and while no matrix of the stack is such a one, its cost."""
+    if peak is None:
+        peak = np.abs(entries).max()
+    if peak <= _HALF_MAX:
+        return (entries + entries.swapaxes(-1, -2)) / 2.0
     with np.errstate(over="ignore", invalid="ignore"):
-        sym = _symmetrized(entries)
-    return sym, Verdict(~np.isfinite(sym).all(axis=(-2, -1)), lambda i: (
-        _overflow() if np.isfinite(entries.reshape(-1, *entries.shape[-2:])[i]).all()
-        else _non_finite("matrix")))
+        whole = (entries + entries.swapaxes(-1, -2)) / 2.0
+    half = entries / 2.0
+    big = np.abs(entries).max(axis=(-2, -1), keepdims=True) > _HALF_MAX
+    return np.where(big, half + half.swapaxes(-1, -2), whole)
 
 
 def _as_square_array(entries, name: str = "matrix", finite: bool = True) -> np.ndarray:
@@ -193,24 +205,28 @@ def _non_finite(name: str) -> NotSquareError:
     return NotSquareError(f"{name} contains non-finite entries")
 
 
-def _overflow() -> NotSquareError:
-    return NotSquareError("matrix symmetrization (M + M^T) / 2 overflows float64")
+def _finite_verdict(entries: np.ndarray) -> Verdict:
+    """The verdict that each matrix of a stack ``(..., d, d)`` is finite."""
+    return Verdict(~np.isfinite(entries).all(axis=(-2, -1)), lambda i: _non_finite("matrix"))
 
 
 @dataclass(frozen=True, eq=False)
 class SymmetricMatrix:
     """Dense real symmetric matrix.
 
-    Construction symmetrizes the input as ``(M + M^T)/2`` and freezes
-    the result, so ``entries[i, j] == entries[j, i]`` holds exactly.
+    Construction symmetrizes the input as ``(M + M^T)/2`` (halving
+    first where the sum would overflow) and freezes the result, so
+    ``entries[i, j] == entries[j, i]`` holds exactly.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        sym, finite = _finite_symmetrized(_as_square_array(self.entries, finite=False))
-        finite.check()
-        object.__setattr__(self, "entries", _read_only(sym))
+        entries = _as_square_array(self.entries, finite=False)
+        peak = np.abs(entries).max()
+        if not math.isfinite(peak):
+            raise _non_finite("matrix")
+        object.__setattr__(self, "entries", _read_only(_symmetrized(entries, peak)))
 
     @property
     def dim(self) -> int:
@@ -257,7 +273,7 @@ def _spd_verdict(eigenvalues: np.ndarray) -> Verdict:
     decides the same test from a drawn spectrum; a change to one is a
     change to both."""
     smallest = eigenvalues[..., 0]
-    tol = PSD_RTOL * np.maximum(np.abs(eigenvalues).max(axis=-1), 1.0)
+    tol = PSD_RTOL * np.abs(eigenvalues).max(axis=-1)
 
     def error(i: int) -> NotPositiveDefiniteError:
         value = float(_item(smallest, i))
@@ -279,8 +295,7 @@ def make_spd(entries) -> SpdMatrix:
     Raises
     ------
     NotSquareError
-        If the input is not a square matrix of finite reals, or if its
-        symmetrization overflows.
+        If the input is not a square matrix of finite reals.
     NotPositiveDefiniteError
         If the eigenvalue check fails (the exception carries the
         smallest eigenvalue found).
@@ -291,10 +306,10 @@ def make_spd(entries) -> SpdMatrix:
 def _make_spd_stack(entries: np.ndarray) -> np.ndarray:
     """:func:`make_spd` on each matrix of a stack ``(..., d, d)``: the
     symmetrized entries.  The first failing matrix raises, by its first
-    failing check in make_spd's order (finite entries, a finite
-    symmetrization, then the eigenvalue test)."""
-    sym, finite = _finite_symmetrized(entries)
-    (finite | _spd_verdict(np.linalg.eigvalsh(sym))).check()
+    failing check in make_spd's order (finite entries, then the eigenvalue
+    test)."""
+    sym = _symmetrized(entries)
+    (_finite_verdict(sym) | _spd_verdict(np.linalg.eigvalsh(sym))).check()
     return sym
 
 
@@ -347,14 +362,16 @@ def solve_continuous_lyapunov(a: SpdMatrix, q: SymmetricMatrix) -> SymmetricMatr
     Returns
     -------
     SymmetricMatrix
-        Solution with ``||A X + X A - Q||_F <= 1e-10 * (1 + ||Q||_F)``.
+        Solution whose residual R has the normwise backward error
+        ``||R||_F / (2 ||A||_2 ||X||_F + ||Q||_F) <= 16 d eps`` (see
+        ``BACKWARD_UNITS``).
 
     Raises
     ------
     DimensionMismatchError
         If dimensions disagree.
     ResidualTooLargeError
-        If the residual check fails (signals numerical breakdown).
+        If the backward-error check fails (signals numerical breakdown).
     """
     _typed(a, SpdMatrix, "a")
     q_entries = _symmetric_entries(q)
@@ -369,15 +386,21 @@ def _lyapunov_in_eigenbasis(a: np.ndarray, lam: np.ndarray, vecs: np.ndarray,
     V^T`` of a stack: the Lyapunov law at lr = 0, else the SGD chain's Stein law
     divided by lr.  A denominator, summed from positive terms as ``lam_i h_j +
     h_i lam_j``, ``h = 1 - lr lam / 2``, is not positive exactly where ``lr *
-    lam_max >= 2``, which raises; so does a failing residual check."""
+    lam_max >= 2``, which raises; so does a failing backward-error check, with
+    ``||A||_2 = lam_max``."""
+    top = lam[..., -1]
     half = 1.0 - 0.5 * lr * lam
+    rhs = q
+    if np.any(top > _HALF_MAX):  # a denominator could overflow: halve both sides
+        lam, rhs = lam / 2.0, q / 2.0
     denom = lam[..., :, None] * half[..., None, :] + half[..., :, None] * lam[..., None, :]
     Verdict(~(denom > 0.0).all(axis=(-2, -1)), lambda i: SpectralRadiusTooLargeError(
-        f"lr * lambda_max = {lr * float(_item(lam[..., -1], i)):.6g} >= 2: the step map "
+        f"lr * lambda_max = {lr * float(_item(top, i)):.6g} >= 2: the step map "
         f"I - lr*A has spectral radius >= 1 and the chain no stationary covariance")).check()
-    x = _symmetrized(_solve_in_eigenbasis(vecs, q, denom))
+    x = _symmetrized(_solve_in_eigenbasis(vecs, rhs, denom))
     achieved = a @ x + x @ a - ((lr * a) @ x @ a if lr else 0.0)
-    _residual_verdict(achieved, q, "SGD chain Stein" if lr else "continuous Lyapunov").check()
+    _backward_verdict(achieved - q, x, q, top, 2.0 + lr * top,
+                      "SGD chain Stein" if lr else "continuous Lyapunov").check()
     return x
 
 
@@ -391,8 +414,9 @@ def solve_discrete_stein(m, q: SymmetricMatrix) -> SymmetricMatrix:
     step map ``I - lr*A`` is: one eigendecomposition
     ``M = V diag(mu) V^T`` gives the spectral radius
     and the exact solution ``Xt[i, j] = Qt[i, j] / (1 - mu[i] mu[j])``
-    with ``Qt = V^T Q V``, ``X = V Xt V^T``, refined once by the same
-    solve for its residual.
+    with ``Qt = V^T Q V``, ``X = V Xt V^T``.  Its residual R passes when
+    the normwise backward error ``||R||_F / ((1 + rho^2) ||X||_F +
+    ||Q||_F)`` is at most 16 d eps (see ``BACKWARD_UNITS``).
 
     Raises
     ------
@@ -401,7 +425,7 @@ def solve_discrete_stein(m, q: SymmetricMatrix) -> SymmetricMatrix:
     SpectralRadiusTooLargeError
         If the spectral radius of M is >= 1 (no stationary solution).
     ResidualTooLargeError
-        If the residual check fails.
+        If the backward-error check fails.
     """
     m_arr = m.entries if isinstance(m, SymmetricMatrix) else _as_square_array(m, "M")
     q_entries = _symmetric_entries(q)
@@ -415,16 +439,10 @@ def solve_discrete_stein(m, q: SymmetricMatrix) -> SymmetricMatrix:
         raise SpectralRadiusTooLargeError(
             f"spectral radius {rho:.6g} >= 1: the recursion has no stationary covariance")
     denom = 1.0 - mu[:, None] * mu[None, :]
-    x = _solve_in_eigenbasis(vecs, q_entries, denom)
-    # the eigendecomposition's rounding leaves a residual near
-    # eps * ||X|| ~ eps / (1 - rho^2) * ||Q||; solve for it once
-    x = x + _solve_in_eigenbasis(vecs, q_entries - x + m_arr @ x @ m_arr.T, denom)
-    solution = SymmetricMatrix(x)
-    _residual_verdict(
-        solution.entries - m_arr @ solution.entries @ m_arr.T,
-        q_entries,
-        "discrete Stein",
-    ).check()
+    solution = SymmetricMatrix(_solve_in_eigenbasis(vecs, q_entries, denom))
+    x = solution.entries
+    _backward_verdict(x - m_arr @ x @ m_arr.T - q_entries, x, q_entries, 1.0, 1.0 + rho * rho,
+                      "discrete Stein").check()
     return solution
 
 
@@ -455,8 +473,8 @@ def _random_spd_stack(dim: int, eigenvalue_low: float, eigenvalue_high: float,
     entries = _random_spd_entries(dim, low, high, streams)
     if not _spectrum_passes(entries.shape[-1], low, high):
         return _make_spd_stack(entries)
-    sym, finite = _finite_symmetrized(entries)
-    finite.check()
+    sym = _symmetrized(entries, 2.0 * high)  # every entry is at most about high
+    _finite_verdict(sym).check()
     return sym
 
 
@@ -464,7 +482,7 @@ def _spectrum_passes(dim: int, low: float, high: float) -> bool:
     """Whether every finite matrix that :func:`_random_spd_entries` draws at
     dimension ``dim`` with eigenvalues in ``[low, high]`` passes the strict
     SPD test on its ``eigvalsh`` eigenvalues: whether ``low - slack >
-    PSD_RTOL * max(high + slack, 1)``, ``slack = 16 d^2 eps high``.
+    PSD_RTOL * (high + slack)``, ``slack = 16 d^2 eps high``.
 
     The computed eigenvalues of ``fl(Q diag(lam) Q^T)``, symmetrized, lie
     within ``slack`` of ``[low, high]``: the two products round each entry
@@ -479,7 +497,7 @@ def _spectrum_passes(dim: int, low: float, high: float) -> bool:
     ``low / high`` is within rounding of ``PSD_RTOL`` fails this test; its
     matrices take the ``eigvalsh`` check of :func:`_make_spd_stack`."""
     slack = 16.0 * dim * dim * _EPS * high
-    return low - slack > PSD_RTOL * max(high + slack, 1.0)
+    return low - slack > PSD_RTOL * (high + slack)
 
 
 def _random_spd_entries(dim: int, eigenvalue_low: float, eigenvalue_high: float,
@@ -535,29 +553,70 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def _frobenius(entries: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack, by one dot product each.
+    """Frobenius norm of each matrix of a stack, by one dot product each:
+    ``m * 2^p`` for :func:`_frobenius_parts`' ``(m, p)``."""
+    return np.ldexp(*_frobenius_parts(entries))
+
+
+def _frobenius_parts(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(m, p)`` with Frobenius norm ``m * 2^p`` of each matrix of a stack,
+    ``m`` finite wherever the matrix is.
 
     A stack, or a matrix whose sum of squares leaves the normal range, is
-    scaled first by the power of two of each matrix's largest entry, so
-    that no square overflows (where a residual check would pass as ``inf
+    scaled first by the power of two ``2^-p`` of each matrix's largest
+    entry, so that no square overflows (where a check would pass as ``inf
     <= inf``); the scaling is exact, so a norm whose squares stay in range
-    keeps its bits."""
+    keeps its bits.  A matrix whose squares stay in range has ``p = 0``."""
     if entries.ndim == 2:
         squares = np.vdot(entries, entries)  # the bits of the dot below, and no warning
         if _TINY <= squares < np.inf:
-            return np.sqrt(squares)
+            return np.sqrt(squares), 0
     flat = entries.reshape(*entries.shape[:-2], 1, -1)
     _, power = np.frexp(np.abs(flat).max(axis=-1, keepdims=True))
     flat = np.ldexp(flat, -power)
-    return np.ldexp(np.sqrt(flat @ flat.swapaxes(-1, -2)), power)[..., 0, 0]
+    return np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0], power[..., 0, 0]
 
 
-def _residual_verdict(achieved: np.ndarray, target: np.ndarray, label: str) -> Verdict:
-    """``||achieved - target||_F <= RESIDUAL_RTOL * (1 + ||target||_F)`` for
-    each matrix of a stack (the target may be one matrix for all)."""
-    residual = _frobenius(achieved - target)
-    tol = RESIDUAL_RTOL * (1.0 + _frobenius(target))
-    return Verdict(~(residual <= tol), lambda i: ResidualTooLargeError(
-        f"{label} solve residual {_item(residual, i):.3g} exceeds tolerance "
-        f"{_item(np.broadcast_to(tol, residual.shape), i):.3g}"
+def _normalized(frac: np.ndarray, power) -> tuple[np.ndarray, np.ndarray]:
+    """``frac * 2^power`` as ``(f, p)`` with ``f`` in [1/2, 1), or 0."""
+    frac, shift = np.frexp(frac)
+    return frac, shift + power
+
+
+def _backward_verdict(residual: np.ndarray, x: np.ndarray, q: np.ndarray, norm, factor,
+                      label: str) -> Verdict:
+    """``eta = ||R||_F / (w ||X||_F + ||Q||_F) <= BACKWARD_UNITS * d * eps``,
+    ``w = norm * factor``, for each matrix of a stack (``q``, ``norm`` and
+    ``factor`` may be one for all; ``norm`` is a positive operator norm of
+    any size, ``factor`` at most 4)."""
+    eta = _backward_errors(residual, x, q, norm, factor)
+    bound = BACKWARD_UNITS * x.shape[-1] * _EPS
+    return Verdict(~(eta <= bound), lambda i: ResidualTooLargeError(
+        f"{label} solve residual has backward error {_item(eta, i):.3g}, above "
+        f"{BACKWARD_UNITS:g} d eps = {bound:.3g}"
     ))
+
+
+def _backward_errors(residual: np.ndarray, x: np.ndarray, q: np.ndarray, norm, factor):
+    """The eta of :func:`_backward_verdict`.  One matrix whose squares and
+    weight stay in range takes plain float arithmetic.  Otherwise each norm
+    is taken as ``m * 2^p`` and the sum is formed at the larger power, with
+    the same bits where both ways apply, so that no term overflows or
+    underflows where eta itself is in range; an exact zero residual has
+    eta = 0, and a non-finite one fails."""
+    if x.ndim == 2 and _TINY < norm < 1e150:
+        r, xx, qq = (float(np.vdot(m, m)) for m in (residual, x, q))
+        if (r == 0.0 or _TINY <= r) and _TINY <= min(xx, qq) and max(r, xx, qq) < math.inf:
+            return np.float64(math.sqrt(r) / (norm * factor * math.sqrt(xx) + math.sqrt(qq)))
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        r_norm, r_pow = _frobenius_parts(residual)
+        x_norm, x_pow = _frobenius_parts(x)
+        q_norm, q_pow = _frobenius_parts(q)
+        w_frac, w_pow = np.frexp(norm)
+        x_frac, x_pow = _normalized(w_frac * factor * x_norm, x_pow + w_pow)
+        q_frac, q_pow = _normalized(q_norm, q_pow)
+        # the larger power of the two terms, or the other's where one is zero
+        top = np.maximum(np.where(x_frac == 0.0, q_pow, x_pow),
+                         np.where(q_frac == 0.0, x_pow, q_pow))
+        denom = np.ldexp(x_frac, x_pow - top) + np.ldexp(q_frac, q_pow - top)
+        return np.where(r_norm == 0.0, 0.0, np.ldexp(r_norm / denom, r_pow - top))

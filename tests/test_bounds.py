@@ -657,7 +657,7 @@ def _slack(dim: int, high: float) -> float:
 def test_a_skipped_spd_check_passes_on_the_same_entries(dim, seed, high, factor, narrow):
     # low from the decision's threshold to 10 times it, or low = high, which
     # puts every eigenvalue at the range's ends, where the slack is spent
-    threshold = _slack(dim, high) + linalg.PSD_RTOL * max(high + _slack(dim, high), 1.0)
+    threshold = _slack(dim, high) + linalg.PSD_RTOL * (high + _slack(dim, high))
     low = high if narrow else threshold * factor
     streams = _streams([child_seed(seed, k) for k in range(4)])
     entries = _random_spd_entries(dim, low, high, streams)
@@ -674,14 +674,17 @@ def test_a_skipped_spd_check_passes_on_the_same_entries(dim, seed, high, factor,
 
 @pytest.mark.parametrize("group_floats", [linalg.GROUP_FLOATS, 1])
 def test_survey_raises_what_the_loop_raises_first(monkeypatch, group_floats):
-    # eigenvalues in [1e-11, 2e-10] straddle the strict check's tolerance 1e-10:
-    # which pair fails first depends on the seed, and the message prints its
-    # smallest eigenvalue
+    # the strict check is relative, so a spectrum drawn uniformly from a range
+    # fails it only with odds of about PSD_RTOL; at PSD_RTOL = 0.5 (read at each
+    # call by the loop and the stack alike) eigenvalues in [0.1, 1] straddle
+    # it at d = 2: which pair fails first depends on the seed, and the message
+    # prints its smallest eigenvalue
     monkeypatch.setattr(linalg, "GROUP_FLOATS", group_floats)
+    monkeypatch.setattr(linalg, "PSD_RTOL", 0.5)
     sizes = _group_sizes(monkeypatch)
     seen = set()
     for seed in range(12):
-        args = ((1, 2), 6, seed, 1e-11, 2e-10)
+        args = ((1, 2), 6, seed, 0.1, 1.0)
         want = _outcome(_reference_survey, *args)
         sizes.clear()
         assert _outcome(lemma2_survey, *args) == want

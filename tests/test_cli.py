@@ -56,10 +56,12 @@ from oupac import bounds, cli, diffusion, linalg, matrixio, regression
 from oupac.cli import main
 from oupac.errors import ConfigError
 from oupac.linalg import RECORD_FLOATS
+from oupac.rng import make_rng
 from oupac.matrixio import (
     FLOAT_FORMAT,
     format_gaussian,
     format_matrix,
+    parse_matrix,
     read_matrix,
     write_gaussian,
     write_matrix,
@@ -886,20 +888,80 @@ def test_each_spd_value_decomposes_once_per_call(capsys, monkeypatch, tmp_path, 
     assert counts == expected
 
 
-@pytest.mark.parametrize("command", ["dominance", "lyapunov"])
-def test_overflowing_matrix_exits_3_without_warning(capsys, tmp_path, identity_file, command):
+def test_entries_past_half_the_float_maximum_run_or_exit_3_without_warning(
+        capsys, tmp_path, identity_file):
+    # (M + M^T) / 2 of 1e308 I is halved before adding, so it no longer
+    # overflows; the Lyapunov denominators lam_i + lam_j = 2e308 are halved
+    # with Q, and X = I / 2e308 is subnormal but right to its last bits; the
+    # pre-training divergence tr S - d - log det S is not finite
     big = tmp_path / "big.txt"
     big.write_text("2\n1e308 0\n0 1e308\n")
-    argv = {
-        "dominance": ["dominance", "--sigma-pt", str(big), "--sigma-ft", identity_file,
-                      "--shift=0,0", "--n-pt", "1000", "--n-ft", "100"],
-        "lyapunov": ["lyapunov", "--a", str(big), "--q", identity_file],
-    }[command]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, "lyapunov", "--a", str(big), "--q", identity_file)
+        assert (code, err) == (0, "")
+        assert parse_matrix(out.split("\n", 1)[1]).tolist() == [
+            [0.5e-308, 0.0], [0.0, 0.5e-308]]
+        code, out, err = run_cli(capsys, "dominance", "--sigma-pt", str(big), "--sigma-ft",
+                                 identity_file, "--shift=0,0", "--n-pt", "1000", "--n-ft", "100")
     assert (code, out) == (3, "")
-    assert err == f"error in {command}: matrix symmetrization (M + M^T) / 2 overflows float64\n"
+    assert err == ("error in dominance: pre-training divergence is not finite (tr S = inf): "
+                   "an input is too large for float64\n")
+
+
+def test_lyapunov_at_the_largest_eta_exits_0(capsys, identity_file):
+    # Q = 1e308 I: X = 5e307 I, whose residual is exactly 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "lyapunov", "--a", identity_file, "--q", identity_file,
+                                 "--eta=1e308")
+    assert (code, err) == (0, "")
+    assert parse_matrix(out.split("\n", 1)[1]).tolist() == [
+        [5e307, 0.0], [0.0, 5e307]]
+
+
+def test_lemma_survey_at_the_largest_eigenvalue_exits_without_a_traceback(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "lemma-survey", "--dims", "1-3", "--pairs-per-dim",
+                                 "4", "--eig-high=1e308")
+    assert code in (0, 3)
+    if code == 3:
+        assert out == "" and err.startswith("error in lemma-survey: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
+def test_lyapunov_on_a_rotated_hessian_of_condition_1e8_exits_0(capsys, tmp_path,
+                                                                 identity_file):
+    # its residual, about eps ||A|| ||X|| = 1e-8, failed the old absolute
+    # check 1e-10 (1 + ||Q||); its backward error is a fraction of d eps
+    turn = np.linalg.qr(make_rng(8).standard_normal((4, 4)))[0]
+    a = (turn * np.geomspace(1e-8, 1.0, 4)) @ turn.T
+    a_path, q_path = tmp_path / "a.txt", tmp_path / "q.txt"
+    write_matrix(a_path, (a + a.T) / 2.0)
+    write_matrix(q_path, np.eye(4))
+    code, out, err = run_cli(capsys, "lyapunov", "--a", str(a_path), "--q", str(q_path))
+    assert (code, err) == (0, "")
+    x = parse_matrix(out.split("\n", 1)[1])
+    # against the Kronecker solve: forward error at most about kappa d eps
+    kron = np.kron(a, np.eye(4)) + np.kron(np.eye(4), a)
+    want = np.linalg.solve(kron, np.eye(4).reshape(-1)).reshape(4, 4)
+    assert np.linalg.norm(x - want) <= 1e8 * 16 * 4 * np.finfo(float).eps * np.linalg.norm(want)
+
+
+def test_analytic_sample_from_a_tiny_stationary_covariance_exits_0(capsys, tmp_path,
+                                                                    identity_file):
+    # noise factor 1e-6 I, eta 0.1, batch 1: the stationary covariance is
+    # 5e-14 I, refused by the SPD check's old absolute floor of 1e-10
+    factor = _noise_file(tmp_path, 1e-6)
+    argv = ["two-stage", "--init-mode", "analytic_sample"]
+    for stage, centre in (("pt", "0,0"), ("ft", "1,0")):
+        argv += [f"--{stage}-hessian", identity_file, f"--{stage}-minimizer", centre,
+                 f"--{stage}-noise-factor", factor, f"--{stage}-eta", "0.1",
+                 f"--{stage}-batch", "1", f"--{stage}-steps", "100"]
+    code, _, err = run_cli(capsys, *argv, "--output", str(tmp_path / "out.json"))
+    assert (code, err) == (0, "")
 
 
 _MOMENTS_OVERFLOW = "chain moments: the mean or covariance of the records overflows float64"

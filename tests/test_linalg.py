@@ -1,12 +1,13 @@
 """Core linear algebra: SPD validation, determinants, equation solvers.
 
 Residual oracles are independent of the solvers: each solution is
-substituted back into its defining equation and the Frobenius residual
-is compared against the contract tolerance.  scipy's solvers serve as a
-second, external cross-check on a handful of instances.
+substituted back into its defining equation, and its normwise backward
+error is compared against the contract bound 16 d eps (on well-scaled
+instances, its Frobenius residual also against 1e-10 (1 + ||Q||)).
+Kronecker solves and scipy's solvers serve as external cross-checks of
+the forward error.
 """
 
-import re
 import time
 import warnings
 
@@ -40,13 +41,22 @@ from oupac import linalg
 from oupac.bounds import _discrepancies
 from oupac.errors import OupacError
 from oupac.gaussian import GaussianMeasure, _kl_divergences, _pair_divergences, gaussian_pair_terms
-from oupac.linalg import (_in_groups, _log_det_of_factor, _lyapunov_in_eigenbasis,
-                          _make_spd_stack, _residual_verdict, _spd_verdict, _symmetric_entries)
+from oupac.gaussian import stein_stationary_covariance
+from oupac.linalg import (_backward_verdict, _in_groups, _log_det_of_factor,
+                          _lyapunov_in_eigenbasis, _make_spd_stack, _spd_verdict,
+                          _symmetric_entries)
 from oupac.rng import make_rng
 
 from conftest import random_symmetric
 
 RESIDUAL_TOL = 1e-10
+EPS = np.finfo(float).eps
+
+
+def backward_error(residual, x, q, weight) -> float:
+    """||R||_F / (weight ||X||_F + ||Q||_F), from plain norms."""
+    norm = np.linalg.norm
+    return float(norm(residual) / (weight * norm(x) + norm(q)))
 
 
 class TestMakeSpd:
@@ -97,30 +107,65 @@ class TestMakeSpd:
         np.testing.assert_array_equal(m.entries, (asym + asym.T) / 2)
         assert not m.entries.flags.writeable
 
-    def test_overflowing_symmetrization_rejected_without_warning(self):
-        big = np.array([[1e308, 0.0], [0.0, 1e308]])
-        message = "matrix symmetrization (M + M^T) / 2 overflows float64"
+    def test_symmetrization_past_half_the_float_maximum_halves_first(self):
+        # M + M^T overflows there; M/2 + M^T/2 does not, and only such a
+        # matrix of a stack takes it, so a subnormal entry elsewhere keeps
+        # the bits of the plain sum
+        big = np.array([[2.0**1023, 2.0**1000], [3 * 2.0**1000, 1.5 * 2.0**1023]])
+        want = [[2.0**1023, 2.0**1001], [2.0**1001, 1.5 * 2.0**1023]]
+        tiny = np.array([[1.0, 5e-324], [5e-324, 1.0]])  # 5e-324 / 2 rounds to 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for build in (make_spd, SymmetricMatrix):
-                with pytest.raises(NotSquareError, match=re.escape(message)):
-                    build(big)
+                assert build(big).entries.tolist() == want
+            stack = _make_spd_stack(np.stack([big, tiny, np.eye(2)]))
+            assert stack[0].tolist() == want
+            assert stack[1].tolist() == tiny.tolist()
             nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
-            with pytest.raises(NotSquareError, match=re.escape(message)):
-                _make_spd_stack(np.stack([np.eye(2), big, nan]))
-            with pytest.raises(NotSquareError, match="matrix contains non-finite entries"):
-                _make_spd_stack(np.stack([np.eye(2), nan, big]))
+            inf = np.array([[np.inf, 0.0], [0.0, 1.0]])
+            for bad in (nan, inf):
+                for build in (make_spd, SymmetricMatrix):
+                    with pytest.raises(NotSquareError,
+                                       match="^matrix contains non-finite entries$"):
+                        build(bad)
+                with pytest.raises(NotSquareError, match="matrix contains non-finite entries"):
+                    _make_spd_stack(np.stack([np.eye(2), bad, big]))
+
+    def test_every_error_message_of_a_symmetric_matrix_is_unchanged(self):
+        for entries, message in [
+            (np.ones((2, 3)), "matrix must be square, got shape (2, 3)"),
+            (np.ones(3), "matrix must be square, got shape (3,)"),
+            (np.ones((0, 0)), "matrix must have dimension >= 1"),
+            ([[1.0, np.nan], [0.0, 1.0]], "matrix contains non-finite entries"),
+            ([[-np.inf]], "matrix contains non-finite entries"),
+        ]:
+            with pytest.raises(NotSquareError) as raised:
+                SymmetricMatrix(entries)
+            assert str(raised.value) == message
 
     def test_a_stacked_matrix_fails_by_either_check_before_a_later_one(self):
         # the one merged check: a one-pair survey stacks source and target
-        big = np.array([[1e308, 0.0], [0.0, 1e308]])
+        nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
         non_spd = np.diag([1.0, -1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotPositiveDefiniteError, match="smallest eigenvalue -1"):
-                _make_spd_stack(np.stack([non_spd, big]))
-            with pytest.raises(NotSquareError, match=re.escape("(M + M^T) / 2 overflows")):
-                _make_spd_stack(np.stack([big, non_spd]))
+                _make_spd_stack(np.stack([non_spd, nan]))
+            with pytest.raises(NotSquareError, match="matrix contains non-finite entries"):
+                _make_spd_stack(np.stack([nan, non_spd]))
+
+    def test_the_spd_check_is_relative_at_every_scale(self):
+        # eigenvalues 1 and 1e-11: kappa 1e11 is past 1 / PSD_RTOL, at every scale;
+        # 1 and 2e-10 pass at every scale, where the old floor refused 1e-12 I
+        for scale in (2.0**-1000, 1e-12, 1.0, 1e12, 2.0**1000):
+            with pytest.raises(NotPositiveDefiniteError) as raised:
+                make_spd(scale * np.diag([1.0, 1e-11]))
+            assert raised.value.smallest_eigenvalue == scale * 1e-11
+            assert str(raised.value).endswith(f"<= tolerance {scale * 1e-10:.3g}")
+            assert make_spd(scale * np.diag([1.0, 2e-10])).eigenvalues.tolist() == [
+                scale * 2e-10, scale]
+        verdict = _spd_verdict(np.array([[0.0, 0.0], [1e-300, 1e-300], [-0.0, 1.0]]))
+        assert verdict.bad.tolist() == [True, False, True]
 
     def test_nan_eigenvalues_fail_the_spd_check(self):
         verdict = _spd_verdict(np.array([[np.nan, np.nan], [1.0, 2.0], [-np.inf, 1.0]]))
@@ -128,10 +173,12 @@ class TestMakeSpd:
         with pytest.raises(NotPositiveDefiniteError, match="smallest eigenvalue nan"):
             verdict.check()
 
-    def test_nan_residual_fails_the_residual_check(self):
-        verdict = _residual_verdict(np.full((2, 2), np.nan), np.eye(2), "test")
-        with pytest.raises(ResidualTooLargeError, match="residual nan"):
-            verdict.check()
+    def test_a_residual_that_is_not_finite_fails_the_backward_error_check(self):
+        for bad in (np.nan, np.inf):
+            verdict = _backward_verdict(np.full((2, 2), bad), np.eye(2), np.eye(2), 1.0, 2.0,
+                                        "test")
+            with pytest.raises(ResidualTooLargeError, match=f"backward error {bad}"):
+                verdict.check()
 
 
 class TestLogDet:
@@ -218,6 +265,12 @@ def stein_residual(m, q, x) -> float:
     return np.linalg.norm(achieved - q.entries, "fro")
 
 
+def stein_backward_error(m, q, x) -> float:
+    radius = float(np.max(np.abs(np.linalg.eigvalsh(m))))
+    return backward_error(x.entries - m @ x.entries @ m.T - q.entries, x.entries, q.entries,
+                          1.0 + radius**2)
+
+
 def symmetric_map(dim: int, eigenvalues, seed: int) -> np.ndarray:
     """Exactly symmetric ``V diag(eigenvalues) V^T`` for a random orthogonal V."""
     basis, _ = np.linalg.qr(make_rng(seed).standard_normal((dim, dim)))
@@ -290,7 +343,8 @@ class TestDiscreteStein:
     )
     def test_symmetric_map_near_unit_circle(self, dim, radius):
         # one eigenvalue of M at +-radius, the rest spread over (-|r|, |r|);
-        # at 1 - 3e-7 the unrefined eigenbasis solve misses the contract 3x
+        # at 1 - 3e-7 the residual, about eps ||X|| = eps ||Q|| / (1 - rho^2),
+        # misses an absolute 1e-10 (1 + ||Q||), and its backward error does not
         rng = make_rng(dim, 17)
         mu = np.concatenate([[radius], rng.uniform(-abs(radius), abs(radius), dim - 1)])
         m = symmetric_map(dim, mu, seed=dim)
@@ -298,9 +352,13 @@ class TestDiscreteStein:
         start = time.perf_counter()
         x = solve_discrete_stein(m, q)
         elapsed = time.perf_counter() - start
-        tol = RESIDUAL_TOL * (1.0 + np.linalg.norm(q.entries, "fro"))
-        assert stein_residual(m, q, x) <= tol
+        assert stein_backward_error(m, q, x) <= 16 * dim * EPS
         assert elapsed < 1.0
+        if dim <= 40:
+            oracle = kronecker_stein(m, q.entries)
+            gap = 1.0 - float(np.max(np.abs(np.linalg.eigvalsh(m)))) ** 2
+            bound = 100 * dim * EPS / gap
+            assert np.linalg.norm(x.entries - oracle) <= bound * np.linalg.norm(oracle)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -322,20 +380,14 @@ class TestDiscreteStein:
         q = random_symmetric(dim, seed=seed + 1)
         gap = 1.0 - float(np.max(np.abs(np.linalg.eigvalsh(m)))) ** 2
         # ||X|| reaches ||Q|| / gap and evaluating X - M X M^T rounds at
-        # about eps * ||X||, which nears the 1e-10 budget as the gap falls
-        # below 1e-6; there no float64 solve tried (this one, Kronecker,
-        # scipy) meets it reliably, so the solve may pass or raise
-        try:
-            x = solve_discrete_stein(m, q)
-        except ResidualTooLargeError:
-            assert gap < 1e-6
-            return
-        tol = RESIDUAL_TOL * (1.0 + np.linalg.norm(q.entries, "fro"))
-        assert stein_residual(m, q, x) <= tol
+        # about eps * ||X||, which an absolute 1e-10 (1 + ||Q||) refused as
+        # the gap fell below 1e-6; the backward error scales with ||X||
+        x = solve_discrete_stein(m, q)
+        assert stein_backward_error(m, q, x) <= 16 * dim * EPS
         if dim <= 8:
             # Kronecker oracle; its relative error grows as 1 / (1 - rho^2)
             oracle = kronecker_stein(m, q.entries)
-            bound = 100 * dim * np.finfo(float).eps / gap
+            bound = 100 * dim * EPS / gap
             assert np.linalg.norm(x.entries - oracle, "fro") <= bound * np.linalg.norm(
                 oracle, "fro"
             )
@@ -391,6 +443,128 @@ class TestFrobenius:
                 solve_continuous_lyapunov(make_spd(np.eye(2)), q)
             with pytest.raises(ResidualTooLargeError, match="discrete Stein"):
                 solve_discrete_stein(0.5 * np.eye(2), q)
+
+
+def _grid_hessian(dim: int) -> SpdMatrix:
+    """A random rotation of diag(geomspace(1e-8, 1, dim)): kappa 1e8."""
+    return make_spd(symmetric_map(dim, np.geomspace(1e-8, 1.0, dim), seed=dim))
+
+
+#: The grid of ROADMAP item 19: d, lr and the scale of Q (powers of two
+#: near 1e-200, 1 and 1e200, so that the test can undo them exactly).
+GRID_DIMS = (2, 4, 8, 16, 32)
+GRID_RATES = (0.0, 1e-8, 1e-2, 1.0, 1.999)
+GRID_SCALES = (2.0**-664, 1.0, 2.0**664)
+
+
+def _grid_solves():
+    """``(label, solve, residual, weight, scale, dim)`` of each grid case: the
+    Lyapunov law at lr = 0, else the SGD chain's Stein law with right side
+    lr C, and the discrete Stein solve of M = I - lr A where its radius is
+    below 1 in float64 (lr >= 1e-2)."""
+    for dim in GRID_DIMS:
+        a = _grid_hessian(dim)
+        c = random_spd(dim, 0.1, 2.0, seed=dim + 1).entries
+        top = float(a.eigenvalues[-1])
+        for lr in GRID_RATES:
+            for scale in GRID_SCALES:
+                if lr == 0.0:
+                    q = SymmetricMatrix(scale * c)
+                    yield ("continuous Lyapunov", lambda a=a, q=q: solve_continuous_lyapunov(a, q),
+                           lambda x, a=a, q=q: a.entries @ x + x @ a.entries - q.entries,
+                           2.0 * top, scale, dim)
+                    continue
+                noise = SymmetricMatrix(scale * c)
+                rhs = lr * noise.entries
+                yield ("SGD chain Stein",
+                       lambda a=a, noise=noise, lr=lr: stein_stationary_covariance(a, noise, lr, 1),
+                       lambda x, a=a, lr=lr, rhs=rhs: (a.entries @ x + x @ a.entries
+                                                      - lr * a.entries @ x @ a.entries - rhs),
+                       top * (2.0 + lr * top), scale, dim)
+                if lr >= 1e-2:
+                    m = np.eye(dim) - lr * a.entries
+                    m = (m + m.T) / 2.0
+                    radius = float(np.max(np.abs(np.linalg.eigvalsh(m))))
+                    q = SymmetricMatrix(scale * c)
+                    yield ("discrete Stein", lambda m=m, q=q: solve_discrete_stein(m, q),
+                           lambda x, m=m, q=q: x - m @ x @ m.T - q.entries,
+                           1.0 + radius**2, scale, dim)
+
+
+class TestBackwardError:
+    def test_every_grid_case_solves_within_16_d_eps(self):
+        # kappa 1e8 under a rotation, at every rate and scale: an absolute
+        # 1e-10 (1 + ||Q||) refused most of these; each backward error is at
+        # most a fraction of d eps
+        for label, solve, residual, weight, scale, dim in _grid_solves():
+            x = solve().entries
+            q = -residual(np.zeros_like(x))
+            eta = backward_error(residual(x) / scale, x / scale, q / scale, weight)
+            assert eta <= 16 * dim * EPS, (label, dim, scale)
+
+    @pytest.mark.parametrize("wrong", ["zero", "tripled", "perturbed"])
+    def test_a_wrong_solution_fails_at_every_grid_case(self, monkeypatch, wrong):
+        solve = linalg._solve_in_eigenbasis
+        noise = make_rng(7).standard_normal((32, 32))
+
+        def wrong_solve(vecs, rhs, denom):
+            x = solve(vecs, rhs, denom)
+            if wrong == "zero":
+                return 0.0 * x
+            if wrong == "tripled":
+                return 3.0 * x
+            # a relative 1e-6 in the largest entry, spread over every entry;
+            # from d = 2 some of it falls on a well-conditioned direction (at
+            # d = 1, M = 1 - 1e-10 makes such a change a backward error of 1e-16)
+            dim = x.shape[-1]
+            return x + 1e-6 * np.abs(x).max() * noise[:dim, :dim]
+
+        monkeypatch.setattr(linalg, "_solve_in_eigenbasis", wrong_solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for label, solve_case, _, _, scale, dim in _grid_solves():
+                with pytest.raises(ResidualTooLargeError, match=f"^{label} solve residual"):
+                    solve_case()
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-480, 2.0**480])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_the_verdict_passes_eta_at_its_bound_and_fails_it_one_ulp_above(self, stacked,
+                                                                           scale):
+        # d = 1, X = Q = s, w = 1: eta = r / 2s exactly, so r = 2 s eta lands on
+        # the bound 16 eps, or one ulp above it; at s = 2^-480 the square of r
+        # is subnormal, and only the scaled norm keeps that ulp
+        bound = 16 * EPS
+        for eta, bad in ((bound, False), (np.nextafter(bound, 1.0), True)):
+            args = np.array([[2.0 * scale * eta]]), scale * np.eye(1), scale * np.eye(1), 1.0
+            if stacked:
+                args = (args[0][None], args[1][None], args[2], np.array([1.0]))
+            assert bool(_backward_verdict(*args, 1.0, "test").bad) == bad
+
+    def test_the_verdict_holds_when_its_terms_are_2_to_the_2000_apart(self):
+        # w ||X|| and ||Q|| at 2^+-1000 each way round, with eta near 1/2
+        big, small = 2.0**1000 * np.eye(1), 2.0**-1000 * np.eye(1)
+        for x, q in ((big, small), (small, big)):
+            residual = 0.5 * np.maximum(x, q)
+            verdict = _backward_verdict(residual[None], x[None], q, np.array([1.0]), 1.0, "t")
+            assert verdict.bad.tolist() == [True]
+            assert str(verdict.error(0)).startswith("t solve residual has backward error 0.5")
+
+    def test_the_spd_test_fails_at_its_tolerance_and_passes_one_ulp_above(self):
+        for top in (1.0, 2.0**-600, 3.0, 2.0**600):
+            tol = 1e-10 * top
+            assert _spd_verdict(np.array([tol, top])).bad
+            assert not _spd_verdict(np.array([np.nextafter(tol, np.inf), top])).bad
+
+    def test_a_stein_solve_makes_one_eigenbasis_solve(self, monkeypatch):
+        calls = []
+        solve = linalg._solve_in_eigenbasis
+        monkeypatch.setattr(linalg, "_solve_in_eigenbasis",
+                            lambda *args: calls.append(1) or solve(*args))
+        for dim, radius in ((1, 0.5), (8, 0.9), (64, 0.999)):
+            calls.clear()
+            solve_discrete_stein(random_symmetric_map(dim, seed=dim, radius=radius),
+                                 random_symmetric(dim, seed=dim + 1))
+            assert len(calls) == 1
 
 
 class TestRandomSpd:
@@ -554,17 +728,28 @@ def test_stacked_lyapunov_solve_matches_per_matrix_solves(count, dim, seed, log_
     count=st.integers(1, 6),
     dim=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
-    log_error=st.floats(-14.0, -6.0),
+    log_error=st.floats(-17.0, -12.0),
+    log_scale=st.integers(-1000, 1000),
 )
-def test_stacked_residual_check_matches_per_matrix_checks(count, dim, seed, log_error):
-    # errors around RESIDUAL_RTOL, so that some items fail and some pass
-    target = _spd_stack(1, dim, 0.1, 2.0, seed)[0]
-    noise = make_rng(seed, 1).standard_normal((count, dim, dim))
-    achieved = target + 10.0**log_error * noise * make_rng(seed, 2).uniform(0, 100, (count, 1, 1))
-    verdict = _residual_verdict(achieved, target, "test")
+def test_stacked_backward_check_matches_per_matrix_checks(count, dim, seed, log_error,
+                                                          log_scale):
+    # residuals around the bound 16 d eps, so that some items fail and some
+    # pass, at any power-of-two scale of the equation
+    scale = 2.0**log_scale
+    q = scale * _spd_stack(1, dim, 0.1, 2.0, seed)[0]
+    x = scale * _spd_stack(count, dim, 0.1, 2.0, seed + 1)
+    norm = 10.0 ** make_rng(seed, 3).uniform(-3, 3, count)
+    residual = (scale * 10.0**log_error * make_rng(seed, 1).standard_normal((count, dim, dim))
+                * make_rng(seed, 2).uniform(0, 100, (count, 1, 1)))
+    verdict = _backward_verdict(residual, x, q, norm, 2.0, "test")
     for index in range(count):
-        single = _residual_verdict(achieved[index], target, "test")
+        single = _backward_verdict(residual[index], x[index], q, norm[index], 2.0, "test")
         assert bool(verdict.bad[index]) == bool(single.bad)
+        want = backward_error(residual[index] / scale, x[index] / scale, q / scale,
+                              2.0 * norm[index])
+        # the check's own eta rounds a few times
+        assert bool(single.bad) == (want > 16 * dim * EPS) or abs(
+            want / (16 * dim * EPS) - 1.0) < 1e-12
         if single.bad:
             assert str(verdict.error(index)) == str(single.error(0))
 

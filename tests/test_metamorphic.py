@@ -5,9 +5,11 @@ mathematics fixes, checked on random well-conditioned inputs.
   covariance S -> Q S Q^T and every vector v -> Q v leaves KL, D, the
   paper-literal D, D~, the bound reports and the step radius unchanged,
   and maps the Lyapunov and Stein solutions to Q S Q^T.
-- Noise scale: scaling the noise covariance by a power of two scales both
-  stationary solutions by it, bit for bit, and at every scale the trace
-  bound on the Lyapunov solution S is KL(N(0, S) || N(0, I)).
+- Noise scale: scaling the noise covariance by a power of two, up to
+  2^+-1000, scales both stationary laws by it, bit for bit; scaling the
+  Hessian by 2^k scales the Lyapunov solution by 2^-k, bit for bit; and at
+  every scale the trace bound on the Lyapunov solution S is
+  KL(N(0, S) || N(0, I)).
 - Identity: the KL and the D of a domain paired with itself are 0.
 - Data order: permuting a dataset's rows leaves its empirical quadratic
   unchanged to rounding.
@@ -28,7 +30,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oupac import (
@@ -207,23 +209,46 @@ def test_stationary_solutions_rotate_and_the_radius_is_invariant(dim, kappa, see
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(dim=DIMS, kappa=KAPPAS, seed=SEEDS, power=st.integers(-30, 30),
+@given(dim=DIMS, kappa=KAPPAS, seed=SEEDS, power=st.integers(-1000, 1000),
        batch=st.integers(1, 16))
+@example(dim=8, kappa=100.0, seed=1, power=-1000, batch=16)
+@example(dim=8, kappa=100.0, seed=1, power=1000, batch=1)
 def test_stationary_solutions_scale_with_the_noise_bit_for_bit(dim, kappa, seed, power, batch):
-    hessian, factor, _, lr = _stage(dim, kappa, seed)
+    # every check is scale-free (the SPD check relative, the solves' backward
+    # error), so the laws scale over the float range: the noise's entries stay
+    # normal at 2^-1000 and its Gram finite at 2^1000
+    hessian, factor, minimizer, lr = _stage(dim, kappa, seed)
     noise = factor.T @ factor
     scale = 2.0**power
     scaled = SymmetricMatrix(scale * noise)
     noise = SymmetricMatrix(noise)
-    # the solve of stationary_from_dynamics, whose SPD check of the solution
-    # has an absolute floor (PSD_RTOL) that a small enough scale falls below
-    lyapunov = solve_continuous_lyapunov(hessian, SymmetricMatrix(lr / batch * noise.entries))
-    scaled_lyapunov = solve_continuous_lyapunov(hessian,
-                                                SymmetricMatrix(lr / batch * scaled.entries))
-    assert np.array_equal(scaled_lyapunov.entries, scale * lyapunov.entries)
+    lyapunov = stationary_from_dynamics(hessian, minimizer, noise, lr, batch)
+    scaled_lyapunov = stationary_from_dynamics(hessian, minimizer, scaled, lr, batch)
+    assert np.array_equal(scaled_lyapunov.covariance.entries,
+                          scale * lyapunov.covariance.entries)
     stein = stein_stationary_covariance(hessian, noise, lr, batch)
     scaled_stein = stein_stationary_covariance(hessian, scaled, lr, batch)
     assert np.array_equal(scaled_stein.entries, scale * stein.entries)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(dim=DIMS, kappa=KAPPAS, seed=SEEDS, power=st.integers(-400, 400))
+@example(dim=8, kappa=100.0, seed=1, power=-400)
+@example(dim=8, kappa=100.0, seed=1, power=400)
+def test_lyapunov_solution_scales_inversely_with_the_hessian_bit_for_bit(dim, kappa, seed,
+                                                                         power):
+    # A -> 2^k A maps the eigenbasis, lam -> 2^k lam and the denominators
+    # lam_i + lam_j -> 2^k (lam_i + lam_j) exactly, so X -> 2^-k X, while
+    # LAPACK's eigh scales A by nothing but a power of two (it held up to
+    # 2^+-400 here, and broke from about 2^+-450 on)
+    hessian, factor, _, lr = _stage(dim, kappa, seed)
+    q = SymmetricMatrix(lr * factor.T @ factor)
+    scale = 2.0**power
+    scaled = make_spd(scale * hessian.entries)
+    assert np.array_equal(scaled.eigh[0], scale * hessian.eigh[0])
+    assert np.array_equal(scaled.eigh[1], hessian.eigh[1])
+    want = solve_continuous_lyapunov(hessian, q).entries / scale
+    assert np.array_equal(solve_continuous_lyapunov(scaled, q).entries, want)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
