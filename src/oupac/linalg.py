@@ -27,7 +27,6 @@ everything here is safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -159,21 +158,13 @@ def _group_bounds(runs: list[tuple[int, int]]):
         yield start, stop
 
 
-def _symmetrized(entries: np.ndarray, peak=None) -> np.ndarray:
-    """``(M + M^T) / 2`` of each matrix of a stack ``(..., d, d)``, finite
-    wherever M is; ``peak``, if given, bounds the stack's ``|entries|``.
-    A matrix with an entry above half the float64 maximum, whose sum could
-    overflow, is halved before adding; any other takes the plain sum, with
-    its bits, and while no matrix of the stack is such a one, its cost."""
-    if peak is None:
-        peak = np.abs(entries).max()
-    if peak <= _HALF_MAX:
-        return (entries + entries.swapaxes(-1, -2)) / 2.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        whole = (entries + entries.swapaxes(-1, -2)) / 2.0
+def _symmetrized(entries: np.ndarray) -> np.ndarray:
+    """``(M + M^T) / 2`` of each matrix of a stack ``(..., d, d)``, formed as
+    ``M/2 + M^T/2`` so that it is finite wherever M is.  Halving is exact
+    above the subnormal range, so this has the bits of the plain sum except
+    where an entry below about 2^-1021 loses its last bit."""
     half = entries / 2.0
-    big = np.abs(entries).max(axis=(-2, -1), keepdims=True) > _HALF_MAX
-    return np.where(big, half + half.swapaxes(-1, -2), whole)
+    return half + half.swapaxes(-1, -2)
 
 
 def _as_square_array(entries, name: str = "matrix", finite: bool = True) -> np.ndarray:
@@ -214,19 +205,16 @@ def _finite_verdict(entries: np.ndarray) -> Verdict:
 class SymmetricMatrix:
     """Dense real symmetric matrix.
 
-    Construction symmetrizes the input as ``(M + M^T)/2`` (halving
-    first where the sum would overflow) and freezes the result, so
-    ``entries[i, j] == entries[j, i]`` holds exactly.
+    Construction symmetrizes the input as ``M/2 + M^T/2``, which does not
+    overflow, and freezes the result, so ``entries[i, j] == entries[j, i]``
+    holds exactly.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = _as_square_array(self.entries, finite=False)
-        peak = np.abs(entries).max()
-        if not math.isfinite(peak):
-            raise _non_finite("matrix")
-        object.__setattr__(self, "entries", _read_only(_symmetrized(entries, peak)))
+        entries = _as_square_array(self.entries)
+        object.__setattr__(self, "entries", _read_only(_symmetrized(entries)))
 
     @property
     def dim(self) -> int:
@@ -473,7 +461,7 @@ def _random_spd_stack(dim: int, eigenvalue_low: float, eigenvalue_high: float,
     entries = _random_spd_entries(dim, low, high, streams)
     if not _spectrum_passes(entries.shape[-1], low, high):
         return _make_spd_stack(entries)
-    sym = _symmetrized(entries, 2.0 * high)  # every entry is at most about high
+    sym = _symmetrized(entries)
     _finite_verdict(sym).check()
     return sym
 
@@ -577,12 +565,6 @@ def _frobenius_parts(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0], power[..., 0, 0]
 
 
-def _normalized(frac: np.ndarray, power) -> tuple[np.ndarray, np.ndarray]:
-    """``frac * 2^power`` as ``(f, p)`` with ``f`` in [1/2, 1), or 0."""
-    frac, shift = np.frexp(frac)
-    return frac, shift + power
-
-
 def _backward_verdict(residual: np.ndarray, x: np.ndarray, q: np.ndarray, norm, factor,
                       label: str) -> Verdict:
     """``eta = ||R||_F / (w ||X||_F + ||Q||_F) <= BACKWARD_UNITS * d * eps``,
@@ -598,23 +580,18 @@ def _backward_verdict(residual: np.ndarray, x: np.ndarray, q: np.ndarray, norm, 
 
 
 def _backward_errors(residual: np.ndarray, x: np.ndarray, q: np.ndarray, norm, factor):
-    """The eta of :func:`_backward_verdict`.  One matrix whose squares and
-    weight stay in range takes plain float arithmetic.  Otherwise each norm
-    is taken as ``m * 2^p`` and the sum is formed at the larger power, with
-    the same bits where both ways apply, so that no term overflows or
-    underflows where eta itself is in range; an exact zero residual has
-    eta = 0, and a non-finite one fails."""
-    if x.ndim == 2 and _TINY < norm < 1e150:
-        r, xx, qq = (float(np.vdot(m, m)) for m in (residual, x, q))
-        if (r == 0.0 or _TINY <= r) and _TINY <= min(xx, qq) and max(r, xx, qq) < math.inf:
-            return np.float64(math.sqrt(r) / (norm * factor * math.sqrt(xx) + math.sqrt(qq)))
+    """The eta of :func:`_backward_verdict`.  Each norm is taken as ``m *
+    2^p`` and the sum is formed at the larger power, so that no term
+    overflows or underflows where eta itself is in range; an exact zero
+    residual has eta = 0, and a non-finite one fails."""
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         r_norm, r_pow = _frobenius_parts(residual)
         x_norm, x_pow = _frobenius_parts(x)
         q_norm, q_pow = _frobenius_parts(q)
         w_frac, w_pow = np.frexp(norm)
-        x_frac, x_pow = _normalized(w_frac * factor * x_norm, x_pow + w_pow)
-        q_frac, q_pow = _normalized(q_norm, q_pow)
+        x_frac, x_shift = np.frexp(w_frac * factor * x_norm)  # each fraction in [1/2, 1), or 0
+        q_frac, q_shift = np.frexp(q_norm)
+        x_pow, q_pow = x_pow + w_pow + x_shift, q_pow + q_shift
         # the larger power of the two terms, or the other's where one is zero
         top = np.maximum(np.where(x_frac == 0.0, q_pow, x_pow),
                          np.where(q_frac == 0.0, x_pow, q_pow))

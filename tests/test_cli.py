@@ -890,18 +890,19 @@ def test_each_spd_value_decomposes_once_per_call(capsys, monkeypatch, tmp_path, 
 
 def test_entries_past_half_the_float_maximum_run_or_exit_3_without_warning(
         capsys, tmp_path, identity_file):
-    # (M + M^T) / 2 of 1e308 I is halved before adding, so it no longer
-    # overflows; the Lyapunov denominators lam_i + lam_j = 2e308 are halved
-    # with Q, and X = I / 2e308 is subnormal but right to its last bits; the
-    # pre-training divergence tr S - d - log det S is not finite
+    # (M + M^T) / 2 of 1e308 I is formed as M/2 + M^T/2, so it does not
+    # overflow; the Lyapunov denominators lam_i + lam_j = 2e308 are halved
+    # with Q, and X = I / 2e308 is subnormal, right to within its last bit
+    # (which halving a subnormal may drop); the pre-training divergence
+    # tr S - d - log det S is not finite
     big = tmp_path / "big.txt"
     big.write_text("2\n1e308 0\n0 1e308\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "lyapunov", "--a", str(big), "--q", identity_file)
         assert (code, err) == (0, "")
-        assert parse_matrix(out.split("\n", 1)[1]).tolist() == [
-            [0.5e-308, 0.0], [0.0, 0.5e-308]]
+        np.testing.assert_allclose(parse_matrix(out.split("\n", 1)[1]),
+                                   0.5e-308 * np.eye(2), rtol=0.0, atol=5e-324)
         code, out, err = run_cli(capsys, "dominance", "--sigma-pt", str(big), "--sigma-ft",
                                  identity_file, "--shift=0,0", "--n-pt", "1000", "--n-ft", "100")
     assert (code, out) == (3, "")

@@ -108,9 +108,8 @@ class TestMakeSpd:
         assert not m.entries.flags.writeable
 
     def test_symmetrization_past_half_the_float_maximum_halves_first(self):
-        # M + M^T overflows there; M/2 + M^T/2 does not, and only such a
-        # matrix of a stack takes it, so a subnormal entry elsewhere keeps
-        # the bits of the plain sum
+        # M + M^T overflows there; M/2 + M^T/2 does not, and has the bits of
+        # (M + M^T) / 2 except that an entry below 2^-1021 may lose its last bit
         big = np.array([[2.0**1023, 2.0**1000], [3 * 2.0**1000, 1.5 * 2.0**1023]])
         want = [[2.0**1023, 2.0**1001], [2.0**1001, 1.5 * 2.0**1023]]
         tiny = np.array([[1.0, 5e-324], [5e-324, 1.0]])  # 5e-324 / 2 rounds to 0
@@ -120,7 +119,8 @@ class TestMakeSpd:
                 assert build(big).entries.tolist() == want
             stack = _make_spd_stack(np.stack([big, tiny, np.eye(2)]))
             assert stack[0].tolist() == want
-            assert stack[1].tolist() == tiny.tolist()
+            assert stack[1].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+            assert np.abs(stack[1] - tiny).max() <= 5e-324
             nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
             inf = np.array([[np.inf, 0.0], [0.0, 1.0]])
             for bad in (nan, inf):
@@ -156,14 +156,17 @@ class TestMakeSpd:
 
     def test_the_spd_check_is_relative_at_every_scale(self):
         # eigenvalues 1 and 1e-11: kappa 1e11 is past 1 / PSD_RTOL, at every scale;
-        # 1 and 2e-10 pass at every scale, where the old floor refused 1e-12 I
+        # 1 and 2e-10 pass at every scale, where the old floor refused 1e-12 I;
+        # at 2^-1000 the small eigenvalue is subnormal, and symmetrization may
+        # drop its last bit
         for scale in (2.0**-1000, 1e-12, 1.0, 1e12, 2.0**1000):
+            last_bit = pytest.approx(scale * 1e-11, rel=0.0, abs=5e-324)
             with pytest.raises(NotPositiveDefiniteError) as raised:
                 make_spd(scale * np.diag([1.0, 1e-11]))
-            assert raised.value.smallest_eigenvalue == scale * 1e-11
+            assert raised.value.smallest_eigenvalue == last_bit
             assert str(raised.value).endswith(f"<= tolerance {scale * 1e-10:.3g}")
-            assert make_spd(scale * np.diag([1.0, 2e-10])).eigenvalues.tolist() == [
-                scale * 2e-10, scale]
+            small, top = make_spd(scale * np.diag([1.0, 2e-10])).eigenvalues
+            assert (small, top) == (pytest.approx(scale * 2e-10, rel=0.0, abs=5e-324), scale)
         verdict = _spd_verdict(np.array([[0.0, 0.0], [1e-300, 1e-300], [-0.0, 1.0]]))
         assert verdict.bad.tolist() == [True, False, True]
 
