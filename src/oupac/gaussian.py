@@ -172,7 +172,7 @@ def stein_stationary_covariance(
     lr, batch_size = check_rate(lr, batch_size)
     rhs = _stationary_rhs(noise_cov, lr, batch_size).entries
     _check_same_dim(hessian.entries, rhs)
-    return SymmetricMatrix(_lyapunov_in_eigenbasis(hessian.entries, *hessian.eigh, rhs, lr))
+    return SymmetricMatrix(_lyapunov_in_eigenbasis(hessian.entries, *hessian.eigh, rhs, lr)[0])
 
 
 def _stationary_rhs(noise_cov: SymmetricMatrix, lr: float, batch_size: int) -> SymmetricMatrix:
@@ -194,7 +194,11 @@ def gaussian_pair_terms(sigma_q, sigma_p, shift: np.ndarray):
     lp = cholesky_factor(sigma_p)
     shift = np.asarray(shift, dtype=float)
     # tr(Sp^-1 Sq) = ||Lp^-1 Lq||_F^2, and Lp^-1 shift, by one solve on [Lq | shift]
-    solved = np.linalg.solve(lp, np.concatenate([lq, shift[..., None]], axis=-1))
+    solved = np.concatenate([lq, shift[..., None]], axis=-1)
+    if not (lp.ndim == 2 and (lp == np.eye(len(lp))).all() and np.isfinite(solved).all()):
+        # a solve by I returns a finite right side as it is, up to the sign of
+        # a zero, which every term squares (a non-finite one spreads as NaN)
+        solved = np.linalg.solve(lp, solved)
     half, white = solved[..., :-1], solved[..., -1:]
     log_det_ratio = _log_det_of_factor(lp) - _log_det_of_factor(lq)
     maha = (white.swapaxes(-1, -2) @ white)[..., 0, 0][()]
@@ -224,8 +228,10 @@ def _kl_divergences(sigma_q, mean_q: np.ndarray, p: GaussianMeasure) -> np.ndarr
     d = mean_q.shape[-1]
     if d != p.dim:
         raise DimensionMismatchError(f"dimensions disagree: {d} vs {p.dim}")
+    with np.errstate(over="ignore"):  # a shift that overflows fails the finite check
+        shift = p.mean - mean_q
     (value,) = _pair_divergences(
-        sigma_q, p.covariance, p.mean - mean_q,
+        sigma_q, p.covariance, shift,
         lambda trace, log_det_ratio, maha: (0.5 * (trace - d + maha + log_det_ratio),))
     Verdict(value < -KL_CLAMP, lambda i: NumericalInconsistencyError(
         f"KL divergence evaluated to {_item(value, i):.6g} < -{KL_CLAMP}")).check()

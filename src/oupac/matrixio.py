@@ -28,6 +28,7 @@ it falls in.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import re
@@ -57,6 +58,14 @@ def parse_matrix(text: str) -> np.ndarray:
         raise ConfigError(f"matrix dimension must be >= 1, got {dim}")
     if len(lines) != 1 + dim:
         raise ConfigError(f"expected {dim} matrix rows, found {len(lines) - 1}")
+    fields = [line.split() for line in lines[1:]]
+    if all(len(row) == dim for row in fields):
+        # one conversion of every token, which numpy makes as float() does; a
+        # malformed file goes on to the row loop below, which names its first bad row
+        with contextlib.suppress(ValueError):
+            entries = np.array(fields, dtype=float)
+            if np.isfinite(entries).all():
+                return entries
     rows = []
     for line in lines[1 : 1 + dim]:
         row = _parse_floats(line)

@@ -9,17 +9,22 @@ bound evaluators.  A :class:`RegressionTask` is the data model alone: an
 experiment's sample size is its ``SampleSpec``'s, the N of its bound.
 
 The gap trials of an experiment are evaluated as stacks: arrays with a
-leading trial axis, in the groups of :func:`oupac.linalg._in_groups`.  A
-group makes one call of each decomposition (``eigvalsh`` for the SPD
-and stability checks, ``eigh`` for the Lyapunov eigenbasis,
-``cholesky``) where a trial-by-trial loop makes one per trial.  The
-checks read ``eigvalsh``, not the eigenvalues ``eigh`` returns with its
-basis: the two differ in the last bits, and a singular design's
-smallest eigenvalue, which its error message prints, is rounding noise.
-Each trial's data still comes from its own seeded stream, and one stack
-of streams (:func:`oupac.rng._streams`) seeds all the trials of an
-experiment.  The numbers agree with the loop to 1e-12 (tested).  A gap
-that is not finite (noise too large for float64) raises
+leading trial axis, in one pass of the groups of
+:func:`oupac.linalg._in_groups`, every sample size of a scaling
+experiment included.  A group decomposes each Hessian once, by one
+``eigh`` of the stack, where a trial-by-trial loop makes an ``eigvalsh``
+and an ``eigh`` per trial.  The design and stability checks read the
+``eigh`` eigenvalues where they decide the checks as ``eigvalsh``'s
+would (:func:`_checked_spectrum`); the two differ in the last bits, so
+near a threshold, and for every failing check, they read ``eigvalsh``,
+whose smallest eigenvalue a singular design's message prints.  The
+posteriors' SPD check reads the Gershgorin discs of their laws in the
+eigenbasis (:func:`oupac.linalg._check_spd_by_discs`), and the KL
+against the N(0, I) prior takes no solve.  Each trial's data still
+comes from its own seeded stream, and one stack of streams
+(:func:`oupac.rng._streams`) seeds all the trials of an experiment.
+The numbers agree with the loop to 1e-12 (tested).  A gap that is not
+finite (noise too large for float64) raises
 :class:`NumericalInconsistencyError`.
 """
 
@@ -38,10 +43,10 @@ from .errors import (DimensionMismatchError, InvalidRangeError, NotPositiveDefin
                      NumericalInconsistencyError, SingularDesignError, UnstableDynamicsError,
                      _integer, _real, _shown, _typed)
 from .gaussian import GaussianMeasure, _kl_divergences, _stationary_rhs, standard_gaussian
-from .linalg import (SpdMatrix, Verdict, _check_held, _frozen_vector, _in_groups, _item,
-                     _lyapunov_in_eigenbasis, _spd_verdict, _symmetrized, cholesky_factor,
-                     make_spd)
-from .rng import _child_seeds, _streams, _Streams, child_seed, make_rng
+from .linalg import (_EPS, SpdMatrix, Verdict, _check_held, _check_spd_by_discs, _frozen_vector,
+                     _in_groups, _item, _lyapunov_in_eigenbasis, _spd_verdict, _spectrum_passes,
+                     _symmetrized, cholesky_factor, make_spd)
+from .rng import _child_seeds, _digest_seed, _streams, _Streams, make_rng
 
 #: Floats a gap trial holds until its run returns, counted against
 #: ``RECORD_FLOATS``: a seed, a TrialRecord, a gap and a bound in validity
@@ -201,40 +206,52 @@ def _noise_risk(noise_std: float) -> float:
 def _gap_trials(
     task: RegressionTask,
     sgd: SgdDynamics,
-    spec: SampleSpec,
+    runs: list[tuple[int, SampleSpec]],
     prior: GaussianMeasure,
     streams: _Streams,
 ) -> tuple[list[float], list[float], list[float]]:
     """Expected risks, empirical risks and bounds of the gap trial of each
     of ``streams``, evaluated in stacked groups (module docstring).
 
-    A trial draws its data from its stream, takes the exact empirical
-    quadratic, and uses the analytic stationary Gaussian of the SGD
-    dynamics on it as the posterior."""
-    columns = _in_groups(lambda group: _gap_group(task, sgd, spec, prior, group),
-                         streams, spec.sample_size * task.dim)
+    ``runs`` holds ``(count, spec)`` pairs that cover the trials in order:
+    ``count`` consecutive trials of ``spec.sample_size`` rows, bounded at
+    ``spec``.  A trial draws its data from its stream, takes the exact
+    empirical quadratic, and uses the analytic stationary Gaussian of the
+    SGD dynamics on it as the posterior."""
+    specs = [spec for count, spec in runs for _ in range(count)]
+    columns = _in_groups(
+        lambda group: _gap_group(task, sgd, specs[group.start:group.stop], prior,
+                                 streams[group.start:group.stop]),
+        range(len(streams)), [(count, spec.sample_size * task.dim) for count, spec in runs])
     return tuple(column.tolist() for column in columns)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow fails the gap check instead
-def _gap_group(task, sgd, spec, prior, streams):
-    """:func:`_gap_trials` on one group; raises at the first check that a
-    trial fails, in the order a trial-by-trial loop makes the checks."""
-    x, y = _datasets(task, spec.sample_size, streams)
-    hessian = _symmetrized(_gram(x))
-    eigenvalues = np.linalg.eigvalsh(hessian)
+def _gap_group(task, sgd, specs, prior, streams):
+    """:func:`_gap_trials` on one group, the trial of each of ``streams``
+    bounded at its entry of ``specs``; raises at the first check that a
+    trial fails, in the order a trial-by-trial loop makes the checks.  The
+    trials of each sample size are drawn and fitted together, and the
+    laws of all of them are solved as one stack."""
+    runs = _runs(specs)
+    draws = [_datasets(task, spec.sample_size, streams[start:stop]) for spec, start, stop in runs]
+    hessian = np.concatenate([_symmetrized(_gram(x)) for x, _ in draws])
+    lam, vecs = np.linalg.eigh(hessian)
+    eigenvalues = _checked_spectrum(hessian, lam, sgd.lr)
     design = _spd_verdict(eigenvalues)
     Verdict(design.bad, lambda i: _singular_design(design.error(i))).check()
-    minimizer, offset = _least_squares(x, y, hessian)
+    fits = [_least_squares(x, y, hessian[start:stop])
+            for (x, y), (_, start, stop) in zip(draws, runs)]
+    minimizer, offset = map(np.concatenate, zip(*fits))
     _check_dims(task, sgd)  # as stability_check does, with the task's dimension for the loss's
     radius = _step_radius(sgd.lr, eigenvalues)
     Verdict(~(radius < 1.0), lambda i: UnstableDynamicsError(
         f"stability_check failed on the empirical Hessian: spectral radius "
         f"{_item(radius, i):.6g} >= 1"
     )).check()
-    cov = _lyapunov_in_eigenbasis(hessian, *np.linalg.eigh(hessian),
-                                  _stationary_rhs(sgd.noise_cov, sgd.lr, sgd.batch_size).entries)
-    _spd_verdict(np.linalg.eigvalsh(cov)).check()
+    cov, law = _lyapunov_in_eigenbasis(
+        hessian, lam, vecs, _stationary_rhs(sgd.noise_cov, sgd.lr, sgd.batch_size).entries)
+    _check_spd_by_discs(cov, law)
     expected = _expected_risks(task.feature_cov.entries, task.true_weights,
                                _noise_risk(task.noise_std), minimizer, cov)
     empirical = _expected_risks(hessian, minimizer, offset, minimizer, cov)
@@ -242,13 +259,38 @@ def _gap_group(task, sgd, spec, prior, streams):
         f"gap trial risks are not finite (expected {_item(expected, i):.6g}, empirical "
         f"{_item(empirical, i):.6g}): the data are too large for float64"
     )).check()
-    return expected, empirical, mcallester_bound(_kl_divergences(cov, minimizer, prior), spec)
+    kl = _kl_divergences(cov, minimizer, prior)
+    return expected, empirical, np.concatenate([mcallester_bound(kl[start:stop], spec)
+                                                for spec, start, stop in runs])
+
+
+def _runs(specs: Sequence[SampleSpec]) -> list[tuple[SampleSpec, int, int]]:
+    """``(spec, start, stop)`` of each run of equal consecutive ``specs``."""
+    starts = [index for index, spec in enumerate(specs)
+              if not index or spec is not specs[index - 1]]
+    return [(specs[start], start, stop) for start, stop in zip(starts, [*starts[1:], len(specs)])]
+
+
+def _checked_spectrum(hessian: np.ndarray, lam: np.ndarray, lr: float) -> np.ndarray:
+    """The eigenvalues that the design and stability checks read for a
+    stack of Hessians with ``eigh`` eigenvalues ``lam``: ``lam`` itself where
+    it decides both checks as the ``eigvalsh`` eigenvalues of
+    :func:`make_spd` and ``stability_check`` would (by the test of
+    :func:`oupac.linalg._spectrum_passes`, and a spectral radius that
+    much below 1), else those ``eigvalsh`` eigenvalues, whose smallest a
+    singular design's error message prints."""
+    dim, top = hessian.shape[-1], lam[..., -1]
+    slack = 16.0 * dim * dim * _EPS
+    decided = (_spectrum_passes(dim, lam[..., 0], top)
+               & (_step_radius(lr, lam) < 1.0 - slack * (1.0 + lr * top)))
+    return lam if np.all(decided) else np.linalg.eigvalsh(hessian)
 
 
 def _trial_streams(seeds: Sequence[int]) -> _Streams:
     """The data streams of the gap trials with ``seeds``, as one stack: a
-    trial draws its data with ``child_seed(seed, 0)``."""
-    return _streams([child_seed(seed, 0) for seed in seeds])
+    trial draws its data with ``child_seed(seed, 0)``, derived here from
+    the trial seed, already checked, with no second check."""
+    return _streams([_digest_seed(f"oupac:{seed}:0") for seed in seeds])
 
 
 @dataclass(frozen=True)
@@ -346,7 +388,7 @@ def bound_validity_experiment(
     records = [
         TrialRecord(seed=seed, gap=expected - empirical, bound_value=bound)
         for seed, expected, empirical, bound in zip(seeds, *_gap_trials(
-            task, sgd, spec, prior, _trial_streams(seeds),
+            task, sgd, [(trials, spec)], prior, _trial_streams(seeds),
         ))
     ]
     gaps = [r.gap for r in records]
@@ -391,15 +433,14 @@ def scaling_experiment(
     streams = _trial_streams(_child_seeds(
         master_seed, [(n_index, trial) for n_index in range(len(ns))
                       for trial in range(trials_per_n)]))
+    runs = [(trials_per_n, SampleSpec(n, delta)) for n in ns]
+    expected, empirical, bounds = _gap_trials(task, sgd, runs, prior, streams)
     mean_bounds: dict[int, float] = {}
     mean_gaps: dict[int, float] = {}
     for n_index, n in enumerate(ns):
-        expected, empirical, bounds = _gap_trials(
-            task, sgd, SampleSpec(n, delta), prior,
-            streams[n_index * trials_per_n:(n_index + 1) * trials_per_n],
-        )
-        mean_bounds[n] = statistics.fmean(bounds)
-        mean_gaps[n] = statistics.fmean([e - m for e, m in zip(expected, empirical)])
+        part = slice(n_index * trials_per_n, (n_index + 1) * trials_per_n)
+        mean_bounds[n] = statistics.fmean(bounds[part])
+        mean_gaps[n] = statistics.fmean([e - m for e, m in zip(expected[part], empirical[part])])
     rows = []
     for n in ns:
         ratio = mean_bounds[4 * n] / mean_bounds[n] if 4 * n in mean_bounds else None

@@ -862,14 +862,27 @@ def _stage_flags(prefix: str, hessian: str, factor: str) -> list[str]:
      {"cholesky": 0, "eigh": 2, "eigvalsh": 2}),
     (["simulate", *_stage_flags("", "h.txt", "b.txt")],
      {"cholesky": 0, "eigh": 1, "eigvalsh": 1}),
-], ids=["kl", "dominance", "two-stage-analytic_sample", "two-stage-chain_continue", "simulate"])
+    (["validity", "--weights", "0.3,-0.2,0.1", "--feature-cov", "h.txt", "--n", "60",
+      "--trials", "30"],
+     {"cholesky": 4, "eigh": 1, "eigvalsh": 2, "solve": 2}),
+    (["scaling", "--weights", "0.3,-0.2,0.1", "--feature-cov", "h.txt", "--ns", "9,18,36",
+      "--trials", "5"],
+     {"cholesky": 6, "eigh": 1, "eigvalsh": 2, "solve": 6}),
+], ids=["kl", "dominance", "two-stage-analytic_sample", "two-stage-chain_continue", "simulate",
+        "validity", "scaling"])
 def test_each_spd_value_decomposes_once_per_call(capsys, monkeypatch, tmp_path, argv, expected):
     # every SPD value is decomposed once: cholesky once per covariance used (the
     # pre-training bound reads sigma_pt's log det from its factor), eigh once per
     # Hessian (the Lyapunov and Stein solves and the chain scan share it), and
     # eigvalsh once per SPD value, at its check, whose eigenvalues the stability
     # checks reuse; the noise covariance C = B^T B is a SymmetricMatrix, not an
-    # SPD value, and is never decomposed
+    # SPD value, and is never decomposed.  A gap experiment's trials are one
+    # stack: one eigh of all their Hessians, whose eigenvalues the design and
+    # stability checks read, no eigvalsh of a Hessian or a posterior (its
+    # Gershgorin discs decide), and cholesky once for the feature covariance,
+    # once for the prior, once per sample size for the fits and once for the
+    # posteriors' KL, whose identity prior takes no solve (the two solves of a
+    # least-squares fit remain)
     write_matrix(tmp_path / "h.txt", [[2.0, 0.5, 0.0], [0.5, 1.0, 0.1], [0.0, 0.1, 1.5]])
     write_matrix(tmp_path / "s.txt", [[1.5, 0.2, 0.0], [0.2, 0.8, 0.0], [0.0, 0.0, 1.2]])
     write_matrix(tmp_path / "b.txt", [[0.5, 0.1, 0.0], [0.0, 0.4, 0.1], [0.0, 0.0, 0.3]])
@@ -919,6 +932,20 @@ def test_lyapunov_at_the_largest_eta_exits_0(capsys, identity_file):
     assert (code, err) == (0, "")
     assert parse_matrix(out.split("\n", 1)[1]).tolist() == [
         [5e307, 0.0], [0.0, 5e307]]
+
+
+def test_kl_of_means_whose_difference_overflows_exits_3_with_one_line(capsys, tmp_path):
+    # p.mean - q.mean overflows; the overflow was once printed as a warning
+    write_gaussian(tmp_path / "q.txt", [1e308, 0.0], np.eye(2))
+    write_gaussian(tmp_path / "p.txt", [-1e308, 0.0], np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "kl", "--q", str(tmp_path / "q.txt"),
+                                 "--p", str(tmp_path / "p.txt"), "--mc-draws", "1000")
+    assert (code, out) == (3, "")
+    assert err == ("error in kl: a Gaussian-pair term or divergence is not finite "
+                   "(tr(Sp^-1 Sq) = 2, log det Sp - log det Sq = 0, shift^T Sp^-1 shift = nan): "
+                   "an input is too large for float64\n")
 
 
 def test_lemma_survey_at_the_largest_eigenvalue_exits_without_a_traceback(capsys):

@@ -475,3 +475,25 @@ def test_stacked_pair_terms_and_kl_match_per_pair_calls(count, dim, seed, log_co
             np.testing.assert_array_max_ulp(got[index], want, maxulp=4)
         q = GaussianMeasure(prior.mean - shift[index], make_spd(sigma_q[index]))
         np.testing.assert_array_max_ulp(kl[index], kl_divergence(q, prior), maxulp=4)
+
+
+def test_an_identity_prior_skips_the_solve_and_keeps_every_bit(monkeypatch):
+    # a solve by I returns its finite right side [Lq | shift] as it is; a
+    # stack of one I is not skipped, so it makes the solve's terms
+    sigma_q = np.array([_spd_with_condition(4, 3.0, seed).entries for seed in range(3)])
+    shift = 1e3 * make_rng(5, 2).standard_normal((3, 4))
+    want = gaussian_pair_terms(sigma_q, np.eye(4)[None], shift)
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or solve(*args))
+    got = gaussian_pair_terms(sigma_q, make_spd(np.eye(4)), shift)
+    assert calls == []
+    assert [term.tobytes() for term in got] == [term.tobytes() for term in want]
+    # a factor one ulp from I, and a right side that is not finite, are solved
+    near = np.eye(4)
+    near[3, 0] = 5e-324
+    gaussian_pair_terms(sigma_q, near @ near.T, shift)
+    with np.errstate(invalid="ignore"):
+        _, _, maha = gaussian_pair_terms(sigma_q[0], np.eye(4), np.array([np.inf, 0.0, 0.0, 0.0]))
+    assert len(calls) == 2
+    assert np.isnan(maha)  # a solve spreads the inf as NaN, which a message prints

@@ -438,7 +438,8 @@ class TestFrobenius:
         # a solve three times too large; from 1e160 the squares of a norm
         # overflow, where the check would pass as inf <= inf
         solve = linalg._solve_in_eigenbasis
-        monkeypatch.setattr(linalg, "_solve_in_eigenbasis", lambda *args: 3.0 * solve(*args))
+        monkeypatch.setattr(linalg, "_solve_in_eigenbasis",
+                            lambda *args: tuple(3.0 * part for part in solve(*args)))
         q = SymmetricMatrix(scale * np.eye(2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -511,16 +512,16 @@ class TestBackwardError:
         noise = make_rng(7).standard_normal((32, 32))
 
         def wrong_solve(vecs, rhs, denom):
-            x = solve(vecs, rhs, denom)
+            x, xt = solve(vecs, rhs, denom)
             if wrong == "zero":
-                return 0.0 * x
+                return 0.0 * x, xt
             if wrong == "tripled":
-                return 3.0 * x
+                return 3.0 * x, xt
             # a relative 1e-6 in the largest entry, spread over every entry;
             # from d = 2 some of it falls on a well-conditioned direction (at
             # d = 1, M = 1 - 1e-10 makes such a change a backward error of 1e-16)
             dim = x.shape[-1]
-            return x + 1e-6 * np.abs(x).max() * noise[:dim, :dim]
+            return x + 1e-6 * np.abs(x).max() * noise[:dim, :dim], xt
 
         monkeypatch.setattr(linalg, "_solve_in_eigenbasis", wrong_solve)
         with warnings.catch_warnings():
@@ -720,10 +721,84 @@ def test_stacked_lyapunov_solve_matches_per_matrix_solves(count, dim, seed, log_
     q = _spd_stack(1 if shared_rhs else count, dim, 0.1, 2.0, seed + 1)
     q = q[0] if shared_rhs else q
     lam, vecs = np.linalg.eigh(a)
-    x = _lyapunov_in_eigenbasis(a, lam, vecs, q)
+    x, _ = _lyapunov_in_eigenbasis(a, lam, vecs, q)
     for index in range(count):
         want = solve_continuous_lyapunov(make_spd(a[index]), q if shared_rhs else q[index])
         np.testing.assert_array_max_ulp(x[index], want.entries, maxulp=4)
+
+
+def _law_inputs(count: int, dim: int, seed: int, log_condition: float, rhs: str):
+    """Hessians with log-uniform eigenvalues in [10^-log_condition, 1], and
+    right sides: I, a dense B B^T, or a B B^T of rank below dim."""
+    rng = make_rng(seed)
+    a, c = [], []
+    for _ in range(count):
+        q_fac, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        a.append((q_fac * 10.0 ** rng.uniform(-log_condition, 0.0, dim)) @ q_fac.T)
+        factor = rng.standard_normal((dim, dim if rhs == "dense" else dim - 1))
+        c.append(np.eye(dim) if rhs == "isotropic" else factor @ factor.T)
+    a, c = np.array(a), np.array(c)
+    return (a + a.swapaxes(-1, -2)) / 2.0, (c + c.swapaxes(-1, -2)) / 2.0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    count=st.integers(1, 4),
+    dim=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+    log_condition=st.floats(0.0, 10.0),
+    a_scale=st.integers(-250, 250),
+    c_scale=st.integers(-250, 250),
+    rhs=st.sampled_from(["isotropic", "dense", "rank-deficient"]),
+    rate=st.sampled_from([0.0, 0.5, 1.9]),
+)
+def test_a_law_the_discs_pass_is_one_eigvalsh_passes(count, dim, seed, log_condition, a_scale,
+                                                     c_scale, rhs, rate):
+    # kappa up to 1e10, A and C each scaled by 2^+-250 (X by up to 2^+-500),
+    # the Lyapunov law and the SGD chain's Stein law at lr lam_max = rate;
+    # the slack is the fixed 16 d^2 eps of linalg._spectrum_passes, times
+    # the larger end of the discs' range
+    a, c = _law_inputs(count, dim, seed, log_condition, rhs)
+    a, c = 2.0**a_scale * a, 2.0**c_scale * c
+    lam, vecs = np.linalg.eigh(a)
+    x, xt = _lyapunov_in_eigenbasis(a, lam, vecs, c, rate / float(lam.max()))
+    low, high = linalg._disc_range(xt)
+    eigenvalues = np.linalg.eigvalsh(x)
+    slack = 16.0 * dim * dim * EPS * np.maximum(np.abs(low), high)
+    assert np.all(eigenvalues[..., 0] >= low - slack)
+    assert np.all(eigenvalues[..., -1] <= high + slack)
+    # so the verdict the discs decide never passes a law that eigvalsh refuses
+    decided = linalg._spectrum_passes(dim, low, high)
+    assert not np.any(decided & _spd_verdict(eigenvalues).bad)
+
+
+def test_a_disc_radius_counts_the_column_as_well_as_the_row():
+    # an arrow Xt whose first column holds 0.9 under a unit diagonal: each
+    # row's disc stays right of 0.1, but (Xt + Xt^T) / 2 has the eigenvalue
+    # 1 - 0.45 sqrt(5) < 0, so X = (Xt + Xt^T) / 2 (V = I) fails its check
+    xt = np.eye(6)
+    xt[1:, 0] = 0.9
+    with pytest.raises(NotPositiveDefiniteError):
+        linalg._check_spd_by_discs((xt + xt.T) / 2.0, xt)
+
+
+def test_the_disc_check_reads_eigvalsh_only_where_the_discs_leave_it_open(monkeypatch):
+    # item 1's right side is v v^T for an eigenvector v of its Hessian, so
+    # its law has rank 1 and its discs reach 0; items 0 and 2 have C = I,
+    # whose laws the discs pass
+    a, c = _law_inputs(3, 4, 7, 1.0, "isotropic")
+    lam, vecs = np.linalg.eigh(a)
+    c[1] = np.outer(vecs[1][:, 0], vecs[1][:, 0])
+    x, xt = _lyapunov_in_eigenbasis(a, lam, vecs, c)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(len(m)) or eigvalsh(m))
+    linalg._check_spd_by_discs(x[::2], xt[::2])
+    assert calls == []
+    with pytest.raises(NotPositiveDefiniteError) as caught:
+        linalg._check_spd_by_discs(x, xt)
+    assert calls == [3]
+    assert str(caught.value) == str(_spd_verdict(eigvalsh(x)).error(1))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

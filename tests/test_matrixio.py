@@ -70,6 +70,39 @@ def test_parse_rejects_non_finite_entries(entry):
         matrixio.parse_vector(row)
 
 
+@pytest.mark.parametrize("token", ["1_0", "1__0", "_1", "\u0663", "\u0661\u0662.\u0665",
+                                   "1e400", "-1e400", "1e-400", "-0", "infinity", "-Infinity",
+                                   "nan", "0x10", "\xa01", "1\xa0", "1e", "\ud800"])
+def test_parse_reads_each_entry_as_float_does(token):
+    # float() on each token of the row loop is the reference for the one
+    # conversion of every entry; "\xa0" is whitespace, so "1\xa0" is "1"
+    text = f"2\n1 0\n0 {token}\n"
+    try:
+        value = float(token)
+    except ValueError:
+        with pytest.raises(ConfigError, match="^could not parse numeric row '0 "):
+            parse_matrix(text)
+        return
+    if not math.isfinite(value):
+        with pytest.raises(ConfigError, match="^numeric row '0 .* has non-finite entries"):
+            parse_matrix(text)
+        return
+    entries = parse_matrix(text)
+    assert entries[1, 1] == value and np.signbit(entries[1, 1]) == np.signbit(value)
+    assert entries.tolist() == [[1.0, 0.0], [0.0, value]]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2\n1 x\n0\n", "could not parse numeric row '1 x'"),
+    ("2\n1\n0 inf\n", "expected 2 entries per row, got 1"),
+    ("2\n1 0 0\nx\n", "expected 2 entries per row, got 3"),
+    ("2\n1 nan\n0 x\n", "numeric row '1 nan' has non-finite entries"),
+])
+def test_a_malformed_file_names_its_first_bad_row(text, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        parse_matrix(text)
+
+
 def test_parse_ignores_blank_lines():
     np.testing.assert_array_equal(parse_matrix("\n2\n1 0\n\n0 1\n  \n\n"), np.eye(2))
 

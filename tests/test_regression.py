@@ -44,7 +44,7 @@ from oupac import (
     stein_stationary_covariance,
 )
 from oupac import linalg, regression
-from oupac.rng import child_seed, make_rng
+from oupac.rng import _streams, child_seed, make_rng
 
 
 def default_task(noise_std: float = 1.0, dim: int = 2) -> RegressionTask:
@@ -517,8 +517,24 @@ def test_scaling_raises_what_the_loop_raises_first(monkeypatch, group_floats, ta
     sizes = _group_sizes(monkeypatch)
     assert _raised(lambda: scaling_experiment(task, ns, sgd, 0.05, master_seed=master_seed,
                                               trials_per_n=8)) == want
-    assert set(sizes) <= ({1} if group_floats == 1 else {8, 1})
-    assert 8 in sizes or group_floats == 1
+    # one group of every n's trials, or one trial each; then a replay of one each
+    assert set(sizes) <= ({1} if group_floats == 1 else {8 * len(ns), 1})
+    assert 8 * len(ns) in sizes or group_floats == 1
+
+
+def test_scaling_raises_a_later_n_failure_from_inside_a_mixed_group(monkeypatch):
+    # at master seed 221 every trial at n = 4 and 8 passes and trial 4 at
+    # n = 16 is unstable: the one group of all 24 trials raises, and its
+    # replay raises at its 21st trial what the loop raises
+    task = RegressionTask(np.array([0.3, -0.2]), make_spd(np.eye(2)), 1.0)
+    sgd = SgdDynamics(1.0, 10, np.eye(2))
+    _reference_scaling(task, [4, 8], sgd, 0.05, 221, 8)
+    want = _raised(lambda: _reference_scaling(task, [4, 8, 16], sgd, 0.05, 221, 8))
+    assert want[0] is UnstableDynamicsError
+    sizes = _group_sizes(monkeypatch)
+    assert _raised(lambda: scaling_experiment(task, [4, 8, 16], sgd, 0.05, master_seed=221,
+                                              trials_per_n=8)) == want
+    assert sizes == [24] + [1] * 21
 
 
 def test_results_do_not_depend_on_the_group_size(monkeypatch):
@@ -533,10 +549,34 @@ def test_results_do_not_depend_on_the_group_size(monkeypatch):
         results.append((bound_validity_experiment(*args, **kwargs).records,
                         scaling_experiment(task, [2, 8, 32], default_dynamics(), 0.05,
                                            master_seed=3, trials_per_n=7)))
-        # 13 trials of 60 floats, then 7 trials of 4, 16 and 64 floats
-        assert sizes == {1: [1] * 34, 240: [4, 4, 4, 1, 7, 7, 3, 3, 1]}.get(
-            group_floats, [13, 7, 7, 7])
+        # 13 trials of 60 floats, then in one pass 7 trials each of 4, 16 and 64 floats
+        assert sizes == {1: [1] * 34, 240: [4, 4, 4, 1, 15, 3, 3]}.get(
+            group_floats, [13, 21])
     assert all(result == results[0] for result in results[1:])
+
+
+@pytest.mark.parametrize("eigenvalues, lr, exact", [
+    ([1.0, 2.0], 0.5, False),
+    # radius 1 - 2^-52, within rounding of 1
+    ([1.0, 2.0], np.nextafter(1.0, 0.0), True),
+    # the smallest eigenvalue at the SPD tolerance
+    ([1e-10, 1.0], 0.5, True),
+])
+def test_the_checks_read_eigvalsh_only_near_their_thresholds(monkeypatch, eigenvalues, lr,
+                                                              exact):
+    hessian = np.diag(eigenvalues)[None]
+    lam = np.linalg.eigh(hessian)[0]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    assert regression._checked_spectrum(hessian, lam, lr).tolist() == lam.tolist()
+    assert calls == ([1] if exact else [])
+
+
+def test_each_trial_draws_its_data_with_child_seed_0_of_its_seed():
+    seeds = [0, 1, 2**32, 2**63, 2**64 - 1, *(child_seed(9, index) for index in range(5))]
+    want = _streams([child_seed(seed, 0) for seed in seeds])
+    assert regression._trial_streams(seeds).words.tobytes() == want.words.tobytes()
 
 
 def test_one_group_makes_the_same_decompositions_for_any_trial_count(monkeypatch):
