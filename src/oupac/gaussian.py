@@ -28,8 +28,9 @@ from . import linalg
 from .errors import (DimensionMismatchError, InvalidRangeError, NumericalInconsistencyError,
                      TooFewSamplesError, _integer, _real, _shown, _typed)
 from .linalg import (SpdMatrix, SymmetricMatrix, Verdict, _check_held, _check_same_dim,
-                     _frozen_vector, _item, _log_det_of_factor, _lyapunov_in_eigenbasis,
-                     cholesky_factor, log_det, make_spd, solve_continuous_lyapunov)
+                     _frozen_vector, _item, _kept_symmetric, _log_det_of_factor,
+                     _lyapunov_in_eigenbasis, cholesky_factor, log_det, make_spd,
+                     solve_continuous_lyapunov)
 from .rng import make_rng
 
 #: KL values in (-KL_CLAMP, 0) are treated as floating-point noise and
@@ -172,7 +173,7 @@ def stein_stationary_covariance(
     lr, batch_size = check_rate(lr, batch_size)
     rhs = _stationary_rhs(noise_cov, lr, batch_size).entries
     _check_same_dim(hessian.entries, rhs)
-    return SymmetricMatrix(_lyapunov_in_eigenbasis(hessian.entries, *hessian.eigh, rhs, lr)[0])
+    return _kept_symmetric(_lyapunov_in_eigenbasis(hessian.entries, *hessian.eigh, rhs, lr)[0])
 
 
 def _stationary_rhs(noise_cov: SymmetricMatrix, lr: float, batch_size: int) -> SymmetricMatrix:
@@ -189,19 +190,23 @@ def gaussian_pair_terms(sigma_q, sigma_p, shift: np.ndarray):
     The covariances are :class:`SpdMatrix` values or strict SPD entries; with
     leading stack axes ``(..., d, d)`` on ``sigma_q`` and ``(..., d)`` on
     ``shift`` (``sigma_p`` one matrix or a like stack), each term is an
-    array ``(...)``, one value per pair."""
+    array ``(...)``, one value per pair.  A shift, a difference of finite
+    means, is not finite only where it overflowed: its term is +inf (Sp^-1
+    is positive definite), and it is solved as zero, since a solve would
+    spread ``inf * 0`` into NaN."""
     lq = cholesky_factor(sigma_q)
     lp = cholesky_factor(sigma_p)
     shift = np.asarray(shift, dtype=float)
+    finite = np.isfinite(shift).all(axis=-1)
     # tr(Sp^-1 Sq) = ||Lp^-1 Lq||_F^2, and Lp^-1 shift, by one solve on [Lq | shift]
-    solved = np.concatenate([lq, shift[..., None]], axis=-1)
+    solved = np.concatenate([lq, np.where(finite[..., None], shift, 0.0)[..., None]], axis=-1)
     if not (lp.ndim == 2 and (lp == np.eye(len(lp))).all() and np.isfinite(solved).all()):
         # a solve by I returns a finite right side as it is, up to the sign of
         # a zero, which every term squares (a non-finite one spreads as NaN)
         solved = np.linalg.solve(lp, solved)
     half, white = solved[..., :-1], solved[..., -1:]
     log_det_ratio = _log_det_of_factor(lp) - _log_det_of_factor(lq)
-    maha = (white.swapaxes(-1, -2) @ white)[..., 0, 0][()]
+    maha = np.where(finite, (white.swapaxes(-1, -2) @ white)[..., 0, 0], np.inf)[()]
     return np.sum(half * half, axis=(-2, -1)), log_det_ratio, maha
 
 

@@ -7,6 +7,15 @@ M^T + Q`` for a symmetric M (exact stationary covariance of the linear
 stochastic recursion), and seeded random SPD generation for tests.
 Both solvers divide elementwise in an eigenbasis, of A or of M.
 
+A public solve costs its decompositions and little else.
+:func:`solve_discrete_stein` makes one ``eigh`` of M and six d x d
+products: two into the eigenbasis, two back, and ``M X M^T`` for the
+residual.  :func:`solve_continuous_lyapunov` reads the SPD value's kept
+``eigh`` (made at its first use) and makes six products: the same four,
+and ``A X`` and ``X A`` for the residual.  Each symmetrizes its solution
+once and judges it by one backward-error check, which for one matrix runs
+on Python floats.
+
 The private kernels shared with :mod:`oupac.regression` and
 :func:`oupac.bounds.lemma2_survey` (the random SPD draw, the SPD checks,
 the eigenbasis solve, the backward-error check) take arrays with leading stack
@@ -27,6 +36,7 @@ everything here is safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -93,7 +103,8 @@ class Verdict(NamedTuple):
 
     def check(self) -> None:
         """Raise the error of the first failing item, if any."""
-        if np.count_nonzero(self.bad):
+        # the verdict of one matrix is a scalar, read as it is
+        if np.count_nonzero(self.bad) if isinstance(self.bad, np.ndarray) else self.bad:
             raise self.error(int(np.flatnonzero(self.bad)[0]))
 
     def __or__(self, other: Verdict) -> Verdict:
@@ -163,19 +174,26 @@ def _symmetrized(entries: np.ndarray) -> np.ndarray:
     ``M/2 + M^T/2`` so that it is finite wherever M is.  Halving is exact
     above the subnormal range, so this has the bits of the plain sum except
     where an entry below about 2^-1021 loses its last bit."""
-    half = entries / 2.0
+    half = entries * 0.5  # the bits of entries / 2
     return half + half.swapaxes(-1, -2)
 
 
-def _as_square_array(entries, name: str = "matrix", finite: bool = True) -> np.ndarray:
+def _as_square_array(entries, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(entries, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotSquareError(f"{name} must be square, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise NotSquareError(f"{name} must have dimension >= 1")
-    if finite and not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise _non_finite(name)
     return arr
+
+
+def _all_finite(entries: np.ndarray) -> bool:
+    """Whether every entry is finite.  Their sum of squares, one dot product,
+    is finite only then; only where it is not (or where it overflows, from
+    entries of about 1e154) are the entries tested one by one."""
+    return math.isfinite(np.vdot(entries, entries)) or bool(np.isfinite(entries).all())
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -213,7 +231,10 @@ class SymmetricMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = _as_square_array(self.entries)
+        entries = np.asarray(self.entries, dtype=float)
+        if not (entries.ndim == 2 and 0 < len(entries) == entries.shape[1]
+                and _all_finite(entries)):
+            _as_square_array(entries)  # raises the error of the first check that fails
         object.__setattr__(self, "entries", _read_only(_symmetrized(entries)))
 
     @property
@@ -253,6 +274,14 @@ class SpdMatrix(SymmetricMatrix):
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         values, vectors = np.linalg.eigh(self.entries)
         return _read_only(values), _read_only(vectors)
+
+
+def _kept_symmetric(entries: np.ndarray) -> SymmetricMatrix:
+    """A :class:`SymmetricMatrix` of ``entries``, which a solve has already
+    symmetrized and checked, frozen as they are: no second halving."""
+    value = object.__new__(SymmetricMatrix)
+    object.__setattr__(value, "entries", _read_only(entries))
+    return value
 
 
 def _spd_verdict(eigenvalues: np.ndarray) -> Verdict:
@@ -364,7 +393,7 @@ def solve_continuous_lyapunov(a: SpdMatrix, q: SymmetricMatrix) -> SymmetricMatr
     _typed(a, SpdMatrix, "a")
     q_entries = _symmetric_entries(q)
     _check_same_dim(a.entries, q_entries)
-    return SymmetricMatrix(_lyapunov_in_eigenbasis(a.entries, *a.eigh, q_entries)[0])
+    return _kept_symmetric(_lyapunov_in_eigenbasis(a.entries, *a.eigh, q_entries)[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow fails a check instead
@@ -375,22 +404,33 @@ def _lyapunov_in_eigenbasis(a: np.ndarray, lam: np.ndarray, vecs: np.ndarray,
     chain's Stein law divided by lr), and the law in the eigenbasis, ``Xt =
     (V^T Q V) / denom``, whose discs :func:`_check_spd_by_discs` reads.  A
     denominator, summed from positive terms as ``lam_i h_j + h_i lam_j``, ``h =
-    1 - lr lam / 2``, is not positive exactly where ``lr * lam_max >= 2``, which
-    raises; so does a failing backward-error check, with ``||A||_2 =
-    lam_max``."""
+    1 - lr lam / 2`` (``lam_i + lam_j``, its bits, at lr = 0), is not positive
+    exactly where ``lr * lam_max >= 2``, which raises; so does a failing
+    backward-error check, with ``||A||_2 = lam_max``.  X is symmetrized once,
+    and only a finite X passes: an entry ``X_kj`` that is not finite makes
+    ``(A X)_kj`` not finite, since ``A_kk > 0``."""
     top = lam[..., -1]
-    half = 1.0 - 0.5 * lr * lam
+    half = 1.0 - 0.5 * lr * lam if lr else None
     rhs = q
-    if np.any(top > _HALF_MAX):  # a denominator could overflow: halve both sides
+    if top.max() > _HALF_MAX:  # a denominator could overflow: halve both sides
         lam, rhs = lam / 2.0, q / 2.0
-    denom = lam[..., :, None] * half[..., None, :] + half[..., :, None] * lam[..., None, :]
-    Verdict(~(denom > 0.0).all(axis=(-2, -1)), lambda i: SpectralRadiusTooLargeError(
+    if lr:
+        denom = lam[..., :, None] * half[..., None, :] + half[..., :, None] * lam[..., None, :]
+    else:
+        denom = lam[..., :, None] + lam[..., None, :]
+    positive = denom > 0.0
+    positive = positive.all() if positive.ndim == 2 else positive.all(axis=(-2, -1))
+    Verdict(~positive, lambda i: SpectralRadiusTooLargeError(
         f"lr * lambda_max = {lr * float(_item(top, i)):.6g} >= 2: the step map "
         f"I - lr*A has spectral radius >= 1 and the chain no stationary covariance")).check()
     x, xt = _solve_in_eigenbasis(vecs, rhs, denom)
     x = _symmetrized(x)
-    achieved = a @ x + x @ a - ((lr * a) @ x @ a if lr else 0.0)
-    _backward_verdict(achieved - q, x, q, top, 2.0 + lr * top,
+    residual = a @ x
+    residual += x @ a
+    if lr:
+        residual -= (lr * a) @ x @ a
+    residual -= q
+    _backward_verdict(residual, x, q, top, 2.0 + lr * top,
                       "SGD chain Stein" if lr else "continuous Lyapunov").check()
     return x, xt
 
@@ -421,19 +461,22 @@ def solve_discrete_stein(m, q: SymmetricMatrix) -> SymmetricMatrix:
     m_arr = m.entries if isinstance(m, SymmetricMatrix) else _as_square_array(m, "M")
     q_entries = _symmetric_entries(q)
     _check_same_dim(m_arr, q_entries)
-    if not np.array_equal(m_arr, m_arr.T):
+    if np.count_nonzero(m_arr != m_arr.T):
         raise InvalidSpecError("the Stein solve needs an exactly symmetric M; "
                                "every SGD step map I - lr*A is one")
     mu, vecs = np.linalg.eigh(m_arr)
-    rho = float(np.max(np.abs(mu)))
+    rho = max(abs(float(mu[-1])), abs(float(mu[0])))  # mu ascends
     if rho >= 1.0:
         raise SpectralRadiusTooLargeError(
             f"spectral radius {rho:.6g} >= 1: the recursion has no stationary covariance")
-    denom = 1.0 - mu[:, None] * mu[None, :]
+    denom = np.multiply.outer(mu, mu)
+    np.subtract(1.0, denom, out=denom)
     solution = SymmetricMatrix(_solve_in_eigenbasis(vecs, q_entries, denom)[0])
     x = solution.entries
-    _backward_verdict(x - m_arr @ x @ m_arr.T - q_entries, x, q_entries, 1.0, 1.0 + rho * rho,
-                      "discrete Stein").check()
+    residual = m_arr @ x @ m_arr.T
+    np.subtract(x, residual, out=residual)
+    residual -= q_entries
+    _backward_verdict(residual, x, q_entries, 1.0, 1.0 + rho * rho, "discrete Stein").check()
     return solution
 
 
@@ -484,12 +527,9 @@ def _spectrum_passes(dim: int, low: float | np.ndarray,
     whose norm is at most ``d high``, which moves an eigenvalue by at most
     about ``d^2 eps high``; the QR's Q, orthogonal to about ``d eps``, and
     ``eigvalsh``'s own backward error each add a small multiple of ``d eps
-    high``.  The factor 16 covers these constants with room: over d = 1 to
-    128, 20 matrices each, no computed eigenvalue left ``[low, high]`` by
-    more than ``22 eps high`` (d = 128, ``low = high``, where every
-    eigenvalue sits at an end of the range).  Only a range whose ratio
-    ``low / high`` is within rounding of ``PSD_RTOL`` fails this test; its
-    matrices take the ``eigvalsh`` check of :func:`_make_spd_stack`.
+    high``.  The factor 16 covers these constants with room.  Only a range
+    whose ratio ``low / high`` is within rounding of ``PSD_RTOL`` fails this
+    test; its matrices take the ``eigvalsh`` check of :func:`_make_spd_stack`.
 
     The same test decides two more ranges.  One is the eigenvalues that
     ``eigh`` returns for a matrix: they and ``eigvalsh``'s are each within a
@@ -504,12 +544,7 @@ def _spectrum_passes(dim: int, low: float | np.ndarray,
     passes, ``low > 0``, so every row sum of ``|Xt|`` is at most ``high``
     and the two products round X by at most about ``d eps`` times the
     entries of ``|V| |Xt| |V|^T``, whose norm is at most ``d high``: the
-    same ``d^2 eps high`` as for a drawn spectrum.  Over 9000 laws (d 1 to
-    64, condition up to 1e10, A and Q each scaled by up to 2^+-300, both
-    laws, isotropic, dense and rank-deficient right sides) no computed
-    eigenvalue of X left ``[low, high]`` by more than ``0.62 d^2 eps``
-    times the larger of ``|low|`` and ``high``, and the discs decided a
-    third of the laws, each of which ``eigvalsh`` passed."""
+    same ``d^2 eps high`` as for a drawn spectrum."""
     slack = 16.0 * dim * dim * _EPS * high
     return low - slack > PSD_RTOL * (high + slack)
 
@@ -573,7 +608,8 @@ def _solve_in_eigenbasis(vecs: np.ndarray, rhs: np.ndarray,
     """``(V Xt V^T, Xt)`` with ``Xt = (V^T R V) / denom``: divide elementwise in
     the basis V (leading stack axes broadcast)."""
     vecs_t = vecs.swapaxes(-1, -2)
-    xt = (vecs_t @ rhs @ vecs) / denom
+    xt = vecs_t @ rhs @ vecs
+    xt /= denom
     return vecs @ xt @ vecs_t, xt
 
 
@@ -598,7 +634,7 @@ def _frobenius(entries: np.ndarray) -> np.ndarray:
 
 def _frobenius_parts(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(m, p)`` with Frobenius norm ``m * 2^p`` of each matrix of a stack,
-    ``m`` finite wherever the matrix is.
+    ``m`` finite wherever the matrix is; of one matrix, a Python float and int.
 
     A stack, or a matrix whose sum of squares leaves the normal range, is
     scaled first by the power of two ``2^-p`` of each matrix's largest
@@ -606,13 +642,15 @@ def _frobenius_parts(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     <= inf``); the scaling is exact, so a norm whose squares stay in range
     keeps its bits.  A matrix whose squares stay in range has ``p = 0``."""
     if entries.ndim == 2:
-        squares = np.vdot(entries, entries)  # the bits of the dot below, and no warning
-        if _TINY <= squares < np.inf:
-            return np.sqrt(squares), 0
-    flat = entries.reshape(*entries.shape[:-2], 1, -1)
-    _, power = np.frexp(np.abs(flat).max(axis=-1, keepdims=True))
-    flat = np.ldexp(flat, -power)
-    return np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0], power[..., 0, 0]
+        squares = float(np.vdot(entries, entries))  # the bits of the dot below, and no warning
+        if _TINY <= squares < math.inf:
+            return math.sqrt(squares), 0
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        flat = entries.reshape(*entries.shape[:-2], 1, -1)
+        _, power = np.frexp(np.abs(flat).max(axis=-1, keepdims=True))
+        flat = np.ldexp(flat, -power)
+        norm, power = np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0], power[..., 0, 0]
+    return (float(norm), int(power)) if entries.ndim == 2 else (norm, power)
 
 
 def _backward_verdict(residual: np.ndarray, x: np.ndarray, q: np.ndarray, norm, factor,
@@ -623,7 +661,8 @@ def _backward_verdict(residual: np.ndarray, x: np.ndarray, q: np.ndarray, norm, 
     any size, ``factor`` at most 4)."""
     eta = _backward_errors(residual, x, q, norm, factor)
     bound = BACKWARD_UNITS * x.shape[-1] * _EPS
-    return Verdict(~(eta <= bound), lambda i: ResidualTooLargeError(
+    bad = not eta <= bound if residual.ndim == 2 else ~(eta <= bound)  # a NaN eta fails
+    return Verdict(bad, lambda i: ResidualTooLargeError(
         f"{label} solve residual has backward error {_item(eta, i):.3g}, above "
         f"{BACKWARD_UNITS:g} d eps = {bound:.3g}"
     ))
@@ -633,7 +672,12 @@ def _backward_errors(residual: np.ndarray, x: np.ndarray, q: np.ndarray, norm, f
     """The eta of :func:`_backward_verdict`.  Each norm is taken as ``m *
     2^p`` and the sum is formed at the larger power, so that no term
     overflows or underflows where eta itself is in range; an exact zero
-    residual has eta = 0, and a non-finite one fails."""
+    residual has eta = 0, and a non-finite one fails.  A 2-D residual (one
+    matrix) takes the same steps on Python floats, which give the same bits
+    as numpy's, an overflow to inf and a NaN quotient included, with none of
+    numpy's per-call cost."""
+    if residual.ndim == 2:
+        return _backward_error(residual, x, q, float(norm), float(factor))
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         r_norm, r_pow = _frobenius_parts(residual)
         x_norm, x_pow = _frobenius_parts(x)
@@ -647,3 +691,25 @@ def _backward_errors(residual: np.ndarray, x: np.ndarray, q: np.ndarray, norm, f
                          np.where(q_frac == 0.0, x_pow, q_pow))
         denom = np.ldexp(x_frac, x_pow - top) + np.ldexp(q_frac, q_pow - top)
         return np.where(r_norm == 0.0, 0.0, np.ldexp(r_norm / denom, r_pow - top))
+
+
+def _backward_error(residual: np.ndarray, x: np.ndarray, q: np.ndarray, norm: float,
+                    factor: float) -> float:
+    """The stacked steps of :func:`_backward_errors` on one matrix."""
+    r_norm, r_pow = _frobenius_parts(residual)
+    if r_norm == 0.0:
+        return 0.0
+    x_norm, x_pow = _frobenius_parts(x)
+    q_norm, q_pow = _frobenius_parts(q)
+    w_frac, w_pow = math.frexp(norm)
+    x_frac, x_shift = math.frexp(w_frac * factor * x_norm)
+    q_frac, q_shift = math.frexp(q_norm)
+    x_pow, q_pow = x_pow + w_pow + x_shift, q_pow + q_shift
+    top = max(q_pow if x_frac == 0.0 else x_pow, x_pow if q_frac == 0.0 else q_pow)
+    # neither term exceeds 1 at the power top, so only the quotient can overflow
+    denom = math.ldexp(x_frac, x_pow - top) + math.ldexp(q_frac, q_pow - top)
+    quotient = r_norm / denom if denom else r_norm * math.inf  # numpy's r / 0
+    try:
+        return math.ldexp(quotient, r_pow - top)
+    except OverflowError:
+        return math.inf

@@ -849,6 +849,8 @@ def _stage_flags(prefix: str, hessian: str, factor: str) -> list[str]:
 
 
 @pytest.mark.parametrize("argv, expected", [
+    (["lyapunov", "--a", "h.txt", "--q", "s.txt", "--eta", "0.1", "--batch", "10"],
+     {"cholesky": 0, "eigh": 1, "eigvalsh": 1, "solve": 0}),
     (["kl", "--q", "q.txt", "--p", "p.txt", "--mc-draws", "1000"],
      {"cholesky": 2, "eigh": 0, "eigvalsh": 2}),
     (["dominance", "--sigma-pt", "h.txt", "--sigma-ft", "s.txt", "--shift", "1,0,0",
@@ -868,8 +870,8 @@ def _stage_flags(prefix: str, hessian: str, factor: str) -> list[str]:
     (["scaling", "--weights", "0.3,-0.2,0.1", "--feature-cov", "h.txt", "--ns", "9,18,36",
       "--trials", "5"],
      {"cholesky": 6, "eigh": 1, "eigvalsh": 2, "solve": 6}),
-], ids=["kl", "dominance", "two-stage-analytic_sample", "two-stage-chain_continue", "simulate",
-        "validity", "scaling"])
+], ids=["lyapunov", "kl", "dominance", "two-stage-analytic_sample", "two-stage-chain_continue",
+        "simulate", "validity", "scaling"])
 def test_each_spd_value_decomposes_once_per_call(capsys, monkeypatch, tmp_path, argv, expected):
     # every SPD value is decomposed once: cholesky once per covariance used (the
     # pre-training bound reads sigma_pt's log det from its factor), eigh once per
@@ -882,7 +884,8 @@ def test_each_spd_value_decomposes_once_per_call(capsys, monkeypatch, tmp_path, 
     # Gershgorin discs decide), and cholesky once for the feature covariance,
     # once for the prior, once per sample size for the fits and once for the
     # posteriors' KL, whose identity prior takes no solve (the two solves of a
-    # least-squares fit remain)
+    # least-squares fit remain).  A Lyapunov solve takes A's eigvalsh, at its
+    # SPD check, and one eigh, and no other decomposition
     write_matrix(tmp_path / "h.txt", [[2.0, 0.5, 0.0], [0.5, 1.0, 0.1], [0.0, 0.1, 1.5]])
     write_matrix(tmp_path / "s.txt", [[1.5, 0.2, 0.0], [0.2, 0.8, 0.0], [0.0, 0.0, 1.2]])
     write_matrix(tmp_path / "b.txt", [[0.5, 0.1, 0.0], [0.0, 0.4, 0.1], [0.0, 0.0, 0.3]])
@@ -935,7 +938,8 @@ def test_lyapunov_at_the_largest_eta_exits_0(capsys, identity_file):
 
 
 def test_kl_of_means_whose_difference_overflows_exits_3_with_one_line(capsys, tmp_path):
-    # p.mean - q.mean overflows; the overflow was once printed as a warning
+    # p.mean - q.mean overflows, which makes the term +inf; the overflow was
+    # once printed as a warning, and the term as NaN
     write_gaussian(tmp_path / "q.txt", [1e308, 0.0], np.eye(2))
     write_gaussian(tmp_path / "p.txt", [-1e308, 0.0], np.eye(2))
     with warnings.catch_warnings():
@@ -944,7 +948,7 @@ def test_kl_of_means_whose_difference_overflows_exits_3_with_one_line(capsys, tm
                                  "--p", str(tmp_path / "p.txt"), "--mc-draws", "1000")
     assert (code, out) == (3, "")
     assert err == ("error in kl: a Gaussian-pair term or divergence is not finite "
-                   "(tr(Sp^-1 Sq) = 2, log det Sp - log det Sq = 0, shift^T Sp^-1 shift = nan): "
+                   "(tr(Sp^-1 Sq) = 2, log det Sp - log det Sq = 0, shift^T Sp^-1 shift = inf): "
                    "an input is too large for float64\n")
 
 

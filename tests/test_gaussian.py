@@ -7,6 +7,7 @@ were computed with a 40-digit mpmath evaluation of the closed forms.
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -489,11 +490,27 @@ def test_an_identity_prior_skips_the_solve_and_keeps_every_bit(monkeypatch):
     got = gaussian_pair_terms(sigma_q, make_spd(np.eye(4)), shift)
     assert calls == []
     assert [term.tobytes() for term in got] == [term.tobytes() for term in want]
-    # a factor one ulp from I, and a right side that is not finite, are solved
+    # a factor one ulp from I is solved
     near = np.eye(4)
     near[3, 0] = 5e-324
     gaussian_pair_terms(sigma_q, near @ near.T, shift)
-    with np.errstate(invalid="ignore"):
-        _, _, maha = gaussian_pair_terms(sigma_q[0], np.eye(4), np.array([np.inf, 0.0, 0.0, 0.0]))
-    assert len(calls) == 2
-    assert np.isnan(maha)  # a solve spreads the inf as NaN, which a message prints
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("identity", [True, False])
+def test_an_overflowed_shift_has_an_infinite_term_and_leaves_the_others(identity):
+    # a mean difference that overflowed is solved as zero, so no inf * 0 of a
+    # solve spreads into NaN, and its term is +inf; every other term keeps its bits
+    sigma_q = np.array([_spd_with_condition(4, 3.0, seed).entries for seed in range(3)])
+    sigma_p = make_spd(np.eye(4) if identity else _spd_with_condition(4, 5.0, 7).entries)
+    shift = make_rng(5, 2).standard_normal((3, 4))
+    overflowed = shift.copy()
+    overflowed[1] = [np.inf, 0.0, -np.inf, 1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gaussian_pair_terms(sigma_q, sigma_p, overflowed)
+        single = gaussian_pair_terms(sigma_q[1], sigma_p, overflowed[1])
+    want = gaussian_pair_terms(sigma_q, sigma_p, shift)
+    assert got[2][1] == single[2] == np.inf
+    assert np.array_equal(np.delete(got[2], 1), np.delete(want[2], 1))
+    assert [term.tobytes() for term in got[:2]] == [term.tobytes() for term in want[:2]]

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oupac import (
@@ -255,6 +255,25 @@ class TestContinuousLyapunov:
         theirs = scipy.linalg.solve_continuous_lyapunov(a.entries, q.entries)
         np.testing.assert_allclose(ours, theirs, rtol=1e-9, atol=1e-12)
 
+    def test_a_solution_has_the_bits_its_check_judged_at_subnormal_entries(self):
+        # each law is symmetrized once, in the kernel that checks it; a second
+        # halving would move the last bit of an odd subnormal entry, here the
+        # off-diagonal entry near 2^-1024 of a law near 2^-1013
+        moved = 0
+        for seed in range(8):
+            angle = make_rng(seed).uniform(0.1, 1.4)
+            rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+            a = make_spd((rot * [1.0, 1.001]) @ rot.T)
+            q = SymmetricMatrix(2.0**-1012 * np.eye(2))
+            noise = SymmetricMatrix(2.0**-1002 * np.eye(2))  # lr = 2^-10 makes q
+            for law, lr in ((solve_continuous_lyapunov(a, q), 0.0),
+                            (stein_stationary_covariance(a, noise, 2.0**-10, 1), 2.0**-10)):
+                want = _lyapunov_in_eigenbasis(a.entries, *a.eigh, q.entries, lr)[0]
+                assert law.entries.tobytes() == want.tobytes()
+                assert 0.0 < abs(want[0, 1]) < 2.0**-1022
+                moved += not np.array_equal(linalg._symmetrized(want), want)
+        assert moved >= 4
+
     def test_rhs_doubling_doubles_solution_exactly(self):
         a = random_spd(5, 0.3, 3.0, seed=21)
         q = random_symmetric(5, seed=22)
@@ -409,11 +428,29 @@ class TestDiscreteStein:
             want = solve_discrete_stein(m, q).entries
             assert np.array_equal(solve_discrete_stein(wrap(m), q).entries, want)
 
+    def test_a_solve_makes_one_eigh_and_no_other_decomposition(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh", "cholesky", "solve"):
+            def counted(*args, name=name, original=getattr(np.linalg, name)):
+                calls.append(name)
+                return original(*args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        m = random_symmetric_map(8, seed=3, radius=0.9)
+        q = random_symmetric(8, seed=4)
+        for operand in (m, SymmetricMatrix(m)):
+            calls.clear()
+            solve_discrete_stein(operand, q)
+            assert calls == ["eigh"]
+
     def test_unstable_map_rejected(self):
         with pytest.raises(SpectralRadiusTooLargeError):
             solve_discrete_stein(np.array([[1.0]]), SymmetricMatrix([[1.0]]))
         with pytest.raises(SpectralRadiusTooLargeError):
             solve_discrete_stein(1.5 * np.eye(3), SymmetricMatrix(np.eye(3)))
+        # the radius is read at both ends of the spectrum: here at the negative end
+        for low in (-1.0, -1.5):
+            with pytest.raises(SpectralRadiusTooLargeError, match=f"^spectral radius {-low:g} >= 1"):
+                solve_discrete_stein(np.diag([low, 0.5]), SymmetricMatrix(np.eye(2)))
 
 
 class TestFrobenius:
@@ -447,6 +484,26 @@ class TestFrobenius:
                 solve_continuous_lyapunov(make_spd(np.eye(2)), q)
             with pytest.raises(ResidualTooLargeError, match="discrete Stein"):
                 solve_discrete_stein(0.5 * np.eye(2), q)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_law_that_is_not_finite_fails_its_check(self, monkeypatch, bad):
+        # a law is kept as the kernel returns it, with no finiteness test of its
+        # own: an entry X_kj that is not finite makes (A X)_kj not finite
+        solve = linalg._solve_in_eigenbasis
+
+        def broken_solve(*args):
+            x, xt = solve(*args)
+            x[..., 1, 0] = bad
+            return x, xt
+
+        monkeypatch.setattr(linalg, "_solve_in_eigenbasis", broken_solve)
+        a = random_spd(3, 0.5, 2.0, seed=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResidualTooLargeError, match="backward error nan"):
+                solve_continuous_lyapunov(a, SymmetricMatrix(np.eye(3)))
+            with pytest.raises(ResidualTooLargeError, match="backward error nan"):
+                stein_stationary_covariance(a, SymmetricMatrix(np.eye(3)), 0.1, 1)
 
 
 def _grid_hessian(dim: int) -> SpdMatrix:
@@ -830,6 +887,50 @@ def test_stacked_backward_check_matches_per_matrix_checks(count, dim, seed, log_
             want / (16 * dim * EPS) - 1.0) < 1e-12
         if single.bad:
             assert str(verdict.error(index)) == str(single.error(0))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    powers=st.tuples(*[st.integers(-1074, 1023)] * 4),
+    zero=st.sampled_from(["", "r", "x", "q", "xq", "rxq"]),
+    special=st.sampled_from([0.0, np.inf, -np.inf, np.nan]),
+    factor=st.floats(1.0, 4.0),
+)
+@example(dim=2, seed=1, powers=(-1074, -1074, -1074, 0), zero="", special=0.0, factor=2.0)
+@example(dim=2, seed=1, powers=(1023, 1023, 1023, 1023), zero="", special=0.0, factor=4.0)
+@example(dim=2, seed=1, powers=(1000, -1074, -1074, -1074), zero="", special=0.0, factor=1.0)
+@example(dim=3, seed=2, powers=(0, 0, 0, 0), zero="xq", special=0.0, factor=2.0)
+@example(dim=3, seed=2, powers=(0, 0, 0, 0), zero="xq", special=np.nan, factor=2.0)
+@example(dim=3, seed=2, powers=(0, 0, 0, 0), zero="r", special=0.0, factor=2.0)
+@example(dim=3, seed=2, powers=(0, 0, 0, 0), zero="rxq", special=0.0, factor=2.0)
+@example(dim=1, seed=3, powers=(0, 1023, 0, 1023), zero="", special=np.inf, factor=4.0)
+def test_one_matrix_eta_has_the_bits_of_the_stacked_eta(dim, seed, powers, zero, special,
+                                                        factor):
+    # R, X and Q scaled by 2^p (p = -1074 leaves few bits, or none; p = 1023
+    # overflows some entries of X or Q), each possibly zero, and one entry of R
+    # possibly inf or NaN: an eta that overflows is inf, X = Q = 0 divides by 0
+    # (R = 0 then has eta = 0), and a NaN or inf / inf quotient is NaN, in both paths
+    rng = make_rng(seed)
+    with np.errstate(over="ignore", under="ignore"):
+        r, x, q = (2.0**p * rng.standard_normal((dim, dim)) for p in powers[:3])
+        norm = float(2.0**powers[3] * rng.uniform(0.5, 1.0))
+    for name in zero:
+        {"r": r, "x": x, "q": q}[name][...] = 0.0
+    if special:
+        r[0, -1] = special
+    single = linalg._backward_errors(r, x, q, norm, factor)
+    stacked = linalg._backward_errors(r[None], x[None], q, np.array([norm]), factor)
+    assert type(single) is float and stacked.shape == (1,)
+    assert (np.isnan(single) and np.isnan(stacked[0])) or (
+        np.float64(single).tobytes() == stacked[0].tobytes())
+    bound = 16 * dim * EPS
+    verdicts = (_backward_verdict(r, x, q, norm, factor, "t"),
+                _backward_verdict(r[None], x[None], q, np.array([norm]), factor, "t"))
+    assert bool(verdicts[0].bad) == bool(verdicts[1].bad[0]) == (not single <= bound)
+    if verdicts[0].bad:
+        assert str(verdicts[0].error(0)) == str(verdicts[1].error(0))
 
 
 def _kernel_cases():

@@ -206,3 +206,25 @@ def test_no_window_value_rounds_up_to_a_power_of_ten():
         below = math.nextafter(float(power), 0) if Fraction(float(power)) >= power \
             else float(power)
         assert Fraction(below) < power * (1 - Fraction(1, 2 * 10**17)), n
+
+
+#: Step numbers at the edges of '%d': every 10^k - 1 and 10^k, and the largest.
+_STEP_EDGES = np.array(sorted({2**63 - 1} | {10**k - j for k in range(19) for j in (0, 1)}),
+                       dtype=np.int64)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 10), rows=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_format_rows_leads_each_line_with_its_step_as_percent_d(dim, rows, seed):
+    # the step column of a chain's CSV, over 1 to 4 rows, or a block's rows
+    # less one, as many or one more (drawn as 5, 6 or 7)
+    if rows > 4:
+        rows += matrixio._block_rows(dim) - 6
+    rng = make_rng(seed)
+    edges = np.roll(np.resize(_STEP_EDGES, rows), rng.integers(len(_STEP_EDGES)))
+    index = np.where(rng.random(rows) < 0.5, edges,
+                     rng.integers(0, 2**63 - 1, rows, dtype=np.int64, endpoint=True))
+    values = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-20, 20, (rows, dim))
+    want = "".join(",".join(["%d" % step] + [FLOAT_FORMAT % v for v in row]) + "\n"
+                   for step, row in zip(index.tolist(), values.tolist()))
+    assert format_rows(values, ",", index) == want
