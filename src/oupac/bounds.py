@@ -8,9 +8,11 @@ Monte-Carlo KL oracle confirms, and the flipped ``+log det`` variant,
 which is always computed and reported alongside as ``paper_literal_kl``
 so the two can be compared.  All logarithms are natural.
 
-D, the paper-literal D and D~ have one home, :func:`_discrepancies`,
-which takes one pair or a stack of pairs, Lemma 2's margin D~ - D one,
-:func:`_lemma2_margin`, and the complexity term one, :func:`_mcallester`.
+D, the paper-literal D, D~ and Lemma 2's margin D~ - D have one home,
+:func:`oupac.gaussian._pair_divergences`, which takes one pair or a stack
+of pairs and also gives the KL (D / 2) and the pre-training divergence
+(D against the N(0, I) prior), and the complexity term one,
+:func:`_mcallester`.
 :func:`lemma2_survey` evaluates the pairs of all its dimensions as one
 pipeline of stacks, arrays with a leading pair axis, in the groups of
 :func:`oupac.linalg._in_groups`, each sized by what its pairs hold, so a
@@ -36,10 +38,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, InvalidSpecError, NumericalInconsistencyError,
-                     _integer, _real, _typed)
+from .errors import DimensionMismatchError, InvalidSpecError, _integer, _real, _typed
 from .gaussian import _check_float_count, _pair_divergences, check_rate
-from .linalg import (SpdMatrix, SymmetricMatrix, _check_held, _eigenvalue_range,
+from .linalg import (SpdMatrix, SymmetricMatrix, _check_held, _eigenvalue_range, _finite,
                      _frozen_vector, _in_groups, _random_spd_stack, log_det)
 # cholesky_factor is not called here; bench/tests/test_bench_trace.py reads it from here
 from .linalg import cholesky_factor  # noqa: F401
@@ -172,58 +173,24 @@ def _report(kl_term: float, paper_literal_kl: float, spec: SampleSpec, notes: st
 def pretrain_bound(sigma_pt: SpdMatrix, spec: SampleSpec) -> BoundReport:
     """Bound report for the pre-training stage against the N(0, I) prior.
 
-    ``kl_term = tr(S - I) - log det S = 2 KL(N(0, S) || N(0, I))`` and
-    ``complexity_term = sqrt((kl_term + 2 log(1/delta) + 2 log N + 4)
-    / (4N - 2))``.  Raises :class:`NumericalInconsistencyError` if
-    ``tr S`` overflows.
+    ``kl_term = tr(S - I) - log det S = 2 KL(N(0, S) || N(0, I))``, the D
+    of the pair (I, S) at zero shift, and ``complexity_term = sqrt((kl_term
+    + 2 log(1/delta) + 2 log N + 4) / (4N - 2))``.  Raises
+    :class:`NumericalInconsistencyError` if a pair term or divergence is
+    not finite.
     """
     d = _typed(sigma_pt, SpdMatrix, "sigma_pt").dim
     _typed(spec, SampleSpec, "spec")
-    with np.errstate(over="ignore"):
-        trace = float(np.trace(sigma_pt.entries))
-    if not math.isfinite(trace):
-        raise NumericalInconsistencyError(
-            f"pre-training divergence is not finite (tr S = {trace:.6g}): an input is too "
-            f"large for float64")
-    ldet = log_det(sigma_pt)
-    return _report(trace - d - ldet, ldet + trace - d, spec,
+    kl_term, literal, _, _ = _pair_divergences(sigma_pt, np.eye(d), np.zeros(d))
+    return _report(float(kl_term), float(literal), spec,
                    "divergence vs standard Gaussian prior; kl_term = 2*KL")
 
 
-def _discrepancies(sigma_pt, sigma_ft, shift: np.ndarray) -> tuple:
-    """(D, paper-literal D, D~, Lemma 2's margin) of each pair of a stack
-    (leading axes on every argument) or of one pair, from one
-    gaussian_pair_terms call; raises if one of them or a term is not
-    finite.  D is exactly 2 KL."""
-    d = shift.shape[-1]
-
-    def formulas(trace, log_det_ratio, maha):
-        base = trace - d + maha
-        return (base + log_det_ratio, base - log_det_ratio,
-                _log(trace) + trace + maha + d * math.log(d) - d,
-                _lemma2_margin(trace, log_det_ratio, d))
-
-    return _pair_divergences(sigma_ft, sigma_pt, shift, formulas)
-
-
-def _lemma2_margin(trace, log_det_ratio, d: int):
-    """Lemma 2's margin ``D~ - D = log t + d log d + log det R``, R = Spt^-1 Sft,
-    t = tr R, from the pair terms: the shift term of D and D~ cancels."""
-    return _log(trace) + d * math.log(d) - log_det_ratio
-
-
-def _log(values) -> np.ndarray:
-    # math.log, not np.log: numpy's SIMD log differs from libm in the last
-    # bit for about 1 value in 2000, which would move the surveys' digits
-    values = np.asarray(values)
-    return np.reshape([math.log(v) if v > 0 else -math.inf for v in values.ravel().tolist()],
-                      values.shape)
-
-
 def _pair_discrepancies(pair: DomainPair) -> tuple[float, float, float, float]:
-    """:func:`_discrepancies` of one pair, as floats; raises if one is not finite."""
+    """(D, paper-literal D, D~, Lemma 2's margin) of one pair, as floats;
+    raises if one is not finite."""
     _typed(pair, DomainPair, "pair")
-    return tuple(map(float, _discrepancies(pair.sigma_pt, pair.sigma_ft, pair.shift)))
+    return tuple(map(float, _pair_divergences(pair.sigma_ft, pair.sigma_pt, pair.shift)))
 
 
 def discrepancy_d(pair: DomainPair, paper_literal: bool = False) -> float:
@@ -269,7 +236,7 @@ def finetune_bound_dimension(pair: DomainPair, spec: SampleSpec) -> BoundReport:
 def lemma2_check(pair: DomainPair) -> Lemma2Result:
     """Compare the two discrepancies on one pair.
 
-    ``margin`` is :func:`_lemma2_margin`, which does not read the shift, and
+    ``margin`` is D~ - D, which does not read the shift, and
     ``holds`` is ``margin >= -HOLDS_TOLERANCE``: the ordering holds exactly
     when ``tr(R) det(R) >= d^-d``, at d = 1 when ``Sft >= Spt``.  It fails
     for some SPD pairs, so this is a report, not an assertion.
@@ -358,13 +325,13 @@ def _survey_group(items, dims, pairs_per_dim, seed, eigenvalue_low, eigenvalue_h
         stop = min(items.stop, (start // pairs_per_dim + 1) * pairs_per_dim)
         entries = _random_spd_stack(d, eigenvalue_low, eigenvalue_high,
                                     streams[2 * (start - items.start):2 * (stop - items.start)])
-        margins.extend(_pair_divergences(
-            entries[1::2], entries[0::2], np.zeros((stop - start, d)),
-            lambda trace, log_det_ratio, _: (_lemma2_margin(trace, log_det_ratio, d),)))
+        margins.append(_pair_divergences(entries[1::2], entries[0::2],
+                                         np.zeros((stop - start, d)))[3])
         start = stop
     return (np.concatenate(margins),)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a bound that is not finite raises
 def kl_upper_bound_trace(
     hessian: SpdMatrix,
     noise_cov: SymmetricMatrix,
@@ -377,7 +344,8 @@ def kl_upper_bound_trace(
     ``(lr / batch_size) * tr(C A^-1) / 4 - log det(S) / 2 - d / 2``.
     The stationary covariance satisfies ``tr(S) = (lr / batch_size)
     * tr(C A^-1) / 2`` exactly, so when ``sigma`` is the stationary
-    solution this equals the exact KL divergence.
+    solution this equals the exact KL divergence.  Raises
+    :class:`NumericalInconsistencyError` if the bound is not finite.
     """
     _typed(hessian, SpdMatrix, "hessian")
     _typed(noise_cov, SymmetricMatrix, "noise_cov")
@@ -390,7 +358,8 @@ def kl_upper_bound_trace(
     lr, batch_size = check_rate(lr, batch_size)
     trace_ca_inv = float(np.trace(np.linalg.solve(hessian.entries, noise_cov.entries)))
     d = hessian.dim
-    return 0.25 * (lr / batch_size) * trace_ca_inv - 0.5 * log_det(sigma) - 0.5 * d
+    return _finite(0.25 * (lr / batch_size) * trace_ca_inv - 0.5 * log_det(sigma) - 0.5 * d,
+                   "trace bound")
 
 
 def dominance_report(pair: DomainPair, spec_pt: SampleSpec, spec_ft: SampleSpec) -> DominanceReport:

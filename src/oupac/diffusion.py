@@ -63,7 +63,7 @@ from .errors import (DimensionMismatchError, InvalidRangeError, NumericalInconsi
                      TooFewSamplesError, UnstableDynamicsError, _integer, _real, _shown,
                      _typed)
 from .gaussian import MomentEstimate, check_rate, sample, stationary_from_dynamics
-from .linalg import SpdMatrix, SymmetricMatrix, _check_held, _frozen_vector, _read_only
+from .linalg import SpdMatrix, SymmetricMatrix, _check_held, _finite, _frozen_vector, _read_only
 from .matrixio import _block_rows
 from .rng import child_seed, make_rng
 
@@ -97,9 +97,10 @@ class QuadraticLoss:
     def dim(self) -> int:
         return self.hessian.dim
 
+    @np.errstate(over="ignore", invalid="ignore")  # a value that is not finite raises
     def value(self, theta: np.ndarray) -> float:
-        return float(_quadratic_values(self.hessian.entries, self.minimizer, self.offset,
-                                       np.asarray(theta, dtype=float)))
+        return _finite(float(_quadratic_values(self.hessian.entries, self.minimizer, self.offset,
+                                               np.asarray(theta, dtype=float))), "loss value")
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         return self.hessian.entries @ (np.asarray(theta, dtype=float) - self.minimizer)

@@ -6,10 +6,10 @@ moment estimate that the chain estimators of :mod:`oupac.diffusion`
 return, and a Monte-Carlo KL estimator used as an independent oracle for
 the closed form.
 
-Every Gaussian-pair divergence (the KL here, the discrepancies of
-:mod:`oupac.bounds`) goes through :func:`_pair_divergences`: an input too
-large for float64 raises :class:`NumericalInconsistencyError` instead of
-giving ``inf`` or NaN.
+Every Gaussian-pair divergence (the KL here, the discrepancies and the
+pre-training divergence of :mod:`oupac.bounds`) is a value of
+:func:`_pair_divergences`: an input too large for float64 raises
+:class:`NumericalInconsistencyError` instead of giving ``inf`` or NaN.
 
 Sampling, densities and the pair terms read a covariance's Cholesky
 factor, and the normalizer its log-determinant, from its
@@ -20,6 +20,7 @@ factored at each call and nothing of it is kept.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from . import linalg
 from .errors import (DimensionMismatchError, InvalidRangeError, NumericalInconsistencyError,
                      TooFewSamplesError, _integer, _real, _shown, _typed)
 from .linalg import (SpdMatrix, SymmetricMatrix, Verdict, _check_held, _check_same_dim,
-                     _frozen_vector, _item, _kept_symmetric, _log_det_of_factor,
+                     _finite, _frozen_vector, _item, _kept_symmetric, _log_det_of_factor,
                      _lyapunov_in_eigenbasis, cholesky_factor, log_det, make_spd,
                      solve_continuous_lyapunov)
 from .rng import make_rng
@@ -185,22 +186,25 @@ def _stationary_rhs(noise_cov: SymmetricMatrix, lr: float, batch_size: int) -> S
 def gaussian_pair_terms(sigma_q, sigma_p, shift: np.ndarray):
     """``(tr(Sp^-1 Sq), log det Sp - log det Sq, shift^T Sp^-1 shift)`` from one
     Cholesky factor of each covariance; every Gaussian-pair divergence here
-    (:func:`kl_divergence`, the discrepancies of :mod:`oupac.bounds`) sums them.
+    (:func:`_pair_divergences`) sums them.
 
     The covariances are :class:`SpdMatrix` values or strict SPD entries; with
     leading stack axes ``(..., d, d)`` on ``sigma_q`` and ``(..., d)`` on
     ``shift`` (``sigma_p`` one matrix or a like stack), each term is an
-    array ``(...)``, one value per pair.  A shift, a difference of finite
-    means, is not finite only where it overflowed: its term is +inf (Sp^-1
-    is positive definite), and it is solved as zero, since a solve would
+    array ``(...)``, one value per pair.  An identity ``sigma_p`` is its own
+    factor and is not factored.  A shift, a difference of finite means, is
+    not finite only where it overflowed: its term is +inf (Sp^-1 is
+    positive definite), and it is solved as zero, since a solve would
     spread ``inf * 0`` into NaN."""
     lq = cholesky_factor(sigma_q)
-    lp = cholesky_factor(sigma_p)
+    entries_p = getattr(sigma_p, "entries", sigma_p)
+    identity = entries_p.ndim == 2 and (entries_p == np.eye(len(entries_p))).all()
+    lp = entries_p if identity else cholesky_factor(sigma_p)
     shift = np.asarray(shift, dtype=float)
     finite = np.isfinite(shift).all(axis=-1)
     # tr(Sp^-1 Sq) = ||Lp^-1 Lq||_F^2, and Lp^-1 shift, by one solve on [Lq | shift]
     solved = np.concatenate([lq, np.where(finite[..., None], shift, 0.0)[..., None]], axis=-1)
-    if not (lp.ndim == 2 and (lp == np.eye(len(lp))).all() and np.isfinite(solved).all()):
+    if not (identity and np.isfinite(solved).all()):
         # a solve by I returns a finite right side as it is, up to the sign of
         # a zero, which every term squares (a non-finite one spreads as NaN)
         solved = np.linalg.solve(lp, solved)
@@ -210,15 +214,29 @@ def gaussian_pair_terms(sigma_q, sigma_p, shift: np.ndarray):
     return np.sum(half * half, axis=(-2, -1)), log_det_ratio, maha
 
 
-def _pair_divergences(sigma_q, sigma_p, shift: np.ndarray, formulas):
-    """``formulas(trace, log_det_ratio, maha)`` of the :func:`gaussian_pair_terms`
-    of each pair of a stack (or of one pair).  Raises, with no overflow
-    warning, if a term or a value it returns is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = gaussian_pair_terms(sigma_q, sigma_p, shift)
-        values = formulas(*terms)
+def _pair_divergences(sigma_q, sigma_p, shift: np.ndarray, count: int = 4) -> tuple:
+    """The first ``count`` of ``(D, paper-literal D, D~, Lemma 2's margin)`` of
+    each pair of a stack (leading axes on every argument) or of one pair,
+    from one :func:`gaussian_pair_terms` call, with ``t = tr(Sp^-1 Sq)``::
+
+        D         = t - d + shift^T Sp^-1 shift + log det Sp - log det Sq
+        literal D = t - d + shift^T Sp^-1 shift - log det Sp + log det Sq
+        D~        = log t + t + shift^T Sp^-1 shift + d log d - d
+        margin    = D~ - D = log t + d log d - log det Sp + log det Sq
+
+    D is twice ``KL(N(., Sq) || N(., Sp))``; the margin reads no shift.
+    Raises, with no overflow warning, if a term or a returned value is not
+    finite.  The KL takes ``count = 1``: it reads no log of t, which is
+    -inf where t underflows to 0 though D is finite."""
+    d = np.shape(shift)[-1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        terms = trace, log_det_ratio, maha = gaussian_pair_terms(sigma_q, sigma_p, shift)
+        base = trace - d + maha
+        log_trace = np.log(trace)
+        values = (base + log_det_ratio, base - log_det_ratio,
+                  log_trace + trace + maha + d * math.log(d) - d,
+                  log_trace + d * math.log(d) - log_det_ratio)[:count]
         finite = np.logical_and.reduce([np.isfinite(v) for v in (*terms, *values)])
-    trace, log_det_ratio, maha = terms
     Verdict(~finite, lambda i: NumericalInconsistencyError(
         f"a Gaussian-pair term or divergence is not finite (tr(Sp^-1 Sq) = "
         f"{_item(trace, i):.6g}, log det Sp - log det Sq = {_item(log_det_ratio, i):.6g}, "
@@ -235,9 +253,7 @@ def _kl_divergences(sigma_q, mean_q: np.ndarray, p: GaussianMeasure) -> np.ndarr
         raise DimensionMismatchError(f"dimensions disagree: {d} vs {p.dim}")
     with np.errstate(over="ignore"):  # a shift that overflows fails the finite check
         shift = p.mean - mean_q
-    (value,) = _pair_divergences(
-        sigma_q, p.covariance, shift,
-        lambda trace, log_det_ratio, maha: (0.5 * (trace - d + maha + log_det_ratio),))
+    value = 0.5 * _pair_divergences(sigma_q, p.covariance, shift, count=1)[0]
     Verdict(value < -KL_CLAMP, lambda i: NumericalInconsistencyError(
         f"KL divergence evaluated to {_item(value, i):.6g} < -{KL_CLAMP}")).check()
     return np.where(value < 0.0, 0.0, value)
@@ -273,15 +289,17 @@ def sample(g: GaussianMeasure, count: int, seed: int) -> np.ndarray:
     return g.mean + z @ cholesky_factor(g.covariance).T
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a density that is not finite raises
 def log_density(g: GaussianMeasure, points: np.ndarray) -> np.ndarray:
-    """Log density of ``g`` at each row of ``points`` (shape ``(n, d)``)."""
+    """Log density of ``g`` at each row of ``points`` (shape ``(n, d)``);
+    raises :class:`NumericalInconsistencyError` if one is not finite."""
     _typed(g, GaussianMeasure, "g")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != g.dim:
         raise DimensionMismatchError(
             f"points have dimension {pts.shape[1]}, measure has {g.dim}"
         )
-    return _log_density_rows(pts, np.empty_like(pts), _density_terms(g))
+    return _finite(_log_density_rows(pts, np.empty_like(pts), _density_terms(g)), "log density")
 
 
 def _density_terms(g: GaussianMeasure) -> tuple[np.ndarray, np.ndarray, float]:
@@ -304,13 +322,16 @@ def _log_density_rows(points: np.ndarray, scratch: np.ndarray, terms: tuple) -> 
     return np.subtract(normalizer, total, out=total)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an estimate that is not finite raises
 def mc_kl_estimate(
     q: GaussianMeasure, p: GaussianMeasure, count: int, seed: int
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of ``KL(q || p)`` with its standard error.
 
     Averages ``log q(x) - log p(x)`` over ``count`` draws ``x ~ q``;
-    serves as the independent oracle for :func:`kl_divergence`.
+    serves as the independent oracle for :func:`kl_divergence`.  Raises
+    :class:`NumericalInconsistencyError` if the estimate or its error is
+    not finite.
     """
     if _typed(q, GaussianMeasure, "q").dim != _typed(p, GaussianMeasure, "p").dim:
         raise DimensionMismatchError(f"dimensions disagree: {q.dim} vs {p.dim}")
@@ -334,4 +355,5 @@ def mc_kl_estimate(
     values -= estimate
     values *= values
     std_error = float(np.sqrt(np.sum(values) / (count - 1)) / np.sqrt(count))
+    _finite(np.array([estimate, std_error]), "Monte-Carlo KL estimate or its standard error")
     return float(estimate), std_error

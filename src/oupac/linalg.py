@@ -44,8 +44,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (DimensionMismatchError, InvalidRangeError, InvalidSpecError,
-                     NotPositiveDefiniteError, NotSquareError, OupacError, ResidualTooLargeError,
-                     SpectralRadiusTooLargeError, _integer, _real, _shown, _typed)
+                     NotPositiveDefiniteError, NotSquareError, NumericalInconsistencyError,
+                     OupacError, ResidualTooLargeError, SpectralRadiusTooLargeError, _integer,
+                     _real, _shown, _typed)
 from .rng import make_rng
 
 #: Relative eigenvalue tolerance for the SPD check: a matrix is accepted
@@ -116,6 +117,16 @@ class Verdict(NamedTuple):
 def _item(values, index: int):
     """Item ``index`` of a stack of values (or the value itself, unstacked)."""
     return np.ravel(values)[index]
+
+
+def _finite(values, what: str):
+    """``values``, a number or an array, if every entry is finite; else raise
+    :class:`NumericalInconsistencyError` naming ``what`` and its first entry
+    that is not."""
+    Verdict(~np.isfinite(values), lambda i: NumericalInconsistencyError(
+        f"{what} is not finite ({_item(values, i):.6g}): an input is too large for float64"
+    )).check()
+    return values
 
 
 def _in_groups(run: Callable[[Sequence], tuple], items: Sequence,
@@ -531,13 +542,10 @@ def _spectrum_passes(dim: int, low: float | np.ndarray,
     whose ratio ``low / high`` is within rounding of ``PSD_RTOL`` fails this
     test; its matrices take the ``eigvalsh`` check of :func:`_make_spd_stack`.
 
-    The same test decides two more ranges.  One is the eigenvalues that
-    ``eigh`` returns for a matrix: they and ``eigvalsh``'s are each within a
-    small multiple of ``d eps`` times the matrix's norm of its exact
-    spectrum.  The other is the Gershgorin discs of the eigenbasis law ``Xt
-    = (V^T Q V) / denom`` of :func:`_lyapunov_in_eigenbasis`, read by
-    :func:`_check_spd_by_discs`: the exact eigenvalues of ``(Xt + Xt^T) /
-    2`` lie in the union of its discs, ``[low, high]`` with ``low =
+    The same test decides one more range: the Gershgorin discs of the
+    eigenbasis law ``Xt = (V^T Q V) / denom`` of :func:`_lyapunov_in_eigenbasis`,
+    read by :func:`_check_spd_by_discs`: the exact eigenvalues of ``(Xt +
+    Xt^T) / 2`` lie in the union of its discs, ``[low, high]`` with ``low =
     min(Xt_ii - r_i)`` and ``high = max(Xt_ii + r_i)`` (Golub and Van Loan,
     "Matrix Computations", 4th ed., 7.2.1), and X is ``V Xt V^T``,
     symmetrized, with V orthogonal to about ``d eps``.  Where the test

@@ -14,15 +14,13 @@ leading trial axis, in one pass of the groups of
 experiment included.  A group decomposes each Hessian once, by one
 ``eigh`` of the stack, where a trial-by-trial loop makes an ``eigvalsh``
 and an ``eigh`` per trial.  The design and stability checks read the
-``eigh`` eigenvalues where they decide the checks as ``eigvalsh``'s
-would (:func:`_checked_spectrum`); the two differ in the last bits, so
-near a threshold, and for every failing check, they read ``eigvalsh``,
-whose smallest eigenvalue a singular design's message prints.  The
-posteriors' SPD check reads the Gershgorin discs of their laws in the
-eigenbasis (:func:`oupac.linalg._check_spd_by_discs`), and the KL
-against the N(0, I) prior takes no solve.  Each trial's data still
-comes from its own seeded stream, and one stack of streams
-(:func:`oupac.rng._streams`) seeds all the trials of an experiment.
+``eigh`` eigenvalues, whose smallest a singular design's message
+prints.  The posteriors' SPD check reads the Gershgorin discs of their
+laws in the eigenbasis (:func:`oupac.linalg._check_spd_by_discs`), and
+the KL against the N(0, I) prior neither factors the prior nor solves by
+it.  Each trial's data still comes from its own seeded stream, and one
+stack of streams (:func:`oupac.rng._streams`) seeds all the trials of an
+experiment.
 The numbers agree with the loop to 1e-12 (tested).  A gap that is not
 finite (noise too large for float64) raises
 :class:`NumericalInconsistencyError`.
@@ -43,10 +41,10 @@ from .errors import (DimensionMismatchError, InvalidRangeError, NotPositiveDefin
                      NumericalInconsistencyError, SingularDesignError, UnstableDynamicsError,
                      _integer, _real, _shown, _typed)
 from .gaussian import GaussianMeasure, _kl_divergences, _stationary_rhs, standard_gaussian
-from .linalg import (_EPS, SpdMatrix, Verdict, _check_held, _check_spd_by_discs, _frozen_vector,
-                     _in_groups, _item, _lyapunov_in_eigenbasis, _spd_verdict, _spectrum_passes,
-                     _symmetrized, cholesky_factor, make_spd)
-from .rng import _child_seeds, _digest_seed, _streams, _Streams, make_rng
+from .linalg import (SpdMatrix, Verdict, _check_held, _check_spd_by_discs, _finite, _frozen_vector,
+                     _in_groups, _item, _lyapunov_in_eigenbasis, _spd_verdict, _symmetrized,
+                     cholesky_factor, make_spd)
+from .rng import _child_seeds, _digest_seed, _seed_text, _streams, _Streams, make_rng
 
 #: Floats a gap trial holds until its run returns, counted against
 #: ``RECORD_FLOATS``: a seed, a TrialRecord, a gap and a bound in validity
@@ -168,15 +166,17 @@ def _least_squares(x: np.ndarray, y: np.ndarray, hessian: np.ndarray):
     return minimizer, offset
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a risk that is not finite raises
 def expected_risk_gaussian(loss: QuadraticLoss, q: GaussianMeasure) -> float:
     """Expected quadratic loss under a Gaussian parameter distribution.
 
-    ``offset + 0.5 (mu - min)^T A (mu - min) + 0.5 tr(A S)``.
+    ``offset + 0.5 (mu - min)^T A (mu - min) + 0.5 tr(A S)``; raises
+    :class:`NumericalInconsistencyError` if it is not finite.
     """
     if _typed(loss, QuadraticLoss, "loss").dim != _typed(q, GaussianMeasure, "q").dim:
         raise DimensionMismatchError(f"dimensions disagree: {loss.dim} vs {q.dim}")
-    return float(_expected_risks(loss.hessian.entries, loss.minimizer, loss.offset,
-                                 q.mean, q.covariance.entries))
+    return _finite(float(_expected_risks(loss.hessian.entries, loss.minimizer, loss.offset,
+                                         q.mean, q.covariance.entries)), "expected risk")
 
 
 def _expected_risks(hessian, minimizer, offset, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -237,14 +237,13 @@ def _gap_group(task, sgd, specs, prior, streams):
     draws = [_datasets(task, spec.sample_size, streams[start:stop]) for spec, start, stop in runs]
     hessian = np.concatenate([_symmetrized(_gram(x)) for x, _ in draws])
     lam, vecs = np.linalg.eigh(hessian)
-    eigenvalues = _checked_spectrum(hessian, lam, sgd.lr)
-    design = _spd_verdict(eigenvalues)
+    design = _spd_verdict(lam)
     Verdict(design.bad, lambda i: _singular_design(design.error(i))).check()
     fits = [_least_squares(x, y, hessian[start:stop])
             for (x, y), (_, start, stop) in zip(draws, runs)]
     minimizer, offset = map(np.concatenate, zip(*fits))
     _check_dims(task, sgd)  # as stability_check does, with the task's dimension for the loss's
-    radius = _step_radius(sgd.lr, eigenvalues)
+    radius = _step_radius(sgd.lr, lam)
     Verdict(~(radius < 1.0), lambda i: UnstableDynamicsError(
         f"stability_check failed on the empirical Hessian: spectral radius "
         f"{_item(radius, i):.6g} >= 1"
@@ -271,26 +270,11 @@ def _runs(specs: Sequence[SampleSpec]) -> list[tuple[SampleSpec, int, int]]:
     return [(specs[start], start, stop) for start, stop in zip(starts, [*starts[1:], len(specs)])]
 
 
-def _checked_spectrum(hessian: np.ndarray, lam: np.ndarray, lr: float) -> np.ndarray:
-    """The eigenvalues that the design and stability checks read for a
-    stack of Hessians with ``eigh`` eigenvalues ``lam``: ``lam`` itself where
-    it decides both checks as the ``eigvalsh`` eigenvalues of
-    :func:`make_spd` and ``stability_check`` would (by the test of
-    :func:`oupac.linalg._spectrum_passes`, and a spectral radius that
-    much below 1), else those ``eigvalsh`` eigenvalues, whose smallest a
-    singular design's error message prints."""
-    dim, top = hessian.shape[-1], lam[..., -1]
-    slack = 16.0 * dim * dim * _EPS
-    decided = (_spectrum_passes(dim, lam[..., 0], top)
-               & (_step_radius(lr, lam) < 1.0 - slack * (1.0 + lr * top)))
-    return lam if np.all(decided) else np.linalg.eigvalsh(hessian)
-
-
 def _trial_streams(seeds: Sequence[int]) -> _Streams:
     """The data streams of the gap trials with ``seeds``, as one stack: a
     trial draws its data with ``child_seed(seed, 0)``, derived here from
     the trial seed, already checked, with no second check."""
-    return _streams([_digest_seed(f"oupac:{seed}:0") for seed in seeds])
+    return _streams([_digest_seed(_seed_text((seed, 0))) for seed in seeds])
 
 
 @dataclass(frozen=True)
@@ -316,41 +300,17 @@ class ValidityResult:
 
 
 def _summary(values: Sequence[float]) -> dict:
+    """Order statistics, mean and sample deviation of two or more finite floats;
+    the deviation is ``np.std(ddof=1)`` of the values scaled exactly by a power
+    of two that puts the largest in [0.5, 1), so no square overflows."""
+    exponent = math.frexp(max(map(abs, values)))[1]
     return {
         "min": min(values),
         "max": max(values),
         "mean": statistics.fmean(values),
         "median": statistics.median(values),
-        "std": _stdev(values) if len(values) > 1 else 0.0,
+        "std": math.ldexp(float(np.std(np.ldexp(values, -exponent), ddof=1)), exponent),
     }
-
-
-def _stdev(values: Sequence[float]) -> float:
-    """``statistics.stdev`` of two or more finite floats: the correctly rounded
-    square root of the exact sample variance, in integers.  Each value is an
-    integer over a common power of two, 2^e, so the variance is ``(n S2 -
-    S1^2) / (n (n - 1) 4^e)`` with S1, S2 the integer sums."""
-    ratios = [value.as_integer_ratio() for value in values]
-    e = max(denominator for _, denominator in ratios).bit_length() - 1
-    scaled = [numerator << (e - denominator.bit_length() + 1) for numerator, denominator in ratios]
-    n = len(scaled)
-    total = sum(scaled)
-    numerator = n * sum(x * x for x in scaled) - total * total
-    denominator = n * (n - 1) << 2 * e
-    # sqrt(numerator / denominator) * 2^-shift is an integer of 55 bits; rounded to
-    # odd (the last bit is the sticky bit), one int / int division rounds it correctly
-    shift = (numerator.bit_length() - denominator.bit_length() - 109) // 2
-    if shift >= 0:
-        root, scale = _isqrt_to_odd(numerator, denominator << 2 * shift) << shift, 1
-    else:
-        root, scale = _isqrt_to_odd(numerator << -2 * shift, denominator), 1 << -shift
-    return root / scale
-
-
-def _isqrt_to_odd(numerator: int, denominator: int) -> int:
-    """sqrt(numerator / denominator) rounded down, with its last bit set if inexact."""
-    root = math.isqrt(numerator // denominator)
-    return root | (root * root * denominator != numerator)
 
 
 def _check_sample_sizes(ns: Sequence[int], dim: int) -> None:

@@ -30,6 +30,7 @@ from oupac import (
     RegressionTask,
     SampleSpec,
     SgdDynamics,
+    SymmetricMatrix,
     bound_validity_experiment,
     discrepancy_d,
     discrepancy_d_tilde,
@@ -49,7 +50,7 @@ from oupac import (
     stationary_from_dynamics,
 )
 from oupac import bounds, cli, linalg
-from oupac.gaussian import gaussian_pair_terms
+from oupac.gaussian import _kl_divergences, _pair_divergences, gaussian_pair_terms
 from oupac.linalg import _make_spd_stack, _random_spd_entries
 from oupac.rng import _streams, child_seed, make_rng
 
@@ -482,6 +483,18 @@ class TestKlUpperBoundTrace:
         with pytest.raises(InvalidRangeError):
             kl_upper_bound_trace(eye, eye, lr, batch, eye)
 
+    @pytest.mark.parametrize("hessian, noise, lr", [
+        (1e-200, 1e200, 0.1),  # C A^-1 overflows in the solve
+        (1.0, 1e308, 1e10),    # its trace overflows in the sum
+    ])
+    def test_a_bound_that_overflows_raises_without_a_warning(self, hessian, noise, lr):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalInconsistencyError, match="trace bound is not finite"):
+                kl_upper_bound_trace(make_spd(hessian * np.eye(2)),
+                                     SymmetricMatrix(noise * np.eye(2)), lr, 1,
+                                     make_spd(np.eye(2)))
+
 
 class TestDominance:
     def test_reference_instance(self):
@@ -795,15 +808,14 @@ def test_stacked_discrepancies_equal_per_pair_calls_bit_for_bit(count, dim):
     seeds = [child_seed(11, dim, i) for i in range(2 * count)]
     entries = _make_spd_stack(_random_spd_entries(dim, 0.2, 5.0, _streams(seeds)))
     shifts = make_rng(12).standard_normal((count, dim))
-    stacked = bounds._discrepancies(entries[0::2], entries[1::2], shifts)
+    stacked = _pair_divergences(entries[1::2], entries[0::2], shifts)
     traces, _, mahas = gaussian_pair_terms(entries[1::2], entries[0::2], shifts)
+    # D~ as the docstring writes it, with numpy's log of the stack of traces
+    d_tilde = np.log(traces) + traces + mahas + dim * math.log(dim) - dim
     for i in range(count):
         pair = DomainPair(make_spd(entries[2 * i]), make_spd(entries[2 * i + 1]), shifts[i])
         assert bounds._pair_discrepancies(pair) == tuple(value[i] for value in stacked)
-        # D~ in Python floats with libm's log, as the formula always was: numpy's
-        # SIMD log differs in the last bit for a few traces in 1000 near 1 (d = 1)
-        trace, maha = float(traces[i]), float(mahas[i])
-        assert stacked[2][i] == math.log(trace) + trace + maha + dim * math.log(dim) - dim
+        assert stacked[2][i] == d_tilde[i]
 
 
 def test_overflowing_pair_raises_without_a_warning():
@@ -816,10 +828,64 @@ def test_overflowing_pair_raises_without_a_warning():
                 evaluate(pair)
 
 
-def test_log_of_zero_is_minus_infinity_without_a_warning():
-    # D~ and Lemma 2's margin take the log of tr R, which can underflow to 0;
-    # math.log(0.0) would raise
+def test_a_trace_that_underflows_fails_d_tilde_but_not_the_kl():
+    # tr(Spt^-1 Sft) = 1e-600 underflows to 0: D and the KL stay finite, while
+    # D~ and Lemma 2's margin take its log and raise, with no warning
+    pair = DomainPair(make_spd(1e300 * np.eye(1)), make_spd(1e-300 * np.eye(1)), np.zeros(1))
+    q = GaussianMeasure(np.zeros(1), pair.sigma_ft)
+    p = GaussianMeasure(np.zeros(1), pair.sigma_pt)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        logs = bounds._log(np.array([0.0, 1.0]))
-    assert logs.tolist() == [-math.inf, 0.0]
+        assert kl_divergence(q, p) == pytest.approx(300 * math.log(10) - 0.5, rel=1e-12)
+        for evaluate in (discrepancy_d, discrepancy_d_tilde, lemma2_check):
+            with pytest.raises(NumericalInconsistencyError, match=r"tr\(Sp\^-1 Sq\) = 0,"):
+                evaluate(pair)
+
+
+# One formula: every Gaussian-pair divergence is a value of _pair_divergences,
+# so the public forms agree bit for bit, pair by pair and stacked
+
+_pairs = st.builds(
+    lambda dim, seed, low, ratio, shift: (
+        random_spd(dim, low, low * ratio, seed), random_spd(dim, low, low * ratio, seed + 1),
+        shift * make_rng(seed + 2).standard_normal(dim)),
+    st.integers(1, 6), st.integers(0, 2**32), st.floats(1e-3, 1e3), st.floats(1.0, 1e4),
+    st.sampled_from([0.0, 1e-3, 1.0, 1e3]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_pairs)
+def test_the_pretraining_divergence_is_d_against_the_identity(pair):
+    _, sigma, _ = pair
+    report = pretrain_bound(sigma, SampleSpec(1000, 0.05))
+    domains = DomainPair(make_spd(np.eye(sigma.dim)), sigma, np.zeros(sigma.dim))
+    assert report.kl_term == discrepancy_d(domains)
+    assert report.paper_literal_kl == discrepancy_d(domains, paper_literal=True)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_pairs)
+def test_the_kl_is_half_of_d(pair):
+    sigma_p, sigma_q, mean_q = pair
+    q, p = GaussianMeasure(mean_q, sigma_q), GaussianMeasure(np.zeros(len(mean_q)), sigma_p)
+    half = 0.5 * discrepancy_d(DomainPair(sigma_p, sigma_q, p.mean - q.mean))
+    assert kl_divergence(q, p) == (half if half >= 0.0 else 0.0)  # a negative KL is clamped
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.integers(2, 6), st.integers(0, 2**32))
+def test_stacked_divergences_equal_the_one_pair_calls(dim, count, seed):
+    pairs = [(random_spd(dim, 0.2, 5.0, seed + 2 * i), random_spd(dim, 0.2, 5.0, seed + 2 * i + 1))
+             for i in range(count)]
+    sigma_pt = np.array([pt.entries for pt, _ in pairs])
+    sigma_ft = np.array([ft.entries for _, ft in pairs])
+    shifts = make_rng(seed).standard_normal((count, dim))
+    stacked = _pair_divergences(sigma_ft, sigma_pt, shifts)
+    kls = _kl_divergences(sigma_ft, -shifts, GaussianMeasure(np.zeros(dim), pairs[0][0]))
+    for i, (pt, ft) in enumerate(pairs):
+        pair = DomainPair(pt, ft, shifts[i])
+        assert (discrepancy_d(pair), discrepancy_d(pair, paper_literal=True),
+                discrepancy_d_tilde(pair), lemma2_check(pair).margin) == tuple(
+                    value[i] for value in stacked)
+        q = GaussianMeasure(-shifts[i], ft)
+        assert kl_divergence(q, GaussianMeasure(np.zeros(dim), pairs[0][0])) == kls[i]

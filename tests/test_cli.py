@@ -866,15 +866,16 @@ def _stage_flags(prefix: str, hessian: str, factor: str) -> list[str]:
      {"cholesky": 0, "eigh": 1, "eigvalsh": 1}),
     (["validity", "--weights", "0.3,-0.2,0.1", "--feature-cov", "h.txt", "--n", "60",
       "--trials", "30"],
-     {"cholesky": 4, "eigh": 1, "eigvalsh": 2, "solve": 2}),
+     {"cholesky": 3, "eigh": 1, "eigvalsh": 2, "solve": 2}),
     (["scaling", "--weights", "0.3,-0.2,0.1", "--feature-cov", "h.txt", "--ns", "9,18,36",
       "--trials", "5"],
-     {"cholesky": 6, "eigh": 1, "eigvalsh": 2, "solve": 6}),
+     {"cholesky": 5, "eigh": 1, "eigvalsh": 2, "solve": 6}),
 ], ids=["lyapunov", "kl", "dominance", "two-stage-analytic_sample", "two-stage-chain_continue",
         "simulate", "validity", "scaling"])
 def test_each_spd_value_decomposes_once_per_call(capsys, monkeypatch, tmp_path, argv, expected):
     # every SPD value is decomposed once: cholesky once per covariance used (the
-    # pre-training bound reads sigma_pt's log det from its factor), eigh once per
+    # pre-training bound reads sigma_pt's factor, and its N(0, I) prior, an
+    # identity, is its own factor), eigh once per
     # Hessian (the Lyapunov and Stein solves and the chain scan share it), and
     # eigvalsh once per SPD value, at its check, whose eigenvalues the stability
     # checks reuse; the noise covariance C = B^T B is a SymmetricMatrix, not an
@@ -882,8 +883,8 @@ def test_each_spd_value_decomposes_once_per_call(capsys, monkeypatch, tmp_path, 
     # stack: one eigh of all their Hessians, whose eigenvalues the design and
     # stability checks read, no eigvalsh of a Hessian or a posterior (its
     # Gershgorin discs decide), and cholesky once for the feature covariance,
-    # once for the prior, once per sample size for the fits and once for the
-    # posteriors' KL, whose identity prior takes no solve (the two solves of a
+    # once per sample size for the fits and once for the posteriors' KL, whose
+    # identity prior is not factored and takes no solve (the two solves of a
     # least-squares fit remain).  A Lyapunov solve takes A's eigvalsh, at its
     # SPD check, and one eigh, and no other decomposition
     write_matrix(tmp_path / "h.txt", [[2.0, 0.5, 0.0], [0.5, 1.0, 0.1], [0.0, 0.1, 1.5]])
@@ -909,8 +910,8 @@ def test_entries_past_half_the_float_maximum_run_or_exit_3_without_warning(
     # (M + M^T) / 2 of 1e308 I is formed as M/2 + M^T/2, so it does not
     # overflow; the Lyapunov denominators lam_i + lam_j = 2e308 are halved
     # with Q, and X = I / 2e308 is subnormal, right to within its last bit
-    # (which halving a subnormal may drop); the pre-training divergence
-    # tr S - d - log det S is not finite
+    # (which halving a subnormal may drop); the pre-training divergence, the
+    # pair terms of (I, S), is not finite: tr(I^-1 S) overflows
     big = tmp_path / "big.txt"
     big.write_text("2\n1e308 0\n0 1e308\n")
     with warnings.catch_warnings():
@@ -922,8 +923,9 @@ def test_entries_past_half_the_float_maximum_run_or_exit_3_without_warning(
         code, out, err = run_cli(capsys, "dominance", "--sigma-pt", str(big), "--sigma-ft",
                                  identity_file, "--shift=0,0", "--n-pt", "1000", "--n-ft", "100")
     assert (code, out) == (3, "")
-    assert err == ("error in dominance: pre-training divergence is not finite (tr S = inf): "
-                   "an input is too large for float64\n")
+    assert err == ("error in dominance: a Gaussian-pair term or divergence is not finite "
+                   "(tr(Sp^-1 Sq) = inf, log det Sp - log det Sq = -1418.39, shift^T Sp^-1 shift "
+                   "= 0): an input is too large for float64\n")
 
 
 def test_lyapunov_at_the_largest_eta_exits_0(capsys, identity_file):

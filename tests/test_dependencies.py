@@ -88,6 +88,45 @@ def test_every_package_import_is_used():
             if (unused := _unused_imports(path))} == {}
 
 
+def _private_definitions(tree: ast.Module):
+    """``(name, first line, last line)`` of each module-level function, class
+    or constant of a module whose name starts with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [name.id for target in targets for name in ast.walk(target)
+                     if isinstance(name, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno, node.end_lineno
+
+
+def test_every_private_name_is_read_outside_its_definition():
+    # a private helper that only its own tests call is dead code: each module-level
+    # _name must be read (as a name or an attribute) somewhere in the package
+    # outside its own definition, a recursive call not counting
+    reads = []
+    trees = {}
+    for path in sorted((ROOT / "src" / "oupac").glob("*.py")):
+        trees[path.name] = tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((path.name, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append((path.name, node.attr, node.lineno))
+    assert len(trees) > 10
+    orphans = [f"{module}: {name} (line {first})"
+               for module, tree in trees.items()
+               for name, first, last in _private_definitions(tree)
+               if not any(read == name and not (where == module and first <= line <= last)
+                          for where, read, line in reads)]
+    assert orphans == []
+
+
 def test_all_lists_each_name_that_init_imports_once():
     # __init__.py states its exports twice, in its imports and in __all__: an
     # export added to only one of the two lists fails here

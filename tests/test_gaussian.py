@@ -22,11 +22,14 @@ from oupac import (
     GaussianMeasure,
     InvalidRangeError,
     NotPositiveDefiniteError,
+    NumericalInconsistencyError,
+    QuadraticLoss,
     SpectralRadiusTooLargeError,
     SymmetricMatrix,
     TooFewSamplesError,
     Trajectory,
     estimate_stationary,
+    expected_risk_gaussian,
     kl_divergence,
     log_density,
     log_det,
@@ -514,3 +517,18 @@ def test_an_overflowed_shift_has_an_infinite_term_and_leaves_the_others(identity
     assert got[2][1] == single[2] == np.inf
     assert np.array_equal(np.delete(got[2], 1), np.delete(want[2], 1))
     assert [term.tobytes() for term in got[:2]] == [term.tobytes() for term in want[:2]]
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: QuadraticLoss(make_spd(np.eye(2)), np.zeros(2)).value([1e300, 1e300]),
+    lambda: expected_risk_gaussian(QuadraticLoss(make_spd(np.eye(2)), np.zeros(2)),
+                                   GaussianMeasure(np.full(2, 1e300), make_spd(np.eye(2)))),
+    lambda: log_density(standard_gaussian(2), [[1e300, 1e300]]),
+    lambda: mc_kl_estimate(GaussianMeasure(np.zeros(2), make_spd(1e300 * np.eye(2))),
+                           GaussianMeasure(np.zeros(2), make_spd(1e-300 * np.eye(2))), 1000, 0),
+], ids=["loss_value", "expected_risk_gaussian", "log_density", "mc_kl_estimate"])
+def test_a_value_that_overflows_raises_without_a_warning(evaluate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalInconsistencyError, match="is not finite"):
+            evaluate()

@@ -38,7 +38,6 @@ from oupac import (
     solve_discrete_stein,
 )
 from oupac import linalg
-from oupac.bounds import _discrepancies
 from oupac.errors import OupacError
 from oupac.gaussian import GaussianMeasure, _kl_divergences, _pair_divergences, gaussian_pair_terms
 from oupac.gaussian import stein_stationary_covariance
@@ -952,9 +951,8 @@ def _kernel_cases():
         "lyapunov_in_eigenbasis": (_lyapunov_in_eigenbasis, lambda i: (
             pick(doubled, i), pick(lam, i), pick(vecs, i), np.eye(2))),
         "pair_divergences": (_pair_divergences, lambda i: (
-            pick(spd, i), np.eye(2), pick(huge, i), lambda trace, ratio, maha: (trace + maha,))),
+            pick(spd, i), np.eye(2), pick(huge, i))),
         "kl_divergences": (_kl_divergences, lambda i: (pick(spd, i), pick(huge, i), prior)),
-        "discrepancies": (_discrepancies, lambda i: (np.eye(2), pick(spd, i), pick(huge, i))),
     }
 
 

@@ -7,6 +7,8 @@ standard errors.
 
 import statistics
 import tracemalloc
+import warnings
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -555,22 +557,20 @@ def test_results_do_not_depend_on_the_group_size(monkeypatch):
     assert all(result == results[0] for result in results[1:])
 
 
-@pytest.mark.parametrize("eigenvalues, lr, exact", [
-    ([1.0, 2.0], 0.5, False),
-    # radius 1 - 2^-52, within rounding of 1
-    ([1.0, 2.0], np.nextafter(1.0, 0.0), True),
-    # the smallest eigenvalue at the SPD tolerance
-    ([1e-10, 1.0], 0.5, True),
-])
-def test_the_checks_read_eigvalsh_only_near_their_thresholds(monkeypatch, eigenvalues, lr,
-                                                              exact):
-    hessian = np.diag(eigenvalues)[None]
-    lam = np.linalg.eigh(hessian)[0]
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
-    assert regression._checked_spectrum(hessian, lam, lr).tolist() == lam.tolist()
-    assert calls == ([1] if exact else [])
+def test_a_singular_design_message_prints_the_smallest_eigh_eigenvalue(monkeypatch):
+    # the design check reads the eigenvalues of the one eigh of the group's
+    # Hessians (trials 2, 5 and 9 are singular, as in the test above)
+    task = RegressionTask(np.array([0.3, -0.2, 0.1]), make_spd(np.diag([1.0, 1.0, 5e-10])), 1.0)
+    args = (task, SgdDynamics(0.1, 10, np.eye(3)), SampleSpec(7, 0.05), standard_gaussian(3))
+    stacks = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: stacks.append(m) or eigh(m))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: pytest.fail("eigvalsh was called"))
+    with pytest.raises(SingularDesignError) as caught:
+        bound_validity_experiment(*args, trials=12)
+    lam = eigh(stacks[0])[0]
+    assert [i for i, row in enumerate(lam) if not row[0] > 1e-10 * row[-1]] == [2, 5, 9]
+    assert f"smallest eigenvalue {lam[2, 0]:.6g} <=" in str(caught.value)
 
 
 def test_each_trial_draws_its_data_with_child_seed_0_of_its_seed():
@@ -613,10 +613,33 @@ def test_one_group_makes_the_same_decompositions_for_any_trial_count(monkeypatch
 ))
 @example([0.0, -0.0])
 @example([5e-324, 0.0, 1e300])
-def test_stdev_matches_statistics_stdev(values):
-    got = regression._stdev(values)
-    want = statistics.stdev(values)
-    assert got == want and np.signbit(got) == np.signbit(want)
+@example([1e-300, 2e-300, 4e-300])  # whose squares underflow unscaled
+@example([1e200, -1e200, 3e199])    # whose squares overflow unscaled
+def test_summary_std_is_within_the_two_pass_bound_of_statistics_stdev(values):
+    # np.std is the two-pass algorithm: the mean, then the sum S of squared
+    # deviations.  After Chan, Golub and LeVeque (1983), with u = eps / 2 and
+    # gamma_k = k u / (1 - k u): the computed mean adds n (mean~ - mean)^2 <=
+    # gamma_n^2 ||x||^2 to S, summing the squares of the rounded deviations
+    # errs by gamma_{n+2} relative, and the division and square root round
+    # once each; statistics.stdev is correctly rounded.  So, with kappa^2 =
+    # ||x||^2 / S = 1 + n / (n - 1) (mean / std)^2, relative to the exact
+    # deviation std: 1 - c <= std~ / std <= sqrt(1 + gamma_n^2 kappa^2) (1 + c),
+    # c = gamma_{n+2} / 2 + 3u, written below in squares of exact fractions
+    # (which also hold at std = 0, where kappa is infinite)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = Fraction(regression._summary(values)["std"])
+    n = len(values)
+    u = Fraction(np.finfo(float).eps) / 2
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+    want = Fraction(statistics.stdev(values))
+    mean = sum(map(Fraction, values)) / n
+    c = gamma(n + 2) / 2 + 3 * u
+    assert got * got >= want * want * (1 - c) ** 2
+    assert got * got <= (want * want + gamma(n) ** 2 * (want * want + n * mean * mean / (n - 1))
+                         ) * (1 + c) ** 2
 
 
 @pytest.mark.parametrize("experiment, held", [
