@@ -204,9 +204,10 @@ def gaussian_pair_terms(sigma_q, sigma_p, shift: np.ndarray):
     finite = np.isfinite(shift).all(axis=-1)
     # tr(Sp^-1 Sq) = ||Lp^-1 Lq||_F^2, and Lp^-1 shift, by one solve on [Lq | shift]
     solved = np.concatenate([lq, np.where(finite[..., None], shift, 0.0)[..., None]], axis=-1)
-    if not (identity and np.isfinite(solved).all()):
-        # a solve by I returns a finite right side as it is, up to the sign of
-        # a zero, which every term squares (a non-finite one spreads as NaN)
+    if not identity:
+        # a solve by I returns the right side (finite: a shift that is not
+        # is solved as zero) as it is, up to the sign of a zero, which every
+        # term squares
         solved = np.linalg.solve(lp, solved)
     half, white = solved[..., :-1], solved[..., -1:]
     log_det_ratio = _log_det_of_factor(lp) - _log_det_of_factor(lq)
