@@ -153,8 +153,7 @@ def mcallester_bound(kl, spec: SampleSpec):
 
 def _mcallester(kl, spec: SampleSpec):
     """:func:`mcallester_bound` without its sign check: the bound reports
-    pass half a divergence term, which on identical domains is a rounding
-    error either side of 0."""
+    pass half a divergence term, and D~ can be negative."""
     n = spec.sample_size
     inverse = 1.0 / spec.delta
     # 1/delta overflows for a subnormal delta, whose -log(delta) is finite

@@ -70,8 +70,9 @@ class InvalidSpecError(OupacError):
 
 
 class NumericalInconsistencyError(OupacError):
-    """A quantity violates an exact mathematical property by more than
-    floating-point noise (e.g. a distinctly negative KL divergence)."""
+    """A computed quantity is not finite (an input too large for float64)
+    or violates an exact mathematical property by more than floating-point
+    noise."""
 
 
 class ConfigError(OupacError):

@@ -8,8 +8,11 @@ the closed form.
 
 Every Gaussian-pair divergence (the KL here, the discrepancies and the
 pre-training divergence of :mod:`oupac.bounds`) is a value of
-:func:`_pair_divergences`: an input too large for float64 raises
-:class:`NumericalInconsistencyError` instead of giving ``inf`` or NaN.
+:func:`_pair_divergences`, which forms D from the pivots of the relative
+Cholesky factor as a sum of terms that are each >= 0, so the KL is never
+negative and is exactly 0 for identical laws; an input too large for
+float64 raises :class:`NumericalInconsistencyError` instead of giving
+``inf`` or NaN.
 
 Sampling, densities and the pair terms read a covariance's Cholesky
 factor, and the normalizer its log-determinant, from its
@@ -29,14 +32,9 @@ from . import linalg
 from .errors import (DimensionMismatchError, InvalidRangeError, NumericalInconsistencyError,
                      TooFewSamplesError, _integer, _real, _shown, _typed)
 from .linalg import (SpdMatrix, SymmetricMatrix, Verdict, _check_held, _check_same_dim,
-                     _finite, _frozen_vector, _item, _kept_symmetric, _log_det_of_factor,
-                     _lyapunov_in_eigenbasis, cholesky_factor, log_det, make_spd,
-                     solve_continuous_lyapunov)
+                     _finite, _frozen_vector, _item, _kept_symmetric, _lyapunov_in_eigenbasis,
+                     cholesky_factor, log_det, make_spd, solve_continuous_lyapunov)
 from .rng import make_rng
-
-#: KL values in (-KL_CLAMP, 0) are treated as floating-point noise and
-#: clamped to 0; anything below -KL_CLAMP raises.
-KL_CLAMP = 1e-12
 
 MC_KL_MIN_DRAWS = 1000
 
@@ -183,42 +181,14 @@ def _stationary_rhs(noise_cov: SymmetricMatrix, lr: float, batch_size: int) -> S
                            * _typed(noise_cov, SymmetricMatrix, "noise_cov").entries)
 
 
-def gaussian_pair_terms(sigma_q, sigma_p, shift: np.ndarray):
-    """``(tr(Sp^-1 Sq), log det Sp - log det Sq, shift^T Sp^-1 shift)`` from one
-    Cholesky factor of each covariance; every Gaussian-pair divergence here
-    (:func:`_pair_divergences`) sums them.
+def _pair_divergences(sigma_q, sigma_p, shift: np.ndarray) -> tuple:
+    """``(D, paper-literal D, D~, Lemma 2's margin)`` of each pair of a stack
+    or of one pair.
 
-    The covariances are :class:`SpdMatrix` values or strict SPD entries; with
-    leading stack axes ``(..., d, d)`` on ``sigma_q`` and ``(..., d)`` on
-    ``shift`` (``sigma_p`` one matrix or a like stack), each term is an
-    array ``(...)``, one value per pair.  An identity ``sigma_p`` is its own
-    factor and is not factored.  A shift, a difference of finite means, is
-    not finite only where it overflowed: its term is +inf (Sp^-1 is
-    positive definite), and it is solved as zero, since a solve would
-    spread ``inf * 0`` into NaN."""
-    lq = cholesky_factor(sigma_q)
-    entries_p = getattr(sigma_p, "entries", sigma_p)
-    identity = entries_p.ndim == 2 and (entries_p == np.eye(len(entries_p))).all()
-    lp = entries_p if identity else cholesky_factor(sigma_p)
-    shift = np.asarray(shift, dtype=float)
-    finite = np.isfinite(shift).all(axis=-1)
-    # tr(Sp^-1 Sq) = ||Lp^-1 Lq||_F^2, and Lp^-1 shift, by one solve on [Lq | shift]
-    solved = np.concatenate([lq, np.where(finite[..., None], shift, 0.0)[..., None]], axis=-1)
-    if not identity:
-        # a solve by I returns the right side (finite: a shift that is not
-        # is solved as zero) as it is, up to the sign of a zero, which every
-        # term squares
-        solved = np.linalg.solve(lp, solved)
-    half, white = solved[..., :-1], solved[..., -1:]
-    log_det_ratio = _log_det_of_factor(lp) - _log_det_of_factor(lq)
-    maha = np.where(finite, (white.swapaxes(-1, -2) @ white)[..., 0, 0], np.inf)[()]
-    return np.sum(half * half, axis=(-2, -1)), log_det_ratio, maha
-
-
-def _pair_divergences(sigma_q, sigma_p, shift: np.ndarray, count: int = 4) -> tuple:
-    """The first ``count`` of ``(D, paper-literal D, D~, Lemma 2's margin)`` of
-    each pair of a stack (leading axes on every argument) or of one pair,
-    from one :func:`gaussian_pair_terms` call, with ``t = tr(Sp^-1 Sq)``::
+    The covariances are :class:`SpdMatrix` values or strict SPD entries;
+    with leading stack axes ``(..., d, d)`` on ``sigma_q`` and ``(..., d)``
+    on ``shift`` (``sigma_p`` one matrix or a like stack), each value is an
+    array ``(...)``, one value per pair.  With ``t = tr(Sp^-1 Sq)``::
 
         D         = t - d + shift^T Sp^-1 shift + log det Sp - log det Sq
         literal D = t - d + shift^T Sp^-1 shift - log det Sp + log det Sq
@@ -226,38 +196,80 @@ def _pair_divergences(sigma_q, sigma_p, shift: np.ndarray, count: int = 4) -> tu
         margin    = D~ - D = log t + d log d - log det Sp + log det Sq
 
     D is twice ``KL(N(., Sq) || N(., Sp))``; the margin reads no shift.
-    Raises, with no overflow warning, if a term or a returned value is not
-    finite.  The KL takes ``count = 1``: it reads no log of t, which is
-    -inf where t underflows to 0 though D is finite."""
-    d = np.shape(shift)[-1]
+
+    All four come from the relative factor ``M = Lp^-1 Lq``, lower
+    triangular with pivots ``m_i = (Lq)_ii / (Lp)_ii``: one solve with Lp on
+    ``[Lq - Lp diag(m) | shift]``, its diagonal zeroed, gives the strictly
+    lower part of M and ``Lp^-1 shift``.  Then ``t = ||M||_F^2``, ``log det
+    Sp - log det Sq = -2 sum log m_i`` and ``D = sum_{i>j} M_ij^2 + sum_i
+    [(m_i - 1)(m_i + 1) - 2 log m_i] + shift^T Sp^-1 shift``, every term >= 0
+    in floating point too: for m_i in [1/2, 2], m_i - 1 is exact and a
+    faithful log gives ``2 log m_i <= 2 (m_i - 1) <= (m_i - 1)(m_i + 1)``;
+    outside it the term exceeds 0.6.  So D is never negative, identical
+    factors give exactly 0, and no O(d) terms cancel into a small D.  t and
+    its log are taken at the power of two of M's largest pivot, so a t that
+    underflows keeps a finite log.
+
+    An identity ``sigma_p`` is its own factor: it is not factored, and the
+    solve, which would return its right side, is skipped.  A shift, a
+    difference of finite means, is not finite only where it overflowed: its
+    term is +inf (Sp^-1 is positive definite), and it is solved as zero,
+    since a solve would spread ``inf * 0`` into NaN.  Raises
+    :class:`NumericalInconsistencyError`, with no overflow warning, if a
+    term or a value is not finite."""
+    lq = cholesky_factor(sigma_q)
+    entries_p = getattr(sigma_p, "entries", sigma_p)
+    identity = entries_p.ndim == 2 and (entries_p == np.eye(len(entries_p))).all()
+    lp = entries_p if identity else cholesky_factor(sigma_p)
+    shift = np.asarray(shift, dtype=float)
+    d = shift.shape[-1]
+    finite = np.isfinite(shift).all(axis=-1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        terms = trace, log_det_ratio, maha = gaussian_pair_terms(sigma_q, sigma_p, shift)
-        base = trace - d + maha
-        log_trace = np.log(trace)
-        values = (base + log_det_ratio, base - log_det_ratio,
-                  log_trace + trace + maha + d * math.log(d) - d,
-                  log_trace + d * math.log(d) - log_det_ratio)[:count]
-        finite = np.logical_and.reduce([np.isfinite(v) for v in (*terms, *values)])
+        m = np.diagonal(lq, axis1=-2, axis2=-1) / np.diagonal(lp, axis1=-2, axis2=-1)
+        solved = np.empty(lq.shape[:-1] + (d + 1,))
+        np.subtract(lq, lp * m[..., None, :], out=solved[..., :-1])
+        solved[..., -1] = np.where(finite[..., None], shift, 0.0)
+        solved.reshape(*solved.shape[:-2], -1)[..., ::d + 2] = 0.0  # its diagonal, in place
+        if not identity:
+            solved = np.linalg.solve(lp, solved)
+        lower, white = solved[..., :-1], solved[..., -1:]
+        maha = np.where(finite, (white.swapaxes(-1, -2) @ white)[..., 0, 0], np.inf)[()]
+        # the sums of squares of M at the power of two 2^p of its largest
+        # pivot: no entry of M exceeds kappa(M) <= sqrt(kappa(Sp) kappa(Sq))
+        # times it, 1e10 for strict SPD covariances, so no square overflows,
+        # and one that underflows is below eps times the sum
+        _, power = np.frexp(m.max(axis=-1))
+        scaled = np.ldexp(lower, -power[..., None, None])
+        lower_sum = (scaled * scaled).sum(axis=(-2, -1))
+        scaled = np.ldexp(m, -power[..., None])
+        trace_sum = lower_sum + (scaled * scaled).sum(axis=-1)
+        power *= 2
+        trace, lower_sum = np.ldexp(trace_sum, power), np.ldexp(lower_sum, power)
+        log_trace = np.log(trace_sum) + power * math.log(2.0)
+        log_m = np.log(m)
+        half_ratio = log_m.sum(axis=-1)  # (log det Sq - log det Sp) / 2
+        divergence = lower_sum + ((m - 1.0) * (m + 1.0) - 2.0 * log_m).sum(axis=-1) + maha
+        d_log_d = d * math.log(d)
+        values = (divergence, divergence + 4.0 * half_ratio,
+                  log_trace + trace + maha + (d_log_d - d), log_trace + d_log_d + 2.0 * half_ratio)
+        finite = np.isfinite(values).all(axis=0)  # a value is finite where every term it sums is
+    # 0 - 2x: the log-determinant ratio of identical factors prints as 0, not -0
     Verdict(~finite, lambda i: NumericalInconsistencyError(
-        f"a Gaussian-pair term or divergence is not finite (tr(Sp^-1 Sq) = "
-        f"{_item(trace, i):.6g}, log det Sp - log det Sq = {_item(log_det_ratio, i):.6g}, "
-        f"shift^T Sp^-1 shift = {_item(maha, i):.6g}): an input is too large for float64"
-    )).check()
+        "a Gaussian-pair term or divergence is not finite (tr(Sp^-1 Sq) = {:.6g}, log det Sp - log "
+        "det Sq = {:.6g}, shift^T Sp^-1 shift = {:.6g}): an input is too large for float64".format(
+            _item(trace, i), 0.0 - 2.0 * _item(half_ratio, i), _item(maha, i)))).check()
     return values
 
 
 def _kl_divergences(sigma_q, mean_q: np.ndarray, p: GaussianMeasure) -> np.ndarray:
     """``KL(N(mean_q, sigma_q) || p)`` for a stack of q's (leading axes on
-    both arguments), checked and clamped as :func:`kl_divergence` documents."""
+    both arguments), checked as :func:`kl_divergence` documents."""
     d = mean_q.shape[-1]
     if d != p.dim:
         raise DimensionMismatchError(f"dimensions disagree: {d} vs {p.dim}")
     with np.errstate(over="ignore"):  # a shift that overflows fails the finite check
         shift = p.mean - mean_q
-    value = 0.5 * _pair_divergences(sigma_q, p.covariance, shift, count=1)[0]
-    Verdict(value < -KL_CLAMP, lambda i: NumericalInconsistencyError(
-        f"KL divergence evaluated to {_item(value, i):.6g} < -{KL_CLAMP}")).check()
-    return np.where(value < 0.0, 0.0, value)
+    return 0.5 * _pair_divergences(sigma_q, p.covariance, shift)[0]
 
 
 def kl_divergence(q: GaussianMeasure, p: GaussianMeasure) -> float:
@@ -268,9 +280,9 @@ def kl_divergence(q: GaussianMeasure, p: GaussianMeasure) -> float:
         KL = 0.5 * [ tr(Sp^-1 Sq) - d + (mp-mq)^T Sp^-1 (mp-mq)
                      + log det Sp - log det Sq ]
 
-    Results in ``(-1e-12, 0)`` are clamped to 0; a result below that is
-    a genuine inconsistency and raises instead of being hidden, as does
-    a term that is not finite.
+    It is never negative, and it is exactly 0 for identical measures
+    (see :func:`_pair_divergences`); a term or a result that is not
+    finite raises :class:`NumericalInconsistencyError`.
     """
     _typed(q, GaussianMeasure, "q")
     return float(_kl_divergences(q.covariance, q.mean, _typed(p, GaussianMeasure, "p")))

@@ -130,15 +130,16 @@ def _finite(values, what: str):
 
 
 def _in_groups(run: Callable[[Sequence], tuple], items: Sequence,
-               floats_per_item: int | list[tuple[int, int]]) -> tuple[np.ndarray, ...]:
+               floats_per_item: list[tuple[int, int]]) -> tuple[np.ndarray, ...]:
     """``run(group)`` on consecutive groups of ``items``, each of its result
     arrays (one leading entry per item) concatenated in item order.
 
-    ``floats_per_item`` is the count of numbers an item holds: one int for
-    every item, or a list of ``(count, floats)`` runs that cover the items
-    in order.  A group takes items while they hold at most ``GROUP_FLOATS``
-    numbers in all, and at least one item (an item of no numbers counts as
-    one), so memory does not grow with the item count.  The check policy
+    ``floats_per_item`` is the count of numbers an item holds, as a list of
+    ``(count, floats)`` runs that cover the items in order: ``count``
+    consecutive items of ``floats`` numbers each.  A group takes items while
+    they hold at most ``GROUP_FLOATS`` numbers in all, and at least one item
+    (an item of no numbers counts as one), so memory does not grow with the
+    item count.  The check policy
     of every stacked kernel is this: a kernel raises at its first failing
     check, as soon as any item of its stack fails it, and returns only its
     values.
@@ -148,8 +149,6 @@ def _in_groups(run: Callable[[Sequence], tuple], items: Sequence,
     first, and if none fails the one-item results are kept.  Any other
     exception propagates at once.
     """
-    if not isinstance(floats_per_item, list):
-        floats_per_item = [(len(items), floats_per_item)]
     parts = []
     for start, stop in _group_bounds(floats_per_item):
         group = items[start:stop]
@@ -279,7 +278,7 @@ class SpdMatrix(SymmetricMatrix):
 
     @cached_property
     def log_det(self) -> float:
-        return float(_log_det_of_factor(self.factor))
+        return float(2.0 * np.sum(np.log(np.diagonal(self.factor))))
 
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -364,11 +363,6 @@ def log_det(m: SpdMatrix) -> float:
     ``m`` like L.
     """
     return _typed(m, SpdMatrix, "m").log_det
-
-
-def _log_det_of_factor(factor: np.ndarray) -> np.ndarray:
-    """``log det(L L^T) = 2 * sum(log diag(L))`` of each lower factor of a stack."""
-    return 2.0 * np.sum(np.log(np.diagonal(factor, axis1=-2, axis2=-1)), axis=-1)
 
 
 def solve_continuous_lyapunov(a: SpdMatrix, q: SymmetricMatrix) -> SymmetricMatrix:

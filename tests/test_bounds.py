@@ -50,7 +50,7 @@ from oupac import (
     stationary_from_dynamics,
 )
 from oupac import bounds, cli, linalg
-from oupac.gaussian import _kl_divergences, _pair_divergences, gaussian_pair_terms
+from oupac.gaussian import _kl_divergences, _pair_divergences
 from oupac.linalg import _make_spd_stack, _random_spd_entries
 from oupac.rng import _streams, child_seed, make_rng
 
@@ -294,22 +294,26 @@ class TestDoubledFormIdentity:
 
 
 class TestIdenticalDomains:
-    """On identical domains D is a rounding error either side of 0; the bound
+    """On identical domains D is exactly 0.  D~ can be negative; the bound
     reports take it as it is, where mcallester_bound rejects a negative KL."""
 
-    def test_bound_reports_accept_a_rounding_negative_divergence(self):
+    def test_identical_domains_give_exactly_zero_and_a_negative_d_tilde_is_reported(self):
         spec = SampleSpec(100, 0.05)
-        kl_terms = []
         for seed in range(60):
             sigma = random_spd(1 + seed % 8, 0.2, 5.0, seed)
             pair = DomainPair(sigma, sigma, np.zeros(sigma.dim))
             report = finetune_bound(pair, spec)
-            kl_terms.append(report.kl_term)
-            assert report.complexity_term == pytest.approx(mcallester_bound(0.0, spec), rel=1e-14)
+            assert report.kl_term == 0.0
+            assert report.complexity_term == mcallester_bound(0.0, spec)
             assert dominance_report(pair, spec, spec).ft_term == report.complexity_term
-        assert min(kl_terms) < 0.0
+        # tr(Spt^-1 Sft) = 2e-3: D~ = log t + t + 2 log 2 - 2 < 0
+        pair = DomainPair(make_spd(np.eye(2)), make_spd(1e-3 * np.eye(2)), np.zeros(2))
+        d_tilde = discrepancy_d_tilde(pair)
+        assert d_tilde < 0.0
+        report = finetune_bound_dimension(pair, spec)
+        assert report.kl_term == d_tilde
         with pytest.raises(InvalidSpecError, match="kl must be nonnegative"):
-            mcallester_bound(min(kl_terms) / 2, spec)
+            mcallester_bound(d_tilde / 2, spec)
 
 
 class TestDecayRate:
@@ -809,13 +813,9 @@ def test_stacked_discrepancies_equal_per_pair_calls_bit_for_bit(count, dim):
     entries = _make_spd_stack(_random_spd_entries(dim, 0.2, 5.0, _streams(seeds)))
     shifts = make_rng(12).standard_normal((count, dim))
     stacked = _pair_divergences(entries[1::2], entries[0::2], shifts)
-    traces, _, mahas = gaussian_pair_terms(entries[1::2], entries[0::2], shifts)
-    # D~ as the docstring writes it, with numpy's log of the stack of traces
-    d_tilde = np.log(traces) + traces + mahas + dim * math.log(dim) - dim
     for i in range(count):
         pair = DomainPair(make_spd(entries[2 * i]), make_spd(entries[2 * i + 1]), shifts[i])
         assert bounds._pair_discrepancies(pair) == tuple(value[i] for value in stacked)
-        assert stacked[2][i] == d_tilde[i]
 
 
 def test_overflowing_pair_raises_without_a_warning():
@@ -828,18 +828,27 @@ def test_overflowing_pair_raises_without_a_warning():
                 evaluate(pair)
 
 
-def test_a_trace_that_underflows_fails_d_tilde_but_not_the_kl():
-    # tr(Spt^-1 Sft) = 1e-600 underflows to 0: D and the KL stay finite, while
-    # D~ and Lemma 2's margin take its log and raise, with no warning
+def test_a_trace_that_underflows_keeps_every_divergence_finite():
+    # tr(Spt^-1 Sft) = 1e-600 underflows to 0, but D~ and Lemma 2's margin
+    # take its log at the power of two of the relative factor, so they, D
+    # and the KL agree with a 50-digit evaluation, with no warning
     pair = DomainPair(make_spd(1e300 * np.eye(1)), make_spd(1e-300 * np.eye(1)), np.zeros(1))
     q = GaussianMeasure(np.zeros(1), pair.sigma_ft)
     p = GaussianMeasure(np.zeros(1), pair.sigma_pt)
+    with mpmath.workdps(50):
+        sp, sq = mpmath.mpf(1e300), mpmath.mpf(1e-300)
+        trace, ratio = sq / sp, mpmath.log(sp) - mpmath.log(sq)
+        want_d = trace - 1 + ratio
+        want_d_tilde = mpmath.log(trace) + trace - 1
+        want_margin = mpmath.log(trace) - ratio
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert kl_divergence(q, p) == pytest.approx(300 * math.log(10) - 0.5, rel=1e-12)
-        for evaluate in (discrepancy_d, discrepancy_d_tilde, lemma2_check):
-            with pytest.raises(NumericalInconsistencyError, match=r"tr\(Sp\^-1 Sq\) = 0,"):
-                evaluate(pair)
+        result = lemma2_check(pair)
+        for got, want in ((kl_divergence(q, p), want_d / 2), (discrepancy_d(pair), want_d),
+                          (discrepancy_d_tilde(pair), want_d_tilde),
+                          (result.d_value, want_d), (result.d_tilde_value, want_d_tilde),
+                          (result.margin, want_margin)):
+            assert got == pytest.approx(float(want), rel=1e-14)
 
 
 # One formula: every Gaussian-pair divergence is a value of _pair_divergences,
@@ -869,7 +878,7 @@ def test_the_kl_is_half_of_d(pair):
     sigma_p, sigma_q, mean_q = pair
     q, p = GaussianMeasure(mean_q, sigma_q), GaussianMeasure(np.zeros(len(mean_q)), sigma_p)
     half = 0.5 * discrepancy_d(DomainPair(sigma_p, sigma_q, p.mean - q.mean))
-    assert kl_divergence(q, p) == (half if half >= 0.0 else 0.0)  # a negative KL is clamped
+    assert kl_divergence(q, p) == half
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

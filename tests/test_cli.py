@@ -809,7 +809,7 @@ def test_lemma_survey_payload_does_not_depend_on_the_shift_scale(capsys, argv, s
 
 
 def test_dominance_on_identical_domains_exits_0(capsys, tmp_path):
-    # D on identical domains is a rounding error either side of 0 (seed 8 below 0)
+    # D on identical domains is exactly 0
     kl_terms = []
     for seed in range(12):
         sigma = random_spd(1 + seed % 8, 0.2, 5.0, seed)
@@ -820,7 +820,7 @@ def test_dominance_on_identical_domains_exits_0(capsys, tmp_path):
                                "--n-pt", "1000", "--n-ft", "100", "--output", str(out_path))
         assert (code, err) == (0, "")
         kl_terms.append(json.loads(out_path.read_text())["ft_report"]["kl_term"])
-    assert min(kl_terms) < 0.0
+    assert kl_terms == [0.0] * 12
 
 
 def test_dominance_evaluates_each_bound_report_once(capsys, monkeypatch, identity_file):

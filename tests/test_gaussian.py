@@ -43,7 +43,7 @@ from oupac import (
     stein_stationary_covariance,
 )
 from oupac import linalg
-from oupac.gaussian import _kl_divergences, gaussian_pair_terms
+from oupac.gaussian import _kl_divergences, _pair_divergences
 from oupac.linalg import cholesky_factor
 from oupac.rng import make_rng
 
@@ -431,6 +431,14 @@ def _mp_pair_terms(lp: np.ndarray, lq: np.ndarray, shift: np.ndarray):
     return trace, maha
 
 
+def _mp_divergences(trace, log_det_ratio, maha, dim: int) -> tuple:
+    """(D, paper-literal D, D~, Lemma 2's margin) of mpmath terms, at the
+    caller's precision."""
+    log_trace, d_log_d = mpmath.log(trace), dim * mpmath.log(dim)
+    return (trace - dim + maha + log_det_ratio, trace - dim + maha - log_det_ratio,
+            log_trace + trace + maha + d_log_d - dim, log_trace + d_log_d - log_det_ratio)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     dim=st.integers(1, 16),
@@ -438,18 +446,25 @@ def _mp_pair_terms(lp: np.ndarray, lq: np.ndarray, shift: np.ndarray):
     log_condition_p=st.floats(0.0, 8.0),
     log_condition_q=st.floats(0.0, 8.0),
 )
-def test_pair_terms_match_40_digit_solve(dim, seed, log_condition_p, log_condition_q):
+def test_pair_divergences_match_40_digit_solve(dim, seed, log_condition_p, log_condition_q):
     sigma_p = _spd_with_condition(dim, log_condition_p, seed)
     sigma_q = _spd_with_condition(dim, log_condition_q, seed + 1)
     shift = make_rng(seed, 2).standard_normal(dim)
-    trace, _, maha = gaussian_pair_terms(sigma_q, sigma_p, shift)
-    lp = cholesky_factor(sigma_p)
-    want_trace, want_maha = _mp_pair_terms(lp, cholesky_factor(sigma_q), shift)
-    # the solve's normwise error, d * kappa(Lp) * eps for the squared norms,
-    # plus at most d^2 * eps for squaring and summing d^2 nonnegative terms
-    bound = dim * (np.linalg.cond(lp) + dim) * np.finfo(float).eps
-    for got, want in ((trace, want_trace), (maha, want_maha)):
-        assert float(abs(mpmath.mpf(got) - want) / want) <= bound
+    got = _pair_divergences(sigma_q, sigma_p, shift)
+    lp, lq = cholesky_factor(sigma_p), cholesky_factor(sigma_q)
+    with mpmath.workdps(40):
+        trace, maha = _mp_pair_terms(lp, lq, shift)
+        log_det_ratio = 2 * mpmath.fsum(mpmath.log(float(a)) - mpmath.log(float(b))
+                                        for a, b in zip(np.diagonal(lp), np.diagonal(lq)))
+        want = _mp_divergences(trace, log_det_ratio, maha, dim)
+        size = (trace + maha + abs(mpmath.log(trace)) + abs(log_det_ratio)
+                + dim * math.log(dim) + dim)
+        # the solve's normwise error, d * kappa(Lp) * eps for the squared
+        # norms, plus at most d^2 * eps for squaring, summing and the logs,
+        # each relative to the sum of the magnitudes of the terms
+        bound = dim * (np.linalg.cond(lp) + dim) * EPS * size
+        for value, reference in zip(got, want):
+            assert abs(mpmath.mpf(float(value)) - reference) <= bound
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -460,63 +475,175 @@ def test_pair_terms_match_40_digit_solve(dim, seed, log_condition_p, log_conditi
     log_condition=st.floats(0.0, 8.0),
     shared_p=st.booleans(),
 )
-def test_stacked_pair_terms_and_kl_match_per_pair_calls(count, dim, seed, log_condition,
-                                                        shared_p):
+def test_stacked_pair_divergences_and_kl_match_per_pair_calls(count, dim, seed, log_condition,
+                                                              shared_p):
     sigma_q = np.array([_spd_with_condition(dim, log_condition, seed + i).entries
                         for i in range(count)])
     sigma_p = np.array([_spd_with_condition(dim, log_condition / 2, seed + count + i).entries
                         for i in range(1 if shared_p else count)])
     sigma_p = sigma_p[0] if shared_p else sigma_p
     shift = make_rng(seed, 2).standard_normal((count, dim))
-    stacked = gaussian_pair_terms(sigma_q, sigma_p, shift)
+    stacked = _pair_divergences(sigma_q, sigma_p, shift)
     prior = GaussianMeasure(make_rng(seed, 3).standard_normal(dim),
                             make_spd(sigma_p if shared_p else sigma_p[0]))
     kl = _kl_divergences(sigma_q, prior.mean - shift, prior)
     for index in range(count):
-        single = gaussian_pair_terms(sigma_q[index], sigma_p if shared_p else sigma_p[index],
-                                     shift[index])
-        for got, want in zip(stacked, single):
-            np.testing.assert_array_max_ulp(got[index], want, maxulp=4)
+        single = _pair_divergences(sigma_q[index], sigma_p if shared_p else sigma_p[index],
+                                   shift[index])
+        assert tuple(value[index] for value in stacked) == single
         q = GaussianMeasure(prior.mean - shift[index], make_spd(sigma_q[index]))
-        np.testing.assert_array_max_ulp(kl[index], kl_divergence(q, prior), maxulp=4)
+        assert kl[index] == kl_divergence(q, prior)
 
 
 def test_an_identity_prior_skips_the_solve_and_keeps_every_bit(monkeypatch):
-    # a solve by I returns its finite right side [Lq | shift] as it is; a
-    # stack of one I is not skipped, so it makes the solve's terms
+    # a solve by I returns its finite right side as it is; a stack of one I
+    # is not skipped, so it makes the solve's values
     sigma_q = np.array([_spd_with_condition(4, 3.0, seed).entries for seed in range(3)])
     shift = 1e3 * make_rng(5, 2).standard_normal((3, 4))
-    want = gaussian_pair_terms(sigma_q, np.eye(4)[None], shift)
+    want = _pair_divergences(sigma_q, np.eye(4)[None], shift)
     calls = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or solve(*args))
-    got = gaussian_pair_terms(sigma_q, make_spd(np.eye(4)), shift)
+    got = _pair_divergences(sigma_q, make_spd(np.eye(4)), shift)
     assert calls == []
-    assert [term.tobytes() for term in got] == [term.tobytes() for term in want]
+    assert [value.tobytes() for value in got] == [value.tobytes() for value in want]
     # a factor one ulp from I is solved
     near = np.eye(4)
     near[3, 0] = 5e-324
-    gaussian_pair_terms(sigma_q, near @ near.T, shift)
+    _pair_divergences(sigma_q, near @ near.T, shift)
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("identity", [True, False])
 def test_an_overflowed_shift_has_an_infinite_term_and_leaves_the_others(identity):
     # a mean difference that overflowed is solved as zero, so no inf * 0 of a
-    # solve spreads into NaN, and its term is +inf; every other term keeps its bits
+    # solve spreads into NaN: the check names its term +inf beside the other
+    # two terms of its pair, and the other pairs of its stack keep their bits
     sigma_q = np.array([_spd_with_condition(4, 3.0, seed).entries for seed in range(3)])
     sigma_p = make_spd(np.eye(4) if identity else _spd_with_condition(4, 5.0, 7).entries)
     shift = make_rng(5, 2).standard_normal((3, 4))
     overflowed = shift.copy()
     overflowed[1] = [np.inf, 0.0, -np.inf, 1.0]
+    trace = np.sum(np.linalg.solve(cholesky_factor(sigma_p), cholesky_factor(sigma_q[1]))**2)
+    log_det_ratio = sigma_p.log_det - make_spd(sigma_q[1]).log_det
+    message = (f"a Gaussian-pair term or divergence is not finite (tr(Sp^-1 Sq) = {trace:.6g}, "
+               f"log det Sp - log det Sq = {log_det_ratio:.6g}, shift^T Sp^-1 shift = inf): "
+               f"an input is too large for float64")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = gaussian_pair_terms(sigma_q, sigma_p, overflowed)
-        single = gaussian_pair_terms(sigma_q[1], sigma_p, overflowed[1])
-    want = gaussian_pair_terms(sigma_q, sigma_p, shift)
-    assert got[2][1] == single[2] == np.inf
-    assert np.array_equal(np.delete(got[2], 1), np.delete(want[2], 1))
-    assert [term.tobytes() for term in got[:2]] == [term.tobytes() for term in want[:2]]
+        for args in ((sigma_q, overflowed), (sigma_q[1], overflowed[1])):
+            with pytest.raises(NumericalInconsistencyError) as raised:
+                _pair_divergences(args[0], sigma_p, args[1])
+            assert str(raised.value) == message
+        others = _pair_divergences(np.delete(sigma_q, 1, 0), sigma_p, np.delete(overflowed, 1, 0))
+    want = _pair_divergences(sigma_q, sigma_p, shift)
+    assert [value.tobytes() for value in others] == [np.delete(value, 1).tobytes()
+                                                     for value in want]
+
+
+def _near_pair(dim: int, log_condition: float, log_distance: float, seed: int):
+    """``(Sp, Sq)`` entries: Sp Haar-rotated with eigenvalues from 1 to
+    10**log_condition, and Sq = Sp + eps Lp S Lp^T at eps = 10**-log_distance,
+    S symmetric of spectral norm 1/2, so that the eigenvalues of Sp^-1 Sq lie
+    in [1 - eps / 2, 1 + eps / 2] up to the rounding of Sq's entries."""
+    rng = make_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    sigma_p = (basis * np.logspace(0.0, log_condition, dim)) @ basis.T
+    sigma_p = 0.5 * (sigma_p + sigma_p.T)
+    factor = np.linalg.cholesky(sigma_p)
+    s = rng.standard_normal((dim, dim))
+    s += s.T
+    s /= 2.0 * np.linalg.norm(s, 2)
+    sigma_q = sigma_p + 10.0**-log_distance * (factor @ s @ factor.T)
+    return sigma_p, 0.5 * (sigma_q + sigma_q.T)
+
+
+def _mp_pair(sigma_p: np.ndarray, sigma_q: np.ndarray, shift: np.ndarray):
+    """``(t, log det Sp - log det Sq, shift^T Sp^-1 shift)`` of the float
+    entries, at 50 digits."""
+    with mpmath.workdps(50):
+        p, q = mpmath.matrix(sigma_p.tolist()), mpmath.matrix(sigma_q.tolist())
+        inverse = mpmath.inverse(p)
+        vector = mpmath.matrix(shift.tolist())
+        trace = mpmath.fsum((inverse * q)[i, i] for i in range(len(shift)))
+        maha = (vector.T * inverse * vector)[0]
+        return trace, mpmath.log(mpmath.det(p)) - mpmath.log(mpmath.det(q)), maha
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(1, 6),
+    count=st.integers(1, 3),
+    log_condition=st.floats(0.0, 8.0),
+    log_distance=st.floats(0.0, 12.0),
+    shift_scale=st.sampled_from([0.0, 1e-6, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_near_pairs_match_a_50_digit_evaluation(dim, count, log_condition, log_distance,
+                                                shift_scale, seed):
+    pairs = [_near_pair(dim, log_condition, log_distance, seed + i) for i in range(count)]
+    shift = shift_scale * make_rng(seed, 2).standard_normal((count, dim))
+    sigma_p, sigma_q = (np.array(side) for side in zip(*pairs))
+    if count == 1:
+        got = _pair_divergences(make_spd(sigma_q[0]), make_spd(sigma_p[0]), shift[0])
+        got = tuple(np.array([value]) for value in got)
+    else:
+        got = _pair_divergences(sigma_q, sigma_p, shift)
+    for i in range(count):
+        assert tuple(value[i] for value in got) == _pair_divergences(sigma_q[i], sigma_p[i],
+                                                                     shift[i])
+        # every term of D is >= 0 in floating point: the diagonal ones here,
+        # the squares by construction
+        lp, lq = cholesky_factor(sigma_p[i]), cholesky_factor(sigma_q[i])
+        pivots = np.diagonal(lq) / np.diagonal(lp)
+        assert ((pivots - 1.0) * (pivots + 1.0) - 2.0 * np.log(pivots) >= 0.0).all()
+        assert got[0][i] >= 0.0
+        assert _pair_divergences(sigma_p[i], sigma_p[i], np.zeros(dim))[0] == 0.0
+        kappa = np.linalg.cond(sigma_p[i])
+        with mpmath.workdps(50):
+            trace, log_det_ratio, maha = _mp_pair(sigma_p[i], sigma_q[i], shift[i])
+            want = _mp_divergences(trace, log_det_ratio, maha, dim)
+            # Each Cholesky factor is exact for its covariance plus a
+            # backward error of at most (d + 1) eps tr(S) in norm, which moves
+            # the relative matrix R = Lp^-1 Sq Lp^-T, whose eigenvalues lie in
+            # [1/2, 3/2], by h <= 10 d^2 kappa eps.  D = sum (r - 1 - log r)
+            # + maha then moves by at most |I - R^-1|_F h <= sqrt(6 D) h to
+            # first order, 2 h^2 to second, and h maha; the kernel's own
+            # roundings add 4 d^2 eps D.  The other values add the move of
+            # log det R (2 sqrt(d) h) and of t and log t (sqrt(d) h each),
+            # taken twice, and 4 d^2 eps times the size of their terms.
+            h = 10 * dim**2 * kappa * EPS
+            d_bound = 2 * h * (mpmath.sqrt(6 * want[0]) + h + want[0]) + 4 * dim**2 * EPS * want[0]
+            size = (trace + maha + abs(mpmath.log(trace)) + abs(log_det_ratio)
+                    + dim * math.log(dim) + dim)
+            bound = d_bound + 8 * math.sqrt(dim) * h + 4 * dim**2 * EPS * size
+            assert abs(mpmath.mpf(float(got[0][i])) - want[0]) <= d_bound
+            for value, reference in zip(got[1:], want[1:]):
+                assert abs(mpmath.mpf(float(value[i])) - reference) <= bound
+
+
+@pytest.mark.parametrize("lr", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_the_kl_of_the_chain_law_from_the_lyapunov_law_matches_its_closed_form(lr):
+    # At C = c I the Lyapunov law is T A^-1 and the chain's Stein law is
+    # T (A - lr A^2 / 2)^-1, T = lr c / (2 b), so KL(Stein || Lyapunov) =
+    # 1/2 sum phi(lr lambda_i / 2), phi(u) = u / (1 - u) + log1p(-u), about
+    # lr^2 sum lambda_i^2 / 16.  Each law is within about d eps |X| of its
+    # value and each factor within (d + 1) eps tr X of its law; whitened by
+    # the Lyapunov law these move R = diag(1 / (1 - u_i)) by at most
+    # 8 d^2 kappa eps, so the KL, about 1/4 sum u_i^2 with u_i >= lr
+    # lambda_min / 2, moves by a relative 32 d^2 kappa eps / (lr lambda_min).
+    hessian, noise = random_spd(5, 0.2, 5.0, 3), SymmetricMatrix(0.7 * np.eye(5))
+    lyapunov = stationary_from_dynamics(hessian, np.zeros(5), noise, lr, 4)
+    stein = GaussianMeasure(np.zeros(5), make_spd(
+        stein_stationary_covariance(hessian, noise, lr, 4).entries))
+    with mpmath.workdps(50):
+        lam = mpmath.eigsy(mpmath.matrix(hessian.entries.tolist()), eigvals_only=True)
+        u = [mpmath.mpf(lr) * value / 2 for value in lam]
+        want = mpmath.fsum(v / (1 - v) + mpmath.log1p(-v) for v in u) / 2
+    low, high = hessian.eigenvalues[0], hessian.eigenvalues[-1]
+    bound = 32 * 5**2 * (high / low) * EPS / (lr * low)
+    got = kl_divergence(stein, lyapunov)
+    assert float(abs(mpmath.mpf(got) - want) / want) <= bound
 
 
 @pytest.mark.parametrize("evaluate", [

@@ -39,11 +39,10 @@ from oupac import (
 )
 from oupac import linalg
 from oupac.errors import OupacError
-from oupac.gaussian import GaussianMeasure, _kl_divergences, _pair_divergences, gaussian_pair_terms
+from oupac.gaussian import GaussianMeasure, _kl_divergences, _pair_divergences
 from oupac.gaussian import stein_stationary_covariance
-from oupac.linalg import (_backward_verdict, _in_groups, _log_det_of_factor,
-                          _lyapunov_in_eigenbasis, _make_spd_stack, _spd_verdict,
-                          _symmetric_entries)
+from oupac.linalg import (_backward_verdict, _in_groups, _lyapunov_in_eigenbasis,
+                          _make_spd_stack, _spd_verdict, _symmetric_entries)
 from oupac.rng import make_rng
 
 from conftest import random_symmetric
@@ -200,13 +199,6 @@ class TestLogDet:
             m = random_spd(8, 0.05, 20.0, seed=seed)
             expected = float(np.sum(np.log(np.linalg.eigvalsh(m.entries))))
             assert log_det(m) == pytest.approx(expected, rel=1e-10)
-
-    def test_stacked_factors_give_log_det_and_the_pair_term_bit_for_bit(self):
-        matrices = [random_spd(4, 0.1, 30.0, seed=seed) for seed in range(6)]
-        stacked = _log_det_of_factor(cholesky_factor(np.stack([m.entries for m in matrices])))
-        assert stacked.tolist() == [log_det(m) for m in matrices]
-        _, log_det_ratio, _ = gaussian_pair_terms(matrices[0], matrices[1], np.zeros(4))
-        assert log_det_ratio == log_det(matrices[1]) - log_det(matrices[0])
 
 
 def lyapunov_residual(a, q, x) -> float:
@@ -694,7 +686,7 @@ class TestKeptDecompositions:
         assert np.array_equal(m.eigenvalues, want[0])
         assert np.array_equal(m.factor, want[1])
         assert np.array_equal(values, want[2][0]) and np.array_equal(vectors, want[2][1])
-        assert m.log_det == float(_log_det_of_factor(want[1]))
+        assert m.log_det == float(2.0 * np.sum(np.log(np.diagonal(want[1]))))
 
     def test_every_kept_array_is_read_only(self):
         m = random_spd(4, 0.5, 2.0, seed=9)
@@ -984,7 +976,7 @@ class TestInGroups:
     def test_columns_concatenate_in_item_order(self, monkeypatch):
         monkeypatch.setattr(linalg, "GROUP_FLOATS", 10)
         calls = []
-        doubled, shifted = _in_groups(self.recording(calls), list(range(7)), 3)
+        doubled, shifted = _in_groups(self.recording(calls), list(range(7)), [(7, 3)])
         assert calls == [[0, 1, 2], [3, 4, 5], [6]]
         assert doubled.tolist() == [2.0 * i for i in range(7)]
         assert shifted.tolist() == [i + 0.5 for i in range(7)]
@@ -997,7 +989,7 @@ class TestInGroups:
             self, monkeypatch, floats_per_item, sizes):
         monkeypatch.setattr(linalg, "GROUP_FLOATS", 10)
         calls = []
-        _in_groups(self.recording(calls), range(12), floats_per_item)
+        _in_groups(self.recording(calls), range(12), [(12, floats_per_item)])
         assert [len(group) for group in calls] == sizes
         assert [item for group in calls for item in group] == list(range(12))
 
@@ -1015,7 +1007,7 @@ class TestInGroups:
         monkeypatch.setattr(linalg, "GROUP_FLOATS", 4)
         calls = []
         with pytest.raises(NotSquareError, match="item 1"):
-            _in_groups(self.recording(calls, fail), list(range(8)), 1)
+            _in_groups(self.recording(calls, fail), list(range(8)), [(8, 1)])
         assert calls == [[0, 1, 2, 3], [0], [1]]
 
     def test_a_failing_one_item_group_is_not_replayed(self, monkeypatch):
@@ -1026,7 +1018,7 @@ class TestInGroups:
         monkeypatch.setattr(linalg, "GROUP_FLOATS", 1)
         calls = []
         with pytest.raises(InvalidRangeError, match="item 2"):
-            _in_groups(self.recording(calls, fail), list(range(5)), 1)
+            _in_groups(self.recording(calls, fail), list(range(5)), [(5, 1)])
         assert calls == [[0], [1], [2]]
 
     def test_a_group_whose_items_pass_alone_keeps_their_results(self, monkeypatch):
@@ -1037,7 +1029,7 @@ class TestInGroups:
 
         monkeypatch.setattr(linalg, "GROUP_FLOATS", 3)
         calls = []
-        doubled, shifted = _in_groups(self.recording(calls, fail), list(range(5)), 1)
+        doubled, shifted = _in_groups(self.recording(calls, fail), list(range(5)), [(5, 1)])
         assert calls == [[0, 1, 2], [0], [1], [2], [3, 4], [3], [4]]
         assert doubled.tolist() == [2.0 * i for i in range(5)]
         assert shifted.tolist() == [i + 0.5 for i in range(5)]
@@ -1048,7 +1040,7 @@ class TestInGroups:
 
         calls = []
         with pytest.raises(ValueError, match="not a check"):
-            _in_groups(self.recording(calls, fail), [0, 1, 2], 1)
+            _in_groups(self.recording(calls, fail), [0, 1, 2], [(3, 1)])
         assert calls == [[0, 1, 2]]
 
 

@@ -62,7 +62,7 @@ from oupac import (
     two_stage_run,
 )
 from oupac import diffusion, matrixio
-from oupac.gaussian import gaussian_pair_terms, sample
+from oupac.gaussian import sample
 from oupac.rng import child_seed, make_rng
 
 EPS = np.finfo(float).eps
@@ -129,8 +129,9 @@ def _pair_tolerances(pair: DomainPair, values: dict, kappa: float) -> dict:
     a few roundings of the square root."""
     d = pair.dim
     unit = 4.0 * d * kappa * EPS
-    trace, log_det_ratio, maha = map(float, gaussian_pair_terms(
-        pair.sigma_ft, pair.sigma_pt, pair.shift))
+    trace = float(np.trace(np.linalg.solve(pair.sigma_pt.entries, pair.sigma_ft.entries)))
+    maha = float(pair.shift @ np.linalg.solve(pair.sigma_pt.entries, pair.shift))
+    log_det_ratio = pair.sigma_pt.log_det - pair.sigma_ft.log_det
     terms = trace + d + maha + abs(log_det_ratio)
     pt_terms = float(np.trace(pair.sigma_pt.entries)) + d + abs(pair.sigma_pt.log_det)
     tol = {
