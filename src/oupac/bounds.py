@@ -12,7 +12,7 @@ D, the paper-literal D, D~ and Lemma 2's margin D~ - D have one home,
 :func:`oupac.gaussian._pair_divergences`, which takes one pair or a stack
 of pairs and also gives the KL (D / 2) and the pre-training divergence
 (D against the N(0, I) prior), and the complexity term one,
-:func:`_mcallester`.
+:func:`_radicand`.
 :func:`lemma2_survey` evaluates the pairs of all its dimensions as one
 pipeline of stacks, arrays with a leading pair axis, in the groups of
 :func:`oupac.linalg._in_groups`, each sized by what its pairs hold, so a
@@ -22,10 +22,11 @@ it make one QR for their random covariances, one Cholesky per side and
 one solve for their pair terms, where a pair-by-pair loop makes each call
 once per pair.  A covariance drawn with eigenvalues in ``[low, high]``
 passes the strict SPD test of :func:`oupac.linalg.make_spd` whenever
-``low - slack > PSD_RTOL * (high + slack)``, ``slack = 16 d^2 eps
-high`` (:func:`oupac.linalg._spectrum_passes`); there the ``eigvalsh``
-check is skipped, and only a range with ``low / high`` within rounding
-of ``PSD_RTOL`` (1e-10) still runs it.  Each pair still draws from its
+``low - slack > PSD_RTOL * (high + slack)``, ``slack = 16 d^2 (eps high
++ 2^-1074)`` (:func:`oupac.linalg._spectrum_passes`); there the
+``eigvalsh`` check is skipped, and only a range with ``low / high``
+within rounding of ``PSD_RTOL`` (1e-10), or of subnormal eigenvalues,
+still runs it.  Each pair still draws from its
 own seeded streams.  A pair term or discrepancy that overflows raises
 :class:`NumericalInconsistencyError` (CLI exit code 3).
 """
@@ -111,8 +112,9 @@ class BoundReport:
     notes: str = ""
 
     def __post_init__(self):
-        if self.complexity_term < 0:
-            raise InvalidSpecError("complexity_term must be nonnegative")
+        if not self.complexity_term >= 0:  # so that NaN fails
+            raise InvalidSpecError(
+                f"complexity_term must be nonnegative, got {self.complexity_term}")
 
     def as_dict(self) -> dict:
         return {
@@ -147,25 +149,30 @@ def mcallester_bound(kl, spec: SampleSpec):
     negative = np.flatnonzero(~(kl >= 0))  # not (kl >= 0), so that NaN fails
     if negative.size:
         raise InvalidSpecError(f"kl must be nonnegative, got {np.ravel(kl)[negative[0]]}")
-    bound = _mcallester(kl, spec)
+    bound = np.sqrt(_radicand(kl, spec))
     return float(bound) if bound.ndim == 0 else bound
 
 
-def _mcallester(kl, spec: SampleSpec):
-    """:func:`mcallester_bound` without its sign check: the bound reports
-    pass half a divergence term, and D~ can be negative."""
+def _radicand(kl, spec: SampleSpec):
+    """The square of :func:`mcallester_bound`, without its sign check: the
+    bound reports pass half a divergence term, and D~ can be negative."""
     n = spec.sample_size
     inverse = 1.0 / spec.delta
     # 1/delta overflows for a subnormal delta, whose -log(delta) is finite
     confidence = -math.log(spec.delta) if inverse == math.inf else math.log(inverse)
-    numerator = kl + confidence + math.log(n) + 2.0
-    return np.sqrt(numerator / (2.0 * n - 1.0))
+    # 2N - 1 overflows from N = 2^1023; halving after the division is exact
+    return (kl + confidence + math.log(n) + 2.0) / (n - 0.5) / 2.0
 
 
 def _report(kl_term: float, paper_literal_kl: float, spec: SampleSpec, notes: str) -> BoundReport:
     """A :class:`BoundReport` of a doubled divergence ``kl_term``: its
-    complexity term is :func:`_mcallester` at ``kl_term / 2``."""
-    return BoundReport(kl_term=kl_term, complexity_term=float(_mcallester(kl_term / 2, spec)),
+    complexity term is :func:`mcallester_bound` at ``kl_term / 2``; raises
+    :class:`InvalidSpecError` where its radicand is negative."""
+    radicand = _radicand(kl_term / 2, spec)
+    if not radicand >= 0:
+        raise InvalidSpecError("the complexity term's radicand (kl + log(1/delta) + log N + 2)"
+                               f" / (2N - 1) must be nonnegative, got {radicand}")
+    return BoundReport(kl_term=kl_term, complexity_term=math.sqrt(radicand),
                        paper_literal_kl=paper_literal_kl, notes=notes)
 
 
@@ -266,9 +273,10 @@ def lemma2_survey(
     shift, since the margin does not read one.  The pairs of all
     dimensions are evaluated as one stacked pipeline (module docstring).
     A covariance skips ``random_spd``'s ``eigvalsh`` check where ``low -
-    slack > 1e-10 * max(high + slack, 1)``, ``slack = 16 d^2 eps high``,
-    which decides it, as at the default range for any d the survey takes;
-    at a ratio ``low / high`` within rounding of 1e-10 the check runs.
+    slack > 1e-10 * (high + slack)``, ``slack = 16 d^2 (eps high +
+    2^-1074)``, which decides it, as at the default range for any d the
+    survey takes; at a ratio ``low / high`` within rounding of 1e-10, or
+    at subnormal eigenvalues, the check runs.
     One call of the stack entry point :func:`oupac.rng._streams`
     seeds each group of pairs; its generators are those of the one-stream
     entry point :func:`oupac.rng.make_rng` for the same seeds, as
@@ -284,17 +292,15 @@ def lemma2_survey(
     if not dims:
         return []
     (margins,) = _in_groups(
-        lambda items: _survey_group(items, dims, pairs_per_dim, seed, eigenvalue_low,
-                                    eigenvalue_high),
-        range(len(dims) * pairs_per_dim),
-        [(pairs_per_dim, 2 * d * d + 8) for d in dims])  # two covariances, two streams' words
+        lambda parts: _survey_group(parts, seed, eigenvalue_low, eigenvalue_high),
+        [(d, pairs_per_dim, 2 * d * d + 8) for d in dims])  # two covariances, two streams' words
     rows = []
     for d, row in zip(dims, margins.reshape(len(dims), pairs_per_dim)):
-        holds = np.count_nonzero(row >= -HOLDS_TOLERANCE)
+        holds = int(np.count_nonzero(row >= -HOLDS_TOLERANCE))
         rows.append({
             "dim": d,
             "pairs": pairs_per_dim,
-            "holds": int(holds),
+            "holds": holds,
             "holds_fraction": holds / pairs_per_dim,
             "min_margin": float(row.min()),
         })
@@ -307,26 +313,23 @@ def _check_survey_dim(largest: int) -> None:
     _check_held("dims: one pair's covariances hold", 2 * largest * largest, largest)
 
 
-def _survey_group(items, dims, pairs_per_dim, seed, eigenvalue_low, eigenvalue_high):
-    """Lemma 2's margins of the surveyed pairs ``items``, a range of
-    indices ``j * pairs_per_dim + i`` of pair i of dimension ``dims[j]``,
-    as a one-array tuple.  One stack of streams seeds the group's
-    covariances, interleaved (source, target, source, ...) so that a pair's
-    source covariance fails before its target one; each dimension's pairs
-    are then drawn, checked and evaluated as one stack.  The pair terms
-    take a zero shift, which the margin does not read."""
+def _survey_group(parts, seed, eigenvalue_low, eigenvalue_high):
+    """Lemma 2's margins of the surveyed pairs of ``parts``, whose ``(d,
+    start, stop)`` holds pairs ``start`` to ``stop - 1`` of dimension d, as
+    a one-array tuple.  One stack of streams seeds the group's covariances,
+    interleaved (source, target, source, ...) so that a pair's source
+    covariance fails before its target one; each part's pairs are then
+    drawn, checked and evaluated as one stack.  The pair terms take a zero
+    shift, which the margin does not read."""
     streams = _streams(_child_seeds(seed, [
-        (dims[k // pairs_per_dim], k % pairs_per_dim, side) for k in items for side in (0, 1)]))
+        (d, i, side) for d, start, stop in parts for i in range(start, stop) for side in (0, 1)]))
     margins = []
-    start = items.start
-    while start < items.stop:
-        d = dims[start // pairs_per_dim]
-        stop = min(items.stop, (start // pairs_per_dim + 1) * pairs_per_dim)
+    for d, start, stop in parts:
         entries = _random_spd_stack(d, eigenvalue_low, eigenvalue_high,
-                                    streams[2 * (start - items.start):2 * (stop - items.start)])
+                                    streams[:2 * (stop - start)])
+        streams = streams[2 * (stop - start):]
         margins.append(_pair_divergences(entries[1::2], entries[0::2],
                                          np.zeros((stop - start, d)))[3])
-        start = stop
     return (np.concatenate(margins),)
 
 

@@ -20,7 +20,9 @@ The private kernels shared with :mod:`oupac.regression` and
 :func:`oupac.bounds.lemma2_survey` (the random SPD draw, the SPD checks,
 the eigenbasis solve, the backward-error check) take arrays with leading stack
 axes, one item per trailing matrix; a public function calls them on one
-matrix.  :func:`_in_groups` states how a stack raises.
+matrix.  :func:`_in_groups` cuts a pipeline's runs of items into groups,
+hands each group's kernel its slices of the runs, and states how a stack
+raises.
 
 An :class:`SpdMatrix` is a :class:`SymmetricMatrix` that passed the
 strict eigenvalue check; every covariance a Gaussian or a bound reads is
@@ -129,54 +131,49 @@ def _finite(values, what: str):
     return values
 
 
-def _in_groups(run: Callable[[Sequence], tuple], items: Sequence,
-               floats_per_item: list[tuple[int, int]]) -> tuple[np.ndarray, ...]:
-    """``run(group)`` on consecutive groups of ``items``, each of its result
-    arrays (one leading entry per item) concatenated in item order.
+def _in_groups(run: Callable[[list], tuple], runs: Sequence[tuple]) -> tuple[np.ndarray, ...]:
+    """``run(parts)`` on consecutive groups of the items of ``runs``, each
+    of its result arrays (one leading entry per item) concatenated in item
+    order.
 
-    ``floats_per_item`` is the count of numbers an item holds, as a list of
-    ``(count, floats)`` runs that cover the items in order: ``count``
-    consecutive items of ``floats`` numbers each.  A group takes items while
-    they hold at most ``GROUP_FLOATS`` numbers in all, and at least one item
-    (an item of no numbers counts as one), so memory does not grow with the
-    item count.  The check policy
+    ``runs`` lists ``(key, count, floats)`` runs that cover the items in
+    order: ``count`` consecutive items of ``floats`` numbers each, which
+    share ``key``.  A group takes items while they hold at most
+    ``GROUP_FLOATS`` numbers in all, and at least one item (an item of no
+    numbers counts as one), so memory does not grow with the item count;
+    it may span runs.  ``parts`` lists the group's ``(key, start, stop)``
+    slices of its runs, in order, with ``start`` and ``stop`` indices into
+    the run, so no kernel maps an item back to its run.  The check policy
     of every stacked kernel is this: a kernel raises at its first failing
     check, as soon as any item of its stack fails it, and returns only its
     values.
     A group of more than one item that raises an :class:`OupacError` is
-    run again one item at a time, in order, so the first item to fail
-    raises its own error, which is what an item-by-item loop raises
-    first, and if none fails the one-item results are kept.  Any other
-    exception propagates at once.
+    run again one item at a time, in order, each as a one-item part, so
+    the first item to fail raises its own error, which is what an
+    item-by-item loop raises first, and if none fails the one-item results
+    are kept.  Any other exception propagates at once.
     """
-    parts = []
-    for start, stop in _group_bounds(floats_per_item):
-        group = items[start:stop]
+    groups, held = [], GROUP_FLOATS  # the first item starts a group
+    for key, count, floats in runs:
+        floats, start = max(1, floats), 0
+        while start < count:
+            fits = min((GROUP_FLOATS - held) // floats, count - start)
+            if fits <= 0:  # the group is full
+                groups.append([])
+                held, fits = 0, min(max(GROUP_FLOATS // floats, 1), count - start)
+            groups[-1].append((key, start, start + fits))
+            start, held = start + fits, held + fits * floats
+    columns = []
+    for parts in groups:
         try:
-            parts.append(run(group))
+            columns.append(run(parts))
         except OupacError:
-            if len(group) == 1:
+            items = [(key, index, index + 1) for key, start, stop in parts
+                     for index in range(start, stop)]
+            if len(items) == 1:
                 raise
-            parts.extend(run(group[index:index + 1]) for index in range(len(group)))
-    return tuple(np.concatenate(column) for column in zip(*parts))
-
-
-def _group_bounds(runs: list[tuple[int, int]]):
-    """The ``(start, stop)`` item bounds of each group of :func:`_in_groups`
-    over items of ``(count, floats)`` runs, by arithmetic on each run."""
-    start = stop = held = 0
-    for count, floats in runs:
-        floats, end = max(1, floats), stop + count
-        while stop < end:
-            fits = min((GROUP_FLOATS - held) // floats, end - stop)
-            if fits <= 0 and stop > start:  # the group is full
-                yield start, stop
-                start, held = stop, 0
-                continue
-            fits = max(fits, 1)
-            stop, held = stop + fits, held + fits * floats
-    if stop > start:
-        yield start, stop
+            columns.extend(run([item]) for item in items)
+    return tuple(np.concatenate(column) for column in zip(*columns))
 
 
 def _symmetrized(entries: np.ndarray) -> np.ndarray:
@@ -522,19 +519,25 @@ def _spectrum_passes(dim: int, low: float | np.ndarray,
     """Whether every finite matrix that :func:`_random_spd_entries` draws at
     dimension ``dim`` with eigenvalues in ``[low, high]`` passes the strict
     SPD test on its ``eigvalsh`` eigenvalues: whether ``low - slack >
-    PSD_RTOL * (high + slack)``, ``slack = 16 d^2 eps high``.  ``low`` and
-    ``high`` may be arrays of one range per matrix of a stack; a NaN or
-    infinite bound fails.
+    PSD_RTOL * (high + slack)``, ``slack = 16 d^2 (eps high + u)``,
+    with ``u = 2^-1074`` the smallest subnormal.  ``low`` and ``high``
+    may be arrays of one range per matrix of a stack; a NaN or infinite
+    bound fails.
 
     The computed eigenvalues of ``fl(Q diag(lam) Q^T)``, symmetrized, lie
     within ``slack`` of ``[low, high]``: the two products round each entry
     by at most about ``d eps`` times the entries of ``|Q| diag(lam) |Q|^T``,
-    whose norm is at most ``d high``, which moves an eigenvalue by at most
-    about ``d^2 eps high``; the QR's Q, orthogonal to about ``d eps``, and
-    ``eigvalsh``'s own backward error each add a small multiple of ``d eps
-    high``.  The factor 16 covers these constants with room.  Only a range
-    whose ratio ``low / high`` is within rounding of ``PSD_RTOL`` fails this
-    test; its matrices take the ``eigvalsh`` check of :func:`_make_spd_stack`.
+    whose norm is at most ``d high``, plus at most ``d u`` where a
+    product or sum underflows; this moves an eigenvalue by at most about
+    ``d^2 (eps high + u)``.  The QR's Q, orthogonal to about ``d eps``,
+    and ``eigvalsh``'s own backward error each add a small multiple of ``d
+    eps high``.  The factor 16 covers these constants with room.  Only a
+    range whose ratio ``low / high`` is within rounding of ``PSD_RTOL``, or
+    whose ``low`` is within about ``16 d^2 u`` of 0 (subnormal eigenvalues,
+    which a product may round to 0), fails this test; its matrices take
+    the ``eigvalsh`` check of :func:`_make_spd_stack`.  For ``high`` above
+    2^-968 (about 4e-292), ``u`` is below half an ulp of ``eps high`` and
+    leaves the slack's bits as they are without it.
 
     The same test decides one more range: the Gershgorin discs of the
     eigenbasis law ``Xt = (V^T Q V) / denom`` of :func:`_lyapunov_in_eigenbasis`,
@@ -545,9 +548,10 @@ def _spectrum_passes(dim: int, low: float | np.ndarray,
     symmetrized, with V orthogonal to about ``d eps``.  Where the test
     passes, ``low > 0``, so every row sum of ``|Xt|`` is at most ``high``
     and the two products round X by at most about ``d eps`` times the
-    entries of ``|V| |Xt| |V|^T``, whose norm is at most ``d high``: the
-    same ``d^2 eps high`` as for a drawn spectrum."""
-    slack = 16.0 * dim * dim * _EPS * high
+    entries of ``|V| |Xt| |V|^T``, whose norm is at most ``d high``, plus
+    ``d u`` where they underflow: the same ``d^2 (eps high + u)`` as
+    for a drawn spectrum."""
+    slack = 16.0 * dim * dim * (_EPS * high + math.ulp(0.0))
     return low - slack > PSD_RTOL * (high + slack)
 
 

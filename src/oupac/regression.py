@@ -10,10 +10,11 @@ experiment's sample size is its ``SampleSpec``'s, the N of its bound.
 
 The gap trials of an experiment are evaluated as stacks: arrays with a
 leading trial axis, in one pass of the groups of
-:func:`oupac.linalg._in_groups`, every sample size of a scaling
-experiment included.  A group decomposes each Hessian once, by one
-``eigh`` of the stack, where a trial-by-trial loop makes an ``eigvalsh``
-and an ``eigh`` per trial.  The design and stability checks read the
+:func:`oupac.linalg._in_groups` over one run of trials per sample size,
+every sample size of a scaling experiment included.  A group draws and
+fits the trials of each run it holds together, and decomposes all its
+Hessians once, by one ``eigh`` of the stack, where a trial-by-trial loop
+makes an ``eigvalsh`` and an ``eigh`` per trial.  The design and stability checks read the
 ``eigh`` eigenvalues, whose smallest a singular design's message
 prints.  The posteriors' SPD check reads the Gershgorin discs of their
 laws in the eigenbasis (:func:`oupac.linalg._check_spd_by_discs`), and
@@ -206,42 +207,40 @@ def _noise_risk(noise_std: float) -> float:
 def _gap_trials(
     task: RegressionTask,
     sgd: SgdDynamics,
-    runs: list[tuple[int, SampleSpec]],
     prior: GaussianMeasure,
-    streams: _Streams,
-) -> tuple[list[float], list[float], list[float]]:
-    """Expected risks, empirical risks and bounds of the gap trial of each
-    of ``streams``, evaluated in stacked groups (module docstring).
+    runs: list[tuple[SampleSpec, _Streams]],
+) -> tuple[list[float], list[float]]:
+    """Generalization gaps and bounds of the gap trials of ``runs``,
+    evaluated in stacked groups (module docstring).
 
-    ``runs`` holds ``(count, spec)`` pairs that cover the trials in order:
-    ``count`` consecutive trials of ``spec.sample_size`` rows, bounded at
-    ``spec``.  A trial draws its data from its stream, takes the exact
-    empirical quadratic, and uses the analytic stationary Gaussian of the
-    SGD dynamics on it as the posterior."""
-    specs = [spec for count, spec in runs for _ in range(count)]
-    columns = _in_groups(
-        lambda group: _gap_group(task, sgd, specs[group.start:group.stop], prior,
-                                 streams[group.start:group.stop]),
-        range(len(streams)), [(count, spec.sample_size * task.dim) for count, spec in runs])
-    return tuple(column.tolist() for column in columns)
+    ``runs`` holds ``(spec, streams)`` pairs that cover the trials in
+    order: a trial for each of ``streams``, of ``spec.sample_size`` rows,
+    bounded at ``spec``.  A trial draws its data from its stream, takes
+    the exact empirical quadratic, and uses the analytic stationary
+    Gaussian of the SGD dynamics on it as the posterior; its gap is the
+    posterior's expected risk minus its empirical one."""
+    return tuple(column.tolist() for column in _in_groups(
+        lambda parts: _gap_group(task, sgd, prior, parts),
+        [((spec, streams), len(streams), spec.sample_size * task.dim) for spec, streams in runs]))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow fails the gap check instead
-def _gap_group(task, sgd, specs, prior, streams):
-    """:func:`_gap_trials` on one group, the trial of each of ``streams``
-    bounded at its entry of ``specs``; raises at the first check that a
-    trial fails, in the order a trial-by-trial loop makes the checks.  The
-    trials of each sample size are drawn and fitted together, and the
-    laws of all of them are solved as one stack."""
-    runs = _runs(specs)
-    draws = [_datasets(task, spec.sample_size, streams[start:stop]) for spec, start, stop in runs]
-    hessian = np.concatenate([_symmetrized(_gram(x)) for x, _ in draws])
+def _gap_group(task, sgd, prior, parts):
+    """:func:`_gap_trials` on one group, whose ``((spec, streams), start,
+    stop)`` parts hold the trials of ``streams[start:stop]``, bounded at
+    ``spec``; raises at the first check that a trial fails, in the order a
+    trial-by-trial loop makes the checks.  The trials of each part are
+    drawn and fitted together, and the laws of all of them are solved as
+    one stack."""
+    draws = [_datasets(task, spec.sample_size, streams[start:stop])
+             for (spec, streams), start, stop in parts]
+    grams = [_symmetrized(_gram(x)) for x, _ in draws]
+    hessian = np.concatenate(grams)
     lam, vecs = np.linalg.eigh(hessian)
     design = _spd_verdict(lam)
     Verdict(design.bad, lambda i: _singular_design(design.error(i))).check()
-    fits = [_least_squares(x, y, hessian[start:stop])
-            for (x, y), (_, start, stop) in zip(draws, runs)]
-    minimizer, offset = map(np.concatenate, zip(*fits))
+    minimizer, offset = map(np.concatenate, zip(*[
+        _least_squares(x, y, gram) for (x, y), gram in zip(draws, grams)]))
     _check_dims(task, sgd)  # as stability_check does, with the task's dimension for the loss's
     radius = _step_radius(sgd.lr, lam)
     Verdict(~(radius < 1.0), lambda i: UnstableDynamicsError(
@@ -254,20 +253,17 @@ def _gap_group(task, sgd, specs, prior, streams):
     expected = _expected_risks(task.feature_cov.entries, task.true_weights,
                                _noise_risk(task.noise_std), minimizer, cov)
     empirical = _expected_risks(hessian, minimizer, offset, minimizer, cov)
-    Verdict(~np.isfinite(expected - empirical), lambda i: NumericalInconsistencyError(
+    gap = expected - empirical
+    Verdict(~np.isfinite(gap), lambda i: NumericalInconsistencyError(
         f"gap trial risks are not finite (expected {_item(expected, i):.6g}, empirical "
         f"{_item(empirical, i):.6g}): the data are too large for float64"
     )).check()
     kl = _kl_divergences(cov, minimizer, prior)
-    return expected, empirical, np.concatenate([mcallester_bound(kl[start:stop], spec)
-                                                for spec, start, stop in runs])
-
-
-def _runs(specs: Sequence[SampleSpec]) -> list[tuple[SampleSpec, int, int]]:
-    """``(spec, start, stop)`` of each run of equal consecutive ``specs``."""
-    starts = [index for index, spec in enumerate(specs)
-              if not index or spec is not specs[index - 1]]
-    return [(specs[start], start, stop) for start, stop in zip(starts, [*starts[1:], len(specs)])]
+    bounds = []
+    for (spec, _), start, stop in parts:
+        bounds.append(mcallester_bound(kl[:stop - start], spec))
+        kl = kl[stop - start:]
+    return gap, np.concatenate(bounds)
 
 
 def _trial_streams(seeds: Sequence[int]) -> _Streams:
@@ -345,19 +341,13 @@ def bound_validity_experiment(
     _check_sample_sizes([spec.sample_size], task.dim)
     _check_held("trials: the per-trial results hold", VALIDITY_TRIAL_FLOATS * trials, task.dim)
     seeds = _child_seeds(master_seed, [(index,) for index in range(trials)])
-    records = [
-        TrialRecord(seed=seed, gap=expected - empirical, bound_value=bound)
-        for seed, expected, empirical, bound in zip(seeds, *_gap_trials(
-            task, sgd, [(trials, spec)], prior, _trial_streams(seeds),
-        ))
-    ]
-    gaps = [r.gap for r in records]
-    bounds = [r.bound_value for r in records]
+    gaps, bounds = _gap_trials(task, sgd, prior, [(spec, _trial_streams(seeds))])
+    records = tuple(map(TrialRecord, seeds, gaps, bounds))
     return ValidityResult(
         violation_count=sum(r.violated for r in records),
         gaps=_summary(gaps),
         bounds=_summary(bounds),
-        records=tuple(records),
+        records=records,
     )
 
 
@@ -389,25 +379,18 @@ def scaling_experiment(
     _check_sample_sizes(ns, task.dim)
     _check_held("trials: every n's trials hold", SCALING_TRIAL_FLOATS * trials_per_n * len(ns),
                 task.dim)
-    prior = standard_gaussian(task.dim)
     streams = _trial_streams(_child_seeds(
         master_seed, [(n_index, trial) for n_index in range(len(ns))
                       for trial in range(trials_per_n)]))
-    runs = [(trials_per_n, SampleSpec(n, delta)) for n in ns]
-    expected, empirical, bounds = _gap_trials(task, sgd, runs, prior, streams)
-    mean_bounds: dict[int, float] = {}
-    mean_gaps: dict[int, float] = {}
-    for n_index, n in enumerate(ns):
-        part = slice(n_index * trials_per_n, (n_index + 1) * trials_per_n)
-        mean_bounds[n] = statistics.fmean(bounds[part])
-        mean_gaps[n] = statistics.fmean([e - m for e, m in zip(expected[part], empirical[part])])
-    rows = []
-    for n in ns:
-        ratio = mean_bounds[4 * n] / mean_bounds[n] if 4 * n in mean_bounds else None
-        rows.append({
-            "n": n,
-            "mean_bound": mean_bounds[n],
-            "mean_gap": mean_gaps[n],
-            "ratio_bound_4n": ratio,
-        })
-    return rows
+    slices = [slice(n_index * trials_per_n, (n_index + 1) * trials_per_n)
+              for n_index in range(len(ns))]
+    gaps, bounds = _gap_trials(task, sgd, standard_gaussian(task.dim), [
+        (SampleSpec(n, delta), streams[run]) for n, run in zip(ns, slices)])
+    means = {n: (statistics.fmean(bounds[run]), statistics.fmean(gaps[run]))
+             for n, run in zip(ns, slices)}
+    return [{
+        "n": n,
+        "mean_bound": means[n][0],
+        "mean_gap": means[n][1],
+        "ratio_bound_4n": means[4 * n][0] / means[n][0] if 4 * n in means else None,
+    } for n in ns]

@@ -132,6 +132,19 @@ class TestMcallesterBound:
             assert all(a < b for a, b in zip(values, values[1:]))
 
 
+    def test_a_negative_radicand_raises_without_a_warning(self):
+        # D~ = -21.72 makes the radicand of the dimension-dependent term
+        # negative; its square root was a NaN term and a RuntimeWarning
+        pair = DomainPair(make_spd(np.eye(1)), make_spd(1e-9 * np.eye(1)), np.zeros(1))
+        assert discrepancy_d_tilde(pair) == pytest.approx(-21.72, abs=0.01)
+        with pytest.raises(InvalidSpecError, match="radicand .* must be nonnegative, got -0.3087"):
+            finetune_bound_dimension(pair, SampleSpec(10, 0.5))
+
+    def test_a_report_rejects_a_nan_complexity_term(self):
+        with pytest.raises(InvalidSpecError, match="complexity_term must be nonnegative, got nan"):
+            BoundReport(kl_term=0.0, complexity_term=math.nan, paper_literal_kl=0.0)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     kls=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8),
@@ -443,6 +456,13 @@ class TestLemma2:
         again = lemma2_survey(dims=(1, 2, 3), pairs_per_dim=25, seed=5)
         assert rows == again
 
+    def test_survey_rows_hold_python_numbers(self):
+        # holds_fraction was a numpy float, from a count_nonzero
+        for row in lemma2_survey(dims=(1, 3), pairs_per_dim=5, seed=2):
+            assert {key: type(value) for key, value in row.items()} == {
+                "dim": int, "pairs": int, "holds": int, "holds_fraction": float,
+                "min_margin": float}
+
     def test_survey_of_no_dimensions_is_empty(self):
         assert lemma2_survey(dims=(), pairs_per_dim=25, seed=5) == []
 
@@ -596,17 +616,23 @@ def _outcome(survey, *args):
 )
 @example(seed=5, dims=[1, 33], pairs=20, low=0.2, ratio=25.0)
 @example(seed=9, dims=[64], pairs=3, low=1e-3, ratio=1e3)
+# subnormal eigenvalues, which the drawn products may round to 0: the loop's
+# eigvalsh check raises, where a Cholesky factor would fail instead
+@example(seed=0, dims=[1, 2], pairs=3, low=5e-324, ratio=1.0)
+@example(seed=570, dims=[7], pairs=3, low=1e-323, ratio=6.4)
+@example(seed=276, dims=[8], pairs=3, low=1.5e-323, ratio=7 / 3)
+@example(seed=103, dims=[2], pairs=3, low=5e-324, ratio=4.0)
 def test_stacked_survey_matches_the_pair_by_pair_loop(seed, dims, pairs, low, ratio):
     args = (dims, pairs, seed, low, low * ratio)
-    assert json.dumps(lemma2_survey(*args)) == json.dumps(_reference_survey(*args))
+    assert _outcome(lemma2_survey, *args) == _outcome(_reference_survey, *args)
 
 
 def _group_sizes(monkeypatch) -> list[int]:
     """The number of pairs of each group that lemma2_survey evaluates, as it runs."""
     sizes = []
     run = bounds._survey_group
-    monkeypatch.setattr(bounds, "_survey_group",
-                        lambda items, *rest: sizes.append(len(items)) or run(items, *rest))
+    monkeypatch.setattr(bounds, "_survey_group", lambda parts, *rest: sizes.append(
+        sum(stop - start for _, start, stop in parts)) or run(parts, *rest))
     return sizes
 
 

@@ -5,6 +5,7 @@ import csv
 import errno
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,7 +56,7 @@ from oupac import (
 )
 from oupac import bounds, cli, diffusion, linalg, matrixio, regression
 from oupac.cli import main
-from oupac.errors import ConfigError
+from oupac.errors import ConfigError, InvalidSpecError
 from oupac.linalg import RECORD_FLOATS
 from oupac.rng import make_rng
 from oupac.matrixio import (
@@ -952,6 +954,64 @@ def test_kl_of_means_whose_difference_overflows_exits_3_with_one_line(capsys, tm
     assert err == ("error in kl: a Gaussian-pair term or divergence is not finite "
                    "(tr(Sp^-1 Sq) = 2, log det Sp - log det Sq = 0, shift^T Sp^-1 shift = inf): "
                    "an input is too large for float64\n")
+
+
+@pytest.mark.parametrize("n", [2**1020, 2**1023 - 1, 2**1023, 10**308, 2**1024 - 2**970 - 1,
+                               2**1024 - 2**970, 2**1024 - 1],
+                         ids=["2^1020", "2^1023-1", "2^1023", "10^308", "2^1024-2^970-1",
+                              "2^1024-2^970", "2^1024-1"])
+def test_a_sample_size_up_to_2_1024_gives_a_finite_positive_term(capsys, tmp_path,
+                                                                 identity_file, n):
+    # 2N - 1 overflowed from N = 2^1023, which made the term exactly 0 and
+    # dominance's ratio a ZeroDivisionError traceback
+    try:
+        SampleSpec(n, 0.5)
+    except InvalidSpecError:
+        accepted = False  # float(N) overflows from 2^1024 - 2^970
+    else:
+        accepted = True
+    assert accepted == (n < 2**1024 - 2**970)
+    out_path = tmp_path / "out.json"
+    domains = ["dominance", "--sigma-pt", identity_file, "--sigma-ft", identity_file,
+               "--shift", "1,0", "--delta", "0.5"]
+    for argv, keys in [
+        (["bound", "--kl", "1", f"--n={n}", "--delta", "0.5"], ["complexity_term"]),
+        ([*domains, f"--n-pt={n}", "--n-ft=10"], ["pt_term", "ft_term", "ratio"]),
+        ([*domains, "--n-pt=10", f"--n-ft={n}"], ["pt_term", "ft_term", "ratio"]),
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, *argv, "--output", str(out_path))
+        if not accepted:
+            assert code == 2 and "must be below 2**1024" in err
+            continue
+        assert (code, err) == (0, "")
+        payload = json.loads(out_path.read_text())
+        for key in keys:
+            assert 0.0 < payload[key] < math.inf, (argv, key)
+
+
+def test_bound_at_a_sample_size_of_1e308_is_within_2_ulps(capsys, tmp_path):
+    out_path = tmp_path / "bound.json"
+    assert run_cli(capsys, "bound", "--kl", "1", f"--n={10**308}", "--delta", "0.5",
+                   "--output", str(out_path))[0] == 0
+    with mpmath.workdps(50):
+        n = mpmath.mpf(10**308)
+        want = float(mpmath.sqrt((1 + mpmath.log(2) + mpmath.log(n) + 2) / (2 * n - 1)))
+    np.testing.assert_array_max_ulp(json.loads(out_path.read_text())["complexity_term"], want,
+                                    maxulp=2)
+
+
+def test_lemma_survey_of_subnormal_eigenvalues_exits_3_with_the_loop_error(capsys):
+    # the drawn products round a subnormal spectrum to 0: the check that a
+    # pair-by-pair loop makes first raises, where a Cholesky factor failed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "lemma-survey", "--dims=1", "--eig-low=5e-324",
+                                 "--eig-high=5e-324")
+    assert (code, out) == (3, "")
+    assert err == ("error in lemma-survey: matrix is not strictly positive definite: "
+                   "smallest eigenvalue 0 <= tolerance 0\n")
 
 
 def test_lemma_survey_at_the_largest_eigenvalue_exits_without_a_traceback(capsys):

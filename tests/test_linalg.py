@@ -962,22 +962,28 @@ def test_a_stacked_kernel_raises_what_its_failing_item_raises_alone(name):
 
 
 class TestInGroups:
-    """The group and replay policy of stacked pipelines, on a synthetic run."""
+    """The group and replay policy of stacked pipelines, on a synthetic run
+    whose item ``index`` of the run keyed ``key`` is the number ``key + index``."""
 
     @staticmethod
-    def recording(calls, fail=lambda group: None):
-        def run(group):
-            calls.append(list(group))
-            fail(group)
-            items = np.array(group, dtype=float)
-            return items * 2.0, items + 0.5
+    def recording(calls, fail=lambda items: None):
+        def run(parts):
+            calls.append(list(parts))
+            items = TestInGroups.items(parts)
+            fail(items)
+            values = np.array(items, dtype=float)
+            return values * 2.0, values + 0.5
         return run
+
+    @staticmethod
+    def items(parts):
+        return [key + index for key, start, stop in parts for index in range(start, stop)]
 
     def test_columns_concatenate_in_item_order(self, monkeypatch):
         monkeypatch.setattr(linalg, "GROUP_FLOATS", 10)
         calls = []
-        doubled, shifted = _in_groups(self.recording(calls), list(range(7)), [(7, 3)])
-        assert calls == [[0, 1, 2], [3, 4, 5], [6]]
+        doubled, shifted = _in_groups(self.recording(calls), [(0, 7, 3)])
+        assert calls == [[(0, 0, 3)], [(0, 3, 6)], [(0, 6, 7)]]
         assert doubled.tolist() == [2.0 * i for i in range(7)]
         assert shifted.tolist() == [i + 0.5 for i in range(7)]
 
@@ -989,59 +995,81 @@ class TestInGroups:
             self, monkeypatch, floats_per_item, sizes):
         monkeypatch.setattr(linalg, "GROUP_FLOATS", 10)
         calls = []
-        _in_groups(self.recording(calls), range(12), [(12, floats_per_item)])
-        assert [len(group) for group in calls] == sizes
-        assert [item for group in calls for item in group] == list(range(12))
+        _in_groups(self.recording(calls), [(0, 12, floats_per_item)])
+        assert [len(self.items(parts)) for parts in calls] == sizes
+        assert [item for parts in calls for item in self.items(parts)] == list(range(12))
+
+    def test_a_group_spanning_runs_gets_one_part_per_run_in_run_indices(self, monkeypatch):
+        # three items of 2 numbers and one of 3 fill the first group of 10;
+        # the run keyed 200 goes on in the next group at its own index 1
+        monkeypatch.setattr(linalg, "GROUP_FLOATS", 10)
+        calls = []
+        doubled, _ = _in_groups(self.recording(calls), [(100, 3, 2), (200, 4, 3)])
+        assert calls == [[(100, 0, 3), (200, 0, 1)], [(200, 1, 4)]]
+        assert doubled.tolist() == [2.0 * i for i in (100, 101, 102, 200, 201, 202, 203)]
+
+    def test_a_replay_of_a_group_spanning_runs_gets_one_item_parts(self, monkeypatch):
+        def fail(items):
+            if len(items) > 1:
+                raise ResidualTooLargeError("the whole group")
+
+        monkeypatch.setattr(linalg, "GROUP_FLOATS", 10)
+        calls = []
+        doubled, _ = _in_groups(self.recording(calls, fail), [(100, 3, 2), (200, 2, 3)])
+        assert calls == [[(100, 0, 3), (200, 0, 1)], [(100, 0, 1)], [(100, 1, 2)], [(100, 2, 3)],
+                         [(200, 0, 1)], [(200, 1, 2)]]
+        assert doubled.tolist() == [2.0 * i for i in (100, 101, 102, 200, 201)]
 
     def test_a_failing_group_raises_the_error_of_its_earliest_failing_item(self, monkeypatch):
         # items 0-3 and 4-7 make two groups; the run checks item 3's failure
         # before item 1's, as a stacked check of an earlier kind would
-        def fail(group):
-            if 3 in group:
+        def fail(items):
+            if 3 in items:
                 raise InvalidRangeError("item 3")
-            if 1 in group:
+            if 1 in items:
                 raise NotSquareError("item 1")
-            if 6 in group:
+            if 6 in items:
                 raise ResidualTooLargeError("item 6")
 
         monkeypatch.setattr(linalg, "GROUP_FLOATS", 4)
         calls = []
         with pytest.raises(NotSquareError, match="item 1"):
-            _in_groups(self.recording(calls, fail), list(range(8)), [(8, 1)])
-        assert calls == [[0, 1, 2, 3], [0], [1]]
+            _in_groups(self.recording(calls, fail), [(0, 8, 1)])
+        assert calls == [[(0, 0, 4)], [(0, 0, 1)], [(0, 1, 2)]]
 
     def test_a_failing_one_item_group_is_not_replayed(self, monkeypatch):
-        def fail(group):
-            if 2 in group:
+        def fail(items):
+            if 2 in items:
                 raise InvalidRangeError("item 2")
 
         monkeypatch.setattr(linalg, "GROUP_FLOATS", 1)
         calls = []
         with pytest.raises(InvalidRangeError, match="item 2"):
-            _in_groups(self.recording(calls, fail), list(range(5)), [(5, 1)])
-        assert calls == [[0], [1], [2]]
+            _in_groups(self.recording(calls, fail), [(0, 5, 1)])
+        assert calls == [[(0, 0, 1)], [(0, 1, 2)], [(0, 2, 3)]]
 
     def test_a_group_whose_items_pass_alone_keeps_their_results(self, monkeypatch):
         # a check near its threshold may fail on a stack and pass item by item
-        def fail(group):
-            if len(group) > 1:
+        def fail(items):
+            if len(items) > 1:
                 raise ResidualTooLargeError("the whole group")
 
         monkeypatch.setattr(linalg, "GROUP_FLOATS", 3)
         calls = []
-        doubled, shifted = _in_groups(self.recording(calls, fail), list(range(5)), [(5, 1)])
-        assert calls == [[0, 1, 2], [0], [1], [2], [3, 4], [3], [4]]
+        doubled, shifted = _in_groups(self.recording(calls, fail), [(0, 5, 1)])
+        assert [self.items(parts) for parts in calls] == [[0, 1, 2], [0], [1], [2], [3, 4], [3],
+                                                          [4]]
         assert doubled.tolist() == [2.0 * i for i in range(5)]
         assert shifted.tolist() == [i + 0.5 for i in range(5)]
 
     def test_an_error_of_another_kind_propagates_without_a_replay(self, monkeypatch):
-        def fail(group):
+        def fail(items):
             raise ValueError("not a check")
 
         calls = []
         with pytest.raises(ValueError, match="not a check"):
-            _in_groups(self.recording(calls, fail), [0, 1, 2], [(3, 1)])
-        assert calls == [[0, 1, 2]]
+            _in_groups(self.recording(calls, fail), [(0, 3, 1)])
+        assert calls == [[(0, 0, 3)]]
 
 
 def test_check_held_allows_record_floats_and_rejects_one_more():

@@ -474,9 +474,9 @@ def _group_sizes(monkeypatch) -> list[int]:
     sizes = []
     run = regression._gap_group
 
-    def counted(task, sgd, spec, prior, streams, *rest):
-        sizes.append(len(streams))
-        return run(task, sgd, spec, prior, streams, *rest)
+    def counted(task, sgd, prior, parts):
+        sizes.append(sum(stop - start for _, start, stop in parts))
+        return run(task, sgd, prior, parts)
     monkeypatch.setattr(regression, "_gap_group", counted)
     return sizes
 
